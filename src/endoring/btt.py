@@ -4,7 +4,8 @@ Vertices are standard coset representatives (a, b, c) for the maximal
 order T^{-1} M_2(Z_q) T with T = [[q^a, c], [0, q^b]].  Paths are words
 in the generator set Sigma = {gamma_0, ..., gamma_{q-1}, gamma_inf};
 step q in a word encodes gamma_inf.  The module is purely integer
-combinatorics; order-lattice realizations live in the pipeline.
+combinatorics; the order-lattice realizations of vertices that the tests
+check it against live in tests/matmodel.py.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MathematicalInconsistencyError, StructuralError
+from .matrix import adj2, mat2_mul
 from .ntheory import is_prime, reduce_unit_mod, valuation
 
 
@@ -95,16 +97,8 @@ def associated_matrix(path: MatrixPath):
     """Product c_n ... c_1 of the generator matrices, later steps on the left."""
     t = ((1, 0), (0, 1))
     for s in path.steps:
-        g = gen_matrix(path.q, s)
-        t = _mul(g, t)
+        t = mat2_mul(gen_matrix(path.q, s), t)
     return t
-
-
-def _mul(x, y):
-    return (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-    )
 
 
 def canonical_vertex(q: int, mat) -> TreeVertex:
@@ -162,9 +156,7 @@ def path_from_root(v: TreeVertex) -> MatrixPath:
             step = row[1] * pow(row[0], -1, q) % q
         else:
             step = q
-        g = gen_matrix(q, step)
-        adj = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
-        t2 = _mul(t, adj)
+        t2 = mat2_mul(t, adj2(gen_matrix(q, step)))
         if any(x % q for r in t2 for x in r):
             raise MathematicalInconsistencyError("path step does not divide")
         t = [[x // q for x in r] for r in t2]

@@ -47,13 +47,9 @@ def cmd_compute(args) -> int:
     order, fact, hidden, options = load_problem(args.input)
     if hidden is None:
         raise ParseError("compute requires an oracle section in the problem file")
-    if args.precision_override is not None and args.precision_override < 0:
-        raise ParseError("precision override must be nonnegative")
     oracle = HiddenOrderOracle(hidden)
     log = TraceLog()
-    end, sols, calls = compute_endomorphism_ring(
-        order, fact, oracle, log, parallel=args.parallel_primes
-    )
+    end, sols, calls = compute_endomorphism_ring(order, fact, oracle, log)
     result = result_to_json(end, sols, calls, deterministic=args.deterministic)
     text = json.dumps(result, indent=2) + "\n"
     if args.output:
@@ -120,12 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("compute", help="run the full endomorphism-ring pipeline")
     pc.add_argument("--input", required=True)
     pc.add_argument("--output")
-    pc.add_argument("--oracle", help="problem file path holding only the oracle (optional)")
     pc.add_argument("--trace")
     pc.add_argument("--dot-dir")
-    pc.add_argument("--precision-override", type=int, default=None)
     pc.add_argument("--deterministic", action="store_true")
-    pc.add_argument("--parallel-primes", action="store_true")
     pc.set_defaults(func=cmd_compute)
 
     pb = sub.add_parser("btt", help="Bruhat-Tits tree utilities")

@@ -10,7 +10,7 @@ any isogeny computation.
 """
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import OraclePreconditionError, StructuralError
 from .ntheory import factorize, primes
@@ -114,9 +114,9 @@ def four_squares(a: int):
 
     def descend(rest, k, bound):
         if k == 1:
-            r = _isqrt(rest)
+            r = isqrt(rest)
             return (r,) if r * r == rest else None
-        start = min(bound, _isqrt(rest))
+        start = min(bound, isqrt(rest))
         for x in range(start, -1, -1):
             if x * x * k < rest:
                 break
@@ -125,16 +125,10 @@ def four_squares(a: int):
                 return (x,) + tail
         return None
 
-    out = descend(a, 4, _isqrt(a))
+    out = descend(a, 4, isqrt(a))
     if out is None:
         raise StructuralError("four squares decomposition failed")
     return out
-
-
-def _isqrt(n: int) -> int:
-    from math import isqrt
-
-    return isqrt(n)
 
 
 def choose_M(deg_beta: int, n: int, n_plus_a: int):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DegenerateLatticeError
+from .matrix import adj4
 from .ntheory import valuation
 
 Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -55,29 +56,6 @@ def _hnf_columns(cols):
                 for t in range(row, 4):
                     h[j][t] -= f * h[row][t]
     return h
-
-
-def _adjugate(cols):
-    """Adjugate of a 4x4 integer matrix given by columns; returns columns."""
-
-    def minor3(rs, cs):
-        (r0, r1, r2), (c0, c1, c2) = rs, cs
-        m = [[cols[c][r] for c in (c0, c1, c2)] for r in (r0, r1, r2)]
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    idx = (0, 1, 2, 3)
-    adj = [[0] * 4 for _ in range(4)]
-    for i in idx:
-        for j in idx:
-            rs = tuple(r for r in idx if r != j)
-            cs = tuple(c for c in idx if c != i)
-            adj[j][i] = (-1) ** (i + j) * minor3(rs, cs)
-    # adj is adjugate with adj[col][row] layout matching `cols`
-    return [tuple(col) for col in adj]
 
 
 @dataclass(frozen=True)
@@ -138,13 +116,13 @@ class Lattice4:
         return Lattice4.from_integer_columns(cols, d)
 
     def dual(self) -> "Lattice4":
-        # basis matrix B = M/den; dual basis = (B^T)^{-1} = den * adj(M^T)/det(M)
-        mt = tuple(tuple(self.cols[r][c] for r in range(4)) for c in range(4))
-        adj = _adjugate(mt)
+        # basis matrix B = M/den; the dual basis is the columns of
+        # (B^T)^{-1}, which are the rows of den * adj(M)/det(M)
+        adj = adj4(tuple(zip(*self.cols)))
         detm = 1
         for i in range(4):
             detm *= self.cols[i][i]
-        cols = [tuple(x * self.den for x in c) for c in adj]
+        cols = [tuple(x * self.den for x in row) for row in adj]
         return Lattice4.from_integer_columns(cols, detm)
 
     def intersect(self, other: "Lattice4") -> "Lattice4":

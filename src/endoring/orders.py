@@ -20,8 +20,9 @@ from .errors import (
     StructuralError,
 )
 from .lattice import Lattice4, integer_kernel
+from .matrix import adj4, det4
 from .ntheory import exact_isqrt, valuation
-from .quat import QuaternionAlgebra, QuatElement, det4, gram
+from .quat import QuaternionAlgebra, QuatElement, gram
 
 
 @dataclass(frozen=True)
@@ -111,32 +112,13 @@ def standard_maximal_order(alg: QuaternionAlgebra) -> Order:
 def codifferent(order: Order) -> Lattice4:
     """Dual of the order under the pairing (x, y) -> Trd(xy)."""
     g = gram(order.basis_elements())
-    ginv = _inv4(g)
+    d = det4(g)
+    ginv = [[x / d for x in row] for row in adj4(g)]
     basis = order.lattice.basis()
-    cols = []
-    for jcol in range(4):
-        vec = [Fraction(0)] * 4
-        for irow in range(4):
-            c = ginv[irow][jcol]
-            if c:
-                vec = [v + c * b for v, b in zip(vec, basis[irow])]
-        cols.append(tuple(vec))
+    cols = [
+        tuple(sum(ginv[i][j] * basis[i][k] for i in range(4)) for k in range(4)) for j in range(4)
+    ]
     return Lattice4.from_generators(cols)
-
-
-def _inv4(m):
-    n = 4
-    aug = [[Fraction(m[r][c]) for c in range(n)] + [Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                fr = aug[r][col]
-                aug[r] = [x - fr * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def ternary_form_coefficients(order: Order):

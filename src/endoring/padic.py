@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MathematicalInconsistencyError, PrecisionError, StructuralError
+from .matrix import adj4, det4, mat2_mul
 from .ntheory import reduce_unit_mod, valuation
 from .orders import Order
 from .quat import QuatElement
@@ -100,23 +101,6 @@ def normalized_basis_at(order: Order, q: int):
             if c != 0 and valuation(c, q) < 0:
                 raise MathematicalInconsistencyError("normalized basis left Z_(q)")
     return out, blocks
-
-
-def _norm_coeff_matrix(blocks, q, modulus):
-    """Integer-reduced coefficients of the norm form in the normalized basis,
-    as (diag, cross) with cross[i] pairing slot i and i+1 inside a block."""
-    diag, cross = [], []
-    for kind, data in blocks:
-        if kind == "unit":
-            diag.append(reduce_unit_mod(data, modulus))
-            cross.append(0)
-        else:
-            a, b, c = data
-            diag.append(reduce_unit_mod(a, modulus))
-            diag.append(reduce_unit_mod(c, modulus))
-            cross.append(reduce_unit_mod(b, modulus))
-            cross.append(0)
-    return diag, cross
 
 
 def zero_divisor_mod(order: Order, prec: Precision) -> QuatElement:
@@ -245,19 +229,6 @@ class SplittingMap:
         return self.apply(self.order.algebra.one())
 
 
-def _mat_mul_mod(x, y, modulus):
-    return (
-        (
-            (x[0][0] * y[0][0] + x[0][1] * y[1][0]) % modulus,
-            (x[0][0] * y[0][1] + x[0][1] * y[1][1]) % modulus,
-        ),
-        (
-            (x[1][0] * y[0][0] + x[1][1] * y[1][0]) % modulus,
-            (x[1][0] * y[0][1] + x[1][1] * y[1][1]) % modulus,
-        ),
-    )
-
-
 def splitting_map(order: Order, prec: Precision) -> SplittingMap:
     """Compute the splitting isomorphism mod q^(r+1) for a q-maximal order."""
     q, modulus = prec.q, prec.modulus
@@ -286,13 +257,12 @@ def splitting_map(order: Order, prec: Precision) -> SplittingMap:
     e12 = _integerize(order, e, modulus)
     units = (e11, e12, e21, e22)
     # transfer matrix: columns are coordinates of the unit preimages
-    cols = [_coords_mod(order, u, modulus) for u in units]
-    det = _det4_mod(cols, modulus)
+    transfer = tuple(zip(*(_coords_mod(order, u, modulus) for u in units)))
+    det = det4(transfer) % modulus
     if det % q == 0:
         raise MathematicalInconsistencyError("matrix units do not span mod q")
-    adj = _adj4_mod(cols, modulus)
     dinv = pow(det, -1, modulus)
-    minv = tuple(tuple(adj[r][k] * dinv % modulus for k in range(4)) for r in range(4))
+    minv = tuple(tuple(x * dinv % modulus for x in row) for row in adj4(transfer))
     if q != 2:
         i_rep = _integerize(order, e11 - e22, modulus)
         j_rep = _integerize(order, e12 + e21, modulus)
@@ -304,45 +274,6 @@ def splitting_map(order: Order, prec: Precision) -> SplittingMap:
     return sm
 
 
-def _det4_mod(cols, modulus):
-    # determinant of the 4x4 matrix with the given columns
-    m = [[cols[c][r] for c in range(4)] for r in range(4)]
-
-    def det3(a):
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-
-    total = 0
-    for c in range(4):
-        sub = [[m[r][cc] for cc in range(4) if cc != c] for r in range(1, 4)]
-        total += (-1) ** c * m[0][c] * det3(sub)
-    return total % modulus
-
-
-def _adj4_mod(cols, modulus):
-    m = [[cols[c][r] for c in range(4)] for r in range(4)]
-
-    def minor3(rs, cs):
-        a = [[m[r][c] for c in cs] for r in rs]
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-
-    idx = (0, 1, 2, 3)
-    adj = [[0] * 4 for _ in range(4)]
-    for i in idx:
-        for j in idx:
-            rs = tuple(r for r in idx if r != j)
-            cs = tuple(c for c in idx if c != i)
-            adj[i][j] = (-1) ** (i + j) * minor3(rs, cs) % modulus
-    return adj
-
-
 def _validate_splitting(sm: SplittingMap):
     modulus = sm.precision.modulus
     q = sm.precision.q
@@ -350,7 +281,8 @@ def _validate_splitting(sm: SplittingMap):
     imgs = [sm.apply(b) for b in basis]
     for bx, fx in zip(basis, imgs):
         for by, fy in zip(basis, imgs):
-            if sm.apply(bx * by) != _mat_mul_mod(fx, fy, modulus):
+            want = tuple(tuple(x % modulus for x in row) for row in mat2_mul(fx, fy))
+            if sm.apply(bx * by) != want:
                 raise MathematicalInconsistencyError("splitting map is not multiplicative")
     if sm.apply(sm.j_rep) != ((0, 1), (1, 0)):
         raise MathematicalInconsistencyError("j' image is wrong")

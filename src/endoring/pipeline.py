@@ -1,10 +1,6 @@
 """Top-level algorithms: local distance, path recovery, Bass binary search,
 local-to-global order construction, and the full endomorphism-ring
 computation driven by a division oracle.
-
-Also houses the integer-matrix-model realization of tree vertices
-(orders T^{-1} M_2(Z) T inside M_2(Q)) used to cross-validate the tree
-combinatorics against exact lattice arithmetic.
 """
 
 import math
@@ -13,8 +9,8 @@ from fractions import Fraction
 
 from .btt import (
     MatrixPath,
-    TreeVertex,
     allowed_next_steps,
+    associated_matrix,
     dot_graph,
     path_from_root,
     step_name,
@@ -23,6 +19,7 @@ from .btt import (
 from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4
+from .matrix import adj2, mat2_mul
 from .ntheory import valuation
 from .orders import Order, discrd, is_bass_at, q_enlarge, verify_order
 from .padic import Precision, SplittingMap, lift_vertex_element, splitting_map
@@ -133,7 +130,7 @@ def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
     return patched
 
 
-def global_order_from_vertices(o0: Order, oq: Order, sm: SplittingMap, vertices, r: int) -> Order:
+def global_order_from_vertices(o0: Order, oq: Order, sm: SplittingMap, vertices) -> Order:
     """Global order whose q-part realizes the intersection of the given
     tree vertices (1 to 3 of them) and whose other localizations agree
     with the starting order."""
@@ -221,19 +218,14 @@ def enumerate_bass_path(o0: Order, sm: SplittingMap, e: int):
     """Vertices of the path of maximal orders containing the image of O_0,
     walked outward from the root while containment persists."""
     q = sm.precision.q
-    modulus = sm.precision.modulus
     imgs = [sm.apply(b) for b in o0.basis_elements()]
 
     def contains_image(word):
-        path = MatrixPath(q, tuple(word))
-        from .btt import associated_matrix
-
-        t = associated_matrix(path)
-        k = len(word)
-        adj = ((t[1][1], -t[0][1]), (-t[1][0], t[0][0]))
-        mod = q**k
+        t = associated_matrix(MatrixPath(q, tuple(word)))
+        adj = adj2(t)
+        mod = q ** len(word)
         for y in imgs:
-            prod = _mat_mul(_mat_mul(t, y), adj)
+            prod = mat2_mul(mat2_mul(t, y), adj)
             if any(x % mod for row in prod for x in row):
                 return False
         return True
@@ -275,13 +267,6 @@ def enumerate_bass_path(o0: Order, sm: SplittingMap, e: int):
     return [vertex_of_path(MatrixPath(q, w)) for w in words]
 
 
-def _mat_mul(x, y):
-    return (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-    )
-
-
 def bass_search(
     o0: Order,
     oq: Order,
@@ -300,7 +285,7 @@ def bass_search(
     lst = list(path_list)
     while len(lst) > 1:
         m = len(lst) // 2
-        test = global_order_from_vertices(o0, oq, sm, [lst[0], lst[m - 1]], e)
+        test = global_order_from_vertices(o0, oq, sm, [lst[0], lst[m - 1]])
         depth = max(lst[0].depth, lst[m - 1].depth)
         n = q ** (depth + 3 * e)
         ok = True
@@ -323,7 +308,6 @@ def compute_endomorphism_ring(
     factorization,
     oracle: DivisionOracle,
     log: TraceLog | None = None,
-    parallel: bool = False,
 ):
     """Run the per-prime local pipeline and assemble End(E).
 
@@ -341,8 +325,6 @@ def compute_endomorphism_ring(
         )
     if delta == p:
         return o0, [], 0
-
-    items = sorted(factorization)
 
     def solve_one(q, e):
         if q == p:
@@ -372,7 +354,7 @@ def compute_endomorphism_ring(
             calls["bass"] = bass_oracle.calls
             r = vertex.depth
             gamma = path_from_root(vertex)
-            o_tilde = global_order_from_vertices(o0, oq, sm, [vertex], e)
+            o_tilde = global_order_from_vertices(o0, oq, sm, [vertex])
         else:
             dist_oracle = CountingOracle(oracle, log, stage="distance", q=q)
             r = distance_to_end(o0, oq, q, e, dist_oracle)
@@ -405,28 +387,7 @@ def compute_endomorphism_ring(
             q=q, e=e, bass=bass, enlargement=oq, r=r, gamma=gamma, order=o_tilde, oracle_calls=calls
         )
 
-    if parallel and len(items) > 1:
-        import threading
-
-        lock = threading.Lock()
-        inner = oracle
-
-        class LockedOracle(DivisionOracle):
-            @property
-            def calls(self):
-                return inner.calls
-
-            def is_divisible(self, beta, n):
-                with lock:
-                    return inner.is_divisible(beta, n)
-
-        oracle = LockedOracle()
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(items)) as ex:
-            sols = list(ex.map(lambda qe: solve_one(*qe), items))
-    else:
-        sols = [solve_one(q, e) for q, e in items]
+    sols = [solve_one(q, e) for q, e in sorted(factorization)]
 
     total = o0.lattice
     for sol in sols:
@@ -441,87 +402,3 @@ def compute_endomorphism_ring(
     total_calls = sum(sum(s.oracle_calls.values()) for s in sols)
     return end, sols, total_calls
 
-
-# ---------------------------------------------------------------------------
-# integer-matrix realization of tree vertices (verification support)
-
-E_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # E11 E12 E21 E22
-
-
-def mat_coords_mul(x, y):
-    """Product in M_2 on (x11, x12, x21, x22) coordinate vectors."""
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
-def mat_coords_trace(x):
-    return x[0] + x[3]
-
-
-def vertex_order_lattice(v: TreeVertex) -> Lattice4:
-    """The order T^{-1} M_2(Z) T as a lattice in E-coordinates."""
-    t = v.matrix()
-    adj = ((t[1][1], -t[0][1]), (-t[1][0], t[0][0]))
-    den = Fraction(1, v.q**v.depth)
-    gens = []
-    for e in E_UNITS:
-        em = ((e[0], e[1]), (e[2], e[3]))
-        prod = _mat_mul(_mat_mul(adj, em), t)
-        gens.append(
-            (
-                den * prod[0][0],
-                den * prod[0][1],
-                den * prod[1][0],
-                den * prod[1][1],
-            )
-        )
-    return Lattice4.from_generators(gens)
-
-
-def intersection_lattice(vertices) -> Lattice4:
-    lat = None
-    for v in vertices:
-        vl = vertex_order_lattice(v)
-        lat = vl if lat is None else lat.intersect(vl)
-    if lat is None:
-        raise MathematicalInconsistencyError("empty vertex set")
-    return lat
-
-
-def mat_lattice_discrd_val(lat: Lattice4, q: int) -> int:
-    """v_q of the reduced discriminant of a lattice order in M_2(Q)."""
-    from .quat import det4
-
-    basis = lat.basis()
-    g = [[mat_coords_trace(mat_coords_mul(x, y)) for y in basis] for x in basis]
-    d = abs(det4(g))
-    if d.denominator != 1:
-        raise MathematicalInconsistencyError("non-integral matrix gram determinant")
-    from .ntheory import exact_isqrt
-
-    return valuation(exact_isqrt(d.numerator), q)
-
-
-def vertex_contains_mat_lattice(v: TreeVertex, lat: Lattice4) -> bool:
-    """Whether the order of the vertex contains the lattice (locally at q)."""
-    t = v.matrix()
-    adj = ((t[1][1], -t[0][1]), (-t[1][0], t[0][0]))
-    for b in lat.basis():
-        bm = ((b[0], b[1]), (b[2], b[3]))
-        prod = _mat_mul(_mat_mul(t, bm), adj)
-        for row in prod:
-            for x in row:
-                if x != 0 and valuation(x, v.q) < v.depth:
-                    return False
-    return True
-
-
-def scalar_plus_power_lattice(v: TreeVertex, r: int) -> Lattice4:
-    """Z + q^r * (order of the vertex), in E-coordinates."""
-    base = vertex_order_lattice(v)
-    gens = [(1, 0, 0, 1)] + [tuple(v.q**r * x for x in b) for b in base.basis()]
-    return Lattice4.from_generators(gens)

@@ -161,19 +161,3 @@ def gram(basis) -> list[list[Fraction]]:
             raise StructuralError("gram of elements from different algebras")
     return [[(x * y).trd() for y in basis] for x in basis]
 
-
-def det4(m) -> Fraction:
-    """Determinant of a 4x4 matrix of Fractions (expansion along first row)."""
-
-    def det3(a):
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-
-    total = Fraction(0)
-    for c in range(4):
-        sub = [[m[r][cc] for cc in range(4) if cc != c] for r in range(1, 4)]
-        total += (-1) ** c * m[0][c] * det3(sub)
-    return total

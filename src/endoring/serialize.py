@@ -68,6 +68,8 @@ def order_to_json(order: Order, label=None) -> dict:
 
 
 def order_from_json(data, alg=None) -> Order:
+    if not isinstance(data, dict):
+        raise ParseError("order must be an object")
     if alg is None:
         alg = algebra_from_json(data.get("algebra", {}))
     lat = lattice_from_json(data.get("basis"))
@@ -107,9 +109,17 @@ def problem_from_json(data):
     oracle_spec = data.get("oracle")
     hidden = None
     if oracle_spec is not None:
+        if not isinstance(oracle_spec, dict):
+            raise ParseError("oracle must be an object")
         if oracle_spec.get("kind") != "hidden-order":
             raise ParseError(f"unknown oracle kind {oracle_spec.get('kind')!r}")
         hidden = order_from_json(oracle_spec.get("order", {}), alg)
+        if discrd(hidden) != alg.p:
+            raise ParseError(
+                f"oracle order is not maximal: discrd = {discrd(hidden)}, expected {alg.p}"
+            )
+        if not hidden.lattice.contains_lattice(order.lattice):
+            raise ParseError("oracle order does not contain the input order")
     options = data.get("options", {}) or {}
     if not isinstance(options, dict):
         raise ParseError("options must be an object")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,16 +9,13 @@ import pytest
 
 import paperdata
 from endoring.cli import main
-from endoring.serialize import (
-    algebra_to_json,
-    frac_from_str,
-    load_problem,
-    order_from_json,
-    order_to_json,
-)
+from endoring.lattice import Lattice4
+from endoring.serialize import lattice_to_json, order_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEM = ROOT / "problems" / "p103_worked_example.json"
+# SHA-256 of `endoring compute --input <PROBLEM> --deterministic` stdout
+WORKED_CLI_SHA256 = "81df5024a77a753e1444fecc3637ee581131177e77421104de4d34f708cd9652"
 
 
 def run_cli(args):
@@ -55,6 +53,22 @@ def test_compute_deterministic_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_compute_deterministic_output_is_pinned(capsys):
+    assert run_cli(["compute", "--input", PROBLEM, "--deterministic"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == WORKED_CLI_SHA256
+
+
+def test_compute_help_lists_only_live_options(capsys):
+    with pytest.raises(SystemExit):
+        run_cli(["compute", "--help"])
+    out = capsys.readouterr().out
+    for flag in ("--input", "--output", "--trace", "--dot-dir", "--deterministic"):
+        assert flag in out
+    for flag in ("--oracle", "--precision-override", "--parallel-primes"):
+        assert flag not in out
+
+
 def test_compute_idempotent_on_own_output(tmp_path):
     out = tmp_path / "result.json"
     assert run_cli(["compute", "--input", PROBLEM, "--output", out, "--deterministic"]) == 0
@@ -88,6 +102,43 @@ def test_non_order_basis_rejected(tmp_path):
     assert run_cli(["compute", "--input", bad]) == 2
 
 
+def write_with_oracle_lattice(tmp_path, lattice):
+    problem = json.loads(PROBLEM.read_text())
+    problem["oracle"]["order"]["basis"] = lattice_to_json(lattice)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    return path
+
+
+def test_non_maximal_oracle_order_rejected(tmp_path, capsys):
+    bad = write_with_oracle_lattice(tmp_path, paperdata.o0().lattice)
+    assert run_cli(["compute", "--input", bad]) == 2
+    assert "not maximal" in capsys.readouterr().err
+
+
+def test_oracle_order_without_input_order_rejected(tmp_path, capsys):
+    # x End(E) x^-1 with x = 1 + i is maximal but does not contain O_0
+    end = paperdata.endomorphism_ring()
+    x = end.algebra.element(1, 1)
+    xinv = x.inverse()
+    conj = Lattice4.from_generators([(x * b * xinv).coeffs for b in end.basis_elements()])
+    bad = write_with_oracle_lattice(tmp_path, conj)
+    assert run_cli(["compute", "--input", bad]) == 2
+    assert "does not contain the input order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", [("order",), ("oracle",), ("oracle", "order")])
+def test_non_object_section_rejected(tmp_path, section):
+    problem = json.loads(PROBLEM.read_text())
+    parent = problem
+    for key in section[:-1]:
+        parent = parent[key]
+    parent[section[-1]] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(problem))
+    assert run_cli(["compute", "--input", bad]) == 2
+
+
 def test_btt_distance_and_d3(capsys):
     assert run_cli(["btt", "distance", "3", "0", "1"]) == 0
     assert capsys.readouterr().out.strip() == "2"
@@ -115,10 +166,13 @@ def test_divide_params_output(capsys):
 
 
 def test_console_script_entrypoint():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "endoring.cli", "btt", "distance", "5", "-", "0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"

@@ -1,15 +1,15 @@
+import hashlib
+import json
 import math
-import random
-from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import paperdata
-from endoring.btt import MatrixPath, root, vertex_of_path
+from endoring.btt import root
 from endoring.divide import CountingOracle, HiddenOrderOracle
 from endoring.lattice import Lattice4
-from endoring.ntheory import valuation
-from endoring.orders import discrd, is_bass_at, is_maximal, q_enlarge, verify_order
+from endoring.orders import q_enlarge, verify_order
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     TraceLog,
@@ -23,6 +23,9 @@ from endoring.pipeline import (
     global_order_from_vertices,
     local_patch,
 )
+from endoring.serialize import load_problem
+
+PROBLEM = Path(__file__).resolve().parent.parent / "problems" / "p103_worked_example.json"
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +70,7 @@ def test_local_patch_properties(alg, o0):
 def test_global_order_identity_vertex(alg, o0):
     oq = q_enlarge(o0, 7)
     sm = splitting_map(oq, Precision(7, 1))
-    o = global_order_from_vertices(o0, oq, sm, [root(7)], 1)
+    o = global_order_from_vertices(o0, oq, sm, [root(7)])
     assert o.lattice == oq.lattice
 
 
@@ -110,7 +113,7 @@ def test_bass_path_and_search_at_13(alg, o0, end):
     oracle = CountingOracle(HiddenOrderOracle(end))
     vertex, _ = bass_search(o0, oq, sm, 13, e, oracle)
     assert oracle.calls <= 4 * math.ceil(math.log2(e + 1))
-    o13 = global_order_from_vertices(o0, oq, sm, [vertex], e)
+    o13 = global_order_from_vertices(o0, oq, sm, [vertex])
     assert o13.lattice.equals_at(end.lattice, 13)
     # and globally it is the worked example's enlargement
     assert o13.lattice == paperdata.o13(alg).lattice
@@ -152,12 +155,18 @@ def test_bass_search_from_worked_enlargement_hits_identity(alg, o0, end):
     assert oracle.calls <= 4 * math.ceil(math.log2(e + 1))
 
 
-def test_full_computation_parallel_matches(alg, o0, end):
-    r1, _, _ = compute_endomorphism_ring(o0, [(7, 5), (13, 3), (103, 1)], HiddenOrderOracle(end))
-    r2, _, _ = compute_endomorphism_ring(
-        o0, [(7, 5), (13, 3), (103, 1)], HiddenOrderOracle(end), parallel=True
-    )
-    assert r1.lattice == r2.lattice
+def test_worked_example_query_sequence_is_pinned():
+    """The worked example's oracle queries (q, n, beta, answer), in order."""
+    o0, fact, hidden, _ = load_problem(PROBLEM)
+    oracle = HiddenOrderOracle(hidden)
+    log = TraceLog()
+    compute_endomorphism_ring(o0, fact, oracle, log)
+    queries = [
+        (ev["q"], ev["n"], ev["beta"], ev["answer"]) for ev in log.events if ev["type"] == "oracle"
+    ]
+    assert oracle.calls == len(queries) == 29
+    digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
+    assert digest == "7c2521989f55a0ea6b79b95f85a4014c177f581ce41a4c4e623e988224728bca"
 
 
 def test_maximal_input_short_circuits(alg, end):

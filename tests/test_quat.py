@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from endoring.errors import StructuralError
+from endoring.matrix import det4
 from endoring.ntheory import exact_isqrt
-from endoring.quat import INFINITE_PLACE, QuaternionAlgebra, det4, gram, hilbert_symbol
+from endoring.quat import INFINITE_PLACE, QuaternionAlgebra, gram, hilbert_symbol
 
 
 @pytest.fixture(scope="module")

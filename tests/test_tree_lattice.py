@@ -13,13 +13,12 @@ from endoring.btt import (
     d3,
     distance,
     neighborhood_of_path,
-    path_from_root,
     root,
     standard_vertices_up_to,
     tu_triple,
     vertex_of_path,
 )
-from endoring.pipeline import (
+from matmodel import (
     intersection_lattice,
     mat_lattice_discrd_val,
     scalar_plus_power_lattice,
