@@ -178,46 +178,35 @@ def distance(v1: TreeVertex, v2: TreeVertex) -> int:
     return (len(s1) - k) + (len(s2) - k)
 
 
-def d3(vertices) -> int:
-    """max over ordered triples (repetition allowed) of the pairwise distance sum."""
+def _widest_triple(vertices):
+    """(d3, triple): the first ordered triple, in index order over the
+    sorted vertices, whose pairwise distance sum is maximal."""
     vs = sorted(set(vertices), key=TreeVertex.sort_key)
     if not vs:
-        raise StructuralError("d3 of an empty set")
-    pair = {}
-    for i, x in enumerate(vs):
-        for j, y in enumerate(vs):
-            pair[(i, j)] = pair.get((j, i), None)
-            if pair[(i, j)] is None:
-                pair[(i, j)] = distance(x, y)
-    best = 0
+        raise StructuralError("d3 of an empty vertex set")
     n = len(vs)
+    pair = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair[i][j] = pair[j][i] = distance(vs[i], vs[j])
+    best, arg = -1, None
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                s = pair[(i, j)] + pair[(j, k)] + pair[(k, i)]
+                s = pair[i][j] + pair[j][k] + pair[k][i]
                 if s > best:
-                    best = s
-    return best
+                    best, arg = s, (vs[i], vs[j], vs[k])
+    return best, arg
+
+
+def d3(vertices) -> int:
+    """max over ordered triples (repetition allowed) of the pairwise distance sum."""
+    return _widest_triple(vertices)[0]
 
 
 def tu_triple(vertices):
     """A triple attaining d3; its intersection equals the full intersection."""
-    vs = sorted(set(vertices), key=TreeVertex.sort_key)
-    if not vs:
-        raise StructuralError("empty vertex set")
-    best, arg = -1, None
-    n = len(vs)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = (
-                    distance(vs[i], vs[j])
-                    + distance(vs[j], vs[k])
-                    + distance(vs[k], vs[i])
-                )
-                if s > best:
-                    best, arg = s, (vs[i], vs[j], vs[k])
-    return arg
+    return _widest_triple(vertices)[1]
 
 
 def neighbors(v: TreeVertex) -> list[TreeVertex]:

@@ -1,15 +1,23 @@
 """Quaternion orders: lattices with verified ring structure.
 
-Covers reduced discriminants, the codifferent and its ternary quadratic
-form (Gorenstein test by primitivity), radicals mod q with their
-idealizers (two-step Bass test), and q-maximal q-enlargement by the
-radical-idealizer chain with an idempotent splitting step at the
+Each Order computes its ring structure once: the integer structure
+constants of its basis (`table`, built by `verify_order` as the closure
+check) and the trace Gram matrix read off them (`gram`).  Everything
+below works from these two: reduced discriminants, the codifferent and
+its ternary quadratic form (Gorenstein test by primitivity), radicals mod
+q with their idealizers (two-step Bass test), and q-maximal q-enlargement
+by the radical-idealizer chain with an idempotent splitting step at the
 hereditary stall.
+
+For odd q the radical of O/qO is the kernel of the trace pairing
+trd(xy) mod q, read from `gram`: that kernel is a two-sided ideal whose
+elements square to zero, and it holds every nilpotent ideal (see
+`radical_coords_mod`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import lcm
 
 from . import linmod
@@ -22,7 +30,7 @@ from .errors import (
 from .lattice import Lattice4, integer_kernel
 from .matrix import adj4, det4
 from .ntheory import exact_isqrt, valuation
-from .quat import QuaternionAlgebra, QuatElement, gram
+from .quat import QuaternionAlgebra, QuatElement, linear_combination
 
 
 @dataclass(frozen=True)
@@ -42,25 +50,54 @@ class Order:
     def coords_of(self, x: QuatElement):
         return self.lattice.solve(x.coeffs)
 
+    def from_coords(self, coords) -> QuatElement:
+        """The element with the given coordinates over the order basis."""
+        return linear_combination(coords, self.basis_elements())
+
+    @cached_property
+    def table(self) -> tuple:
+        """Structure constants: b_i * b_j = sum_k table[i][j][k] * b_k.
+
+        Raises NotARingError at the first product (in (i, j) order) whose
+        coordinates are not integral.
+        """
+        basis = self.basis_elements()
+        rows = []
+        for x in basis:
+            row = []
+            for y in basis:
+                prod = x * y
+                coords = self.coords_of(prod)
+                if any(c.denominator != 1 for c in coords):
+                    raise NotARingError(x, y, prod)
+                row.append(tuple(int(c) for c in coords))
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def gram(self) -> tuple:
+        """Trace Gram matrix trd(b_i * b_j) = sum_k table[i][j][k] * trd(b_k)."""
+        traces = [b.trd() for b in self.basis_elements()]
+        return tuple(
+            tuple(sum(c * t for c, t in zip(cij, traces)) for cij in row) for row in self.table
+        )
+
 
 def verify_order(lat: Lattice4, alg: QuaternionAlgebra) -> Order:
     """Check the ring axioms on a lattice and wrap it as an Order.
 
     Raises MissingUnitError when 1 is absent and NotARingError (naming the
-    violating product) when multiplicative closure fails.
+    violating product) when multiplicative closure fails; the closure
+    check builds the order's `table`.
     """
     if not lat.contains((1, 0, 0, 0)):
         raise MissingUnitError("lattice does not contain 1")
-    basis = [QuatElement(alg, b) for b in lat.basis()]
-    for x in basis:
-        for y in basis:
-            prod = x * y
-            if not lat.contains(prod.coeffs):
-                raise NotARingError(x, y, prod)
-    for x in basis:
+    order = Order(alg, lat)
+    order.table  # the closure check
+    for x in order.basis_elements():
         if x.trd().denominator != 1 or x.nrd().denominator != 1:
             raise MathematicalInconsistencyError(f"non-integral element {x} in a ring lattice")
-    return Order(alg, lat)
+    return order
 
 
 def order_from_basis(alg: QuaternionAlgebra, vectors) -> Order:
@@ -84,8 +121,7 @@ def ring_closure(alg: QuaternionAlgebra, gens) -> Order:
 @cache
 def discrd(order: Order) -> int:
     """Reduced discriminant: sqrt |det Trd(b_i b_j)|."""
-    g = gram(order.basis_elements())
-    d = abs(det4(g))
+    d = abs(det4(order.gram))
     if d.denominator != 1:
         raise MathematicalInconsistencyError("non-integral discriminant")
     return exact_isqrt(d.numerator)
@@ -111,7 +147,7 @@ def standard_maximal_order(alg: QuaternionAlgebra) -> Order:
 
 def codifferent(order: Order) -> Lattice4:
     """Dual of the order under the pairing (x, y) -> Trd(xy)."""
-    g = gram(order.basis_elements())
+    g = order.gram
     d = det4(g)
     ginv = [[x / d for x in row] for row in adj4(g)]
     basis = order.lattice.basis()
@@ -133,14 +169,7 @@ def ternary_form_coefficients(order: Order):
     tint = [int(t * den) for t in traces]
     if not any(tint):
         raise MathematicalInconsistencyError("trace functional vanishes on the codifferent")
-    kernel = integer_kernel(tint)
-    vs = []
-    for kv in kernel:
-        acc = order.algebra.element(0)
-        for c, b in zip(kv, basis):
-            if c:
-                acc = acc + b.scale(c)
-        vs.append(acc)
+    vs = [linear_combination(kv, basis) for kv in integer_kernel(tint)]
     d = discrd(order)
     coeffs = [d * v.nrd() for v in vs]
     for i in range(3):
@@ -161,19 +190,6 @@ def ternary_gorenstein_test(order: Order, q: int) -> bool:
     return min(vals) == 0
 
 
-def _mult_table(order: Order):
-    """table[i][j] = integer coordinates of b_i * b_j over the order basis."""
-    basis = order.basis_elements()
-    table = []
-    for x in basis:
-        row = []
-        for y in basis:
-            coords = order.coords_of(x * y)
-            row.append(tuple(int(c) for c in coords))
-        table.append(row)
-    return table
-
-
 def _table_mul(table, x, y, q):
     out = [0, 0, 0, 0]
     for i in range(4):
@@ -191,7 +207,7 @@ def _table_mul(table, x, y, q):
 
 def _radical_coords_brute(order: Order, q: int):
     # exhaustive: only used for q = 2 (16 elements)
-    table = _mult_table(order)
+    table = order.table
     elems = [
         (a, b, c, d)
         for a in range(q)
@@ -215,81 +231,24 @@ def _radical_coords_brute(order: Order, q: int):
 def radical_coords_mod(order: Order, q: int):
     """Basis of rad(O/qO) in coordinates over the order basis.
 
-    Odd q: kernel of the reduced-trace pairing, refined to the largest
-    two-sided ideal it contains (for odd q the refinement is the identity;
-    it is kept as a guard).  q = 2: exhaustive search over the 16 elements.
+    Odd q: the kernel K of the trace pairing trd(xy) mod q.  K is a
+    two-sided ideal, since trd((ax)y) = trd(x(ya)) and trd((xa)y) =
+    trd(x(ay)).  Each x in K has trd(x) = 0 and trd(x^2) = -2 nrd(x) = 0,
+    so x^2 = 0 for odd q: K is a nil ideal, hence inside the radical.  A
+    nilpotent x has trd(x) = 0, and the radical is an ideal, so it lies in
+    K.  `_assert_nil` checks the result.  q = 2: exhaustive search over
+    the 16 elements.
     """
     if q == 2:
         return _radical_coords_brute(order, q)
-    basis = order.basis_elements()
-    tmat = [[int((x * y).trd()) % q for y in basis] for x in basis]
-    space = linmod.kernel(tmat, q)
-    table = _mult_table(order)
-    while space:
-        red = linmod.span_basis(space, q)
-        constraints = []
-        for u in red:
-            row_conditions = []
-            for k in range(4):
-                ek = tuple(1 if t == k else 0 for t in range(4))
-                for prod in (_table_mul(table, u, ek, q), _table_mul(table, ek, u, q)):
-                    row_conditions.append(prod)
-            constraints.append(row_conditions)
-        # x = sum y_m u_m must keep every listed product inside span(red)
-        n_cond = len(constraints[0])
-        rows = []
-        for ci in range(n_cond):
-            images = [constraints[m][ci] for m in range(len(red))]
-            # condition: sum y_m images[m] in span(red): express via quotient
-            for qrow in _quotient_rows(images, red, q):
-                rows.append(qrow)
-        if not rows or all(all(x == 0 for x in r) for r in rows):
-            space = red
-            break
-        ys = linmod.kernel(rows, q)
-        new_space = []
-        for y in ys:
-            vec = [0, 0, 0, 0]
-            for c, u in zip(y, red):
-                for t in range(4):
-                    vec[t] = (vec[t] + c * u[t]) % q
-            new_space.append(tuple(vec))
-        new_space = linmod.span_basis(new_space, q)
-        if len(new_space) == len(red):
-            space = new_space
-            break
-        space = new_space
-    rad = linmod.span_basis(space, q) if space else []
+    tmat = [[int(t) % q for t in row] for row in order.gram]
+    rad = linmod.span_basis(linmod.kernel(tmat, q), q)
     _assert_nil(order, rad, q)
     return rad
 
 
-def _quotient_rows(images, span, q):
-    """Rows over y-coordinates expressing 'sum y_m images[m] in span'."""
-    red, pivots = linmod.rref(list(span), q) if span else ([], [])
-    residuals = []
-    for w in images:
-        v = [x % q for x in w]
-        for r, pc in enumerate(pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [(a - f * b) % q for a, b in zip(v, red[r])]
-        residuals.append(v)
-    free_cols = [c for c in range(4) if c not in pivots]
-    return [[residuals[m][c] for m in range(len(images))] for c in free_cols]
-
-
 def _assert_nil(order: Order, rad, q: int):
-    basis = order.basis_elements()
-
-    def lift(u):
-        acc = order.algebra.element(0)
-        for c, b in zip(u, basis):
-            if c:
-                acc = acc + b.scale(c)
-        return acc
-
-    lifts = [lift(u) for u in rad]
+    lifts = [order.from_coords(u) for u in rad]
     for x in lifts:
         if x.trd() != 0 and valuation(x.trd(), q) < 1:
             raise MathematicalInconsistencyError("radical element with unit trace")
@@ -305,14 +264,8 @@ def _assert_nil(order: Order, rad, q: int):
 def radical_lattice(order: Order, q: int) -> Lattice4:
     """Preimage in O of rad(O/qO), as a full lattice (contains qO)."""
     rad = radical_coords_mod(order, q)
-    basis = order.lattice.basis()
-    gens = [tuple(q * x for x in b) for b in basis]
-    for u in rad:
-        vec = [Fraction(0)] * 4
-        for c, b in zip(u, basis):
-            if c:
-                vec = [v + c * x for v, x in zip(vec, b)]
-        gens.append(tuple(vec))
+    gens = [tuple(q * x for x in b) for b in order.lattice.basis()]
+    gens += [order.from_coords(u).coeffs for u in rad]
     return Lattice4.from_generators(gens)
 
 
@@ -349,7 +302,7 @@ def is_bass_at(order: Order, q: int) -> bool:
 def _split_idempotent(order: Order, q: int) -> QuatElement:
     """Element of O idempotent mod q, nontrivial in the split 2-dimensional
     semisimple quotient of O/qO.  Only called at the hereditary stall."""
-    table = _mult_table(order)
+    table = order.table
     rad = radical_coords_mod(order, q)
     one = tuple(int(c) % q for c in order.coords_of(order.algebra.one()))
     span = list(rad) + [one]
@@ -391,12 +344,7 @@ def _split_idempotent(order: Order, q: int) -> QuatElement:
         e = tuple((3 * a - 2 * b) % q for a, b in zip(e2, e3))
     else:
         raise MathematicalInconsistencyError("idempotent lift did not converge")
-    basis = order.basis_elements()
-    acc = order.algebra.element(0)
-    for c, b in zip(e, basis):
-        if c:
-            acc = acc + b.scale(c)
-    return acc
+    return order.from_coords(e)
 
 
 def q_enlarge(order: Order, q: int) -> Order:

@@ -19,7 +19,7 @@ from .errors import MathematicalInconsistencyError, PrecisionError, StructuralEr
 from .matrix import adj4, det4, mat2_mul
 from .ntheory import reduce_unit_mod, valuation
 from .orders import Order
-from .quat import QuatElement
+from .quat import QuatElement, linear_combination
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,7 @@ def zero_divisor_mod(order: Order, prec: Precision) -> QuatElement:
             if fval:
                 deriv = (2 * a[piv] * sol[piv]) % q
                 sol[piv] = (sol[piv] - fval * pow(deriv, -1, mk)) % mk
-        x = order.algebra.element(0)
-        for c, f in zip(sol, fs[:3]):
-            x = x + f.scale(c)
+        x = linear_combination(sol, fs[:3])
     else:
         if [kind for kind, _ in blocks] != ["pair", "pair"]:
             raise MathematicalInconsistencyError("2-maximal order must split into two binary atoms")
@@ -178,9 +176,7 @@ def zero_divisor_mod(order: Order, prec: Precision) -> QuatElement:
                 x, y = sol[0], sol[1]
                 deriv = (2 * a0 * x + b0 * y) if piv == 0 else (b0 * x + 2 * coeffs[0][2] * y)
                 sol[piv] = (sol[piv] - fval * pow(deriv % mk, -1, mk)) % mk
-        x = order.algebra.element(0)
-        for c, f in zip(sol, fs):
-            x = x + f.scale(c)
+        x = linear_combination(sol, fs)
     n = x.nrd()
     if n != 0 and valuation(n, q) < prec.r + 1:
         raise MathematicalInconsistencyError("zero divisor lift failed the valuation check")
@@ -193,13 +189,7 @@ def zero_divisor_mod(order: Order, prec: Precision) -> QuatElement:
 def _integerize(order: Order, x: QuatElement, modulus: int) -> QuatElement:
     """Replace q-unit-denominator coordinates by integers mod modulus; the
     result lies in the order and is congruent to x."""
-    coords = order.coords_of(x)
-    out = order.algebra.element(0)
-    for c, b in zip(coords, order.basis_elements()):
-        ci = reduce_unit_mod(c, modulus)
-        if ci:
-            out = out + b.scale(ci)
-    return out
+    return order.from_coords(_coords_mod(order, x, modulus))
 
 
 def _coords_mod(order: Order, x: QuatElement, modulus: int):

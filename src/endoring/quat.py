@@ -153,6 +153,15 @@ class QuatElement:
         return " + ".join(parts) if parts else "0"
 
 
+def linear_combination(coeffs, elements) -> QuatElement:
+    """The element sum_k coeffs[k] * elements[k] (at least one element)."""
+    acc = elements[0].algebra.element(0)
+    for c, x in zip(coeffs, elements):
+        if c:
+            acc = acc + x.scale(c)
+    return acc
+
+
 def gram(basis) -> list[list[Fraction]]:
     """Matrix of reduced traces trd(b_k * b_l) of a 4-element basis."""
     alg = basis[0].algebra

@@ -123,6 +123,9 @@ def problem_from_json(data):
     options = data.get("options", {}) or {}
     if not isinstance(options, dict):
         raise ParseError("options must be an object")
+    for key in ("trace", "dot_dir"):
+        if options.get(key) is not None and not isinstance(options[key], str):
+            raise ParseError(f"options.{key} must be a path string")
     return order, fact, hidden, options
 
 

@@ -1,13 +1,10 @@
 """Random planted instances: a hidden maximal order and a verified suborder
 with known q-power indices, for end-to-end recovery tests."""
 
-import random
-from fractions import Fraction
-
 from endoring.btt import MatrixPath, allowed_next_steps
 from endoring.errors import DegenerateLatticeError, NotARingError
 from endoring.lattice import Lattice4
-from endoring.ntheory import factorize, valuation
+from endoring.ntheory import factorize
 from endoring.orders import (
     Order,
     discrd,

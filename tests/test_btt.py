@@ -115,6 +115,17 @@ def test_tu_triple_singleton_and_star():
     assert len(set(t)) == 3
 
 
+def test_tu_triple_is_the_first_triple_attaining_d3():
+    kids = sorted(neighbors(root(3))[:4], key=TreeVertex.sort_key)
+    assert tu_triple(reversed(kids)) == tuple(kids[:3])
+    rng = random.Random(5)
+    pool = list(ball(root(3), 2))
+    for _ in range(20):
+        vs = rng.sample(pool, rng.randint(1, 6))
+        x, y, z = tu_triple(vs)
+        assert d3(vs) == distance(x, y) + distance(y, z) + distance(z, x)
+
+
 def test_ball_sizes():
     for q in (2, 3):
         n1 = len(list(ball(root(q), 1)))

@@ -139,6 +139,18 @@ def test_non_object_section_rejected(tmp_path, section):
     assert run_cli(["compute", "--input", bad]) == 2
 
 
+@pytest.mark.parametrize("key", ["trace", "dot_dir"])
+def test_non_string_path_option_rejected(tmp_path, capsys, key):
+    problem = json.loads(PROBLEM.read_text())
+    problem["options"] = {key: 7}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(problem))
+    out = tmp_path / "result.json"
+    assert run_cli(["compute", "--input", bad, "--output", out]) == 2
+    assert f"options.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_btt_distance_and_d3(capsys):
     assert run_cli(["btt", "distance", "3", "0", "1"]) == 0
     assert capsys.readouterr().out.strip() == "2"

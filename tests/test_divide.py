@@ -6,7 +6,6 @@ import pytest
 import paperdata
 from endoring.divide import (
     HiddenOrderOracle,
-    KaniPlan,
     choose_M,
     degree_bound_check,
     degree_precheck,

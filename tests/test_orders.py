@@ -4,23 +4,25 @@ from fractions import Fraction as F
 import pytest
 
 import paperdata
+import planted
 from endoring.errors import NotARingError
 from endoring.lattice import Lattice4
 from endoring.ntheory import valuation
 from endoring.orders import (
     Order,
+    _radical_coords_brute,
     discrd,
     is_bass_at,
     is_maximal,
     order_from_basis,
     q_enlarge,
+    radical_coords_mod,
     radical_idealizer,
-    ring_closure,
     standard_maximal_order,
     ternary_gorenstein_test,
     verify_order,
 )
-from endoring.quat import QuaternionAlgebra
+from endoring.quat import QuaternionAlgebra, gram
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +41,60 @@ def test_standard_order_is_an_order(alg):
 
 
 def test_half_i_rejected(alg):
-    with pytest.raises(NotARingError):
+    with pytest.raises(NotARingError) as info:
         order_from_basis(alg, [(1, 0, 0, 0), (0, F(1, 2), 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    # b_1 * b_1 is the first product, in (i, j) order, outside the lattice
+    half_i = alg.element(0, F(1, 2))
+    assert info.value.left == half_i
+    assert info.value.right == half_i
+    assert info.value.product == alg.element(F(-1, 4))
+
+
+def paper_orders(alg):
+    return [
+        paperdata.o0(alg),
+        paperdata.o7(alg),
+        paperdata.o13(alg),
+        paperdata.maximal_order(alg),
+        paperdata.endomorphism_ring(alg),
+    ]
+
+
+def test_table_and_gram_match_quaternion_products(alg):
+    orders = paper_orders(alg)
+    orders += [standard_maximal_order(QuaternionAlgebra.for_prime(p)) for p in (103, 179, 1019)]
+    for o in orders:
+        basis = o.basis_elements()
+        assert [list(row) for row in o.gram] == gram(basis)
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                assert o.from_coords(o.table[i][j]) == x * y
+
+
+def planted_orders_at_3(count):
+    """Verified suborders of random maximal orders with 3-power index."""
+    rng = random.Random(3)
+    out = []
+    while len(out) < count:
+        alg = QuaternionAlgebra.for_prime(rng.choice((103, 179, 1019)))
+        drawn = planted.random_suborder(planted.random_hidden_order(alg, rng), [3], rng)
+        if drawn is not None:
+            out.append(drawn[0])
+    return out
+
+
+def test_trace_kernel_is_the_nilpotent_radical(alg):
+    # for odd q the radical is read off the trace pairing; compare it with
+    # the definition (x with every x*a nilpotent), searched over all of O/3O
+    orders = paper_orders(alg)
+    for o in planted_orders_at_3(4):
+        orders += [o, radical_idealizer(o, 3)]
+    nontrivial = 0
+    for o in orders:
+        rad = radical_coords_mod(o, 3)
+        assert rad == _radical_coords_brute(o, 3)
+        nontrivial += bool(rad)
+    assert nontrivial >= 4
 
 
 def test_paper_o0_discriminant(o0):

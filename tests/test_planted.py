@@ -1,9 +1,6 @@
-import math
 import random
-import time
 
 from endoring.divide import HiddenOrderOracle
-from endoring.orders import discrd
 from endoring.pipeline import TraceLog, compute_endomorphism_ring
 from planted import generate_instance
 
