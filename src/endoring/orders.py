@@ -261,35 +261,31 @@ def _assert_nil(order: Order, rad, q: int):
                 raise MathematicalInconsistencyError("radical not totally isotropic")
 
 
-def radical_lattice(order: Order, q: int) -> Lattice4:
-    """Preimage in O of rad(O/qO), as a full lattice (contains qO)."""
-    rad = radical_coords_mod(order, q)
+def radical_lattice(order: Order, q: int, rad) -> Lattice4:
+    """Preimage in O of rad(O/qO), as a full lattice (contains qO); rad is
+    `radical_coords_mod(order, q)`."""
     gens = [tuple(q * x for x in b) for b in order.lattice.basis()]
     gens += [order.from_coords(u).coeffs for u in rad]
     return Lattice4.from_generators(gens)
 
 
-def _colon_lattice(J: Lattice4, alg: QuaternionAlgebra, side: str) -> Lattice4:
-    """Left or right multiplier lattice {x : xJ in J} resp. {x : Jx in J}."""
-    gens = [QuatElement(alg, b) for b in J.basis()]
-    result = None
-    for g in gens:
-        ginv = g.inverse()
-        if side == "left":
-            imgs = [(QuatElement(alg, b) * ginv).coeffs for b in J.basis()]
-        else:
-            imgs = [(ginv * QuatElement(alg, b)).coeffs for b in J.basis()]
-        lat = Lattice4.from_generators(imgs)
-        result = lat if result is None else result.intersect(lat)
-    return result
+def _multiplier_lattice(J: Lattice4, alg: QuaternionAlgebra, sides) -> Lattice4:
+    """{x : xJ in J} (side "left") and/or {x : Jx in J} ("right"): the
+    coordinates of x*g (g*x) over J, g in J, are linear in x and must be
+    integral, so the multipliers are the dual of the rows of those maps."""
+    units = alg.basis_elements()
+    rows = []
+    for g in (QuatElement(alg, b) for b in J.basis()):
+        for side in sides:
+            cols = [J.solve((u * g if side == "left" else g * u).coeffs) for u in units]
+            rows.extend(zip(*cols))
+    return Lattice4.from_generators(rows).dual()
 
 
 def radical_idealizer(order: Order, q: int) -> Order:
     """Two-sided multiplier order of the q-radical."""
-    J = radical_lattice(order, q)
-    left = _colon_lattice(J, order.algebra, "left")
-    right = _colon_lattice(J, order.algebra, "right")
-    return verify_order(left.intersect(right), order.algebra)
+    J = radical_lattice(order, q, radical_coords_mod(order, q))
+    return verify_order(_multiplier_lattice(J, order.algebra, ("left", "right")), order.algebra)
 
 
 def is_bass_at(order: Order, q: int) -> bool:
@@ -299,11 +295,11 @@ def is_bass_at(order: Order, q: int) -> bool:
     return ternary_gorenstein_test(radical_idealizer(order, q), q)
 
 
-def _split_idempotent(order: Order, q: int) -> QuatElement:
+def _split_idempotent(order: Order, q: int, rad) -> QuatElement:
     """Element of O idempotent mod q, nontrivial in the split 2-dimensional
-    semisimple quotient of O/qO.  Only called at the hereditary stall."""
+    semisimple quotient of O/qO, rad = `radical_coords_mod(order, q)`.
+    Only called at the hereditary stall."""
     table = order.table
-    rad = radical_coords_mod(order, q)
     one = tuple(int(c) % q for c in order.coords_of(order.algebra.one()))
     span = list(rad) + [one]
     w = None
@@ -366,12 +362,13 @@ def q_enlarge(order: Order, q: int) -> Order:
         v = valuation(d, q) if d % q == 0 else 0
         if v <= target:
             break
-        J = radical_lattice(current, q)
-        grown = _colon_lattice(J, alg, "left")
+        rad = radical_coords_mod(current, q)
+        J = radical_lattice(current, q, rad)
+        grown = _multiplier_lattice(J, alg, ("left",))
         if grown != current.lattice:
             current = verify_order(grown, alg)
             continue
-        eidem = _split_idempotent(current, q)
+        eidem = _split_idempotent(current, q, rad)
         one = alg.one()
         jelems = [QuatElement(alg, b) for b in J.basis()]
         nxt = None

@@ -10,6 +10,10 @@ form is Hensel-lifted to valuation >= r+1; conjugating a basis vector
 by it yields a nilpotent; from the nilpotent a full system of 2x2
 matrix units inside the order is assembled, which induces the linear
 isomorphism onto M_2(Z/q^(r+1)).
+
+A tree vertex (a, b, c) lifts to q^a*E11 + c*E12 + q^b*E22, built from
+the preimages of the matrix units E11, E12, E22 with its coordinates
+reduced into [0, q^(r+1)); the same formula serves every q.
 """
 
 from dataclasses import dataclass
@@ -103,9 +107,11 @@ def normalized_basis_at(order: Order, q: int):
     return out, blocks
 
 
-def zero_divisor_mod(order: Order, prec: Precision) -> QuatElement:
+def zero_divisor_mod(order: Order, prec: Precision):
     """Element x of the q-maximal order (up to q-unit denominators) with
-    v_q(nrd x) >= r+1 and some coordinate a q-unit."""
+    v_q(nrd x) >= r+1 and some coordinate a q-unit.
+
+    Returns (x, fs), fs the normalized basis x is built from."""
     q, modulus = prec.q, prec.modulus
     if q == order.algebra.p:
         raise StructuralError("the algebra is ramified at p; no zero divisors there")
@@ -183,7 +189,7 @@ def zero_divisor_mod(order: Order, prec: Precision) -> QuatElement:
     coords = order.coords_of(x)
     if min(valuation(c, q) for c in coords if c != 0) != 0:
         raise MathematicalInconsistencyError("zero divisor vanished mod q")
-    return x
+    return x, fs
 
 
 def _integerize(order: Order, x: QuatElement, modulus: int) -> QuatElement:
@@ -204,8 +210,6 @@ class SplittingMap:
     order: Order
     precision: Precision
     units: tuple[QuatElement, QuatElement, QuatElement, QuatElement]  # E11 E12 E21 E22
-    i_rep: QuatElement
-    j_rep: QuatElement
     _minv: tuple  # inverse transfer matrix mod modulus, rows
 
     def apply(self, x: QuatElement):
@@ -215,15 +219,11 @@ class SplittingMap:
         y = [sum(self._minv[r][k] * c[k] for k in range(4)) % modulus for r in range(4)]
         return ((y[0], y[1]), (y[2], y[3]))
 
-    def matrix_of_one(self):
-        return self.apply(self.order.algebra.one())
-
 
 def splitting_map(order: Order, prec: Precision) -> SplittingMap:
     """Compute the splitting isomorphism mod q^(r+1) for a q-maximal order."""
     q, modulus = prec.q, prec.modulus
-    fs, _ = normalized_basis_at(order, q)
-    x = zero_divisor_mod(order, prec)
+    x, fs = zero_divisor_mod(order, prec)
     e = None
     for y in fs:
         cand = x.conj() * y * x
@@ -253,20 +253,13 @@ def splitting_map(order: Order, prec: Precision) -> SplittingMap:
         raise MathematicalInconsistencyError("matrix units do not span mod q")
     dinv = pow(det, -1, modulus)
     minv = tuple(tuple(x * dinv % modulus for x in row) for row in adj4(transfer))
-    if q != 2:
-        i_rep = _integerize(order, e11 - e22, modulus)
-        j_rep = _integerize(order, e12 + e21, modulus)
-    else:
-        i_rep = _integerize(order, e12 + e21 + e22, modulus)
-        j_rep = _integerize(order, e12 + e21, modulus)
-    sm = SplittingMap(order, prec, units, i_rep, j_rep, minv)
+    sm = SplittingMap(order, prec, units, minv)
     _validate_splitting(sm)
     return sm
 
 
 def _validate_splitting(sm: SplittingMap):
     modulus = sm.precision.modulus
-    q = sm.precision.q
     basis = sm.order.basis_elements()
     imgs = [sm.apply(b) for b in basis]
     for bx, fx in zip(basis, imgs):
@@ -274,11 +267,6 @@ def _validate_splitting(sm: SplittingMap):
             want = tuple(tuple(x % modulus for x in row) for row in mat2_mul(fx, fy))
             if sm.apply(bx * by) != want:
                 raise MathematicalInconsistencyError("splitting map is not multiplicative")
-    if sm.apply(sm.j_rep) != ((0, 1), (1, 0)):
-        raise MathematicalInconsistencyError("j' image is wrong")
-    want_i = ((1, 0), (0, modulus - 1)) if q != 2 else ((0, 1), (1, 1))
-    if sm.apply(sm.i_rep) != want_i:
-        raise MathematicalInconsistencyError("i' image is wrong")
 
 
 def lift_vertex_element(sm: SplittingMap, abc) -> QuatElement:
@@ -291,22 +279,8 @@ def lift_vertex_element(sm: SplittingMap, abc) -> QuatElement:
     modulus = sm.precision.modulus
     if a + b > r:
         raise PrecisionError(f"vertex depth {a + b} exceeds splitting precision {r}")
-    one = sm.order.algebra.one()
-    i_, j_ = sm.i_rep, sm.j_rep
-    k_ = i_ * j_
-    if q != 2:
-        m2 = pow(2, -1, modulus)
-        c0 = m2 * (q**a + q**b) % modulus
-        c1 = m2 * (q**a - q**b) % modulus
-        c2 = m2 * c % modulus
-        c3 = c2
-    else:
-        c0 = (q**a + c) % modulus
-        c1 = (q**b - q**a) % modulus
-        c2 = (c - q**b + q**a) % modulus
-        c3 = (-c) % modulus
-    t = one.scale(c0) + i_.scale(c1) + j_.scale(c2) + k_.scale(c3)
-    t = _integerize(sm.order, t, modulus)
+    e11, e12, _, e22 = sm.units
+    t = _integerize(sm.order, linear_combination((q**a, c, q**b), (e11, e12, e22)), modulus)
     want = ((q**a % modulus, c % modulus), (0, q**b % modulus))
     if sm.apply(t) != want:
         raise MathematicalInconsistencyError("vertex lift does not match its matrix")

@@ -85,6 +85,25 @@ class LocalSolution:
 
 
 # ---------------------------------------------------------------------------
+# the oracle test shared by every stage
+
+
+def _all_in_end(o0: Order, elements, m: int, n: int, oracle: DivisionOracle) -> bool:
+    """Whether every element lies in End(E): those in O_0 are, each other x
+    is asked as (m*x)/n.  Asks in order and stops at the first no."""
+    return all(
+        o0.lattice.contains(x.coeffs) or oracle.is_divisible(x.scale(m), n) for x in elements
+    )
+
+
+def _calls_within(oracle: CountingOracle, budget: int, stage: str) -> int:
+    """The stage's oracle calls, checked against its proven budget."""
+    if oracle.calls > budget:
+        raise MathematicalInconsistencyError(f"{stage} used {oracle.calls} > {budget} oracle calls")
+    return oracle.calls
+
+
+# ---------------------------------------------------------------------------
 # distance (countdown loop)
 
 
@@ -92,11 +111,8 @@ def distance_to_end(o0: Order, oq: Order, q: int, e: int, oracle: DivisionOracle
     """Least r with q^r O_q inside End(E); at most 4e oracle calls."""
     basis = oq.basis_elements()
     for i in range(e - 1, -1, -1):
-        for b in basis:
-            if o0.lattice.contains(b.coeffs):
-                continue
-            if not oracle.is_divisible(b.scale(q ** (i + 1)), q):
-                return i + 1
+        if not _all_in_end(o0, basis, q ** (i + 1), q, oracle):
+            return i + 1
     return 0
 
 
@@ -167,34 +183,25 @@ def find_path_to_end(
     oq: Order,
     q: int,
     r: int,
-    sm: SplittingMap,
     lifts,
     oracle: DivisionOracle,
     log: TraceLog | None = None,
-):
+) -> MatrixPath:
     """Recover the matrix path of length r from the enlargement's vertex to
-    the local endomorphism ring; at most 4(rq+1) oracle calls.
-
-    Returns (path, t) where t lifts the associated matrix.
-    """
+    the local endomorphism ring; at most 4(rq+1) oracle calls."""
     basis = oq.basis_elements()
     word: list[int] = []
     t_cur = oq.algebra.one()
     prev = None
     for level in range(1, r + 1):
         accepted = None
+        shift = Fraction(q) ** (r - 2 * level)
         for step in allowed_next_steps(q, prev):
             t_cand = lifts[step] * t_cur
             if log is not None:
                 log.saw_vertex(q, vertex_of_path(MatrixPath(q, tuple(word + [step]))))
-            ok = True
-            for b in basis:
-                el = (t_cand.conj() * b * t_cand).scale(Fraction(q) ** (r - 2 * level))
-                if o0.lattice.contains(el.coeffs):
-                    continue
-                if not oracle.is_divisible(el.scale(q**3), q**3):
-                    ok = False
-                    break
+            conjugates = ((t_cand.conj() * b * t_cand).scale(shift) for b in basis)
+            ok = _all_in_end(o0, conjugates, q**3, q**3, oracle)
             if log is not None:
                 log.step_event(q, level, step, ok)
             if ok:
@@ -207,7 +214,7 @@ def find_path_to_end(
             )
         word.append(accepted)
         prev = accepted
-    return MatrixPath(q, tuple(word)), t_cur
+    return MatrixPath(q, tuple(word))
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +295,7 @@ def bass_search(
         test = global_order_from_vertices(o0, oq, sm, [lst[0], lst[m - 1]])
         depth = max(lst[0].depth, lst[m - 1].depth)
         n = q ** (depth + 3 * e)
-        ok = True
-        for b in test.basis_elements():
-            if o0.lattice.contains(b.coeffs):
-                continue
-            if not oracle.is_divisible(b.scale(n), n):
-                ok = False
-                break
+        ok = _all_in_end(o0, test.basis_elements(), n, n, oracle)
         lst = lst[:m] if ok else lst[m:]
     return lst[0], path_list
 
@@ -347,22 +348,14 @@ def compute_endomorphism_ring(
             bass_oracle = CountingOracle(oracle, log, stage="bass", q=q)
             vertex, path_list = bass_search(o0, oq, sm, q, e, bass_oracle, log)
             budget = 4 * math.ceil(math.log2(e + 1)) if e > 0 else 0
-            if bass_oracle.calls > budget:
-                raise MathematicalInconsistencyError(
-                    f"bass search used {bass_oracle.calls} > {budget} oracle calls"
-                )
-            calls["bass"] = bass_oracle.calls
+            calls["bass"] = _calls_within(bass_oracle, budget, "bass search")
             r = vertex.depth
             gamma = path_from_root(vertex)
             o_tilde = global_order_from_vertices(o0, oq, sm, [vertex])
         else:
             dist_oracle = CountingOracle(oracle, log, stage="distance", q=q)
             r = distance_to_end(o0, oq, q, e, dist_oracle)
-            if dist_oracle.calls > 4 * e:
-                raise MathematicalInconsistencyError(
-                    f"distance used {dist_oracle.calls} > {4 * e} oracle calls"
-                )
-            calls["distance"] = dist_oracle.calls
+            calls["distance"] = _calls_within(dist_oracle, 4 * e, "distance")
             if r > e:
                 raise MathematicalInconsistencyError("distance exceeds the discriminant valuation")
             if r == 0:
@@ -370,16 +363,10 @@ def compute_endomorphism_ring(
                 o_tilde = oq
             else:
                 sm = splitting_map(oq, Precision(q, r))
-                lifts = generator_lifts(sm)
                 path_oracle = CountingOracle(oracle, log, stage="path", q=q)
-                gamma, t_total = find_path_to_end(o0, oq, q, r, sm, lifts, path_oracle, log)
-                if path_oracle.calls > 4 * (r * q + 1):
-                    raise MathematicalInconsistencyError(
-                        f"path search used {path_oracle.calls} > {4 * (r * q + 1)} oracle calls"
-                    )
-                calls["path"] = path_oracle.calls
-                conj = conjugate_order_lattice(oq, t_total, q, r)
-                o_tilde = verify_order(local_patch(conj, o0.lattice, q), o0.algebra)
+                gamma = find_path_to_end(o0, oq, q, r, generator_lifts(sm), path_oracle, log)
+                calls["path"] = _calls_within(path_oracle, 4 * (r * q + 1), "path search")
+                o_tilde = global_order_from_vertices(o0, oq, sm, [vertex_of_path(gamma)])
         d = discrd(o_tilde)
         if d % q == 0:
             raise MathematicalInconsistencyError(f"local solution at {q} is not q-maximal")

@@ -144,9 +144,6 @@ class QuatElement:
             raise MathematicalInconsistencyError("zero divisor in a division algebra")
         return self.conj().scale(Fraction(1, 1) / n)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
     def __repr__(self):
         names = ("", "i", "j", "ij")
         parts = [f"{c}{n}" for c, n in zip(self.coeffs, names) if c != 0]

@@ -1,7 +1,7 @@
 """Random planted instances: a hidden maximal order and a verified suborder
 with known q-power indices, for end-to-end recovery tests."""
 
-from endoring.btt import MatrixPath, allowed_next_steps
+from endoring.btt import MatrixPath, allowed_next_steps, vertex_of_path
 from endoring.errors import DegenerateLatticeError, NotARingError
 from endoring.lattice import Lattice4
 from endoring.ntheory import factorize
@@ -41,19 +41,38 @@ def random_word(q, length, rng):
     return MatrixPath(q, tuple(steps))
 
 
+def vertex_order_lattice(order: Order, q: int, word: MatrixPath) -> Lattice4:
+    """The maximal order at the end of `word` in the tree of `order` at q
+    (not patched away from q)."""
+    d = len(word)
+    v = vertex_of_path(word)
+    t = lift_vertex_element(splitting_map(order, Precision(q, d)), (v.a, v.b, v.c))
+    return conjugate_order_lattice(order, t, q, d)
+
+
 def eichler_suborder_lattice(hidden: Order, q: int, depth: int, rng) -> Lattice4:
     """hidden cap (conjugate of hidden at a random vertex of given depth),
     patched so that only the q-part shrinks.  Locally an Eichler order of
     level q^depth, hence Bass at q."""
-    sm = splitting_map(hidden, Precision(q, depth))
-    word = random_word(q, depth, rng)
-    from endoring.btt import vertex_of_path
-
-    v = vertex_of_path(word)
-    t = lift_vertex_element(sm, (v.a, v.b, v.c))
-    conj = conjugate_order_lattice(hidden, t, q, depth)
+    conj = vertex_order_lattice(hidden, q, random_word(q, depth, rng))
     inter = hidden.lattice.intersect(conj)
     return local_patch(inter, hidden.lattice, q)
+
+
+def general_instance(alg, q: int, d: int, rng):
+    """General-branch instance at distance d: O_0 = Z + q^d * Lambda for a
+    random maximal order Lambda, and the hidden order is Lambda's vertex
+    order at a random word of length d, patched to Lambda away from q.
+
+    Returns (hidden, lambda, O_0, factorization, word).  O_0 is not Bass at
+    q, the pipeline enlarges it back to Lambda and finds distance r = d.
+    """
+    lam = random_hidden_order(alg, rng)
+    word = random_word(q, d, rng)
+    hidden = verify_order(local_patch(vertex_order_lattice(lam, q, word), lam.lattice, q), alg)
+    gens = [(1, 0, 0, 0)] + [tuple(q**d * x for x in b) for b in lam.lattice.basis()]
+    o0 = verify_order(Lattice4.from_generators(gens), alg)
+    return hidden, lam, o0, sorted(factorize(discrd(o0)).items()), word
 
 
 def random_suborder(hidden: Order, qs, rng, max_e=4):

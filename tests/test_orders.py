@@ -10,6 +10,7 @@ from endoring.lattice import Lattice4
 from endoring.ntheory import valuation
 from endoring.orders import (
     Order,
+    _multiplier_lattice,
     _radical_coords_brute,
     discrd,
     is_bass_at,
@@ -18,11 +19,12 @@ from endoring.orders import (
     q_enlarge,
     radical_coords_mod,
     radical_idealizer,
+    radical_lattice,
     standard_maximal_order,
     ternary_gorenstein_test,
     verify_order,
 )
-from endoring.quat import QuaternionAlgebra, gram
+from endoring.quat import QuatElement, QuaternionAlgebra, gram
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,37 @@ def test_trace_kernel_is_the_nilpotent_radical(alg):
         assert rad == _radical_coords_brute(o, 3)
         nontrivial += bool(rad)
     assert nontrivial >= 4
+
+
+def colon_reference(J, alg, side):
+    """{x : xJ in J} ("left") or {x : Jx in J} ("right") by definition: the
+    intersection over the basis g of J of J * g^-1, resp. g^-1 * J."""
+    result = None
+    for g in (QuatElement(alg, b) for b in J.basis()):
+        ginv = g.inverse()
+        elems = [QuatElement(alg, b) for b in J.basis()]
+        imgs = [(y * ginv if side == "left" else ginv * y).coeffs for y in elems]
+        lat = Lattice4.from_generators(imgs)
+        result = lat if result is None else result.intersect(lat)
+    return result
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 13])
+def test_multiplier_lattice_matches_colon_definition(alg, q):
+    # radicals (two-sided ideals), and the one-sided ideal O*x, whose left
+    # order O differs from its right order x^-1 O x
+    orders = paper_orders(alg) + planted_orders_at_3(2)
+    cases = [(radical_lattice(o, q, radical_coords_mod(o, q)), o.algebra) for o in orders]
+    x = alg.element(q, 1, 1, 0)
+    ox = [(b * x).coeffs for b in paperdata.maximal_order(alg).basis_elements()]
+    cases.append((Lattice4.from_generators(ox), alg))
+    assert colon_reference(*cases[-1], "left") != colon_reference(*cases[-1], "right")
+    for J, a in cases:
+        left = colon_reference(J, a, "left")
+        right = colon_reference(J, a, "right")
+        assert _multiplier_lattice(J, a, ("left",)) == left
+        assert _multiplier_lattice(J, a, ("right",)) == right
+        assert _multiplier_lattice(J, a, ("left", "right")) == left.intersect(right)
 
 
 def test_paper_o0_discriminant(o0):

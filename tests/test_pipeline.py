@@ -6,16 +6,15 @@ from pathlib import Path
 import pytest
 
 import paperdata
-from endoring.btt import root
+from endoring.btt import root, vertex_of_path
 from endoring.divide import CountingOracle, HiddenOrderOracle
 from endoring.lattice import Lattice4
-from endoring.orders import q_enlarge, verify_order
+from endoring.orders import q_enlarge
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     TraceLog,
     bass_search,
     compute_endomorphism_ring,
-    conjugate_order_lattice,
     distance_to_end,
     enumerate_bass_path,
     find_path_to_end,
@@ -82,14 +81,12 @@ def test_find_path_and_candidate_order_at_7(alg, o0, end):
     r = distance_to_end(o0, oq, 7, e, CountingOracle(hidden))
     assert r == 1
     sm = splitting_map(oq, Precision(7, r))
-    lifts = generator_lifts(sm)
     oracle = CountingOracle(hidden)
     log = TraceLog()
-    gamma, t_total = find_path_to_end(o0, oq, 7, r, sm, lifts, oracle, log)
+    gamma = find_path_to_end(o0, oq, 7, r, generator_lifts(sm), oracle, log)
     assert len(gamma) == 1
     assert oracle.calls <= 4 * (r * 7 + 1)
-    conj = conjugate_order_lattice(oq, t_total, 7, r)
-    o_tilde = verify_order(local_patch(conj, o0.lattice, 7), alg)
+    o_tilde = global_order_from_vertices(o0, oq, sm, [vertex_of_path(gamma)])
     # the accepted candidate matches the worked example's displayed basis,
     # normalized by patching both onto the O_0 frame
     cand = Lattice4.from_generators(paperdata.candidate7_vectors())

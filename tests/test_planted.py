@@ -1,7 +1,19 @@
 import random
 
+import pytest
+
+import planted
 from endoring.divide import HiddenOrderOracle
-from endoring.pipeline import TraceLog, compute_endomorphism_ring
+from endoring.orders import verify_order
+from endoring.padic import Precision, splitting_map
+from endoring.pipeline import (
+    TraceLog,
+    compute_endomorphism_ring,
+    conjugate_order_lattice,
+    generator_lifts,
+    local_patch,
+)
+from endoring.quat import QuaternionAlgebra
 from planted import generate_instance
 
 
@@ -59,3 +71,26 @@ def test_distance_matches_bruteforce():
             while not hidden.lattice.contains_lattice(oq.lattice.scale(q**brute)):
                 brute += 1
             assert r == brute
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_general_branch_path_search(q, d):
+    """Z + q^d * Lambda: distance r = d, then path search at r >= 1."""
+    alg = QuaternionAlgebra.for_prime(103)
+    hidden, lam, o0, fact, word = planted.general_instance(alg, q, d, random.Random(10 * q + d))
+    end, sols, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), TraceLog())
+    assert end.lattice == hidden.lattice
+    sol = next(s for s in sols if s.q == q)
+    assert not sol.bass
+    assert sol.enlargement.lattice == lam.lattice
+    assert sol.r == d and len(sol.gamma) == d and sol.gamma == word
+    assert sol.oracle_calls["path"] <= 4 * (sol.r * q + 1)
+    # the local order is also the conjugate of O_q by the product t of the
+    # generator lifts along gamma, patched onto O_0
+    lifts = generator_lifts(splitting_map(lam, Precision(q, d)))
+    t = alg.one()
+    for step in sol.gamma.steps:
+        t = lifts[step] * t
+    conj = conjugate_order_lattice(lam, t, q, d)
+    assert sol.order == verify_order(local_patch(conj, o0.lattice, q), alg)
