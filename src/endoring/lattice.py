@@ -140,7 +140,23 @@ class Lattice4:
         return tuple(x)
 
     def contains(self, vec) -> bool:
-        return all(c.denominator == 1 for c in self.solve(vec))
+        """Whether the coordinates of vec (ints or Fractions) over the basis
+        are integers: den*vec must be integral, then forward substitution
+        over the integer columns divides exactly at every pivot."""
+        w = []
+        for x in vec:
+            num, d = x.numerator * self.den, x.denominator
+            if num % d:
+                return False
+            w.append(num // d)
+        cols = self.cols
+        x = []
+        for i in range(4):
+            acc = w[i] - sum(cols[j][i] * x[j] for j in range(i))
+            if acc % cols[i][i]:
+                return False
+            x.append(acc // cols[i][i])
+        return True
 
     def contains_lattice(self, other: "Lattice4") -> bool:
         return all(self.contains(b) for b in other.basis())

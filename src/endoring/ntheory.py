@@ -77,6 +77,31 @@ def legendre(a: int, q: int) -> int:
     return 1 if s == 1 else -1
 
 
+def sqrt_mod(a: int, q: int) -> int | None:
+    """Least s in [0, q) with s^2 = a mod q for an odd prime q, or None when
+    a is not a square mod q (Euler's criterion, then Tonelli-Shanks)."""
+    a %= q
+    if a == 0:
+        return 0
+    if legendre(a, q) != 1:
+        return None
+    m, odd = 0, q - 1
+    while odd % 2 == 0:
+        m, odd = m + 1, odd // 2
+    z = next(z for z in range(2, q) if legendre(z, q) == -1)
+    c, t, s = pow(z, odd, q), pow(a, odd, q), pow(a, (odd + 1) // 2, q)
+    while t != 1:
+        i, t2 = 1, t * t % q
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % q
+            if i == m:
+                raise ValueError(f"{q} is not an odd prime")
+        b = pow(c, 1 << (m - i - 1), q)
+        m, c = i, b * b % q
+        t, s = t * c % q, s * b % q
+    return min(s, q - s)
+
+
 def reduce_unit_mod(x: Fraction, modulus: int) -> int:
     """Integer in [0, modulus) congruent to x, for x with denominator coprime
     to modulus."""

@@ -39,6 +39,11 @@ class Order:
     lattice: Lattice4
 
     def basis_elements(self) -> tuple[QuatElement, ...]:
+        """The basis quaternions: one tuple, built once per order."""
+        return self._basis
+
+    @cached_property
+    def _basis(self) -> tuple[QuatElement, ...]:
         return tuple(QuatElement(self.algebra, b) for b in self.lattice.basis())
 
     def element(self, coords) -> QuatElement:

@@ -11,9 +11,16 @@ by it yields a nilpotent; from the nilpotent a full system of 2x2
 matrix units inside the order is assembled, which induces the linear
 isomorphism onto M_2(Z/q^(r+1)).
 
-A tree vertex (a, b, c) lifts to q^a*E11 + c*E12 + q^b*E22, built from
-the preimages of the matrix units E11, E12, E22 with its coordinates
-reduced into [0, q^(r+1)); the same formula serves every q.
+For odd q the zero divisor starts from the lexicographically first
+point of the conic a0*x1^2 + a1*x2^2 + a2*x3^2 = 0 mod q (`conic_point`).
+For each (x1, x2) in order, x3 is the least square root of
+-(a0*x1^2 + a1*x2^2)/a2, if Euler's criterion says there is one; the row
+x1 = 0 is decided by x2 = 1 alone, and in a row x1 >= 1 about half the x2
+give a square, so the search costs a few O(log q) steps, not q^3.
+
+A tree vertex (a, b, c) lifts to q^a*E11 + c*E12 + q^b*E22, computed from
+the integer coordinates of the matrix units E11, E12, E22 reduced into
+[0, q^(r+1)); the same formula serves every q.
 """
 
 from dataclasses import dataclass
@@ -21,7 +28,7 @@ from fractions import Fraction
 
 from .errors import MathematicalInconsistencyError, PrecisionError, StructuralError
 from .matrix import adj4, det4, mat2_mul
-from .ntheory import reduce_unit_mod, valuation
+from .ntheory import reduce_unit_mod, sqrt_mod, valuation
 from .orders import Order
 from .quat import QuatElement, linear_combination
 
@@ -107,6 +114,25 @@ def normalized_basis_at(order: Order, q: int):
     return out, blocks
 
 
+def conic_point(a, q: int) -> list[int]:
+    """The lexicographically first nonzero (x1, x2, x3) in [0, q)^3 with
+    a0*x1^2 + a1*x2^2 + a2*x3^2 = 0 mod q, for an odd prime q and q-units
+    a0, a1, a2: for each (x1, x2) in order, the least root x3 of
+    -(a0*x1^2 + a1*x2^2)/a2, if there is one."""
+    inv = pow(a[2], -1, q)
+    # the row x1 = 0: for x2 >= 1 the right side -a1*x2^2/a2 has the
+    # residuosity of -a1/a2, so x2 = 1 decides the row
+    x3 = sqrt_mod(-a[1] * inv, q)
+    if x3 is not None:
+        return [0, 1, x3]
+    for x1 in range(1, q):
+        for x2 in range(q):
+            x3 = sqrt_mod(-(a[0] * x1 * x1 + a[1] * x2 * x2) * inv, q)
+            if x3 is not None:
+                return [x1, x2, x3]
+    raise MathematicalInconsistencyError("ternary conic without points mod q")
+
+
 def zero_divisor_mod(order: Order, prec: Precision):
     """Element x of the q-maximal order (up to q-unit denominators) with
     v_q(nrd x) >= r+1 and some coordinate a q-unit.
@@ -120,21 +146,7 @@ def zero_divisor_mod(order: Order, prec: Precision):
         if any(kind != "unit" or valuation(a, q) != 0 for kind, a in blocks):
             raise MathematicalInconsistencyError("order is not q-maximal at odd q")
         a = [reduce_unit_mod(nf, modulus) for _, nf in blocks]
-        sol = None
-        for x1 in range(q):
-            for x2 in range(q):
-                for x3 in range(q):
-                    if (x1, x2, x3) == (0, 0, 0):
-                        continue
-                    if (a[0] * x1 * x1 + a[1] * x2 * x2 + a[2] * x3 * x3) % q == 0:
-                        sol = [x1, x2, x3]
-                        break
-                if sol:
-                    break
-            if sol:
-                break
-        if sol is None:
-            raise MathematicalInconsistencyError("ternary conic without points mod q")
+        sol = conic_point(a[:3], q)
         piv = next(i for i in range(3) if sol[i] % q)
         for k in range(2, prec.r + 2):
             mk = q**k
@@ -210,6 +222,7 @@ class SplittingMap:
     order: Order
     precision: Precision
     units: tuple[QuatElement, QuatElement, QuatElement, QuatElement]  # E11 E12 E21 E22
+    unit_coords: tuple  # integer coordinates of the units mod modulus, one row per unit
     _minv: tuple  # inverse transfer matrix mod modulus, rows
 
     def apply(self, x: QuatElement):
@@ -246,14 +259,15 @@ def splitting_map(order: Order, prec: Precision) -> SplittingMap:
     e21 = _integerize(order, (e22 * f * e11).scale(m), modulus)
     e12 = _integerize(order, e, modulus)
     units = (e11, e12, e21, e22)
+    unit_coords = tuple(_coords_mod(order, u, modulus) for u in units)
     # transfer matrix: columns are coordinates of the unit preimages
-    transfer = tuple(zip(*(_coords_mod(order, u, modulus) for u in units)))
+    transfer = tuple(zip(*unit_coords))
     det = det4(transfer) % modulus
     if det % q == 0:
         raise MathematicalInconsistencyError("matrix units do not span mod q")
     dinv = pow(det, -1, modulus)
     minv = tuple(tuple(x * dinv % modulus for x in row) for row in adj4(transfer))
-    sm = SplittingMap(order, prec, units, minv)
+    sm = SplittingMap(order, prec, units, unit_coords, minv)
     _validate_splitting(sm)
     return sm
 
@@ -279,9 +293,12 @@ def lift_vertex_element(sm: SplittingMap, abc) -> QuatElement:
     modulus = sm.precision.modulus
     if a + b > r:
         raise PrecisionError(f"vertex depth {a + b} exceeds splitting precision {r}")
-    e11, e12, _, e22 = sm.units
-    t = _integerize(sm.order, linear_combination((q**a, c, q**b), (e11, e12, e22)), modulus)
-    want = ((q**a % modulus, c % modulus), (0, q**b % modulus))
+    u11, u12, _, u22 = sm.unit_coords
+    qa, qb = q**a, q**b
+    t = sm.order.from_coords(
+        tuple((qa * x + c * y + qb * z) % modulus for x, y, z in zip(u11, u12, u22))
+    )
+    want = ((qa % modulus, c % modulus), (0, qb % modulus))
     if sm.apply(t) != want:
         raise MathematicalInconsistencyError("vertex lift does not match its matrix")
     return t

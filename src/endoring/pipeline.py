@@ -170,12 +170,26 @@ def global_order_from_vertices(o0: Order, oq: Order, sm: SplittingMap, vertices)
 # path recovery
 
 
+class _GeneratorLifts(dict):
+    """Step c -> lift of gamma_c, each lifted the first time it is read."""
+
+    def __init__(self, sm: SplittingMap):
+        super().__init__()
+        self.sm = sm
+
+    def __missing__(self, step):
+        q = self.sm.precision.q
+        if step not in range(q + 1):
+            raise KeyError(step)
+        t = self[step] = lift_vertex_element(self.sm, (1, 0, 0) if step == q else (0, 1, step))
+        return t
+
+
 def generator_lifts(sm: SplittingMap):
-    """Lift of every generator in Sigma: step c -> element over gamma_c."""
-    q = sm.precision.q
-    lifts = {c: lift_vertex_element(sm, (0, 1, c)) for c in range(q)}
-    lifts[q] = lift_vertex_element(sm, (1, 0, 0))
-    return lifts
+    """Lifts of the generators in Sigma: step c -> element over gamma_c,
+    for c in 0..q (q is gamma_inf).  A step is lifted when first read, so a
+    path search pays only for the candidates it tries."""
+    return _GeneratorLifts(sm)
 
 
 def find_path_to_end(

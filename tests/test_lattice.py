@@ -156,3 +156,24 @@ def test_integer_kernel():
         except DegenerateLatticeError:
             raised = True
         assert raised  # rank 3, not 4
+
+
+def test_integer_contains_agrees_with_solve():
+    """The integer membership test gives the answer of the rational solve,
+    for lattices with den > 1 and vectors whose den * v is not integral."""
+    rng = random.Random(7)
+    checked_den, checked_frac = 0, 0
+    for _ in range(60):
+        lat = rand_lattice(rng).scale(Fraction(rng.randint(1, 5), rng.randint(2, 6)))
+        checked_den += lat.den > 1
+        gens = lat.basis()
+        for _ in range(30):
+            v = [sum(rng.randint(-3, 3) * g[i] for g in gens) for i in range(4)]
+            # perturb some coordinates by a fraction finer than the lattice
+            for i in range(4):
+                if rng.random() < 0.3:
+                    v[i] += Fraction(rng.randint(-4, 4), rng.randint(1, 3 * lat.den))
+            v = tuple(v)
+            checked_frac += any((x * lat.den).denominator != 1 for x in v)
+            assert lat.contains(v) == all(c.denominator == 1 for c in lat.solve(v))
+    assert checked_den > 30 and checked_frac > 100

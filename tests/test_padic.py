@@ -5,16 +5,18 @@ import pytest
 import paperdata
 from endoring.errors import PrecisionError
 from endoring.matrix import mat2_mul
-from endoring.ntheory import reduce_unit_mod, valuation
+from endoring.ntheory import reduce_unit_mod, sqrt_mod, valuation
 from endoring.orders import q_enlarge, standard_maximal_order
 from endoring.padic import (
     Precision,
+    _integerize,
+    conic_point,
     lift_vertex_element,
     normalized_basis_at,
     splitting_map,
     zero_divisor_mod,
 )
-from endoring.quat import QuaternionAlgebra
+from endoring.quat import QuaternionAlgebra, linear_combination
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +169,76 @@ def test_splitting_other_primes():
         for q in (2, 3, 5):
             sm = splitting_map(omax, Precision(q, 2))
             assert sm.apply(alg.one()) == ((1, 0), (0, 1))
+
+
+def conic_point_by_search(a, q):
+    """The first nonzero point of a0*x1^2 + a1*x2^2 + a2*x3^2 mod q in
+    lexicographic order, by searching the whole cube."""
+    for x1 in range(q):
+        for x2 in range(q):
+            for x3 in range(q):
+                if (x1, x2, x3) == (0, 0, 0):
+                    continue
+                if (a[0] * x1 * x1 + a[1] * x2 * x2 + a[2] * x3 * x3) % q == 0:
+                    return [x1, x2, x3]
+    return None
+
+
+@pytest.mark.parametrize("q", [3, 5, 13, 17, 97, 1009])
+def test_sqrt_mod_is_least_root(q):
+    least = {}
+    for x in range(q):
+        least.setdefault(x * x % q, x)
+    for a in range(-q, 2 * q):
+        assert sqrt_mod(a, q) == least.get(a % q)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_conic_point_all_unit_triples(q):
+    for a0 in range(1, q):
+        for a1 in range(1, q):
+            for a2 in range(1, q):
+                a = [a0, a1, a2]
+                assert conic_point(a, q) == conic_point_by_search(a, q)
+
+
+@pytest.mark.parametrize("q, count", [(101, 40), (1009, 4)])
+def test_conic_point_seeded_triples(q, count):
+    rng = random.Random(q)
+    for _ in range(count):
+        # units mod q^3, as zero_divisor_mod passes them
+        a = [rng.randrange(1, q) + q * rng.randrange(q * q) for _ in range(3)]
+        assert conic_point(a, q) == conic_point_by_search(a, q)
+
+
+@pytest.mark.parametrize("q", [4001, 10007])
+def test_splitting_map_at_large_q(q):
+    """The construction validates multiplicativity; lifts of vertices with
+    a + b <= 2 map to their matrices."""
+    alg = QuaternionAlgebra.for_prime(103)
+    sm = splitting_map(standard_maximal_order(alg), Precision(q, 2))
+    modulus = q**3
+    vertices = [(0, 0, 0), (0, 1, 0), (0, 1, q - 1), (1, 0, 0), (1, 1, 1), (0, 2, q + 5), (2, 0, 0)]
+    for a, b, c in vertices:
+        t = lift_vertex_element(sm, (a, b, c))
+        assert sm.apply(t) == ((q**a % modulus, c), (0, q**b % modulus))
+        assert sm.order.contains_element(t)
+
+
+@pytest.mark.parametrize("q", [2, 3, 101])
+@pytest.mark.parametrize("r", [1, 2])
+def test_lift_matches_rational_formula(omax, q, r):
+    """The integer lift equals the rational combination of the matrix units
+    with its coordinates reduced mod q^(r+1)."""
+    sm = splitting_map(omax, Precision(q, r))
+    modulus = q ** (r + 1)
+    e11, e12, _, e22 = sm.units
+    rng = random.Random(q * 10 + r)
+    for a in range(r + 1):
+        for b in range(r + 1 - a):
+            for c in {x % q**b for x in (0, 1, q**b - 1, rng.randrange(q**b))}:
+                if a and b and c % q == 0:
+                    continue
+                combo = linear_combination((q**a, c, q**b), (e11, e12, e22))
+                want = _integerize(omax, combo, modulus)
+                assert lift_vertex_element(sm, (a, b, c)) == want

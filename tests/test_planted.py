@@ -1,15 +1,19 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 import planted
-from endoring.divide import HiddenOrderOracle
-from endoring.orders import verify_order
+from endoring import pipeline
+from endoring.divide import CountingOracle, HiddenOrderOracle
+from endoring.orders import q_enlarge, verify_order
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     TraceLog,
     compute_endomorphism_ring,
     conjugate_order_lattice,
+    find_path_to_end,
     generator_lifts,
     local_patch,
 )
@@ -94,3 +98,51 @@ def test_general_branch_path_search(q, d):
         t = lifts[step] * t
     conj = conjugate_order_lattice(lam, t, q, d)
     assert sol.order == verify_order(local_patch(conj, o0.lattice, q), alg)
+
+
+def test_general_branch_query_sequence_at_101_is_pinned():
+    """A q = 101, d = 2 general-branch instance: the oracle queries
+    (q, n, beta, answer), in order, and their count."""
+    alg = QuaternionAlgebra.for_prime(103)
+    hidden, _, o0, fact, word = planted.general_instance(alg, 101, 2, random.Random(1))
+    assert word.steps == (63, 97)
+    oracle = HiddenOrderOracle(hidden)
+    log = TraceLog()
+    end, _, calls = compute_endomorphism_ring(o0, fact, oracle, log)
+    assert end.lattice == hidden.lattice
+    queries = [
+        (ev["q"], ev["n"], ev["beta"], ev["answer"]) for ev in log.events if ev["type"] == "oracle"
+    ]
+    assert calls == oracle.calls == len(queries) == 185
+    digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
+    assert digest == "82bc778e0f62acbfde5122cdd9a749f369e65d504ac6293dd28fe2c333a3722b"
+
+
+def test_path_search_lifts_only_tried_steps(monkeypatch):
+    """The generator lifts are built on first use: each step the search
+    tries is lifted once, and no other step is lifted."""
+    q, d = 101, 2
+    alg = QuaternionAlgebra.for_prime(103)
+    hidden, _, o0, _, word = planted.general_instance(alg, q, d, random.Random(1))
+    oq = q_enlarge(o0, q)
+    sm = splitting_map(oq, Precision(q, d))
+    lift = pipeline.lift_vertex_element
+    lifted = []
+
+    def counting_lift(sm_, abc):
+        lifted.append(abc)
+        return lift(sm_, abc)
+
+    monkeypatch.setattr(pipeline, "lift_vertex_element", counting_lift)
+    log = TraceLog()
+    oracle = CountingOracle(HiddenOrderOracle(hidden))
+    gamma = find_path_to_end(o0, oq, q, d, generator_lifts(sm), oracle, log)
+    assert gamma == word
+    tried = {
+        q if ev["candidate"] == "inf" else int(ev["candidate"])
+        for ev in log.events
+        if ev["type"] == "step"
+    }
+    want = {(1, 0, 0) if step == q else (0, 1, step) for step in tried}
+    assert len(lifted) == len(set(lifted)) == len(want) < q + 1
+    assert set(lifted) == want
