@@ -176,6 +176,71 @@ class Lattice4:
         return abs(self.det() / sup.det())
 
 
+def lll_gram(gram):
+    """LLL reduction (delta = 3/4) of a positive definite integer Gram
+    matrix, exact and in integers only (Cohen, Alg. 2.6.7).
+
+    Returns the unimodular change of basis as rows: row k holds the
+    coordinates of the k-th reduced vector over the input basis.
+    """
+    n = len(gram)
+    h = [None] + [[int(i == j) for j in range(n)] for i in range(n)]  # 1-based rows
+
+    def dot(i, j):
+        return sum(x * gram[a][b] * y for a, x in enumerate(h[i]) for b, y in enumerate(h[j]))
+
+    # d[i]: Gram determinant of the first i vectors; lam[k][j] = d[j] * mu_kj
+    d = [1] * (n + 1)
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            r = (2 * lam[k][l] + d[l]) // (2 * d[l])
+            h[k] = [x - r * y for x, y in zip(h[k], h[l])]
+            lam[k][l] -= r * d[l]
+            for i in range(1, l):
+                lam[k][i] -= r * lam[l][i]
+
+    def swap(k):
+        h[k], h[k - 1] = h[k - 1], h[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        b = (d[k - 2] * d[k] + lk * lk) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - lk * t) // d[k - 1]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k]
+        d[k - 1] = b
+
+    k, kmax = 1, 0
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            for j in range(1, k + 1):
+                u = dot(k, j)
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise DegenerateLatticeError("Gram matrix is not positive definite")
+                else:
+                    d[k] = u
+        if k == 1:  # the first vector has nothing to reduce against
+            k = 2
+            continue
+        red(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                red(k, l)
+            k += 1
+    return [tuple(row) for row in h[1:]]
+
+
 def integer_kernel(t):
     """Basis (3 integer 4-vectors) of {x in Z^4 : t . x = 0} for integer t != 0."""
     t = list(t)

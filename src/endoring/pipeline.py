@@ -1,6 +1,17 @@
 """Top-level algorithms: local distance, path recovery, Bass binary search,
 local-to-global order construction, and the full endomorphism-ring
 computation driven by a division oracle.
+
+Every stage tests membership in End(E) through one function, `_all_in_end`,
+and every oracle question has one form.  An element x of O_0 is never
+asked: O_0 lies in End(E).  For any other x let m be the least positive
+integer with m*x in O_0, and gamma in O_0 the Babai rounding of x in an
+LLL-reduced basis of O_0 under the norm form trd(u*conj(v)), each residual
+coordinate rounded into (-1/2, 1/2].  The oracle is asked whether
+beta/m is in End(E) for beta = m*(x - gamma).  The answer is x's, because
+gamma lies in End(E); beta lies in O_0, so beta is a known endomorphism,
+and m and nrd(beta) are as small as this rounding makes them.  The
+reduced basis (`ReducedBasis`) is built once per solve.
 """
 
 import math
@@ -18,8 +29,8 @@ from .btt import (
 )
 from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
-from .lattice import Lattice4
-from .matrix import adj2, mat2_mul
+from .lattice import Lattice4, lll_gram
+from .matrix import adj2, adj4, det4, mat2_mul
 from .ntheory import valuation
 from .orders import Order, discrd, is_bass_at, q_enlarge, verify_order
 from .padic import Precision, SplittingMap, lift_vertex_element, splitting_map
@@ -61,11 +72,17 @@ class TraceLog:
             }
         )
 
-    def saw_vertex(self, q, vertex):
-        self.explored.setdefault(q, set()).add(vertex)
+    def saw_vertex(self, q, word):
+        """Record the vertex at the end of a nonbacktracking step word."""
+        self.explored.setdefault(q, set()).add(tuple(word))
 
     def dot_sources(self):
-        return {q: dot_graph(vs, title=f"explored_q{q}") for q, vs in self.explored.items()}
+        return {
+            q: dot_graph(
+                (vertex_of_path(MatrixPath(q, w)) for w in words), title=f"explored_q{q}"
+            )
+            for q, words in self.explored.items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +105,62 @@ class LocalSolution:
 # the oracle test shared by every stage
 
 
-def _all_in_end(o0: Order, elements, m: int, n: int, oracle: DivisionOracle) -> bool:
-    """Whether every element lies in End(E): those in O_0 are, each other x
-    is asked as (m*x)/n.  Asks in order and stops at the first no."""
-    return all(
-        o0.lattice.contains(x.coeffs) or oracle.is_divisible(x.scale(m), n) for x in elements
-    )
+class ReducedBasis:
+    """O_0 with an LLL-reduced basis under the norm form trd(u*conj(v)),
+    the frame every oracle question is asked in (see the module docstring).
+
+    The Gram matrix of the norm form is trd(b_i)*trd(b_j) - trd(b_i*b_j),
+    read from `order.gram` with no quaternion products.  For x with
+    integral den*x, the integer matrix `_num` maps den*x to the numerators
+    of x's coordinates over the reduced basis, whose denominator is
+    den * `_det`.
+    """
+
+    def __init__(self, o0: Order):
+        self.order = o0
+        lat = o0.lattice
+        traces = [b.trd() for b in o0.basis_elements()]
+        norm = [[int(s * t - g) for t, g in zip(traces, row)] for s, row in zip(traces, o0.gram)]
+        # the reduced basis times lat.den, as integer vectors
+        self._cols = tuple(
+            tuple(sum(u * c[r] for u, c in zip(row, lat.cols)) for r in range(4))
+            for row in lll_gram(norm)
+        )
+        rows = tuple(zip(*self._cols))
+        det = det4(rows)
+        sign = 1 if det > 0 else -1
+        self._num = tuple(tuple(sign * lat.den * x for x in row) for row in adj4(rows))
+        self._det = abs(det)
+
+    def question(self, x: QuatElement):
+        """None when x lies in O_0, else the oracle's question (beta, m) for
+        x: m least with m*x in O_0, beta = m*(x - gamma)."""
+        den = math.lcm(*(c.denominator for c in x.coeffs))
+        v = [c.numerator * (den // c.denominator) for c in x.coeffs]
+        whole = den * self._det
+        nums = [sum(a * b for a, b in zip(row, v)) for row in self._num]
+        if all(num % whole == 0 for num in nums):
+            return None
+        # residuals num/whole - k with k = ceil(num/whole - 1/2)
+        res = [num + (whole - 2 * num) // (2 * whole) * whole for num in nums]
+        m = math.lcm(*(whole // math.gcd(y, whole) for y in res))
+        w = [y * m // whole for y in res]
+        lat_den = self.order.lattice.den
+        beta = tuple(
+            Fraction(sum(c[r] * wi for c, wi in zip(self._cols, w)), lat_den) for r in range(4)
+        )
+        return QuatElement(self.order.algebra, beta), m
+
+
+def _all_in_end(rb: ReducedBasis, elements, oracle: DivisionOracle) -> bool:
+    """Whether every element lies in End(E).  O_0 decides its own
+    elements; each other x is asked as `rb.question(x)`.  Asks in order and
+    stops at the first no."""
+    for x in elements:
+        asked = rb.question(x)
+        if asked is not None and not oracle.is_divisible(*asked):
+            return False
+    return True
 
 
 def _calls_within(oracle: CountingOracle, budget: int, stage: str) -> int:
@@ -107,11 +174,11 @@ def _calls_within(oracle: CountingOracle, budget: int, stage: str) -> int:
 # distance (countdown loop)
 
 
-def distance_to_end(o0: Order, oq: Order, q: int, e: int, oracle: DivisionOracle) -> int:
+def distance_to_end(rb: ReducedBasis, oq: Order, q: int, e: int, oracle: DivisionOracle) -> int:
     """Least r with q^r O_q inside End(E); at most 4e oracle calls."""
     basis = oq.basis_elements()
     for i in range(e - 1, -1, -1):
-        if not _all_in_end(o0, basis, q ** (i + 1), q, oracle):
+        if not _all_in_end(rb, (b.scale(q**i) for b in basis), oracle):
             return i + 1
     return 0
 
@@ -146,20 +213,34 @@ def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
     return patched
 
 
-def global_order_from_vertices(o0: Order, oq: Order, sm: SplittingMap, vertices) -> Order:
+class VertexLattices(dict):
+    """Tree vertex v -> the lattice of its maximal order: O_q at the root,
+    else (1/q^k) conj(t) O_q t for the lift t of v, k = depth of v.  Each
+    vertex is lifted and conjugated the first time it is read."""
+
+    def __init__(self, oq: Order, sm: SplittingMap):
+        super().__init__()
+        self.oq = oq
+        self.sm = sm
+
+    def __missing__(self, v):
+        if v.depth == 0:
+            lat = self.oq.lattice
+        else:
+            t = lift_vertex_element(self.sm, (v.a, v.b, v.c))
+            lat = conjugate_order_lattice(self.oq, t, self.sm.precision.q, v.depth)
+        self[v] = lat
+        return lat
+
+
+def global_order_from_vertices(o0: Order, lattices: VertexLattices, vertices) -> Order:
     """Global order whose q-part realizes the intersection of the given
     tree vertices (1 to 3 of them) and whose other localizations agree
     with the starting order."""
-    q = sm.precision.q
+    q = lattices.sm.precision.q
     if not 1 <= len(vertices) <= 3:
         raise MathematicalInconsistencyError("vertex count out of range")
-    lats = []
-    for v in vertices:
-        if v.depth == 0:
-            lats.append(oq.lattice)
-            continue
-        t = lift_vertex_element(sm, (v.a, v.b, v.c))
-        lats.append(conjugate_order_lattice(oq, t, q, v.depth))
+    lats = [lattices[v] for v in vertices]
     x = lats[0]
     for other in lats[1:]:
         x = x.intersect(other)
@@ -193,7 +274,7 @@ def generator_lifts(sm: SplittingMap):
 
 
 def find_path_to_end(
-    o0: Order,
+    rb: ReducedBasis,
     oq: Order,
     q: int,
     r: int,
@@ -213,9 +294,9 @@ def find_path_to_end(
         for step in allowed_next_steps(q, prev):
             t_cand = lifts[step] * t_cur
             if log is not None:
-                log.saw_vertex(q, vertex_of_path(MatrixPath(q, tuple(word + [step]))))
+                log.saw_vertex(q, (*word, step))
             conjugates = ((t_cand.conj() * b * t_cand).scale(shift) for b in basis)
-            ok = _all_in_end(o0, conjugates, q**3, q**3, oracle)
+            ok = _all_in_end(rb, conjugates, oracle)
             if log is not None:
                 log.step_event(q, level, step, ok)
             if ok:
@@ -289,9 +370,8 @@ def enumerate_bass_path(o0: Order, sm: SplittingMap, e: int):
 
 
 def bass_search(
-    o0: Order,
-    oq: Order,
-    sm: SplittingMap,
+    rb: ReducedBasis,
+    lattices: VertexLattices,
     q: int,
     e: int,
     oracle: DivisionOracle,
@@ -299,17 +379,16 @@ def bass_search(
 ):
     """Binary search along the containment path; at most
     4*ceil(log2(e+1)) oracle calls.  Returns (vertex, path list)."""
-    path_list = enumerate_bass_path(o0, sm, e)
+    o0 = rb.order
+    path_list = enumerate_bass_path(o0, lattices.sm, e)
     if log is not None:
         for v in path_list:
-            log.saw_vertex(q, v)
+            log.saw_vertex(q, path_from_root(v).steps)
     lst = list(path_list)
     while len(lst) > 1:
         m = len(lst) // 2
-        test = global_order_from_vertices(o0, oq, sm, [lst[0], lst[m - 1]])
-        depth = max(lst[0].depth, lst[m - 1].depth)
-        n = q ** (depth + 3 * e)
-        ok = _all_in_end(o0, test.basis_elements(), n, n, oracle)
+        test = global_order_from_vertices(o0, lattices, [lst[0], lst[m - 1]])
+        ok = _all_in_end(rb, test.basis_elements(), oracle)
         lst = lst[:m] if ok else lst[m:]
     return lst[0], path_list
 
@@ -340,6 +419,7 @@ def compute_endomorphism_ring(
         )
     if delta == p:
         return o0, [], 0
+    rb = ReducedBasis(o0)
 
     def solve_one(q, e):
         if q == p:
@@ -358,17 +438,17 @@ def compute_endomorphism_ring(
         oq = q_enlarge(o0, q)
         calls = {}
         if bass:
-            sm = splitting_map(oq, Precision(q, e))
+            lattices = VertexLattices(oq, splitting_map(oq, Precision(q, e)))
             bass_oracle = CountingOracle(oracle, log, stage="bass", q=q)
-            vertex, path_list = bass_search(o0, oq, sm, q, e, bass_oracle, log)
+            vertex, path_list = bass_search(rb, lattices, q, e, bass_oracle, log)
             budget = 4 * math.ceil(math.log2(e + 1)) if e > 0 else 0
             calls["bass"] = _calls_within(bass_oracle, budget, "bass search")
             r = vertex.depth
             gamma = path_from_root(vertex)
-            o_tilde = global_order_from_vertices(o0, oq, sm, [vertex])
+            o_tilde = global_order_from_vertices(o0, lattices, [vertex])
         else:
             dist_oracle = CountingOracle(oracle, log, stage="distance", q=q)
-            r = distance_to_end(o0, oq, q, e, dist_oracle)
+            r = distance_to_end(rb, oq, q, e, dist_oracle)
             calls["distance"] = _calls_within(dist_oracle, 4 * e, "distance")
             if r > e:
                 raise MathematicalInconsistencyError("distance exceeds the discriminant valuation")
@@ -378,9 +458,10 @@ def compute_endomorphism_ring(
             else:
                 sm = splitting_map(oq, Precision(q, r))
                 path_oracle = CountingOracle(oracle, log, stage="path", q=q)
-                gamma = find_path_to_end(o0, oq, q, r, generator_lifts(sm), path_oracle, log)
+                gamma = find_path_to_end(rb, oq, q, r, generator_lifts(sm), path_oracle, log)
                 calls["path"] = _calls_within(path_oracle, 4 * (r * q + 1), "path search")
-                o_tilde = global_order_from_vertices(o0, oq, sm, [vertex_of_path(gamma)])
+                vertex = vertex_of_path(gamma)
+                o_tilde = global_order_from_vertices(o0, VertexLattices(oq, sm), [vertex])
         d = discrd(o_tilde)
         if d % q == 0:
             raise MathematicalInconsistencyError(f"local solution at {q} is not q-maximal")

@@ -75,6 +75,17 @@ def general_instance(alg, q: int, d: int, rng):
     return hidden, lam, o0, sorted(factorize(discrd(o0)).items()), word
 
 
+def bass_instance(p: int, q: int, depth: int, rng):
+    """A local Eichler order O_0 of level q^depth inside a random maximal
+    order: Bass at q, so the pipeline takes the binary search.
+
+    Returns (O_0, factorization, hidden)."""
+    alg = QuaternionAlgebra.for_prime(p)
+    hidden = random_hidden_order(alg, rng)
+    o0 = verify_order(eichler_suborder_lattice(hidden, q, depth, rng), alg)
+    return o0, sorted(factorize(discrd(o0)).items()), hidden
+
+
 def random_suborder(hidden: Order, qs, rng, max_e=4):
     """A verified suborder of hidden whose index is supported on qs.
 

@@ -15,7 +15,10 @@ from endoring.serialize import lattice_to_json, order_from_json
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEM = ROOT / "problems" / "p103_worked_example.json"
 # SHA-256 of `endoring compute --input <PROBLEM> --deterministic` stdout
-WORKED_CLI_SHA256 = "81df5024a77a753e1444fecc3637ee581131177e77421104de4d34f708cd9652"
+WORKED_CLI_SHA256 = "d0a3983cffa8cabaea1e7417d8f75af6c428492c508e4972c310e5ee50e1cd4f"
+# the same output with the previous query form, which also asked the
+# distance stage about elements of O_0 (17 distance calls at q = 7, 29 in all)
+PREVIOUS_FORM_CLI_SHA256 = "81df5024a77a753e1444fecc3637ee581131177e77421104de4d34f708cd9652"
 
 
 def run_cli(args):
@@ -46,6 +49,18 @@ def test_compute_worked_example(tmp_path, capsys):
     assert (dots / "explored_q7.dot").exists()
 
 
+def test_explored_subtree_dot_files_are_pinned(tmp_path):
+    """The worked example's `explored_q*.dot` files, byte for byte."""
+    dots = tmp_path / "dots"
+    assert run_cli(["compute", "--input", PROBLEM, "--output", tmp_path / "r.json",
+                    "--dot-dir", dots]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in dots.iterdir()}
+    assert digests == {
+        "explored_q7.dot": "c706237e128112e6539a243df8ecaf287ded0ab3c62799e16af90c637f0e5da1",
+        "explored_q13.dot": "4baaa5f4a87af998b1b6be388ce3025805136de482e85671ac5e39950be10719",
+    }
+
+
 def test_compute_deterministic_byte_identical(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run_cli(["compute", "--input", PROBLEM, "--output", out1, "--deterministic"]) == 0
@@ -57,6 +72,17 @@ def test_compute_deterministic_output_is_pinned(capsys):
     assert run_cli(["compute", "--input", PROBLEM, "--deterministic"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == WORKED_CLI_SHA256
+
+
+def test_compute_output_differs_from_previous_form_only_in_distance_calls(capsys):
+    assert run_cli(["compute", "--input", PROBLEM, "--deterministic"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    by_q = {s["q"]: s for s in result["local_solutions"]}
+    assert by_q[7]["oracle_calls"]["distance"] == 5 and result["total_oracle_calls"] == 17
+    by_q[7]["oracle_calls"]["distance"] = 17
+    result["total_oracle_calls"] = 29
+    text = json.dumps(result, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PREVIOUS_FORM_CLI_SHA256
 
 
 def test_compute_help_lists_only_live_options(capsys):

@@ -1,18 +1,23 @@
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
 import paperdata
+import planted
+from endoring import pipeline
 from endoring.btt import root, vertex_of_path
 from endoring.divide import CountingOracle, HiddenOrderOracle
 from endoring.lattice import Lattice4
 from endoring.orders import q_enlarge
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
+    ReducedBasis,
     TraceLog,
+    VertexLattices,
     bass_search,
     compute_endomorphism_ring,
     distance_to_end,
@@ -46,7 +51,7 @@ def test_distance_with_paper_enlargement(alg, o0, end):
     """Distance r = 1 at q = 7, computed through the worked enlargement."""
     oracle = CountingOracle(HiddenOrderOracle(end))
     o7 = paperdata.o7(alg)
-    r = distance_to_end(o0, o7, 7, 5, oracle)
+    r = distance_to_end(ReducedBasis(o0), o7, 7, 5, oracle)
     assert r == 1
     assert oracle.calls <= 4 * 5
 
@@ -54,7 +59,7 @@ def test_distance_with_paper_enlargement(alg, o0, end):
 def test_distance_zero_when_contained(alg, o0, end):
     oracle = CountingOracle(HiddenOrderOracle(end))
     o13 = paperdata.o13(alg)
-    r = distance_to_end(o0, o13, 13, 3, oracle)
+    r = distance_to_end(ReducedBasis(o0), o13, 13, 3, oracle)
     assert r == 0
 
 
@@ -69,24 +74,25 @@ def test_local_patch_properties(alg, o0):
 def test_global_order_identity_vertex(alg, o0):
     oq = q_enlarge(o0, 7)
     sm = splitting_map(oq, Precision(7, 1))
-    o = global_order_from_vertices(o0, oq, sm, [root(7)])
+    o = global_order_from_vertices(o0, VertexLattices(oq, sm), [root(7)])
     assert o.lattice == oq.lattice
 
 
 def test_find_path_and_candidate_order_at_7(alg, o0, end):
     """Full general-branch run at q = 7 against the worked example."""
     hidden = HiddenOrderOracle(end)
+    rb = ReducedBasis(o0)
     oq = q_enlarge(o0, 7)
     e = 5
-    r = distance_to_end(o0, oq, 7, e, CountingOracle(hidden))
+    r = distance_to_end(rb, oq, 7, e, CountingOracle(hidden))
     assert r == 1
     sm = splitting_map(oq, Precision(7, r))
     oracle = CountingOracle(hidden)
     log = TraceLog()
-    gamma = find_path_to_end(o0, oq, 7, r, generator_lifts(sm), oracle, log)
+    gamma = find_path_to_end(rb, oq, 7, r, generator_lifts(sm), oracle, log)
     assert len(gamma) == 1
     assert oracle.calls <= 4 * (r * 7 + 1)
-    o_tilde = global_order_from_vertices(o0, oq, sm, [vertex_of_path(gamma)])
+    o_tilde = global_order_from_vertices(o0, VertexLattices(oq, sm), [vertex_of_path(gamma)])
     # the accepted candidate matches the worked example's displayed basis,
     # normalized by patching both onto the O_0 frame
     cand = Lattice4.from_generators(paperdata.candidate7_vectors())
@@ -108,9 +114,10 @@ def test_bass_path_and_search_at_13(alg, o0, end):
     for x, y in zip(path_list, path_list[1:]):
         assert vdist(x, y) == 1
     oracle = CountingOracle(HiddenOrderOracle(end))
-    vertex, _ = bass_search(o0, oq, sm, 13, e, oracle)
+    lattices = VertexLattices(oq, sm)
+    vertex, _ = bass_search(ReducedBasis(o0), lattices, 13, e, oracle)
     assert oracle.calls <= 4 * math.ceil(math.log2(e + 1))
-    o13 = global_order_from_vertices(o0, oq, sm, [vertex])
+    o13 = global_order_from_vertices(o0, lattices, [vertex])
     assert o13.lattice.equals_at(end.lattice, 13)
     # and globally it is the worked example's enlargement
     assert o13.lattice == paperdata.o13(alg).lattice
@@ -146,7 +153,7 @@ def test_bass_search_from_worked_enlargement_hits_identity(alg, o0, end):
     e = 3
     sm = splitting_map(o13, Precision(13, e))
     oracle = CountingOracle(HiddenOrderOracle(end))
-    vertex, path_list = bass_search(o0, o13, sm, 13, e, oracle)
+    vertex, path_list = bass_search(ReducedBasis(o0), VertexLattices(o13, sm), 13, e, oracle)
     assert vertex == root(13)
     assert len(path_list) == 4
     assert oracle.calls <= 4 * math.ceil(math.log2(e + 1))
@@ -161,9 +168,36 @@ def test_worked_example_query_sequence_is_pinned():
     queries = [
         (ev["q"], ev["n"], ev["beta"], ev["answer"]) for ev in log.events if ev["type"] == "oracle"
     ]
-    assert oracle.calls == len(queries) == 29
+    # 12 fewer than the 29 of the previous query form: the dropped queries
+    # asked about elements of O_0 (test_queries checks the two lists agree)
+    assert oracle.calls == len(queries) == 17
     digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
-    assert digest == "7c2521989f55a0ea6b79b95f85a4014c177f581ce41a4c4e623e988224728bca"
+    assert digest == "32bff13cb4734ed92208375eaabbd4cc0bb8c8cee246e570031348ea52a51996"
+
+
+def test_bass_vertices_lifted_once_per_solve(monkeypatch):
+    """The Bass branch lifts and conjugates each vertex it uses once: the
+    binary search and the chosen vertex's order share one VertexLattices."""
+    lift, build = pipeline.lift_vertex_element, pipeline.global_order_from_vertices
+    lifted, used = [], set()
+
+    def counting_lift(sm, abc):
+        lifted.append(abc)
+        return lift(sm, abc)
+
+    def recording_build(o0, lattices, vertices):
+        used.update(v for v in vertices if v.depth)
+        return build(o0, lattices, vertices)
+
+    monkeypatch.setattr(pipeline, "lift_vertex_element", counting_lift)
+    monkeypatch.setattr(pipeline, "global_order_from_vertices", recording_build)
+    for p, q, depth in ((103, 3, 4), (179, 5, 3), (1019, 2, 4), (103, 13, 2)):
+        lifted.clear()
+        used.clear()
+        o0, fact, hidden = planted.bass_instance(p, q, depth, random.Random(q + depth))
+        end, _, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
+        assert end.lattice == hidden.lattice
+        assert len(lifted) == len(used) > 0
 
 
 def test_maximal_input_short_circuits(alg, end):

@@ -10,6 +10,7 @@ from endoring.divide import CountingOracle, HiddenOrderOracle
 from endoring.orders import q_enlarge, verify_order
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
+    ReducedBasis,
     TraceLog,
     compute_endomorphism_ring,
     conjugate_order_lattice,
@@ -59,7 +60,7 @@ def test_distance_matches_bruteforce():
     rng = random.Random(22)
     from endoring.divide import CountingOracle
     from endoring.orders import q_enlarge
-    from endoring.pipeline import distance_to_end
+    from endoring.pipeline import ReducedBasis, distance_to_end
 
     for _ in range(10):
         hidden, sub, fact = generate_instance(rng)
@@ -69,7 +70,7 @@ def test_distance_matches_bruteforce():
                 continue
             oq = q_enlarge(sub, q)
             oracle = CountingOracle(HiddenOrderOracle(hidden))
-            r = distance_to_end(sub, oq, q, e, oracle)
+            r = distance_to_end(ReducedBasis(sub), oq, q, e, oracle)
             assert oracle.calls <= 4 * e
             brute = 0
             while not hidden.lattice.contains_lattice(oq.lattice.scale(q**brute)):
@@ -113,9 +114,11 @@ def test_general_branch_query_sequence_at_101_is_pinned():
     queries = [
         (ev["q"], ev["n"], ev["beta"], ev["answer"]) for ev in log.events if ev["type"] == "oracle"
     ]
-    assert calls == oracle.calls == len(queries) == 185
+    # 16 fewer than the 185 of the previous query form: the dropped queries
+    # asked about elements of O_0 (test_queries checks the two lists agree)
+    assert calls == oracle.calls == len(queries) == 169
     digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
-    assert digest == "82bc778e0f62acbfde5122cdd9a749f369e65d504ac6293dd28fe2c333a3722b"
+    assert digest == "4e96a18e9e85c10e870983f8170af82602bf2ac69fc148b8bc7c534504ff7b75"
 
 
 def test_path_search_lifts_only_tried_steps(monkeypatch):
@@ -136,7 +139,7 @@ def test_path_search_lifts_only_tried_steps(monkeypatch):
     monkeypatch.setattr(pipeline, "lift_vertex_element", counting_lift)
     log = TraceLog()
     oracle = CountingOracle(HiddenOrderOracle(hidden))
-    gamma = find_path_to_end(o0, oq, q, d, generator_lifts(sm), oracle, log)
+    gamma = find_path_to_end(ReducedBasis(o0), oq, q, d, generator_lifts(sm), oracle, log)
     assert gamma == word
     tried = {
         q if ev["candidate"] == "inf" else int(ev["candidate"])
