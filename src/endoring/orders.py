@@ -195,19 +195,21 @@ def ternary_gorenstein_test(order: Order, q: int) -> bool:
     return min(vals) == 0
 
 
-def _table_mul(table, x, y, q):
-    out = [0, 0, 0, 0]
-    for i in range(4):
-        if x[i] % q == 0:
+def _table_mul(table, x, y):
+    """The exact product of the elements with integer coordinates x and y
+    over an order basis whose structure constants are `table`."""
+    o0 = o1 = o2 = o3 = 0
+    for xi, row in zip(x, table):
+        if not xi:
             continue
-        for j in range(4):
-            if y[j] % q == 0:
-                continue
-            f = x[i] * y[j]
-            t = table[i][j]
-            for k in range(4):
-                out[k] = (out[k] + f * t[k]) % q
-    return tuple(out)
+        for yj, t in zip(y, row):
+            if yj:
+                f = xi * yj
+                o0 += f * t[0]
+                o1 += f * t[1]
+                o2 += f * t[2]
+                o3 += f * t[3]
+    return (o0, o1, o2, o3)
 
 
 def _radical_coords_brute(order: Order, q: int):
@@ -221,12 +223,14 @@ def _radical_coords_brute(order: Order, q: int):
         for d in range(q)
     ]
 
-    def nilpotent(x):
-        x2 = _table_mul(table, x, x, q)
-        x4 = _table_mul(table, x2, x2, q)
-        return all(v == 0 for v in x4)
+    def mul(x, y):
+        return tuple(c % q for c in _table_mul(table, x, y))
 
-    rad = [x for x in elems if all(nilpotent(_table_mul(table, x, a, q)) for a in elems)]
+    def nilpotent(x):
+        x2 = mul(x, x)
+        return not any(mul(x2, x2))
+
+    rad = [x for x in elems if all(nilpotent(mul(x, a)) for a in elems)]
     basis = linmod.span_basis(rad, q)
     if len(rad) != q ** len(basis):
         raise MathematicalInconsistencyError("radical is not a subspace")
@@ -315,7 +319,7 @@ def _split_idempotent(order: Order, q: int, rad) -> QuatElement:
             break
     if w is None:
         raise MathematicalInconsistencyError("quotient of O/qO by its radical is 1-dimensional")
-    w2 = _table_mul(table, w, w, q)
+    w2 = _table_mul(table, w, w)
     # express w^2 = alpha*w + beta*1 modulo the radical
     sol = linmod.solve(
         [[w[t], one[t]] + [u[t] for u in rad] for t in range(4)],
@@ -338,10 +342,10 @@ def _split_idempotent(order: Order, q: int, rad) -> QuatElement:
     s, t = cand
     e = tuple((s * w[k] + t * one[k]) % q for k in range(4))
     for _ in range(6):
-        e2 = _table_mul(table, e, e, q)
+        e2 = tuple(c % q for c in _table_mul(table, e, e))
         if e2 == e:
             break
-        e3 = _table_mul(table, e2, e, q)
+        e3 = _table_mul(table, e2, e)
         e = tuple((3 * a - 2 * b) % q for a, b in zip(e2, e3))
     else:
         raise MathematicalInconsistencyError("idempotent lift did not converge")

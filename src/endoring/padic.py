@@ -227,8 +227,11 @@ class SplittingMap:
 
     def apply(self, x: QuatElement):
         """Image of x as a 2x2 integer matrix with entries mod q^(r+1)."""
+        return self.apply_coords(_coords_mod(self.order, x, self.precision.modulus))
+
+    def apply_coords(self, c):
+        """`apply` for the element with integer coordinates c."""
         modulus = self.precision.modulus
-        c = _coords_mod(self.order, x, modulus)
         y = [sum(self._minv[r][k] * c[k] for k in range(4)) % modulus for r in range(4)]
         return ((y[0], y[1]), (y[2], y[3]))
 
@@ -283,8 +286,9 @@ def _validate_splitting(sm: SplittingMap):
                 raise MathematicalInconsistencyError("splitting map is not multiplicative")
 
 
-def lift_vertex_element(sm: SplittingMap, abc) -> QuatElement:
-    """Element t of the order with f(t) = [[q^a, c], [0, q^b]] mod q^(r+1).
+def lift_vertex_coords(sm: SplittingMap, abc) -> tuple:
+    """Coordinates over the order basis, reduced mod q^(r+1), of the lift
+    t = q^a*E11 + c*E12 + q^b*E22: f(t) = [[q^a, c], [0, q^b]] mod q^(r+1).
 
     Requires a + b <= r so that the congruence pins the vertex.
     """
@@ -295,10 +299,13 @@ def lift_vertex_element(sm: SplittingMap, abc) -> QuatElement:
         raise PrecisionError(f"vertex depth {a + b} exceeds splitting precision {r}")
     u11, u12, _, u22 = sm.unit_coords
     qa, qb = q**a, q**b
-    t = sm.order.from_coords(
-        tuple((qa * x + c * y + qb * z) % modulus for x, y, z in zip(u11, u12, u22))
-    )
+    t = tuple((qa * x + c * y + qb * z) % modulus for x, y, z in zip(u11, u12, u22))
     want = ((qa % modulus, c % modulus), (0, qb % modulus))
-    if sm.apply(t) != want:
+    if sm.apply_coords(t) != want:
         raise MathematicalInconsistencyError("vertex lift does not match its matrix")
     return t
+
+
+def lift_vertex_element(sm: SplittingMap, abc) -> QuatElement:
+    """The element of the order with coordinates `lift_vertex_coords(sm, abc)`."""
+    return sm.order.from_coords(lift_vertex_coords(sm, abc))

@@ -12,6 +12,12 @@ beta/m is in End(E) for beta = m*(x - gamma).  The answer is x's, because
 gamma lies in End(E); beta lies in O_0, so beta is a known endomorphism,
 and m and nrd(beta) are as small as this rounding makes them.  The
 reduced basis (`ReducedBasis`) is built once per solve.
+
+The distance and path stages work in integer coordinates over the basis
+of the enlargement O_q, a frame (`ReducedBasis.frame`): one integer
+matrix maps them to numerators over the reduced basis, and a quaternion
+is built only for the beta of a question.  Products come from the
+structure constants `oq.table`, conj(t) = trd(t) - t.
 """
 
 import math
@@ -32,8 +38,8 @@ from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4, lll_gram
 from .matrix import adj2, adj4, det4, mat2_mul
 from .ntheory import valuation
-from .orders import Order, discrd, is_bass_at, q_enlarge, verify_order
-from .padic import Precision, SplittingMap, lift_vertex_element, splitting_map
+from .orders import Order, _table_mul, discrd, is_bass_at, q_enlarge, verify_order
+from .padic import Precision, SplittingMap, lift_vertex_coords, lift_vertex_element, splitting_map
 from .quat import QuatElement
 
 
@@ -104,6 +110,8 @@ class LocalSolution:
 # ---------------------------------------------------------------------------
 # the oracle test shared by every stage
 
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
 
 class ReducedBasis:
     """O_0 with an LLL-reduced basis under the norm form trd(u*conj(v)),
@@ -137,8 +145,28 @@ class ReducedBasis:
         x: m least with m*x in O_0, beta = m*(x - gamma)."""
         den = math.lcm(*(c.denominator for c in x.coeffs))
         v = [c.numerator * (den // c.denominator) for c in x.coeffs]
-        whole = den * self._det
         nums = [sum(a * b for a, b in zip(row, v)) for row in self._num]
+        return self._rounded(nums, den * self._det)
+
+    def frame(self, order: Order, q: int):
+        """The function (z, s) -> `question(q^s * x)`, x the element with
+        integer coordinates z over the basis of an order containing O_0:
+        one integer matrix P = `_num` * (the order's columns) maps z to x's
+        numerators over the reduced basis."""
+        cols = order.lattice.cols
+        P = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self._num)
+        whole = order.lattice.den * self._det
+
+        def question(z, s):
+            f = Fraction(q) ** s
+            nums = [f.numerator * sum(a * b for a, b in zip(row, z)) for row in P]
+            return self._rounded(nums, whole * f.denominator)
+
+        return question
+
+    def _rounded(self, nums, whole):
+        """The question about the element with coordinates nums/whole over
+        the reduced basis: None when they are integers."""
         if all(num % whole == 0 for num in nums):
             return None
         # residuals num/whole - k with k = ceil(num/whole - 1/2)
@@ -152,12 +180,11 @@ class ReducedBasis:
         return QuatElement(self.order.algebra, beta), m
 
 
-def _all_in_end(rb: ReducedBasis, elements, oracle: DivisionOracle) -> bool:
-    """Whether every element lies in End(E).  O_0 decides its own
-    elements; each other x is asked as `rb.question(x)`.  Asks in order and
-    stops at the first no."""
-    for x in elements:
-        asked = rb.question(x)
+def _all_in_end(questions, oracle: DivisionOracle) -> bool:
+    """Whether every element lies in End(E), each given by its question
+    (`ReducedBasis.question`): None, for an element of O_0, needs no call.
+    Asks in order and stops at the first no."""
+    for asked in questions:
         if asked is not None and not oracle.is_divisible(*asked):
             return False
     return True
@@ -176,9 +203,9 @@ def _calls_within(oracle: CountingOracle, budget: int, stage: str) -> int:
 
 def distance_to_end(rb: ReducedBasis, oq: Order, q: int, e: int, oracle: DivisionOracle) -> int:
     """Least r with q^r O_q inside End(E); at most 4e oracle calls."""
-    basis = oq.basis_elements()
+    question = rb.frame(oq, q)
     for i in range(e - 1, -1, -1):
-        if not _all_in_end(rb, (b.scale(q**i) for b in basis), oracle):
+        if not _all_in_end((question(u, i) for u in _UNITS), oracle):
             return i + 1
     return 0
 
@@ -262,15 +289,22 @@ class _GeneratorLifts(dict):
         q = self.sm.precision.q
         if step not in range(q + 1):
             raise KeyError(step)
-        t = self[step] = lift_vertex_element(self.sm, (1, 0, 0) if step == q else (0, 1, step))
+        t = self[step] = lift_vertex_coords(self.sm, (1, 0, 0) if step == q else (0, 1, step))
         return t
 
 
 def generator_lifts(sm: SplittingMap):
-    """Lifts of the generators in Sigma: step c -> element over gamma_c,
-    for c in 0..q (q is gamma_inf).  A step is lifted when first read, so a
-    path search pays only for the candidates it tries."""
+    """Lifts of the generators in Sigma: step c -> coordinates of an element
+    over gamma_c, for c in 0..q (q is gamma_inf).  A step is lifted when
+    first read, so a path search pays only for the candidates it tries."""
     return _GeneratorLifts(sm)
+
+
+def _conj_coords(traces, one, z):
+    """Coordinates of conj(x) = trd(x) - x, x with coordinates z over an
+    order basis of traces `traces` on which 1 has coordinates `one`."""
+    trd = sum(a * b for a, b in zip(traces, z))
+    return tuple(trd * u - x for u, x in zip(one, z))
 
 
 def find_path_to_end(
@@ -284,19 +318,23 @@ def find_path_to_end(
 ) -> MatrixPath:
     """Recover the matrix path of length r from the enlargement's vertex to
     the local endomorphism ring; at most 4(rq+1) oracle calls."""
-    basis = oq.basis_elements()
+    table = oq.table
+    traces = [int(b.trd()) for b in oq.basis_elements()]
+    one = tuple(int(c) for c in oq.lattice.solve((1, 0, 0, 0)))
+    question = rb.frame(oq, q)
     word: list[int] = []
-    t_cur = oq.algebra.one()
+    t_cur = one
     prev = None
     for level in range(1, r + 1):
         accepted = None
-        shift = Fraction(q) ** (r - 2 * level)
+        shift = r - 2 * level
         for step in allowed_next_steps(q, prev):
-            t_cand = lifts[step] * t_cur
+            t_cand = _table_mul(table, lifts[step], t_cur)
             if log is not None:
                 log.saw_vertex(q, (*word, step))
-            conjugates = ((t_cand.conj() * b * t_cand).scale(shift) for b in basis)
-            ok = _all_in_end(rb, conjugates, oracle)
+            t_conj = _conj_coords(traces, one, t_cand)
+            conjugates = (_table_mul(table, _table_mul(table, t_conj, u), t_cand) for u in _UNITS)
+            ok = _all_in_end((question(z, shift) for z in conjugates), oracle)
             if log is not None:
                 log.step_event(q, level, step, ok)
             if ok:
@@ -388,7 +426,7 @@ def bass_search(
     while len(lst) > 1:
         m = len(lst) // 2
         test = global_order_from_vertices(o0, lattices, [lst[0], lst[m - 1]])
-        ok = _all_in_end(rb, test.basis_elements(), oracle)
+        ok = _all_in_end((rb.question(x) for x in test.basis_elements()), oracle)
         lst = lst[:m] if ok else lst[m:]
     return lst[0], path_list
 

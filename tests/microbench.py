@@ -1,0 +1,93 @@
+"""Microbenchmarks of the exact-arithmetic, order and path-search layers.
+
+    python -m pytest tests/microbench.py -q
+
+Not part of the test suite (the default `test_*.py` pattern does not
+collect this file).  The inputs come from one general-branch instance,
+`planted.general_instance` at q = 1009, d = 1, and the worked example.
+"""
+
+import random
+
+import pytest
+
+import paperdata
+import planted
+from endoring.divide import HiddenOrderOracle
+from endoring.lattice import Lattice4
+from endoring.orders import _table_mul, q_enlarge, verify_order
+from endoring.padic import Precision, splitting_map
+from endoring.pipeline import ReducedBasis, _all_in_end, _conj_coords, generator_lifts
+from endoring.quat import QuaternionAlgebra
+
+Q = 1009
+
+
+@pytest.fixture(scope="module")
+def general():
+    """(hidden, O_0, O_q, accepted step) at q = 1009, d = 1."""
+    alg = QuaternionAlgebra.for_prime(103)
+    hidden, _, o0, _, word = planted.general_instance(alg, Q, 1, random.Random(1))
+    return hidden, o0, q_enlarge(o0, Q), word.steps[0]
+
+
+@pytest.fixture(scope="module")
+def worked():
+    alg = paperdata.algebra()
+    return paperdata.o0(alg), paperdata.maximal_order(alg)
+
+
+def test_quat_mul(benchmark, general):
+    _, _, oq, _ = general
+    x, y = oq.from_coords((3, -5, 7, 11)), oq.from_coords((-2, 9, 4, -6))
+    benchmark(lambda: x * y)
+
+
+def test_table_mul(benchmark, general):
+    _, _, oq, _ = general
+    table, x, y = oq.table, (3, -5, 7, 11), (-2, 9, 4, -6)
+    benchmark(_table_mul, table, x, y)
+
+
+def test_lattice_from_generators(benchmark, worked):
+    o0, omax = worked
+    gens = [b.coeffs for b in o0.basis_elements()] + [b.coeffs for b in omax.basis_elements()]
+    benchmark(Lattice4.from_generators, gens)
+
+
+def test_lattice_intersect(benchmark, general):
+    hidden, _, oq, _ = general
+    benchmark(hidden.lattice.intersect, oq.lattice)
+
+
+def test_lattice_contains(benchmark, general):
+    hidden, _, oq, _ = general
+    vec = oq.lattice.basis()[3]
+    benchmark(hidden.lattice.contains, vec)
+
+
+def test_verify_order(benchmark, general):
+    _, _, oq, _ = general
+    benchmark(verify_order, oq.lattice, oq.algebra)
+
+
+def test_path_candidate(benchmark, general):
+    """One rejected candidate of the path search at r = 1: its lift (read
+    from the lifts already made), its conjugates of the O_q basis and
+    their oracle questions, up to the first no."""
+    hidden, o0, oq, accepted = general
+    rb, oracle = ReducedBasis(o0), HiddenOrderOracle(hidden)
+    table, question = oq.table, rb.frame(oq, Q)
+    traces = [int(b.trd()) for b in oq.basis_elements()]
+    one = tuple(int(c) for c in oq.lattice.solve((1, 0, 0, 0)))
+    step = (accepted + 1) % Q
+    lift = generator_lifts(splitting_map(oq, Precision(Q, 1)))[step]
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+
+    def candidate():
+        t = _table_mul(table, lift, one)
+        t_conj = _conj_coords(traces, one, t)
+        conjugates = (_table_mul(table, _table_mul(table, t_conj, u), t) for u in units)
+        return _all_in_end((question(z, -1) for z in conjugates), oracle)
+
+    assert benchmark(candidate) is False

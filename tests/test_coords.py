@@ -1,0 +1,86 @@
+"""The integer arithmetic of the path search against quaternion arithmetic.
+
+The distance and path stages compute in integer coordinates over the basis
+of an enlargement O_q: products from its structure constants, conjugates as
+trd(x) - x, and oracle questions through one integer frame.  Each is
+compared here with the same computation on `QuatElement`s.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import paperdata
+import planted
+from endoring.orders import _table_mul, q_enlarge
+from endoring.pipeline import ReducedBasis, _conj_coords
+from endoring.quat import QuaternionAlgebra
+
+
+def general(q):
+    alg = QuaternionAlgebra.for_prime(103)
+    _, _, o0, _, _ = planted.general_instance(alg, q, 2, random.Random(q))
+    return o0, q
+
+
+def worked():
+    return paperdata.o0(paperdata.algebra()), 7
+
+
+CASES = {**{f"general-q{q}": (lambda q=q: general(q)) for q in (2, 3, 7, 101)}, "worked-q7": worked}
+
+
+@pytest.fixture(scope="module", params=list(CASES))
+def enl(request):
+    """(O_0's reduced basis, O_q, q, case name)."""
+    o0, q = CASES[request.param]()
+    return ReducedBasis(o0), q_enlarge(o0, q), q, request.param
+
+
+vectors = st.tuples(*[st.integers(-(10**6), 10**6)] * 4)
+few = settings(max_examples=40, deadline=None)
+
+
+@few
+@given(x=vectors, y=vectors)
+def test_table_mul_is_the_product(enl, x, y):
+    _, oq, _, _ = enl
+    want = oq.coords_of(oq.from_coords(x) * oq.from_coords(y))
+    assert _table_mul(oq.table, x, y) == tuple(want)
+
+
+@few
+@given(x=vectors)
+def test_conj_coords_is_the_conjugate(enl, x):
+    _, oq, _, _ = enl
+    traces = [int(b.trd()) for b in oq.basis_elements()]
+    one = tuple(int(c) for c in oq.coords_of(oq.algebra.one()))
+    assert _conj_coords(traces, one, x) == tuple(oq.coords_of(oq.from_coords(x).conj()))
+
+
+@few
+@given(w=vectors, s=st.integers(-2, 2))
+def test_frame_question_is_the_question(enl, w, s):
+    rb, oq, q, _ = enl
+    want = rb.question(oq.from_coords(w).scale(Fraction(q) ** s))
+    assert rb.frame(oq, q)(w, s) == want
+
+
+def test_frame_asks_nothing_about_o0(enl):
+    """Both outcomes of a frame question: None for 1 and for q^2 * O_q
+    (inside O_0 = Z + q^2 * O_q in the general cases), a question for some
+    basis element over q."""
+    rb, oq, q, name = enl
+    question = rb.frame(oq, q)
+    one = tuple(int(c) for c in oq.coords_of(oq.algebra.one()))
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert question(one, 0) is None
+    if name.startswith("general"):
+        assert all(question(u, 2) is None for u in units)
+    asked = [question(u, -1) for u in units]
+    assert any(a is not None for a in asked)
+    for u, a in zip(units, asked):
+        assert a == rb.question(oq.from_coords(u).scale(Fraction(1, q)))

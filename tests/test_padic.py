@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 import paperdata
-from endoring.errors import PrecisionError
+from endoring.errors import MathematicalInconsistencyError, PrecisionError
 from endoring.matrix import mat2_mul
 from endoring.ntheory import reduce_unit_mod, sqrt_mod, valuation
 from endoring.orders import q_enlarge, standard_maximal_order
@@ -11,6 +12,7 @@ from endoring.padic import (
     Precision,
     _integerize,
     conic_point,
+    lift_vertex_coords,
     lift_vertex_element,
     normalized_basis_at,
     splitting_map,
@@ -242,3 +244,26 @@ def test_lift_matches_rational_formula(omax, q, r):
                 combo = linear_combination((q**a, c, q**b), (e11, e12, e22))
                 want = _integerize(omax, combo, modulus)
                 assert lift_vertex_element(sm, (a, b, c)) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+@pytest.mark.parametrize("r", [1, 2])
+def test_lift_coords_are_the_lift_coordinates(omax, q, r):
+    """Every vertex with a + b <= r: the integer lift coordinates are the
+    coordinates of the lifted element."""
+    sm = splitting_map(omax, Precision(q, r))
+    for a in range(r + 1):
+        for b in range(r + 1 - a):
+            for c in range(q**b):
+                t = lift_vertex_coords(sm, (a, b, c))
+                assert t == tuple(omax.coords_of(lift_vertex_element(sm, (a, b, c))))
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_lift_coords_check_their_matrix(omax, q):
+    """A corrupted matrix-unit coordinate is caught by the lift's check."""
+    sm = splitting_map(omax, Precision(q, 2))
+    u11, *rest = sm.unit_coords
+    bad = dataclasses.replace(sm, unit_coords=((u11[0] + 1, *u11[1:]), *rest))
+    with pytest.raises(MathematicalInconsistencyError):
+        lift_vertex_coords(bad, (0, 0, 0))

@@ -18,7 +18,7 @@ from endoring.pipeline import (
     generator_lifts,
     local_patch,
 )
-from endoring.quat import QuaternionAlgebra
+from endoring.quat import QuaternionAlgebra, QuatElement
 from planted import generate_instance
 
 
@@ -96,7 +96,7 @@ def test_general_branch_path_search(q, d):
     lifts = generator_lifts(splitting_map(lam, Precision(q, d)))
     t = alg.one()
     for step in sol.gamma.steps:
-        t = lifts[step] * t
+        t = lam.from_coords(lifts[step]) * t
     conj = conjugate_order_lattice(lam, t, q, d)
     assert sol.order == verify_order(local_patch(conj, o0.lattice, q), alg)
 
@@ -129,14 +129,14 @@ def test_path_search_lifts_only_tried_steps(monkeypatch):
     hidden, _, o0, _, word = planted.general_instance(alg, q, d, random.Random(1))
     oq = q_enlarge(o0, q)
     sm = splitting_map(oq, Precision(q, d))
-    lift = pipeline.lift_vertex_element
+    lift = pipeline.lift_vertex_coords
     lifted = []
 
     def counting_lift(sm_, abc):
         lifted.append(abc)
         return lift(sm_, abc)
 
-    monkeypatch.setattr(pipeline, "lift_vertex_element", counting_lift)
+    monkeypatch.setattr(pipeline, "lift_vertex_coords", counting_lift)
     log = TraceLog()
     oracle = CountingOracle(HiddenOrderOracle(hidden))
     gamma = find_path_to_end(ReducedBasis(o0), oq, q, d, generator_lifts(sm), oracle, log)
@@ -149,3 +149,46 @@ def test_path_search_lifts_only_tried_steps(monkeypatch):
     want = {(1, 0, 0) if step == q else (0, 1, step) for step in tried}
     assert len(lifted) == len(set(lifted)) == len(want) < q + 1
     assert set(lifted) == want
+
+
+def test_path_search_builds_quaternions_only_for_questions(monkeypatch):
+    """The path search computes in integer coordinates: no quaternion
+    product, and one quaternion per oracle question, its beta."""
+    q, d = 101, 2
+    alg = QuaternionAlgebra.for_prime(103)
+    hidden, _, o0, _, word = planted.general_instance(alg, q, d, random.Random(1))
+    oq = q_enlarge(o0, q)
+    sm = splitting_map(oq, Precision(q, d))
+    rb, lifts, oracle = ReducedBasis(o0), generator_lifts(sm), CountingOracle(HiddenOrderOracle(hidden))
+    mul, init = QuatElement.__mul__, QuatElement.__init__
+    products, built = [], []
+
+    def counting_mul(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    def counting_init(x, *args):
+        built.append(1)
+        init(x, *args)
+
+    monkeypatch.setattr(QuatElement, "__mul__", counting_mul)
+    monkeypatch.setattr(QuatElement, "__init__", counting_init)
+    gamma = find_path_to_end(rb, oq, q, d, lifts, oracle, TraceLog())
+    assert gamma == word
+    assert len(products) == 0
+    assert len(built) == oracle.calls > 0
+
+
+def test_general_branch_at_large_q():
+    """q = 10007, d = 2: the right order, r = 2, the path bound, and the
+    oracle call count of the Fraction-arithmetic path search."""
+    q = 10007
+    alg = QuaternionAlgebra.for_prime(103)
+    hidden, _, o0, fact, word = planted.general_instance(alg, q, 2, random.Random(1))
+    oracle = HiddenOrderOracle(hidden)
+    end, sols, calls = compute_endomorphism_ring(o0, fact, oracle)
+    assert end.lattice == hidden.lattice
+    sol = next(s for s in sols if s.q == q)
+    assert sol.r == 2 and sol.gamma == word
+    assert sol.oracle_calls["path"] <= 4 * (sol.r * q + 1)
+    assert calls == oracle.calls == 15490
