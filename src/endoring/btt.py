@@ -5,7 +5,8 @@ order T^{-1} M_2(Z_q) T with T = [[q^a, c], [0, q^b]].  Paths are words
 in the generator set Sigma = {gamma_0, ..., gamma_{q-1}, gamma_inf};
 step q in a word encodes gamma_inf.  The module is purely integer
 combinatorics; the order-lattice realizations of vertices that the tests
-check it against live in tests/matmodel.py.
+check it against live in tests/matmodel.py, and the tree constructions of
+the paper's lemmas that only the tests use in tests/treemodel.py.
 """
 
 from dataclasses import dataclass
@@ -208,11 +209,6 @@ def d3(vertices) -> int:
     return _widest_triple(vertices)[0]
 
 
-def tu_triple(vertices):
-    """A triple attaining d3; its intersection equals the full intersection."""
-    return _widest_triple(vertices)[1]
-
-
 def neighbors(v: TreeVertex) -> list[TreeVertex]:
     """The q+1 adjacent vertices: children in generator order, then the parent."""
     path = path_from_root(v)
@@ -237,78 +233,6 @@ def ball(center: TreeVertex, radius: int):
                     nxt.append(w)
                     yield w
         frontier = nxt
-
-
-def standard_vertices_up_to(q: int, radius: int):
-    """All vertices at distance <= radius from the root, by their labels.
-
-    Closed-form enumeration: (a, b, c) with a + b <= radius, 0 <= c < q^b,
-    and v_q(c) = 0 whenever both a and b are positive."""
-    for depth in range(radius + 1):
-        for a in range(depth + 1):
-            b = depth - a
-            if a and b:
-                for c in range(1, q**b):
-                    if c % q:
-                        yield TreeVertex(q, a, b, c)
-            elif b:
-                for c in range(q**b):
-                    yield TreeVertex(q, a, b, c)
-            else:
-                yield TreeVertex(q, a, 0, 0)
-
-
-def _validate_path_of_vertices(pverts):
-    if not pverts:
-        raise StructuralError("empty path")
-    for x, y in zip(pverts, pverts[1:]):
-        if distance(x, y) != 1:
-            raise StructuralError("vertex sequence is not a path")
-    if len(set(pverts)) != len(pverts):
-        raise StructuralError("vertex sequence repeats a vertex")
-    if len(pverts) > 1 and distance(pverts[0], pverts[-1]) != len(pverts) - 1:
-        raise StructuralError("vertex sequence backtracks")
-
-
-def ball_triple(pverts, ell: int):
-    """Three vertices whose intersection realizes the ell-neighborhood of the
-    path: arms of length ell grown off both endpoints and off the first
-    vertex, mutually disjoint, smallest generator first."""
-    pverts = list(pverts)
-    _validate_path_of_vertices(pverts)
-    q = pverts[0].q
-    if ell == 0:
-        triple = (pverts[0], pverts[-1], pverts[0])
-    else:
-        used = set(pverts)
-
-        def grow(anchor):
-            cur = anchor
-            for _ in range(ell):
-                # deterministic: children by generator index, then the parent
-                cand = [w for w in neighbors(cur) if w not in used]
-                if not cand:
-                    raise MathematicalInconsistencyError("no free direction for an arm")
-                cur = cand[0]
-                used.add(cur)
-            return cur
-
-        lam1 = grow(pverts[0])
-        lam2 = grow(pverts[-1])
-        lam3 = grow(pverts[0])
-        triple = (lam1, lam2, lam3)
-    want = 6 * ell + 2 * (len(pverts) - 1)
-    if d3(triple) != want:
-        raise MathematicalInconsistencyError(f"arm construction reached d3 {d3(triple)} != {want}")
-    return triple
-
-
-def neighborhood_of_path(pverts, ell: int):
-    """The set N_ell(P) of vertices within distance ell of the path."""
-    out = set()
-    for v in pverts:
-        out.update(ball(v, ell))
-    return out
 
 
 def dot_graph(vertices, title="btt") -> str:

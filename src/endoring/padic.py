@@ -1,15 +1,16 @@
 """Local splitting machinery at a prime q split in the algebra.
 
-Everything is computed with exact rationals whose denominators are
-prime to q; congruences "mod q^(r+1)" are certified by exact valuation
-checks rather than by truncated arithmetic.
-
 The splitting map construction: a normalized local basis diagonalizes
 (or block-diagonalizes, q = 2) the norm form; a zero divisor of the
 form is Hensel-lifted to valuation >= r+1; conjugating a basis vector
 by it yields a nilpotent; from the nilpotent a full system of 2x2
 matrix units inside the order is assembled, which induces the linear
 isomorphism onto M_2(Z/q^(r+1)).
+
+The normalized basis and the zero divisor are exact rationals with
+denominators prime to q, certified by exact valuation checks.  Past them
+the splitting map works in integer coordinates reduced mod q^(r+1), its
+products read from the order's structure constants (`Order.table`).
 
 For odd q the zero divisor starts from the lexicographically first
 point of the conic a0*x1^2 + a1*x2^2 + a2*x3^2 = 0 mod q (`conic_point`).
@@ -29,7 +30,7 @@ from fractions import Fraction
 from .errors import MathematicalInconsistencyError, PrecisionError, StructuralError
 from .matrix import adj4, det4, mat2_mul
 from .ntheory import reduce_unit_mod, sqrt_mod, valuation
-from .orders import Order
+from .orders import Order, _table_mul
 from .quat import QuatElement, linear_combination
 
 
@@ -204,12 +205,6 @@ def zero_divisor_mod(order: Order, prec: Precision):
     return x, fs
 
 
-def _integerize(order: Order, x: QuatElement, modulus: int) -> QuatElement:
-    """Replace q-unit-denominator coordinates by integers mod modulus; the
-    result lies in the order and is congruent to x."""
-    return order.from_coords(_coords_mod(order, x, modulus))
-
-
 def _coords_mod(order: Order, x: QuatElement, modulus: int):
     return tuple(reduce_unit_mod(c, modulus) for c in order.coords_of(x))
 
@@ -221,8 +216,7 @@ class SplittingMap:
 
     order: Order
     precision: Precision
-    units: tuple[QuatElement, QuatElement, QuatElement, QuatElement]  # E11 E12 E21 E22
-    unit_coords: tuple  # integer coordinates of the units mod modulus, one row per unit
+    unit_coords: tuple  # integer coordinates of E11 E12 E21 E22 mod modulus, one row per unit
     _minv: tuple  # inverse transfer matrix mod modulus, rows
 
     def apply(self, x: QuatElement):
@@ -237,32 +231,32 @@ class SplittingMap:
 
 
 def splitting_map(order: Order, prec: Precision) -> SplittingMap:
-    """Compute the splitting isomorphism mod q^(r+1) for a q-maximal order."""
+    """Compute the splitting isomorphism mod q^(r+1) for a q-maximal order:
+    the nilpotent and the units are products from `order.table` mod q^(r+1)."""
     q, modulus = prec.q, prec.modulus
     x, fs = zero_divisor_mod(order, prec)
-    e = None
-    for y in fs:
-        cand = x.conj() * y * x
-        coords = order.coords_of(cand)
-        if any(c != 0 and valuation(c, q) == 0 for c in coords):
-            e = cand
-            break
+    traces = [int(b.trd()) for b in order.basis_elements()]
+
+    def mul(u, v):
+        return tuple(c % modulus for c in _table_mul(order.table, u, v))
+
+    def trd(u):
+        return sum(t * c for t, c in zip(traces, u)) % modulus
+
+    one, xc, xbar = (_coords_mod(order, y, modulus) for y in (order.algebra.one(), x, x.conj()))
+    basis = [_coords_mod(order, y, modulus) for y in fs]
+    conjugates = (mul(mul(xbar, y), xc) for y in basis)
+    e = next((cand for cand in conjugates if any(c % q for c in cand)), None)
     if e is None:
         raise MathematicalInconsistencyError("conjugation by the zero divisor vanished mod q")
-    f = next(
-        (fi for fi in fs if (e * fi).trd() != 0 and valuation((e * fi).trd(), q) == 0),
-        None,
-    )
+    f = next((fi for fi in basis if trd(mul(e, fi)) % q), None)
     if f is None:
         raise MathematicalInconsistencyError("no basis vector pairs invertibly with the nilpotent")
-    s = (e * f).trd()
-    m = pow(reduce_unit_mod(s, modulus), -1, modulus)
-    e11 = _integerize(order, (e * f).scale(m), modulus)
-    e22 = order.algebra.one() - e11
-    e21 = _integerize(order, (e22 * f * e11).scale(m), modulus)
-    e12 = _integerize(order, e, modulus)
-    units = (e11, e12, e21, e22)
-    unit_coords = tuple(_coords_mod(order, u, modulus) for u in units)
+    m = pow(trd(mul(e, f)), -1, modulus)
+    e11 = tuple(m * c % modulus for c in mul(e, f))
+    e22 = tuple((u - c) % modulus for u, c in zip(one, e11))
+    e21 = tuple(m * c % modulus for c in mul(mul(e22, f), e11))
+    unit_coords = (e11, e, e21, e22)
     # transfer matrix: columns are coordinates of the unit preimages
     transfer = tuple(zip(*unit_coords))
     det = det4(transfer) % modulus
@@ -270,25 +264,26 @@ def splitting_map(order: Order, prec: Precision) -> SplittingMap:
         raise MathematicalInconsistencyError("matrix units do not span mod q")
     dinv = pow(det, -1, modulus)
     minv = tuple(tuple(x * dinv % modulus for x in row) for row in adj4(transfer))
-    sm = SplittingMap(order, prec, units, unit_coords, minv)
+    sm = SplittingMap(order, prec, unit_coords, minv)
     _validate_splitting(sm)
     return sm
 
 
 def _validate_splitting(sm: SplittingMap):
+    """f(b_i * b_j) = f(b_i) * f(b_j), each b_i * b_j read from `order.table`."""
     modulus = sm.precision.modulus
-    basis = sm.order.basis_elements()
-    imgs = [sm.apply(b) for b in basis]
-    for bx, fx in zip(basis, imgs):
-        for by, fy in zip(basis, imgs):
-            want = tuple(tuple(x % modulus for x in row) for row in mat2_mul(fx, fy))
-            if sm.apply(bx * by) != want:
+    imgs = [sm.apply_coords(tuple(int(i == j) for j in range(4))) for i in range(4)]
+    for row, fx in zip(sm.order.table, imgs):
+        for prod, fy in zip(row, imgs):
+            want = tuple(tuple(x % modulus for x in r) for r in mat2_mul(fx, fy))
+            if sm.apply_coords(prod) != want:
                 raise MathematicalInconsistencyError("splitting map is not multiplicative")
 
 
-def lift_vertex_coords(sm: SplittingMap, abc) -> tuple:
-    """Coordinates over the order basis, reduced mod q^(r+1), of the lift
-    t = q^a*E11 + c*E12 + q^b*E22: f(t) = [[q^a, c], [0, q^b]] mod q^(r+1).
+def lift_vertex_element(sm: SplittingMap, abc) -> tuple:
+    """The lift t = q^a*E11 + c*E12 + q^b*E22 of the vertex (a, b, c), as
+    integer coordinates over the order basis reduced mod q^(r+1):
+    f(t) = [[q^a, c], [0, q^b]] mod q^(r+1).
 
     Requires a + b <= r so that the congruence pins the vertex.
     """
@@ -304,8 +299,3 @@ def lift_vertex_coords(sm: SplittingMap, abc) -> tuple:
     if sm.apply_coords(t) != want:
         raise MathematicalInconsistencyError("vertex lift does not match its matrix")
     return t
-
-
-def lift_vertex_element(sm: SplittingMap, abc) -> QuatElement:
-    """The element of the order with coordinates `lift_vertex_coords(sm, abc)`."""
-    return sm.order.from_coords(lift_vertex_coords(sm, abc))

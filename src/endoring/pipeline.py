@@ -13,11 +13,11 @@ gamma lies in End(E); beta lies in O_0, so beta is a known endomorphism,
 and m and nrd(beta) are as small as this rounding makes them.  The
 reduced basis (`ReducedBasis`) is built once per solve.
 
-The distance and path stages work in integer coordinates over the basis
-of the enlargement O_q, a frame (`ReducedBasis.frame`): one integer
-matrix maps them to numerators over the reduced basis, and a quaternion
-is built only for the beta of a question.  Products come from the
-structure constants `oq.table`, conj(t) = trd(t) - t.
+Each stage works in integer coordinates over the basis of an order
+containing O_0 (O_q, or a Bass test order) and asks through its frame
+(`ReducedBasis.frame`), the one place a question and its quaternion beta
+are formed.  Products come from the structure constants `oq.table`,
+conj(t) = trd(t) - t, in the path search and in the one conjugation.
 """
 
 import math
@@ -39,7 +39,7 @@ from .lattice import Lattice4, lll_gram
 from .matrix import adj2, adj4, det4, mat2_mul
 from .ntheory import valuation
 from .orders import Order, _table_mul, discrd, is_bass_at, q_enlarge, verify_order
-from .padic import Precision, SplittingMap, lift_vertex_coords, lift_vertex_element, splitting_map
+from .padic import Precision, SplittingMap, lift_vertex_element, splitting_map
 from .quat import QuatElement
 
 
@@ -140,49 +140,39 @@ class ReducedBasis:
         self._num = tuple(tuple(sign * lat.den * x for x in row) for row in adj4(rows))
         self._det = abs(det)
 
-    def question(self, x: QuatElement):
-        """None when x lies in O_0, else the oracle's question (beta, m) for
-        x: m least with m*x in O_0, beta = m*(x - gamma)."""
-        den = math.lcm(*(c.denominator for c in x.coeffs))
-        v = [c.numerator * (den // c.denominator) for c in x.coeffs]
-        nums = [sum(a * b for a, b in zip(row, v)) for row in self._num]
-        return self._rounded(nums, den * self._det)
-
     def frame(self, order: Order, q: int):
-        """The function (z, s) -> `question(q^s * x)`, x the element with
-        integer coordinates z over the basis of an order containing O_0:
-        one integer matrix P = `_num` * (the order's columns) maps z to x's
-        numerators over the reduced basis."""
+        """The function (z, s) -> the question about y = q^s * x, x the
+        element with integer coordinates z over the basis of an order
+        containing O_0: None when y lies in O_0, else (beta, m) with m least
+        such that m*y lies in O_0 and beta = m*(y - gamma).  One integer
+        matrix P = `_num` * (the order's columns) maps z to x's numerators
+        over the reduced basis."""
         cols = order.lattice.cols
         P = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self._num)
         whole = order.lattice.den * self._det
+        lat_den = self.order.lattice.den
 
         def question(z, s):
             f = Fraction(q) ** s
             nums = [f.numerator * sum(a * b for a, b in zip(row, z)) for row in P]
-            return self._rounded(nums, whole * f.denominator)
+            den = whole * f.denominator
+            if all(num % den == 0 for num in nums):
+                return None
+            # residuals num/den - k with k = ceil(num/den - 1/2)
+            res = [num + (den - 2 * num) // (2 * den) * den for num in nums]
+            m = math.lcm(*(den // math.gcd(y, den) for y in res))
+            w = [y * m // den for y in res]
+            beta = tuple(
+                Fraction(sum(c[r] * wi for c, wi in zip(self._cols, w)), lat_den) for r in range(4)
+            )
+            return QuatElement(self.order.algebra, beta), m
 
         return question
-
-    def _rounded(self, nums, whole):
-        """The question about the element with coordinates nums/whole over
-        the reduced basis: None when they are integers."""
-        if all(num % whole == 0 for num in nums):
-            return None
-        # residuals num/whole - k with k = ceil(num/whole - 1/2)
-        res = [num + (whole - 2 * num) // (2 * whole) * whole for num in nums]
-        m = math.lcm(*(whole // math.gcd(y, whole) for y in res))
-        w = [y * m // whole for y in res]
-        lat_den = self.order.lattice.den
-        beta = tuple(
-            Fraction(sum(c[r] * wi for c, wi in zip(self._cols, w)), lat_den) for r in range(4)
-        )
-        return QuatElement(self.order.algebra, beta), m
 
 
 def _all_in_end(questions, oracle: DivisionOracle) -> bool:
     """Whether every element lies in End(E), each given by its question
-    (`ReducedBasis.question`): None, for an element of O_0, needs no call.
+    (`ReducedBasis.frame`): None, for an element of O_0, needs no call.
     Asks in order and stops at the first no."""
     for asked in questions:
         if asked is not None and not oracle.is_divisible(*asked):
@@ -214,11 +204,15 @@ def distance_to_end(rb: ReducedBasis, oq: Order, q: int, e: int, oracle: Divisio
 # conjugation and the local patch
 
 
-def conjugate_order_lattice(oq: Order, t: QuatElement, q: int, k: int) -> Lattice4:
-    """(1/q^k) * conj(t) O_q t."""
-    tc = t.conj()
-    gens = [(tc * b * t).scale(Fraction(1, q**k)).coeffs for b in oq.basis_elements()]
-    return Lattice4.from_generators(gens)
+def conjugate_order_lattice(oq: Order, t, q: int, k: int) -> Lattice4:
+    """(1/q^k) * conj(t) O_q t, t given by integer coordinates over the basis
+    of O_q: each conj(t) * b * t is formed from `oq.table`, as in the path search."""
+    traces = [int(b.trd()) for b in oq.basis_elements()]
+    one = tuple(int(c) for c in oq.lattice.solve((1, 0, 0, 0)))
+    t_conj, lat = _conj_coords(traces, one, t), oq.lattice
+    gens = (_table_mul(oq.table, _table_mul(oq.table, t_conj, u), t) for u in _UNITS)
+    cols = [[sum(x * c[r] for x, c in zip(z, lat.cols)) for r in range(4)] for z in gens]
+    return Lattice4.from_integer_columns(cols, lat.den * q**k)
 
 
 def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
@@ -289,7 +283,7 @@ class _GeneratorLifts(dict):
         q = self.sm.precision.q
         if step not in range(q + 1):
             raise KeyError(step)
-        t = self[step] = lift_vertex_coords(self.sm, (1, 0, 0) if step == q else (0, 1, step))
+        t = self[step] = lift_vertex_element(self.sm, (1, 0, 0) if step == q else (0, 1, step))
         return t
 
 
@@ -315,9 +309,11 @@ def find_path_to_end(
     lifts,
     oracle: DivisionOracle,
     log: TraceLog | None = None,
-) -> MatrixPath:
-    """Recover the matrix path of length r from the enlargement's vertex to
-    the local endomorphism ring; at most 4(rq+1) oracle calls."""
+) -> tuple[MatrixPath, tuple]:
+    """Recover the matrix path gamma of length r from the enlargement's vertex
+    to the local endomorphism ring; at most 4(rq+1) oracle calls.  Returns
+    (gamma, t), t the O_q-coordinates of the product of the accepted lifts:
+    the oracle confirmed (1/q^r) conj(t) O_q t, so it is End(E) tensor Z_q."""
     table = oq.table
     traces = [int(b.trd()) for b in oq.basis_elements()]
     one = tuple(int(c) for c in oq.lattice.solve((1, 0, 0, 0)))
@@ -347,7 +343,7 @@ def find_path_to_end(
             )
         word.append(accepted)
         prev = accepted
-    return MatrixPath(q, tuple(word))
+    return MatrixPath(q, tuple(word)), t_cur
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +421,8 @@ def bass_search(
     lst = list(path_list)
     while len(lst) > 1:
         m = len(lst) // 2
-        test = global_order_from_vertices(o0, lattices, [lst[0], lst[m - 1]])
-        ok = _all_in_end((rb.question(x) for x in test.basis_elements()), oracle)
+        question = rb.frame(global_order_from_vertices(o0, lattices, [lst[0], lst[m - 1]]), q)
+        ok = _all_in_end((question(u, 0) for u in _UNITS), oracle)
         lst = lst[:m] if ok else lst[m:]
     return lst[0], path_list
 
@@ -496,10 +492,10 @@ def compute_endomorphism_ring(
             else:
                 sm = splitting_map(oq, Precision(q, r))
                 path_oracle = CountingOracle(oracle, log, stage="path", q=q)
-                gamma = find_path_to_end(rb, oq, q, r, generator_lifts(sm), path_oracle, log)
+                gamma, t = find_path_to_end(rb, oq, q, r, generator_lifts(sm), path_oracle, log)
                 calls["path"] = _calls_within(path_oracle, 4 * (r * q + 1), "path search")
-                vertex = vertex_of_path(gamma)
-                o_tilde = global_order_from_vertices(o0, VertexLattices(oq, sm), [vertex])
+                conj = conjugate_order_lattice(oq, t, q, r)
+                o_tilde = verify_order(local_patch(conj, o0.lattice, q), o0.algebra)
         d = discrd(o_tilde)
         if d % q == 0:
             raise MathematicalInconsistencyError(f"local solution at {q} is not q-maximal")

@@ -158,12 +158,3 @@ def linear_combination(coeffs, elements) -> QuatElement:
             acc = acc + x.scale(c)
     return acc
 
-
-def gram(basis) -> list[list[Fraction]]:
-    """Matrix of reduced traces trd(b_k * b_l) of a 4-element basis."""
-    alg = basis[0].algebra
-    for x in basis:
-        if x.algebra != alg:
-            raise StructuralError("gram of elements from different algebras")
-    return [[(x * y).trd() for y in basis] for x in basis]
-

@@ -1,10 +1,12 @@
-"""Microbenchmarks of the exact-arithmetic, order and path-search layers.
+"""Microbenchmarks of the exact-arithmetic, order, local-splitting and
+path-search layers.
 
     python -m pytest tests/microbench.py -q
 
 Not part of the test suite (the default `test_*.py` pattern does not
-collect this file).  The inputs come from one general-branch instance,
-`planted.general_instance` at q = 1009, d = 1, and the worked example.
+collect this file).  The inputs come from two general-branch instances,
+`planted.general_instance` at q = 1009 with d = 1 and d = 2, and the
+worked example.
 """
 
 import random
@@ -13,11 +15,18 @@ import pytest
 
 import paperdata
 import planted
+from endoring.btt import vertex_of_path
 from endoring.divide import HiddenOrderOracle
 from endoring.lattice import Lattice4
 from endoring.orders import _table_mul, q_enlarge, verify_order
 from endoring.padic import Precision, splitting_map
-from endoring.pipeline import ReducedBasis, _all_in_end, _conj_coords, generator_lifts
+from endoring.pipeline import (
+    ReducedBasis,
+    VertexLattices,
+    _all_in_end,
+    _conj_coords,
+    generator_lifts,
+)
 from endoring.quat import QuaternionAlgebra
 
 Q = 1009
@@ -29,6 +38,16 @@ def general():
     alg = QuaternionAlgebra.for_prime(103)
     hidden, _, o0, _, word = planted.general_instance(alg, Q, 1, random.Random(1))
     return hidden, o0, q_enlarge(o0, Q), word.steps[0]
+
+
+@pytest.fixture(scope="module")
+def general_d2():
+    """(O_q, its splitting map mod q^3, the end vertex of the word) at
+    q = 1009, d = 2."""
+    alg = QuaternionAlgebra.for_prime(103)
+    _, _, o0, _, word = planted.general_instance(alg, Q, 2, random.Random(1))
+    oq = q_enlarge(o0, Q)
+    return oq, splitting_map(oq, Precision(Q, 2)), vertex_of_path(word)
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +110,15 @@ def test_path_candidate(benchmark, general):
         return _all_in_end((question(z, -1) for z in conjugates), oracle)
 
     assert benchmark(candidate) is False
+
+
+def test_splitting_map(benchmark, general_d2):
+    oq, _, _ = general_d2
+    benchmark(splitting_map, oq, Precision(Q, 2))
+
+
+def test_vertex_lattice(benchmark, general_d2):
+    """One read of a depth-2 vertex from a fresh `VertexLattices`: its lift
+    and its conjugate of O_q."""
+    oq, sm, v = general_d2
+    assert benchmark(lambda: VertexLattices(oq, sm)[v]) == VertexLattices(oq, sm)[v]

@@ -7,19 +7,17 @@ from endoring.btt import (
     TreeVertex,
     associated_matrix,
     ball,
-    ball_triple,
     canonical_vertex,
     d3,
     distance,
     dot_graph,
-    neighborhood_of_path,
     neighbors,
     path_from_root,
     root,
-    tu_triple,
     vertex_of_path,
 )
 from endoring.errors import StructuralError
+from treemodel import ball_triple, neighborhood_of_path, tu_triple
 
 
 def test_empty_path_is_root():

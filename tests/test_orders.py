@@ -24,7 +24,8 @@ from endoring.orders import (
     ternary_gorenstein_test,
     verify_order,
 )
-from endoring.quat import QuatElement, QuaternionAlgebra, gram
+from endoring.quat import QuatElement, QuaternionAlgebra
+from treemodel import gram
 
 
 @pytest.fixture(scope="module")

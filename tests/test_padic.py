@@ -10,15 +10,18 @@ from endoring.ntheory import reduce_unit_mod, sqrt_mod, valuation
 from endoring.orders import q_enlarge, standard_maximal_order
 from endoring.padic import (
     Precision,
-    _integerize,
     conic_point,
-    lift_vertex_coords,
     lift_vertex_element,
     normalized_basis_at,
     splitting_map,
     zero_divisor_mod,
 )
 from endoring.quat import QuaternionAlgebra, linear_combination
+
+
+def lifted(sm, abc):
+    """The element of the order whose coordinates are the lift of abc."""
+    return sm.order.from_coords(lift_vertex_element(sm, abc))
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +97,8 @@ def test_splitting_map_soundness(omax, q, r):
         det = (fx[0][0] * fx[1][1] - fx[0][1] * fx[1][0]) % modulus
         assert det == reduce_unit_mod(x.nrd(), modulus) % modulus
     # the matrix units are genuinely in the order
-    for u in sm.units:
-        assert omax.contains_element(u)
+    for u in sm.unit_coords:
+        assert omax.contains_element(omax.from_coords(u))
 
 
 def test_paper_explicit_splitting_at_7(alg, omax):
@@ -139,17 +142,17 @@ def test_lift_vertex_generators_roundtrip(omax, q):
     sm = splitting_map(omax, prec)
     modulus = prec.modulus
     # identity
-    t = lift_vertex_element(sm, (0, 0, 0))
+    t = lifted(sm, (0, 0, 0))
     assert sm.apply(t) == ((1, 0), (0, 1))
     # all generators: gamma_c = (0,1,c), gamma_inf = (1,0,0)
     for c in range(q):
-        t = lift_vertex_element(sm, (0, 1, c))
+        t = lifted(sm, (0, 1, c))
         assert sm.apply(t) == ((1, c), (0, q))
         assert omax.contains_element(t)
-    t = lift_vertex_element(sm, (1, 0, 0))
+    t = lifted(sm, (1, 0, 0))
     assert sm.apply(t) == ((q % modulus, 0), (0, 1))
     # depth-2 vertex
-    t = lift_vertex_element(sm, (1, 1, 1))
+    t = lifted(sm, (1, 1, 1))
     assert sm.apply(t) == ((q, 1), (0, q))
     with pytest.raises(PrecisionError):
         lift_vertex_element(sm, (2, 1, 0))
@@ -222,7 +225,7 @@ def test_splitting_map_at_large_q(q):
     modulus = q**3
     vertices = [(0, 0, 0), (0, 1, 0), (0, 1, q - 1), (1, 0, 0), (1, 1, 1), (0, 2, q + 5), (2, 0, 0)]
     for a, b, c in vertices:
-        t = lift_vertex_element(sm, (a, b, c))
+        t = lifted(sm, (a, b, c))
         assert sm.apply(t) == ((q**a % modulus, c), (0, q**b % modulus))
         assert sm.order.contains_element(t)
 
@@ -234,7 +237,7 @@ def test_lift_matches_rational_formula(omax, q, r):
     with its coordinates reduced mod q^(r+1)."""
     sm = splitting_map(omax, Precision(q, r))
     modulus = q ** (r + 1)
-    e11, e12, _, e22 = sm.units
+    e11, e12, _, e22 = (omax.from_coords(u) for u in sm.unit_coords)
     rng = random.Random(q * 10 + r)
     for a in range(r + 1):
         for b in range(r + 1 - a):
@@ -242,7 +245,7 @@ def test_lift_matches_rational_formula(omax, q, r):
                 if a and b and c % q == 0:
                     continue
                 combo = linear_combination((q**a, c, q**b), (e11, e12, e22))
-                want = _integerize(omax, combo, modulus)
+                want = tuple(reduce_unit_mod(x, modulus) for x in omax.coords_of(combo))
                 assert lift_vertex_element(sm, (a, b, c)) == want
 
 
@@ -250,13 +253,16 @@ def test_lift_matches_rational_formula(omax, q, r):
 @pytest.mark.parametrize("r", [1, 2])
 def test_lift_coords_are_the_lift_coordinates(omax, q, r):
     """Every vertex with a + b <= r: the integer lift coordinates are the
-    coordinates of the lifted element."""
+    coordinates of a lift, an element of the order that `apply` (through
+    its rational coordinates) maps to the vertex matrix."""
     sm = splitting_map(omax, Precision(q, r))
+    modulus = q ** (r + 1)
     for a in range(r + 1):
         for b in range(r + 1 - a):
             for c in range(q**b):
-                t = lift_vertex_coords(sm, (a, b, c))
-                assert t == tuple(omax.coords_of(lift_vertex_element(sm, (a, b, c))))
+                t = lifted(sm, (a, b, c))
+                assert omax.contains_element(t)
+                assert sm.apply(t) == ((q**a % modulus, c), (0, q**b % modulus))
 
 
 @pytest.mark.parametrize("q", [2, 3, 7])
@@ -266,4 +272,4 @@ def test_lift_coords_check_their_matrix(omax, q):
     u11, *rest = sm.unit_coords
     bad = dataclasses.replace(sm, unit_coords=((u11[0] + 1, *u11[1:]), *rest))
     with pytest.raises(MathematicalInconsistencyError):
-        lift_vertex_coords(bad, (0, 0, 0))
+        lift_vertex_element(bad, (0, 0, 0))

@@ -89,7 +89,7 @@ def test_find_path_and_candidate_order_at_7(alg, o0, end):
     sm = splitting_map(oq, Precision(7, r))
     oracle = CountingOracle(hidden)
     log = TraceLog()
-    gamma = find_path_to_end(rb, oq, 7, r, generator_lifts(sm), oracle, log)
+    gamma, _ = find_path_to_end(rb, oq, 7, r, generator_lifts(sm), oracle, log)
     assert len(gamma) == 1
     assert oracle.calls <= 4 * (r * 7 + 1)
     o_tilde = global_order_from_vertices(o0, VertexLattices(oq, sm), [vertex_of_path(gamma)])

@@ -5,13 +5,15 @@ import random
 import pytest
 
 import planted
-from endoring import pipeline
+from endoring import padic, pipeline
+from endoring.btt import vertex_of_path
 from endoring.divide import CountingOracle, HiddenOrderOracle
 from endoring.orders import q_enlarge, verify_order
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     ReducedBasis,
     TraceLog,
+    VertexLattices,
     compute_endomorphism_ring,
     conjugate_order_lattice,
     find_path_to_end,
@@ -97,7 +99,7 @@ def test_general_branch_path_search(q, d):
     t = alg.one()
     for step in sol.gamma.steps:
         t = lam.from_coords(lifts[step]) * t
-    conj = conjugate_order_lattice(lam, t, q, d)
+    conj = conjugate_order_lattice(lam, tuple(int(c) for c in lam.coords_of(t)), q, d)
     assert sol.order == verify_order(local_patch(conj, o0.lattice, q), alg)
 
 
@@ -123,24 +125,24 @@ def test_general_branch_query_sequence_at_101_is_pinned():
 
 def test_path_search_lifts_only_tried_steps(monkeypatch):
     """The generator lifts are built on first use: each step the search
-    tries is lifted once, and no other step is lifted."""
+    tries is lifted once, and no other step is lifted.  The general branch
+    lifts nothing else: its local order conjugates O_q by the product of
+    the accepted lifts, so the end vertex is not lifted again."""
     q, d = 101, 2
     alg = QuaternionAlgebra.for_prime(103)
-    hidden, _, o0, _, word = planted.general_instance(alg, q, d, random.Random(1))
-    oq = q_enlarge(o0, q)
-    sm = splitting_map(oq, Precision(q, d))
-    lift = pipeline.lift_vertex_coords
+    hidden, _, o0, fact, word = planted.general_instance(alg, q, d, random.Random(1))
+    lift = pipeline.lift_vertex_element
     lifted = []
 
     def counting_lift(sm_, abc):
         lifted.append(abc)
         return lift(sm_, abc)
 
-    monkeypatch.setattr(pipeline, "lift_vertex_coords", counting_lift)
+    monkeypatch.setattr(pipeline, "lift_vertex_element", counting_lift)
     log = TraceLog()
-    oracle = CountingOracle(HiddenOrderOracle(hidden))
-    gamma = find_path_to_end(ReducedBasis(o0), oq, q, d, generator_lifts(sm), oracle, log)
-    assert gamma == word
+    end, sols, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
+    assert end.lattice == hidden.lattice
+    assert next(s for s in sols if s.q == q).gamma == word
     tried = {
         q if ev["candidate"] == "inf" else int(ev["candidate"])
         for ev in log.events
@@ -173,15 +175,42 @@ def test_path_search_builds_quaternions_only_for_questions(monkeypatch):
 
     monkeypatch.setattr(QuatElement, "__mul__", counting_mul)
     monkeypatch.setattr(QuatElement, "__init__", counting_init)
-    gamma = find_path_to_end(rb, oq, q, d, lifts, oracle, TraceLog())
+    gamma, _ = find_path_to_end(rb, oq, q, d, lifts, oracle, TraceLog())
     assert gamma == word
     assert len(products) == 0
     assert len(built) == oracle.calls > 0
 
 
+def test_splitting_map_and_vertex_order_make_no_quaternion_products(monkeypatch):
+    """Once O_q has its structure constants, the splitting map (given its
+    zero divisor, which `zero_divisor_mod` finds with rationals) and the
+    order of a depth-2 vertex are formed from `oq.table`: no quaternion
+    product."""
+    q, d = 101, 2
+    alg = QuaternionAlgebra.for_prime(103)
+    hidden, _, o0, _, word = planted.general_instance(alg, q, d, random.Random(1))
+    oq = q_enlarge(o0, q)
+    oq.table  # the structure constants exist before the count starts
+    prec = Precision(q, d)
+    zero_divisor = padic.zero_divisor_mod(oq, prec)
+    monkeypatch.setattr(padic, "zero_divisor_mod", lambda order, prec_: zero_divisor)
+    mul = QuatElement.__mul__
+    products = []
+
+    def counting_mul(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(QuatElement, "__mul__", counting_mul)
+    lattices = VertexLattices(oq, splitting_map(oq, prec))
+    lat = lattices[vertex_of_path(word)]
+    assert len(products) == 0
+    assert lat.equals_at(hidden.lattice, q)
+
+
 def test_general_branch_at_large_q():
     """q = 10007, d = 2: the right order, r = 2, the path bound, and the
-    oracle call count of the Fraction-arithmetic path search."""
+    oracle call count."""
     q = 10007
     alg = QuaternionAlgebra.for_prime(103)
     hidden, _, o0, fact, word = planted.general_instance(alg, q, 2, random.Random(1))

@@ -6,7 +6,8 @@ import pytest
 from endoring.errors import StructuralError
 from endoring.matrix import det4
 from endoring.ntheory import exact_isqrt
-from endoring.quat import INFINITE_PLACE, QuaternionAlgebra, gram, hilbert_symbol
+from endoring.quat import INFINITE_PLACE, QuaternionAlgebra, hilbert_symbol
+from treemodel import gram
 
 
 @pytest.fixture(scope="module")

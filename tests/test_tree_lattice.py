@@ -9,13 +9,9 @@ import pytest
 from endoring.btt import (
     MatrixPath,
     ball,
-    ball_triple,
     d3,
     distance,
-    neighborhood_of_path,
     root,
-    standard_vertices_up_to,
-    tu_triple,
     vertex_of_path,
 )
 from matmodel import (
@@ -25,6 +21,7 @@ from matmodel import (
     vertex_contains_mat_lattice,
     vertex_order_lattice,
 )
+from treemodel import ball_triple, neighborhood_of_path, standard_vertices_up_to, tu_triple
 
 
 def random_vertex_sets(q, count, radius=3, max_size=5, seed=0):
