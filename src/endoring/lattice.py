@@ -95,11 +95,14 @@ class Lattice4:
         d = self.den
         return tuple(tuple(Fraction(x, d) for x in c) for c in self.cols)
 
+    def adjugate(self):
+        """(adj(M), det(M)) for the integer column matrix M of the basis."""
+        c = self.cols
+        return adj4(tuple(zip(*c))), c[0][0] * c[1][1] * c[2][2] * c[3][3]
+
     def det(self) -> Fraction:
-        p = 1
-        for i in range(4):
-            p *= self.cols[i][i]
-        return Fraction(p, self.den**4)
+        c = self.cols
+        return Fraction(c[0][0] * c[1][1] * c[2][2] * c[3][3], self.den**4)
 
     def scale(self, s) -> "Lattice4":
         s = Fraction(s)
@@ -118,12 +121,8 @@ class Lattice4:
     def dual(self) -> "Lattice4":
         # basis matrix B = M/den; the dual basis is the columns of
         # (B^T)^{-1}, which are the rows of den * adj(M)/det(M)
-        adj = adj4(tuple(zip(*self.cols)))
-        detm = 1
-        for i in range(4):
-            detm *= self.cols[i][i]
-        cols = [tuple(x * self.den for x in row) for row in adj]
-        return Lattice4.from_integer_columns(cols, detm)
+        adj, detm = self.adjugate()
+        return Lattice4.from_integer_columns([[x * self.den for x in r] for r in adj], detm)
 
     def intersect(self, other: "Lattice4") -> "Lattice4":
         return self.dual().add(other.dual()).dual()
@@ -139,34 +138,38 @@ class Lattice4:
             x[i] = Fraction(acc, self.cols[i][i])
         return tuple(x)
 
-    def contains(self, vec) -> bool:
-        """Whether the coordinates of vec (ints or Fractions) over the basis
-        are integers: den*vec must be integral, then forward substitution
-        over the integer columns divides exactly at every pivot."""
-        w = []
-        for x in vec:
-            num, d = x.numerator * self.den, x.denominator
-            if num % d:
-                return False
-            w.append(num // d)
-        cols = self.cols
+    def integer_coords(self, nums, d=1):
+        """The coordinates over the basis of nums/d (nums integers), or None
+        when they are not all integers: exact forward substitution."""
+        cols, scale = self.cols, self.den
         x = []
         for i in range(4):
-            acc = w[i] - sum(cols[j][i] * x[j] for j in range(i))
-            if acc % cols[i][i]:
-                return False
-            x.append(acc // cols[i][i])
-        return True
+            acc = nums[i] * scale - d * sum(cols[j][i] * x[j] for j in range(i))
+            if acc % (d * cols[i][i]):
+                return None
+            x.append(acc // (d * cols[i][i]))
+        return tuple(x)
+
+    def contains(self, vec) -> bool:
+        """Whether the coordinates of vec (ints or Fractions) over the basis
+        are integers."""
+        d = lcm(*(x.denominator for x in vec))
+        return self.integer_coords([x.numerator * (d // x.denominator) for x in vec], d) is not None
 
     def contains_lattice(self, other: "Lattice4") -> bool:
         return all(self.contains(b) for b in other.basis())
 
-    def contains_at(self, vec, q: int) -> bool:
-        """Membership in self tensor Z_(q) (denominators prime to q allowed)."""
-        return all(c == 0 or valuation(c, q) >= 0 for c in self.solve(vec))
+    def gap_at(self, other: "Lattice4", q: int) -> int:
+        """Least m >= 0 with q^m * other inside self tensor Z_(q).  Over self's
+        basis, other's has the coordinates adj(M_self) * M_other * self.den /
+        (det(M_self) * other.den), M the integer column matrices."""
+        adj, det = self.adjugate()
+        nums = [sum(a * c for a, c in zip(row, col)) for row in adj for col in other.cols]
+        low = min(valuation(n, q) for n in nums if n)
+        return max(0, valuation(det * other.den, q) - valuation(self.den, q) - low)
 
     def contains_lattice_at(self, other: "Lattice4", q: int) -> bool:
-        return all(self.contains_at(b, q) for b in other.basis())
+        return self.gap_at(other, q) == 0
 
     def equals_at(self, other: "Lattice4", q: int) -> bool:
         return self.contains_lattice_at(other, q) and other.contains_lattice_at(self, q)

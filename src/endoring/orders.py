@@ -1,13 +1,16 @@
 """Quaternion orders: lattices with verified ring structure.
 
-Each Order computes its ring structure once: the integer structure
+Each Order computes its ring structure once, in integers: the structure
 constants of its basis (`table`, built by `verify_order` as the closure
-check) and the trace Gram matrix read off them (`gram`).  Everything
-below works from these two: reduced discriminants, the codifferent and
-its ternary quadratic form (Gorenstein test by primitivity), radicals mod
-q with their idealizers (two-step Bass test), and q-maximal q-enlargement
-by the radical-idealizer chain with an idempotent splitting step at the
-hereditary stall.
+check from the integer columns and `quat.integer_product`), the basis
+traces, and the trace and norm Gram matrices read off them (`gram`,
+`norm_gram`).  Everything below works from these in integer coordinates:
+reduced discriminants, the codifferent and its ternary quadratic form
+(Gorenstein test by primitivity), radicals mod q with their idealizers
+(the multiplier lattices come from adj(M) times the integer products of
+J's columns with 1, i, j, ij), and q-maximal q-enlargement by the
+radical-idealizer chain.  `QuatElement` products remain only in the
+idempotent splitting step at the hereditary stall and in error reports.
 
 For odd q the radical of O/qO is the kernel of the trace pairing
 trd(xy) mod q, read from `gram`: that kernel is a two-sided ideal whose
@@ -18,7 +21,6 @@ elements square to zero, and it holds every nilpotent ideal (see
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
 
 from . import linmod
 from .errors import (
@@ -30,7 +32,7 @@ from .errors import (
 from .lattice import Lattice4, integer_kernel
 from .matrix import adj4, det4
 from .ntheory import exact_isqrt, valuation
-from .quat import QuaternionAlgebra, QuatElement, linear_combination
+from .quat import QuaternionAlgebra, QuatElement, integer_product, linear_combination
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,6 @@ class Order:
     def element(self, coords) -> QuatElement:
         return QuatElement(self.algebra, tuple(Fraction(x) for x in coords))
 
-    def contains_element(self, x: QuatElement) -> bool:
-        return self.lattice.contains(x.coeffs)
-
     def coords_of(self, x: QuatElement):
         return self.lattice.solve(x.coeffs)
 
@@ -63,29 +62,41 @@ class Order:
     def table(self) -> tuple:
         """Structure constants: b_i * b_j = sum_k table[i][j][k] * b_k.
 
+        Each product is formed and solved in integers from the columns.
         Raises NotARingError at the first product (in (i, j) order) whose
         coordinates are not integral.
         """
-        basis = self.basis_elements()
+        lat = self.lattice
+        s, mul = integer_product(self.algebra)
         rows = []
-        for x in basis:
+        for i, x in enumerate(lat.cols):
             row = []
-            for y in basis:
-                prod = x * y
-                coords = self.coords_of(prod)
-                if any(c.denominator != 1 for c in coords):
-                    raise NotARingError(x, y, prod)
-                row.append(tuple(int(c) for c in coords))
+            for j, y in enumerate(lat.cols):
+                coords = lat.integer_coords(mul(x, y), s * lat.den * lat.den)
+                if coords is None:
+                    bx, by = self.basis_elements()[i], self.basis_elements()[j]
+                    raise NotARingError(bx, by, bx * by)
+                row.append(coords)
             rows.append(tuple(row))
         return tuple(rows)
 
     @cached_property
+    def traces(self) -> tuple:
+        """trd of the basis elements, integers in an order."""
+        return tuple(int(b.trd()) for b in self.basis_elements())
+
+    @cached_property
     def gram(self) -> tuple:
         """Trace Gram matrix trd(b_i * b_j) = sum_k table[i][j][k] * trd(b_k)."""
-        traces = [b.trd() for b in self.basis_elements()]
-        return tuple(
-            tuple(sum(c * t for c, t in zip(cij, traces)) for cij in row) for row in self.table
-        )
+        t = self.traces
+        return tuple(tuple(sum(c * u for c, u in zip(cij, t)) for cij in row) for row in self.table)
+
+    @cached_property
+    def norm_gram(self) -> tuple:
+        """Norm form Gram trd(b_i * conj(b_j)) = trd(b_i)trd(b_j) - trd(b_i * b_j):
+        nrd(x) = z.N.z / 2 for x with coordinates z."""
+        t = self.traces
+        return tuple(tuple(s * u - g for u, g in zip(t, row)) for s, row in zip(t, self.gram))
 
 
 def verify_order(lat: Lattice4, alg: QuaternionAlgebra) -> Order:
@@ -111,12 +122,13 @@ def order_from_basis(alg: QuaternionAlgebra, vectors) -> Order:
 
 def ring_closure(alg: QuaternionAlgebra, gens) -> Order:
     """Smallest order whose lattice contains the given elements and 1."""
-    vecs = [(1, 0, 0, 0)] + [g.coeffs for g in gens]
-    lat = Lattice4.from_generators(vecs)
+    s, mul = integer_product(alg)
+    lat = Lattice4.from_generators([(1, 0, 0, 0)] + [g.coeffs for g in gens])
     for _ in range(64):
-        basis = [QuatElement(alg, b) for b in lat.basis()]
-        prods = [(x * y).coeffs for x in basis for y in basis]
-        grown = lat.add(Lattice4.from_generators(list(lat.basis()) + prods))
+        # the basis and its products, over the denominator s * den^2
+        cols = [[s * lat.den * x for x in c] for c in lat.cols]
+        cols += [mul(x, y) for x in lat.cols for y in lat.cols]
+        grown = Lattice4.from_integer_columns(cols, s * lat.den**2)
         if grown == lat:
             return Order(alg, lat)
         lat = grown
@@ -126,10 +138,7 @@ def ring_closure(alg: QuaternionAlgebra, gens) -> Order:
 @cache
 def discrd(order: Order) -> int:
     """Reduced discriminant: sqrt |det Trd(b_i b_j)|."""
-    d = abs(det4(order.gram))
-    if d.denominator != 1:
-        raise MathematicalInconsistencyError("non-integral discriminant")
-    return exact_isqrt(d.numerator)
+    return exact_isqrt(abs(det4(order.gram)))
 
 
 def is_maximal(order: Order) -> bool:
@@ -150,49 +159,40 @@ def standard_maximal_order(alg: QuaternionAlgebra) -> Order:
     return o
 
 
-def codifferent(order: Order) -> Lattice4:
-    """Dual of the order under the pairing (x, y) -> Trd(xy)."""
-    g = order.gram
-    d = det4(g)
-    ginv = [[x / d for x in row] for row in adj4(g)]
-    basis = order.lattice.basis()
-    cols = [
-        tuple(sum(ginv[i][j] * basis[i][k] for i in range(4)) for k in range(4)) for j in range(4)
-    ]
-    return Lattice4.from_generators(cols)
+def _pairing(order: Order, u, v):
+    """trd(x * conj(y)) for x, y with coordinates u, v over the order basis."""
+    n = order.norm_gram
+    return sum(u[i] * n[i][j] * v[j] for i in range(4) for j in range(4))
 
 
 def ternary_form_coefficients(order: Order):
     """Coefficients of the ternary quadratic form discrd(O) * nrd on the
-    trace-zero part of the codifferent (the Gorenstein invariant)."""
-    cod = codifferent(order)
-    basis = [QuatElement(order.algebra, b) for b in cod.basis()]
-    traces = [b.trd() for b in basis]
-    den = 1
-    for t in traces:
-        den = lcm(den, t.denominator)
-    tint = [int(t * den) for t in traces]
+    trace-zero part of the codifferent (the Gorenstein invariant), over the
+    order basis: the codifferent (the trd(xy)-dual of O) is adj(G)/det(G) *
+    Z^4 for G = `order.gram`, and nrd and the pairing come from `norm_gram`."""
+    g, t = order.gram, order.traces
+    adj, det = adj4(g), det4(g)
+    tint = [sum(t[i] * adj[i][j] for i in range(4)) for j in range(4)]
     if not any(tint):
         raise MathematicalInconsistencyError("trace functional vanishes on the codifferent")
-    vs = [linear_combination(kv, basis) for kv in integer_kernel(tint)]
+    vs = [[sum(r[k] * z[k] for k in range(4)) for r in adj] for z in integer_kernel(tint)]
     d = discrd(order)
-    coeffs = [d * v.nrd() for v in vs]
+    coeffs = [Fraction(d * _pairing(order, v, v), 2 * det * det) for v in vs]
     for i in range(3):
         for j in range(i + 1, 3):
-            coeffs.append(d * (vs[i] * vs[j].conj()).trd())
+            coeffs.append(Fraction(d * _pairing(order, vs[i], vs[j]), det * det))
     return coeffs
 
 
 def ternary_gorenstein_test(order: Order, q: int) -> bool:
     """True iff the ternary form attached to the order is primitive at q."""
-    coeffs = [c for c in ternary_form_coefficients(order) if c != 0]
-    vals = []
-    for c in coeffs:
-        v = valuation(c, q)
-        if v < 0:
-            raise MathematicalInconsistencyError("ternary form not q-integral")
-        vals.append(v)
-    return min(vals) == 0
+    low = min(valuation(c, q) for c in ternary_form_coefficients(order) if c != 0)
+    if low < 0:
+        raise MathematicalInconsistencyError("ternary form not q-integral")
+    return low == 0
+
+
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _table_mul(table, x, y):
@@ -257,38 +257,40 @@ def radical_coords_mod(order: Order, q: int):
 
 
 def _assert_nil(order: Order, rad, q: int):
-    lifts = [order.from_coords(u) for u in rad]
-    for x in lifts:
-        if x.trd() != 0 and valuation(x.trd(), q) < 1:
+    for u in rad:
+        if sum(a * b for a, b in zip(order.traces, u)) % q:
             raise MathematicalInconsistencyError("radical element with unit trace")
-        if x.nrd() != 0 and valuation(x.nrd(), q) < 1:
+        if _pairing(order, u, u) // 2 % q:
             raise MathematicalInconsistencyError("radical element with unit norm")
-    for i, x in enumerate(lifts):
-        for y in lifts[i + 1 :]:
-            t = (x * y.conj()).trd()
-            if t != 0 and valuation(t, q) < 1:
+    for i, u in enumerate(rad):
+        for v in rad[i + 1 :]:
+            if _pairing(order, u, v) % q:
                 raise MathematicalInconsistencyError("radical not totally isotropic")
 
 
 def radical_lattice(order: Order, q: int, rad) -> Lattice4:
     """Preimage in O of rad(O/qO), as a full lattice (contains qO); rad is
     `radical_coords_mod(order, q)`."""
-    gens = [tuple(q * x for x in b) for b in order.lattice.basis()]
-    gens += [order.from_coords(u).coeffs for u in rad]
-    return Lattice4.from_generators(gens)
+    cols = order.lattice.cols
+    gens = [tuple(q * x for x in c) for c in cols]
+    gens += [tuple(sum(a * c[r] for a, c in zip(u, cols)) for r in range(4)) for u in rad]
+    return Lattice4.from_integer_columns(gens, order.lattice.den)
 
 
 def _multiplier_lattice(J: Lattice4, alg: QuaternionAlgebra, sides) -> Lattice4:
     """{x : xJ in J} (side "left") and/or {x : Jx in J} ("right"): the
     coordinates of x*g (g*x) over J, g in J, are linear in x and must be
-    integral, so the multipliers are the dual of the rows of those maps."""
-    units = alg.basis_elements()
+    integral, so the multipliers are the dual of the rows of those maps.
+    For the integer columns g of J, the coordinates of u*g (g*u) over J, u
+    = 1, i, j, ij, are adj(M) * (s*u*g) / (s*det(M)), M the column matrix."""
+    s, mul = integer_product(alg)
+    adj, det = J.adjugate()
     rows = []
-    for g in (QuatElement(alg, b) for b in J.basis()):
+    for g in J.cols:
         for side in sides:
-            cols = [J.solve((u * g if side == "left" else g * u).coeffs) for u in units]
-            rows.extend(zip(*cols))
-    return Lattice4.from_generators(rows).dual()
+            prods = [mul(u, g) if side == "left" else mul(g, u) for u in _UNITS]
+            rows.extend(zip(*([sum(a * b for a, b in zip(r, v)) for r in adj] for v in prods)))
+    return Lattice4.from_integer_columns(rows, s * det).dual()
 
 
 def radical_idealizer(order: Order, q: int) -> Order:

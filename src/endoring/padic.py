@@ -235,7 +235,7 @@ def splitting_map(order: Order, prec: Precision) -> SplittingMap:
     the nilpotent and the units are products from `order.table` mod q^(r+1)."""
     q, modulus = prec.q, prec.modulus
     x, fs = zero_divisor_mod(order, prec)
-    traces = [int(b.trd()) for b in order.basis_elements()]
+    traces = order.traces
 
     def mul(u, v):
         return tuple(c % modulus for c in _table_mul(order.table, u, v))

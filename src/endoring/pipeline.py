@@ -37,8 +37,7 @@ from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4, lll_gram
 from .matrix import adj2, adj4, det4, mat2_mul
-from .ntheory import valuation
-from .orders import Order, _table_mul, discrd, is_bass_at, q_enlarge, verify_order
+from .orders import _UNITS, Order, _table_mul, discrd, is_bass_at, q_enlarge, verify_order
 from .padic import Precision, SplittingMap, lift_vertex_element, splitting_map
 from .quat import QuatElement
 
@@ -110,29 +109,23 @@ class LocalSolution:
 # ---------------------------------------------------------------------------
 # the oracle test shared by every stage
 
-_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
 class ReducedBasis:
     """O_0 with an LLL-reduced basis under the norm form trd(u*conj(v)),
     the frame every oracle question is asked in (see the module docstring).
 
-    The Gram matrix of the norm form is trd(b_i)*trd(b_j) - trd(b_i*b_j),
-    read from `order.gram` with no quaternion products.  For x with
-    integral den*x, the integer matrix `_num` maps den*x to the numerators
-    of x's coordinates over the reduced basis, whose denominator is
-    den * `_det`.
+    The Gram matrix of the norm form is `order.norm_gram`, read from
+    `order.gram` with no quaternion products.  For x with integral den*x,
+    the integer matrix `_num` maps den*x to the numerators of x's
+    coordinates over the reduced basis, whose denominator is den * `_det`.
     """
 
     def __init__(self, o0: Order):
         self.order = o0
         lat = o0.lattice
-        traces = [b.trd() for b in o0.basis_elements()]
-        norm = [[int(s * t - g) for t, g in zip(traces, row)] for s, row in zip(traces, o0.gram)]
         # the reduced basis times lat.den, as integer vectors
         self._cols = tuple(
             tuple(sum(u * c[r] for u, c in zip(row, lat.cols)) for r in range(4))
-            for row in lll_gram(norm)
+            for row in lll_gram(o0.norm_gram)
         )
         rows = tuple(zip(*self._cols))
         det = det4(rows)
@@ -207,9 +200,8 @@ def distance_to_end(rb: ReducedBasis, oq: Order, q: int, e: int, oracle: Divisio
 def conjugate_order_lattice(oq: Order, t, q: int, k: int) -> Lattice4:
     """(1/q^k) * conj(t) O_q t, t given by integer coordinates over the basis
     of O_q: each conj(t) * b * t is formed from `oq.table`, as in the path search."""
-    traces = [int(b.trd()) for b in oq.basis_elements()]
-    one = tuple(int(c) for c in oq.lattice.solve((1, 0, 0, 0)))
-    t_conj, lat = _conj_coords(traces, one, t), oq.lattice
+    one = oq.lattice.integer_coords((1, 0, 0, 0))
+    t_conj, lat = _conj_coords(oq.traces, one, t), oq.lattice
     gens = (_table_mul(oq.table, _table_mul(oq.table, t_conj, u), t) for u in _UNITS)
     cols = [[sum(x * c[r] for x, c in zip(z, lat.cols)) for r in range(4)] for z in gens]
     return Lattice4.from_integer_columns(cols, lat.den * q**k)
@@ -217,17 +209,7 @@ def conjugate_order_lattice(oq: Order, t, q: int, k: int) -> Lattice4:
 
 def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
     """The lattice equal to x at q and to y at every other prime."""
-
-    def need(a: Lattice4, b: Lattice4) -> int:
-        # least m >= 0 with q^m * a inside b at q
-        worst = 0
-        for col in a.basis():
-            for c in b.solve(col):
-                if c != 0:
-                    worst = max(worst, -min(0, valuation(c, q)))
-        return worst
-
-    m = max(need(y, x), need(x, y))
+    m = max(x.gap_at(y, q), y.gap_at(x, q))
     patched = x.intersect(y.scale(Fraction(1, q**m))).add(y.scale(q**m))
     if not patched.equals_at(x, q):
         raise MathematicalInconsistencyError("local patch lost the q-part")
@@ -314,9 +296,8 @@ def find_path_to_end(
     to the local endomorphism ring; at most 4(rq+1) oracle calls.  Returns
     (gamma, t), t the O_q-coordinates of the product of the accepted lifts:
     the oracle confirmed (1/q^r) conj(t) O_q t, so it is End(E) tensor Z_q."""
-    table = oq.table
-    traces = [int(b.trd()) for b in oq.basis_elements()]
-    one = tuple(int(c) for c in oq.lattice.solve((1, 0, 0, 0)))
+    table, traces = oq.table, oq.traces
+    one = oq.lattice.integer_coords((1, 0, 0, 0))
     question = rb.frame(oq, q)
     word: list[int] = []
     t_cur = one

@@ -114,17 +114,8 @@ class QuatElement:
     def __mul__(self, other):
         self._check(other)
         a, b = self.algebra.a, self.algebra.b
-        x0, x1, x2, x3 = self.coeffs
-        y0, y1, y2, y3 = other.coeffs
-        return QuatElement(
-            self.algebra,
-            (
-                x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-                x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-                x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-                x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-            ),
-        )
+        product = _product(1, a, b, a * b, self.coeffs, other.coeffs)
+        return QuatElement(self.algebra, product)
 
     def conj(self) -> "QuatElement":
         x0, x1, x2, x3 = self.coeffs
@@ -148,6 +139,28 @@ class QuatElement:
         names = ("", "i", "j", "ij")
         parts = [f"{c}{n}" for c, n in zip(self.coeffs, names) if c != 0]
         return " + ".join(parts) if parts else "0"
+
+
+def _product(s, a, b, ab, x, y):
+    """s * x * y in (a/s, b/s | Q), given a, b and ab = a*b/s: the one
+    product formula."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        s * x0 * y0 + a * x1 * y1 + b * x2 * y2 - ab * x3 * y3,
+        s * (x0 * y1 + x1 * y0) + b * (x3 * y2 - x2 * y3),
+        s * (x0 * y2 + x2 * y0) + a * (x1 * y3 - x3 * y1),
+        s * (x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1),
+    )
+
+
+def integer_product(alg: QuaternionAlgebra):
+    """(s, mul) with s = den(a) * den(b) and mul(x, y) = s * x * y, an
+    integer vector, for x and y with integer coordinates over 1, i, j, ij."""
+    a, b = alg.a, alg.b
+    s = a.denominator * b.denominator
+    sa, sb, sab = a.numerator * b.denominator, b.numerator * a.denominator, a.numerator * b.numerator
+    return s, lambda x, y: _product(s, sa, sb, sab, x, y)
 
 
 def linear_combination(coeffs, elements) -> QuatElement:

@@ -5,8 +5,8 @@ path-search layers.
 
 Not part of the test suite (the default `test_*.py` pattern does not
 collect this file).  The inputs come from two general-branch instances,
-`planted.general_instance` at q = 1009 with d = 1 and d = 2, and the
-worked example.
+`planted.general_instance` at q = 1009 with d = 1 and d = 2, a suborder
+of 3-power index (`planted.random_suborder`) and the worked example.
 """
 
 import random
@@ -18,7 +18,15 @@ import planted
 from endoring.btt import vertex_of_path
 from endoring.divide import HiddenOrderOracle
 from endoring.lattice import Lattice4
-from endoring.orders import _table_mul, q_enlarge, verify_order
+from endoring.orders import (
+    _multiplier_lattice,
+    _table_mul,
+    q_enlarge,
+    radical_coords_mod,
+    radical_lattice,
+    ternary_gorenstein_test,
+    verify_order,
+)
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     ReducedBasis,
@@ -48,6 +56,17 @@ def general_d2():
     _, _, o0, _, word = planted.general_instance(alg, Q, 2, random.Random(1))
     oq = q_enlarge(o0, Q)
     return oq, splitting_map(oq, Precision(Q, 2)), vertex_of_path(word)
+
+
+@pytest.fixture(scope="module")
+def planted_at_3():
+    """A suborder of 3-power index in a random maximal order, p = 103."""
+    rng = random.Random(3)
+    alg = QuaternionAlgebra.for_prime(103)
+    while True:
+        drawn = planted.random_suborder(planted.random_hidden_order(alg, rng), [3], rng)
+        if drawn is not None and radical_coords_mod(drawn[0], 3):
+            return drawn[0]
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +116,7 @@ def test_path_candidate(benchmark, general):
     hidden, o0, oq, accepted = general
     rb, oracle = ReducedBasis(o0), HiddenOrderOracle(hidden)
     table, question = oq.table, rb.frame(oq, Q)
-    traces = [int(b.trd()) for b in oq.basis_elements()]
-    one = tuple(int(c) for c in oq.lattice.solve((1, 0, 0, 0)))
+    traces, one = oq.traces, oq.lattice.integer_coords((1, 0, 0, 0))
     step = (accepted + 1) % Q
     lift = generator_lifts(splitting_map(oq, Precision(Q, 1)))[step]
     units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
@@ -122,3 +140,17 @@ def test_vertex_lattice(benchmark, general_d2):
     and its conjugate of O_q."""
     oq, sm, v = general_d2
     assert benchmark(lambda: VertexLattices(oq, sm)[v]) == VertexLattices(oq, sm)[v]
+
+
+def test_multiplier_lattice(benchmark, planted_at_3):
+    """The two-sided multiplier lattice of the 3-radical of a planted order."""
+    o = planted_at_3
+    J = radical_lattice(o, 3, radical_coords_mod(o, 3))
+    benchmark(_multiplier_lattice, J, o.algebra, ("left", "right"))
+
+
+def test_ternary_gorenstein_test(benchmark, worked):
+    """The Gorenstein test of the worked example's O_0 at 13, on a fresh
+    order each round so that its table and Gram matrices are rebuilt."""
+    o0, _ = worked
+    benchmark(lambda: ternary_gorenstein_test(verify_order(o0.lattice, o0.algebra), 13))

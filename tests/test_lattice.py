@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from endoring.errors import DegenerateLatticeError
 from endoring.lattice import Lattice4, integer_kernel
+from endoring.ntheory import valuation
 
 
 def rand_lattice(rng, lo=-9, hi=9):
@@ -177,3 +179,49 @@ def test_integer_contains_agrees_with_solve():
             checked_frac += any((x * lat.den).denominator != 1 for x in v)
             assert lat.contains(v) == all(c.denominator == 1 for c in lat.solve(v))
     assert checked_den > 30 and checked_frac > 100
+
+
+def test_integer_coords_agree_with_solve():
+    """integer_coords(nums, d) returns the coordinates of nums/d that the
+    rational solve finds, or None exactly when one is not an integer."""
+    rng = random.Random(11)
+    found = missed = 0
+    for _ in range(60):
+        lat = rand_lattice(rng).scale(Fraction(rng.randint(1, 5), rng.randint(1, 6)))
+        for _ in range(20):
+            k = [rng.randint(-5, 5) for _ in range(4)]
+            v = [sum(c * b[i] for c, b in zip(k, lat.basis())) for i in range(4)]
+            d = math.lcm(*(x.denominator for x in v)) * rng.randint(1, 4)
+            nums = [int(x * d) for x in v]
+            if rng.random() < 0.5:
+                nums[rng.randrange(4)] += rng.randint(1, 3)
+            coords = lat.solve([Fraction(n, d) for n in nums])
+            got = lat.integer_coords(nums, d)
+            if all(c.denominator == 1 for c in coords):
+                assert got == coords
+                found += 1
+            else:
+                assert got is None
+                missed += 1
+    assert found > 500 and missed > 300
+
+
+def gap_reference(lat, other, q):
+    """Least m >= 0 with q^m * other inside lat at q, from rational coordinates."""
+    vals = [valuation(c, q) for b in other.basis() for c in lat.solve(b) if c != 0]
+    return max(0, -min(vals))
+
+
+def test_gap_at_agrees_with_rational_solve():
+    rng = random.Random(13)
+    gaps = set()
+    for _ in range(80):
+        q = rng.choice((2, 3, 5))
+        x = rand_lattice(rng).scale(Fraction(q ** rng.randint(0, 3), rng.randint(1, 4) * q ** rng.randint(0, 2)))
+        y = rand_lattice(rng).scale(Fraction(rng.randint(1, 6), q ** rng.randint(0, 2)))
+        for a, b in ((x, y), (y, x), (x, x)):
+            gap = a.gap_at(b, q)
+            assert gap == gap_reference(a, b, q)
+            assert a.contains_lattice_at(b, q) == (gap == 0)
+            gaps.add(gap)
+    assert {0, 1, 2} <= gaps

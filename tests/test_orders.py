@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,11 +6,13 @@ import pytest
 
 import paperdata
 import planted
-from endoring.errors import NotARingError
-from endoring.lattice import Lattice4
+from endoring.errors import MathematicalInconsistencyError, NotARingError
+from endoring.lattice import Lattice4, integer_kernel
+from endoring.matrix import adj4, det3, det4
 from endoring.ntheory import valuation
 from endoring.orders import (
     Order,
+    _assert_nil,
     _multiplier_lattice,
     _radical_coords_brute,
     discrd,
@@ -21,10 +24,11 @@ from endoring.orders import (
     radical_idealizer,
     radical_lattice,
     standard_maximal_order,
+    ternary_form_coefficients,
     ternary_gorenstein_test,
     verify_order,
 )
-from endoring.quat import QuatElement, QuaternionAlgebra
+from endoring.quat import QuatElement, QuaternionAlgebra, linear_combination
 from treemodel import gram
 
 
@@ -63,8 +67,18 @@ def paper_orders(alg):
     ]
 
 
+def quarter_orders():
+    """Orders in (-1/4, -103 | Q), whose a is not an integer: a maximal
+    order (discrd 103) and its suborder Z + 3*O."""
+    alg = QuaternionAlgebra.create(F(-1, 4), -103, 103)
+    h = F(1, 2)
+    omax = order_from_basis(alg, [(1, 0, 0, 0), (0, 2, 0, 0), (h, 0, h, 0), (0, 1, 0, 1)])
+    assert discrd(omax) == 103
+    return [omax, scalar_plus(omax, 3)]
+
+
 def test_table_and_gram_match_quaternion_products(alg):
-    orders = paper_orders(alg)
+    orders = paper_orders(alg) + quarter_orders()
     orders += [standard_maximal_order(QuaternionAlgebra.for_prime(p)) for p in (103, 179, 1019)]
     for o in orders:
         basis = o.basis_elements()
@@ -100,6 +114,47 @@ def test_trace_kernel_is_the_nilpotent_radical(alg):
     assert nontrivial >= 4
 
 
+def nil_reference(order, rad, q):
+    """The first check of `_assert_nil` that fails, by QuatElement
+    arithmetic, or None."""
+    lifts = [order.from_coords(u) for u in rad]
+    for x in lifts:
+        if x.trd() % q:
+            return "radical element with unit trace"
+        if x.nrd() % q:
+            return "radical element with unit norm"
+    for i, x in enumerate(lifts):
+        for y in lifts[i + 1 :]:
+            if (x * y.conj()).trd() % q:
+                return "radical not totally isotropic"
+    return None
+
+
+def test_assert_nil_matches_quaternion_reference(alg):
+    # the true radicals mod q, random pairs of vectors, and random pairs of
+    # vectors with trace and norm 0 mod q
+    rng = random.Random(9)
+    orders = paper_orders(alg) + planted_orders_at_3(2) + quarter_orders()
+    outcomes = {}
+    for q in (3, 5, 7, 13):
+        for o in orders:
+            vecs = [[rng.randrange(q) for _ in range(4)] for _ in range(200)]
+            null = [u for u in vecs if nil_reference(o, [u], q) is None]
+            cands = [radical_coords_mod(o, q)]
+            cands += [rng.sample(vecs, 2) for _ in range(20)]
+            cands += [rng.sample(null, 2) for _ in range(20) if len(null) >= 2]
+            for rad in cands:
+                want = nil_reference(o, rad, q)
+                try:
+                    _assert_nil(o, rad, q)
+                    got = None
+                except MathematicalInconsistencyError as err:
+                    got = str(err)
+                assert got == want
+                outcomes[got] = outcomes.get(got, 0) + 1
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 10
+
+
 def colon_reference(J, alg, side):
     """{x : xJ in J} ("left") or {x : Jx in J} ("right") by definition: the
     intersection over the basis g of J of J * g^-1, resp. g^-1 * J."""
@@ -116,19 +171,69 @@ def colon_reference(J, alg, side):
 @pytest.mark.parametrize("q", [2, 3, 7, 13])
 def test_multiplier_lattice_matches_colon_definition(alg, q):
     # radicals (two-sided ideals), and the one-sided ideal O*x, whose left
-    # order O differs from its right order x^-1 O x
-    orders = paper_orders(alg) + planted_orders_at_3(2)
+    # order O differs from its right order x^-1 O x, in (-1, -103 | Q) and
+    # in (-1/4, -103 | Q)
+    orders = paper_orders(alg) + planted_orders_at_3(2) + quarter_orders()
     cases = [(radical_lattice(o, q, radical_coords_mod(o, q)), o.algebra) for o in orders]
-    x = alg.element(q, 1, 1, 0)
-    ox = [(b * x).coeffs for b in paperdata.maximal_order(alg).basis_elements()]
-    cases.append((Lattice4.from_generators(ox), alg))
-    assert colon_reference(*cases[-1], "left") != colon_reference(*cases[-1], "right")
+    for omax in (paperdata.maximal_order(alg), quarter_orders()[0]):
+        x = omax.algebra.element(q, 1, 1, 0)
+        ox = [(b * x).coeffs for b in omax.basis_elements()]
+        cases.append((Lattice4.from_generators(ox), omax.algebra))
+        assert colon_reference(*cases[-1], "left") != colon_reference(*cases[-1], "right")
     for J, a in cases:
         left = colon_reference(J, a, "left")
         right = colon_reference(J, a, "right")
         assert _multiplier_lattice(J, a, ("left",)) == left
         assert _multiplier_lattice(J, a, ("right",)) == right
         assert _multiplier_lattice(J, a, ("left", "right")) == left.intersect(right)
+
+
+def scalar_plus(order, m):
+    """The order Z + m*O."""
+    gens = [(1, 0, 0, 0)] + [[m * x for x in b] for b in order.lattice.basis()]
+    return verify_order(Lattice4.from_generators(gens), order.algebra)
+
+
+def codifferent_form(order):
+    """The ternary form by the Fraction route: the codifferent as a lattice
+    in B, its trace-zero part, and discrd * nrd on it from QuatElement
+    products, as (a11, a22, a33, a12, a13, a23)."""
+    g = gram(order.basis_elements())
+    det, adj = det4(g), adj4(g)
+    basis = order.lattice.basis()
+    cod = Lattice4.from_generators(
+        [[sum(adj[i][j] / det * basis[i][k] for i in range(4)) for k in range(4)] for j in range(4)]
+    )
+    elems = [QuatElement(order.algebra, b) for b in cod.basis()]
+    traces = [x.trd() for x in elems]
+    den = math.lcm(*(t.denominator for t in traces))
+    vs = [linear_combination(kv, elems) for kv in integer_kernel([int(t * den) for t in traces])]
+    d = math.isqrt(int(abs(det)))
+    coeffs = [d * v.nrd() for v in vs]
+    return coeffs + [d * (vs[i] * vs[j].conj()).trd() for i in range(3) for j in range(i + 1, 3)]
+
+
+def form_det(coeffs):
+    """Determinant of the Gram matrix of a ternary form, a GL_3(Z) invariant."""
+    a11, a22, a33, a12, a13, a23 = coeffs
+    return det3([[2 * a11, a12, a13], [a12, 2 * a22, a23], [a13, a23, 2 * a33]])
+
+
+def test_gorenstein_test_matches_codifferent_reference(alg):
+    # the coefficients depend on the basis of the trace-zero part; the
+    # primitivity at q and the determinant of the form do not.  Z + q*O is
+    # never Gorenstein at q
+    orders = paper_orders(alg) + planted_orders_at_3(4) + quarter_orders()
+    seen = []
+    for q in (2, 3, 5, 7, 13):
+        tested = orders + [radical_idealizer(o, q) for o in orders]
+        for o in tested + [scalar_plus(o, q) for o in orders]:
+            ref = codifferent_form(o)
+            got = ternary_gorenstein_test(o, q)
+            assert got == (min(valuation(c, q) for c in ref if c != 0) == 0)
+            assert form_det(ternary_form_coefficients(o)) == form_det(ref)
+            seen.append(got)
+    assert seen.count(False) >= 30 and seen.count(True) >= 30
 
 
 def test_paper_o0_discriminant(o0):
@@ -187,8 +292,7 @@ def test_maximal_orders_are_gorenstein_and_bass(alg):
 def test_scalar_plus_q_maximal_is_not_gorenstein(alg):
     omax = paperdata.maximal_order(alg)
     for q in (2, 3, 5):
-        gens = [(1, 0, 0, 0)] + [tuple(q * x for x in b) for b in omax.lattice.basis()]
-        o = verify_order(Lattice4.from_generators(gens), alg)
+        o = scalar_plus(omax, q)
         assert valuation(discrd(o), q) == 3
         assert not ternary_gorenstein_test(o, q)
         assert not is_bass_at(o, q)
