@@ -127,17 +127,6 @@ class Lattice4:
     def intersect(self, other: "Lattice4") -> "Lattice4":
         return self.dual().add(other.dual()).dual()
 
-    def solve(self, vec) -> Vec4:
-        """Coordinates of vec over the basis (exact, always solvable)."""
-        v = [Fraction(x) for x in vec]
-        x = [Fraction(0)] * 4
-        for i in range(4):
-            acc = v[i] * self.den
-            for j in range(i):
-                acc -= self.cols[j][i] * x[j]
-            x[i] = Fraction(acc, self.cols[i][i])
-        return tuple(x)
-
     def integer_coords(self, nums, d=1):
         """The coordinates over the basis of nums/d (nums integers), or None
         when they are not all integers: exact forward substitution."""

@@ -9,8 +9,8 @@ reduced discriminants, the codifferent and its ternary quadratic form
 (Gorenstein test by primitivity), radicals mod q with their idealizers
 (the multiplier lattices come from adj(M) times the integer products of
 J's columns with 1, i, j, ij), and q-maximal q-enlargement by the
-radical-idealizer chain.  `QuatElement` products remain only in the
-idempotent splitting step at the hereditary stall and in error reports.
+radical-idealizer chain, whose hereditary-stall step forms (1 - e) g e and
+e g (1 - e) from `table`.  `QuatElement`s appear only in error reports.
 
 For odd q the radical of O/qO is the kernel of the trace pairing
 trd(xy) mod q, read from `gram`: that kernel is a two-sided ideal whose
@@ -32,7 +32,7 @@ from .errors import (
 from .lattice import Lattice4, integer_kernel
 from .matrix import adj4, det4
 from .ntheory import exact_isqrt, valuation
-from .quat import QuaternionAlgebra, QuatElement, integer_product, linear_combination
+from .quat import QuaternionAlgebra, QuatElement, integer_product
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,6 @@ class Order:
     def element(self, coords) -> QuatElement:
         return QuatElement(self.algebra, tuple(Fraction(x) for x in coords))
 
-    def coords_of(self, x: QuatElement):
-        return self.lattice.solve(x.coeffs)
-
-    def from_coords(self, coords) -> QuatElement:
-        """The element with the given coordinates over the order basis."""
-        return linear_combination(coords, self.basis_elements())
-
     @cached_property
     def table(self) -> tuple:
         """Structure constants: b_i * b_j = sum_k table[i][j][k] * b_k.
@@ -72,18 +65,20 @@ class Order:
         for i, x in enumerate(lat.cols):
             row = []
             for j, y in enumerate(lat.cols):
-                coords = lat.integer_coords(mul(x, y), s * lat.den * lat.den)
+                prod = mul(x, y)
+                coords = lat.integer_coords(prod, s * lat.den * lat.den)
                 if coords is None:
-                    bx, by = self.basis_elements()[i], self.basis_elements()[j]
-                    raise NotARingError(bx, by, bx * by)
+                    xy = self.element(Fraction(c, s * lat.den * lat.den) for c in prod)
+                    raise NotARingError(self.basis_elements()[i], self.basis_elements()[j], xy)
                 row.append(coords)
             rows.append(tuple(row))
         return tuple(rows)
 
     @cached_property
     def traces(self) -> tuple:
-        """trd of the basis elements, integers in an order."""
-        return tuple(int(b.trd()) for b in self.basis_elements())
+        """trd of the basis elements, integers in an order: trd(b_i) is twice
+        the coefficient of 1, 2 * c_i0 / den for the integer column c_i."""
+        return tuple(2 * c[0] // self.lattice.den for c in self.lattice.cols)
 
     @cached_property
     def gram(self) -> tuple:
@@ -104,14 +99,19 @@ def verify_order(lat: Lattice4, alg: QuaternionAlgebra) -> Order:
 
     Raises MissingUnitError when 1 is absent and NotARingError (naming the
     violating product) when multiplicative closure fails; the closure
-    check builds the order's `table`.
+    check builds the order's `table`.  Then each basis element b_i must
+    have integral trd(b_i) = t_i = 2 * c_i0 / den and nrd(b_i) = (t_i^2 -
+    trd(b_i^2)) / 2, trd(b_i^2) = sum_k table[i][i][k] * t_k.
     """
     if not lat.contains((1, 0, 0, 0)):
         raise MissingUnitError("lattice does not contain 1")
     order = Order(alg, lat)
     order.table  # the closure check
-    for x in order.basis_elements():
-        if x.trd().denominator != 1 or x.nrd().denominator != 1:
+    t = [Fraction(2 * c[0], lat.den) for c in lat.cols]
+    for i, row in enumerate(order.table):
+        nrd = (t[i] * t[i] - sum(c * u for c, u in zip(row[i], t))) / 2
+        if t[i].denominator != 1 or nrd.denominator != 1:
+            x = order.basis_elements()[i]
             raise MathematicalInconsistencyError(f"non-integral element {x} in a ring lattice")
     return order
 
@@ -159,7 +159,7 @@ def standard_maximal_order(alg: QuaternionAlgebra) -> Order:
     return o
 
 
-def _pairing(order: Order, u, v):
+def _norm_pairing(order: Order, u, v):
     """trd(x * conj(y)) for x, y with coordinates u, v over the order basis."""
     n = order.norm_gram
     return sum(u[i] * n[i][j] * v[j] for i in range(4) for j in range(4))
@@ -177,10 +177,10 @@ def ternary_form_coefficients(order: Order):
         raise MathematicalInconsistencyError("trace functional vanishes on the codifferent")
     vs = [[sum(r[k] * z[k] for k in range(4)) for r in adj] for z in integer_kernel(tint)]
     d = discrd(order)
-    coeffs = [Fraction(d * _pairing(order, v, v), 2 * det * det) for v in vs]
+    coeffs = [Fraction(d * _norm_pairing(order, v, v), 2 * det * det) for v in vs]
     for i in range(3):
         for j in range(i + 1, 3):
-            coeffs.append(Fraction(d * _pairing(order, vs[i], vs[j]), det * det))
+            coeffs.append(Fraction(d * _norm_pairing(order, vs[i], vs[j]), det * det))
     return coeffs
 
 
@@ -210,6 +210,13 @@ def _table_mul(table, x, y):
                 o2 += f * t[2]
                 o3 += f * t[3]
     return (o0, o1, o2, o3)
+
+
+def _conj_coords(traces, one, z):
+    """Coordinates of conj(x) = trd(x) - x, x with coordinates z over an
+    order basis of traces `traces` on which 1 has coordinates `one`."""
+    trd = sum(a * b for a, b in zip(traces, z))
+    return tuple(trd * u - x for u, x in zip(one, z))
 
 
 def _radical_coords_brute(order: Order, q: int):
@@ -260,11 +267,11 @@ def _assert_nil(order: Order, rad, q: int):
     for u in rad:
         if sum(a * b for a, b in zip(order.traces, u)) % q:
             raise MathematicalInconsistencyError("radical element with unit trace")
-        if _pairing(order, u, u) // 2 % q:
+        if _norm_pairing(order, u, u) // 2 % q:
             raise MathematicalInconsistencyError("radical element with unit norm")
     for i, u in enumerate(rad):
         for v in rad[i + 1 :]:
-            if _pairing(order, u, v) % q:
+            if _norm_pairing(order, u, v) % q:
                 raise MathematicalInconsistencyError("radical not totally isotropic")
 
 
@@ -306,12 +313,12 @@ def is_bass_at(order: Order, q: int) -> bool:
     return ternary_gorenstein_test(radical_idealizer(order, q), q)
 
 
-def _split_idempotent(order: Order, q: int, rad) -> QuatElement:
-    """Element of O idempotent mod q, nontrivial in the split 2-dimensional
-    semisimple quotient of O/qO, rad = `radical_coords_mod(order, q)`.
-    Only called at the hereditary stall."""
+def _split_idempotent(order: Order, q: int, rad) -> tuple:
+    """Integer coordinates, in [0, q), of an element of O idempotent mod q,
+    nontrivial in the split 2-dimensional semisimple quotient of O/qO, rad
+    = `radical_coords_mod(order, q)`.  Only called at the hereditary stall."""
     table = order.table
-    one = tuple(int(c) % q for c in order.coords_of(order.algebra.one()))
+    one = tuple(c % q for c in order.lattice.integer_coords((1, 0, 0, 0)))
     span = list(rad) + [one]
     w = None
     for k in range(4):
@@ -351,7 +358,7 @@ def _split_idempotent(order: Order, q: int, rad) -> QuatElement:
         e = tuple((3 * a - 2 * b) % q for a, b in zip(e2, e3))
     else:
         raise MathematicalInconsistencyError("idempotent lift did not converge")
-    return order.from_coords(e)
+    return e
 
 
 def q_enlarge(order: Order, q: int) -> Order:
@@ -379,15 +386,18 @@ def q_enlarge(order: Order, q: int) -> Order:
         if grown != current.lattice:
             current = verify_order(grown, alg)
             continue
-        eidem = _split_idempotent(current, q, rad)
-        one = alg.one()
-        jelems = [QuatElement(alg, b) for b in J.basis()]
+        # (1/q) * (1 - e) g e, and the mirror, in coordinates over current
+        e, lat, table = _split_idempotent(current, q, rad), current.lattice, current.table
+        one = lat.integer_coords((1, 0, 0, 0))
+        rest = tuple(u - c for u, c in zip(one, e))
+        jcoords = [lat.integer_coords(g, J.den) for g in J.cols]
         nxt = None
-        for lft, rgt in ((one - eidem, eidem), (eidem, one - eidem)):
-            gens = list(current.lattice.basis())
-            gens += [(lft * g * rgt).scale(Fraction(1, q)).coeffs for g in jelems]
+        for lft, rgt in ((rest, e), (e, rest)):
+            prods = (_table_mul(table, _table_mul(table, lft, g), rgt) for g in jcoords)
+            gens = [tuple(q * x for x in c) for c in lat.cols]
+            gens += [tuple(sum(z * c[r] for z, c in zip(w, lat.cols)) for r in range(4)) for w in prods]
             try:
-                cand = verify_order(Lattice4.from_generators(gens), alg)
+                cand = verify_order(Lattice4.from_integer_columns(gens, lat.den * q), alg)
             except (NotARingError, MissingUnitError):
                 continue
             if valuation(discrd(cand), q) < v:

@@ -7,10 +7,12 @@ by it yields a nilpotent; from the nilpotent a full system of 2x2
 matrix units inside the order is assembled, which induces the linear
 isomorphism onto M_2(Z/q^(r+1)).
 
-The normalized basis and the zero divisor are exact rationals with
-denominators prime to q, certified by exact valuation checks.  Past them
-the splitting map works in integer coordinates reduced mod q^(r+1), its
-products read from the order's structure constants (`Order.table`).
+Everything works in coordinates over the order basis.  The normalized
+basis and the zero divisor are exact: integer coordinates over one
+denominator prime to q per vector, their pairings read from the norm Gram
+matrix (`Order.norm_gram`) and certified by exact valuation checks.  The
+splitting map reduces them mod q^(r+1) and reads its products from the
+order's structure constants (`Order.table`).
 
 For odd q the zero divisor starts from the lexicographically first
 point of the conic a0*x1^2 + a1*x2^2 + a2*x3^2 = 0 mod q (`conic_point`).
@@ -26,12 +28,12 @@ the integer coordinates of the matrix units E11, E12, E22 reduced into
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import MathematicalInconsistencyError, PrecisionError, StructuralError
 from .matrix import adj4, det4, mat2_mul
 from .ntheory import reduce_unit_mod, sqrt_mod, valuation
-from .orders import Order, _table_mul
-from .quat import QuatElement, linear_combination
+from .orders import _UNITS, Order, _conj_coords, _norm_pairing, _table_mul
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,6 @@ class Precision:
         return self.q ** (self.r + 1)
 
 
-def _pairing(x: QuatElement, y: QuatElement) -> Fraction:
-    return (x * y.conj()).trd()
-
-
 def _val(x, q):
     return None if x == 0 else valuation(x, q)
 
@@ -61,57 +59,71 @@ def _min_val(vals):
     return min(vals) if vals else None
 
 
+def _combine(terms) -> tuple:
+    """sum c*v over the pairs (c, v), c rational and v = (z, d) standing for
+    the coordinates z/d: as (z, d) in lowest terms with d > 0."""
+    terms = [(Fraction(c) / d, z) for c, (z, d) in terms]
+    den = lcm(*(c.denominator for c, _ in terms))
+    z = [sum(c.numerator * (den // c.denominator) * w[k] for c, w in terms) for k in range(4)]
+    g = gcd(den, *z)
+    return tuple(a // g for a in z), den // g
+
+
 def normalized_basis_at(order: Order, q: int):
     """Basis of O tensor Z_(q) on which the norm form is a sum of atomic
     forms: diagonal for odd q, diagonal and binary blocks for q = 2.
 
-    Returns (basis, blocks) where blocks is a list of ("unit", a) entries
-    for diagonal atoms a*x^2 and ("pair", (a, b, c)) entries for binary
-    atoms a*x^2 + b*xy + c*y^2.
+    Returns (basis, blocks).  A basis vector is a pair (z, d): coordinates
+    z/d over the order basis, z integers and d prime to q.  blocks is a
+    list of ("unit", a) entries for diagonal atoms a*x^2 and ("pair", (a,
+    b, c)) entries for binary atoms a*x^2 + b*xy + c*y^2.  The pairing
+    trd(x*conj(y)) is z.N.w / (d*e) for N = `order.norm_gram`.
     """
-    vecs = list(order.basis_elements())
+
+    def pairing(u, v) -> Fraction:
+        return Fraction(_norm_pairing(order, u[0], v[0]), u[1] * v[1])
+
+    vecs = [(u, 1) for u in _UNITS]
     out = []
     blocks = []
     while vecs:
         n = len(vecs)
-        diag = [_val(_pairing(v, v), q) for v in vecs]
+        diag = [_val(pairing(v, v), q) for v in vecs]
         off = {}
         for i in range(n):
             for j in range(i + 1, n):
-                off[(i, j)] = _val(_pairing(vecs[i], vecs[j]), q)
+                off[(i, j)] = _val(pairing(vecs[i], vecs[j]), q)
         dmin = _min_val(diag)
         omin = _min_val(off.values())
         if dmin is not None and (omin is None or dmin <= omin):
             i = diag.index(dmin)
             f = vecs.pop(i)
-            bff = _pairing(f, f)
-            vecs = [v - f.scale(_pairing(v, f) / bff) for v in vecs]
+            bff = pairing(f, f)
+            vecs = [_combine(((1, v), (-pairing(v, f) / bff, f))) for v in vecs]
             out.append(f)
-            blocks.append(("unit", f.nrd()))
+            blocks.append(("unit", bff / 2))
             continue
         if q != 2:
             # odd q: mixing makes the minimum appear on the diagonal
             (i, j) = next(k for k, v in off.items() if v == omin)
-            vecs[i] = vecs[i] + vecs[j]
+            vecs[i] = _combine(((1, vecs[i]), (1, vecs[j])))
             continue
         (i, j) = next(k for k, v in off.items() if v == omin)
         f1, f2 = vecs[i], vecs[j]
         vecs = [v for k, v in enumerate(vecs) if k not in (i, j)]
-        b11, b12, b22 = _pairing(f1, f1), _pairing(f1, f2), _pairing(f2, f2)
+        b11, b12, b22 = pairing(f1, f1), pairing(f1, f2), pairing(f2, f2)
         det = b11 * b22 - b12 * b12
         rest = []
         for v in vecs:
-            c1, c2 = _pairing(v, f1), _pairing(v, f2)
+            c1, c2 = pairing(v, f1), pairing(v, f2)
             alpha = (c1 * b22 - c2 * b12) / det
             beta = (c2 * b11 - c1 * b12) / det
-            rest.append(v - f1.scale(alpha) - f2.scale(beta))
+            rest.append(_combine(((1, v), (-alpha, f1), (-beta, f2))))
         vecs = rest
         out.extend([f1, f2])
-        blocks.append(("pair", (f1.nrd(), _pairing(f1, f2), f2.nrd())))
-    for f in out:
-        for c in order.coords_of(f):
-            if c != 0 and valuation(c, q) < 0:
-                raise MathematicalInconsistencyError("normalized basis left Z_(q)")
+        blocks.append(("pair", (b11 / 2, b12, b22 / 2)))
+    if any(d % q == 0 for _, d in out):
+        raise MathematicalInconsistencyError("normalized basis left Z_(q)")
     return out, blocks
 
 
@@ -138,7 +150,9 @@ def zero_divisor_mod(order: Order, prec: Precision):
     """Element x of the q-maximal order (up to q-unit denominators) with
     v_q(nrd x) >= r+1 and some coordinate a q-unit.
 
-    Returns (x, fs), fs the normalized basis x is built from."""
+    Returns (x, fs): x as a vector (z, d) of `normalized_basis_at`, fs the
+    normalized basis it is built from.  nrd(x) = z.N.z / (2*d^2), N =
+    `order.norm_gram`."""
     q, modulus = prec.q, prec.modulus
     if q == order.algebra.p:
         raise StructuralError("the algebra is ramified at p; no zero divisors there")
@@ -155,7 +169,7 @@ def zero_divisor_mod(order: Order, prec: Precision):
             if fval:
                 deriv = (2 * a[piv] * sol[piv]) % q
                 sol[piv] = (sol[piv] - fval * pow(deriv, -1, mk)) % mk
-        x = linear_combination(sol, fs[:3])
+        x = _combine(zip(sol, fs[:3]))
     else:
         if [kind for kind, _ in blocks] != ["pair", "pair"]:
             raise MathematicalInconsistencyError("2-maximal order must split into two binary atoms")
@@ -195,18 +209,15 @@ def zero_divisor_mod(order: Order, prec: Precision):
                 x, y = sol[0], sol[1]
                 deriv = (2 * a0 * x + b0 * y) if piv == 0 else (b0 * x + 2 * coeffs[0][2] * y)
                 sol[piv] = (sol[piv] - fval * pow(deriv % mk, -1, mk)) % mk
-        x = linear_combination(sol, fs)
-    n = x.nrd()
+        x = _combine(zip(sol, fs))
+    z, d = x
+    # nrd(x) * d^2, and d is prime to q
+    n = _norm_pairing(order, z, z) // 2
     if n != 0 and valuation(n, q) < prec.r + 1:
         raise MathematicalInconsistencyError("zero divisor lift failed the valuation check")
-    coords = order.coords_of(x)
-    if min(valuation(c, q) for c in coords if c != 0) != 0:
+    if not any(c % q for c in z):
         raise MathematicalInconsistencyError("zero divisor vanished mod q")
     return x, fs
-
-
-def _coords_mod(order: Order, x: QuatElement, modulus: int):
-    return tuple(reduce_unit_mod(c, modulus) for c in order.coords_of(x))
 
 
 @dataclass(frozen=True)
@@ -219,12 +230,9 @@ class SplittingMap:
     unit_coords: tuple  # integer coordinates of E11 E12 E21 E22 mod modulus, one row per unit
     _minv: tuple  # inverse transfer matrix mod modulus, rows
 
-    def apply(self, x: QuatElement):
-        """Image of x as a 2x2 integer matrix with entries mod q^(r+1)."""
-        return self.apply_coords(_coords_mod(self.order, x, self.precision.modulus))
-
     def apply_coords(self, c):
-        """`apply` for the element with integer coordinates c."""
+        """Image of the element with integer coordinates c over the order
+        basis, as a 2x2 integer matrix with entries mod q^(r+1)."""
         modulus = self.precision.modulus
         y = [sum(self._minv[r][k] * c[k] for k in range(4)) % modulus for r in range(4)]
         return ((y[0], y[1]), (y[2], y[3]))
@@ -232,10 +240,11 @@ class SplittingMap:
 
 def splitting_map(order: Order, prec: Precision) -> SplittingMap:
     """Compute the splitting isomorphism mod q^(r+1) for a q-maximal order:
-    the nilpotent and the units are products from `order.table` mod q^(r+1)."""
+    the zero divisor and the normalized basis are reduced mod q^(r+1), and
+    the nilpotent and the units are products from `order.table`."""
     q, modulus = prec.q, prec.modulus
     x, fs = zero_divisor_mod(order, prec)
-    traces = order.traces
+    traces, one = order.traces, order.lattice.integer_coords((1, 0, 0, 0))
 
     def mul(u, v):
         return tuple(c % modulus for c in _table_mul(order.table, u, v))
@@ -243,8 +252,9 @@ def splitting_map(order: Order, prec: Precision) -> SplittingMap:
     def trd(u):
         return sum(t * c for t, c in zip(traces, u)) % modulus
 
-    one, xc, xbar = (_coords_mod(order, y, modulus) for y in (order.algebra.one(), x, x.conj()))
-    basis = [_coords_mod(order, y, modulus) for y in fs]
+    # x and the normalized basis, reduced mod q^(r+1)
+    xc, *basis = (tuple(c * pow(d, -1, modulus) % modulus for c in z) for z, d in (x, *fs))
+    xbar = _conj_coords(traces, one, xc)
     conjugates = (mul(mul(xbar, y), xc) for y in basis)
     e = next((cand for cand in conjugates if any(c % q for c in cand)), None)
     if e is None:

@@ -37,7 +37,7 @@ from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4, lll_gram
 from .matrix import adj2, adj4, det4, mat2_mul
-from .orders import _UNITS, Order, _table_mul, discrd, is_bass_at, q_enlarge, verify_order
+from .orders import _UNITS, Order, _conj_coords, _table_mul, discrd, is_bass_at, q_enlarge, verify_order
 from .padic import Precision, SplittingMap, lift_vertex_element, splitting_map
 from .quat import QuatElement
 
@@ -276,13 +276,6 @@ def generator_lifts(sm: SplittingMap):
     return _GeneratorLifts(sm)
 
 
-def _conj_coords(traces, one, z):
-    """Coordinates of conj(x) = trd(x) - x, x with coordinates z over an
-    order basis of traces `traces` on which 1 has coordinates `one`."""
-    trd = sum(a * b for a, b in zip(traces, z))
-    return tuple(trd * u - x for u, x in zip(one, z))
-
-
 def find_path_to_end(
     rb: ReducedBasis,
     oq: Order,
@@ -333,9 +326,10 @@ def find_path_to_end(
 
 def enumerate_bass_path(o0: Order, sm: SplittingMap, e: int):
     """Vertices of the path of maximal orders containing the image of O_0,
-    walked outward from the root while containment persists."""
-    q = sm.precision.q
-    imgs = [sm.apply(b) for b in o0.basis_elements()]
+    walked outward from the root while containment persists.  O_0's basis
+    has integer coordinates over the split order's, which `sm` maps."""
+    q, lat = sm.precision.q, sm.order.lattice
+    imgs = [sm.apply_coords(lat.integer_coords(c, o0.lattice.den)) for c in o0.lattice.cols]
 
     def contains_image(word):
         t = associated_matrix(MatrixPath(q, tuple(word)))

@@ -162,12 +162,3 @@ def integer_product(alg: QuaternionAlgebra):
     sa, sb, sab = a.numerator * b.denominator, b.numerator * a.denominator, a.numerator * b.numerator
     return s, lambda x, y: _product(s, sa, sb, sab, x, y)
 
-
-def linear_combination(coeffs, elements) -> QuatElement:
-    """The element sum_k coeffs[k] * elements[k] (at least one element)."""
-    acc = elements[0].algebra.element(0)
-    for c, x in zip(coeffs, elements):
-        if c:
-            acc = acc + x.scale(c)
-    return acc
-

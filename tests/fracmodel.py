@@ -1,0 +1,277 @@
+"""Rational reference model for the tests: the same computations as the
+integer code in `endoring`, on `QuatElement`s with Fraction coordinates over
+the standard basis 1, i, j, ij.
+
+`solve`, `coords_of`, `from_coords`, `linear_combination` and `apply` move
+between an order's coordinates and quaternions.  `normalized_basis_at`,
+`zero_divisor` and `splitting_units` are the Gram-Schmidt, the zero-divisor
+assembly and the matrix units of the splitting map formed with quaternion
+products, and `q_enlarge` is the q-enlargement whose hereditary-stall step
+forms (1 - e) g e / q from quaternion products: the references for
+`padic.normalized_basis_at`, `padic.zero_divisor_mod`,
+`padic.splitting_map` and `orders.q_enlarge`.
+"""
+
+from fractions import Fraction
+
+from endoring.errors import MathematicalInconsistencyError, MissingUnitError, NotARingError
+from endoring.lattice import Lattice4
+from endoring.ntheory import reduce_unit_mod, valuation
+from endoring.orders import (
+    _multiplier_lattice,
+    _split_idempotent,
+    _table_mul,
+    discrd,
+    radical_coords_mod,
+    radical_lattice,
+    verify_order,
+)
+from endoring.padic import conic_point
+from endoring.quat import QuatElement
+
+
+def solve(lat: Lattice4, vec):
+    """Coordinates of vec over the basis of lat (exact, always solvable)."""
+    v = [Fraction(x) for x in vec]
+    x = [Fraction(0)] * 4
+    for i in range(4):
+        acc = v[i] * lat.den
+        for j in range(i):
+            acc -= lat.cols[j][i] * x[j]
+        x[i] = Fraction(acc, lat.cols[i][i])
+    return tuple(x)
+
+
+def coords_of(order, x: QuatElement):
+    return solve(order.lattice, x.coeffs)
+
+
+def linear_combination(coeffs, elements) -> QuatElement:
+    """The element sum_k coeffs[k] * elements[k] (at least one element)."""
+    acc = elements[0].algebra.element(0)
+    for c, x in zip(coeffs, elements):
+        if c:
+            acc = acc + x.scale(c)
+    return acc
+
+
+def from_coords(order, coords) -> QuatElement:
+    """The element with the given coordinates over the order basis."""
+    return linear_combination(coords, order.basis_elements())
+
+
+def coords_mod(order, x: QuatElement, modulus: int):
+    return tuple(reduce_unit_mod(c, modulus) for c in coords_of(order, x))
+
+
+def apply(sm, x: QuatElement):
+    """Image of x under the splitting map sm, a 2x2 matrix mod q^(r+1)."""
+    return sm.apply_coords(coords_mod(sm.order, x, sm.precision.modulus))
+
+
+def vector_element(order, v) -> QuatElement:
+    """The element of a vector (z, d) of `padic`: coordinates z/d over the
+    order basis."""
+    z, d = v
+    return from_coords(order, z).scale(Fraction(1, d))
+
+
+# ---------------------------------------------------------------------------
+# the normalized basis, the zero divisor and the matrix units
+
+
+def _pairing(x: QuatElement, y: QuatElement) -> Fraction:
+    return (x * y.conj()).trd()
+
+
+def _val(x, q):
+    return None if x == 0 else valuation(x, q)
+
+
+def _min_val(vals):
+    vals = [v for v in vals if v is not None]
+    return min(vals) if vals else None
+
+
+def normalized_basis_at(order, q: int):
+    """Basis of O tensor Z_(q) on which the norm form is a sum of atomic
+    forms, as quaternions: (basis, blocks) as in `padic.normalized_basis_at`."""
+    vecs = list(order.basis_elements())
+    out = []
+    blocks = []
+    while vecs:
+        n = len(vecs)
+        diag = [_val(_pairing(v, v), q) for v in vecs]
+        off = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                off[(i, j)] = _val(_pairing(vecs[i], vecs[j]), q)
+        dmin = _min_val(diag)
+        omin = _min_val(off.values())
+        if dmin is not None and (omin is None or dmin <= omin):
+            i = diag.index(dmin)
+            f = vecs.pop(i)
+            bff = _pairing(f, f)
+            vecs = [v - f.scale(_pairing(v, f) / bff) for v in vecs]
+            out.append(f)
+            blocks.append(("unit", f.nrd()))
+            continue
+        if q != 2:
+            (i, j) = next(k for k, v in off.items() if v == omin)
+            vecs[i] = vecs[i] + vecs[j]
+            continue
+        (i, j) = next(k for k, v in off.items() if v == omin)
+        f1, f2 = vecs[i], vecs[j]
+        vecs = [v for k, v in enumerate(vecs) if k not in (i, j)]
+        b11, b12, b22 = _pairing(f1, f1), _pairing(f1, f2), _pairing(f2, f2)
+        det = b11 * b22 - b12 * b12
+        rest = []
+        for v in vecs:
+            c1, c2 = _pairing(v, f1), _pairing(v, f2)
+            alpha = (c1 * b22 - c2 * b12) / det
+            beta = (c2 * b11 - c1 * b12) / det
+            rest.append(v - f1.scale(alpha) - f2.scale(beta))
+        vecs = rest
+        out.extend([f1, f2])
+        blocks.append(("pair", (f1.nrd(), _pairing(f1, f2), f2.nrd())))
+    for f in out:
+        for c in coords_of(order, f):
+            if c != 0 and valuation(c, q) < 0:
+                raise MathematicalInconsistencyError("normalized basis left Z_(q)")
+    return out, blocks
+
+
+def zero_divisor(order, prec):
+    """The zero divisor of `padic.zero_divisor_mod` as a quaternion, with the
+    normalized basis it is built from: (x, fs)."""
+    q, modulus = prec.q, prec.modulus
+    fs, blocks = normalized_basis_at(order, q)
+    if q != 2:
+        if any(kind != "unit" or valuation(a, q) != 0 for kind, a in blocks):
+            raise MathematicalInconsistencyError("order is not q-maximal at odd q")
+        a = [reduce_unit_mod(nf, modulus) for _, nf in blocks]
+        sol = conic_point(a[:3], q)
+        piv = next(i for i in range(3) if sol[i] % q)
+        for k in range(2, prec.r + 2):
+            mk = q**k
+            fval = sum(a[i] * sol[i] * sol[i] for i in range(3)) % mk
+            if fval:
+                deriv = (2 * a[piv] * sol[piv]) % q
+                sol[piv] = (sol[piv] - fval * pow(deriv, -1, mk)) % mk
+        x = linear_combination(sol, fs[:3])
+    else:
+        if [kind for kind, _ in blocks] != ["pair", "pair"]:
+            raise MathematicalInconsistencyError("2-maximal order must split into two binary atoms")
+        coeffs = []
+        sol = []
+        for _, (a, b, c) in blocks:
+            if valuation(b, q) != 0:
+                raise MathematicalInconsistencyError("binary atom with even cross term")
+            va = valuation(a, 2)
+            vc = valuation(c, 2)
+            if va == 0 and vc >= 1:
+                pair = (1, 0)
+            elif va >= 1 and vc == 0:
+                pair = (0, 1)
+            else:
+                pair = (1, 1)
+            sol.extend(pair)
+            coeffs.append((reduce_unit_mod(a, modulus), reduce_unit_mod(b, modulus), reduce_unit_mod(c, modulus)))
+
+        def value(s, mk):
+            total = 0
+            for bi, (a, b, c) in enumerate(coeffs):
+                x, y = s[2 * bi], s[2 * bi + 1]
+                total += a * x * x + b * x * y + c * y * y
+            return total % mk
+
+        a0, b0, _ = coeffs[0]
+        piv = 0 if sol[1] % 2 else 1
+        for k in range(2, prec.r + 2):
+            mk = 2**k
+            fval = value(sol, mk)
+            if fval:
+                x, y = sol[0], sol[1]
+                deriv = (2 * a0 * x + b0 * y) if piv == 0 else (b0 * x + 2 * coeffs[0][2] * y)
+                sol[piv] = (sol[piv] - fval * pow(deriv % mk, -1, mk)) % mk
+        x = linear_combination(sol, fs)
+    n = x.nrd()
+    if n != 0 and valuation(n, q) < prec.r + 1:
+        raise MathematicalInconsistencyError("zero divisor lift failed the valuation check")
+    coords = coords_of(order, x)
+    if min(valuation(c, q) for c in coords if c != 0) != 0:
+        raise MathematicalInconsistencyError("zero divisor vanished mod q")
+    return x, fs
+
+
+def splitting_units(order, prec):
+    """The matrix-unit coordinates (E11, E12, E21, E22) mod q^(r+1) of
+    `padic.splitting_map`, from the quaternion zero divisor."""
+    q, modulus = prec.q, prec.modulus
+    x, fs = zero_divisor(order, prec)
+    traces = order.traces
+
+    def mul(u, v):
+        return tuple(c % modulus for c in _table_mul(order.table, u, v))
+
+    def trd(u):
+        return sum(t * c for t, c in zip(traces, u)) % modulus
+
+    one, xc, xbar = (coords_mod(order, y, modulus) for y in (order.algebra.one(), x, x.conj()))
+    basis = [coords_mod(order, y, modulus) for y in fs]
+    conjugates = (mul(mul(xbar, y), xc) for y in basis)
+    e = next(cand for cand in conjugates if any(c % q for c in cand))
+    f = next(fi for fi in basis if trd(mul(e, fi)) % q)
+    m = pow(trd(mul(e, f)), -1, modulus)
+    e11 = tuple(m * c % modulus for c in mul(e, f))
+    e22 = tuple((u - c) % modulus for u, c in zip(one, e11))
+    e21 = tuple(m * c % modulus for c in mul(mul(e22, f), e11))
+    return (e11, e, e21, e22)
+
+
+# ---------------------------------------------------------------------------
+# q-enlargement with the quaternion stall step
+
+
+def q_enlarge(order, q: int):
+    """`orders.q_enlarge` with the hereditary-stall candidates formed from
+    quaternion products: (1/q) (1 - e) g e and (1/q) e g (1 - e) for the basis
+    g of J.  Returns (the enlargement, the number of stall steps)."""
+    alg = order.algebra
+    target = 1 if q == alg.p else 0
+    d0 = discrd(order)
+    e0 = valuation(d0, q) if d0 % q == 0 else 0
+    current = order
+    stalls = 0
+    for _ in range(2 * e0 + 8):
+        d = discrd(current)
+        v = valuation(d, q) if d % q == 0 else 0
+        if v <= target:
+            break
+        rad = radical_coords_mod(current, q)
+        J = radical_lattice(current, q, rad)
+        grown = _multiplier_lattice(J, alg, ("left",))
+        if grown != current.lattice:
+            current = verify_order(grown, alg)
+            continue
+        stalls += 1
+        eidem = from_coords(current, _split_idempotent(current, q, rad))
+        one = alg.one()
+        jelems = [QuatElement(alg, b) for b in J.basis()]
+        nxt = None
+        for lft, rgt in ((one - eidem, eidem), (eidem, one - eidem)):
+            gens = list(current.lattice.basis())
+            gens += [(lft * g * rgt).scale(Fraction(1, q)).coeffs for g in jelems]
+            try:
+                cand = verify_order(Lattice4.from_generators(gens), alg)
+            except (NotARingError, MissingUnitError):
+                continue
+            if valuation(discrd(cand), q) < v:
+                nxt = cand
+                break
+        if nxt is None:
+            raise MathematicalInconsistencyError(f"hereditary stall at q={q} could not be split")
+        current = nxt
+    else:
+        raise MathematicalInconsistencyError("q-enlargement did not terminate")
+    return current, stalls

@@ -6,7 +6,8 @@ path-search layers.
 Not part of the test suite (the default `test_*.py` pattern does not
 collect this file).  The inputs come from two general-branch instances,
 `planted.general_instance` at q = 1009 with d = 1 and d = 2, a suborder
-of 3-power index (`planted.random_suborder`) and the worked example.
+of 3-power index (`planted.random_suborder`), a level-3 Eichler order
+(`planted.bass_instance`) and the worked example.
 """
 
 import random
@@ -19,23 +20,25 @@ from endoring.btt import vertex_of_path
 from endoring.divide import HiddenOrderOracle
 from endoring.lattice import Lattice4
 from endoring.orders import (
+    _conj_coords,
     _multiplier_lattice,
     _table_mul,
+    discrd,
     q_enlarge,
     radical_coords_mod,
     radical_lattice,
     ternary_gorenstein_test,
     verify_order,
 )
-from endoring.padic import Precision, splitting_map
+from endoring.padic import Precision, normalized_basis_at, splitting_map
 from endoring.pipeline import (
     ReducedBasis,
     VertexLattices,
     _all_in_end,
-    _conj_coords,
     generator_lifts,
 )
 from endoring.quat import QuaternionAlgebra
+from fracmodel import from_coords
 
 Q = 1009
 
@@ -70,6 +73,14 @@ def planted_at_3():
 
 
 @pytest.fixture(scope="module")
+def eichler_at_3():
+    """A level-3 Eichler order in a random maximal order, p = 103: its
+    3-enlargement reaches the hereditary stall."""
+    o0, _, _ = planted.bass_instance(103, 3, 1, random.Random(3))
+    return o0
+
+
+@pytest.fixture(scope="module")
 def worked():
     alg = paperdata.algebra()
     return paperdata.o0(alg), paperdata.maximal_order(alg)
@@ -77,7 +88,7 @@ def worked():
 
 def test_quat_mul(benchmark, general):
     _, _, oq, _ = general
-    x, y = oq.from_coords((3, -5, 7, 11)), oq.from_coords((-2, 9, 4, -6))
+    x, y = from_coords(oq, (3, -5, 7, 11)), from_coords(oq, (-2, 9, 4, -6))
     benchmark(lambda: x * y)
 
 
@@ -130,6 +141,11 @@ def test_path_candidate(benchmark, general):
     assert benchmark(candidate) is False
 
 
+def test_normalized_basis_at(benchmark, general_d2):
+    oq, _, _ = general_d2
+    benchmark(normalized_basis_at, oq, Q)
+
+
 def test_splitting_map(benchmark, general_d2):
     oq, _, _ = general_d2
     benchmark(splitting_map, oq, Precision(Q, 2))
@@ -147,6 +163,19 @@ def test_multiplier_lattice(benchmark, planted_at_3):
     o = planted_at_3
     J = radical_lattice(o, 3, radical_coords_mod(o, 3))
     benchmark(_multiplier_lattice, J, o.algebra, ("left", "right"))
+
+
+def test_q_enlarge_through_stall(benchmark, eichler_at_3):
+    """q_enlarge of a level-3 Eichler order: the radical, its left
+    multipliers and the hereditary-stall step, from a fresh order with the
+    `discrd` cache cleared each round."""
+    o = eichler_at_3
+
+    def enlarge():
+        discrd.cache_clear()
+        return q_enlarge(verify_order(o.lattice, o.algebra), 3)
+
+    assert discrd(benchmark(enlarge)) == 103
 
 
 def test_ternary_gorenstein_test(benchmark, worked):

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 import paperdata
 import planted
 from endoring.matrix import adj4, det4
-from endoring.orders import _table_mul, q_enlarge
-from endoring.pipeline import ReducedBasis, _conj_coords
+from endoring.orders import _conj_coords, _table_mul, q_enlarge
+from endoring.pipeline import ReducedBasis
 from endoring.quat import QuatElement, QuaternionAlgebra
+from fracmodel import coords_of, from_coords
 
 
 def general(q):
@@ -68,7 +69,7 @@ few = settings(max_examples=40, deadline=None)
 @given(x=vectors, y=vectors)
 def test_table_mul_is_the_product(enl, x, y):
     _, oq, _, _ = enl
-    want = oq.coords_of(oq.from_coords(x) * oq.from_coords(y))
+    want = coords_of(oq, from_coords(oq, x) * from_coords(oq, y))
     assert _table_mul(oq.table, x, y) == tuple(want)
 
 
@@ -77,15 +78,15 @@ def test_table_mul_is_the_product(enl, x, y):
 def test_conj_coords_is_the_conjugate(enl, x):
     _, oq, _, _ = enl
     traces = [int(b.trd()) for b in oq.basis_elements()]
-    one = tuple(int(c) for c in oq.coords_of(oq.algebra.one()))
-    assert _conj_coords(traces, one, x) == tuple(oq.coords_of(oq.from_coords(x).conj()))
+    one = tuple(int(c) for c in coords_of(oq, oq.algebra.one()))
+    assert _conj_coords(traces, one, x) == tuple(coords_of(oq, from_coords(oq, x).conj()))
 
 
 @few
 @given(w=vectors, s=st.integers(-2, 2))
 def test_frame_question_is_the_question(enl, w, s):
     rb, oq, q, _ = enl
-    want = reference_question(rb, oq.from_coords(w).scale(Fraction(q) ** s))
+    want = reference_question(rb, from_coords(oq, w).scale(Fraction(q) ** s))
     assert rb.frame(oq, q)(w, s) == want
 
 
@@ -95,7 +96,7 @@ def test_frame_asks_nothing_about_o0(enl):
     basis element over q."""
     rb, oq, q, name = enl
     question = rb.frame(oq, q)
-    one = tuple(int(c) for c in oq.coords_of(oq.algebra.one()))
+    one = tuple(int(c) for c in coords_of(oq, oq.algebra.one()))
     units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     assert question(one, 0) is None
     if name.startswith("general"):
@@ -103,4 +104,4 @@ def test_frame_asks_nothing_about_o0(enl):
     asked = [question(u, -1) for u in units]
     assert any(a is not None for a in asked)
     for u, a in zip(units, asked):
-        assert a == reference_question(rb, oq.from_coords(u).scale(Fraction(1, q)))
+        assert a == reference_question(rb, from_coords(oq, u).scale(Fraction(1, q)))

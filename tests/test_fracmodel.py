@@ -1,0 +1,135 @@
+"""The integer splitting layer and hereditary-stall step against their
+rational references in `fracmodel`.
+
+`padic.normalized_basis_at`, `padic.zero_divisor_mod` and
+`padic.splitting_map` work in coordinates over the order basis, and
+`orders.q_enlarge` forms its stall candidates from the structure
+constants.  Each must give exactly what the same computation on
+quaternions gives.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import paperdata
+import planted
+from endoring import orders
+from endoring.divide import HiddenOrderOracle
+from endoring.ntheory import factorize
+from endoring.orders import discrd, q_enlarge, verify_order
+from endoring.padic import Precision, lift_vertex_element, normalized_basis_at, splitting_map, zero_divisor_mod
+from endoring.pipeline import compute_endomorphism_ring, conjugate_order_lattice, local_patch
+from endoring.quat import QuatElement, QuaternionAlgebra
+from fracmodel import splitting_units, vector_element
+from fracmodel import normalized_basis_at as reference_basis
+from fracmodel import q_enlarge as reference_enlarge
+from fracmodel import zero_divisor as reference_zero_divisor
+from test_orders import paper_orders, quarter_orders
+
+QS = (2, 3, 5, 7, 13)
+
+
+def planted_oq(q, d):
+    """O_q of the general-branch instance at q and distance d."""
+    alg = QuaternionAlgebra.for_prime(103)
+    _, _, o0, _, _ = planted.general_instance(alg, q, d, random.Random(q))
+    return q_enlarge(o0, q)
+
+
+def cases():
+    """(name, order, q): the paper orders and the orders of (-1/4, -103 | Q)
+    at every q in QS, the planted O_q at its q, and the q = 1009 O_q."""
+    named = [(f"paper{k}", o) for k, o in enumerate(paper_orders(paperdata.algebra()))]
+    named += [(f"quarter{k}", o) for k, o in enumerate(quarter_orders())]
+    out = [(f"{name}-q{q}", o, q) for name, o in named for q in QS]
+    out += [(f"planted-q{q}", planted_oq(q, 2), q) for q in QS]
+    return out + [("planted-q1009", planted_oq(1009, 2), 1009)]
+
+
+CASES = cases()
+MAXIMAL = [(name, o, q) for name, o, q in CASES if discrd(o) % q]
+
+
+def count_stalls(monkeypatch):
+    """The list that gets q for every `_split_idempotent` call from now on."""
+    stalls, split = [], orders._split_idempotent
+
+    def counting(order, q, rad):
+        stalls.append(q)
+        return split(order, q, rad)
+
+    monkeypatch.setattr(orders, "_split_idempotent", counting)
+    return stalls
+
+
+@pytest.mark.parametrize("name, order, q", CASES, ids=[c[0] for c in CASES])
+def test_normalized_basis_is_the_rational_one(name, order, q):
+    fs, blocks = normalized_basis_at(order, q)
+    ref_fs, ref_blocks = reference_basis(order, q)
+    assert [vector_element(order, f) for f in fs] == ref_fs
+    assert blocks == ref_blocks
+
+
+@pytest.mark.parametrize("name, order, q", MAXIMAL, ids=[c[0] for c in MAXIMAL])
+def test_zero_divisor_and_units_are_the_rational_ones(name, order, q):
+    """At every q where the order is q-maximal: the same zero divisor and
+    the same matrix-unit coordinates mod q^3."""
+    prec = Precision(q, 2)
+    x, _ = zero_divisor_mod(order, prec)
+    assert vector_element(order, x) == reference_zero_divisor(order, prec)[0]
+    assert splitting_map(order, prec).unit_coords == splitting_units(order, prec)
+
+
+def test_cases_reach_both_normalized_forms():
+    """The cases cover binary blocks at q = 2 for a = -1 and for a = -1/4,
+    and zero divisors at q = 2 in both algebras."""
+    maximal_at_2 = [o for _, o, q in MAXIMAL if q == 2]
+    assert {o.algebra.a for o in maximal_at_2} == {-1, Fraction(-1, 4)}
+    for o in maximal_at_2:
+        assert [kind for kind, _ in normalized_basis_at(o, 2)[1]] == ["pair", "pair"]
+
+
+@pytest.mark.parametrize("q", QS)
+def test_stall_in_the_quarter_algebra(q, monkeypatch):
+    """The level-q Eichler order of (-1/4, -103 | Q), the quarter maximal
+    order cut by its neighbour at the vertex (0, 1, 1), reaches the
+    hereditary stall once: q_enlarge gives a maximal order, the lattice of
+    the rational stall step, at q-power index."""
+    omax = quarter_orders()[0]
+    alg = omax.algebra
+    t = lift_vertex_element(splitting_map(omax, Precision(q, 1)), (0, 1, 1))
+    neighbour = local_patch(conjugate_order_lattice(omax, t, q, 1), omax.lattice, q)
+    eichler = verify_order(omax.lattice.intersect(neighbour), alg)
+    assert discrd(eichler) == 103 * q
+    stalls = count_stalls(monkeypatch)
+    big = q_enlarge(eichler, q)
+    assert stalls == [q]
+    assert discrd(big) == 103
+    ref, ref_stalls = reference_enlarge(eichler, q)
+    assert ref_stalls == 1 and big.lattice == ref.lattice
+    index = eichler.lattice.index_in(big.lattice)
+    assert index.denominator == 1 and set(factorize(index.numerator)) == {q}
+
+
+def test_solves_make_no_quaternion_products(monkeypatch):
+    """compute_endomorphism_ring on the worked example and on a planted
+    Eichler order of level 3, each of which reaches the hereditary stall
+    (at 13 and at 3): not one `QuatElement` product."""
+    alg = paperdata.algebra()
+    o0, _, hidden = planted.bass_instance(103, 3, 1, random.Random(3))
+    instances = [(paperdata.o0(alg), paperdata.endomorphism_ring(alg)), (o0, hidden)]
+    stalls, products, mul = count_stalls(monkeypatch), [], QuatElement.__mul__
+
+    def counting_mul(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(QuatElement, "__mul__", counting_mul)
+    for o0, hidden in instances:
+        fact = sorted(factorize(discrd(o0)).items())
+        end, _, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
+        assert end.lattice == hidden.lattice
+    assert stalls == [13, 3]
+    assert products == []

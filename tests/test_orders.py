@@ -28,7 +28,8 @@ from endoring.orders import (
     ternary_gorenstein_test,
     verify_order,
 )
-from endoring.quat import QuatElement, QuaternionAlgebra, linear_combination
+from endoring.quat import QuatElement, QuaternionAlgebra
+from fracmodel import from_coords, linear_combination, solve
 from treemodel import gram
 
 
@@ -85,7 +86,7 @@ def test_table_and_gram_match_quaternion_products(alg):
         assert [list(row) for row in o.gram] == gram(basis)
         for i, x in enumerate(basis):
             for j, y in enumerate(basis):
-                assert o.from_coords(o.table[i][j]) == x * y
+                assert from_coords(o, o.table[i][j]) == x * y
 
 
 def planted_orders_at_3(count):
@@ -117,7 +118,7 @@ def test_trace_kernel_is_the_nilpotent_radical(alg):
 def nil_reference(order, rad, q):
     """The first check of `_assert_nil` that fails, by QuatElement
     arithmetic, or None."""
-    lifts = [order.from_coords(u) for u in rad]
+    lifts = [from_coords(order, u) for u in rad]
     for x in lifts:
         if x.trd() % q:
             return "radical element with unit trace"
@@ -391,7 +392,7 @@ def test_q_enlarge_randomized_postconditions():
 
 def o_basis_denominators_are_q_power(big: Order, sub: Order, q: int) -> bool:
     for b in big.lattice.basis():
-        coords = sub.lattice.solve(b)
+        coords = solve(sub.lattice, b)
         for c in coords:
             d = c.denominator
             while d % q == 0:

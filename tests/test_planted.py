@@ -5,7 +5,7 @@ import random
 import pytest
 
 import planted
-from endoring import padic, pipeline
+from endoring import pipeline
 from endoring.btt import vertex_of_path
 from endoring.divide import CountingOracle, HiddenOrderOracle
 from endoring.orders import q_enlarge, verify_order
@@ -21,6 +21,7 @@ from endoring.pipeline import (
     local_patch,
 )
 from endoring.quat import QuaternionAlgebra, QuatElement
+from fracmodel import coords_of, from_coords
 from planted import generate_instance
 
 
@@ -98,8 +99,8 @@ def test_general_branch_path_search(q, d):
     lifts = generator_lifts(splitting_map(lam, Precision(q, d)))
     t = alg.one()
     for step in sol.gamma.steps:
-        t = lam.from_coords(lifts[step]) * t
-    conj = conjugate_order_lattice(lam, tuple(int(c) for c in lam.coords_of(t)), q, d)
+        t = from_coords(lam, lifts[step]) * t
+    conj = conjugate_order_lattice(lam, tuple(int(c) for c in coords_of(lam, t)), q, d)
     assert sol.order == verify_order(local_patch(conj, o0.lattice, q), alg)
 
 
@@ -182,18 +183,15 @@ def test_path_search_builds_quaternions_only_for_questions(monkeypatch):
 
 
 def test_splitting_map_and_vertex_order_make_no_quaternion_products(monkeypatch):
-    """Once O_q has its structure constants, the splitting map (given its
-    zero divisor, which `zero_divisor_mod` finds with rationals) and the
-    order of a depth-2 vertex are formed from `oq.table`: no quaternion
-    product."""
+    """Once O_q has its structure constants, the splitting map (its zero
+    divisor included) and the order of a depth-2 vertex are formed from
+    `oq.table`: no quaternion product."""
     q, d = 101, 2
     alg = QuaternionAlgebra.for_prime(103)
     hidden, _, o0, _, word = planted.general_instance(alg, q, d, random.Random(1))
     oq = q_enlarge(o0, q)
     oq.table  # the structure constants exist before the count starts
     prec = Precision(q, d)
-    zero_divisor = padic.zero_divisor_mod(oq, prec)
-    monkeypatch.setattr(padic, "zero_divisor_mod", lambda order, prec_: zero_divisor)
     mul = QuatElement.__mul__
     products = []
 

@@ -25,6 +25,7 @@ from endoring.ntheory import valuation
 from endoring.pipeline import TraceLog, compute_endomorphism_ring
 from endoring.quat import QuaternionAlgebra
 from endoring.serialize import load_problem
+from fracmodel import from_coords
 
 TESTS = Path(__file__).resolve().parent
 PROBLEM = TESTS.parent / "problems" / "p103_worked_example.json"
@@ -70,7 +71,7 @@ def reduced_basis(o0):
     """The LLL basis of O_0 under trd(u * conj(v)), from quaternion products."""
     basis = o0.basis_elements()
     norm = [[int((x * y.conj()).trd()) for y in basis] for x in basis]
-    return [o0.from_coords(row) for row in lll_gram(norm)]
+    return [from_coords(o0, row) for row in lll_gram(norm)]
 
 
 def coords_over(basis, x):
