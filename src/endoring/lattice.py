@@ -148,14 +148,21 @@ class Lattice4:
     def contains_lattice(self, other: "Lattice4") -> bool:
         return all(self.contains(b) for b in other.basis())
 
-    def gap_at(self, other: "Lattice4", q: int) -> int:
-        """Least m >= 0 with q^m * other inside self tensor Z_(q).  Over self's
-        basis, other's has the coordinates adj(M_self) * M_other * self.den /
-        (det(M_self) * other.den), M the integer column matrices."""
+    def gaps_at(self, cols, den: int, q: int) -> list[int]:
+        """For each nonzero integer column c: the least m >= 0 with q^m * c/den
+        in self tensor Z_(q).  Over self's basis, c/den has the coordinates
+        adj(M) * c * self.den / (det(M) * den), M the integer column matrix."""
         adj, det = self.adjugate()
-        nums = [sum(a * c for a, c in zip(row, col)) for row in adj for col in other.cols]
-        low = min(valuation(n, q) for n in nums if n)
-        return max(0, valuation(det * other.den, q) - valuation(self.den, q) - low)
+        top = valuation(det * den, q) - valuation(self.den, q)
+        gaps = []
+        for c in cols:
+            nums = (sum(a * x for a, x in zip(row, c)) for row in adj)
+            gaps.append(max(0, top - min(valuation(n, q) for n in nums if n)))
+        return gaps
+
+    def gap_at(self, other: "Lattice4", q: int) -> int:
+        """Least m >= 0 with q^m * other inside self tensor Z_(q)."""
+        return max(self.gaps_at(other.cols, other.den, q))
 
     def contains_lattice_at(self, other: "Lattice4", q: int) -> bool:
         return self.gap_at(other, q) == 0

@@ -8,7 +8,8 @@ traces, and the trace and norm Gram matrices read off them (`gram`,
 reduced discriminants, the codifferent and its ternary quadratic form
 (Gorenstein test by primitivity), radicals mod q with their idealizers
 (the multiplier lattices come from adj(M) times the integer products of
-J's columns with 1, i, j, ij), and q-maximal q-enlargement by the
+J's columns with 1, i, j, ij; `q_radical` forms a radical once for both
+the Bass test and the enlargement), and q-maximal q-enlargement by the
 radical-idealizer chain, whose hereditary-stall step forms (1 - e) g e and
 e g (1 - e) from `table`.  `QuatElement`s appear only in error reports.
 
@@ -300,17 +301,26 @@ def _multiplier_lattice(J: Lattice4, alg: QuaternionAlgebra, sides) -> Lattice4:
     return Lattice4.from_integer_columns(rows, s * det).dual()
 
 
-def radical_idealizer(order: Order, q: int) -> Order:
-    """Two-sided multiplier order of the q-radical."""
-    J = radical_lattice(order, q, radical_coords_mod(order, q))
+def q_radical(order: Order, q: int) -> tuple:
+    """(rad, J): rad(O/qO) in coordinates over the order basis
+    (`radical_coords_mod`) and its preimage J in O (`radical_lattice`)."""
+    rad = radical_coords_mod(order, q)
+    return rad, radical_lattice(order, q, rad)
+
+
+def radical_idealizer(order: Order, q: int, radical=None) -> Order:
+    """Two-sided multiplier order of the q-radical; `radical` is
+    `q_radical(order, q)` when the caller already has it."""
+    _, J = radical or q_radical(order, q)
     return verify_order(_multiplier_lattice(J, order.algebra, ("left", "right")), order.algebra)
 
 
-def is_bass_at(order: Order, q: int) -> bool:
-    """Bass test at q: the order and its radical idealizer are Gorenstein."""
+def is_bass_at(order: Order, q: int, radical=None) -> bool:
+    """Bass test at q: the order and its radical idealizer are Gorenstein;
+    `radical` as for `radical_idealizer`."""
     if not ternary_gorenstein_test(order, q):
         return False
-    return ternary_gorenstein_test(radical_idealizer(order, q), q)
+    return ternary_gorenstein_test(radical_idealizer(order, q, radical), q)
 
 
 def _split_idempotent(order: Order, q: int, rad) -> tuple:
@@ -361,14 +371,15 @@ def _split_idempotent(order: Order, q: int, rad) -> tuple:
     return e
 
 
-def q_enlarge(order: Order, q: int) -> Order:
+def q_enlarge(order: Order, q: int, radical=None) -> Order:
     """q-maximal q-enlargement.
 
     Greedily grows the order inside B by the left idealizer of its
     q-radical; at a hereditary stall with a split quotient, adjoins
     (1/q) * (1-e) J e (or the mirror) for a lifted idempotent e.  The
     result agrees with the input away from q and has v_q(discrd) equal
-    to 0, or 1 when q = p.
+    to 0, or 1 when q = p.  `radical` is `q_radical(order, q)` when the
+    caller already has it; it serves the first step.
     """
     alg = order.algebra
     target = 1 if q == alg.p else 0
@@ -380,8 +391,7 @@ def q_enlarge(order: Order, q: int) -> Order:
         v = valuation(d, q) if d % q == 0 else 0
         if v <= target:
             break
-        rad = radical_coords_mod(current, q)
-        J = radical_lattice(current, q, rad)
+        rad, J = radical if radical and current is order else q_radical(current, q)
         grown = _multiplier_lattice(J, alg, ("left",))
         if grown != current.lattice:
             current = verify_order(grown, alg)

@@ -13,13 +13,21 @@ gamma lies in End(E); beta lies in O_0, so beta is a known endomorphism,
 and m and nrd(beta) are as small as this rounding makes them.  The
 reduced basis (`ReducedBasis`) is built once per solve.
 
-Each stage works in integer coordinates over the basis of an order
-containing O_0 (O_q, or a Bass test order) and asks through its frame
-(`ReducedBasis.frame`), the one place a question and its quaternion beta
-are formed.  Products come from the structure constants `oq.table`,
-conj(t) = trd(t) - t, in the path search and in the one conjugation.
+Each stage works in integer coordinates over the basis of O_q and asks
+through its frame (`ReducedBasis.frame`), the one place a question and its
+quaternion beta are formed.  Products come from the structure constants
+`oq.table`, conj(t) = trd(t) - t, in the path search and in the one
+conjugation.
+
+The distance countdown and each Bass halving ask about one element, chosen
+so that its fixed set in the Bruhat-Tits tree is the set under test: a ball
+around O_q's vertex (`distance_element`) or a segment of the containment
+path (`segment_element`).  The path search asks about the conjugates of
+O_q's basis by each candidate.  Budgets: e calls for the distance,
+ceil(log2(e+1)) for the Bass search and 4(rq+1) for the path search.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +45,19 @@ from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4, lll_gram
 from .matrix import adj2, adj4, det4, mat2_mul
-from .orders import _UNITS, Order, _conj_coords, _table_mul, discrd, is_bass_at, q_enlarge, verify_order
+from .ntheory import legendre
+from .orders import (
+    _UNITS,
+    Order,
+    _conj_coords,
+    _norm_pairing,
+    _table_mul,
+    discrd,
+    is_bass_at,
+    q_enlarge,
+    q_radical,
+    verify_order,
+)
 from .padic import Precision, SplittingMap, lift_vertex_element, splitting_map
 from .quat import QuatElement
 
@@ -183,12 +203,51 @@ def _calls_within(oracle: CountingOracle, budget: int, stage: str) -> int:
 # ---------------------------------------------------------------------------
 # distance (countdown loop)
 
+# Coordinates over the basis of O_q tried, in this order, for the distance
+# element: every nonzero vector with entries in {0, 1, -1}.  Mod 2 they are
+# all 15 nonzero elements of O_q/2O_q, two of which qualify.
+_DISTANCE_CANDIDATES = tuple(z for z in itertools.product((0, 1, -1), repeat=4) if any(z))
+
+
+def _irreducible_mod(oq: Order, q: int, z) -> bool:
+    """Whether x^2 - trd(x) x + nrd(x) is irreducible mod q, for the element x
+    with coordinates z over the basis of O_q: for odd q, trd^2 - 4 nrd is a
+    non-residue; for q = 2, trd and nrd are both odd."""
+    t = sum(a * b for a, b in zip(oq.traces, z))
+    n = _norm_pairing(oq, z, z) // 2
+    if q == 2:
+        return t % 2 == 1 and n % 2 == 1
+    d = (t * t - 4 * n) % q
+    return d != 0 and legendre(d, q) == -1
+
+
+def distance_element(oq: Order, q: int) -> tuple:
+    """Integer coordinates over the basis of O_q of an element whose
+    reduction mod q has an irreducible characteristic polynomial: the first
+    of `_DISTANCE_CANDIDATES` that qualifies, else E12 + n*E21 (n the least
+    non-residue; E12 + E21 + E22 at q = 2) from the splitting map mod q^2."""
+    z = next((z for z in _DISTANCE_CANDIDATES if _irreducible_mod(oq, q, z)), None)
+    if z is not None:
+        return z
+    _, e12, e21, e22 = splitting_map(oq, Precision(q, 1)).unit_coords
+    if q == 2:
+        return tuple(a + b + c for a, b, c in zip(e12, e21, e22))
+    n = next(n for n in range(2, q) if legendre(n, q) == -1)
+    return tuple(a + n * b for a, b in zip(e12, e21))
+
 
 def distance_to_end(rb: ReducedBasis, oq: Order, q: int, e: int, oracle: DivisionOracle) -> int:
-    """Least r with q^r O_q inside End(E); at most 4e oracle calls."""
-    question = rb.frame(oq, q)
+    """Least r with q^r O_q inside End(E); at most e oracle calls, one per i.
+
+    One element answers for all of q^i O_q (the Ball fact): x =
+    `distance_element(oq, q)` fixes no line of (Z/q)^2, since its
+    characteristic polynomial is irreducible mod q, so q^i x lies in the
+    order of a tree vertex v exactly when d(root, v) <= i.  Away from q, x
+    lies in O_q tensor Z_l = O_0 tensor Z_l.  Hence q^i x is in End(E) iff
+    r <= i, and the countdown stops at the first i where it is not."""
+    question, z = rb.frame(oq, q), distance_element(oq, q)
     for i in range(e - 1, -1, -1):
-        if not _all_in_end((question(u, i) for u in _UNITS), oracle):
+        if not _all_in_end((question(z, i),), oracle):
             return i + 1
     return 0
 
@@ -236,18 +295,11 @@ class VertexLattices(dict):
         return lat
 
 
-def global_order_from_vertices(o0: Order, lattices: VertexLattices, vertices) -> Order:
-    """Global order whose q-part realizes the intersection of the given
-    tree vertices (1 to 3 of them) and whose other localizations agree
-    with the starting order."""
+def global_order_from_vertices(o0: Order, lattices: VertexLattices, vertex) -> Order:
+    """Global order whose q-part is the order of the tree vertex and whose
+    other localizations agree with the starting order."""
     q = lattices.sm.precision.q
-    if not 1 <= len(vertices) <= 3:
-        raise MathematicalInconsistencyError("vertex count out of range")
-    lats = [lattices[v] for v in vertices]
-    x = lats[0]
-    for other in lats[1:]:
-        x = x.intersect(other)
-    return verify_order(local_patch(x, o0.lattice, q), o0.algebra)
+    return verify_order(local_patch(lattices[vertex], o0.lattice, q), o0.algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +430,26 @@ def enumerate_bass_path(o0: Order, sm: SplittingMap, e: int):
     return [vertex_of_path(MatrixPath(q, w)) for w in words]
 
 
+def segment_element(lattices: VertexLattices, first, last, outside) -> tuple:
+    """An element x of O(first) cap O(last) outside O(outside) at q: the first
+    basis column of the intersection of the two vertex lattices that fails
+    the q-local membership test against O(outside).  Returns (z, -K) with x
+    = q^-K * (the element with integer coordinates z over O_q), K >= 0
+    least, the arguments of a question of `ReducedBasis.frame(oq, q)`."""
+    q = lattices.sm.precision.q
+    inter = lattices[first] if first == last else lattices[first].intersect(lattices[last])
+    gaps = lattices[outside].gaps_at(inter.cols, inter.den, q)
+    j = next((j for j, g in enumerate(gaps) if g), None)
+    if j is None:
+        raise MathematicalInconsistencyError("segment order lies inside the next vertex's order")
+    col, lat = inter.cols[j], lattices.oq.lattice
+    k = lat.gaps_at((col,), inter.den, q)[0]
+    z = lat.integer_coords(tuple(q**k * x for x in col), inter.den)
+    if z is None:
+        raise MathematicalInconsistencyError("vertex lattice element outside O_q away from q")
+    return z, -k
+
+
 def bass_search(
     rb: ReducedBasis,
     lattices: VertexLattices,
@@ -386,18 +458,25 @@ def bass_search(
     oracle: DivisionOracle,
     log: TraceLog | None = None,
 ):
-    """Binary search along the containment path; at most
-    4*ceil(log2(e+1)) oracle calls.  Returns (vertex, path list)."""
+    """Binary search along the containment path; at most ceil(log2(e+1))
+    oracle calls, one per halving.  Returns (vertex, path list).
+
+    Halving v_0..v_L at m asks about one element x = `segment_element` of
+    O(v_0) cap O(v_(m-1)) outside O(v_m) at q (the Segment fact).  The
+    vertices whose order contains x form a subtree, so among the list they
+    are exactly v_0..v_(m-1): x is in End(E) iff End(E) tensor Z_q is one of
+    them.  Away from q, x lies in O_0 tensor Z_l, since a vertex lattice is
+    q^-k times a sublattice of O_q.  No order is built for a halving."""
     o0 = rb.order
     path_list = enumerate_bass_path(o0, lattices.sm, e)
     if log is not None:
         for v in path_list:
             log.saw_vertex(q, path_from_root(v).steps)
+    question = rb.frame(lattices.oq, q)
     lst = list(path_list)
     while len(lst) > 1:
         m = len(lst) // 2
-        question = rb.frame(global_order_from_vertices(o0, lattices, [lst[0], lst[m - 1]]), q)
-        ok = _all_in_end((question(u, 0) for u in _UNITS), oracle)
+        ok = _all_in_end((question(*segment_element(lattices, lst[0], lst[m - 1], lst[m])),), oracle)
         lst = lst[:m] if ok else lst[m:]
     return lst[0], path_list
 
@@ -443,22 +522,23 @@ def compute_endomorphism_ring(
                 order=op,
                 oracle_calls={},
             )
-        bass = is_bass_at(o0, q)
-        oq = q_enlarge(o0, q)
+        radical = q_radical(o0, q)
+        bass = is_bass_at(o0, q, radical)
+        oq = q_enlarge(o0, q, radical)
         calls = {}
         if bass:
             lattices = VertexLattices(oq, splitting_map(oq, Precision(q, e)))
             bass_oracle = CountingOracle(oracle, log, stage="bass", q=q)
             vertex, path_list = bass_search(rb, lattices, q, e, bass_oracle, log)
-            budget = 4 * math.ceil(math.log2(e + 1)) if e > 0 else 0
-            calls["bass"] = _calls_within(bass_oracle, budget, "bass search")
+            # e.bit_length() = ceil(log2(e + 1)), the number of halvings
+            calls["bass"] = _calls_within(bass_oracle, e.bit_length(), "bass search")
             r = vertex.depth
             gamma = path_from_root(vertex)
-            o_tilde = global_order_from_vertices(o0, lattices, [vertex])
+            o_tilde = global_order_from_vertices(o0, lattices, vertex)
         else:
             dist_oracle = CountingOracle(oracle, log, stage="distance", q=q)
             r = distance_to_end(rb, oq, q, e, dist_oracle)
-            calls["distance"] = _calls_within(dist_oracle, 4 * e, "distance")
+            calls["distance"] = _calls_within(dist_oracle, e, "distance")
             if r > e:
                 raise MathematicalInconsistencyError("distance exceeds the discriminant valuation")
             if r == 0:

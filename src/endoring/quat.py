@@ -80,12 +80,6 @@ class QuaternionAlgebra:
     def element(self, x0, x1=0, x2=0, x3=0) -> "QuatElement":
         return QuatElement(self, (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3)))
 
-    def one(self) -> "QuatElement":
-        return self.element(1)
-
-    def basis_elements(self):
-        return (self.element(1), self.element(0, 1), self.element(0, 0, 1), self.element(0, 0, 0, 1))
-
 
 @dataclass(frozen=True)
 class QuatElement:
@@ -95,17 +89,6 @@ class QuatElement:
     def _check(self, other):
         if self.algebra != other.algebra:
             raise StructuralError("elements of different quaternion algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return QuatElement(self.algebra, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuatElement(self.algebra, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return QuatElement(self.algebra, tuple(-x for x in self.coeffs))
 
     def scale(self, s) -> "QuatElement":
         s = Fraction(s)
@@ -120,9 +103,6 @@ class QuatElement:
     def conj(self) -> "QuatElement":
         x0, x1, x2, x3 = self.coeffs
         return QuatElement(self.algebra, (x0, -x1, -x2, -x3))
-
-    def trd(self) -> Fraction:
-        return 2 * self.coeffs[0]
 
     def nrd(self) -> Fraction:
         a, b = self.algebra.a, self.algebra.b

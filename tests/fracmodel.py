@@ -2,6 +2,10 @@
 integer code in `endoring`, on `QuatElement`s with Fraction coordinates over
 the standard basis 1, i, j, ij.
 
+`add`, `sub`, `neg`, `trd` and `standard_basis` are the element arithmetic
+that the integer code does not use: sums and differences, the reduced
+trace and the standard basis (1 is `alg.element(1)`).
+
 `solve`, `coords_of`, `from_coords`, `linear_combination` and `apply` move
 between an order's coordinates and quaternions.  `normalized_basis_at`,
 `zero_divisor` and `splitting_units` are the Gram-Schmidt, the zero-divisor
@@ -30,6 +34,29 @@ from endoring.padic import conic_point
 from endoring.quat import QuatElement
 
 
+def add(x: QuatElement, y: QuatElement) -> QuatElement:
+    x._check(y)
+    return QuatElement(x.algebra, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
+
+
+def sub(x: QuatElement, y: QuatElement) -> QuatElement:
+    x._check(y)
+    return QuatElement(x.algebra, tuple(a - b for a, b in zip(x.coeffs, y.coeffs)))
+
+
+def neg(x: QuatElement) -> QuatElement:
+    return QuatElement(x.algebra, tuple(-a for a in x.coeffs))
+
+
+def trd(x: QuatElement) -> Fraction:
+    return 2 * x.coeffs[0]
+
+
+def standard_basis(alg) -> tuple:
+    """1, i, j, ij."""
+    return (alg.element(1), alg.element(0, 1), alg.element(0, 0, 1), alg.element(0, 0, 0, 1))
+
+
 def solve(lat: Lattice4, vec):
     """Coordinates of vec over the basis of lat (exact, always solvable)."""
     v = [Fraction(x) for x in vec]
@@ -51,7 +78,7 @@ def linear_combination(coeffs, elements) -> QuatElement:
     acc = elements[0].algebra.element(0)
     for c, x in zip(coeffs, elements):
         if c:
-            acc = acc + x.scale(c)
+            acc = add(acc, x.scale(c))
     return acc
 
 
@@ -81,7 +108,7 @@ def vector_element(order, v) -> QuatElement:
 
 
 def _pairing(x: QuatElement, y: QuatElement) -> Fraction:
-    return (x * y.conj()).trd()
+    return trd(x * y.conj())
 
 
 def _val(x, q):
@@ -112,13 +139,13 @@ def normalized_basis_at(order, q: int):
             i = diag.index(dmin)
             f = vecs.pop(i)
             bff = _pairing(f, f)
-            vecs = [v - f.scale(_pairing(v, f) / bff) for v in vecs]
+            vecs = [sub(v, f.scale(_pairing(v, f) / bff)) for v in vecs]
             out.append(f)
             blocks.append(("unit", f.nrd()))
             continue
         if q != 2:
             (i, j) = next(k for k, v in off.items() if v == omin)
-            vecs[i] = vecs[i] + vecs[j]
+            vecs[i] = add(vecs[i], vecs[j])
             continue
         (i, j) = next(k for k, v in off.items() if v == omin)
         f1, f2 = vecs[i], vecs[j]
@@ -130,7 +157,7 @@ def normalized_basis_at(order, q: int):
             c1, c2 = _pairing(v, f1), _pairing(v, f2)
             alpha = (c1 * b22 - c2 * b12) / det
             beta = (c2 * b11 - c1 * b12) / det
-            rest.append(v - f1.scale(alpha) - f2.scale(beta))
+            rest.append(sub(sub(v, f1.scale(alpha)), f2.scale(beta)))
         vecs = rest
         out.extend([f1, f2])
         blocks.append(("pair", (f1.nrd(), _pairing(f1, f2), f2.nrd())))
@@ -217,7 +244,7 @@ def splitting_units(order, prec):
     def trd(u):
         return sum(t * c for t, c in zip(traces, u)) % modulus
 
-    one, xc, xbar = (coords_mod(order, y, modulus) for y in (order.algebra.one(), x, x.conj()))
+    one, xc, xbar = (coords_mod(order, y, modulus) for y in (order.algebra.element(1), x, x.conj()))
     basis = [coords_mod(order, y, modulus) for y in fs]
     conjugates = (mul(mul(xbar, y), xc) for y in basis)
     e = next(cand for cand in conjugates if any(c % q for c in cand))
@@ -256,10 +283,10 @@ def q_enlarge(order, q: int):
             continue
         stalls += 1
         eidem = from_coords(current, _split_idempotent(current, q, rad))
-        one = alg.one()
+        one = alg.element(1)
         jelems = [QuatElement(alg, b) for b in J.basis()]
         nxt = None
-        for lft, rgt in ((one - eidem, eidem), (eidem, one - eidem)):
+        for lft, rgt in ((sub(one, eidem), eidem), (eidem, sub(one, eidem))):
             gens = list(current.lattice.basis())
             gens += [(lft * g * rgt).scale(Fraction(1, q)).coeffs for g in jelems]
             try:

@@ -6,8 +6,8 @@ path-search layers.
 Not part of the test suite (the default `test_*.py` pattern does not
 collect this file).  The inputs come from two general-branch instances,
 `planted.general_instance` at q = 1009 with d = 1 and d = 2, a suborder
-of 3-power index (`planted.random_suborder`), a level-3 Eichler order
-(`planted.bass_instance`) and the worked example.
+of 3-power index (`planted.random_suborder`), Eichler orders of level 3 and
+3^4 (`planted.bass_instance`) and the worked example.
 """
 
 import random
@@ -19,6 +19,7 @@ import planted
 from endoring.btt import vertex_of_path
 from endoring.divide import HiddenOrderOracle
 from endoring.lattice import Lattice4
+from endoring.ntheory import valuation
 from endoring.orders import (
     _conj_coords,
     _multiplier_lattice,
@@ -35,6 +36,8 @@ from endoring.pipeline import (
     ReducedBasis,
     VertexLattices,
     _all_in_end,
+    bass_search,
+    distance_to_end,
     generator_lifts,
 )
 from endoring.quat import QuaternionAlgebra
@@ -78,6 +81,16 @@ def eichler_at_3():
     3-enlargement reaches the hereditary stall."""
     o0, _, _ = planted.bass_instance(103, 3, 1, random.Random(3))
     return o0
+
+
+@pytest.fixture(scope="module")
+def bass_at_3():
+    """(O_0, hidden, O_3, its splitting map mod 3^5, e) for a level-3^4
+    Eichler order in a random maximal order, p = 103."""
+    o0, fact, hidden = planted.bass_instance(103, 3, 4, random.Random(3))
+    e = dict(fact)[3]
+    oq = q_enlarge(o0, 3)
+    return o0, hidden, oq, splitting_map(oq, Precision(3, e)), e
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +152,22 @@ def test_path_candidate(benchmark, general):
         return _all_in_end((question(z, -1) for z in conjugates), oracle)
 
     assert benchmark(candidate) is False
+
+
+def test_distance_to_end(benchmark, general):
+    """The distance countdown at q = 1009, d = 1: one question per step."""
+    hidden, o0, oq, _ = general
+    rb, e = ReducedBasis(o0), valuation(discrd(o0), Q)
+    assert benchmark(lambda: distance_to_end(rb, oq, Q, e, HiddenOrderOracle(hidden))) == 1
+
+
+def test_bass_search(benchmark, bass_at_3):
+    """The Bass binary search on a level-3^4 Eichler order, from a fresh
+    `VertexLattices` each round, so that every vertex it reads is lifted."""
+    o0, hidden, oq, sm, e = bass_at_3
+    rb = ReducedBasis(o0)
+    vertex, _ = benchmark(lambda: bass_search(rb, VertexLattices(oq, sm), 3, e, HiddenOrderOracle(hidden)))
+    assert VertexLattices(oq, sm)[vertex].equals_at(hidden.lattice, 3)
 
 
 def test_normalized_basis_at(benchmark, general_d2):

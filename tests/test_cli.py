@@ -15,9 +15,11 @@ from endoring.serialize import lattice_to_json, order_from_json
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEM = ROOT / "problems" / "p103_worked_example.json"
 # SHA-256 of `endoring compute --input <PROBLEM> --deterministic` stdout
-WORKED_CLI_SHA256 = "d0a3983cffa8cabaea1e7417d8f75af6c428492c508e4972c310e5ee50e1cd4f"
-# the same output with the previous query form, which also asked the
-# distance stage about elements of O_0 (17 distance calls at q = 7, 29 in all)
+WORKED_CLI_SHA256 = "687a4ae1ac4250f0e6d78927c7d9346bbb05c3c28fa5ca07d4368a58001bacea"
+# the same output with the previous query form, which asked the distance stage
+# about the four units of q^i O_q, elements of O_0 included, and each Bass
+# halving about the four basis elements of an order (17 distance calls at
+# q = 7, 8 Bass calls at q = 13, 29 in all)
 PREVIOUS_FORM_CLI_SHA256 = "81df5024a77a753e1444fecc3637ee581131177e77421104de4d34f708cd9652"
 
 
@@ -74,12 +76,14 @@ def test_compute_deterministic_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == WORKED_CLI_SHA256
 
 
-def test_compute_output_differs_from_previous_form_only_in_distance_calls(capsys):
+def test_compute_output_differs_from_previous_form_only_in_call_counts(capsys):
     assert run_cli(["compute", "--input", PROBLEM, "--deterministic"]) == 0
     result = json.loads(capsys.readouterr().out)
     by_q = {s["q"]: s for s in result["local_solutions"]}
-    assert by_q[7]["oracle_calls"]["distance"] == 5 and result["total_oracle_calls"] == 17
+    assert by_q[7]["oracle_calls"]["distance"] == 2 and by_q[13]["oracle_calls"]["bass"] == 2
+    assert result["total_oracle_calls"] == 8
     by_q[7]["oracle_calls"]["distance"] = 17
+    by_q[13]["oracle_calls"]["bass"] = 8
     result["total_oracle_calls"] = 29
     text = json.dumps(result, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == PREVIOUS_FORM_CLI_SHA256

@@ -20,7 +20,7 @@ from endoring.matrix import adj4, det4
 from endoring.orders import _conj_coords, _table_mul, q_enlarge
 from endoring.pipeline import ReducedBasis
 from endoring.quat import QuatElement, QuaternionAlgebra
-from fracmodel import coords_of, from_coords
+from fracmodel import coords_of, from_coords, trd
 
 
 def general(q):
@@ -77,8 +77,8 @@ def test_table_mul_is_the_product(enl, x, y):
 @given(x=vectors)
 def test_conj_coords_is_the_conjugate(enl, x):
     _, oq, _, _ = enl
-    traces = [int(b.trd()) for b in oq.basis_elements()]
-    one = tuple(int(c) for c in coords_of(oq, oq.algebra.one()))
+    traces = [int(trd(b)) for b in oq.basis_elements()]
+    one = tuple(int(c) for c in coords_of(oq, oq.algebra.element(1)))
     assert _conj_coords(traces, one, x) == tuple(coords_of(oq, from_coords(oq, x).conj()))
 
 
@@ -96,7 +96,7 @@ def test_frame_asks_nothing_about_o0(enl):
     basis element over q."""
     rb, oq, q, name = enl
     question = rb.frame(oq, q)
-    one = tuple(int(c) for c in coords_of(oq, oq.algebra.one()))
+    one = tuple(int(c) for c in coords_of(oq, oq.algebra.element(1)))
     units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     assert question(one, 0) is None
     if name.startswith("general"):

@@ -29,7 +29,7 @@ from endoring.orders import (
     verify_order,
 )
 from endoring.quat import QuatElement, QuaternionAlgebra
-from fracmodel import from_coords, linear_combination, solve
+from fracmodel import from_coords, linear_combination, solve, trd
 from treemodel import gram
 
 
@@ -120,13 +120,13 @@ def nil_reference(order, rad, q):
     arithmetic, or None."""
     lifts = [from_coords(order, u) for u in rad]
     for x in lifts:
-        if x.trd() % q:
+        if trd(x) % q:
             return "radical element with unit trace"
         if x.nrd() % q:
             return "radical element with unit norm"
     for i, x in enumerate(lifts):
         for y in lifts[i + 1 :]:
-            if (x * y.conj()).trd() % q:
+            if trd(x * y.conj()) % q:
                 return "radical not totally isotropic"
     return None
 
@@ -206,12 +206,12 @@ def codifferent_form(order):
         [[sum(adj[i][j] / det * basis[i][k] for i in range(4)) for k in range(4)] for j in range(4)]
     )
     elems = [QuatElement(order.algebra, b) for b in cod.basis()]
-    traces = [x.trd() for x in elems]
+    traces = [trd(x) for x in elems]
     den = math.lcm(*(t.denominator for t in traces))
     vs = [linear_combination(kv, elems) for kv in integer_kernel([int(t * den) for t in traces])]
     d = math.isqrt(int(abs(det)))
     coeffs = [d * v.nrd() for v in vs]
-    return coeffs + [d * (vs[i] * vs[j].conj()).trd() for i in range(3) for j in range(i + 1, 3)]
+    return coeffs + [d * trd(vs[i] * vs[j].conj()) for i in range(3) for j in range(i + 1, 3)]
 
 
 def form_det(coeffs):

@@ -53,7 +53,7 @@ def test_distance_with_paper_enlargement(alg, o0, end):
     o7 = paperdata.o7(alg)
     r = distance_to_end(ReducedBasis(o0), o7, 7, 5, oracle)
     assert r == 1
-    assert oracle.calls <= 4 * 5
+    assert oracle.calls <= 5
 
 
 def test_distance_zero_when_contained(alg, o0, end):
@@ -74,7 +74,7 @@ def test_local_patch_properties(alg, o0):
 def test_global_order_identity_vertex(alg, o0):
     oq = q_enlarge(o0, 7)
     sm = splitting_map(oq, Precision(7, 1))
-    o = global_order_from_vertices(o0, VertexLattices(oq, sm), [root(7)])
+    o = global_order_from_vertices(o0, VertexLattices(oq, sm), root(7))
     assert o.lattice == oq.lattice
 
 
@@ -92,7 +92,7 @@ def test_find_path_and_candidate_order_at_7(alg, o0, end):
     gamma, _ = find_path_to_end(rb, oq, 7, r, generator_lifts(sm), oracle, log)
     assert len(gamma) == 1
     assert oracle.calls <= 4 * (r * 7 + 1)
-    o_tilde = global_order_from_vertices(o0, VertexLattices(oq, sm), [vertex_of_path(gamma)])
+    o_tilde = global_order_from_vertices(o0, VertexLattices(oq, sm), vertex_of_path(gamma))
     # the accepted candidate matches the worked example's displayed basis,
     # normalized by patching both onto the O_0 frame
     cand = Lattice4.from_generators(paperdata.candidate7_vectors())
@@ -116,8 +116,8 @@ def test_bass_path_and_search_at_13(alg, o0, end):
     oracle = CountingOracle(HiddenOrderOracle(end))
     lattices = VertexLattices(oq, sm)
     vertex, _ = bass_search(ReducedBasis(o0), lattices, 13, e, oracle)
-    assert oracle.calls <= 4 * math.ceil(math.log2(e + 1))
-    o13 = global_order_from_vertices(o0, lattices, [vertex])
+    assert oracle.calls <= math.ceil(math.log2(e + 1))
+    o13 = global_order_from_vertices(o0, lattices, vertex)
     assert o13.lattice.equals_at(end.lattice, 13)
     # and globally it is the worked example's enlargement
     assert o13.lattice == paperdata.o13(alg).lattice
@@ -156,7 +156,7 @@ def test_bass_search_from_worked_enlargement_hits_identity(alg, o0, end):
     vertex, path_list = bass_search(ReducedBasis(o0), VertexLattices(o13, sm), 13, e, oracle)
     assert vertex == root(13)
     assert len(path_list) == 4
-    assert oracle.calls <= 4 * math.ceil(math.log2(e + 1))
+    assert oracle.calls <= math.ceil(math.log2(e + 1))
 
 
 def test_worked_example_query_sequence_is_pinned():
@@ -168,28 +168,40 @@ def test_worked_example_query_sequence_is_pinned():
     queries = [
         (ev["q"], ev["n"], ev["beta"], ev["answer"]) for ev in log.events if ev["type"] == "oracle"
     ]
-    # 12 fewer than the 29 of the previous query form: the dropped queries
-    # asked about elements of O_0 (test_queries checks the two lists agree)
-    assert oracle.calls == len(queries) == 17
+    # 9 fewer than the 17 of four elements per step: the distance stage at
+    # q = 7 asks 2 questions (5 before) and the Bass search at q = 13 asks 2
+    # (8 before); the 4 path questions are unchanged
+    assert oracle.calls == len(queries) == 8
     digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
-    assert digest == "32bff13cb4734ed92208375eaabbd4cc0bb8c8cee246e570031348ea52a51996"
+    assert digest == "cadfeb3abb07b142cc3031456db7ea94685fa250c4abe1d614d18b7f25112b07"
 
 
 def test_bass_vertices_lifted_once_per_solve(monkeypatch):
     """The Bass branch lifts and conjugates each vertex it uses once: the
-    binary search and the chosen vertex's order share one VertexLattices."""
-    lift, build = pipeline.lift_vertex_element, pipeline.global_order_from_vertices
+    halvings (which read the lattices of v_0, v_(m-1) and v_m) and the
+    chosen vertex's order share one VertexLattices, so no (precision,
+    vertex) pair is lifted twice, and no other vertex is lifted."""
+    lift, segment, build = (
+        pipeline.lift_vertex_element,
+        pipeline.segment_element,
+        pipeline.global_order_from_vertices,
+    )
     lifted, used = [], set()
 
     def counting_lift(sm, abc):
-        lifted.append(abc)
+        lifted.append((sm.precision, abc))
         return lift(sm, abc)
 
-    def recording_build(o0, lattices, vertices):
-        used.update(v for v in vertices if v.depth)
-        return build(o0, lattices, vertices)
+    def recording_segment(lattices, *vertices):
+        used.update((lattices.sm.precision, (v.a, v.b, v.c)) for v in vertices if v.depth)
+        return segment(lattices, *vertices)
+
+    def recording_build(o0, lattices, vertex):
+        used.update((lattices.sm.precision, (v.a, v.b, v.c)) for v in (vertex,) if v.depth)
+        return build(o0, lattices, vertex)
 
     monkeypatch.setattr(pipeline, "lift_vertex_element", counting_lift)
+    monkeypatch.setattr(pipeline, "segment_element", recording_segment)
     monkeypatch.setattr(pipeline, "global_order_from_vertices", recording_build)
     for p, q, depth in ((103, 3, 4), (179, 5, 3), (1019, 2, 4), (103, 13, 2)):
         lifted.clear()
@@ -197,7 +209,8 @@ def test_bass_vertices_lifted_once_per_solve(monkeypatch):
         o0, fact, hidden = planted.bass_instance(p, q, depth, random.Random(q + depth))
         end, _, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
         assert end.lattice == hidden.lattice
-        assert len(lifted) == len(used) > 0
+        assert len(lifted) == len(set(lifted)) > 0
+        assert set(lifted) == used
 
 
 def test_maximal_input_short_circuits(alg, end):

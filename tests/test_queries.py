@@ -5,8 +5,9 @@ Every query must be a question O_0 cannot answer, in its reduced form
 a power of q, and beta/n Babai-reduced in the LLL basis of O_0.  The
 query lists under `data/` were recorded with the previous query form
 (fixed divisors q, q^3, q^(depth+3e) and unreduced beta); the walks below
-show that the reduced form asks the same questions, minus those whose
-element lies in O_0.
+show that the path search asks the same questions in the reduced form.
+The distance and Bass stages of that form asked about four elements per
+step; they now ask about one (`tests/test_tree_facts.py`).
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from endoring.ntheory import valuation
 from endoring.pipeline import TraceLog, compute_endomorphism_ring
 from endoring.quat import QuaternionAlgebra
 from endoring.serialize import load_problem
-from fracmodel import from_coords
+from fracmodel import from_coords, trd
 
 TESTS = Path(__file__).resolve().parent
 PROBLEM = TESTS.parent / "problems" / "p103_worked_example.json"
@@ -70,7 +71,7 @@ def queries(o0, fact, hidden, oracle=None):
 def reduced_basis(o0):
     """The LLL basis of O_0 under trd(u * conj(v)), from quaternion products."""
     basis = o0.basis_elements()
-    norm = [[int((x * y.conj()).trd()) for y in basis] for x in basis]
+    norm = [[int(trd(x * y.conj())) for y in basis] for x in basis]
     return [from_coords(o0, row) for row in lll_gram(norm)]
 
 
@@ -182,8 +183,8 @@ def test_reduced_basis_of_o0(name):
     quaternion products, and LLL on it gives a reduced basis of O_0."""
     o0 = INSTANCES[name]()[0]
     basis = o0.basis_elements()
-    norm = [[(x * y.conj()).trd() for y in basis] for x in basis]
-    traces = [b.trd() for b in basis]
+    norm = [[trd(x * y.conj()) for y in basis] for x in basis]
+    traces = [trd(b) for b in basis]
     assert norm == [[s * t - g for t, g in zip(traces, row)] for s, row in zip(traces, o0.gram)]
     u = lll_gram(norm)
     assert abs(det4(u)) == 1
@@ -216,30 +217,34 @@ def walk_old_queries(o0, old, new):
 
 
 @pytest.mark.parametrize(
-    "data, instance, count, digest, dropped",
+    "data, instance, count, digest, path_count",
     [
         (
             "worked_example_queries.json",
             worked_instance,
             29,
             "7c2521989f55a0ea6b79b95f85a4014c177f581ce41a4c4e623e988224728bca",
-            12,
+            4,
         ),
         (
             "general_q101_d2_queries.json",
             lambda: general_instance(101, 2, 1),
             185,
             "82bc778e0f62acbfde5122cdd9a749f369e65d504ac6293dd28fe2c333a3722b",
-            16,
+            168,
         ),
     ],
     ids=["worked", "general-q101-d2"],
 )
-def test_queries_equal_previous_form_up_to_o0(data, instance, count, digest, dropped):
+def test_queries_equal_previous_form_up_to_o0(data, instance, count, digest, path_count):
     old = json.loads((TESTS / "data" / data).read_text())
     # the recorded list is the one the previous form's digest pinned
     assert len(old) == count
     assert hashlib.sha256(json.dumps(old).encode()).hexdigest() == digest
     o0, fact, hidden = instance()
     new = queries(o0, fact, hidden)
-    assert walk_old_queries(o0, old, new) == dropped == count - len(new)
+    # the previous form asked the path search, and only it, with n = q^3
+    old_path = [query for query in old if int(query[1]) == query[0] ** 3]
+    new_path = [query for query in new if query[1] == "path"]
+    assert len(old_path) == path_count
+    assert walk_old_queries(o0, old_path, new_path) == 0 == path_count - len(new_path)

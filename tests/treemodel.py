@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from endoring.btt import TreeVertex, _widest_triple, ball, d3, distance, neighbors
 from endoring.errors import MathematicalInconsistencyError, StructuralError
+from fracmodel import trd
 
 
 def tu_triple(vertices):
@@ -97,4 +98,4 @@ def gram(basis) -> list[list[Fraction]]:
     for x in basis:
         if x.algebra != alg:
             raise StructuralError("gram of elements from different algebras")
-    return [[(x * y).trd() for y in basis] for x in basis]
+    return [[trd(x * y) for y in basis] for x in basis]
