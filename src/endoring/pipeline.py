@@ -19,12 +19,15 @@ quaternion beta are formed.  Products come from the structure constants
 `oq.table`, conj(t) = trd(t) - t, in the path search and in the one
 conjugation.
 
-The distance countdown and each Bass halving ask about one element, chosen
-so that its fixed set in the Bruhat-Tits tree is the set under test: a ball
-around O_q's vertex (`distance_element`) or a segment of the containment
-path (`segment_element`).  The path search asks about the conjugates of
-O_q's basis by each candidate.  Budgets: e calls for the distance,
-ceil(log2(e+1)) for the Bass search and 4(rq+1) for the path search.
+Every stage asks about one element per question, chosen so that its fixed
+set in the Bruhat-Tits tree is the set under test: a ball around O_q's
+vertex (`distance_element`) for each distance step, a segment of the
+containment path (`segment_element`) for each Bass halving, and for each
+path-search question the two branches that leave the current vertex
+through a pair of candidate steps (`pair_idempotent`); the path search
+ends with one question that holds for the end vertex alone.  Budgets: e
+calls for the distance, ceil(log2(e+1)) for the Bass search and
+r(floor(q/2) + 1) + 2 for the path search.
 """
 
 import itertools
@@ -306,26 +309,33 @@ def global_order_from_vertices(o0: Order, lattices: VertexLattices, vertex) -> O
 # path recovery
 
 
-class _GeneratorLifts(dict):
-    """Step c -> lift of gamma_c, each lifted the first time it is read."""
-
-    def __init__(self, sm: SplittingMap):
-        super().__init__()
-        self.sm = sm
-
-    def __missing__(self, step):
-        q = self.sm.precision.q
-        if step not in range(q + 1):
-            raise KeyError(step)
-        t = self[step] = lift_vertex_element(self.sm, (1, 0, 0) if step == q else (0, 1, step))
-        return t
+def generator_lifts(sm: SplittingMap, step: int) -> tuple:
+    """The lift of the generator gamma_step of Sigma (step q is gamma_inf):
+    integer coordinates over the basis of O_q, f(lift) = gamma_step mod
+    q^(r+1)."""
+    q = sm.precision.q
+    return lift_vertex_element(sm, (1, 0, 0) if step == q else (0, 1, step))
 
 
-def generator_lifts(sm: SplittingMap):
-    """Lifts of the generators in Sigma: step c -> coordinates of an element
-    over gamma_c, for c in 0..q (q is gamma_inf).  A step is lifted when
-    first read, so a path search pays only for the candidates it tries."""
-    return _GeneratorLifts(sm)
+def _step_line(q: int, step: int) -> tuple:
+    """The line of (Z/q)^2 that an element of O_q fixes mod q exactly when it
+    lies in the order of the root's neighbour gamma_step: (-c, 1) for step
+    c < q, (1, 0) for gamma_inf."""
+    return (1, 0) if step == q else (-step % q, 1)
+
+
+def pair_idempotent(sm: SplittingMap, a: int, b: int) -> tuple:
+    """Integer coordinates over the basis of O_q, each in [0, q), of an
+    element P whose image mod q is the idempotent with image line a and
+    kernel line b (steps a != b).  P mod q is not scalar and fixes exactly
+    these two lines, so among the root's q + 1 neighbours P lies in the
+    orders of gamma_a and gamma_b alone (the Pair fact)."""
+    q = sm.precision.q
+    (a1, a2), (b1, b2) = _step_line(q, a), _step_line(q, b)
+    inv = pow(a1 * b2 - a2 * b1, -1, q)
+    # the entries of P times a1*b2 - a2*b1, at E11, E12, E21, E22
+    entries = (a1 * b2, -a1 * b1, a2 * b2, -a2 * b1)
+    return tuple(sum(m * u[k] for m, u in zip(entries, sm.unit_coords)) * inv % q for k in range(4))
 
 
 def find_path_to_end(
@@ -333,43 +343,76 @@ def find_path_to_end(
     oq: Order,
     q: int,
     r: int,
-    lifts,
+    sm: SplittingMap,
     oracle: DivisionOracle,
     log: TraceLog | None = None,
 ) -> tuple[MatrixPath, tuple]:
     """Recover the matrix path gamma of length r from the enlargement's vertex
-    to the local endomorphism ring; at most 4(rq+1) oracle calls.  Returns
-    (gamma, t), t the O_q-coordinates of the product of the accepted lifts:
-    the oracle confirmed (1/q^r) conj(t) O_q t, so it is End(E) tensor Z_q."""
+    to the local endomorphism ring; at most r(floor(q/2) + 1) + 2 oracle
+    calls.  Returns (gamma, t), t the O_q-coordinates of the product of the
+    accepted generator lifts: the oracle confirmed that (1/q^r) conj(t) O_q t
+    is End(E) tensor Z_q.
+
+    Standing at v of depth k with lift t, End(E) at distance s = r - k, the
+    element x = conj(t) P t / q^k, P = `pair_idempotent(sm, a, b)`, lies in
+    O(v), and q^(s-1) x lies in End(E) iff the path leaves v through step a
+    or step b (the Pair fact).  Each question asks about one such pair, in
+    `allowed_next_steps` order, until one answers yes; one more question
+    pairs its first step with a line known to be refused (the parent's, one
+    from a refused pair, or at the root the next untried step) and so splits
+    the pair.  A lone last step is asked paired with a refused line.  A step
+    is accepted only when an answer said yes to it; a level with no yes ends
+    in a typed error.  Each level asks at most floor(q/2) + 1 questions, the
+    root one more.  Away from q, P and t lie in O_q, so the questions ask
+    nothing beyond O_0 tensor Z_l.
+
+    The last question confirms the end vertex: conj(t) y t / q^r, y =
+    `distance_element(oq, q)`, has an irreducible characteristic polynomial
+    mod q, so by the Ball fact it lies in the order of that vertex alone."""
     table, traces = oq.table, oq.traces
     one = oq.lattice.integer_coords((1, 0, 0, 0))
     question = rb.frame(oq, q)
     word: list[int] = []
-    t_cur = one
-    prev = None
+    t = one
+
+    def conjugated(z):
+        return _table_mul(table, _table_mul(table, _conj_coords(traces, one, t), z), t)
+
+    def leaves_through(a, b, shift):
+        """Whether the path leaves the current vertex through step a or b."""
+        return _all_in_end((question(conjugated(pair_idempotent(sm, a, b)), shift),), oracle)
+
     for level in range(1, r + 1):
+        prev = word[-1] if word else None
+        steps = allowed_next_steps(q, prev)
+        shift = r - 2 * level + 1
+        # steps the path is known not to take, the parent's first
+        refused = [] if prev is None else [0 if prev == q else q]
         accepted = None
-        shift = r - 2 * level
-        for step in allowed_next_steps(q, prev):
-            t_cand = _table_mul(table, lifts[step], t_cur)
-            if log is not None:
-                log.saw_vertex(q, (*word, step))
-            t_conj = _conj_coords(traces, one, t_cand)
-            conjugates = (_table_mul(table, _table_mul(table, t_conj, u), t_cand) for u in _UNITS)
-            ok = _all_in_end((question(z, shift) for z in conjugates), oracle)
-            if log is not None:
-                log.step_event(q, level, step, ok)
-            if ok:
-                accepted = step
-                t_cur = t_cand
-                break
+        for i in range(0, len(steps), 2):
+            pair = steps[i : i + 2]
+            if not leaves_through(pair[0], pair[1] if len(pair) == 2 else refused[0], shift):
+                refused.extend(pair)
+                continue
+            accepted = pair[0]
+            if len(pair) == 2 and not leaves_through(pair[0], refused[0] if refused else steps[i + 2], shift):
+                accepted = pair[1]
+            break
+        if log is not None:
+            for s in steps[: i + 2]:
+                log.saw_vertex(q, (*word, s))
+                log.step_event(q, level, s, s == accepted)
         if accepted is None:
             raise MathematicalInconsistencyError(
                 f"no candidate accepted at level {level} for q={q}: oracle and order disagree"
             )
         word.append(accepted)
-        prev = accepted
-    return MatrixPath(q, tuple(word)), t_cur
+        t = _table_mul(table, generator_lifts(sm, accepted), t)
+    if not _all_in_end((question(conjugated(distance_element(oq, q)), -r),), oracle):
+        raise MathematicalInconsistencyError(
+            f"the oracle refused the order at the end of the path for q={q}"
+        )
+    return MatrixPath(q, tuple(word)), t
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +590,8 @@ def compute_endomorphism_ring(
             else:
                 sm = splitting_map(oq, Precision(q, r))
                 path_oracle = CountingOracle(oracle, log, stage="path", q=q)
-                gamma, t = find_path_to_end(rb, oq, q, r, generator_lifts(sm), path_oracle, log)
-                calls["path"] = _calls_within(path_oracle, 4 * (r * q + 1), "path search")
+                gamma, t = find_path_to_end(rb, oq, q, r, sm, path_oracle, log)
+                calls["path"] = _calls_within(path_oracle, r * (q // 2 + 1) + 2, "path search")
                 conj = conjugate_order_lattice(oq, t, q, r)
                 o_tilde = verify_order(local_patch(conj, o0.lattice, q), o0.algebra)
         d = discrd(o_tilde)

@@ -38,7 +38,7 @@ from endoring.pipeline import (
     _all_in_end,
     bass_search,
     distance_to_end,
-    generator_lifts,
+    pair_idempotent,
 )
 from endoring.quat import QuaternionAlgebra
 from fracmodel import from_coords
@@ -133,25 +133,23 @@ def test_verify_order(benchmark, general):
     benchmark(verify_order, oq.lattice, oq.algebra)
 
 
-def test_path_candidate(benchmark, general):
-    """One rejected candidate of the path search at r = 1: its lift (read
-    from the lifts already made), its conjugates of the O_q basis and
-    their oracle questions, up to the first no."""
+def test_path_pair_question(benchmark, general):
+    """One refused question of the path search at r = 1: the idempotent of a
+    pair of steps off the path, its conjugate by the lift of the root and
+    its oracle question."""
     hidden, o0, oq, accepted = general
     rb, oracle = ReducedBasis(o0), HiddenOrderOracle(hidden)
     table, question = oq.table, rb.frame(oq, Q)
     traces, one = oq.traces, oq.lattice.integer_coords((1, 0, 0, 0))
-    step = (accepted + 1) % Q
-    lift = generator_lifts(splitting_map(oq, Precision(Q, 1)))[step]
-    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    sm = splitting_map(oq, Precision(Q, 1))
+    a, b = ((accepted + k) % (Q + 1) for k in (1, 2))
 
-    def candidate():
-        t = _table_mul(table, lift, one)
-        t_conj = _conj_coords(traces, one, t)
-        conjugates = (_table_mul(table, _table_mul(table, t_conj, u), t) for u in units)
-        return _all_in_end((question(z, -1) for z in conjugates), oracle)
+    def pair():
+        t_conj = _conj_coords(traces, one, one)
+        z = _table_mul(table, _table_mul(table, t_conj, pair_idempotent(sm, a, b)), one)
+        return _all_in_end((question(z, 0),), oracle)
 
-    assert benchmark(candidate) is False
+    assert benchmark(pair) is False
 
 
 def test_distance_to_end(benchmark, general):

@@ -15,11 +15,12 @@ from endoring.serialize import lattice_to_json, order_from_json
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEM = ROOT / "problems" / "p103_worked_example.json"
 # SHA-256 of `endoring compute --input <PROBLEM> --deterministic` stdout
-WORKED_CLI_SHA256 = "687a4ae1ac4250f0e6d78927c7d9346bbb05c3c28fa5ca07d4368a58001bacea"
+WORKED_CLI_SHA256 = "73feb17ad08be7bc78ffaf3ca803f7f1b4806108e97c589204178ece784f6631"
 # the same output with the previous query form, which asked the distance stage
-# about the four units of q^i O_q, elements of O_0 included, and each Bass
-# halving about the four basis elements of an order (17 distance calls at
-# q = 7, 8 Bass calls at q = 13, 29 in all)
+# about the four units of q^i O_q, elements of O_0 included, each Bass
+# halving about the four basis elements of an order, and the path search
+# about the four units of each candidate vertex's order (17 distance and 4
+# path calls at q = 7, 8 Bass calls at q = 13, 29 in all)
 PREVIOUS_FORM_CLI_SHA256 = "81df5024a77a753e1444fecc3637ee581131177e77421104de4d34f708cd9652"
 
 
@@ -58,7 +59,7 @@ def test_explored_subtree_dot_files_are_pinned(tmp_path):
                     "--dot-dir", dots]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in dots.iterdir()}
     assert digests == {
-        "explored_q7.dot": "c706237e128112e6539a243df8ecaf287ded0ab3c62799e16af90c637f0e5da1",
+        "explored_q7.dot": "224b77c7b7ebd4211e69989ad6813914f42db5068e0c7c77831c292a08c794b4",
         "explored_q13.dot": "4baaa5f4a87af998b1b6be388ce3025805136de482e85671ac5e39950be10719",
     }
 
@@ -80,9 +81,10 @@ def test_compute_output_differs_from_previous_form_only_in_call_counts(capsys):
     assert run_cli(["compute", "--input", PROBLEM, "--deterministic"]) == 0
     result = json.loads(capsys.readouterr().out)
     by_q = {s["q"]: s for s in result["local_solutions"]}
-    assert by_q[7]["oracle_calls"]["distance"] == 2 and by_q[13]["oracle_calls"]["bass"] == 2
-    assert result["total_oracle_calls"] == 8
-    by_q[7]["oracle_calls"]["distance"] = 17
+    assert by_q[7]["oracle_calls"] == {"distance": 2, "path": 3}
+    assert by_q[13]["oracle_calls"]["bass"] == 2
+    assert result["total_oracle_calls"] == 7
+    by_q[7]["oracle_calls"] = {"distance": 17, "path": 4}
     by_q[13]["oracle_calls"]["bass"] = 8
     result["total_oracle_calls"] = 29
     text = json.dumps(result, indent=2) + "\n"

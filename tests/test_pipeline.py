@@ -23,7 +23,6 @@ from endoring.pipeline import (
     distance_to_end,
     enumerate_bass_path,
     find_path_to_end,
-    generator_lifts,
     global_order_from_vertices,
     local_patch,
 )
@@ -89,9 +88,9 @@ def test_find_path_and_candidate_order_at_7(alg, o0, end):
     sm = splitting_map(oq, Precision(7, r))
     oracle = CountingOracle(hidden)
     log = TraceLog()
-    gamma, _ = find_path_to_end(rb, oq, 7, r, generator_lifts(sm), oracle, log)
+    gamma, _ = find_path_to_end(rb, oq, 7, r, sm, oracle, log)
     assert len(gamma) == 1
-    assert oracle.calls <= 4 * (r * 7 + 1)
+    assert oracle.calls <= r * (7 // 2 + 1) + 2
     o_tilde = global_order_from_vertices(o0, VertexLattices(oq, sm), vertex_of_path(gamma))
     # the accepted candidate matches the worked example's displayed basis,
     # normalized by patching both onto the O_0 frame
@@ -168,12 +167,14 @@ def test_worked_example_query_sequence_is_pinned():
     queries = [
         (ev["q"], ev["n"], ev["beta"], ev["answer"]) for ev in log.events if ev["type"] == "oracle"
     ]
-    # 9 fewer than the 17 of four elements per step: the distance stage at
-    # q = 7 asks 2 questions (5 before) and the Bass search at q = 13 asks 2
-    # (8 before); the 4 path questions are unchanged
-    assert oracle.calls == len(queries) == 8
+    # 10 fewer than the 17 of four elements per step: the distance stage at
+    # q = 7 asks 2 questions (5 before), the Bass search at q = 13 asks 2 (8
+    # before) and the path search at q = 7 asks 3: the pair {0, 1}, the
+    # split {0, 2} and the end vertex's confirmation (4 before, the units of
+    # the accepted vertex's order)
+    assert oracle.calls == len(queries) == 7
     digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
-    assert digest == "cadfeb3abb07b142cc3031456db7ea94685fa250c4abe1d614d18b7f25112b07"
+    assert digest == "203bef0e9fd7afc5764cfb31441d71e38cc02b4241a0653225ead407eaa666a6"
 
 
 def test_bass_vertices_lifted_once_per_solve(monkeypatch):

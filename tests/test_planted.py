@@ -93,13 +93,13 @@ def test_general_branch_path_search(q, d):
     assert not sol.bass
     assert sol.enlargement.lattice == lam.lattice
     assert sol.r == d and len(sol.gamma) == d and sol.gamma == word
-    assert sol.oracle_calls["path"] <= 4 * (sol.r * q + 1)
+    assert sol.oracle_calls["path"] <= sol.r * (q // 2 + 1) + 2
     # the local order is also the conjugate of O_q by the product t of the
     # generator lifts along gamma, patched onto O_0
-    lifts = generator_lifts(splitting_map(lam, Precision(q, d)))
+    sm = splitting_map(lam, Precision(q, d))
     t = alg.element(1)
     for step in sol.gamma.steps:
-        t = from_coords(lam, lifts[step]) * t
+        t = from_coords(lam, generator_lifts(sm, step)) * t
     conj = conjugate_order_lattice(lam, tuple(int(c) for c in coords_of(lam, t)), q, d)
     assert sol.order == verify_order(local_patch(conj, o0.lattice, q), alg)
 
@@ -117,19 +117,21 @@ def test_general_branch_query_sequence_at_101_is_pinned():
     queries = [
         (ev["q"], ev["n"], ev["beta"], ev["answer"]) for ev in log.events if ev["type"] == "oracle"
     ]
-    # 16 fewer than the 185 of the previous query form: the dropped queries
-    # asked about elements of O_0 (test_queries checks the two lists agree).
-    # The one distance question asks about one element of O_q, not its units.
-    assert calls == oracle.calls == len(queries) == 169
+    # 100 fewer than the 185 of the previous query form: the one distance
+    # question asks about one element of O_q, not its units, and the path
+    # search asks 84 questions in place of 168, one per pair of steps, a
+    # split per level and one confirmation (test_queries checks that both
+    # forms accept the same steps)
+    assert calls == oracle.calls == len(queries) == 85
     digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
-    assert digest == "f749a633482f5854885c5ab2e17cf38caf2180706dde6cd7ba91c9d9efebe5f7"
+    assert digest == "d731fd9a9bb1810f3b48df905622f769e9868d242384169e8c0ac9f90e38ae75"
 
 
-def test_path_search_lifts_only_tried_steps(monkeypatch):
-    """The generator lifts are built on first use: each step the search
-    tries is lifted once, and no other step is lifted.  The general branch
-    lifts nothing else: its local order conjugates O_q by the product of
-    the accepted lifts, so the end vertex is not lifted again."""
+def test_path_search_lifts_only_accepted_steps(monkeypatch):
+    """A question about a pair of steps needs no lift of either: only the r
+    accepted steps are lifted, each once.  The general branch lifts nothing
+    else: its local order conjugates O_q by the product of the accepted
+    lifts, so the end vertex is not lifted again."""
     q, d = 101, 2
     alg = QuaternionAlgebra.for_prime(103)
     hidden, _, o0, fact, word = planted.general_instance(alg, q, d, random.Random(1))
@@ -145,14 +147,13 @@ def test_path_search_lifts_only_tried_steps(monkeypatch):
     end, sols, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
     assert end.lattice == hidden.lattice
     assert next(s for s in sols if s.q == q).gamma == word
-    tried = {
+    accepted = [
         q if ev["candidate"] == "inf" else int(ev["candidate"])
         for ev in log.events
-        if ev["type"] == "step"
-    }
-    want = {(1, 0, 0) if step == q else (0, 1, step) for step in tried}
-    assert len(lifted) == len(set(lifted)) == len(want) < q + 1
-    assert set(lifted) == want
+        if ev["type"] == "step" and ev["accepted"]
+    ]
+    assert accepted == list(word.steps)
+    assert lifted == [(1, 0, 0) if step == q else (0, 1, step) for step in accepted]
 
 
 def test_path_search_builds_quaternions_only_for_questions(monkeypatch):
@@ -163,7 +164,7 @@ def test_path_search_builds_quaternions_only_for_questions(monkeypatch):
     hidden, _, o0, _, word = planted.general_instance(alg, q, d, random.Random(1))
     oq = q_enlarge(o0, q)
     sm = splitting_map(oq, Precision(q, d))
-    rb, lifts, oracle = ReducedBasis(o0), generator_lifts(sm), CountingOracle(HiddenOrderOracle(hidden))
+    rb, oracle = ReducedBasis(o0), CountingOracle(HiddenOrderOracle(hidden))
     mul, init = QuatElement.__mul__, QuatElement.__init__
     products, built = [], []
 
@@ -177,7 +178,7 @@ def test_path_search_builds_quaternions_only_for_questions(monkeypatch):
 
     monkeypatch.setattr(QuatElement, "__mul__", counting_mul)
     monkeypatch.setattr(QuatElement, "__init__", counting_init)
-    gamma, _ = find_path_to_end(rb, oq, q, d, lifts, oracle, TraceLog())
+    gamma, _ = find_path_to_end(rb, oq, q, d, sm, oracle, TraceLog())
     assert gamma == word
     assert len(products) == 0
     assert len(built) == oracle.calls > 0
@@ -218,5 +219,5 @@ def test_general_branch_at_large_q():
     assert end.lattice == hidden.lattice
     sol = next(s for s in sols if s.q == q)
     assert sol.r == 2 and sol.gamma == word
-    assert sol.oracle_calls["path"] <= 4 * (sol.r * q + 1)
-    assert calls == oracle.calls == 15490
+    assert sol.oracle_calls["path"] <= sol.r * (q // 2 + 1) + 2
+    assert calls == oracle.calls == 7746

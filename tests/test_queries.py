@@ -4,10 +4,11 @@ Every query must be a question O_0 cannot answer, in its reduced form
 (see the `pipeline` module docstring): beta in O_0, n the least divisor,
 a power of q, and beta/n Babai-reduced in the LLL basis of O_0.  The
 query lists under `data/` were recorded with the previous query form
-(fixed divisors q, q^3, q^(depth+3e) and unreduced beta); the walks below
-show that the path search asks the same questions in the reduced form.
-The distance and Bass stages of that form asked about four elements per
-step; they now ask about one (`tests/test_tree_facts.py`).
+(fixed divisors q, q^3, q^(depth+3e) and unreduced beta), which asked
+about four elements per distance step, Bass halving and path candidate.
+The stages now ask about one element per step, halving and pair of path
+candidates (`tests/test_tree_facts.py`); the path search still accepts
+the steps that the recorded path questions accepted.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import planted
+from endoring.btt import allowed_next_steps, step_name
 from endoring.divide import DivisionOracle, HiddenOrderOracle
 from endoring.lattice import lll_gram
 from endoring.matrix import adj4, det4
@@ -195,25 +197,23 @@ def test_reduced_basis_of_o0(name):
 # equivalence with the queries of the previous form
 
 
-def walk_old_queries(o0, old, new):
-    """Match the previous form's queries to the new ones, in order: a query
-    whose element lies in O_0 was answered yes and is no longer asked; every
-    other one is asked at the same position with the same answer, about an
-    element that differs from the old one by an element of O_0."""
-    lat = o0.lattice
-    kept = iter(new)
-    dropped = 0
-    for q, n, beta, answer in old:
-        y_old = tuple(Fraction(c) / int(n) for c in beta)
-        if lat.contains(y_old):
-            assert answer is True
-            dropped += 1
+def old_accepted_steps(q, old_path):
+    """The steps the previous form's path search accepted, read from its
+    questions: it tried the candidates of each level in `allowed_next_steps`
+    order and asked about the four units of each candidate's order up to the
+    first no, so a refused candidate's run of answers ends in a no and the
+    accepted candidate's is four yes answers."""
+    word, refused, yes = [], 0, 0
+    for _, _, _, answer in old_path:
+        if not answer:
+            refused, yes = refused + 1, 0
             continue
-        q_new, _, n_new, beta_new, answer_new = next(kept)
-        assert (q_new, answer_new) == (q, answer)
-        assert lat.contains(tuple(c / n_new - y for c, y in zip(beta_new, y_old)))
-    assert next(kept, None) is None
-    return dropped
+        yes += 1
+        if yes == 4:
+            word.append(allowed_next_steps(q, word[-1] if word else None)[refused])
+            refused, yes = 0, 0
+    assert refused == yes == 0
+    return word
 
 
 @pytest.mark.parametrize(
@@ -237,14 +237,20 @@ def walk_old_queries(o0, old, new):
     ids=["worked", "general-q101-d2"],
 )
 def test_queries_equal_previous_form_up_to_o0(data, instance, count, digest, path_count):
+    """The previous form's path questions and today's pair questions accept
+    the same step at each level."""
     old = json.loads((TESTS / "data" / data).read_text())
     # the recorded list is the one the previous form's digest pinned
     assert len(old) == count
     assert hashlib.sha256(json.dumps(old).encode()).hexdigest() == digest
     o0, fact, hidden = instance()
-    new = queries(o0, fact, hidden)
+    log = TraceLog()
+    _, sols, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
     # the previous form asked the path search, and only it, with n = q^3
     old_path = [query for query in old if int(query[1]) == query[0] ** 3]
-    new_path = [query for query in new if query[1] == "path"]
     assert len(old_path) == path_count
-    assert walk_old_queries(o0, old_path, new_path) == 0 == path_count - len(new_path)
+    [q] = {query[0] for query in old_path}
+    steps = list(next(s for s in sols if s.q == q).gamma.steps)
+    accepted = [ev["candidate"] for ev in log.events if ev["type"] == "step" and ev["accepted"]]
+    assert accepted == [step_name(q, step) for step in steps]
+    assert old_accepted_steps(q, old_path) == steps

@@ -1,15 +1,23 @@
-"""The two tree facts that let the distance and Bass stages ask about one
-element per step, checked by enumeration, and the stages' outcomes and
-budgets.
+"""The three tree facts that let the distance stage, the Bass search and
+the path search ask about one element per step, halving or pair of
+candidate steps, checked by enumeration, and the stages' outcomes, budgets
+and typed errors.
 
 Ball: for x in O_q whose reduction mod q has an irreducible characteristic
 polynomial, q^i x lies in the order of a vertex v exactly when d(root, v)
 <= i.  Segment: on a path v_0..v_L of the tree, the element x of O(v_0) cap
 O(v_(m-1)) outside O(v_m) that `segment_element` picks lies in the orders
-of exactly v_0..v_(m-1) among the path's vertices.  Both are checked at q
-in {2, 3, 5} on the vertices to depth 3 (`treemodel.standard_vertices_up_to`),
-with the vertex lattices of the standard maximal order for p = 103; every
-membership is tested in O(v) tensor Z_(q).
+of exactly v_0..v_(m-1) among the path's vertices.  Pair: at a vertex v of
+depth k with lift t (the product of the generator lifts along its word),
+x = conj(t) P t / q^k for P = `pair_idempotent(sm, a, b)` lies in O(v) and,
+among v's q + 1 neighbours, in the orders of the steps a and b alone; for w
+at distance s >= 1 from v, q^(s-1) x lies in O(w) iff the path from v to w
+leaves through a or b.  Conjugated the same way by the lift of v, the Ball
+element lies in O(v) and in no other vertex order (the path search's
+confirmation).  Each is checked at q in {2, 3, 5} on the vertices to depth
+3 (`treemodel.standard_vertices_up_to`), with the vertex lattices of the
+standard maximal order for p = 103; every membership is tested in O(v)
+tensor Z_(q).
 """
 
 import hashlib
@@ -21,10 +29,20 @@ import pytest
 
 import planted
 from endoring import pipeline
-from endoring.btt import MatrixPath, distance, path_from_root, root, vertex_of_path
-from endoring.divide import CountingOracle, HiddenOrderOracle
+from endoring.btt import (
+    MatrixPath,
+    associated_matrix,
+    canonical_vertex,
+    distance,
+    gen_matrix,
+    path_from_root,
+    root,
+    vertex_of_path,
+)
+from endoring.divide import CountingOracle, DivisionOracle, HiddenOrderOracle
 from endoring.errors import MathematicalInconsistencyError
-from endoring.orders import q_enlarge, standard_maximal_order
+from endoring.matrix import mat2_mul
+from endoring.orders import _conj_coords, _table_mul, q_enlarge, standard_maximal_order
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     _DISTANCE_CANDIDATES,
@@ -34,6 +52,9 @@ from endoring.pipeline import (
     compute_endomorphism_ring,
     distance_element,
     distance_to_end,
+    find_path_to_end,
+    generator_lifts,
+    pair_idempotent,
     segment_element,
 )
 from endoring.quat import QuaternionAlgebra
@@ -117,6 +138,100 @@ def test_segment_fact(tree):
             assert inside == [j < m for j in range(len(path))]
 
 
+def word_lift(sm, word):
+    """The product of the generator lifts along a step word, later steps on
+    the left, as the path search forms it."""
+    oq = sm.order
+    t = oq.lattice.integer_coords((1, 0, 0, 0))
+    for step in word:
+        t = _table_mul(oq.table, generator_lifts(sm, step), t)
+    return t
+
+
+def conjugated(oq, t, z):
+    """The O_q-coordinates of conj(t) x t, x with coordinates z."""
+    t_conj = _conj_coords(oq.traces, oq.lattice.integer_coords((1, 0, 0, 0)), t)
+    return _table_mul(oq.table, _table_mul(oq.table, t_conj, z), t)
+
+
+def neighbours(q, word):
+    """The q + 1 neighbours of the end of the word, by step: the vertex of
+    gamma_s times the word's matrix, the parent included."""
+    m = associated_matrix(MatrixPath(q, word))
+    return [canonical_vertex(q, mat2_mul(gen_matrix(q, s), m)) for s in range(q + 1)]
+
+
+def pair_columns(lattices, word):
+    """{(a, b): the integer column of conj(t) P(a, b) t} over the ordered
+    pairs of steps, t the lift of the word; over den * q^k it is x."""
+    oq, sm, q = lattices.oq, lattices.sm, lattices.sm.precision.q
+    t = word_lift(sm, word)
+    return {
+        (a, b): column(oq, conjugated(oq, t, pair_idempotent(sm, a, b)))
+        for a in range(q + 1)
+        for b in range(q + 1)
+        if a != b
+    }
+
+
+def test_pair_fact_at_the_neighbours(tree):
+    """x = conj(t) P(a, b) t / q^k lies in O(v), and among v's q + 1
+    neighbours in the orders of the steps a and b alone, for every vertex v
+    to depth 2 and every ordered pair of steps."""
+    q, lattices, vertices = tree
+    den = lattices.oq.lattice.den
+    for v in vertices:
+        if v.depth == DEPTH:
+            continue
+        word = path_from_root(v).steps
+        pairs = pair_columns(lattices, word)
+        cols = list(pairs.values())
+        assert lattices[v].gaps_at(cols, den * q**v.depth, q) == [0] * len(cols)
+        for s, w in enumerate(neighbours(q, word)):
+            gaps = lattices[w].gaps_at(cols, den * q**v.depth, q)
+            assert [g == 0 for g in gaps] == [s in pair for pair in pairs]
+
+
+def test_pair_fact_along_the_path(tree):
+    """For w at distance s >= 1 from v (both to depth 3, v to depth 2),
+    q^(s-1) x lies in O(w) iff the path from v to w leaves v through a or b:
+    x's q-gap in O(w) is at most s - 1 exactly then.  One order of each pair
+    is checked: P(b, a) = 1 - P(a, b) mod q."""
+    q, lattices, vertices = tree
+    den = lattices.oq.lattice.den
+    for v in vertices:
+        if v.depth == DEPTH:
+            continue
+        word = path_from_root(v).steps
+        pairs = {(a, b): c for (a, b), c in pair_columns(lattices, word).items() if a < b}
+        cols = list(pairs.values())
+        near = neighbours(q, word)
+        for w in vertices:
+            s = distance(v, w)
+            if s == 0:
+                continue
+            first = next(step for step, u in enumerate(near) if distance(u, w) == s - 1)
+            gaps = lattices[w].gaps_at(cols, den * q**v.depth, q)
+            assert [g <= s - 1 for g in gaps] == [first in pair for pair in pairs]
+
+
+def test_confirmation_element_fixes_only_its_vertex(tree):
+    """The Ball element conjugated by the lift of v, conj(t) y t / q^k, has
+    q-gap d(v, w) in O(w): it lies in O(v) and in no other vertex order to
+    depth 3."""
+    q, lattices, vertices = tree
+    oq, sm = lattices.oq, lattices.sm
+    y = distance_element(oq, q)
+    cols = []
+    for v in vertices:
+        z = conjugated(oq, word_lift(sm, path_from_root(v).steps), y)
+        # every column over the one denominator den * q^DEPTH
+        cols.append(tuple(q ** (DEPTH - v.depth) * c for c in column(oq, z)))
+    for w in vertices:
+        gaps = lattices[w].gaps_at(cols, oq.lattice.den * q**DEPTH, q)
+        assert gaps == [distance(v, w) for v in vertices]
+
+
 # ---------------------------------------------------------------------------
 # the stages
 
@@ -146,24 +261,27 @@ def test_outcomes_unchanged_on_the_bench_instances():
 @pytest.mark.parametrize(
     "name, budget, old_budget",
     [
-        ("distance_to_end", lambda e: e, lambda e: 4 * e),
-        ("bass_search", lambda e: e.bit_length(), lambda e: 4 * e.bit_length()),
+        ("distance_to_end", lambda q, e: e, lambda q, e: 4 * e),
+        ("bass_search", lambda q, e: e.bit_length(), lambda q, e: 4 * e.bit_length()),
+        ("find_path_to_end", lambda q, r: r * (q // 2 + 1) + 2, lambda q, r: 4 * (r * q + 1)),
     ],
-    ids=["distance", "bass"],
+    ids=["distance", "bass", "path"],
 )
 def test_over_asking_stage_is_refused(monkeypatch, name, budget, old_budget):
     """A stage that asks one question more than its budget (e for the
-    distance, ceil(log2(e + 1)) for the Bass search) ends in a typed error,
-    although it stays within the four-element budget."""
+    distance, ceil(log2(e + 1)) for the Bass search, r(floor(q/2) + 1) + 2
+    for the path search) ends in a typed error, although it stays within the
+    budget of the four-element questions."""
     stage = getattr(pipeline, name)
     asked = []
 
-    def over_asking(rb, x, q, e, oracle, *rest):
-        out = stage(rb, x, q, e, oracle, *rest)
+    def over_asking(rb, x, q, e, *rest):
+        out = stage(rb, x, q, e, *rest)
+        oracle = next(a for a in rest if isinstance(a, CountingOracle))
         one = rb.order.algebra.element(1)
-        while oracle.calls <= budget(e):
+        while oracle.calls <= budget(q, e):
             oracle.is_divisible(one, 1)
-        asked.append((oracle.calls, old_budget(e)))
+        asked.append((oracle.calls, old_budget(q, e)))
         return out
 
     monkeypatch.setattr(pipeline, name, over_asking)
@@ -172,6 +290,57 @@ def test_over_asking_stage_is_refused(monkeypatch, name, budget, old_budget):
         compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
     [(calls, old)] = asked
     assert calls <= old
+
+
+class RefusingOracle(DivisionOracle):
+    """The hidden order's oracle, except that it answers no to the questions
+    in `refused`, or to every question when `refused` is None; records the
+    questions it is asked."""
+
+    def __init__(self, hidden, refused=None):
+        self.inner = HiddenOrderOracle(hidden)
+        self.refused = refused
+        self.asked = []
+
+    def is_divisible(self, beta, n):
+        self.asked.append((beta.coeffs, n))
+        if self.refused is None or (beta.coeffs, n) in self.refused:
+            return False
+        return self.inner.is_divisible(beta, n)
+
+
+def path_search_instance(q):
+    """(ReducedBasis, O_q, splitting map, hidden order, word) of a general
+    instance at q with r = 2."""
+    alg = QuaternionAlgebra.for_prime(103)
+    hidden, _, o0, _, word = planted.general_instance(alg, q, 2, random.Random(q))
+    oq = q_enlarge(o0, q)
+    return ReducedBasis(o0), oq, splitting_map(oq, Precision(q, 2)), hidden, word
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_path_search_refused_everywhere_is_a_typed_error(q):
+    """An oracle that answers no to every path question accepts no step."""
+    rb, oq, sm, hidden, _ = path_search_instance(q)
+    oracle = RefusingOracle(hidden)
+    with pytest.raises(MathematicalInconsistencyError, match="no candidate accepted at level 1"):
+        find_path_to_end(rb, oq, q, 2, sm, oracle)
+    assert 0 < len(oracle.asked) <= q // 2 + 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_path_search_refused_confirmation_is_a_typed_error(q):
+    """An oracle that is honest except that it refuses the last question, the
+    end vertex's confirmation, ends the path search in a typed error."""
+    rb, oq, sm, hidden, word = path_search_instance(q)
+    honest = RefusingOracle(hidden, refused=())
+    assert find_path_to_end(rb, oq, q, 2, sm, honest)[0] == word
+    confirmation = honest.asked[-1]
+    assert honest.asked.count(confirmation) == 1
+    oracle = RefusingOracle(hidden, refused=(confirmation,))
+    with pytest.raises(MathematicalInconsistencyError, match="refused the order at the end of the path"):
+        find_path_to_end(rb, oq, q, 2, sm, oracle)
+    assert oracle.asked == honest.asked
 
 
 @pytest.mark.parametrize("q", [2, 3, 7])
