@@ -6,6 +6,12 @@ off-pivot entries reduced into [0, pivot).  The pair (den, columns) is
 content-reduced, so two Lattice4 values compare equal exactly when the
 lattices are equal.
 
+The HNF clears each row against its pivot column with one extended-gcd
+(Bezout) step per other column: a unimodular 2x2 column operation that
+leaves gcd(a, b) in the pivot and 0 in the other column.  The basis matrix
+is triangular, so its adjugate comes from forward substitution, one exact
+division per entry, with no 3x3 minors.
+
 Sums are computed by concatenating generators, duals via the inverse
 transpose of the basis matrix, and intersections through the duality
 dual(L1 cap L2) = dual(L1) + dual(L2).
@@ -16,7 +22,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DegenerateLatticeError
-from .matrix import adj4
 from .ntheory import valuation
 
 Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -25,28 +30,42 @@ Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
 def _hnf_columns(cols):
     """Lower-triangular column HNF of integer 4-row columns.
 
+    Row by row, the first column with a nonzero entry becomes the pivot,
+    and each later column with entry b != 0 is cleared against the pivot
+    entry a: by subtracting (b/a) * pivot when a | b, and otherwise by the
+    step (pivot, col) -> (u*pivot + v*col, (b/g)*pivot - (a/g)*col) of
+    determinant -1, u*a + v*b = g = gcd(a, b) (Cohen, Section 2.4.2).
+
     Raises DegenerateLatticeError when the columns do not span Q^4.
     """
     work = [list(c) for c in cols if any(c)]
-    fixed = 0
     for row in range(4):
-        while True:
-            nz = [j for j in range(fixed, len(work)) if work[j][row]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda j: abs(work[j][row]))
-            a, b = nz[0], nz[1]
-            f = work[b][row] // work[a][row]
-            for t in range(4):
-                work[b][t] -= f * work[a][t]
-        nz = [j for j in range(fixed, len(work)) if work[j][row]]
-        if not nz:
+        j = next((j for j in range(row, len(work)) if work[j][row]), None)
+        if j is None:
             raise DegenerateLatticeError("generators do not span Q^4")
-        j = nz[0]
-        work[fixed], work[j] = work[j], work[fixed]
-        if work[fixed][row] < 0:
-            work[fixed] = [-x for x in work[fixed]]
-        fixed += 1
+        work[row], work[j] = work[j], work[row]
+        piv = work[row]
+        for k in range(row + 1, len(work)):
+            col = work[k]
+            b = col[row]
+            if not b:
+                continue
+            a = piv[row]
+            if b % a == 0:
+                f = b // a
+                for t in range(row, 4):
+                    col[t] -= f * piv[t]
+            else:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                u = pow(a, -1, abs(b))
+                v = (1 - u * a) // b
+                work[k] = [b * x - a * y for x, y in zip(piv, col)]
+                piv = [u * x + v * y for x, y in zip(piv, col)]
+        if piv[row] < 0:
+            piv = [-x for x in piv]
+        work[row] = piv
+        work[row + 1 :] = [c for c in work[row + 1 :] if any(c)]
     h = work[:4]
     for row in range(1, 4):
         p = h[row][row]
@@ -96,9 +115,20 @@ class Lattice4:
         return tuple(tuple(Fraction(x, d) for x in c) for c in self.cols)
 
     def adjugate(self):
-        """(adj(M), det(M)) for the integer column matrix M of the basis."""
+        """(adj(M), det(M)) for the integer column matrix M of the basis.
+
+        M[i][k] = cols[k][i] is lower triangular, and so is adj(M) = det *
+        M^-1: its diagonal is det / M[j][j], and below it, from M * adj(M) =
+        det * I, adj[i][j] = -(sum of M[i][k] * adj[k][j], j <= k < i) /
+        M[i][i], each division exact."""
         c = self.cols
-        return adj4(tuple(zip(*c))), c[0][0] * c[1][1] * c[2][2] * c[3][3]
+        det = c[0][0] * c[1][1] * c[2][2] * c[3][3]
+        adj = [[0] * 4 for _ in range(4)]
+        for j in range(4):
+            adj[j][j] = det // c[j][j]
+            for i in range(j + 1, 4):
+                adj[i][j] = -sum(c[k][i] * adj[k][j] for k in range(j, i)) // c[i][i]
+        return tuple(map(tuple, adj)), det
 
     def det(self) -> Fraction:
         c = self.cols

@@ -14,11 +14,20 @@ products, and `q_enlarge` is the q-enlargement whose hereditary-stall step
 forms (1 - e) g e / q from quaternion products: the references for
 `padic.normalized_basis_at`, `padic.zero_divisor_mod`,
 `padic.splitting_map` and `orders.q_enlarge`.
+
+`hnf_columns` is the sort-and-subtract column HNF that
+`lattice._hnf_columns` replaced with the extended-gcd step: the HNF is
+canonical, so both give the same columns on every input.
 """
 
 from fractions import Fraction
 
-from endoring.errors import MathematicalInconsistencyError, MissingUnitError, NotARingError
+from endoring.errors import (
+    DegenerateLatticeError,
+    MathematicalInconsistencyError,
+    MissingUnitError,
+    NotARingError,
+)
 from endoring.lattice import Lattice4
 from endoring.ntheory import reduce_unit_mod, valuation
 from endoring.orders import (
@@ -67,6 +76,44 @@ def solve(lat: Lattice4, vec):
             acc -= lat.cols[j][i] * x[j]
         x[i] = Fraction(acc, lat.cols[i][i])
     return tuple(x)
+
+
+def hnf_columns(cols):
+    """Lower-triangular column HNF of integer 4-row columns, row by row:
+    sort the nonzero entries of the row by size and subtract the smallest
+    from the next, until one is left.
+
+    Raises DegenerateLatticeError when the columns do not span Q^4.
+    """
+    work = [list(c) for c in cols if any(c)]
+    fixed = 0
+    for row in range(4):
+        while True:
+            nz = [j for j in range(fixed, len(work)) if work[j][row]]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda j: abs(work[j][row]))
+            a, b = nz[0], nz[1]
+            f = work[b][row] // work[a][row]
+            for t in range(4):
+                work[b][t] -= f * work[a][t]
+        nz = [j for j in range(fixed, len(work)) if work[j][row]]
+        if not nz:
+            raise DegenerateLatticeError("generators do not span Q^4")
+        j = nz[0]
+        work[fixed], work[j] = work[j], work[fixed]
+        if work[fixed][row] < 0:
+            work[fixed] = [-x for x in work[fixed]]
+        fixed += 1
+    h = work[:4]
+    for row in range(1, 4):
+        p = h[row][row]
+        for j in range(row):
+            f = h[j][row] // p
+            if f:
+                for t in range(row, 4):
+                    h[j][t] -= f * h[row][t]
+    return h
 
 
 def coords_of(order, x: QuatElement):

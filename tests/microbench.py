@@ -11,6 +11,7 @@ of 3-power index (`planted.random_suborder`), Eichler orders of level 3 and
 """
 
 import random
+from math import lcm
 
 import pytest
 
@@ -18,7 +19,7 @@ import paperdata
 import planted
 from endoring.btt import vertex_of_path
 from endoring.divide import HiddenOrderOracle
-from endoring.lattice import Lattice4
+from endoring.lattice import Lattice4, _hnf_columns
 from endoring.ntheory import valuation
 from endoring.orders import (
     _conj_coords,
@@ -115,6 +116,28 @@ def test_lattice_from_generators(benchmark, worked):
     o0, omax = worked
     gens = [b.coeffs for b in o0.basis_elements()] + [b.coeffs for b in omax.basis_elements()]
     benchmark(Lattice4.from_generators, gens)
+
+
+@pytest.fixture(scope="module")
+def hnf_inputs(general):
+    """The two HNF inputs of the sum in hidden cap O_q = dual(dual(hidden) +
+    dual(O_q)): the 8 columns of the sum and the den * adj(M) columns of its
+    dual."""
+    hidden, _, oq, _ = general
+    x, y = hidden.lattice.dual(), oq.lattice.dual()
+    d = lcm(x.den, y.den)
+    add = [tuple(v * (d // lat.den) for v in c) for lat in (x, y) for c in lat.cols]
+    s = x.add(y)
+    adj, _ = s.adjugate()
+    return add, [[v * s.den for v in r] for r in adj]
+
+
+def test_hnf_add(benchmark, hnf_inputs):
+    benchmark(_hnf_columns, hnf_inputs[0])
+
+
+def test_hnf_dual(benchmark, hnf_inputs):
+    benchmark(_hnf_columns, hnf_inputs[1])
 
 
 def test_lattice_intersect(benchmark, general):

@@ -5,7 +5,8 @@ rational references in `fracmodel`.
 `padic.splitting_map` work in coordinates over the order basis, and
 `orders.q_enlarge` forms its stall candidates from the structure
 constants.  Each must give exactly what the same computation on
-quaternions gives.
+quaternions gives.  `lattice._hnf_columns` must give exactly the columns
+of the sort-and-subtract HNF it replaced.
 """
 
 import random
@@ -15,13 +16,15 @@ import pytest
 
 import paperdata
 import planted
-from endoring import orders
+from endoring import lattice, orders
 from endoring.divide import HiddenOrderOracle
+from endoring.errors import DegenerateLatticeError
 from endoring.ntheory import factorize
 from endoring.orders import discrd, q_enlarge, verify_order
 from endoring.padic import Precision, lift_vertex_element, normalized_basis_at, splitting_map, zero_divisor_mod
 from endoring.pipeline import compute_endomorphism_ring, conjugate_order_lattice, local_patch
 from endoring.quat import QuatElement, QuaternionAlgebra
+from fracmodel import hnf_columns as reference_hnf
 from fracmodel import splitting_units, vector_element
 from fracmodel import normalized_basis_at as reference_basis
 from fracmodel import q_enlarge as reference_enlarge
@@ -133,3 +136,47 @@ def test_solves_make_no_quaternion_products(monkeypatch):
         assert end.lattice == hidden.lattice
     assert stalls == [13, 3]
     assert products == []
+
+
+def test_hnf_is_the_reference_on_solves(monkeypatch):
+    """Every `_hnf_columns` call made while building and solving the worked
+    example and planted instances of both branches, q = 2 included, gives
+    exactly the columns of the sort-and-subtract reference (or raises
+    DegenerateLatticeError exactly when the reference does)."""
+    hnf, sizes = lattice._hnf_columns, []
+
+    def checked(cols):
+        cols = [tuple(c) for c in cols]
+        sizes.append(max(abs(x) for c in cols for x in c).bit_length() if cols else 0)
+        try:
+            want = reference_hnf(cols)
+        except DegenerateLatticeError:
+            with pytest.raises(DegenerateLatticeError):
+                hnf(cols)
+            raise
+        got = hnf(cols)
+        assert got == want
+        return got
+
+    monkeypatch.setattr(lattice, "_hnf_columns", checked)
+    discrd.cache_clear()
+    alg = paperdata.algebra()
+    instances = [(paperdata.o0(alg), paperdata.endomorphism_ring(alg))]
+    for q, d in ((2, 2), (13, 1)):
+        hidden, _, o0, _, _ = planted.general_instance(QuaternionAlgebra.for_prime(103), q, d, random.Random(q))
+        instances.append((o0, hidden))
+    for p, q, depth in ((1019, 2, 4), (179, 5, 2)):
+        o0, _, hidden = planted.bass_instance(p, q, depth, random.Random(q))
+        instances.append((o0, hidden))
+    rng = random.Random(20)
+    for _ in range(6):
+        hidden, o0, _ = planted.generate_instance(rng)
+        instances.append((o0, hidden))
+    branches = set()
+    for o0, hidden in instances:
+        fact = sorted(factorize(discrd(o0)).items())
+        end, sols, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
+        assert end.lattice == hidden.lattice
+        branches |= {(s.q == 2, s.bass) for s in sols if s.q != o0.algebra.p}
+    assert branches == {(True, True), (True, False), (False, True), (False, False)}
+    assert len(sizes) > 300 and max(sizes) > 100

@@ -1,12 +1,17 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from endoring.errors import DegenerateLatticeError
-from endoring.lattice import Lattice4, integer_kernel
+from endoring.lattice import Lattice4, _hnf_columns, integer_kernel
+from endoring.matrix import adj4, det3
 from endoring.ntheory import valuation
+from fracmodel import hnf_columns as reference_hnf
 from fracmodel import solve
 
 
@@ -85,6 +90,77 @@ def test_index_tower_multiplicativity():
         assert b.index_in(a) * c.index_in(b) == c.index_in(a)
 
 
+def is_hnf(h):
+    """Four lower-triangular columns with positive pivots and the entries
+    left of each pivot in [0, pivot)."""
+    return (
+        len(h) == 4
+        and all(h[j][i] == 0 for j in range(4) for i in range(j))
+        and all(h[i][i] > 0 and all(0 <= h[j][i] < h[i][i] for j in range(i)) for i in range(4))
+    )
+
+
+def hnf_or_none(hnf, cols):
+    try:
+        return hnf(cols)
+    except DegenerateLatticeError:
+        return None
+
+
+entries = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
+columns = st.lists(
+    st.one_of(st.tuples(entries, entries, entries, entries), st.just((0, 0, 0, 0))), min_size=4, max_size=8
+)
+hnf_settings = settings(max_examples=150, deadline=None)
+
+
+@hnf_settings
+@given(cols=columns)
+def test_hnf_is_the_reference(cols):
+    """The extended-gcd HNF gives the sort-and-subtract reference's columns,
+    in canonical form, and raises exactly when the reference does."""
+    got = hnf_or_none(_hnf_columns, cols)
+    assert got == hnf_or_none(reference_hnf, cols)
+    assert got is None or is_hnf(got)
+
+
+@hnf_settings
+@given(cols=columns, row=st.integers(0, 3), mix=st.tuples(*[st.integers(-3, 3)] * 3))
+@example(cols=[(0, 0, 0, 0)] * 4, row=0, mix=(0, 0, 0))
+def test_hnf_of_rank_below_four_raises(cols, row, mix):
+    """With one row a combination of the others (rank < 4, the all-zero
+    input included), both HNFs raise DegenerateLatticeError."""
+    others = [r for r in range(4) if r != row]
+    flat = []
+    for c in cols:
+        c = list(c)
+        c[row] = sum(m * c[r] for m, r in zip(mix, others))
+        flat.append(c)
+    for hnf in (_hnf_columns, reference_hnf):
+        with pytest.raises(DegenerateLatticeError):
+            hnf(flat)
+
+
+def test_adjugate_is_adj4_of_the_columns():
+    """The triangular adjugate equals adj4 of the column matrix M and gives
+    adj * M = det * I, on lattices with den > 1 and on duals and
+    intersections."""
+    rng = random.Random(8)
+    lattices = []
+    for _ in range(60):
+        a = rand_lattice(rng, -30, 30).scale(Fraction(rng.randint(1, 5), rng.randint(2, 9)))
+        b = rand_lattice(rng).scale(Fraction(1, rng.randint(2, 7)))
+        lattices += [a, a.dual(), a.intersect(b)]
+    assert sum(lat.den > 1 for lat in lattices) > 100
+    for lat in lattices:
+        m = tuple(zip(*lat.cols))
+        adj, det = lat.adjugate()
+        assert adj == adj4(m)
+        assert [[sum(adj[i][k] * m[k][j] for k in range(4)) for j in range(4)] for i in range(4)] == [
+            [det * (i == j) for j in range(4)] for i in range(4)
+        ]
+
+
 def brute_hnf_sublattice(rng, max_index=16):
     """Random integer sublattice of Z^4 via a small HNF matrix."""
     while True:
@@ -150,15 +226,13 @@ def test_integer_kernel():
         assert len(ker) == 3
         for v in ker:
             assert sum(a * b for a, b in zip(t, v)) == 0
-        # kernel vectors are primitive enough to span: rank 3
-        from endoring.lattice import _hnf_columns
-
-        try:
+        # rank 3, not 4
+        with pytest.raises(DegenerateLatticeError):
             _hnf_columns([list(v) for v in ker] + [[0, 0, 0, 0]])
-            raised = False
-        except DegenerateLatticeError:
-            raised = True
-        assert raised  # rank 3, not 4
+        # the vectors span the whole integer kernel: their 3x3 minors are
+        # coprime, so they span a saturated rank-3 sublattice of Z^4
+        minors = [det3([[v[r] for v in ker] for r in rows]) for rows in combinations(range(4), 3)]
+        assert math.gcd(*minors) == 1
 
 
 def test_integer_contains_agrees_with_solve():
