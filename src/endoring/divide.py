@@ -10,7 +10,7 @@ any isogeny computation.
 """
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import OraclePreconditionError, StructuralError
 from .ntheory import factorize, primes
@@ -33,8 +33,12 @@ class DivisionOracle:
 class HiddenOrderOracle(DivisionOracle):
     """Reference oracle: membership of beta/n in a hidden maximal order.
 
-    Queries for beta outside the hidden order violate the contract that
-    beta is an endomorphism and raise OraclePreconditionError.
+    It solves once for beta's coordinates over the hidden order's basis,
+    from beta's numerators over their common denominator.  Queries for beta
+    outside the hidden order violate the contract that beta is an
+    endomorphism and raise OraclePreconditionError, with no call counted.
+    Otherwise the coordinates of beta/n are those of beta divided by n, so
+    the answer is whether n divides every coordinate.
     """
 
     def __init__(self, hidden: Order):
@@ -48,11 +52,13 @@ class HiddenOrderOracle(DivisionOracle):
     def is_divisible(self, beta: QuatElement, n: int) -> bool:
         if n <= 0:
             raise StructuralError("divisor must be positive")
-        if not self.hidden.lattice.contains(beta.coeffs):
+        d = lcm(*(c.denominator for c in beta.coeffs))
+        nums = [c.numerator * (d // c.denominator) for c in beta.coeffs]
+        coords = self.hidden.lattice.integer_coords(nums, d)
+        if coords is None:
             raise OraclePreconditionError(f"query element {beta} is not in the hidden order")
         self._calls += 1
-        scaled = tuple(c / n for c in beta.coeffs)
-        return self.hidden.lattice.contains(scaled)
+        return all(c % n == 0 for c in coords)
 
 
 class CountingOracle(DivisionOracle):

@@ -15,7 +15,8 @@ e g (1 - e) from `table`.  `QuatElement`s appear only in error reports.
 
 For odd q the radical of O/qO is the kernel of the trace pairing
 trd(xy) mod q, read from `gram`: that kernel is a two-sided ideal whose
-elements square to zero, and it holds every nilpotent ideal (see
+elements square to zero, and it holds every nilpotent ideal.  For q = 2 it
+is the kernel of the norm mod 2, a linear form on that kernel (see
 `radical_coords_mod`).
 """
 
@@ -220,31 +221,6 @@ def _conj_coords(traces, one, z):
     return tuple(trd * u - x for u, x in zip(one, z))
 
 
-def _radical_coords_brute(order: Order, q: int):
-    # exhaustive: only used for q = 2 (16 elements)
-    table = order.table
-    elems = [
-        (a, b, c, d)
-        for a in range(q)
-        for b in range(q)
-        for c in range(q)
-        for d in range(q)
-    ]
-
-    def mul(x, y):
-        return tuple(c % q for c in _table_mul(table, x, y))
-
-    def nilpotent(x):
-        x2 = mul(x, x)
-        return not any(mul(x2, x2))
-
-    rad = [x for x in elems if all(nilpotent(mul(x, a)) for a in elems)]
-    basis = linmod.span_basis(rad, q)
-    if len(rad) != q ** len(basis):
-        raise MathematicalInconsistencyError("radical is not a subspace")
-    return basis
-
-
 def radical_coords_mod(order: Order, q: int):
     """Basis of rad(O/qO) in coordinates over the order basis.
 
@@ -253,13 +229,22 @@ def radical_coords_mod(order: Order, q: int):
     trd(x(ay)).  Each x in K has trd(x) = 0 and trd(x^2) = -2 nrd(x) = 0,
     so x^2 = 0 for odd q: K is a nil ideal, hence inside the radical.  A
     nilpotent x has trd(x) = 0, and the radical is an ideal, so it lies in
-    K.  `_assert_nil` checks the result.  q = 2: exhaustive search over
-    the 16 elements.
+    K.
+
+    q = 2: the kernel of nrd mod 2 inside the same K.  An element of O/2O
+    is nilpotent iff its trace and norm vanish, so x is in the radical iff
+    every xy has trd(xy) = 0 and nrd(x) nrd(y) = 0, that is iff x is in K
+    and nrd(x) = 0.  On K, nrd mod 2 is linear: nrd(x + y) = nrd(x) +
+    nrd(y) + trd(x conj(y)), and trd(x conj(y)) = trd(x) trd(y) - trd(xy)
+    = 0.  `_assert_nil` checks the result for every q.
     """
-    if q == 2:
-        return _radical_coords_brute(order, q)
     tmat = [[int(t) % q for t in row] for row in order.gram]
-    rad = linmod.span_basis(linmod.kernel(tmat, q), q)
+    rad = linmod.kernel(tmat, q)
+    if q == 2 and rad:
+        # the kernel of the linear form nrd mod 2 on K
+        combos = linmod.kernel([[_norm_pairing(order, u, u) // 2 for u in rad]], 2)
+        rad = [[sum(c * u[k] for c, u in zip(cs, rad)) % 2 for k in range(4)] for cs in combos]
+    rad = linmod.span_basis(rad, q)
     _assert_nil(order, rad, q)
     return rad
 

@@ -15,9 +15,13 @@ reduced basis (`ReducedBasis`) is built once per solve.
 
 Each stage works in integer coordinates over the basis of O_q and asks
 through its frame (`ReducedBasis.frame`), the one place a question and its
-quaternion beta are formed.  Products come from the structure constants
+quaternion beta are formed.  A frame is one integer matrix, from
+coordinates to numerators over the reduced basis, and the step from those
+numerators to (beta, m).  Products come from the structure constants
 `oq.table`, conj(t) = trd(t) - t, in the path search and in the one
-conjugation.
+conjugation.  The path search forms, once per level, the frame of
+z -> conj(t) z t from the images of the four basis units, so that each of
+its questions costs only small-integer work.
 
 Every stage asks about one element per question, chosen so that its fixed
 set in the Bruhat-Tits tree is the set under test: a ball around O_q's
@@ -156,34 +160,63 @@ class ReducedBasis:
         self._num = tuple(tuple(sign * lat.den * x for x in row) for row in adj4(rows))
         self._det = abs(det)
 
-    def frame(self, order: Order, q: int):
-        """The function (z, s) -> the question about y = q^s * x, x the
-        element with integer coordinates z over the basis of an order
-        containing O_0: None when y lies in O_0, else (beta, m) with m least
-        such that m*y lies in O_0 and beta = m*(y - gamma).  One integer
-        matrix P = `_num` * (the order's columns) maps z to x's numerators
-        over the reduced basis."""
+    def frame(self, order: Order, q: int) -> "Frame":
+        """The questions about elements of an order containing O_0, given by
+        integer coordinates over its basis: the `Frame` whose matrix is
+        `_num` times the order's columns."""
         cols = order.lattice.cols
-        P = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self._num)
-        whole = order.lattice.den * self._det
-        lat_den = self.order.lattice.den
+        matrix = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self._num)
+        return Frame(self, matrix, order.lattice.den * self._det, q)
 
-        def question(z, s):
-            f = Fraction(q) ** s
-            nums = [f.numerator * sum(a * b for a, b in zip(row, z)) for row in P]
-            den = whole * f.denominator
-            if all(num % den == 0 for num in nums):
-                return None
-            # residuals num/den - k with k = ceil(num/den - 1/2)
-            res = [num + (den - 2 * num) // (2 * den) * den for num in nums]
-            m = math.lcm(*(den // math.gcd(y, den) for y in res))
-            w = [y * m // den for y in res]
-            beta = tuple(
-                Fraction(sum(c[r] * wi for c, wi in zip(self._cols, w)), lat_den) for r in range(4)
-            )
-            return QuatElement(self.order.algebra, beta), m
 
-        return question
+class Frame:
+    """The function (z, s) -> the question about y = q^s * x, x the element
+    with integer coordinates z over the frame's basis: None when y lies in
+    O_0, else (beta, m) with m least such that m*y lies in O_0 and beta =
+    m*(y - gamma).
+
+    It has two parts: the integer matrix `matrix`, which maps z to the
+    numerators of x's coordinates over O_0's reduced basis (their
+    denominator is `den`), and `ask`, the step from those numerators to
+    (beta, m).  `composed` gives the frame of a linear map into the frame's
+    coordinates, with the matrix product formed once: the path search forms
+    the frame of z -> conj(t) z t once per level, and each question of the
+    level then costs 16 small products and `ask`."""
+
+    def __init__(self, rb: ReducedBasis, matrix, den: int, q: int):
+        self.rb = rb
+        self.matrix = matrix
+        self.den = den
+        self.q = q
+
+    def __call__(self, z, s: int):
+        return self.ask([sum(a * b for a, b in zip(row, z)) for row in self.matrix], s)
+
+    def composed(self, images) -> "Frame":
+        """The frame of z -> sum_k z_k * images[k], the images given by
+        integer coordinates over this frame's basis: its matrix is this
+        frame's matrix times the columns `images`."""
+        rows = self.matrix
+        matrix = tuple(tuple(sum(a * b for a, b in zip(row, im)) for im in images) for row in rows)
+        return Frame(self.rb, matrix, self.den, self.q)
+
+    def ask(self, nums, s: int):
+        """The question about q^s * x, x the element whose coordinates over
+        O_0's reduced basis have the numerators nums over `den`."""
+        if s >= 0:
+            nums, den = [self.q**s * y for y in nums], self.den
+        else:
+            den = self.den * self.q**-s
+        if all(num % den == 0 for num in nums):
+            return None
+        # residuals num/den - k with k = ceil(num/den - 1/2)
+        res = [num + (den - 2 * num) // (2 * den) * den for num in nums]
+        m = math.lcm(*(den // math.gcd(y, den) for y in res))
+        w = [y * m // den for y in res]
+        rb = self.rb
+        lat_den = rb.order.lattice.den
+        beta = tuple(Fraction(sum(c[r] * wi for c, wi in zip(rb._cols, w)), lat_den) for r in range(4))
+        return QuatElement(rb.order.algebra, beta), m
 
 
 def _all_in_end(questions, oracle: DivisionOracle) -> bool:
@@ -368,21 +401,30 @@ def find_path_to_end(
 
     The last question confirms the end vertex: conj(t) y t / q^r, y =
     `distance_element(oq, q)`, has an irreducible characteristic polynomial
-    mod q, so by the Ball fact it lies in the order of that vertex alone."""
-    table, traces = oq.table, oq.traces
+    mod q, so by the Ball fact it lies in the order of that vertex alone.
+
+    t is fixed for a level, and conj(t) P t is linear in P, so each level
+    forms once the frame of z -> conj(t) z t (`Frame.composed`, from the
+    images of the four basis units: 8 table products); a pair question then
+    costs its idempotent, 16 small products and the frame's `ask`."""
+    table = oq.table
     one = oq.lattice.integer_coords((1, 0, 0, 0))
     question = rb.frame(oq, q)
     word: list[int] = []
     t = one
 
-    def conjugated(z):
-        return _table_mul(table, _table_mul(table, _conj_coords(traces, one, t), z), t)
+    def conjugation(t):
+        """z -> the coordinates of conj(t) z t."""
+        t_conj = _conj_coords(oq.traces, one, t)
+        return lambda z: _table_mul(table, _table_mul(table, t_conj, z), t)
 
     def leaves_through(a, b, shift):
         """Whether the path leaves the current vertex through step a or b."""
-        return _all_in_end((question(conjugated(pair_idempotent(sm, a, b)), shift),), oracle)
+        return _all_in_end((level_question(pair_idempotent(sm, a, b), shift),), oracle)
 
     for level in range(1, r + 1):
+        conj = conjugation(t)
+        level_question = question.composed([conj(u) for u in _UNITS])
         prev = word[-1] if word else None
         steps = allowed_next_steps(q, prev)
         shift = r - 2 * level + 1
@@ -408,7 +450,7 @@ def find_path_to_end(
             )
         word.append(accepted)
         t = _table_mul(table, generator_lifts(sm, accepted), t)
-    if not _all_in_end((question(conjugated(distance_element(oq, q)), -r),), oracle):
+    if not _all_in_end((question(conjugation(t)(distance_element(oq, q)), -r),), oracle):
         raise MathematicalInconsistencyError(
             f"the oracle refused the order at the end of the path for q={q}"
         )
@@ -606,7 +648,10 @@ def compute_endomorphism_ring(
     total = o0.lattice
     for sol in sols:
         total = total.add(sol.order.lattice)
-    end = verify_order(total, o0.algebra)
+    # the sum is often one local solution's order, which is verified already
+    end = next((sol.order for sol in sols if sol.order.lattice == total), None)
+    if end is None:
+        end = verify_order(total, o0.algebra)
     if discrd(end) != p:
         raise MathematicalInconsistencyError(
             f"assembled order has reduced discriminant {discrd(end)}, expected {p}"

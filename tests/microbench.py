@@ -3,11 +3,13 @@ path-search layers.
 
     python -m pytest tests/microbench.py -q
 
-Not part of the test suite (the default `test_*.py` pattern does not
-collect this file).  The inputs come from two general-branch instances,
-`planted.general_instance` at q = 1009 with d = 1 and d = 2, a suborder
-of 3-power index (`planted.random_suborder`), Eichler orders of level 3 and
-3^4 (`planted.bass_instance`) and the worked example.
+The default `test_*.py` pattern does not collect this file, so the test
+suite times nothing; `tests/test_microbench_runs.py` runs every benchmark
+once, untimed (`--benchmark-disable`), so that none goes stale.  The
+inputs come from two general-branch instances, `planted.general_instance`
+at q = 1009 with d = 1 and d = 2, a suborder of 3-power index
+(`planted.random_suborder`), Eichler orders of level 3 and 3^4
+(`planted.bass_instance`) and the worked example.
 """
 
 import random
@@ -22,6 +24,7 @@ from endoring.divide import HiddenOrderOracle
 from endoring.lattice import Lattice4, _hnf_columns
 from endoring.ntheory import valuation
 from endoring.orders import (
+    _UNITS,
     _conj_coords,
     _multiplier_lattice,
     _table_mul,
@@ -39,6 +42,7 @@ from endoring.pipeline import (
     _all_in_end,
     bass_search,
     distance_to_end,
+    find_path_to_end,
     pair_idempotent,
 )
 from endoring.quat import QuaternionAlgebra
@@ -57,12 +61,12 @@ def general():
 
 @pytest.fixture(scope="module")
 def general_d2():
-    """(O_q, its splitting map mod q^3, the end vertex of the word) at
-    q = 1009, d = 2."""
+    """(O_q, its splitting map mod q^3, the word, hidden, O_0) at q = 1009,
+    d = 2."""
     alg = QuaternionAlgebra.for_prime(103)
-    _, _, o0, _, word = planted.general_instance(alg, Q, 2, random.Random(1))
+    hidden, _, o0, _, word = planted.general_instance(alg, Q, 2, random.Random(1))
     oq = q_enlarge(o0, Q)
-    return oq, splitting_map(oq, Precision(Q, 2)), vertex_of_path(word)
+    return oq, splitting_map(oq, Precision(Q, 2)), word, hidden, o0
 
 
 @pytest.fixture(scope="module")
@@ -158,21 +162,27 @@ def test_verify_order(benchmark, general):
 
 def test_path_pair_question(benchmark, general):
     """One refused question of the path search at r = 1: the idempotent of a
-    pair of steps off the path, its conjugate by the lift of the root and
-    its oracle question."""
+    pair of steps off the path, its question in the root's level frame
+    (formed once, as the search forms it once per level) and the oracle's
+    answer."""
     hidden, o0, oq, accepted = general
     rb, oracle = ReducedBasis(o0), HiddenOrderOracle(hidden)
-    table, question = oq.table, rb.frame(oq, Q)
-    traces, one = oq.traces, oq.lattice.integer_coords((1, 0, 0, 0))
+    table, one = oq.table, oq.lattice.integer_coords((1, 0, 0, 0))
+    t_conj = _conj_coords(oq.traces, one, one)
+    images = [_table_mul(table, _table_mul(table, t_conj, u), one) for u in _UNITS]
+    level = rb.frame(oq, Q).composed(images)
     sm = splitting_map(oq, Precision(Q, 1))
     a, b = ((accepted + k) % (Q + 1) for k in (1, 2))
+    assert benchmark(lambda: _all_in_end((level(pair_idempotent(sm, a, b), 0),), oracle)) is False
 
-    def pair():
-        t_conj = _conj_coords(traces, one, one)
-        z = _table_mul(table, _table_mul(table, t_conj, pair_idempotent(sm, a, b)), one)
-        return _all_in_end((question(z, 0),), oracle)
 
-    assert benchmark(pair) is False
+def test_find_path_to_end(benchmark, general_d2):
+    """The whole path search at q = 1009, r = 2: about q questions, two
+    levels and the confirmation."""
+    oq, sm, word, hidden, o0 = general_d2
+    rb = ReducedBasis(o0)
+    gamma, _ = benchmark(lambda: find_path_to_end(rb, oq, Q, 2, sm, HiddenOrderOracle(hidden)))
+    assert gamma == word
 
 
 def test_distance_to_end(benchmark, general):
@@ -192,19 +202,20 @@ def test_bass_search(benchmark, bass_at_3):
 
 
 def test_normalized_basis_at(benchmark, general_d2):
-    oq, _, _ = general_d2
+    oq, *_ = general_d2
     benchmark(normalized_basis_at, oq, Q)
 
 
 def test_splitting_map(benchmark, general_d2):
-    oq, _, _ = general_d2
+    oq, *_ = general_d2
     benchmark(splitting_map, oq, Precision(Q, 2))
 
 
 def test_vertex_lattice(benchmark, general_d2):
     """One read of a depth-2 vertex from a fresh `VertexLattices`: its lift
     and its conjugate of O_q."""
-    oq, sm, v = general_d2
+    oq, sm, word, _, _ = general_d2
+    v = vertex_of_path(word)
     assert benchmark(lambda: VertexLattices(oq, sm)[v]) == VertexLattices(oq, sm)[v]
 
 

@@ -3,7 +3,8 @@
 The distance and path stages compute in integer coordinates over the basis
 of an enlargement O_q: products from its structure constants, conjugates as
 trd(x) - x, and oracle questions through one integer frame.  Each is
-compared here with the same computation on `QuatElement`s.
+compared here with the same computation on `QuatElement`s, and the path
+search's per-level frame with the frame's question about each conjugate.
 """
 
 import math
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 import paperdata
 import planted
 from endoring.matrix import adj4, det4
-from endoring.orders import _conj_coords, _table_mul, q_enlarge
-from endoring.pipeline import ReducedBasis
+from endoring.orders import _UNITS, _conj_coords, _table_mul, q_enlarge
+from endoring.padic import Precision, splitting_map
+from endoring.pipeline import ReducedBasis, generator_lifts, pair_idempotent
 from endoring.quat import QuatElement, QuaternionAlgebra
 from fracmodel import coords_of, from_coords, trd
 
@@ -105,3 +107,38 @@ def test_frame_asks_nothing_about_o0(enl):
     assert any(a is not None for a in asked)
     for u, a in zip(units, asked):
         assert a == reference_question(rb, from_coords(oq, u).scale(Fraction(1, q)))
+
+
+@pytest.fixture(scope="module")
+def split(enl):
+    """The splitting map of O_q mod q^3."""
+    _, oq, q, _ = enl
+    return splitting_map(oq, Precision(q, 2))
+
+
+@few
+@given(
+    steps=st.lists(st.integers(0, 10**4), max_size=2),
+    a=st.integers(0, 10**4),
+    b=st.integers(0, 10**4),
+    s=st.integers(-4, 2),
+)
+def test_level_frame_asks_the_conjugated_question(enl, split, steps, a, b, s):
+    """The path search's per-level route: the frame of z -> conj(t) z t,
+    composed once from the images of the basis units, asks about a pair
+    idempotent P exactly what the frame asks about conj(t) P t."""
+    rb, oq, q, _ = enl
+    table, one = oq.table, oq.lattice.integer_coords((1, 0, 0, 0))
+    t = one
+    for step in steps:
+        t = _table_mul(table, generator_lifts(split, step % (q + 1)), t)
+    t_conj = _conj_coords(oq.traces, one, t)
+
+    def conjugated(z):
+        return _table_mul(table, _table_mul(table, t_conj, z), t)
+
+    question = rb.frame(oq, q)
+    level = question.composed([conjugated(u) for u in _UNITS])
+    a %= q + 1
+    p = pair_idempotent(split, a, (a + 1 + b % q) % (q + 1))
+    assert level(p, s) == question(conjugated(p), s)

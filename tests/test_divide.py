@@ -1,9 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paperdata
+import planted
 from endoring.divide import (
     HiddenOrderOracle,
     choose_M,
@@ -14,6 +18,7 @@ from endoring.divide import (
     powersmooth_offset,
 )
 from endoring.errors import OraclePreconditionError
+from endoring.quat import QuaternionAlgebra
 from fracmodel import linear_combination
 
 
@@ -115,3 +120,61 @@ def test_hidden_oracle_divisible_by_construction():
     for _ in range(50):
         x = linear_combination([rng.randrange(-5, 6) for _ in basis], basis)
         assert oracle.is_divisible(x.scale(49), 7)
+
+
+def two_membership_tests(hidden, beta, n):
+    """The reference oracle's answer by its definition: None when beta lies
+    outside the hidden order, else whether beta/n lies in it, each tested
+    with `contains` on Fraction coordinates."""
+    if not hidden.lattice.contains(beta.coeffs):
+        return None
+    return hidden.lattice.contains(tuple(c / n for c in beta.coeffs))
+
+
+@pytest.fixture(scope="module")
+def hidden_orders():
+    """(hidden order, q): the worked example's End(E) at 7, and a
+    general-branch hidden order at 101, p = 103."""
+    alg = paperdata.algebra()
+    general = planted.general_instance(QuaternionAlgebra.for_prime(103), 101, 2, random.Random(101))
+    return [(paperdata.endomorphism_ring(alg), 7), (general[0], 101)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, 1),
+    coeffs=st.tuples(*[st.integers(-(10**6), 10**6)] * 4),
+    scale=st.tuples(st.sampled_from([1, 2, 6]), st.integers(0, 3)),
+    divisor=st.tuples(st.sampled_from([1, 2, 3, 4, 5]), st.integers(0, 2)),
+)
+def test_hidden_oracle_is_the_two_membership_tests(hidden_orders, which, coeffs, scale, divisor):
+    # beta = c*q^k * (an element of the hidden order), divided by n = c'*q^k':
+    # 1, 2, q, q^2 and their multiples, divisors of the scale or not
+    hidden, q = hidden_orders[which]
+    beta = linear_combination(coeffs, hidden.basis_elements()).scale(scale[0] * q ** scale[1])
+    n = divisor[0] * q ** divisor[1]
+    oracle = HiddenOrderOracle(hidden)
+    assert oracle.is_divisible(beta, n) == two_membership_tests(hidden, beta, n)
+    assert oracle.calls == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.integers(0, 1),
+    coeffs=st.tuples(*[st.integers(-(10**3), 10**3)] * 4),
+    k=st.integers(0, 3),
+    den=st.sampled_from([2, 3, 7, 101, 1000]),
+)
+def test_hidden_oracle_refuses_beta_outside_uncounted(hidden_orders, which, coeffs, k, den):
+    # an element of the hidden order plus one basis element over den is
+    # outside it: the oracle raises before counting the call
+    hidden, _ = hidden_orders[which]
+    basis = hidden.basis_elements()
+    beta = linear_combination(coeffs, basis)
+    beta = linear_combination((1, 1), (beta, basis[k].scale(Fraction(1, den))))
+    assert two_membership_tests(hidden, beta, 1) is None
+    oracle = HiddenOrderOracle(hidden)
+    assert oracle.is_divisible(hidden.algebra.element(den), den)
+    with pytest.raises(OraclePreconditionError):
+        oracle.is_divisible(beta, 1)
+    assert oracle.calls == 1

@@ -6,6 +6,7 @@ import pytest
 
 import paperdata
 import planted
+from endoring import linmod
 from endoring.errors import MathematicalInconsistencyError, NotARingError
 from endoring.lattice import Lattice4, integer_kernel
 from endoring.matrix import adj4, det3, det4
@@ -14,7 +15,7 @@ from endoring.orders import (
     Order,
     _assert_nil,
     _multiplier_lattice,
-    _radical_coords_brute,
+    _table_mul,
     discrd,
     is_bass_at,
     is_maximal,
@@ -89,30 +90,71 @@ def test_table_and_gram_match_quaternion_products(alg):
                 assert from_coords(o, o.table[i][j]) == x * y
 
 
-def planted_orders_at_3(count):
-    """Verified suborders of random maximal orders with 3-power index."""
-    rng = random.Random(3)
+def planted_orders_at(q, count):
+    """Verified suborders of random maximal orders with q-power index."""
+    rng = random.Random(q)
     out = []
     while len(out) < count:
         alg = QuaternionAlgebra.for_prime(rng.choice((103, 179, 1019)))
-        drawn = planted.random_suborder(planted.random_hidden_order(alg, rng), [3], rng)
+        drawn = planted.random_suborder(planted.random_hidden_order(alg, rng), [q], rng)
         if drawn is not None:
             out.append(drawn[0])
     return out
+
+
+def radical_by_search(order, q):
+    """rad(O/qO) by its definition, the x with every x*a nilpotent, searched
+    over all q^4 elements; a nilpotent of O/qO has x^4 = 0.  The reference
+    for `radical_coords_mod`, in the same rref form."""
+    table = order.table
+    elems = [
+        (a, b, c, d)
+        for a in range(q)
+        for b in range(q)
+        for c in range(q)
+        for d in range(q)
+    ]
+
+    def mul(x, y):
+        return tuple(c % q for c in _table_mul(table, x, y))
+
+    def nilpotent(x):
+        x2 = mul(x, x)
+        return not any(mul(x2, x2))
+
+    rad = [x for x in elems if all(nilpotent(mul(x, a)) for a in elems)]
+    basis = linmod.span_basis(rad, q)
+    assert len(rad) == q ** len(basis), "radical is not a subspace"
+    return basis
 
 
 def test_trace_kernel_is_the_nilpotent_radical(alg):
     # for odd q the radical is read off the trace pairing; compare it with
     # the definition (x with every x*a nilpotent), searched over all of O/3O
     orders = paper_orders(alg)
-    for o in planted_orders_at_3(4):
+    for o in planted_orders_at(3, 4):
         orders += [o, radical_idealizer(o, 3)]
     nontrivial = 0
     for o in orders:
         rad = radical_coords_mod(o, 3)
-        assert rad == _radical_coords_brute(o, 3)
+        assert rad == radical_by_search(o, 3)
         nontrivial += bool(rad)
     assert nontrivial >= 4
+
+
+def test_norm_kernel_is_the_radical_at_2(alg):
+    # for q = 2 the radical is the kernel of nrd mod 2 inside the kernel K
+    # of the trace pairing; compare it with the definition, searched over
+    # all of O/2O.  Both cases occur: nrd vanishes on K, and it does not
+    orders = paper_orders(alg) + quarter_orders() + planted_orders_at(2, 4)
+    orders += [radical_idealizer(o, 2) for o in orders]
+    seen = set()
+    for o in orders:
+        rad = radical_coords_mod(o, 2)
+        assert rad == radical_by_search(o, 2)
+        trace_kernel = linmod.kernel([[x % 2 for x in row] for row in o.gram], 2)
+        seen.add((len(trace_kernel), len(rad)))
+    assert {(0, 0), (2, 2), (4, 3)} <= seen
 
 
 def nil_reference(order, rad, q):
@@ -135,7 +177,7 @@ def test_assert_nil_matches_quaternion_reference(alg):
     # the true radicals mod q, random pairs of vectors, and random pairs of
     # vectors with trace and norm 0 mod q
     rng = random.Random(9)
-    orders = paper_orders(alg) + planted_orders_at_3(2) + quarter_orders()
+    orders = paper_orders(alg) + planted_orders_at(3, 2) + quarter_orders()
     outcomes = {}
     for q in (3, 5, 7, 13):
         for o in orders:
@@ -174,7 +216,7 @@ def test_multiplier_lattice_matches_colon_definition(alg, q):
     # radicals (two-sided ideals), and the one-sided ideal O*x, whose left
     # order O differs from its right order x^-1 O x, in (-1, -103 | Q) and
     # in (-1/4, -103 | Q)
-    orders = paper_orders(alg) + planted_orders_at_3(2) + quarter_orders()
+    orders = paper_orders(alg) + planted_orders_at(3, 2) + quarter_orders()
     cases = [(radical_lattice(o, q, radical_coords_mod(o, q)), o.algebra) for o in orders]
     for omax in (paperdata.maximal_order(alg), quarter_orders()[0]):
         x = omax.algebra.element(q, 1, 1, 0)
@@ -224,7 +266,7 @@ def test_gorenstein_test_matches_codifferent_reference(alg):
     # the coefficients depend on the basis of the trace-zero part; the
     # primitivity at q and the determinant of the form do not.  Z + q*O is
     # never Gorenstein at q
-    orders = paper_orders(alg) + planted_orders_at_3(4) + quarter_orders()
+    orders = paper_orders(alg) + planted_orders_at(3, 4) + quarter_orders()
     seen = []
     for q in (2, 3, 5, 7, 13):
         tested = orders + [radical_idealizer(o, q) for o in orders]
