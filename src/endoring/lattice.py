@@ -12,9 +12,12 @@ leaves gcd(a, b) in the pivot and 0 in the other column.  The basis matrix
 is triangular, so its adjugate comes from forward substitution, one exact
 division per entry, with no 3x3 minors.
 
-Sums are computed by concatenating generators, duals via the inverse
-transpose of the basis matrix, and intersections through the duality
-dual(L1 cap L2) = dual(L1) + dual(L2).
+Sums are computed by concatenating generators.  An intersection is one
+HNF of 8-row columns: over a common denominator, with integer column
+matrices X and Y, the columns (X; X) and (Y; 0) span the pairs (x + y, x)
+with x in X and y in Y, and those with x + y = 0 have x in X cap Y.  The
+last four HNF columns have zero top halves, and their bottom halves are
+the HNF of X cap Y.
 """
 
 from dataclasses import dataclass
@@ -27,8 +30,8 @@ from .ntheory import valuation
 Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-def _hnf_columns(cols):
-    """Lower-triangular column HNF of integer 4-row columns.
+def _hnf_columns(cols, rows=4):
+    """Lower-triangular column HNF of integer columns with `rows` entries.
 
     Row by row, the first column with a nonzero entry becomes the pivot,
     and each later column with entry b != 0 is cleared against the pivot
@@ -36,13 +39,13 @@ def _hnf_columns(cols):
     step (pivot, col) -> (u*pivot + v*col, (b/g)*pivot - (a/g)*col) of
     determinant -1, u*a + v*b = g = gcd(a, b) (Cohen, Section 2.4.2).
 
-    Raises DegenerateLatticeError when the columns do not span Q^4.
+    Raises DegenerateLatticeError when the columns do not span Q^rows.
     """
     work = [list(c) for c in cols if any(c)]
-    for row in range(4):
+    for row in range(rows):
         j = next((j for j in range(row, len(work)) if work[j][row]), None)
         if j is None:
-            raise DegenerateLatticeError("generators do not span Q^4")
+            raise DegenerateLatticeError(f"generators do not span Q^{rows}")
         work[row], work[j] = work[j], work[row]
         piv = work[row]
         for k in range(row + 1, len(work)):
@@ -53,7 +56,7 @@ def _hnf_columns(cols):
             a = piv[row]
             if b % a == 0:
                 f = b // a
-                for t in range(row, 4):
+                for t in range(row, rows):
                     col[t] -= f * piv[t]
             else:
                 g = gcd(a, b)
@@ -66,13 +69,13 @@ def _hnf_columns(cols):
             piv = [-x for x in piv]
         work[row] = piv
         work[row + 1 :] = [c for c in work[row + 1 :] if any(c)]
-    h = work[:4]
-    for row in range(1, 4):
+    h = work[:rows]
+    for row in range(1, rows):
         p = h[row][row]
         for j in range(row):
             f = h[j][row] // p
             if f:
-                for t in range(row, 4):
+                for t in range(row, rows):
                     h[j][t] -= f * h[row][t]
     return h
 
@@ -88,8 +91,12 @@ class Lattice4:
             raise DegenerateLatticeError("zero denominator")
         if den < 0:
             den, cols = -den, [tuple(-x for x in c) for c in cols]
-        h = _hnf_columns(cols)
-        g = abs(den)
+        return Lattice4._content_reduced(_hnf_columns(cols), den)
+
+    @staticmethod
+    def _content_reduced(h, den):
+        """The lattice (1/den) * span(h), h four HNF columns and den > 0."""
+        g = den
         for c in h:
             for x in c:
                 g = gcd(g, x)
@@ -148,14 +155,15 @@ class Lattice4:
         cols += [tuple(x * f2 for x in c) for c in other.cols]
         return Lattice4.from_integer_columns(cols, d)
 
-    def dual(self) -> "Lattice4":
-        # basis matrix B = M/den; the dual basis is the columns of
-        # (B^T)^{-1}, which are the rows of den * adj(M)/det(M)
-        adj, detm = self.adjugate()
-        return Lattice4.from_integer_columns([[x * self.den for x in r] for r in adj], detm)
-
     def intersect(self, other: "Lattice4") -> "Lattice4":
-        return self.dual().add(other.dual()).dual()
+        """self cap other, from the HNF of the 8-row columns (X; X), (Y; 0)
+        (see the module docstring)."""
+        d = lcm(self.den, other.den)
+        f1, f2 = d // self.den, d // other.den
+        cols = [tuple(x * f1 for x in c) * 2 for c in self.cols]
+        cols += [tuple(x * f2 for x in c) + (0, 0, 0, 0) for c in other.cols]
+        h = _hnf_columns(cols, 8)
+        return Lattice4._content_reduced([c[4:] for c in h[4:]], d)
 
     def integer_coords(self, nums, d=1):
         """The coordinates over the basis of nums/d (nums integers), or None

@@ -6,12 +6,18 @@ check from the integer columns and `quat.integer_product`), the basis
 traces, and the trace and norm Gram matrices read off them (`gram`,
 `norm_gram`).  Everything below works from these in integer coordinates:
 reduced discriminants, the codifferent and its ternary quadratic form
-(Gorenstein test by primitivity), radicals mod q with their idealizers
-(the multiplier lattices come from adj(M) times the integer products of
-J's columns with 1, i, j, ij; `q_radical` forms a radical once for both
-the Bass test and the enlargement), and q-maximal q-enlargement by the
-radical-idealizer chain, whose hereditary-stall step forms (1 - e) g e and
-e g (1 - e) from `table`.  `QuatElement`s appear only in error reports.
+(Gorenstein test by primitivity), radicals mod q with their idealizers,
+and q-maximal q-enlargement by the radical-idealizer chain, whose
+hereditary-stall step forms (1 - e) g e and e g (1 - e) from `table`.
+`QuatElement`s appear only in error reports.
+
+The multipliers of the preimage J of rad(O/qO) lie between O and q^-1 J,
+so they come from one kernel mod q: the y in J with yJ in qJ (Jy in qJ),
+tested on the products of the radical basis read from `table`, and one
+HNF (`radical_multipliers`).  `q_radical` forms a radical once for both the
+Bass test and the enlargement, and keeps the two-sided idealizer that the
+Bass test verifies, which the enlargement's first step reuses when its
+left multipliers are the same lattice.
 
 For odd q the radical of O/qO is the kernel of the trace pairing
 trd(xy) mod q, read from `gram`: that kernel is a two-sided ideal whose
@@ -270,34 +276,76 @@ def radical_lattice(order: Order, q: int, rad) -> Lattice4:
     return Lattice4.from_integer_columns(gens, order.lattice.den)
 
 
-def _multiplier_lattice(J: Lattice4, alg: QuaternionAlgebra, sides) -> Lattice4:
-    """{x : xJ in J} (side "left") and/or {x : Jx in J} ("right"): the
-    coordinates of x*g (g*x) over J, g in J, are linear in x and must be
-    integral, so the multipliers are the dual of the rows of those maps.
-    For the integer columns g of J, the coordinates of u*g (g*u) over J, u
-    = 1, i, j, ij, are adj(M) * (s*u*g) / (s*det(M)), M the column matrix."""
-    s, mul = integer_product(alg)
-    adj, det = J.adjugate()
-    rows = []
-    for g in J.cols:
-        for side in sides:
-            prods = [mul(u, g) if side == "left" else mul(g, u) for u in _UNITS]
-            rows.extend(zip(*([sum(a * b for a, b in zip(r, v)) for r in adj] for v in prods)))
-    return Lattice4.from_integer_columns(rows, s * det).dual()
+@dataclass
+class Radical:
+    """rad(O/qO) in coordinates over the order basis (`radical_coords_mod`),
+    its preimage J in O (`radical_lattice`), and the two-sided multiplier
+    order of J once `radical_idealizer` has verified it."""
+
+    rad: list
+    J: Lattice4
+    idealizer: Order | None = None
 
 
-def q_radical(order: Order, q: int) -> tuple:
-    """(rad, J): rad(O/qO) in coordinates over the order basis
-    (`radical_coords_mod`) and its preimage J in O (`radical_lattice`)."""
+def q_radical(order: Order, q: int) -> Radical:
+    """The q-radical of the order, formed once for the Bass test and the
+    enlargement."""
     rad = radical_coords_mod(order, q)
-    return rad, radical_lattice(order, q, rad)
+    return Radical(rad, radical_lattice(order, q, rad))
 
 
-def radical_idealizer(order: Order, q: int, radical=None) -> Order:
-    """Two-sided multiplier order of the q-radical; `radical` is
-    `q_radical(order, q)` when the caller already has it."""
-    _, J = radical or q_radical(order, q)
-    return verify_order(_multiplier_lattice(J, order.algebra, ("left", "right")), order.algebra)
+def radical_multipliers(order: Order, q: int, rad, sides) -> Lattice4:
+    """{x : xJ in J} (side "left") and/or {x : Jx in J} ("right") for the
+    preimage J of rad(O/qO), from one kernel mod q; rad is
+    `radical_coords_mod(order, q)`.
+
+    J is an ideal of O and holds qO, so O multiplies J, and a multiplier x
+    has xq in J: the multipliers lie between O and q^-1 J.  They are O +
+    q^-1 Y, Y the y in J with yJ in qJ (Jy in qJ).  Y holds qO, so the
+    condition is linear in y mod qO, y = sum a_i r_i over the radical basis
+    r_i, and it is enough to test y r_j (r_j y): the coordinates of r_i r_j
+    (r_j r_i), read from `table`, over a basis of J must vanish mod q.  rad
+    is in reduced echelon form, so J has the basis r_l and q e_t for the
+    columns t without a pivot, and z in J (coordinates over O) has over it
+    the coordinates z[p_l] at the pivots p_l and (z_t - sum_l z[p_l]
+    r_l[t]) / q."""
+    pivots = [next(t for t, x in enumerate(u) if x) for u in rad]
+    free = [t for t in range(4) if t not in pivots]
+
+    def j_coords(z):
+        c = [z[p] for p in pivots]
+        out = [x % q for x in c]
+        for t in free:
+            n = z[t] - sum(x * u[t] for x, u in zip(c, rad))
+            if n % q:
+                raise MathematicalInconsistencyError("radical product outside the radical")
+            out.append(n // q % q)
+        return out
+
+    table, k = order.table, len(rad)
+    coords = [[j_coords(_table_mul(table, u, v)) for v in rad] for u in rad]
+    rows = []
+    for side in sides:
+        for j in range(k):
+            prods = [coords[i][j] if side == "left" else coords[j][i] for i in range(k)]
+            rows.extend([z[t] for z in prods] for t in range(4))
+    lat = order.lattice
+    gens = [tuple(q * x for x in c) for c in lat.cols]
+    for a in linmod.kernel(rows, q):
+        w = [sum(ai * u[t] for ai, u in zip(a, rad)) for t in range(4)]
+        gens.append(tuple(sum(x * c[r] for x, c in zip(w, lat.cols)) for r in range(4)))
+    return Lattice4.from_integer_columns(gens, q * lat.den)
+
+
+def radical_idealizer(order: Order, q: int, radical: Radical | None = None) -> Order:
+    """Two-sided multiplier order of the q-radical, verified once per
+    `Radical`; `radical` is `q_radical(order, q)` when the caller already
+    has it."""
+    radical = radical or q_radical(order, q)
+    if radical.idealizer is None:
+        lat = radical_multipliers(order, q, radical.rad, ("left", "right"))
+        radical.idealizer = verify_order(lat, order.algebra)
+    return radical.idealizer
 
 
 def is_bass_at(order: Order, q: int, radical=None) -> bool:
@@ -359,12 +407,14 @@ def _split_idempotent(order: Order, q: int, rad) -> tuple:
 def q_enlarge(order: Order, q: int, radical=None) -> Order:
     """q-maximal q-enlargement.
 
-    Greedily grows the order inside B by the left idealizer of its
-    q-radical; at a hereditary stall with a split quotient, adjoins
-    (1/q) * (1-e) J e (or the mirror) for a lifted idempotent e.  The
-    result agrees with the input away from q and has v_q(discrd) equal
-    to 0, or 1 when q = p.  `radical` is `q_radical(order, q)` when the
-    caller already has it; it serves the first step.
+    Greedily grows the order inside B by the left multipliers of its
+    q-radical (`radical_multipliers`); at a hereditary stall with a split
+    quotient, adjoins (1/q) * (1-e) J e (or the mirror) for a lifted
+    idempotent e.  The result agrees with the input away from q and has
+    v_q(discrd) equal to 0, or 1 when q = p.  `radical` is
+    `q_radical(order, q)` when the caller already has it; it serves the
+    first step, which reuses its verified two-sided idealizer when that is
+    the grown lattice.
     """
     alg = order.algebra
     target = 1 if q == alg.p else 0
@@ -376,10 +426,13 @@ def q_enlarge(order: Order, q: int, radical=None) -> Order:
         v = valuation(d, q) if d % q == 0 else 0
         if v <= target:
             break
-        rad, J = radical if radical and current is order else q_radical(current, q)
-        grown = _multiplier_lattice(J, alg, ("left",))
+        rd = radical if radical and current is order else q_radical(current, q)
+        rad, J = rd.rad, rd.J
+        grown = radical_multipliers(current, q, rad, ("left",))
         if grown != current.lattice:
-            current = verify_order(grown, alg)
+            # the Bass test may have verified this lattice as the two-sided idealizer
+            known = rd.idealizer
+            current = known if known is not None and known.lattice == grown else verify_order(grown, alg)
             continue
         # (1/q) * (1 - e) g e, and the mirror, in coordinates over current
         e, lat, table = _split_idempotent(current, q, rad), current.lattice, current.table

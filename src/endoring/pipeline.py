@@ -52,7 +52,7 @@ from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4, lll_gram
 from .matrix import adj2, adj4, det4, mat2_mul
-from .ntheory import legendre
+from .ntheory import legendre, valuation
 from .orders import (
     _UNITS,
     Order,
@@ -303,9 +303,22 @@ def conjugate_order_lattice(oq: Order, t, q: int, k: int) -> Lattice4:
 
 
 def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
-    """The lattice equal to x at q and to y at every other prime."""
-    m = max(x.gap_at(y, q), y.gap_at(x, q))
-    patched = x.intersect(y.scale(Fraction(1, q**m))).add(y.scale(q**m))
+    """The lattice equal to x at q and to y at every other prime, in one HNF.
+
+    With m = `x.gap_at(y, q)`, q^m y lies in x at q.  Over y's basis, the
+    basis vectors of x have coordinates n / (q^a u), u prime to q (from
+    `y.adjugate()`).  Replacing each by (n u^-1 mod q^(a+m)) / q^a moves the
+    vector by an element of q^m y at q and into q^-a y: with q^m y they
+    span x at q and y at every other prime."""
+    m = x.gap_at(y, q)
+    adj, det = y.adjugate()
+    a = valuation(det * x.den, q)
+    mod = q ** (a + m)
+    w = pow(det * x.den // q**a, -1, mod) * y.den
+    coords = ([sum(r * c for r, c in zip(row, col)) * w % mod for row in adj] for col in x.cols)
+    cols = [[sum(z * c[r] for z, c in zip(zs, y.cols)) for r in range(4)] for zs in coords]
+    cols += [[mod * v for v in c] for c in y.cols]
+    patched = Lattice4.from_integer_columns(cols, q**a * y.den)
     if not patched.equals_at(x, q):
         raise MathematicalInconsistencyError("local patch lost the q-part")
     return patched

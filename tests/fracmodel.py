@@ -18,6 +18,13 @@ forms (1 - e) g e / q from quaternion products: the references for
 `hnf_columns` is the sort-and-subtract column HNF that
 `lattice._hnf_columns` replaced with the extended-gcd step: the HNF is
 canonical, so both give the same columns on every input.
+
+`dual`, `intersect`, `local_patch` and `multiplier_lattice` are the lattice
+routes through duals that the one-HNF routes replaced: the intersection as
+dual(dual(x) + dual(y)), the q-patch as x cap q^-m y + q^m y, and the
+multipliers of any lattice J as the dual of the rows of the maps x -> xg
+(gx) over J.  They are the references for `Lattice4.intersect`,
+`pipeline.local_patch` and `orders.radical_multipliers`.
 """
 
 from fractions import Fraction
@@ -31,7 +38,7 @@ from endoring.errors import (
 from endoring.lattice import Lattice4
 from endoring.ntheory import reduce_unit_mod, valuation
 from endoring.orders import (
-    _multiplier_lattice,
+    _UNITS,
     _split_idempotent,
     _table_mul,
     discrd,
@@ -40,7 +47,7 @@ from endoring.orders import (
     verify_order,
 )
 from endoring.padic import conic_point
-from endoring.quat import QuatElement
+from endoring.quat import QuatElement, integer_product
 
 
 def add(x: QuatElement, y: QuatElement) -> QuatElement:
@@ -114,6 +121,43 @@ def hnf_columns(cols):
                 for t in range(row, 4):
                     h[j][t] -= f * h[row][t]
     return h
+
+
+def dual(lat: Lattice4) -> Lattice4:
+    """{x : x . y in Z for every y in lat}: for the basis matrix B = M/den
+    the dual basis is the columns of (B^T)^-1, the rows of den * adj(M) /
+    det(M)."""
+    adj, det = lat.adjugate()
+    return Lattice4.from_integer_columns([[x * lat.den for x in r] for r in adj], det)
+
+
+def intersect(x: Lattice4, y: Lattice4) -> Lattice4:
+    """x cap y through the duality dual(x cap y) = dual(x) + dual(y)."""
+    return dual(dual(x).add(dual(y)))
+
+
+def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
+    """The lattice equal to x at q and to y at every other prime, as x cap
+    q^-m y + q^m y with m the larger of the two q-gaps."""
+    m = max(x.gap_at(y, q), y.gap_at(x, q))
+    return intersect(x, y.scale(Fraction(1, q**m))).add(y.scale(q**m))
+
+
+def multiplier_lattice(J: Lattice4, alg, sides) -> Lattice4:
+    """{x : xJ in J} (side "left") and/or {x : Jx in J} ("right") for any
+    full lattice J: the coordinates of x*g (g*x) over J, g in J, are linear
+    in x and must be integral, so the multipliers are the dual of the rows
+    of those maps.  For the integer columns g of J, the coordinates of u*g
+    (g*u) over J, u = 1, i, j, ij, are adj(M) * (s*u*g) / (s*det(M)), M the
+    column matrix."""
+    s, mul = integer_product(alg)
+    adj, det = J.adjugate()
+    rows = []
+    for g in J.cols:
+        for side in sides:
+            prods = [mul(u, g) if side == "left" else mul(g, u) for u in _UNITS]
+            rows.extend(zip(*([sum(a * b for a, b in zip(r, v)) for r in adj] for v in prods)))
+    return dual(Lattice4.from_integer_columns(rows, s * det))
 
 
 def coords_of(order, x: QuatElement):
@@ -324,7 +368,7 @@ def q_enlarge(order, q: int):
             break
         rad = radical_coords_mod(current, q)
         J = radical_lattice(current, q, rad)
-        grown = _multiplier_lattice(J, alg, ("left",))
+        grown = multiplier_lattice(J, alg, ("left",))
         if grown != current.lattice:
             current = verify_order(grown, alg)
             continue

@@ -26,12 +26,11 @@ from endoring.ntheory import valuation
 from endoring.orders import (
     _UNITS,
     _conj_coords,
-    _multiplier_lattice,
     _table_mul,
     discrd,
     q_enlarge,
     radical_coords_mod,
-    radical_lattice,
+    radical_multipliers,
     ternary_gorenstein_test,
     verify_order,
 )
@@ -43,10 +42,11 @@ from endoring.pipeline import (
     bass_search,
     distance_to_end,
     find_path_to_end,
+    local_patch,
     pair_idempotent,
 )
 from endoring.quat import QuaternionAlgebra
-from fracmodel import from_coords
+from fracmodel import dual, from_coords
 
 Q = 1009
 
@@ -124,11 +124,11 @@ def test_lattice_from_generators(benchmark, worked):
 
 @pytest.fixture(scope="module")
 def hnf_inputs(general):
-    """The two HNF inputs of the sum in hidden cap O_q = dual(dual(hidden) +
-    dual(O_q)): the 8 columns of the sum and the den * adj(M) columns of its
-    dual."""
+    """The two HNF inputs of the sum in the dual-based hidden cap O_q =
+    dual(dual(hidden) + dual(O_q)) of `fracmodel.intersect`: the 8 columns
+    of the sum and the den * adj(M) columns of its dual."""
     hidden, _, oq, _ = general
-    x, y = hidden.lattice.dual(), oq.lattice.dual()
+    x, y = dual(hidden.lattice), dual(oq.lattice)
     d = lcm(x.den, y.den)
     add = [tuple(v * (d // lat.den) for v in c) for lat in (x, y) for c in lat.cols]
     s = x.add(y)
@@ -219,11 +219,19 @@ def test_vertex_lattice(benchmark, general_d2):
     assert benchmark(lambda: VertexLattices(oq, sm)[v]) == VertexLattices(oq, sm)[v]
 
 
+def test_local_patch(benchmark, general_d2):
+    """The general branch's patch at q = 1009, r = 2: the end vertex's
+    lattice made to agree with O_0 away from q."""
+    oq, sm, word, _, o0 = general_d2
+    end = VertexLattices(oq, sm)[vertex_of_path(word)]
+    assert benchmark(local_patch, end, o0.lattice, Q).equals_at(end, Q)
+
+
 def test_multiplier_lattice(benchmark, planted_at_3):
-    """The two-sided multiplier lattice of the 3-radical of a planted order."""
+    """The two-sided multiplier lattice of the 3-radical of a planted order,
+    from one kernel mod 3."""
     o = planted_at_3
-    J = radical_lattice(o, 3, radical_coords_mod(o, 3))
-    benchmark(_multiplier_lattice, J, o.algebra, ("left", "right"))
+    benchmark(radical_multipliers, o, 3, radical_coords_mod(o, 3), ("left", "right"))
 
 
 def test_q_enlarge_through_stall(benchmark, eichler_at_3):

@@ -6,7 +6,9 @@ rational references in `fracmodel`.
 `orders.q_enlarge` forms its stall candidates from the structure
 constants.  Each must give exactly what the same computation on
 quaternions gives.  `lattice._hnf_columns` must give exactly the columns
-of the sort-and-subtract HNF it replaced.
+of the sort-and-subtract HNF it replaced, and on 8 rows the intersection
+of the dual-based route; the intersection, the q-patch and the radical
+multiplier orders must give the lattices of their dual-based references.
 """
 
 import random
@@ -16,15 +18,19 @@ import pytest
 
 import paperdata
 import planted
-from endoring import lattice, orders
+from endoring import lattice, orders, pipeline
 from endoring.divide import HiddenOrderOracle
 from endoring.errors import DegenerateLatticeError
+from endoring.lattice import Lattice4
 from endoring.ntheory import factorize
-from endoring.orders import discrd, q_enlarge, verify_order
+from endoring.orders import discrd, q_enlarge, radical_lattice, verify_order
 from endoring.padic import Precision, lift_vertex_element, normalized_basis_at, splitting_map, zero_divisor_mod
 from endoring.pipeline import compute_endomorphism_ring, conjugate_order_lattice, local_patch
 from endoring.quat import QuatElement, QuaternionAlgebra
 from fracmodel import hnf_columns as reference_hnf
+from fracmodel import intersect as reference_intersect
+from fracmodel import local_patch as reference_patch
+from fracmodel import multiplier_lattice as reference_multipliers
 from fracmodel import splitting_units, vector_element
 from fracmodel import normalized_basis_at as reference_basis
 from fracmodel import q_enlarge as reference_enlarge
@@ -141,13 +147,32 @@ def test_solves_make_no_quaternion_products(monkeypatch):
 def test_hnf_is_the_reference_on_solves(monkeypatch):
     """Every `_hnf_columns` call made while building and solving the worked
     example and planted instances of both branches, q = 2 included, gives
-    exactly the columns of the sort-and-subtract reference (or raises
-    DegenerateLatticeError exactly when the reference does)."""
-    hnf, sizes = lattice._hnf_columns, []
+    exactly the columns of the reference.  A 4-row call must give the
+    columns of the sort-and-subtract HNF (or raise DegenerateLatticeError
+    exactly when it does).  An 8-row call is an intersection, with columns
+    (X; X) and (Y; 0): its top halves must be the HNF of X + Y, and its last
+    four columns must have zero top halves and the bottom halves of the
+    dual-based X cap Y."""
+    hnf, sizes, wide, inside = lattice._hnf_columns, [], [], []
 
-    def checked(cols):
+    def checked(cols, rows=4):
+        if inside:  # the reference intersection's own HNFs
+            return hnf(cols, rows)
         cols = [tuple(c) for c in cols]
         sizes.append(max(abs(x) for c in cols for x in c).bit_length() if cols else 0)
+        if rows == 8:
+            got = hnf(cols, 8)
+            x = [c[4:] for c in cols if any(c[4:])]
+            y = [c[:4] for c in cols if not any(c[4:])]
+            assert [c[:4] for c in got[:4]] == reference_hnf(x + y)
+            assert not any(any(c[:4]) for c in got[4:])
+            inside.append(True)
+            want = reference_intersect(Lattice4.from_integer_columns(x), Lattice4.from_integer_columns(y))
+            inside.pop()
+            assert want.den == 1 and tuple(tuple(c[4:]) for c in got[4:]) == want.cols
+            wide.append(len(cols))
+            return got
+        assert rows == 4
         try:
             want = reference_hnf(cols)
         except DegenerateLatticeError:
@@ -159,6 +184,14 @@ def test_hnf_is_the_reference_on_solves(monkeypatch):
         return got
 
     monkeypatch.setattr(lattice, "_hnf_columns", checked)
+    build_and_solve()
+    assert len(sizes) > 150 and max(sizes) > 100 and len(wide) > 10
+
+
+def build_and_solve():
+    """Build the worked example and 10 planted instances of both branches,
+    q = 2 included, solve each, check End(E) against the hidden order, and
+    check that every branch was taken."""
     discrd.cache_clear()
     alg = paperdata.algebra()
     instances = [(paperdata.o0(alg), paperdata.endomorphism_ring(alg))]
@@ -179,4 +212,39 @@ def test_hnf_is_the_reference_on_solves(monkeypatch):
         assert end.lattice == hidden.lattice
         branches |= {(s.q == 2, s.bass) for s in sols if s.q != o0.algebra.p}
     assert branches == {(True, True), (True, False), (False, True), (False, False)}
-    assert len(sizes) > 300 and max(sizes) > 100
+
+
+def test_lattice_routes_are_the_references_on_solves(monkeypatch):
+    """Every intersection, q-patch and radical multiplier order made while
+    building and solving the instances of `build_and_solve` equals its
+    dual-based reference in `fracmodel`."""
+    calls = {"intersect": 0, "patch": 0, "multipliers": 0}
+    sides_seen = set()
+    meet, patch, multipliers = Lattice4.intersect, pipeline.local_patch, orders.radical_multipliers
+
+    def checked_intersect(x, y):
+        calls["intersect"] += 1
+        got = meet(x, y)
+        assert got == reference_intersect(x, y)
+        return got
+
+    def checked_patch(x, y, q):
+        calls["patch"] += 1
+        got = patch(x, y, q)
+        assert got == reference_patch(x, y, q)
+        return got
+
+    def checked_multipliers(order, q, rad, sides):
+        calls["multipliers"] += 1
+        sides_seen.add((q == 2, bool(rad), tuple(sides)))
+        got = multipliers(order, q, rad, sides)
+        assert got == reference_multipliers(radical_lattice(order, q, rad), order.algebra, sides)
+        return got
+
+    monkeypatch.setattr(Lattice4, "intersect", checked_intersect)
+    monkeypatch.setattr(pipeline, "local_patch", checked_patch)
+    monkeypatch.setattr(planted, "local_patch", checked_patch)
+    monkeypatch.setattr(orders, "radical_multipliers", checked_multipliers)
+    build_and_solve()
+    assert calls["intersect"] > 10 and calls["patch"] > 10 and calls["multipliers"] > 20
+    assert {(t, True, s) for t in (True, False) for s in (("left",), ("left", "right"))} <= sides_seen

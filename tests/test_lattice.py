@@ -4,13 +4,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from endoring.errors import DegenerateLatticeError
 from endoring.lattice import Lattice4, _hnf_columns, integer_kernel
 from endoring.matrix import adj4, det3
 from endoring.ntheory import valuation
+from fracmodel import dual, intersect
 from fracmodel import hnf_columns as reference_hnf
 from fracmodel import solve
 
@@ -69,15 +70,15 @@ def test_canonical_idempotence_and_double_dual():
     for _ in range(100):
         lat = rand_lattice(rng)
         assert Lattice4.from_generators(lat.basis()) == lat
-        assert lat.dual().dual() == lat
+        assert dual(dual(lat)) == lat
 
 
 def test_de_morgan_duality():
     rng = random.Random(2)
     for _ in range(60):
         l1, l2 = rand_lattice(rng), rand_lattice(rng)
-        lhs = l1.intersect(l2).dual()
-        rhs = l1.dual().add(l2.dual())
+        lhs = dual(l1.intersect(l2))
+        rhs = dual(l1).add(dual(l2))
         assert lhs == rhs
 
 
@@ -141,6 +142,45 @@ def test_hnf_of_rank_below_four_raises(cols, row, mix):
             hnf(flat)
 
 
+def full_lattice(cols, den):
+    try:
+        return Lattice4.from_integer_columns(cols, den)
+    except DegenerateLatticeError:
+        return None
+
+
+lattice_args = st.tuples(
+    st.lists(st.tuples(entries, entries, entries, entries), min_size=4, max_size=6),
+    st.one_of(st.integers(1, 12), st.integers(1, 2**200)),
+)
+
+
+@hnf_settings
+@given(a=lattice_args, b=lattice_args, mode=st.sampled_from(("any", "inside", "coprime")))
+@example(a=([e(0), e(1), e(2), e(3)], 1), b=([(2, 0, 0, 0), e(1), e(2), e(3)], 3), mode="any")
+def test_intersect_is_the_dual_reference(a, b, mode):
+    """The one-HNF intersection equals dual(dual(x) + dual(y)), for lattices
+    with different denominators and entries up to 2^200; for y inside x
+    (y spanned by integer combinations of x's basis, the combinations drawn
+    as b's columns) it is y, and for integral x, y of coprime indices in Z^4
+    its index is the product."""
+    x, y = full_lattice(*a), full_lattice(*b)
+    assume(x is not None and y is not None)
+    if mode == "inside":
+        y = Lattice4.from_integer_columns(
+            [[sum(m * c[r] for m, c in zip(coef, x.cols)) for r in range(4)] for coef in y.cols], x.den
+        )
+    elif mode == "coprime":
+        x, y = Lattice4.from_integer_columns(a[0]), Lattice4.from_integer_columns(b[0])
+        assume(math.gcd(x.det().numerator, y.det().numerator) == 1)
+    both = x.intersect(y)
+    assert both == intersect(x, y) == y.intersect(x)
+    if mode == "inside":
+        assert both == y
+    if mode == "coprime":
+        assert both.det() == x.det() * y.det()
+
+
 def test_adjugate_is_adj4_of_the_columns():
     """The triangular adjugate equals adj4 of the column matrix M and gives
     adj * M = det * I, on lattices with den > 1 and on duals and
@@ -150,7 +190,7 @@ def test_adjugate_is_adj4_of_the_columns():
     for _ in range(60):
         a = rand_lattice(rng, -30, 30).scale(Fraction(rng.randint(1, 5), rng.randint(2, 9)))
         b = rand_lattice(rng).scale(Fraction(1, rng.randint(2, 7)))
-        lattices += [a, a.dual(), a.intersect(b)]
+        lattices += [a, dual(a), a.intersect(b)]
     assert sum(lat.den > 1 for lat in lattices) > 100
     for lat in lattices:
         m = tuple(zip(*lat.cols))

@@ -6,7 +6,7 @@ import pytest
 
 import paperdata
 import planted
-from endoring import linmod
+from endoring import linmod, orders
 from endoring.errors import MathematicalInconsistencyError, NotARingError
 from endoring.lattice import Lattice4, integer_kernel
 from endoring.matrix import adj4, det3, det4
@@ -14,23 +14,24 @@ from endoring.ntheory import valuation
 from endoring.orders import (
     Order,
     _assert_nil,
-    _multiplier_lattice,
     _table_mul,
     discrd,
     is_bass_at,
     is_maximal,
     order_from_basis,
     q_enlarge,
+    q_radical,
     radical_coords_mod,
     radical_idealizer,
     radical_lattice,
+    radical_multipliers,
     standard_maximal_order,
     ternary_form_coefficients,
     ternary_gorenstein_test,
     verify_order,
 )
 from endoring.quat import QuatElement, QuaternionAlgebra
-from fracmodel import from_coords, linear_combination, solve, trd
+from fracmodel import from_coords, linear_combination, multiplier_lattice, solve, trd
 from treemodel import gram
 
 
@@ -226,9 +227,60 @@ def test_multiplier_lattice_matches_colon_definition(alg, q):
     for J, a in cases:
         left = colon_reference(J, a, "left")
         right = colon_reference(J, a, "right")
-        assert _multiplier_lattice(J, a, ("left",)) == left
-        assert _multiplier_lattice(J, a, ("right",)) == right
-        assert _multiplier_lattice(J, a, ("left", "right")) == left.intersect(right)
+        assert multiplier_lattice(J, a, ("left",)) == left
+        assert multiplier_lattice(J, a, ("right",)) == right
+        assert multiplier_lattice(J, a, ("left", "right")) == left.intersect(right)
+
+
+SIDES = (("left",), ("right",), ("left", "right"))
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 103])
+def test_radical_multipliers_are_the_reference(alg, q):
+    """The multipliers of the q-radical from one kernel mod q equal the
+    dual-based multipliers of its preimage J, on each side and two-sided,
+    for the paper orders, planted suborders and a level-q Eichler order
+    (whose radical has dimension 2), and orders of (-1/4, -103 | Q): the
+    maximal one, Z + 2O and Z + 3O, whose radicals at 2, at 3 and at the
+    ramified 103 are not zero."""
+    omax, plus3 = quarter_orders()
+    quarter = [omax, plus3, scalar_plus(omax, 2)]
+    orders = paper_orders(alg) + quarter
+    if q < 100:
+        orders += planted_orders_at(q, 2) + [planted.bass_instance(179, q, 1, random.Random(q))[0]]
+    for o in orders:
+        radical = q_radical(o, q)
+        for sides in SIDES:
+            assert radical_multipliers(o, q, radical.rad, sides) == multiplier_lattice(radical.J, o.algebra, sides)
+    assert q == 7 or any(q_radical(o, q).rad for o in quarter)
+
+
+def test_q_enlarge_reuses_the_bass_test_idealizer(monkeypatch):
+    """After the Bass test has verified the two-sided idealizer of the
+    radical, q_enlarge given the same `Radical` reuses that order when its
+    first left-multiplier lattice equals it: one `verify_order` fewer, the
+    same enlargement (worked example at 13, Eichler orders at 3 and 2)."""
+    cases = [(paperdata.o0(paperdata.algebra()), 13)]
+    for p, q, depth in ((103, 3, 2), (1019, 2, 4)):
+        o0, _, _ = planted.bass_instance(p, q, depth, random.Random(q))
+        cases.append((o0, q))
+    verified, verify = [], orders.verify_order
+
+    def counting(lat, alg):
+        verified.append(lat)
+        return verify(lat, alg)
+
+    monkeypatch.setattr(orders, "verify_order", counting)
+    for o, q in cases:
+        radical = q_radical(o, q)
+        assert is_bass_at(o, q, radical)
+        assert radical.idealizer.lattice == radical_multipliers(o, q, radical.rad, ("left",))
+        verified.clear()
+        fresh = q_enlarge(o, q)
+        fresh_count = len(verified)
+        verified.clear()
+        assert q_enlarge(o, q, radical) == fresh
+        assert len(verified) == fresh_count - 1
 
 
 def scalar_plus(order, m):
