@@ -4,18 +4,19 @@ Vertices are standard coset representatives (a, b, c) for the maximal
 order T^{-1} M_2(Z_q) T with T = [[q^a, c], [0, q^b]].  Paths are words
 in the generator set Sigma = {gamma_0, ..., gamma_{q-1}, gamma_inf};
 step q in a word encodes gamma_inf.  The module is purely integer
-combinatorics; the order-lattice realizations of vertices that the tests
-check it against live in tests/matmodel.py, and the tree constructions of
-the paper's lemmas that only the tests use in tests/treemodel.py.
+combinatorics: a vertex's standard representative comes from integer row
+operations with q-unit scalars (`canonical_vertex`).  The order-lattice
+realizations of vertices that the tests check it against live in
+tests/matmodel.py, and the tree constructions of the paper's lemmas that
+only the tests use in tests/treemodel.py.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MathematicalInconsistencyError, StructuralError
 from .matrix import adj2, mat2_mul
-from .ntheory import is_prime, reduce_unit_mod, valuation
+from .ntheory import is_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -108,35 +109,31 @@ def associated_matrix(path: MatrixPath):
 
 def canonical_vertex(q: int, mat) -> TreeVertex:
     """Standard representative of the homothety/left-GL_2(Z_q) class of a
-    nonsingular matrix with rational entries."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if det == 0:
+    nonsingular integer matrix, by integer row operations: a row may be
+    scaled by a q-unit, and c is reduced with a unit inverse mod q^b."""
+    m = [list(row) for row in mat]
+    if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
         raise StructuralError("singular matrix does not label a vertex")
-    # triangularize by left multiplication over Z_(q)
-    if m[1][0] != 0:
-        v00 = valuation(m[0][0], q) if m[0][0] != 0 else None
-        v10 = valuation(m[1][0], q)
-        if v00 is None or v10 < v00:
-            m[0], m[1] = m[1], m[0]
-        f = m[1][0] / m[0][0]
-        m[1] = [x - f * y for x, y in zip(m[1], m[0])]
-    # unit-normalize the diagonal
+    # the entry of least valuation in column 0 goes on top: m00 = q^a * u
+    if m[1][0] != 0 and (m[0][0] == 0 or valuation(m[1][0], q) < valuation(m[0][0], q)):
+        m[0], m[1] = m[1], m[0]
     a = valuation(m[0][0], q)
-    u = m[0][0] / q**a
-    m[0] = [x / u for x in m[0]]
+    u = m[0][0] // q**a
+    if m[1][0] != 0:
+        # triangularize: row 1 becomes u * row 1 - (m10 / q^a) * row 0
+        f = m[1][0] // q**a
+        m[1] = [u * x - f * y for x, y in zip(m[1], m[0])]
+    # unit-normalize the diagonal: row 0 over u gives c = m01 / u
     b = valuation(m[1][1], q)
-    w = m[1][1] / q**b
-    m[1] = [x / w for x in m[1]]
-    c = m[0][1]
+    c = m[0][1] * pow(u, -1, q**b)
     while True:
         # reduce c into Z mod q^b, then strip common q-powers (homothety)
-        c = Fraction(reduce_unit_mod(c, q**b)) if b > 0 else Fraction(0)
+        c %= q**b
         shift = min(a, b, valuation(c, q) if c != 0 else a + b)
         if shift == 0:
             break
-        a, b, c = a - shift, b - shift, c / q**shift
-    return TreeVertex(q, a, b, int(c))
+        a, b, c = a - shift, b - shift, c // q**shift
+    return TreeVertex(q, a, b, c)
 
 
 def vertex_of_path(path: MatrixPath) -> TreeVertex:

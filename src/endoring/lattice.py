@@ -22,7 +22,7 @@ the HNF of X cap Y.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import DegenerateLatticeError
 from .ntheory import valuation
@@ -184,7 +184,7 @@ class Lattice4:
         return self.integer_coords([x.numerator * (d // x.denominator) for x in vec], d) is not None
 
     def contains_lattice(self, other: "Lattice4") -> bool:
-        return all(self.contains(b) for b in other.basis())
+        return all(self.integer_coords(c, other.den) is not None for c in other.cols)
 
     def gaps_at(self, cols, den: int, q: int) -> list[int]:
         """For each nonzero integer column c: the least m >= 0 with q^m * c/den
@@ -211,6 +211,13 @@ class Lattice4:
     def index_in(self, sup: "Lattice4") -> Fraction:
         """Generalized index [sup : self] = |det(self)/det(sup)|."""
         return abs(self.det() / sup.det())
+
+    def integer_index_in(self, sup: "Lattice4") -> int | None:
+        """The generalized index [sup : self] when it is an integer, else
+        None: the ratio of the pivot products, each over its den^4."""
+        num = prod(c[i] for i, c in enumerate(self.cols)) * sup.den**4
+        den = prod(c[i] for i, c in enumerate(sup.cols)) * self.den**4
+        return None if num % den else num // den
 
 
 def lll_gram(gram):

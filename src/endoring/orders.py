@@ -9,7 +9,9 @@ reduced discriminants, the codifferent and its ternary quadratic form
 (Gorenstein test by primitivity), radicals mod q with their idealizers,
 and q-maximal q-enlargement by the radical-idealizer chain, whose
 hereditary-stall step forms (1 - e) g e and e g (1 - e) from `table`.
-`QuatElement`s appear only in error reports.
+The ring check, the Gorenstein test and the enlargement's index check are
+integer valuations and divisibility tests: on the solve path,
+`QuatElement`s and `Fraction`s appear only in error reports.
 
 The multipliers of the preimage J of rad(O/qO) lie between O and q^-1 J,
 so they come from one kernel mod q: the y in J with yJ in qJ (Jy in qJ),
@@ -38,7 +40,7 @@ from .errors import (
     StructuralError,
 )
 from .lattice import Lattice4, integer_kernel
-from .matrix import adj4, det4
+from .matrix import adj_det4, det4
 from .ntheory import exact_isqrt, valuation
 from .quat import QuaternionAlgebra, QuatElement, integer_product
 
@@ -108,17 +110,18 @@ def verify_order(lat: Lattice4, alg: QuaternionAlgebra) -> Order:
     Raises MissingUnitError when 1 is absent and NotARingError (naming the
     violating product) when multiplicative closure fails; the closure
     check builds the order's `table`.  Then each basis element b_i must
-    have integral trd(b_i) = t_i = 2 * c_i0 / den and nrd(b_i) = (t_i^2 -
-    trd(b_i^2)) / 2, trd(b_i^2) = sum_k table[i][i][k] * t_k.
+    have integral trd(b_i) = t_i = 2 * c_i0 / den (den divides 2 * c_i0)
+    and integral nrd(b_i) = (t_i^2 - trd(b_i^2)) / 2, trd(b_i^2) = sum_k
+    table[i][i][k] * t_k (the numerator is even), all in integers.
     """
     if not lat.contains((1, 0, 0, 0)):
         raise MissingUnitError("lattice does not contain 1")
     order = Order(alg, lat)
     order.table  # the closure check
-    t = [Fraction(2 * c[0], lat.den) for c in lat.cols]
-    for i, row in enumerate(order.table):
-        nrd = (t[i] * t[i] - sum(c * u for c, u in zip(row[i], t))) / 2
-        if t[i].denominator != 1 or nrd.denominator != 1:
+    t = order.traces
+    for i, (c, row) in enumerate(zip(lat.cols, order.table)):
+        # den | 2 * c_i0, and 2 * nrd(b_i) = t_i^2 - trd(b_i^2) is even
+        if 2 * c[0] % lat.den or (t[i] * t[i] - sum(x * u for x, u in zip(row[i], t))) % 2:
             x = order.basis_elements()[i]
             raise MathematicalInconsistencyError(f"non-integral element {x} in a ring lattice")
     return order
@@ -173,28 +176,27 @@ def _norm_pairing(order: Order, u, v):
     return sum(u[i] * n[i][j] * v[j] for i in range(4) for j in range(4))
 
 
-def ternary_form_coefficients(order: Order):
-    """Coefficients of the ternary quadratic form discrd(O) * nrd on the
-    trace-zero part of the codifferent (the Gorenstein invariant), over the
-    order basis: the codifferent (the trd(xy)-dual of O) is adj(G)/det(G) *
-    Z^4 for G = `order.gram`, and nrd and the pairing come from `norm_gram`."""
+def ternary_gorenstein_test(order: Order, q: int) -> bool:
+    """True iff the ternary form attached to the order is primitive at q.
+
+    The form is discrd(O) * nrd on the trace-zero part of the codifferent
+    (the Gorenstein invariant), over the order basis: the codifferent (the
+    trd(xy)-dual of O) is adj(G)/det(G) * Z^4 for G = `order.gram`, and nrd
+    and the pairing come from `norm_gram`.  For v, w in the trace-zero part
+    (integer columns of adj(G)), the coefficients are d*N(v,v) / (2 det^2)
+    and d*N(v,w) / det^2, d = discrd(O) and N the norm Gram matrix, so the
+    least valuation is read from integer numerators and denominators."""
     g, t = order.gram, order.traces
-    adj, det = adj4(g), det4(g)
+    adj, det = adj_det4(g)
     tint = [sum(t[i] * adj[i][j] for i in range(4)) for j in range(4)]
     if not any(tint):
         raise MathematicalInconsistencyError("trace functional vanishes on the codifferent")
     vs = [[sum(r[k] * z[k] for k in range(4)) for r in adj] for z in integer_kernel(tint)]
-    d = discrd(order)
-    coeffs = [Fraction(d * _norm_pairing(order, v, v), 2 * det * det) for v in vs]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            coeffs.append(Fraction(d * _norm_pairing(order, vs[i], vs[j]), det * det))
-    return coeffs
-
-
-def ternary_gorenstein_test(order: Order, q: int) -> bool:
-    """True iff the ternary form attached to the order is primitive at q."""
-    low = min(valuation(c, q) for c in ternary_form_coefficients(order) if c != 0)
+    d, vsq = discrd(order), valuation(det * det, q)
+    # (numerator, valuation of the denominator) of each coefficient
+    coeffs = [(d * _norm_pairing(order, v, v), vsq + valuation(2, q)) for v in vs]
+    coeffs += [(d * _norm_pairing(order, vs[i], vs[j]), vsq) for i in range(3) for j in range(i + 1, 3)]
+    low = min(valuation(n, q) - v for n, v in coeffs if n)
     if low < 0:
         raise MathematicalInconsistencyError("ternary form not q-integral")
     return low == 0
@@ -456,10 +458,9 @@ def q_enlarge(order: Order, q: int, radical=None) -> Order:
         current = nxt
     else:
         raise MathematicalInconsistencyError("q-enlargement did not terminate")
-    idx = order.lattice.index_in(current.lattice)
-    if idx.denominator != 1:
+    n = order.lattice.integer_index_in(current.lattice)
+    if n is None:
         raise MathematicalInconsistencyError("enlargement is not a superorder")
-    n = idx.numerator
     while n % q == 0:
         n //= q
     if n != 1:

@@ -10,9 +10,12 @@ isomorphism onto M_2(Z/q^(r+1)).
 Everything works in coordinates over the order basis.  The normalized
 basis and the zero divisor are exact: integer coordinates over one
 denominator prime to q per vector, their pairings read from the norm Gram
-matrix (`Order.norm_gram`) and certified by exact valuation checks.  The
-splitting map reduces them mod q^(r+1) and reads its products from the
-order's structure constants (`Order.table`).
+matrix (`Order.norm_gram`) as integer numerators and certified by exact
+valuation checks.  Each Gram-Schmidt step is one integer combination
+reduced to lowest terms; only the returned block values are Fractions.
+The splitting map reduces the vectors mod q^(r+1), reads its products from
+the order's structure constants (`Order.table`) and inverts the transfer
+matrix by one closed-form adjugate (`matrix.adj_det4`).
 
 For odd q the zero divisor starts from the lexicographically first
 point of the conic a0*x1^2 + a1*x2^2 + a2*x3^2 = 0 mod q (`conic_point`).
@@ -31,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import MathematicalInconsistencyError, PrecisionError, StructuralError
-from .matrix import adj4, det4, mat2_mul
+from .matrix import adj_det4, mat2_mul
 from .ntheory import reduce_unit_mod, sqrt_mod, valuation
 from .orders import _UNITS, Order, _conj_coords, _norm_pairing, _table_mul
 
@@ -59,14 +62,20 @@ def _min_val(vals):
     return min(vals) if vals else None
 
 
+def _reduced(z, d) -> tuple:
+    """The vector z/d as (z, d) in lowest terms with d > 0."""
+    g = gcd(d, *z)
+    if d < 0:
+        g = -g
+    return tuple(a // g for a in z), d // g
+
+
 def _combine(terms) -> tuple:
-    """sum c*v over the pairs (c, v), c rational and v = (z, d) standing for
-    the coordinates z/d: as (z, d) in lowest terms with d > 0."""
-    terms = [(Fraction(c) / d, z) for c, (z, d) in terms]
-    den = lcm(*(c.denominator for c, _ in terms))
-    z = [sum(c.numerator * (den // c.denominator) * w[k] for c, w in terms) for k in range(4)]
-    g = gcd(den, *z)
-    return tuple(a // g for a in z), den // g
+    """sum c*v over the pairs (c, v), c an integer and v = (z, d) standing
+    for the coordinates z/d: as (z, d) in lowest terms with d > 0."""
+    terms = list(terms)
+    den = lcm(*(d for _, (_, d) in terms))
+    return _reduced([sum(c * (den // d) * w[k] for c, (w, d) in terms) for k in range(4)], den)
 
 
 def normalized_basis_at(order: Order, q: int):
@@ -74,14 +83,22 @@ def normalized_basis_at(order: Order, q: int):
     forms: diagonal for odd q, diagonal and binary blocks for q = 2.
 
     Returns (basis, blocks).  A basis vector is a pair (z, d): coordinates
-    z/d over the order basis, z integers and d prime to q.  blocks is a
-    list of ("unit", a) entries for diagonal atoms a*x^2 and ("pair", (a,
-    b, c)) entries for binary atoms a*x^2 + b*xy + c*y^2.  The pairing
-    trd(x*conj(y)) is z.N.w / (d*e) for N = `order.norm_gram`.
+    z/d over the order basis, z integers and d prime to q, in lowest terms
+    with d > 0.  blocks is a list of ("unit", a) entries for diagonal atoms
+    a*x^2 and ("pair", (a, b, c)) entries for binary atoms a*x^2 + b*xy +
+    c*y^2, with Fraction values.  The pairing trd(x*conj(y)) is z.N.w /
+    (d*e) for N = `order.norm_gram`; the d's are prime to q, so valuations
+    are read from the integer numerators z.N.w alone.
+
+    Each step is exact in integers.  Splitting off a diagonal atom f maps v
+    to v - (N(v,f)/N(f,f)) f = (N(f,f) z_v - N(v,f) z_f) / (N(f,f) d_v), and
+    a binary atom (f1, f2) maps v to (D z_v - (N(v,f1) N22 - N(v,f2) N12) z1
+    - (N(v,f2) N11 - N(v,f1) N12) z2) / (D d_v), D = N11 N22 - N12^2 and
+    Nij = N(fi,fj): the d's of the atoms cancel.  Here N(u,v) is z_u.N.z_v.
     """
 
-    def pairing(u, v) -> Fraction:
-        return Fraction(_norm_pairing(order, u[0], v[0]), u[1] * v[1])
+    def pairing(u, v) -> int:
+        return _norm_pairing(order, u[0], v[0])
 
     vecs = [(u, 1) for u in _UNITS]
     out = []
@@ -98,10 +115,10 @@ def normalized_basis_at(order: Order, q: int):
         if dmin is not None and (omin is None or dmin <= omin):
             i = diag.index(dmin)
             f = vecs.pop(i)
-            bff = pairing(f, f)
-            vecs = [_combine(((1, v), (-pairing(v, f) / bff, f))) for v in vecs]
+            (zf, df), nff = f, pairing(f, f)
+            vecs = [_reduced([nff * a - pairing(v, f) * b for a, b in zip(v[0], zf)], nff * v[1]) for v in vecs]
             out.append(f)
-            blocks.append(("unit", bff / 2))
+            blocks.append(("unit", Fraction(nff, 2 * df * df)))
             continue
         if q != 2:
             # odd q: mixing makes the minimum appear on the diagonal
@@ -111,17 +128,18 @@ def normalized_basis_at(order: Order, q: int):
         (i, j) = next(k for k, v in off.items() if v == omin)
         f1, f2 = vecs[i], vecs[j]
         vecs = [v for k, v in enumerate(vecs) if k not in (i, j)]
-        b11, b12, b22 = pairing(f1, f1), pairing(f1, f2), pairing(f2, f2)
-        det = b11 * b22 - b12 * b12
+        n11, n12, n22 = pairing(f1, f1), pairing(f1, f2), pairing(f2, f2)
+        det = n11 * n22 - n12 * n12
         rest = []
         for v in vecs:
             c1, c2 = pairing(v, f1), pairing(v, f2)
-            alpha = (c1 * b22 - c2 * b12) / det
-            beta = (c2 * b11 - c1 * b12) / det
-            rest.append(_combine(((1, v), (-alpha, f1), (-beta, f2))))
+            alpha, beta = c1 * n22 - c2 * n12, c2 * n11 - c1 * n12
+            z = [det * x - alpha * y1 - beta * y2 for x, y1, y2 in zip(v[0], f1[0], f2[0])]
+            rest.append(_reduced(z, det * v[1]))
         vecs = rest
         out.extend([f1, f2])
-        blocks.append(("pair", (b11 / 2, b12, b22 / 2)))
+        d1, d2 = f1[1], f2[1]
+        blocks.append(("pair", (Fraction(n11, 2 * d1 * d1), Fraction(n12, d1 * d2), Fraction(n22, 2 * d2 * d2))))
     if any(d % q == 0 for _, d in out):
         raise MathematicalInconsistencyError("normalized basis left Z_(q)")
     return out, blocks
@@ -269,11 +287,11 @@ def splitting_map(order: Order, prec: Precision) -> SplittingMap:
     unit_coords = (e11, e, e21, e22)
     # transfer matrix: columns are coordinates of the unit preimages
     transfer = tuple(zip(*unit_coords))
-    det = det4(transfer) % modulus
+    adj, det = adj_det4(transfer)
     if det % q == 0:
         raise MathematicalInconsistencyError("matrix units do not span mod q")
     dinv = pow(det, -1, modulus)
-    minv = tuple(tuple(x * dinv % modulus for x in row) for row in adj4(transfer))
+    minv = tuple(tuple(x * dinv % modulus for x in row) for row in adj)
     sm = SplittingMap(order, prec, unit_coords, minv)
     _validate_splitting(sm)
     return sm

@@ -51,7 +51,7 @@ from .btt import (
 from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4, lll_gram
-from .matrix import adj2, adj4, det4, mat2_mul
+from .matrix import adj2, adj_det4, mat2_mul
 from .ntheory import legendre, valuation
 from .orders import (
     _UNITS,
@@ -154,10 +154,9 @@ class ReducedBasis:
             tuple(sum(u * c[r] for u, c in zip(row, lat.cols)) for r in range(4))
             for row in lll_gram(o0.norm_gram)
         )
-        rows = tuple(zip(*self._cols))
-        det = det4(rows)
+        adj, det = adj_det4(tuple(zip(*self._cols)))
         sign = 1 if det > 0 else -1
-        self._num = tuple(tuple(sign * lat.den * x for x in row) for row in adj4(rows))
+        self._num = tuple(tuple(sign * lat.den * x for x in row) for row in adj)
         self._det = abs(det)
 
     def frame(self, order: Order, q: int) -> "Frame":
@@ -346,9 +345,11 @@ class VertexLattices(dict):
 
 def global_order_from_vertices(o0: Order, lattices: VertexLattices, vertex) -> Order:
     """Global order whose q-part is the order of the tree vertex and whose
-    other localizations agree with the starting order."""
-    q = lattices.sm.precision.q
-    return verify_order(local_patch(lattices[vertex], o0.lattice, q), o0.algebra)
+    other localizations agree with the starting order.  At the root the
+    patch is O_q itself, which is verified already."""
+    q, oq = lattices.sm.precision.q, lattices.oq
+    patched = local_patch(lattices[vertex], o0.lattice, q)
+    return oq if patched == oq.lattice else verify_order(patched, o0.algebra)
 
 
 # ---------------------------------------------------------------------------

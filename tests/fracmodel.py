@@ -25,6 +25,10 @@ dual(dual(x) + dual(y)), the q-patch as x cap q^-m y + q^m y, and the
 multipliers of any lattice J as the dual of the rows of the maps x -> xg
 (gx) over J.  They are the references for `Lattice4.intersect`,
 `pipeline.local_patch` and `orders.radical_multipliers`.
+
+`ternary_form_coefficients` is the Gorenstein form as Fractions, the
+coefficients whose least valuation `orders.ternary_gorenstein_test` reads
+from integer numerators and denominators.
 """
 
 from fractions import Fraction
@@ -35,10 +39,12 @@ from endoring.errors import (
     MissingUnitError,
     NotARingError,
 )
-from endoring.lattice import Lattice4
+from endoring.lattice import Lattice4, integer_kernel
+from endoring.matrix import adj4, det4
 from endoring.ntheory import reduce_unit_mod, valuation
 from endoring.orders import (
     _UNITS,
+    _norm_pairing,
     _split_idempotent,
     _table_mul,
     discrd,
@@ -393,3 +399,33 @@ def q_enlarge(order, q: int):
     else:
         raise MathematicalInconsistencyError("q-enlargement did not terminate")
     return current, stalls
+
+
+# ---------------------------------------------------------------------------
+# the Gorenstein form as Fractions
+
+
+def ternary_form_coefficients(order):
+    """Coefficients of the ternary quadratic form discrd(O) * nrd on the
+    trace-zero part of the codifferent, over the order basis, as Fractions:
+    the three diagonal coefficients, then the three cross terms."""
+    g, t = order.gram, order.traces
+    adj, det = adj4(g), det4(g)
+    tint = [sum(t[i] * adj[i][j] for i in range(4)) for j in range(4)]
+    if not any(tint):
+        raise MathematicalInconsistencyError("trace functional vanishes on the codifferent")
+    vs = [[sum(r[k] * z[k] for k in range(4)) for r in adj] for z in integer_kernel(tint)]
+    d = discrd(order)
+    coeffs = [Fraction(d * _norm_pairing(order, v, v), 2 * det * det) for v in vs]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            coeffs.append(Fraction(d * _norm_pairing(order, vs[i], vs[j]), det * det))
+    return coeffs
+
+
+def ternary_gorenstein_test(order, q: int) -> bool:
+    """The Gorenstein test on the Fraction coefficients."""
+    low = min(valuation(c, q) for c in ternary_form_coefficients(order) if c != 0)
+    if low < 0:
+        raise MathematicalInconsistencyError("ternary form not q-integral")
+    return low == 0

@@ -4,6 +4,10 @@ A vertex with matrix T is realized as the order T^{-1} M_2(Z) T inside
 M_2(Q), a lattice in E-coordinates (x11, x12, x21, x22).  The tests use it
 to cross-validate the tree combinatorics of `endoring.btt` against exact
 lattice arithmetic.
+
+`det3`, `det4_by_minors` and `adj4_by_minors` are the cofactor expansion
+through sixteen 3x3 minors that `endoring.matrix` replaced with its
+closed form from 2x2 minors: the reference for `matrix.adj_det4`.
 """
 
 from fractions import Fraction
@@ -15,6 +19,31 @@ from endoring.matrix import adj2, det4, mat2_mul
 from endoring.ntheory import exact_isqrt, valuation
 
 E_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # E11 E12 E21 E22
+
+
+def det3(a):
+    return (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+
+
+def minor4(m, row, col):
+    """The 3x3 matrix left when row `row` and column `col` are struck out."""
+    return [[m[r][c] for c in range(4) if c != col] for r in range(4) if r != row]
+
+
+def det4_by_minors(m):
+    """Determinant of a 4x4 matrix, by expansion along the first row."""
+    return sum((-1) ** c * m[0][c] * det3(minor4(m, 0, c)) for c in range(4))
+
+
+def adj4_by_minors(m):
+    """Adjugate of a 4x4 matrix, one 3x3 minor per entry."""
+    return tuple(
+        tuple((-1) ** (i + j) * det3(minor4(m, j, i)) for j in range(4)) for i in range(4)
+    )
 
 
 def mat_coords_mul(x, y):

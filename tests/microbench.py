@@ -19,9 +19,10 @@ import pytest
 
 import paperdata
 import planted
-from endoring.btt import vertex_of_path
+from endoring.btt import MatrixPath, vertex_of_path
 from endoring.divide import HiddenOrderOracle
 from endoring.lattice import Lattice4, _hnf_columns
+from endoring.matrix import adj_det4
 from endoring.ntheory import valuation
 from endoring.orders import (
     _UNITS,
@@ -114,6 +115,23 @@ def test_table_mul(benchmark, general):
     _, _, oq, _ = general
     table, x, y = oq.table, (3, -5, 7, 11), (-2, 9, 4, -6)
     benchmark(_table_mul, table, x, y)
+
+
+def test_adj_det4(benchmark, general_d2):
+    """The closed-form adjugate and determinant of the transfer matrix of
+    the splitting map mod q^3 at q = 1009 (its columns are the matrix units'
+    coordinates), as `splitting_map` inverts it."""
+    _, sm, *_ = general_d2
+    transfer = tuple(zip(*sm.unit_coords))
+    adj, det = benchmark(adj_det4, transfer)
+    assert det % Q
+
+
+def test_vertex_of_path(benchmark):
+    """The standard representative of a depth-5 vertex at q = 1009 from its
+    path's matrix."""
+    path = MatrixPath(Q, (Q, 5, 700, 3, 1000))
+    assert benchmark(vertex_of_path, path).depth == 5
 
 
 def test_lattice_from_generators(benchmark, worked):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from endoring.btt import (
     MatrixPath,
@@ -18,6 +20,7 @@ from endoring.btt import (
 )
 from endoring.errors import StructuralError
 from treemodel import ball_triple, neighborhood_of_path, tu_triple
+from treemodel import canonical_vertex as reference_vertex
 
 
 def test_empty_path_is_root():
@@ -45,6 +48,30 @@ def test_canonical_vertex_scalar_and_units():
     assert canonical_vertex(3, ((9, 3), (0, 9))) == TreeVertex(3, 1, 1, 1)
     # left row operations do not change the vertex
     assert canonical_vertex(3, ((3, 1), (3, 4))) == TreeVertex(3, 1, 1, 1)
+
+
+@st.composite
+def q_power_entries(draw, q):
+    """An integer q^k * u, u up to 2^64 and k up to 12, or 0."""
+    if draw(st.integers(0, 5)) == 0:
+        return 0
+    return q ** draw(st.integers(0, 12)) * draw(st.integers(-(2**64), 2**64))
+
+
+@st.composite
+def prime_and_matrix(draw):
+    q = draw(st.sampled_from((2, 3, 5, 1009)))
+    return q, draw(st.tuples(*[st.tuples(q_power_entries(q), q_power_entries(q))] * 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_and_matrix())
+def test_canonical_vertex_is_the_fraction_reference(case):
+    """The integer row operations give the vertex of the Fraction reference,
+    on entries with high q-powers, zeros in any place and both row orders."""
+    q, m = case
+    assume(m[0][0] * m[1][1] != m[0][1] * m[1][0])
+    assert canonical_vertex(q, m) == reference_vertex(q, m)
 
 
 def test_path_roundtrip_random():

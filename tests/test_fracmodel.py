@@ -9,8 +9,11 @@ quaternions gives.  `lattice._hnf_columns` must give exactly the columns
 of the sort-and-subtract HNF it replaced, and on 8 rows the intersection
 of the dual-based route; the intersection, the q-patch and the radical
 multiplier orders must give the lattices of their dual-based references.
+The integer Gorenstein test, normalized basis, vertex representative and
+enlargement index check must decide as their Fraction forms do.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +21,7 @@ import pytest
 
 import paperdata
 import planted
-from endoring import lattice, orders, pipeline
+from endoring import btt, lattice, orders, padic, pipeline
 from endoring.divide import HiddenOrderOracle
 from endoring.errors import DegenerateLatticeError
 from endoring.lattice import Lattice4
@@ -34,8 +37,10 @@ from fracmodel import multiplier_lattice as reference_multipliers
 from fracmodel import splitting_units, vector_element
 from fracmodel import normalized_basis_at as reference_basis
 from fracmodel import q_enlarge as reference_enlarge
+from fracmodel import ternary_gorenstein_test as reference_gorenstein
 from fracmodel import zero_divisor as reference_zero_divisor
 from test_orders import paper_orders, quarter_orders
+from treemodel import canonical_vertex as reference_vertex
 
 QS = (2, 3, 5, 7, 13)
 
@@ -248,3 +253,49 @@ def test_lattice_routes_are_the_references_on_solves(monkeypatch):
     build_and_solve()
     assert calls["intersect"] > 10 and calls["patch"] > 10 and calls["multipliers"] > 20
     assert {(t, True, s) for t in (True, False) for s in (("left",), ("left", "right"))} <= sides_seen
+
+
+def test_integer_invariants_are_the_fraction_ones_on_solves(monkeypatch):
+    """Every Gorenstein test, normalized basis, `canonical_vertex` call and
+    q-enlargement index check made while building and solving the instances
+    of `build_and_solve` decides as its Fraction form: the same answer, the
+    same basis vectors (in lowest terms) and blocks, the same vertex, and
+    the index of the Fraction ratio of determinants."""
+    calls = {"gorenstein": [], "basis": [], "vertex": [], "index": []}
+    gorenstein, basis, vertex = orders.ternary_gorenstein_test, padic.normalized_basis_at, btt.canonical_vertex
+    index = Lattice4.integer_index_in
+
+    def checked_gorenstein(order, q):
+        calls["gorenstein"].append(q)
+        got = gorenstein(order, q)
+        assert got == reference_gorenstein(order, q)
+        return got
+
+    def checked_basis(order, q):
+        calls["basis"].append(q)
+        fs, blocks = basis(order, q)
+        ref_fs, ref_blocks = reference_basis(order, q)
+        assert [vector_element(order, f) for f in fs] == ref_fs and blocks == ref_blocks
+        assert all(d > 0 and math.gcd(d, *z) == 1 for z, d in fs)
+        return fs, blocks
+
+    def checked_vertex(q, mat):
+        calls["vertex"].append(q)
+        got = vertex(q, mat)
+        assert got == reference_vertex(q, mat)
+        return got
+
+    def checked_index(sub, sup):
+        calls["index"].append((sub, sup))
+        got, ref = index(sub, sup), sub.index_in(sup)
+        assert got == (ref.numerator if ref.denominator == 1 else None)
+        return got
+
+    monkeypatch.setattr(orders, "ternary_gorenstein_test", checked_gorenstein)
+    monkeypatch.setattr(padic, "normalized_basis_at", checked_basis)
+    monkeypatch.setattr(btt, "canonical_vertex", checked_vertex)
+    monkeypatch.setattr(Lattice4, "integer_index_in", checked_index)
+    build_and_solve()
+    primes = {2, 5, 7, 13}
+    assert primes <= set(calls["gorenstein"]) and primes <= set(calls["basis"])
+    assert {2, 5, 13} <= set(calls["vertex"]) and len(calls["vertex"]) > 20 and len(calls["index"]) > 20

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from endoring.errors import DegenerateLatticeError
 from endoring.lattice import Lattice4, _hnf_columns, integer_kernel
-from endoring.matrix import adj4, det3
+from endoring.matrix import adj4
 from endoring.ntheory import valuation
 from fracmodel import dual, intersect
 from fracmodel import hnf_columns as reference_hnf
 from fracmodel import solve
+from matmodel import det3
 
 
 def rand_lattice(rng, lo=-9, hi=9):

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from endoring.matrix import adj2, adj4, det4, mat2_mul
+from endoring.matrix import adj2, adj4, adj_det4, det4, mat2_mul
+from matmodel import adj4_by_minors, det4_by_minors
 
 
 def mat4_mul(x, y):
@@ -45,3 +48,33 @@ def test_adj2_times_matrix_is_det(entry):
         d = t[0][0] * t[1][1] - t[0][1] * t[1][0]
         assert mat2_mul(adj2(t), t) == ((d, 0), (0, d))
         assert mat2_mul(t, adj2(t)) == ((d, 0), (0, d))
+
+
+BIG = st.integers(-(2**200), 2**200)
+
+
+def square4(entries):
+    return st.tuples(*[st.tuples(*[entries] * 4)] * 4)
+
+
+@st.composite
+def low_rank(draw, entries=BIG):
+    """A 4x4 matrix of rank at most 2 or 3: a 4 x k times a k x 4 product."""
+    k = draw(st.sampled_from((1, 2, 3)))
+    left = draw(st.tuples(*[st.tuples(*[entries] * k)] * 4))
+    right = draw(st.tuples(*[st.tuples(*[entries] * 4)] * k))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*right)) for row in left)
+
+
+FRACTIONS = st.fractions(min_value=-(2**64), max_value=2**64, max_denominator=2**32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(square4(BIG), low_rank(), square4(FRACTIONS), low_rank(FRACTIONS)))
+def test_closed_form_is_the_minor_expansion(m):
+    """The closed form from 2x2 minors gives the adjugate and determinant of
+    the expansion by 3x3 minors, on entries up to 2^200, on matrices of rank
+    1 to 3 and on Fraction entries."""
+    want = (adj4_by_minors(m), det4_by_minors(m))
+    assert adj_det4(m) == want
+    assert (adj4(m), det4(m)) == want

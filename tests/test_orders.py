@@ -9,7 +9,7 @@ import planted
 from endoring import linmod, orders
 from endoring.errors import MathematicalInconsistencyError, NotARingError
 from endoring.lattice import Lattice4, integer_kernel
-from endoring.matrix import adj4, det3, det4
+from endoring.matrix import adj4, det4
 from endoring.ntheory import valuation
 from endoring.orders import (
     Order,
@@ -26,12 +26,13 @@ from endoring.orders import (
     radical_lattice,
     radical_multipliers,
     standard_maximal_order,
-    ternary_form_coefficients,
     ternary_gorenstein_test,
     verify_order,
 )
 from endoring.quat import QuatElement, QuaternionAlgebra
 from fracmodel import from_coords, linear_combination, multiplier_lattice, solve, trd
+from fracmodel import ternary_form_coefficients
+from matmodel import det3
 from treemodel import gram
 
 

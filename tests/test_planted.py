@@ -1,14 +1,20 @@
 import hashlib
 import json
+import os
 import random
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+import paperdata
 import planted
-from endoring import pipeline
+from endoring import padic, pipeline
 from endoring.btt import vertex_of_path
 from endoring.divide import CountingOracle, HiddenOrderOracle
-from endoring.orders import q_enlarge, verify_order
+from endoring.ntheory import factorize
+from endoring.orders import discrd, q_enlarge, verify_order
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     ReducedBasis,
@@ -206,6 +212,52 @@ def test_splitting_map_and_vertex_order_make_no_quaternion_products(monkeypatch)
     lat = lattices[vertex_of_path(word)]
     assert len(products) == 0
     assert lat.equals_at(hidden.lattice, q)
+
+
+def fraction_site():
+    """(file name, function) of the code that asked for a new Fraction: the
+    first frame outside `fractions` and outside comprehensions."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_filename.endswith("fractions.py") or frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return os.path.basename(frame.f_code.co_filename), frame.f_code.co_name
+
+
+def test_solves_build_fractions_only_for_beta_and_blocks(monkeypatch):
+    """The worked example, a planted Bass instance at q = 5 and a general
+    instance at q = 2, d = 2: every Fraction a solve constructs is one of the
+    four coordinates of a question's beta (`Frame.ask`) or a block value that
+    `normalized_basis_at` returns.  The order, splitting and tree layers
+    work in integers."""
+    alg103 = QuaternionAlgebra.for_prime(103)
+    hidden, _, o0, _, _ = planted.general_instance(alg103, 2, 2, random.Random(2))
+    bass_o0, _, bass_hidden = planted.bass_instance(179, 5, 2, random.Random(5))
+    worked = paperdata.algebra()
+    instances = [(paperdata.o0(worked), paperdata.endomorphism_ring(worked)), (bass_o0, bass_hidden), (o0, hidden)]
+    facts = [sorted(factorize(discrd(o)).items()) for o, _ in instances]
+    sites, block_values, new, basis = Counter(), [], Fraction.__new__, padic.normalized_basis_at
+
+    def counting_new(cls, *args, **kwargs):
+        sites[fraction_site()] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_basis(order, q):
+        fs, blocks = basis(order, q)
+        block_values.extend(1 if kind == "unit" else len(v) for kind, v in blocks)
+        return fs, blocks
+
+    monkeypatch.setattr(padic, "normalized_basis_at", counting_basis)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    calls, branches = 0, set()
+    for (o0, hidden), fact in zip(instances, facts):
+        end, sols, n = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
+        assert end.lattice == hidden.lattice
+        calls += n
+        branches |= {(s.q, s.bass) for s in sols}
+    monkeypatch.undo()
+    assert {(5, True), (2, False)} <= branches
+    assert 3 in block_values  # a binary atom at q = 2
+    assert sites == {("pipeline.py", "ask"): 4 * calls, ("padic.py", "normalized_basis_at"): sum(block_values)}
 
 
 def test_general_branch_at_large_q():

@@ -5,13 +5,16 @@ quaternion basis computed by quaternion products.
 `tu_triple` and `ball_triple` pick the tree vertices whose intersections
 the lemmas are about, `neighborhood_of_path` and `standard_vertices_up_to`
 enumerate vertex sets to check them against, and `gram` is the reference
-for `Order.gram`.
+for `Order.gram`.  `canonical_vertex` is the Fraction form of
+`btt.canonical_vertex`, with rational row operations over Z_(q): the
+reference for the integer one.
 """
 
 from fractions import Fraction
 
 from endoring.btt import TreeVertex, _widest_triple, ball, d3, distance, neighbors
 from endoring.errors import MathematicalInconsistencyError, StructuralError
+from endoring.ntheory import reduce_unit_mod, valuation
 from fracmodel import trd
 
 
@@ -99,3 +102,36 @@ def gram(basis) -> list[list[Fraction]]:
         if x.algebra != alg:
             raise StructuralError("gram of elements from different algebras")
     return [[trd(x * y) for y in basis] for x in basis]
+
+
+def canonical_vertex(q: int, mat) -> TreeVertex:
+    """Standard representative of the homothety/left-GL_2(Z_q) class of a
+    nonsingular matrix with rational entries, by Fraction row operations."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if det == 0:
+        raise StructuralError("singular matrix does not label a vertex")
+    # triangularize by left multiplication over Z_(q)
+    if m[1][0] != 0:
+        v00 = valuation(m[0][0], q) if m[0][0] != 0 else None
+        v10 = valuation(m[1][0], q)
+        if v00 is None or v10 < v00:
+            m[0], m[1] = m[1], m[0]
+        f = m[1][0] / m[0][0]
+        m[1] = [x - f * y for x, y in zip(m[1], m[0])]
+    # unit-normalize the diagonal
+    a = valuation(m[0][0], q)
+    u = m[0][0] / q**a
+    m[0] = [x / u for x in m[0]]
+    b = valuation(m[1][1], q)
+    w = m[1][1] / q**b
+    m[1] = [x / w for x in m[1]]
+    c = m[0][1]
+    while True:
+        # reduce c into Z mod q^b, then strip common q-powers (homothety)
+        c = Fraction(reduce_unit_mod(c, q**b)) if b > 0 else Fraction(0)
+        shift = min(a, b, valuation(c, q) if c != 0 else a + b)
+        if shift == 0:
+            break
+        a, b, c = a - shift, b - shift, c / q**shift
+    return TreeVertex(q, a, b, int(c))
