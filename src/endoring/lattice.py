@@ -10,14 +10,19 @@ The HNF clears each row against its pivot column with one extended-gcd
 (Bezout) step per other column: a unimodular 2x2 column operation that
 leaves gcd(a, b) in the pivot and 0 in the other column.  The basis matrix
 is triangular, so its adjugate comes from forward substitution, one exact
-division per entry, with no 3x3 minors.
+division per entry, with no 3x3 minors.  For the same reason a vector's
+coordinates over the basis (`integer_coords`, under every membership test
+and the order's structure constants) are four rows of straight-line
+forward substitution, one `divmod` per row, that stop at the first row
+whose division leaves a remainder.
 
 Sums are computed by concatenating generators.  An intersection is one
 HNF of 8-row columns: over a common denominator, with integer column
 matrices X and Y, the columns (X; X) and (Y; 0) span the pairs (x + y, x)
 with x in X and y in Y, and those with x + y = 0 have x in X cap Y.  The
 last four HNF columns have zero top halves, and their bottom halves are
-the HNF of X cap Y.
+the HNF of X cap Y; the first four columns are discarded, so their
+off-pivot entries are left unreduced.
 """
 
 from dataclasses import dataclass
@@ -25,12 +30,13 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import DegenerateLatticeError
+from .matrix import form4, matvec4
 from .ntheory import valuation
 
 Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-def _hnf_columns(cols, rows=4):
+def _hnf_columns(cols, rows=4, first=0):
     """Lower-triangular column HNF of integer columns with `rows` entries.
 
     Row by row, the first column with a nonzero entry becomes the pivot,
@@ -38,6 +44,10 @@ def _hnf_columns(cols, rows=4):
     entry a: by subtracting (b/a) * pivot when a | b, and otherwise by the
     step (pivot, col) -> (u*pivot + v*col, (b/g)*pivot - (a/g)*col) of
     determinant -1, u*a + v*b = g = gcd(a, b) (Cohen, Section 2.4.2).
+    The off-pivot entries are then reduced in the columns from `first` on;
+    a column is only ever reduced against later ones, so the columns before
+    `first` (which an intersection discards) are left triangular but
+    unreduced, and the rest are the same as with first = 0.
 
     Raises DegenerateLatticeError when the columns do not span Q^rows.
     """
@@ -70,9 +80,9 @@ def _hnf_columns(cols, rows=4):
         work[row] = piv
         work[row + 1 :] = [c for c in work[row + 1 :] if any(c)]
     h = work[:rows]
-    for row in range(1, rows):
+    for row in range(first + 1, rows):
         p = h[row][row]
-        for j in range(row):
+        for j in range(first, row):
             f = h[j][row] // p
             if f:
                 for t in range(row, rows):
@@ -137,10 +147,6 @@ class Lattice4:
                 adj[i][j] = -sum(c[k][i] * adj[k][j] for k in range(j, i)) // c[i][i]
         return tuple(map(tuple, adj)), det
 
-    def det(self) -> Fraction:
-        c = self.cols
-        return Fraction(c[0][0] * c[1][1] * c[2][2] * c[3][3], self.den**4)
-
     def scale(self, s) -> "Lattice4":
         s = Fraction(s)
         if s == 0:
@@ -162,20 +168,30 @@ class Lattice4:
         f1, f2 = d // self.den, d // other.den
         cols = [tuple(x * f1 for x in c) * 2 for c in self.cols]
         cols += [tuple(x * f2 for x in c) + (0, 0, 0, 0) for c in other.cols]
-        h = _hnf_columns(cols, 8)
+        h = _hnf_columns(cols, 8, 4)
         return Lattice4._content_reduced([c[4:] for c in h[4:]], d)
 
     def integer_coords(self, nums, d=1):
         """The coordinates over the basis of nums/d (nums integers), or None
-        when they are not all integers: exact forward substitution."""
-        cols, scale = self.cols, self.den
-        x = []
-        for i in range(4):
-            acc = nums[i] * scale - d * sum(cols[j][i] * x[j] for j in range(i))
-            if acc % (d * cols[i][i]):
-                return None
-            x.append(acc // (d * cols[i][i]))
-        return tuple(x)
+        when they are not all integers: forward substitution in the
+        triangular system sum_(j <= i) cols[j][i] * x_j = nums_i * den / d,
+        one exact division (`divmod`) per row."""
+        (a0, a1, a2, a3), (_, b1, b2, b3), (_, _, c2, c3), (_, _, _, d3) = self.cols
+        s = self.den
+        n0, n1, n2, n3 = nums
+        x0, r = divmod(n0 * s, d * a0)
+        if r:
+            return None
+        x1, r = divmod(n1 * s - d * (a1 * x0), d * b1)
+        if r:
+            return None
+        x2, r = divmod(n2 * s - d * (a2 * x0 + b2 * x1), d * c2)
+        if r:
+            return None
+        x3, r = divmod(n3 * s - d * (a3 * x0 + b3 * x1 + c3 * x2), d * d3)
+        if r:
+            return None
+        return (x0, x1, x2, x3)
 
     def contains(self, vec) -> bool:
         """Whether the coordinates of vec (ints or Fractions) over the basis
@@ -194,8 +210,7 @@ class Lattice4:
         top = valuation(det * den, q) - valuation(self.den, q)
         gaps = []
         for c in cols:
-            nums = (sum(a * x for a, x in zip(row, c)) for row in adj)
-            gaps.append(max(0, top - min(valuation(n, q) for n in nums if n)))
+            gaps.append(max(0, top - min(valuation(n, q) for n in matvec4(adj, c) if n)))
         return gaps
 
     def gap_at(self, other: "Lattice4", q: int) -> int:
@@ -208,10 +223,6 @@ class Lattice4:
     def equals_at(self, other: "Lattice4", q: int) -> bool:
         return self.contains_lattice_at(other, q) and other.contains_lattice_at(self, q)
 
-    def index_in(self, sup: "Lattice4") -> Fraction:
-        """Generalized index [sup : self] = |det(self)/det(sup)|."""
-        return abs(self.det() / sup.det())
-
     def integer_index_in(self, sup: "Lattice4") -> int | None:
         """The generalized index [sup : self] when it is an integer, else
         None: the ratio of the pivot products, each over its den^4."""
@@ -221,7 +232,7 @@ class Lattice4:
 
 
 def lll_gram(gram):
-    """LLL reduction (delta = 3/4) of a positive definite integer Gram
+    """LLL reduction (delta = 3/4) of a positive definite 4x4 integer Gram
     matrix, exact and in integers only (Cohen, Alg. 2.6.7).
 
     Returns the unimodular change of basis as rows: row k holds the
@@ -231,7 +242,7 @@ def lll_gram(gram):
     h = [None] + [[int(i == j) for j in range(n)] for i in range(n)]  # 1-based rows
 
     def dot(i, j):
-        return sum(x * gram[a][b] * y for a, x in enumerate(h[i]) for b, y in enumerate(h[j]))
+        return form4(h[i], gram, h[j])
 
     # d[i]: Gram determinant of the first i vectors; lam[k][j] = d[j] * mu_kj
     d = [1] * (n + 1)

@@ -1,13 +1,63 @@
-"""Exact determinants, adjugates and 2x2 products of small matrices.
+"""Exact 4-vector kernels, determinants, adjugates and 2x2 products.
 
-Matrices are row-major tuples (or lists) of ints or Fractions.  Nothing is
-reduced: callers working mod m reduce the result themselves.
+Vectors and matrices are row-major tuples (or lists) of ints or Fractions.
+Nothing is reduced: callers working mod m reduce the result themselves.
+
+The four kernels below are the 4-term product sums every layer forms: a
+dot product (`dot4`), a matrix times a vector (`matvec4`), a combination
+of four vectors (`combine4`) and a bilinear form (`form4`).  Each is one
+explicit expression with no generator, `zip` or `range`: on 4-vectors of
+Python integers the interpreter's cost of a `sum(...)` over a generator
+(one frame resumed per term) is larger than the multiplications, and the
+kernels sit under every coordinate solve, pairing and question.
 
 A 4x4 determinant and adjugate come in one closed form from the twelve
 2x2 minors of rows 0-1 and of rows 2-3 (Laplace expansion along those row
 pairs): each cofactor is a row entry times a complementary minor, summed
 three at a time.
 """
+
+
+def dot4(u, v):
+    """sum u_k * v_k over four entries."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def matvec4(m, v):
+    """m * v for a 4x4 matrix m given by rows."""
+    v0, v1, v2, v3 = v
+    r0, r1, r2, r3 = m
+    return (
+        r0[0] * v0 + r0[1] * v1 + r0[2] * v2 + r0[3] * v3,
+        r1[0] * v0 + r1[1] * v1 + r1[2] * v2 + r1[3] * v3,
+        r2[0] * v0 + r2[1] * v1 + r2[2] * v2 + r2[3] * v3,
+        r3[0] * v0 + r3[1] * v1 + r3[2] * v2 + r3[3] * v3,
+    )
+
+
+def combine4(z, cols):
+    """sum z_k * cols[k] over four 4-vectors cols: the matrix with columns
+    `cols` times z."""
+    z0, z1, z2, z3 = z
+    c0, c1, c2, c3 = cols
+    return (
+        z0 * c0[0] + z1 * c1[0] + z2 * c2[0] + z3 * c3[0],
+        z0 * c0[1] + z1 * c1[1] + z2 * c2[1] + z3 * c3[1],
+        z0 * c0[2] + z1 * c1[2] + z2 * c2[2] + z3 * c3[2],
+        z0 * c0[3] + z1 * c1[3] + z2 * c2[3] + z3 * c3[3],
+    )
+
+
+def form4(u, g, v):
+    """u . g . v for a 4x4 matrix g given by rows: the bilinear form of g."""
+    v0, v1, v2, v3 = v
+    g0, g1, g2, g3 = g
+    return (
+        u[0] * (g0[0] * v0 + g0[1] * v1 + g0[2] * v2 + g0[3] * v3)
+        + u[1] * (g1[0] * v0 + g1[1] * v1 + g1[2] * v2 + g1[3] * v3)
+        + u[2] * (g2[0] * v0 + g2[1] * v1 + g2[2] * v2 + g2[3] * v3)
+        + u[3] * (g3[0] * v0 + g3[1] * v1 + g3[2] * v2 + g3[3] * v3)
+    )
 
 
 def mat2_mul(x, y):
@@ -87,7 +137,3 @@ def det4(m):
     """Determinant of a 4x4 matrix, by Laplace expansion along rows 0-1."""
     return _laplace_det(_pair_minors(m[0], m[1]), _pair_minors(m[2], m[3]))
 
-
-def adj4(m):
-    """Adjugate of a 4x4 matrix: adj4(m) * m = m * adj4(m) = det4(m) * I."""
-    return adj_det4(m)[0]

@@ -10,8 +10,10 @@ reduced discriminants, the codifferent and its ternary quadratic form
 and q-maximal q-enlargement by the radical-idealizer chain, whose
 hereditary-stall step forms (1 - e) g e and e g (1 - e) from `table`.
 The ring check, the Gorenstein test and the enlargement's index check are
-integer valuations and divisibility tests: on the solve path,
-`QuatElement`s and `Fraction`s appear only in error reports.
+integer valuations and divisibility tests, and every 4-term product sum
+(traces, pairings, combinations of basis columns) is one of the
+straight-line kernels of `matrix`: on the solve path, `QuatElement`s and
+`Fraction`s appear only in error reports.
 
 The multipliers of the preimage J of rad(O/qO) lie between O and q^-1 J,
 so they come from one kernel mod q: the y in J with yJ in qJ (Jy in qJ),
@@ -40,7 +42,7 @@ from .errors import (
     StructuralError,
 )
 from .lattice import Lattice4, integer_kernel
-from .matrix import adj_det4, det4
+from .matrix import adj_det4, combine4, det4, dot4, form4, matvec4
 from .ntheory import exact_isqrt, valuation
 from .quat import QuaternionAlgebra, QuatElement, integer_product
 
@@ -94,7 +96,7 @@ class Order:
     def gram(self) -> tuple:
         """Trace Gram matrix trd(b_i * b_j) = sum_k table[i][j][k] * trd(b_k)."""
         t = self.traces
-        return tuple(tuple(sum(c * u for c, u in zip(cij, t)) for cij in row) for row in self.table)
+        return tuple(tuple(dot4(cij, t) for cij in row) for row in self.table)
 
     @cached_property
     def norm_gram(self) -> tuple:
@@ -121,7 +123,7 @@ def verify_order(lat: Lattice4, alg: QuaternionAlgebra) -> Order:
     t = order.traces
     for i, (c, row) in enumerate(zip(lat.cols, order.table)):
         # den | 2 * c_i0, and 2 * nrd(b_i) = t_i^2 - trd(b_i^2) is even
-        if 2 * c[0] % lat.den or (t[i] * t[i] - sum(x * u for x, u in zip(row[i], t))) % 2:
+        if 2 * c[0] % lat.den or (t[i] * t[i] - dot4(row[i], t)) % 2:
             x = order.basis_elements()[i]
             raise MathematicalInconsistencyError(f"non-integral element {x} in a ring lattice")
     return order
@@ -172,8 +174,7 @@ def standard_maximal_order(alg: QuaternionAlgebra) -> Order:
 
 def _norm_pairing(order: Order, u, v):
     """trd(x * conj(y)) for x, y with coordinates u, v over the order basis."""
-    n = order.norm_gram
-    return sum(u[i] * n[i][j] * v[j] for i in range(4) for j in range(4))
+    return form4(u, order.norm_gram, v)
 
 
 def ternary_gorenstein_test(order: Order, q: int) -> bool:
@@ -188,10 +189,10 @@ def ternary_gorenstein_test(order: Order, q: int) -> bool:
     least valuation is read from integer numerators and denominators."""
     g, t = order.gram, order.traces
     adj, det = adj_det4(g)
-    tint = [sum(t[i] * adj[i][j] for i in range(4)) for j in range(4)]
+    tint = combine4(t, adj)
     if not any(tint):
         raise MathematicalInconsistencyError("trace functional vanishes on the codifferent")
-    vs = [[sum(r[k] * z[k] for k in range(4)) for r in adj] for z in integer_kernel(tint)]
+    vs = [matvec4(adj, z) for z in integer_kernel(tint)]
     d, vsq = discrd(order), valuation(det * det, q)
     # (numerator, valuation of the denominator) of each coefficient
     coeffs = [(d * _norm_pairing(order, v, v), vsq + valuation(2, q)) for v in vs]
@@ -225,7 +226,7 @@ def _table_mul(table, x, y):
 def _conj_coords(traces, one, z):
     """Coordinates of conj(x) = trd(x) - x, x with coordinates z over an
     order basis of traces `traces` on which 1 has coordinates `one`."""
-    trd = sum(a * b for a, b in zip(traces, z))
+    trd = dot4(traces, z)
     return tuple(trd * u - x for u, x in zip(one, z))
 
 
@@ -259,7 +260,7 @@ def radical_coords_mod(order: Order, q: int):
 
 def _assert_nil(order: Order, rad, q: int):
     for u in rad:
-        if sum(a * b for a, b in zip(order.traces, u)) % q:
+        if dot4(order.traces, u) % q:
             raise MathematicalInconsistencyError("radical element with unit trace")
         if _norm_pairing(order, u, u) // 2 % q:
             raise MathematicalInconsistencyError("radical element with unit norm")
@@ -274,7 +275,7 @@ def radical_lattice(order: Order, q: int, rad) -> Lattice4:
     `radical_coords_mod(order, q)`."""
     cols = order.lattice.cols
     gens = [tuple(q * x for x in c) for c in cols]
-    gens += [tuple(sum(a * c[r] for a, c in zip(u, cols)) for r in range(4)) for u in rad]
+    gens += [combine4(u, cols) for u in rad]
     return Lattice4.from_integer_columns(gens, order.lattice.den)
 
 
@@ -335,7 +336,7 @@ def radical_multipliers(order: Order, q: int, rad, sides) -> Lattice4:
     gens = [tuple(q * x for x in c) for c in lat.cols]
     for a in linmod.kernel(rows, q):
         w = [sum(ai * u[t] for ai, u in zip(a, rad)) for t in range(4)]
-        gens.append(tuple(sum(x * c[r] for x, c in zip(w, lat.cols)) for r in range(4)))
+        gens.append(combine4(w, lat.cols))
     return Lattice4.from_integer_columns(gens, q * lat.den)
 
 
@@ -445,7 +446,7 @@ def q_enlarge(order: Order, q: int, radical=None) -> Order:
         for lft, rgt in ((rest, e), (e, rest)):
             prods = (_table_mul(table, _table_mul(table, lft, g), rgt) for g in jcoords)
             gens = [tuple(q * x for x in c) for c in lat.cols]
-            gens += [tuple(sum(z * c[r] for z, c in zip(w, lat.cols)) for r in range(4)) for w in prods]
+            gens += [combine4(w, lat.cols) for w in prods]
             try:
                 cand = verify_order(Lattice4.from_integer_columns(gens, lat.den * q), alg)
             except (NotARingError, MissingUnitError):

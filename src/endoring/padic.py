@@ -12,7 +12,9 @@ basis and the zero divisor are exact: integer coordinates over one
 denominator prime to q per vector, their pairings read from the norm Gram
 matrix (`Order.norm_gram`) as integer numerators and certified by exact
 valuation checks.  Each Gram-Schmidt step is one integer combination
-reduced to lowest terms; only the returned block values are Fractions.
+reduced to lowest terms, and each block value is an integer pair
+(numerator, denominator) with the denominator prime to q, which the zero
+divisor reduces mod q^(r+1) with one modular inverse: no Fraction is built.
 The splitting map reduces the vectors mod q^(r+1), reads its products from
 the order's structure constants (`Order.table`) and inverts the transfer
 matrix by one closed-form adjugate (`matrix.adj_det4`).
@@ -30,12 +32,11 @@ the integer coordinates of the matrix units E11, E12, E22 reduced into
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import MathematicalInconsistencyError, PrecisionError, StructuralError
-from .matrix import adj_det4, mat2_mul
-from .ntheory import reduce_unit_mod, sqrt_mod, valuation
+from .matrix import adj_det4, dot4, mat2_mul, matvec4
+from .ntheory import sqrt_mod, valuation
 from .orders import _UNITS, Order, _conj_coords, _norm_pairing, _table_mul
 
 
@@ -86,9 +87,12 @@ def normalized_basis_at(order: Order, q: int):
     z/d over the order basis, z integers and d prime to q, in lowest terms
     with d > 0.  blocks is a list of ("unit", a) entries for diagonal atoms
     a*x^2 and ("pair", (a, b, c)) entries for binary atoms a*x^2 + b*xy +
-    c*y^2, with Fraction values.  The pairing trd(x*conj(y)) is z.N.w /
-    (d*e) for N = `order.norm_gram`; the d's are prime to q, so valuations
-    are read from the integer numerators z.N.w alone.
+    c*y^2.  Each value is an integer pair (n, m) standing for n/m, m > 0
+    prime to q, not necessarily in lowest terms: a diagonal value nrd(f) is
+    (N(f,f)/2, d^2), N(f,f) = 2 nrd(z_f) being even, and a cross term is
+    (N(f1,f2), d1*d2).  The pairing trd(x*conj(y)) is z.N.w / (d*e) for N =
+    `order.norm_gram`; the d's are prime to q, so valuations are read from
+    the integer numerators z.N.w alone.
 
     Each step is exact in integers.  Splitting off a diagonal atom f maps v
     to v - (N(v,f)/N(f,f)) f = (N(f,f) z_v - N(v,f) z_f) / (N(f,f) d_v), and
@@ -118,7 +122,7 @@ def normalized_basis_at(order: Order, q: int):
             (zf, df), nff = f, pairing(f, f)
             vecs = [_reduced([nff * a - pairing(v, f) * b for a, b in zip(v[0], zf)], nff * v[1]) for v in vecs]
             out.append(f)
-            blocks.append(("unit", Fraction(nff, 2 * df * df)))
+            blocks.append(("unit", (nff // 2, df * df)))
             continue
         if q != 2:
             # odd q: mixing makes the minimum appear on the diagonal
@@ -139,10 +143,17 @@ def normalized_basis_at(order: Order, q: int):
         vecs = rest
         out.extend([f1, f2])
         d1, d2 = f1[1], f2[1]
-        blocks.append(("pair", (Fraction(n11, 2 * d1 * d1), Fraction(n12, d1 * d2), Fraction(n22, 2 * d2 * d2))))
+        blocks.append(("pair", ((n11 // 2, d1 * d1), (n12, d1 * d2), (n22 // 2, d2 * d2))))
     if any(d % q == 0 for _, d in out):
         raise MathematicalInconsistencyError("normalized basis left Z_(q)")
     return out, blocks
+
+
+def _reduce_mod(value, modulus: int) -> int:
+    """The block value (n, m) of `normalized_basis_at`, n/m with m prime to
+    q, as an integer in [0, modulus)."""
+    n, m = value
+    return n * pow(m, -1, modulus) % modulus
 
 
 def conic_point(a, q: int) -> list[int]:
@@ -176,9 +187,9 @@ def zero_divisor_mod(order: Order, prec: Precision):
         raise StructuralError("the algebra is ramified at p; no zero divisors there")
     fs, blocks = normalized_basis_at(order, q)
     if q != 2:
-        if any(kind != "unit" or valuation(a, q) != 0 for kind, a in blocks):
+        if any(kind != "unit" or valuation(a[0], q) != 0 for kind, a in blocks):
             raise MathematicalInconsistencyError("order is not q-maximal at odd q")
-        a = [reduce_unit_mod(nf, modulus) for _, nf in blocks]
+        a = [_reduce_mod(nf, modulus) for _, nf in blocks]
         sol = conic_point(a[:3], q)
         piv = next(i for i in range(3) if sol[i] % q)
         for k in range(2, prec.r + 2):
@@ -194,10 +205,10 @@ def zero_divisor_mod(order: Order, prec: Precision):
         coeffs = []
         sol = []
         for _, (a, b, c) in blocks:
-            if valuation(b, q) != 0:
+            if valuation(b[0], q) != 0:
                 raise MathematicalInconsistencyError("binary atom with even cross term")
-            va = valuation(a, 2)
-            vc = valuation(c, 2)
+            va = valuation(a[0], 2)
+            vc = valuation(c[0], 2)
             if va == 0 and vc >= 1:
                 pair = (1, 0)
             elif va >= 1 and vc == 0:
@@ -205,7 +216,7 @@ def zero_divisor_mod(order: Order, prec: Precision):
             else:
                 pair = (1, 1)
             sol.extend(pair)
-            coeffs.append((reduce_unit_mod(a, modulus), reduce_unit_mod(b, modulus), reduce_unit_mod(c, modulus)))
+            coeffs.append((_reduce_mod(a, modulus), _reduce_mod(b, modulus), _reduce_mod(c, modulus)))
 
         def value(s, mk):
             total = 0
@@ -252,8 +263,8 @@ class SplittingMap:
         """Image of the element with integer coordinates c over the order
         basis, as a 2x2 integer matrix with entries mod q^(r+1)."""
         modulus = self.precision.modulus
-        y = [sum(self._minv[r][k] * c[k] for k in range(4)) % modulus for r in range(4)]
-        return ((y[0], y[1]), (y[2], y[3]))
+        y0, y1, y2, y3 = matvec4(self._minv, c)
+        return ((y0 % modulus, y1 % modulus), (y2 % modulus, y3 % modulus))
 
 
 def splitting_map(order: Order, prec: Precision) -> SplittingMap:
@@ -268,7 +279,7 @@ def splitting_map(order: Order, prec: Precision) -> SplittingMap:
         return tuple(c % modulus for c in _table_mul(order.table, u, v))
 
     def trd(u):
-        return sum(t * c for t, c in zip(traces, u)) % modulus
+        return dot4(traces, u) % modulus
 
     # x and the normalized basis, reduced mod q^(r+1)
     xc, *basis = (tuple(c * pow(d, -1, modulus) % modulus for c in z) for z, d in (x, *fs))

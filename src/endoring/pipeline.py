@@ -51,7 +51,7 @@ from .btt import (
 from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4, lll_gram
-from .matrix import adj2, adj_det4, mat2_mul
+from .matrix import adj2, adj_det4, combine4, dot4, mat2_mul, matvec4
 from .ntheory import legendre, valuation
 from .orders import (
     _UNITS,
@@ -150,10 +150,7 @@ class ReducedBasis:
         self.order = o0
         lat = o0.lattice
         # the reduced basis times lat.den, as integer vectors
-        self._cols = tuple(
-            tuple(sum(u * c[r] for u, c in zip(row, lat.cols)) for r in range(4))
-            for row in lll_gram(o0.norm_gram)
-        )
+        self._cols = tuple(combine4(row, lat.cols) for row in lll_gram(o0.norm_gram))
         adj, det = adj_det4(tuple(zip(*self._cols)))
         sign = 1 if det > 0 else -1
         self._num = tuple(tuple(sign * lat.den * x for x in row) for row in adj)
@@ -164,7 +161,7 @@ class ReducedBasis:
         integer coordinates over its basis: the `Frame` whose matrix is
         `_num` times the order's columns."""
         cols = order.lattice.cols
-        matrix = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self._num)
+        matrix = tuple(tuple(dot4(row, col) for col in cols) for row in self._num)
         return Frame(self, matrix, order.lattice.den * self._det, q)
 
 
@@ -189,14 +186,14 @@ class Frame:
         self.q = q
 
     def __call__(self, z, s: int):
-        return self.ask([sum(a * b for a, b in zip(row, z)) for row in self.matrix], s)
+        return self.ask(matvec4(self.matrix, z), s)
 
     def composed(self, images) -> "Frame":
         """The frame of z -> sum_k z_k * images[k], the images given by
         integer coordinates over this frame's basis: its matrix is this
         frame's matrix times the columns `images`."""
         rows = self.matrix
-        matrix = tuple(tuple(sum(a * b for a, b in zip(row, im)) for im in images) for row in rows)
+        matrix = tuple(tuple(dot4(row, im) for im in images) for row in rows)
         return Frame(self.rb, matrix, self.den, self.q)
 
     def ask(self, nums, s: int):
@@ -214,7 +211,7 @@ class Frame:
         w = [y * m // den for y in res]
         rb = self.rb
         lat_den = rb.order.lattice.den
-        beta = tuple(Fraction(sum(c[r] * wi for c, wi in zip(rb._cols, w)), lat_den) for r in range(4))
+        beta = tuple(Fraction(x, lat_den) for x in combine4(w, rb._cols))
         return QuatElement(rb.order.algebra, beta), m
 
 
@@ -248,7 +245,7 @@ def _irreducible_mod(oq: Order, q: int, z) -> bool:
     """Whether x^2 - trd(x) x + nrd(x) is irreducible mod q, for the element x
     with coordinates z over the basis of O_q: for odd q, trd^2 - 4 nrd is a
     non-residue; for q = 2, trd and nrd are both odd."""
-    t = sum(a * b for a, b in zip(oq.traces, z))
+    t = dot4(oq.traces, z)
     n = _norm_pairing(oq, z, z) // 2
     if q == 2:
         return t % 2 == 1 and n % 2 == 1
@@ -297,7 +294,7 @@ def conjugate_order_lattice(oq: Order, t, q: int, k: int) -> Lattice4:
     one = oq.lattice.integer_coords((1, 0, 0, 0))
     t_conj, lat = _conj_coords(oq.traces, one, t), oq.lattice
     gens = (_table_mul(oq.table, _table_mul(oq.table, t_conj, u), t) for u in _UNITS)
-    cols = [[sum(x * c[r] for x, c in zip(z, lat.cols)) for r in range(4)] for z in gens]
+    cols = [combine4(z, lat.cols) for z in gens]
     return Lattice4.from_integer_columns(cols, lat.den * q**k)
 
 
@@ -314,8 +311,8 @@ def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
     a = valuation(det * x.den, q)
     mod = q ** (a + m)
     w = pow(det * x.den // q**a, -1, mod) * y.den
-    coords = ([sum(r * c for r, c in zip(row, col)) * w % mod for row in adj] for col in x.cols)
-    cols = [[sum(z * c[r] for z, c in zip(zs, y.cols)) for r in range(4)] for zs in coords]
+    coords = ([n * w % mod for n in matvec4(adj, col)] for col in x.cols)
+    cols = [combine4(zs, y.cols) for zs in coords]
     cols += [[mod * v for v in c] for c in y.cols]
     patched = Lattice4.from_integer_columns(cols, q**a * y.den)
     if not patched.equals_at(x, q):
@@ -382,7 +379,7 @@ def pair_idempotent(sm: SplittingMap, a: int, b: int) -> tuple:
     inv = pow(a1 * b2 - a2 * b1, -1, q)
     # the entries of P times a1*b2 - a2*b1, at E11, E12, E21, E22
     entries = (a1 * b2, -a1 * b1, a2 * b2, -a2 * b1)
-    return tuple(sum(m * u[k] for m, u in zip(entries, sm.unit_coords)) * inv % q for k in range(4))
+    return tuple(x * inv % q for x in combine4(entries, sm.unit_coords))
 
 
 def find_path_to_end(

@@ -7,7 +7,10 @@ that the integer code does not use: sums and differences, the reduced
 trace and the standard basis (1 is `alg.element(1)`).
 
 `solve`, `coords_of`, `from_coords`, `linear_combination` and `apply` move
-between an order's coordinates and quaternions.  `normalized_basis_at`,
+between an order's coordinates and quaternions; `solve` is the reference
+for `Lattice4.integer_coords`.  `det` and `index_in` are a lattice's
+determinant and the generalized index as Fractions, the references for
+`Lattice4.integer_index_in`.  `normalized_basis_at`,
 `zero_divisor` and `splitting_units` are the Gram-Schmidt, the zero-divisor
 assembly and the matrix units of the splitting map formed with quaternion
 products, and `q_enlarge` is the q-enlargement whose hereditary-stall step
@@ -40,7 +43,7 @@ from endoring.errors import (
     NotARingError,
 )
 from endoring.lattice import Lattice4, integer_kernel
-from endoring.matrix import adj4, det4
+from endoring.matrix import det4
 from endoring.ntheory import reduce_unit_mod, valuation
 from endoring.orders import (
     _UNITS,
@@ -54,6 +57,7 @@ from endoring.orders import (
 )
 from endoring.padic import conic_point
 from endoring.quat import QuatElement, integer_product
+from matmodel import adj4
 
 
 def add(x: QuatElement, y: QuatElement) -> QuatElement:
@@ -89,6 +93,17 @@ def solve(lat: Lattice4, vec):
             acc -= lat.cols[j][i] * x[j]
         x[i] = Fraction(acc, lat.cols[i][i])
     return tuple(x)
+
+
+def det(lat: Lattice4) -> Fraction:
+    """The determinant of the basis of lat: its pivot product over den^4."""
+    c = lat.cols
+    return Fraction(c[0][0] * c[1][1] * c[2][2] * c[3][3], lat.den**4)
+
+
+def index_in(sub: Lattice4, sup: Lattice4) -> Fraction:
+    """Generalized index [sup : sub] = |det(sub)/det(sup)|."""
+    return abs(det(sub) / det(sup))
 
 
 def hnf_columns(cols):
@@ -263,6 +278,15 @@ def normalized_basis_at(order, q: int):
             if c != 0 and valuation(c, q) < 0:
                 raise MathematicalInconsistencyError("normalized basis left Z_(q)")
     return out, blocks
+
+
+def block_values(blocks):
+    """The blocks of `padic.normalized_basis_at`, whose values are integer
+    pairs (n, m), with each value as the Fraction n/m, as this module's
+    `normalized_basis_at` gives them."""
+    return [
+        (kind, Fraction(*v) if kind == "unit" else tuple(Fraction(*x) for x in v)) for kind, v in blocks
+    ]
 
 
 def zero_divisor(order, prec):

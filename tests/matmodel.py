@@ -7,7 +7,9 @@ lattice arithmetic.
 
 `det3`, `det4_by_minors` and `adj4_by_minors` are the cofactor expansion
 through sixteen 3x3 minors that `endoring.matrix` replaced with its
-closed form from 2x2 minors: the reference for `matrix.adj_det4`.
+closed form from 2x2 minors: the reference for `matrix.adj_det4`.  `adj4`
+is that closed form's adjugate alone, which the tests' rational solves use
+and no program path does.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 from endoring.btt import TreeVertex
 from endoring.errors import MathematicalInconsistencyError
 from endoring.lattice import Lattice4
-from endoring.matrix import adj2, det4, mat2_mul
+from endoring.matrix import adj2, adj_det4, det4, mat2_mul
 from endoring.ntheory import exact_isqrt, valuation
 
 E_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # E11 E12 E21 E22
@@ -44,6 +46,11 @@ def adj4_by_minors(m):
     return tuple(
         tuple((-1) ** (i + j) * det3(minor4(m, j, i)) for j in range(4)) for i in range(4)
     )
+
+
+def adj4(m):
+    """Adjugate of a 4x4 matrix: adj4(m) * m = m * adj4(m) = det4(m) * I."""
+    return adj_det4(m)[0]
 
 
 def mat_coords_mul(x, y):

@@ -10,9 +10,16 @@ inputs come from two general-branch instances, `planted.general_instance`
 at q = 1009 with d = 1 and d = 2, a suborder of 3-power index
 (`planted.random_suborder`), Eichler orders of level 3 and 3^4
 (`planted.bass_instance`) and the worked example.
+
+The benchmarks listed in `PAIRED` take their body from a function of a
+package's modules (`Package`) and of the general instance rebuilt in that
+package (`general_in`), so that `tests/microbench_paired.py` can time the
+same body against two copies of the package in one process.
 """
 
+import importlib
 import random
+from functools import cache
 from math import lcm
 
 import pytest
@@ -25,9 +32,6 @@ from endoring.lattice import Lattice4, _hnf_columns
 from endoring.matrix import adj_det4
 from endoring.ntheory import valuation
 from endoring.orders import (
-    _UNITS,
-    _conj_coords,
-    _table_mul,
     discrd,
     q_enlarge,
     radical_coords_mod,
@@ -39,12 +43,10 @@ from endoring.padic import Precision, normalized_basis_at, splitting_map
 from endoring.pipeline import (
     ReducedBasis,
     VertexLattices,
-    _all_in_end,
     bass_search,
     distance_to_end,
     find_path_to_end,
     local_patch,
-    pair_idempotent,
 )
 from endoring.quat import QuaternionAlgebra
 from fracmodel import dual, from_coords
@@ -52,12 +54,120 @@ from fracmodel import dual, from_coords
 Q = 1009
 
 
-@pytest.fixture(scope="module")
-def general():
-    """(hidden, O_0, O_q, accepted step) at q = 1009, d = 1."""
+class Package:
+    """The modules of one copy of the package, imported under `name`."""
+
+    def __init__(self, name="endoring"):
+        for mod in ("divide", "lattice", "orders", "padic", "pipeline", "quat"):
+            setattr(self, mod, importlib.import_module(f"{name}.{mod}"))
+
+
+@cache
+def general_lattices(d):
+    """(hidden, O_0) lattices and the word of `planted.general_instance` at
+    q = 1009, distance d, p = 103, Random(1)."""
     alg = QuaternionAlgebra.for_prime(103)
-    hidden, _, o0, _, word = planted.general_instance(alg, Q, 1, random.Random(1))
-    return hidden, o0, q_enlarge(o0, Q), word.steps[0]
+    hidden, _, o0, _, word = planted.general_instance(alg, Q, d, random.Random(1))
+    return hidden.lattice, o0.lattice, word
+
+
+def general_in(pkg, d):
+    """(hidden, O_0, O_q, word) of the general instance at distance d, each
+    order verified in the package pkg from its lattice."""
+    hidden, o0, word = general_lattices(d)
+    alg = pkg.quat.QuaternionAlgebra.for_prime(103)
+
+    def order(lat):
+        return pkg.orders.verify_order(pkg.lattice.Lattice4(lat.den, lat.cols), alg)
+
+    o0 = order(o0)
+    return order(hidden), o0, pkg.orders.q_enlarge(o0, Q), word
+
+
+X, Y = (3, -5, 7, 11), (-2, 9, 4, -6)
+
+
+def body_table_mul(pkg, g):
+    _, _, oq, _ = g
+    return lambda: pkg.orders._table_mul(oq.table, X, Y)
+
+
+def body_norm_pairing(pkg, g):
+    """trd(x * conj(y)) from the norm Gram matrix of O_q."""
+    _, _, oq, _ = g
+    return lambda: pkg.orders._norm_pairing(oq, X, Y)
+
+
+def body_integer_coords(pkg, g):
+    """The stand-in oracle's solve: the coordinates over the hidden order's
+    basis of its element with coordinates X."""
+    hidden = g[0].lattice
+    nums = [sum(x * c[r] for x, c in zip(X, hidden.cols)) for r in range(4)]
+    return lambda: hidden.integer_coords(nums, hidden.den)
+
+
+def body_gaps_at(pkg, g):
+    """The q-gaps of the hidden order's basis in O_q, as `local_patch`
+    reads them."""
+    hidden, _, oq, _ = g
+    return lambda: oq.lattice.gaps_at(hidden.lattice.cols, hidden.lattice.den, Q)
+
+
+def body_lattice_contains(pkg, g):
+    hidden, _, oq, _ = g
+    vec = oq.lattice.basis()[3]
+    return lambda: hidden.lattice.contains(vec)
+
+
+def body_verify_order(pkg, g):
+    _, _, oq, _ = g
+    return lambda: pkg.orders.verify_order(oq.lattice, oq.algebra)
+
+
+def body_path_pair_question(pkg, g):
+    """One refused question of the path search at r = 1: the idempotent of a
+    pair of steps off the path, its question in the root's level frame
+    (formed once, as the search forms it once per level) and the oracle's
+    answer."""
+    hidden, o0, oq, word = g
+    pipeline, orders = pkg.pipeline, pkg.orders
+    rb, oracle = pipeline.ReducedBasis(o0), pkg.divide.HiddenOrderOracle(hidden)
+    table, one = oq.table, oq.lattice.integer_coords((1, 0, 0, 0))
+    t_conj = orders._conj_coords(oq.traces, one, one)
+    images = [orders._table_mul(table, orders._table_mul(table, t_conj, u), one) for u in orders._UNITS]
+    level = rb.frame(oq, Q).composed(images)
+    sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
+    a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
+    return lambda: pipeline._all_in_end((level(pipeline.pair_idempotent(sm, a, b), 0),), oracle)
+
+
+def body_splitting_map(pkg, g):
+    _, _, oq, _ = g
+    return lambda: pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 2))
+
+
+# benchmark name -> (its body, the distance d of the general instance it reads)
+PAIRED = {
+    "test_table_mul": (body_table_mul, 1),
+    "test_norm_pairing": (body_norm_pairing, 1),
+    "test_integer_coords": (body_integer_coords, 1),
+    "test_gaps_at": (body_gaps_at, 1),
+    "test_lattice_contains": (body_lattice_contains, 1),
+    "test_verify_order": (body_verify_order, 1),
+    "test_path_pair_question": (body_path_pair_question, 1),
+    "test_splitting_map": (body_splitting_map, 2),
+}
+
+
+@pytest.fixture(scope="module")
+def pkg():
+    return Package()
+
+
+@pytest.fixture(scope="module")
+def general(pkg):
+    """(hidden, O_0, O_q, word) at q = 1009, d = 1."""
+    return general_in(pkg, 1)
 
 
 @pytest.fixture(scope="module")
@@ -111,10 +221,22 @@ def test_quat_mul(benchmark, general):
     benchmark(lambda: x * y)
 
 
-def test_table_mul(benchmark, general):
-    _, _, oq, _ = general
-    table, x, y = oq.table, (3, -5, 7, 11), (-2, 9, 4, -6)
-    benchmark(_table_mul, table, x, y)
+def test_table_mul(benchmark, pkg, general):
+    benchmark(body_table_mul(pkg, general))
+
+
+def test_norm_pairing(benchmark, pkg, general):
+    benchmark(body_norm_pairing(pkg, general))
+
+
+def test_integer_coords(benchmark, pkg, general):
+    assert benchmark(body_integer_coords(pkg, general)) == X
+
+
+def test_gaps_at(benchmark, pkg, general):
+    hidden, _, oq, _ = general
+    gaps = benchmark(body_gaps_at(pkg, general))
+    assert len(gaps) == 4 and max(gaps) == oq.lattice.gap_at(hidden.lattice, Q) > 0
 
 
 def test_adj_det4(benchmark, general_d2):
@@ -167,31 +289,16 @@ def test_lattice_intersect(benchmark, general):
     benchmark(hidden.lattice.intersect, oq.lattice)
 
 
-def test_lattice_contains(benchmark, general):
-    hidden, _, oq, _ = general
-    vec = oq.lattice.basis()[3]
-    benchmark(hidden.lattice.contains, vec)
+def test_lattice_contains(benchmark, pkg, general):
+    benchmark(body_lattice_contains(pkg, general))
 
 
-def test_verify_order(benchmark, general):
-    _, _, oq, _ = general
-    benchmark(verify_order, oq.lattice, oq.algebra)
+def test_verify_order(benchmark, pkg, general):
+    benchmark(body_verify_order(pkg, general))
 
 
-def test_path_pair_question(benchmark, general):
-    """One refused question of the path search at r = 1: the idempotent of a
-    pair of steps off the path, its question in the root's level frame
-    (formed once, as the search forms it once per level) and the oracle's
-    answer."""
-    hidden, o0, oq, accepted = general
-    rb, oracle = ReducedBasis(o0), HiddenOrderOracle(hidden)
-    table, one = oq.table, oq.lattice.integer_coords((1, 0, 0, 0))
-    t_conj = _conj_coords(oq.traces, one, one)
-    images = [_table_mul(table, _table_mul(table, t_conj, u), one) for u in _UNITS]
-    level = rb.frame(oq, Q).composed(images)
-    sm = splitting_map(oq, Precision(Q, 1))
-    a, b = ((accepted + k) % (Q + 1) for k in (1, 2))
-    assert benchmark(lambda: _all_in_end((level(pair_idempotent(sm, a, b), 0),), oracle)) is False
+def test_path_pair_question(benchmark, pkg, general):
+    assert benchmark(body_path_pair_question(pkg, general)) is False
 
 
 def test_find_path_to_end(benchmark, general_d2):
@@ -224,9 +331,8 @@ def test_normalized_basis_at(benchmark, general_d2):
     benchmark(normalized_basis_at, oq, Q)
 
 
-def test_splitting_map(benchmark, general_d2):
-    oq, *_ = general_d2
-    benchmark(splitting_map, oq, Precision(Q, 2))
+def test_splitting_map(benchmark, pkg):
+    benchmark(body_splitting_map(pkg, general_in(pkg, 2)))
 
 
 def test_vertex_lattice(benchmark, general_d2):

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 import paperdata
 import planted
-from endoring.matrix import adj4, det4
+from endoring.matrix import det4
 from endoring.orders import _UNITS, _conj_coords, _table_mul, q_enlarge
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import ReducedBasis, generator_lifts, pair_idempotent
 from endoring.quat import QuatElement, QuaternionAlgebra
 from fracmodel import coords_of, from_coords, trd
+from matmodel import adj4
 
 
 def general(q):

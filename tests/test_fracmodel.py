@@ -31,10 +31,11 @@ from endoring.padic import Precision, lift_vertex_element, normalized_basis_at, 
 from endoring.pipeline import compute_endomorphism_ring, conjugate_order_lattice, local_patch
 from endoring.quat import QuatElement, QuaternionAlgebra
 from fracmodel import hnf_columns as reference_hnf
+from fracmodel import index_in as reference_index
 from fracmodel import intersect as reference_intersect
 from fracmodel import local_patch as reference_patch
 from fracmodel import multiplier_lattice as reference_multipliers
-from fracmodel import splitting_units, vector_element
+from fracmodel import block_values, splitting_units, vector_element
 from fracmodel import normalized_basis_at as reference_basis
 from fracmodel import q_enlarge as reference_enlarge
 from fracmodel import ternary_gorenstein_test as reference_gorenstein
@@ -83,7 +84,9 @@ def test_normalized_basis_is_the_rational_one(name, order, q):
     fs, blocks = normalized_basis_at(order, q)
     ref_fs, ref_blocks = reference_basis(order, q)
     assert [vector_element(order, f) for f in fs] == ref_fs
-    assert blocks == ref_blocks
+    assert block_values(blocks) == ref_blocks
+    values = [v for kind, v in blocks if kind == "unit"] + [x for kind, v in blocks if kind == "pair" for x in v]
+    assert all(m > 0 and m % q for _, m in values)
 
 
 @pytest.mark.parametrize("name, order, q", MAXIMAL, ids=[c[0] for c in MAXIMAL])
@@ -123,7 +126,7 @@ def test_stall_in_the_quarter_algebra(q, monkeypatch):
     assert discrd(big) == 103
     ref, ref_stalls = reference_enlarge(eichler, q)
     assert ref_stalls == 1 and big.lattice == ref.lattice
-    index = eichler.lattice.index_in(big.lattice)
+    index = reference_index(eichler.lattice, big.lattice)
     assert index.denominator == 1 and set(factorize(index.numerator)) == {q}
 
 
@@ -155,21 +158,26 @@ def test_hnf_is_the_reference_on_solves(monkeypatch):
     exactly the columns of the reference.  A 4-row call must give the
     columns of the sort-and-subtract HNF (or raise DegenerateLatticeError
     exactly when it does).  An 8-row call is an intersection, with columns
-    (X; X) and (Y; 0): its top halves must be the HNF of X + Y, and its last
-    four columns must have zero top halves and the bottom halves of the
-    dual-based X cap Y."""
+    (X; X) and (Y; 0), that leaves its first four columns unreduced: their
+    top halves must be a triangular basis of X + Y, its last four columns
+    must be those of the fully reduced HNF, with zero top halves and the
+    bottom halves of the dual-based X cap Y."""
     hnf, sizes, wide, inside = lattice._hnf_columns, [], [], []
 
-    def checked(cols, rows=4):
+    def checked(cols, rows=4, first=0):
         if inside:  # the reference intersection's own HNFs
-            return hnf(cols, rows)
+            return hnf(cols, rows, first)
         cols = [tuple(c) for c in cols]
         sizes.append(max(abs(x) for c in cols for x in c).bit_length() if cols else 0)
         if rows == 8:
-            got = hnf(cols, 8)
+            assert first == 4
+            got = hnf(cols, 8, 4)
+            assert got[4:] == hnf(cols, 8)[4:]
             x = [c[4:] for c in cols if any(c[4:])]
             y = [c[:4] for c in cols if not any(c[4:])]
-            assert [c[:4] for c in got[:4]] == reference_hnf(x + y)
+            top = [c[:4] for c in got[:4]]
+            assert all(top[j][i] == 0 for j in range(4) for i in range(j))
+            assert reference_hnf(top) == reference_hnf(x + y)
             assert not any(any(c[:4]) for c in got[4:])
             inside.append(True)
             want = reference_intersect(Lattice4.from_integer_columns(x), Lattice4.from_integer_columns(y))
@@ -177,7 +185,7 @@ def test_hnf_is_the_reference_on_solves(monkeypatch):
             assert want.den == 1 and tuple(tuple(c[4:]) for c in got[4:]) == want.cols
             wide.append(len(cols))
             return got
-        assert rows == 4
+        assert rows == 4 and first == 0
         try:
             want = reference_hnf(cols)
         except DegenerateLatticeError:
@@ -275,7 +283,7 @@ def test_integer_invariants_are_the_fraction_ones_on_solves(monkeypatch):
         calls["basis"].append(q)
         fs, blocks = basis(order, q)
         ref_fs, ref_blocks = reference_basis(order, q)
-        assert [vector_element(order, f) for f in fs] == ref_fs and blocks == ref_blocks
+        assert [vector_element(order, f) for f in fs] == ref_fs and block_values(blocks) == ref_blocks
         assert all(d > 0 and math.gcd(d, *z) == 1 for z, d in fs)
         return fs, blocks
 
@@ -287,7 +295,7 @@ def test_integer_invariants_are_the_fraction_ones_on_solves(monkeypatch):
 
     def checked_index(sub, sup):
         calls["index"].append((sub, sup))
-        got, ref = index(sub, sup), sub.index_in(sup)
+        got, ref = index(sub, sup), reference_index(sub, sup)
         assert got == (ref.numerator if ref.denominator == 1 else None)
         return got
 

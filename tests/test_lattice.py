@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from endoring.errors import DegenerateLatticeError
 from endoring.lattice import Lattice4, _hnf_columns, integer_kernel
-from endoring.matrix import adj4
 from endoring.ntheory import valuation
-from fracmodel import dual, intersect
+from fracmodel import det, dual, index_in, intersect
 from fracmodel import hnf_columns as reference_hnf
 from fracmodel import solve
-from matmodel import det3
+from matmodel import adj4, det3
 
 
 def rand_lattice(rng, lo=-9, hi=9):
@@ -45,7 +44,7 @@ def test_dependent_generators_recover_standard():
 def test_half_scaled_column_determinant():
     gens = [(Fraction(1, 2), 0, 0, 0), e(1), e(2), e(3)]
     lat = Lattice4.from_generators(gens)
-    assert lat.det() == Fraction(1, 2)
+    assert det(lat) == Fraction(1, 2)
 
 
 def test_rank_deficient_rejected():
@@ -57,8 +56,8 @@ def test_intersect_scaled_standard():
     z4 = Lattice4.standard()
     two = z4.scale(2)
     assert z4.intersect(two) == two
-    assert z4.index_in(two) == Fraction(1, 16)
-    assert two.index_in(z4) == 16
+    assert index_in(z4, two) == Fraction(1, 16)
+    assert index_in(two, z4) == 16
 
 
 def test_contains_half_vector():
@@ -89,7 +88,7 @@ def test_index_tower_multiplicativity():
         a = rand_lattice(rng)
         b = a.scale(rng.randint(1, 4))
         c = b.scale(rng.randint(1, 4))
-        assert b.index_in(a) * c.index_in(b) == c.index_in(a)
+        assert index_in(b, a) * index_in(c, b) == index_in(c, a)
 
 
 def is_hnf(h):
@@ -173,13 +172,13 @@ def test_intersect_is_the_dual_reference(a, b, mode):
         )
     elif mode == "coprime":
         x, y = Lattice4.from_integer_columns(a[0]), Lattice4.from_integer_columns(b[0])
-        assume(math.gcd(x.det().numerator, y.det().numerator) == 1)
+        assume(math.gcd(det(x).numerator, det(y).numerator) == 1)
     both = x.intersect(y)
     assert both == intersect(x, y) == y.intersect(x)
     if mode == "inside":
         assert both == y
     if mode == "coprime":
-        assert both.det() == x.det() * y.det()
+        assert det(both) == det(x) * det(y)
 
 
 def test_adjugate_is_adj4_of_the_columns():
@@ -320,6 +319,37 @@ def test_integer_coords_agree_with_solve():
                 assert got is None
                 missed += 1
     assert found > 500 and missed > 300
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=lattice_args,
+    k=st.tuples(*[st.integers(-(2**200), 2**200)] * 4),
+    d=st.one_of(st.integers(-12, -1), st.integers(1, 12), st.integers(-(2**200), 2**200).filter(bool)),
+    shift=st.tuples(*[st.integers(-3, 3)] * 4),
+    flip=st.booleans(),
+)
+def test_integer_coords_is_the_rational_solve(a, k, d, shift, flip):
+    """On HNF lattices with entries and denominators up to 2^200, built with
+    a negative denominator when `flip` is set, and for nums/d with d of
+    either sign: integer_coords gives the coordinates of the rational solve
+    when they are all integers and None otherwise.  nums/d is a lattice
+    vector (coordinates k) moved by shift/d, so that both outcomes occur."""
+    cols, den = a
+    lat = full_lattice(cols, -den if flip else den)
+    assume(lat is not None)
+    # the lattice vector with coordinates k, as numerators over d * lat.den
+    vec = [sum(c * col[i] for c, col in zip(k, lat.cols)) for i in range(4)]
+    nums = [v * d + s * lat.den for v, s in zip(vec, shift)]
+    d *= lat.den
+    coords = solve(lat, [Fraction(n, d) for n in nums])
+    got = lat.integer_coords(nums, d)
+    if all(c.denominator == 1 for c in coords):
+        assert got == coords
+        if not any(shift):
+            assert got == k
+    else:
+        assert got is None
 
 
 def gap_reference(lat, other, q):

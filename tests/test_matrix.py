@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endoring.matrix import adj2, adj4, adj_det4, det4, mat2_mul
-from matmodel import adj4_by_minors, det4_by_minors
+from endoring.matrix import adj2, adj_det4, combine4, det4, dot4, form4, mat2_mul, matvec4
+from matmodel import adj4, adj4_by_minors, det4_by_minors
 
 
 def mat4_mul(x, y):
@@ -77,4 +77,45 @@ def test_closed_form_is_the_minor_expansion(m):
     1 to 3 and on Fraction entries."""
     want = (adj4_by_minors(m), det4_by_minors(m))
     assert adj_det4(m) == want
-    assert (adj4(m), det4(m)) == want
+    assert det4(m) == want[1]
+
+
+# entries up to 2^200 with zeros drawn often, or Fractions
+KERNEL_ENTRIES = st.one_of(st.just(0), st.integers(-9, 9), BIG)
+VEC = st.tuples(*[KERNEL_ENTRIES] * 4)
+FRAC_VEC = st.tuples(*[st.one_of(st.just(0), FRACTIONS)] * 4)
+kernel_settings = settings(max_examples=150, deadline=None)
+
+
+@kernel_settings
+@given(st.one_of(st.tuples(VEC, VEC), st.tuples(FRAC_VEC, FRAC_VEC), st.tuples(VEC, FRAC_VEC)))
+def test_dot4_is_the_sum(uv):
+    u, v = uv
+    assert dot4(u, v) == sum(a * b for a, b in zip(u, v))
+
+
+@kernel_settings
+@given(st.one_of(st.tuples(square4(KERNEL_ENTRIES), VEC), st.tuples(square4(FRACTIONS), FRAC_VEC)))
+def test_matvec4_is_the_sum(mv):
+    m, v = mv
+    assert matvec4(m, v) == tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
+@kernel_settings
+@given(st.one_of(st.tuples(VEC, square4(KERNEL_ENTRIES)), st.tuples(FRAC_VEC, square4(FRACTIONS))))
+def test_combine4_is_the_sum(zc):
+    z, cols = zc
+    assert combine4(z, cols) == tuple(sum(a * c[r] for a, c in zip(z, cols)) for r in range(4))
+
+
+@kernel_settings
+@given(
+    st.one_of(
+        st.tuples(VEC, square4(KERNEL_ENTRIES), VEC),
+        st.tuples(FRAC_VEC, square4(FRACTIONS), FRAC_VEC),
+        st.tuples(VEC, square4(FRACTIONS), VEC),
+    )
+)
+def test_form4_is_the_sum(ugv):
+    u, g, v = ugv
+    assert form4(u, g, v) == sum(u[i] * g[i][j] * v[j] for i in range(4) for j in range(4))

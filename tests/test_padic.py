@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -42,7 +43,7 @@ def test_normalized_basis_standard_order_at_7(alg):
     fs, blocks = normalized_basis_at(std, 7)
     fs = [vector_element(std, f) for f in fs]
     assert [k for k, _ in blocks] == ["unit"] * 4
-    diag = sorted(abs(a) for _, a in blocks)
+    diag = sorted(abs(Fraction(*a)) for _, a in blocks)
     assert diag == [1, 1, 103, 103]
     # pairwise orthogonality of the output
     for i in range(4):
@@ -55,7 +56,7 @@ def test_normalized_basis_at_2(omax):
     kinds = [k for k, _ in blocks]
     assert kinds == ["pair", "pair"]
     for _, (_, b, _) in blocks:
-        assert valuation(b, 2) == 0
+        assert valuation(Fraction(*b), 2) == 0
 
 
 def test_normalized_basis_spans_same_local_order(omax):

@@ -27,7 +27,8 @@ from endoring.pipeline import (
     local_patch,
 )
 from endoring.quat import QuaternionAlgebra, QuatElement
-from fracmodel import coords_of, from_coords
+from fracmodel import block_values, coords_of, from_coords
+from fracmodel import normalized_basis_at as reference_basis
 from planted import generate_instance
 
 
@@ -223,30 +224,31 @@ def fraction_site():
     return os.path.basename(frame.f_code.co_filename), frame.f_code.co_name
 
 
-def test_solves_build_fractions_only_for_beta_and_blocks(monkeypatch):
+def test_solves_build_fractions_only_for_beta(monkeypatch):
     """The worked example, a planted Bass instance at q = 5 and a general
     instance at q = 2, d = 2: every Fraction a solve constructs is one of the
-    four coordinates of a question's beta (`Frame.ask`) or a block value that
-    `normalized_basis_at` returns.  The order, splitting and tree layers
-    work in integers."""
+    four coordinates of a question's beta (`Frame.ask`).  The order,
+    splitting and tree layers work in integers; the block values that
+    `normalized_basis_at` returns as integer pairs are those of the
+    quaternion reference in `fracmodel`."""
     alg103 = QuaternionAlgebra.for_prime(103)
     hidden, _, o0, _, _ = planted.general_instance(alg103, 2, 2, random.Random(2))
     bass_o0, _, bass_hidden = planted.bass_instance(179, 5, 2, random.Random(5))
     worked = paperdata.algebra()
     instances = [(paperdata.o0(worked), paperdata.endomorphism_ring(worked)), (bass_o0, bass_hidden), (o0, hidden)]
     facts = [sorted(factorize(discrd(o)).items()) for o, _ in instances]
-    sites, block_values, new, basis = Counter(), [], Fraction.__new__, padic.normalized_basis_at
+    sites, bases, new, basis = Counter(), [], Fraction.__new__, padic.normalized_basis_at
 
     def counting_new(cls, *args, **kwargs):
         sites[fraction_site()] += 1
         return new(cls, *args, **kwargs)
 
-    def counting_basis(order, q):
+    def recording_basis(order, q):
         fs, blocks = basis(order, q)
-        block_values.extend(1 if kind == "unit" else len(v) for kind, v in blocks)
+        bases.append((order, q, blocks))
         return fs, blocks
 
-    monkeypatch.setattr(padic, "normalized_basis_at", counting_basis)
+    monkeypatch.setattr(padic, "normalized_basis_at", recording_basis)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     calls, branches = 0, set()
     for (o0, hidden), fact in zip(instances, facts):
@@ -256,8 +258,10 @@ def test_solves_build_fractions_only_for_beta_and_blocks(monkeypatch):
         branches |= {(s.q, s.bass) for s in sols}
     monkeypatch.undo()
     assert {(5, True), (2, False)} <= branches
-    assert 3 in block_values  # a binary atom at q = 2
-    assert sites == {("pipeline.py", "ask"): 4 * calls, ("padic.py", "normalized_basis_at"): sum(block_values)}
+    assert sites == {("pipeline.py", "ask"): 4 * calls}
+    assert any(kind == "pair" for _, _, blocks in bases for kind, _ in blocks)  # a binary atom at q = 2
+    for order, q, blocks in bases:
+        assert block_values(blocks) == reference_basis(order, q)[1]
 
 
 def test_general_branch_at_large_q():

@@ -23,12 +23,13 @@ import planted
 from endoring.btt import allowed_next_steps, step_name
 from endoring.divide import DivisionOracle, HiddenOrderOracle
 from endoring.lattice import lll_gram
-from endoring.matrix import adj4, det4
+from endoring.matrix import det4
 from endoring.ntheory import valuation
 from endoring.pipeline import TraceLog, compute_endomorphism_ring
 from endoring.quat import QuaternionAlgebra
 from endoring.serialize import load_problem
 from fracmodel import from_coords, trd
+from matmodel import adj4
 
 TESTS = Path(__file__).resolve().parent
 PROBLEM = TESTS.parent / "problems" / "p103_worked_example.json"
