@@ -10,7 +10,7 @@ any isogeny computation.
 """
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import OraclePreconditionError, StructuralError
 from .ntheory import factorize, primes
@@ -33,9 +33,10 @@ class DivisionOracle:
 class HiddenOrderOracle(DivisionOracle):
     """Reference oracle: membership of beta/n in a hidden maximal order.
 
-    It solves once for beta's coordinates over the hidden order's basis,
-    from beta's numerators over their common denominator.  Queries for beta
-    outside the hidden order violate the contract that beta is an
+    It reads beta as it is stored, four integer numerators over one
+    denominator, and solves once for beta's coordinates over the hidden
+    order's basis (`Lattice4.integer_coords`), with no Fraction.  Queries
+    for beta outside the hidden order violate the contract that beta is an
     endomorphism and raise OraclePreconditionError, with no call counted.
     Otherwise the coordinates of beta/n are those of beta divided by n, so
     the answer is whether n divides every coordinate.
@@ -52,9 +53,7 @@ class HiddenOrderOracle(DivisionOracle):
     def is_divisible(self, beta: QuatElement, n: int) -> bool:
         if n <= 0:
             raise StructuralError("divisor must be positive")
-        d = lcm(*(c.denominator for c in beta.coeffs))
-        nums = [c.numerator * (d // c.denominator) for c in beta.coeffs]
-        coords = self.hidden.lattice.integer_coords(nums, d)
+        coords = self.hidden.lattice.integer_coords(beta.nums, beta.den)
         if coords is None:
             raise OraclePreconditionError(f"query element {beta} is not in the hidden order")
         self._calls += 1

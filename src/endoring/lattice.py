@@ -27,6 +27,7 @@ off-pivot entries are left unreduced.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import DegenerateLatticeError
@@ -132,12 +133,17 @@ class Lattice4:
         return tuple(tuple(Fraction(x, d) for x in c) for c in self.cols)
 
     def adjugate(self):
-        """(adj(M), det(M)) for the integer column matrix M of the basis.
+        """(adj(M), det(M)) for the integer column matrix M of the basis,
+        solved once per lattice (`_adjugate`)."""
+        return self._adjugate
 
-        M[i][k] = cols[k][i] is lower triangular, and so is adj(M) = det *
+    @cached_property
+    def _adjugate(self):
+        """M[i][k] = cols[k][i] is lower triangular, and so is adj(M) = det *
         M^-1: its diagonal is det / M[j][j], and below it, from M * adj(M) =
         det * I, adj[i][j] = -(sum of M[i][k] * adj[k][j], j <= k < i) /
-        M[i][i], each division exact."""
+        M[i][i], each division exact.  The value lives in the instance's
+        __dict__, outside the fields that equality and hashing compare."""
         c = self.cols
         det = c[0][0] * c[1][1] * c[2][2] * c[3][3]
         adj = [[0] * 4 for _ in range(4)]
@@ -221,7 +227,14 @@ class Lattice4:
         return self.gap_at(other, q) == 0
 
     def equals_at(self, other: "Lattice4", q: int) -> bool:
-        return self.contains_lattice_at(other, q) and other.contains_lattice_at(self, q)
+        """Whether self and other agree at q: their determinants (pivot
+        products over den^4) have the same q-valuation, so the index is a
+        q-unit, and other lies in self at q.  Only self's adjugate is read."""
+        return self._det_valuation(q) == other._det_valuation(q) and self.contains_lattice_at(other, q)
+
+    def _det_valuation(self, q: int) -> int:
+        c = self.cols
+        return valuation(c[0][0] * c[1][1] * c[2][2] * c[3][3], q) - 4 * valuation(self.den, q)
 
     def integer_index_in(self, sup: "Lattice4") -> int | None:
         """The generalized index [sup : self] when it is an integer, else

@@ -12,8 +12,9 @@ hereditary-stall step forms (1 - e) g e and e g (1 - e) from `table`.
 The ring check, the Gorenstein test and the enlargement's index check are
 integer valuations and divisibility tests, and every 4-term product sum
 (traces, pairings, combinations of basis columns) is one of the
-straight-line kernels of `matrix`: on the solve path, `QuatElement`s and
-`Fraction`s appear only in error reports.
+straight-line kernels of `matrix`: on the solve path the order layer
+builds no `Fraction`, and a `QuatElement` (from integers) appears only in
+an error report.
 
 The multipliers of the preimage J of rad(O/qO) lie between O and q^-1 J,
 so they come from one kernel mod q: the y in J with yJ in qJ (Jy in qJ),
@@ -33,6 +34,7 @@ is the kernel of the norm mod 2, a linear form on that kernel (see
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 
 from . import linmod
 from .errors import (
@@ -58,10 +60,11 @@ class Order:
 
     @cached_property
     def _basis(self) -> tuple[QuatElement, ...]:
-        return tuple(QuatElement(self.algebra, b) for b in self.lattice.basis())
+        lat = self.lattice
+        return tuple(QuatElement.from_integers(self.algebra, c, lat.den) for c in lat.cols)
 
     def element(self, coords) -> QuatElement:
-        return QuatElement(self.algebra, tuple(Fraction(x) for x in coords))
+        return self.algebra.element(*coords)
 
     @cached_property
     def table(self) -> tuple:
@@ -80,7 +83,7 @@ class Order:
                 prod = mul(x, y)
                 coords = lat.integer_coords(prod, s * lat.den * lat.den)
                 if coords is None:
-                    xy = self.element(Fraction(c, s * lat.den * lat.den) for c in prod)
+                    xy = QuatElement.from_integers(self.algebra, prod, s * lat.den * lat.den)
                     raise NotARingError(self.basis_elements()[i], self.basis_elements()[j], xy)
                 row.append(coords)
             rows.append(tuple(row))
@@ -136,7 +139,9 @@ def order_from_basis(alg: QuaternionAlgebra, vectors) -> Order:
 def ring_closure(alg: QuaternionAlgebra, gens) -> Order:
     """Smallest order whose lattice contains the given elements and 1."""
     s, mul = integer_product(alg)
-    lat = Lattice4.from_generators([(1, 0, 0, 0)] + [g.coeffs for g in gens])
+    den = lcm(*(g.den for g in gens))
+    cols = [(den, 0, 0, 0)] + [tuple(x * (den // g.den) for x in g.nums) for g in gens]
+    lat = Lattice4.from_integer_columns(cols, den)
     for _ in range(64):
         # the basis and its products, over the denominator s * den^2
         cols = [[s * lat.den * x for x in c] for c in lat.cols]

@@ -17,7 +17,10 @@ Each stage works in integer coordinates over the basis of O_q and asks
 through its frame (`ReducedBasis.frame`), the one place a question and its
 quaternion beta are formed.  A frame is one integer matrix, from
 coordinates to numerators over the reduced basis, and the step from those
-numerators to (beta, m).  Products come from the structure constants
+numerators to (beta, m).  A question is integers end to end: the rounding
+takes integer residuals and one gcd, beta is a `QuatElement` of integer
+numerators over one denominator, the stand-in oracle solves from those
+integers and `TraceLog` prints them; a solve builds no Fraction.  Products come from the structure constants
 `oq.table`, conj(t) = trd(t) - t, in the path search and in the one
 conjugation.  The path search forms, once per level, the frame of
 z -> conj(t) z t from the images of the four basis units, so that each of
@@ -35,9 +38,8 @@ r(floor(q/2) + 1) + 2 for the path search.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 
 from .btt import (
     MatrixPath,
@@ -73,6 +75,12 @@ from .quat import QuatElement
 # trace log
 
 
+def _rational_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0: "n" or "n/d" in lowest terms."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 class TraceLog:
     """Collects oracle queries, tree steps, and explored subtrees."""
 
@@ -86,7 +94,7 @@ class TraceLog:
                 "type": "oracle",
                 "q": q,
                 "stage": stage,
-                "beta": [str(c) for c in beta.coeffs],
+                "beta": [_rational_str(n, beta.den) for n in beta.nums],
                 "n": str(n),
                 "answer": bool(answer),
                 "count": count,
@@ -198,21 +206,32 @@ class Frame:
 
     def ask(self, nums, s: int):
         """The question about q^s * x, x the element whose coordinates over
-        O_0's reduced basis have the numerators nums over `den`."""
+        O_0's reduced basis have the numerators nums over `den`.
+
+        Each coordinate n/d (d = den * q^-s when s < 0) is rounded to k =
+        ceil(n/d - 1/2), leaving the residual r = n - k*d in (-d/2, d/2].
+        With g = gcd(r_0..r_3, d), m = d/g is the least common denominator
+        of the residuals r_i/d and w_i = r_i/g their numerators over m, so
+        beta = sum w_i * b_i over O_0's reduced basis b; g = d exactly when
+        every residual is 0, that is when q^s * x lies in O_0."""
+        n0, n1, n2, n3 = nums
         if s >= 0:
-            nums, den = [self.q**s * y for y in nums], self.den
+            f, d = self.q**s, self.den
+            n0, n1, n2, n3 = f * n0, f * n1, f * n2, f * n3
         else:
-            den = self.den * self.q**-s
-        if all(num % den == 0 for num in nums):
+            d = self.den * self.q**-s
+        d2 = 2 * d
+        r0 = n0 + (d - 2 * n0) // d2 * d
+        r1 = n1 + (d - 2 * n1) // d2 * d
+        r2 = n2 + (d - 2 * n2) // d2 * d
+        r3 = n3 + (d - 2 * n3) // d2 * d
+        g = gcd(r0, r1, r2, r3, d)
+        if g == d:
             return None
-        # residuals num/den - k with k = ceil(num/den - 1/2)
-        res = [num + (den - 2 * num) // (2 * den) * den for num in nums]
-        m = math.lcm(*(den // math.gcd(y, den) for y in res))
-        w = [y * m // den for y in res]
         rb = self.rb
-        lat_den = rb.order.lattice.den
-        beta = tuple(Fraction(x, lat_den) for x in combine4(w, rb._cols))
-        return QuatElement(rb.order.algebra, beta), m
+        w = (r0 // g, r1 // g, r2 // g, r3 // g)
+        beta = QuatElement.from_integers(rb.order.algebra, combine4(w, rb._cols), rb.order.lattice.den)
+        return beta, d // g
 
 
 def _all_in_end(questions, oracle: DivisionOracle) -> bool:
@@ -305,7 +324,8 @@ def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
     basis vectors of x have coordinates n / (q^a u), u prime to q (from
     `y.adjugate()`).  Replacing each by (n u^-1 mod q^(a+m)) / q^a moves the
     vector by an element of q^m y at q and into q^-a y: with q^m y they
-    span x at q and y at every other prime."""
+    span x at q and y at every other prime.  The check that the result
+    equals x at q reads x's adjugate, which the gap has solved already."""
     m = x.gap_at(y, q)
     adj, det = y.adjugate()
     a = valuation(det * x.den, q)
@@ -315,7 +335,7 @@ def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
     cols = [combine4(zs, y.cols) for zs in coords]
     cols += [[mod * v for v in c] for c in y.cols]
     patched = Lattice4.from_integer_columns(cols, q**a * y.den)
-    if not patched.equals_at(x, q):
+    if not x.equals_at(patched, q):
         raise MathematicalInconsistencyError("local patch lost the q-part")
     return patched
 

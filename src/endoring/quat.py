@@ -1,14 +1,19 @@
 """Exact arithmetic in a rational quaternion algebra B = (a, b | Q).
 
-Elements are stored over the standard basis 1, i, j, ij with Fraction
-coordinates; multiplication follows i^2 = a, j^2 = b, ji = -ij.  Algebra
-construction validates via Hilbert symbols that B ramifies exactly at
-{p, infinity}, which is the definiteness condition that makes every
+An element is stored as four integer numerators over one positive
+denominator, x = (n0 + n1 i + n2 j + n3 ij) / den, in lowest terms, so two
+elements are equal exactly when their fields are.  Multiplication follows
+i^2 = a, j^2 = b, ji = -ij through one integer formula (`_product`) and one
+gcd; `coeffs` is a view of the coordinates as Fractions, built on request.
+Algebra construction validates via Hilbert symbols that B ramifies exactly
+at {p, infinity}, which is the definiteness condition that makes every
 nonzero element invertible.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import StructuralError, MathematicalInconsistencyError
 from .ntheory import factorize, is_prime, legendre, reduce_unit_mod, unit_part, valuation
@@ -77,14 +82,50 @@ class QuaternionAlgebra:
             )
         return QuaternionAlgebra.create(-1, -p, p)
 
+    @cached_property
+    def integer_constants(self) -> tuple[int, int, int, int]:
+        """(s, s*a, s*b, s*a*b) with s = den(a) * den(b), all integers."""
+        a, b = self.a, self.b
+        s = a.denominator * b.denominator
+        return s, a.numerator * b.denominator, b.numerator * a.denominator, a.numerator * b.numerator
+
     def element(self, x0, x1=0, x2=0, x3=0) -> "QuatElement":
-        return QuatElement(self, (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3)))
+        """The element with rational coordinates x0..x3 over 1, i, j, ij."""
+        xs = (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3))
+        d = lcm(*(x.denominator for x in xs))
+        # over the least common denominator the numerators have no common factor with it
+        return QuatElement(self, tuple(x.numerator * (d // x.denominator) for x in xs), d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuatElement:
+    """x = (nums[0] + nums[1] i + nums[2] j + nums[3] ij) / den, den > 0 and
+    gcd(nums, den) = 1.  Build it from integers with `from_integers` and
+    from rationals with `QuaternionAlgebra.element`."""
+
     algebra: QuaternionAlgebra
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    nums: tuple[int, int, int, int]
+    den: int
+
+    @staticmethod
+    def from_integers(algebra: QuaternionAlgebra, nums, den: int) -> "QuatElement":
+        """The element nums/den (four integers over a nonzero integer), in
+        lowest terms."""
+        if den == 0:
+            raise ZeroDivisionError("quaternion with denominator 0")
+        n0, n1, n2, n3 = nums
+        g = gcd(n0, n1, n2, n3, den)
+        if den < 0:
+            g = -g
+        if g == 1:
+            return QuatElement(algebra, (n0, n1, n2, n3), den)
+        return QuatElement(algebra, (n0 // g, n1 // g, n2 // g, n3 // g), den // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The coordinates over 1, i, j, ij as Fractions."""
+        d = self.den
+        return tuple(Fraction(n, d) for n in self.nums)
 
     def _check(self, other):
         if self.algebra != other.algebra:
@@ -92,28 +133,36 @@ class QuatElement:
 
     def scale(self, s) -> "QuatElement":
         s = Fraction(s)
-        return QuatElement(self.algebra, tuple(s * x for x in self.coeffs))
+        f = s.numerator
+        return QuatElement.from_integers(self.algebra, [f * n for n in self.nums], self.den * s.denominator)
 
     def __mul__(self, other):
         self._check(other)
-        a, b = self.algebra.a, self.algebra.b
-        product = _product(1, a, b, a * b, self.coeffs, other.coeffs)
-        return QuatElement(self.algebra, product)
+        s, sa, sb, sab = self.algebra.integer_constants
+        product = _product(s, sa, sb, sab, self.nums, other.nums)
+        return QuatElement.from_integers(self.algebra, product, s * self.den * other.den)
 
     def conj(self) -> "QuatElement":
-        x0, x1, x2, x3 = self.coeffs
-        return QuatElement(self.algebra, (x0, -x1, -x2, -x3))
+        x0, x1, x2, x3 = self.nums
+        return QuatElement(self.algebra, (x0, -x1, -x2, -x3), self.den)
+
+    def _norm_parts(self) -> tuple[int, int]:
+        """(n, d) with nrd = n/d: n = s * den^2 * nrd, an integer."""
+        s, sa, sb, sab = self.algebra.integer_constants
+        x0, x1, x2, x3 = self.nums
+        return s * x0 * x0 - sa * x1 * x1 - sb * x2 * x2 + sab * x3 * x3, s * self.den * self.den
 
     def nrd(self) -> Fraction:
-        a, b = self.algebra.a, self.algebra.b
-        x0, x1, x2, x3 = self.coeffs
-        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+        return Fraction(*self._norm_parts())
 
     def inverse(self) -> "QuatElement":
-        n = self.nrd()
+        """conj(x) / nrd(x)."""
+        n, d = self._norm_parts()
         if n == 0:
             raise MathematicalInconsistencyError("zero divisor in a division algebra")
-        return self.conj().scale(Fraction(1, 1) / n)
+        f = d // self.den
+        x0, x1, x2, x3 = self.nums
+        return QuatElement.from_integers(self.algebra, (f * x0, -f * x1, -f * x2, -f * x3), n)
 
     def __repr__(self):
         names = ("", "i", "j", "ij")
@@ -123,7 +172,7 @@ class QuatElement:
 
 def _product(s, a, b, ab, x, y):
     """s * x * y in (a/s, b/s | Q), given a, b and ab = a*b/s: the one
-    product formula."""
+    product formula, for integer x and y over 1, i, j, ij."""
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
     return (
@@ -137,8 +186,5 @@ def _product(s, a, b, ab, x, y):
 def integer_product(alg: QuaternionAlgebra):
     """(s, mul) with s = den(a) * den(b) and mul(x, y) = s * x * y, an
     integer vector, for x and y with integer coordinates over 1, i, j, ij."""
-    a, b = alg.a, alg.b
-    s = a.denominator * b.denominator
-    sa, sb, sab = a.numerator * b.denominator, b.numerator * a.denominator, a.numerator * b.numerator
+    s, sa, sb, sab = alg.integer_constants
     return s, lambda x, y: _product(s, sa, sb, sab, x, y)
-

@@ -1,6 +1,13 @@
 """Rational reference model for the tests: the same computations as the
-integer code in `endoring`, on `QuatElement`s with Fraction coordinates over
-the standard basis 1, i, j, ij.
+integer code in `endoring`, on quaternions read through their Fraction
+coordinates over the standard basis 1, i, j, ij.
+
+`FractionQuat` is the quaternion stored as four Fractions, with the
+product, conjugate, scaling, norm, inverse and equality that `QuatElement`
+computes from integer numerators over one denominator: the reference for
+`QuatElement`.  `frame_ask` is `pipeline.Frame.ask` in Fractions (residuals
+as Fractions, m as the lcm of their denominators, beta built from Fraction
+coordinates), the reference for the integer rounding.
 
 `add`, `sub`, `neg`, `trd` and `standard_basis` are the element arithmetic
 that the integer code does not use: sums and differences, the reduced
@@ -34,6 +41,8 @@ coefficients whose least valuation `orders.ternary_gorenstein_test` reads
 from integer numerators and denominators.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from endoring.errors import (
@@ -41,9 +50,10 @@ from endoring.errors import (
     MathematicalInconsistencyError,
     MissingUnitError,
     NotARingError,
+    StructuralError,
 )
 from endoring.lattice import Lattice4, integer_kernel
-from endoring.matrix import det4
+from endoring.matrix import combine4, det4
 from endoring.ntheory import reduce_unit_mod, valuation
 from endoring.orders import (
     _UNITS,
@@ -56,22 +66,93 @@ from endoring.orders import (
     verify_order,
 )
 from endoring.padic import conic_point
-from endoring.quat import QuatElement, integer_product
+from endoring.quat import QuaternionAlgebra, QuatElement, integer_product
 from matmodel import adj4
+
+
+@dataclass(frozen=True)
+class FractionQuat:
+    """A quaternion as four Fraction coordinates over 1, i, j, ij."""
+
+    algebra: QuaternionAlgebra
+    coeffs: tuple
+
+    @staticmethod
+    def of(x: QuatElement) -> "FractionQuat":
+        return FractionQuat(x.algebra, tuple(x.coeffs))
+
+    def scale(self, s) -> "FractionQuat":
+        s = Fraction(s)
+        return FractionQuat(self.algebra, tuple(s * x for x in self.coeffs))
+
+    def __mul__(self, other: "FractionQuat") -> "FractionQuat":
+        if self.algebra != other.algebra:
+            raise StructuralError("elements of different quaternion algebras")
+        a, b = self.algebra.a, self.algebra.b
+        x0, x1, x2, x3 = self.coeffs
+        y0, y1, y2, y3 = other.coeffs
+        return FractionQuat(
+            self.algebra,
+            (
+                x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+                x0 * y1 + x1 * y0 + b * (x3 * y2 - x2 * y3),
+                x0 * y2 + x2 * y0 + a * (x1 * y3 - x3 * y1),
+                x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+            ),
+        )
+
+    def conj(self) -> "FractionQuat":
+        x0, x1, x2, x3 = self.coeffs
+        return FractionQuat(self.algebra, (x0, -x1, -x2, -x3))
+
+    def nrd(self) -> Fraction:
+        a, b = self.algebra.a, self.algebra.b
+        x0, x1, x2, x3 = self.coeffs
+        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+
+    def inverse(self) -> "FractionQuat":
+        n = self.nrd()
+        if n == 0:
+            raise MathematicalInconsistencyError("zero divisor in a division algebra")
+        return self.conj().scale(Fraction(1, 1) / n)
+
+    def __repr__(self):
+        names = ("", "i", "j", "ij")
+        parts = [f"{c}{n}" for c, n in zip(self.coeffs, names) if c != 0]
+        return " + ".join(parts) if parts else "0"
+
+
+def frame_ask(frame, nums, s: int):
+    """`Frame.ask` with Fraction residuals: None or (beta, m), beta built
+    from its four Fraction coordinates."""
+    if s >= 0:
+        nums, den = [frame.q**s * y for y in nums], frame.den
+    else:
+        den = frame.den * frame.q**-s
+    if all(num % den == 0 for num in nums):
+        return None
+    # residuals num/den - k with k = ceil(num/den - 1/2)
+    res = [num + (den - 2 * num) // (2 * den) * den for num in nums]
+    m = math.lcm(*(den // math.gcd(y, den) for y in res))
+    w = [y * m // den for y in res]
+    rb = frame.rb
+    lat_den = rb.order.lattice.den
+    beta = tuple(Fraction(x, lat_den) for x in combine4(w, rb._cols))
+    return rb.order.algebra.element(*beta), m
 
 
 def add(x: QuatElement, y: QuatElement) -> QuatElement:
     x._check(y)
-    return QuatElement(x.algebra, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
+    return x.algebra.element(*(a + b for a, b in zip(x.coeffs, y.coeffs)))
 
 
 def sub(x: QuatElement, y: QuatElement) -> QuatElement:
     x._check(y)
-    return QuatElement(x.algebra, tuple(a - b for a, b in zip(x.coeffs, y.coeffs)))
+    return x.algebra.element(*(a - b for a, b in zip(x.coeffs, y.coeffs)))
 
 
 def neg(x: QuatElement) -> QuatElement:
-    return QuatElement(x.algebra, tuple(-a for a in x.coeffs))
+    return x.algebra.element(*(-a for a in x.coeffs))
 
 
 def trd(x: QuatElement) -> Fraction:
@@ -405,7 +486,7 @@ def q_enlarge(order, q: int):
         stalls += 1
         eidem = from_coords(current, _split_idempotent(current, q, rad))
         one = alg.element(1)
-        jelems = [QuatElement(alg, b) for b in J.basis()]
+        jelems = [alg.element(*b) for b in J.basis()]
         nxt = None
         for lft, rgt in ((sub(one, eidem), eidem), (eidem, sub(one, eidem))):
             gens = list(current.lattice.basis())

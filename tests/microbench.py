@@ -49,7 +49,7 @@ from endoring.pipeline import (
     local_patch,
 )
 from endoring.quat import QuaternionAlgebra
-from fracmodel import dual, from_coords
+from fracmodel import dual
 
 Q = 1009
 
@@ -141,6 +141,37 @@ def body_path_pair_question(pkg, g):
     return lambda: pipeline._all_in_end((level(pipeline.pair_idempotent(sm, a, b), 0),), oracle)
 
 
+def body_traced_pair_question(pkg, g):
+    """The same question asked as the benchmark's solves ask it: through a
+    `CountingOracle` that records it in a `TraceLog` (emptied each call, so
+    that the log does not grow with the loop)."""
+    hidden, o0, oq, word = g
+    pipeline, orders = pkg.pipeline, pkg.orders
+    rb, log = pipeline.ReducedBasis(o0), pipeline.TraceLog()
+    oracle = pkg.divide.CountingOracle(pkg.divide.HiddenOrderOracle(hidden), log, stage="path", q=Q)
+    table, one = oq.table, oq.lattice.integer_coords((1, 0, 0, 0))
+    t_conj = orders._conj_coords(oq.traces, one, one)
+    images = [orders._table_mul(table, orders._table_mul(table, t_conj, u), one) for u in orders._UNITS]
+    level = rb.frame(oq, Q).composed(images)
+    sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
+    a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
+
+    def ask():
+        log.events.clear()
+        return pipeline._all_in_end((level(pipeline.pair_idempotent(sm, a, b), 0),), oracle)
+
+    return ask
+
+
+def body_quat_mul(pkg, g):
+    """The benchmark set-up's conjugation x * b * x^-1 of a maximal order's
+    basis element b by a small x (`bench/instances.py`)."""
+    hidden = g[0]
+    x = hidden.algebra.element(3, -4, 2, 1)
+    b, xinv = hidden.basis_elements()[3], x.inverse()
+    return lambda: x * b * xinv
+
+
 def body_splitting_map(pkg, g):
     _, _, oq, _ = g
     return lambda: pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 2))
@@ -155,6 +186,8 @@ PAIRED = {
     "test_lattice_contains": (body_lattice_contains, 1),
     "test_verify_order": (body_verify_order, 1),
     "test_path_pair_question": (body_path_pair_question, 1),
+    "test_traced_pair_question": (body_traced_pair_question, 1),
+    "test_quat_mul": (body_quat_mul, 1),
     "test_splitting_map": (body_splitting_map, 2),
 }
 
@@ -215,10 +248,8 @@ def worked():
     return paperdata.o0(alg), paperdata.maximal_order(alg)
 
 
-def test_quat_mul(benchmark, general):
-    _, _, oq, _ = general
-    x, y = from_coords(oq, (3, -5, 7, 11)), from_coords(oq, (-2, 9, 4, -6))
-    benchmark(lambda: x * y)
+def test_quat_mul(benchmark, pkg, general):
+    benchmark(body_quat_mul(pkg, general))
 
 
 def test_table_mul(benchmark, pkg, general):
@@ -299,6 +330,10 @@ def test_verify_order(benchmark, pkg, general):
 
 def test_path_pair_question(benchmark, pkg, general):
     assert benchmark(body_path_pair_question(pkg, general)) is False
+
+
+def test_traced_pair_question(benchmark, pkg, general):
+    assert benchmark(body_traced_pair_question(pkg, general)) is False
 
 
 def test_find_path_to_end(benchmark, general_d2):

@@ -21,7 +21,7 @@ from endoring.matrix import det4
 from endoring.orders import _UNITS, _conj_coords, _table_mul, q_enlarge
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import ReducedBasis, generator_lifts, pair_idempotent
-from endoring.quat import QuatElement, QuaternionAlgebra
+from endoring.quat import QuaternionAlgebra
 from fracmodel import coords_of, from_coords, trd
 from matmodel import adj4
 
@@ -51,7 +51,7 @@ def reference_question(rb, x):
     res = [c - math.ceil(c - Fraction(1, 2)) for c in coords]
     m = math.lcm(*(c.denominator for c in res))
     beta = tuple(m * sum(y * col[i] for y, col in zip(res, cols)) for i in range(4))
-    return QuatElement(x.algebra, beta), m
+    return x.algebra.element(*beta), m
 
 
 CASES = {**{f"general-q{q}": (lambda q=q: general(q)) for q in (2, 3, 7, 101)}, "worked-q7": worked}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -179,6 +180,22 @@ def test_intersect_is_the_dual_reference(a, b, mode):
         assert both == y
     if mode == "coprime":
         assert det(both) == det(x) * det(y)
+
+
+def test_adjugate_is_solved_once_outside_equality():
+    """The adjugate is cached on the lattice: a second call returns the same
+    object, and the cache is no field, so equality, hashing and repr still
+    read den and cols only."""
+    rng = random.Random(18)
+    for _ in range(20):
+        lat = rand_lattice(rng).scale(Fraction(rng.randint(1, 5), rng.randint(1, 9)))
+        twin = Lattice4(lat.den, lat.cols)
+        first = lat.adjugate()
+        assert lat.adjugate() is first and "_adjugate" not in twin.__dict__
+        assert lat == twin and hash(lat) == hash(twin) and repr(lat) == repr(twin)
+        assert [f.name for f in dataclasses.fields(lat)] == ["den", "cols"]
+        assert twin.adjugate() == first
+        assert lat.gaps_at(twin.cols, twin.den, 2) == [0, 0, 0, 0]
 
 
 def test_adjugate_is_adj4_of_the_columns():
@@ -371,3 +388,26 @@ def test_gap_at_agrees_with_rational_solve():
             assert a.contains_lattice_at(b, q) == (gap == 0)
             gaps.add(gap)
     assert {0, 1, 2} <= gaps
+
+
+def test_equals_at_is_containment_both_ways():
+    """equals_at reads one adjugate and the determinants' q-valuations; it
+    agrees with containment at q both ways (rational gaps), on pairs equal at
+    q only, nested pairs, pairs with equal determinant valuations and
+    unrelated pairs."""
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(80):
+        q = rng.choice((2, 3, 5))
+        x = rand_lattice(rng).scale(Fraction(q ** rng.randint(0, 2), rng.randint(1, 4) * q ** rng.randint(0, 2)))
+        unit = rng.choice([u for u in range(2, 12) if u % q])
+        y = rand_lattice(rng).scale(Fraction(rng.randint(1, 6), q ** rng.randint(0, 2)))
+        for a, b in ((x, x.scale(unit)), (x, x.scale(q)), (x.scale(q), x), (x, y), (y, x), (x, x.add(x.scale(Fraction(1, unit))))):
+            want = gap_reference(a, b, q) == 0 and gap_reference(b, a, q) == 0
+            assert a.equals_at(b, q) == want
+            seen.add((want, a == b))
+    assert {(True, False), (False, False)} <= seen
+    for q in (2, 3):
+        # the same determinant, neither inside the other at q
+        a, b = (Lattice4.from_integer_columns([[q**(i == k) * (i == j) for i in range(4)] for j in range(4)]) for k in (0, 1))
+        assert not a.equals_at(b, q) and a.equals_at(b, 5)

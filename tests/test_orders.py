@@ -29,7 +29,7 @@ from endoring.orders import (
     ternary_gorenstein_test,
     verify_order,
 )
-from endoring.quat import QuatElement, QuaternionAlgebra
+from endoring.quat import QuaternionAlgebra
 from fracmodel import from_coords, index_in, linear_combination, multiplier_lattice, solve, trd
 from fracmodel import ternary_form_coefficients
 from matmodel import adj4, det3
@@ -204,9 +204,9 @@ def colon_reference(J, alg, side):
     """{x : xJ in J} ("left") or {x : Jx in J} ("right") by definition: the
     intersection over the basis g of J of J * g^-1, resp. g^-1 * J."""
     result = None
-    for g in (QuatElement(alg, b) for b in J.basis()):
+    for g in (alg.element(*b) for b in J.basis()):
         ginv = g.inverse()
-        elems = [QuatElement(alg, b) for b in J.basis()]
+        elems = [alg.element(*b) for b in J.basis()]
         imgs = [(y * ginv if side == "left" else ginv * y).coeffs for y in elems]
         lat = Lattice4.from_generators(imgs)
         result = lat if result is None else result.intersect(lat)
@@ -300,7 +300,7 @@ def codifferent_form(order):
     cod = Lattice4.from_generators(
         [[sum(adj[i][j] / det * basis[i][k] for i in range(4)) for k in range(4)] for j in range(4)]
     )
-    elems = [QuatElement(order.algebra, b) for b in cod.basis()]
+    elems = [order.algebra.element(*b) for b in cod.basis()]
     traces = [trd(x) for x in elems]
     den = math.lcm(*(t.denominator for t in traces))
     vs = [linear_combination(kv, elems) for kv in integer_kernel([int(t * den) for t in traces])]

@@ -27,7 +27,7 @@ from endoring.pipeline import (
     local_patch,
 )
 from endoring.quat import QuaternionAlgebra, QuatElement
-from fracmodel import block_values, coords_of, from_coords
+from fracmodel import block_values, coords_of, frame_ask, from_coords
 from fracmodel import normalized_basis_at as reference_basis
 from planted import generate_instance
 
@@ -165,30 +165,36 @@ def test_path_search_lifts_only_accepted_steps(monkeypatch):
 
 def test_path_search_builds_quaternions_only_for_questions(monkeypatch):
     """The path search computes in integer coordinates: no quaternion
-    product, and one quaternion per oracle question, its beta."""
+    product, and one quaternion per oracle question, its beta, built from
+    integers (`QuatElement.from_integers`)."""
     q, d = 101, 2
     alg = QuaternionAlgebra.for_prime(103)
     hidden, _, o0, _, word = planted.general_instance(alg, q, d, random.Random(1))
     oq = q_enlarge(o0, q)
     sm = splitting_map(oq, Precision(q, d))
     rb, oracle = ReducedBasis(o0), CountingOracle(HiddenOrderOracle(hidden))
-    mul, init = QuatElement.__mul__, QuatElement.__init__
-    products, built = [], []
+    mul, from_integers, init = QuatElement.__mul__, QuatElement.from_integers, QuatElement.__init__
+    products, built, inits = [], [], []
 
     def counting_mul(x, y):
         products.append(1)
         return mul(x, y)
 
-    def counting_init(x, *args):
+    def counting_from_integers(*args):
         built.append(1)
+        return from_integers(*args)
+
+    def counting_init(x, *args):
+        inits.append(1)
         init(x, *args)
 
     monkeypatch.setattr(QuatElement, "__mul__", counting_mul)
+    monkeypatch.setattr(QuatElement, "from_integers", staticmethod(counting_from_integers))
     monkeypatch.setattr(QuatElement, "__init__", counting_init)
     gamma, _ = find_path_to_end(rb, oq, q, d, sm, oracle, TraceLog())
     assert gamma == word
     assert len(products) == 0
-    assert len(built) == oracle.calls > 0
+    assert len(built) == len(inits) == oracle.calls > 0
 
 
 def test_splitting_map_and_vertex_order_make_no_quaternion_products(monkeypatch):
@@ -224,19 +230,26 @@ def fraction_site():
     return os.path.basename(frame.f_code.co_filename), frame.f_code.co_name
 
 
-def test_solves_build_fractions_only_for_beta(monkeypatch):
+def solve_instances():
     """The worked example, a planted Bass instance at q = 5 and a general
-    instance at q = 2, d = 2: every Fraction a solve constructs is one of the
-    four coordinates of a question's beta (`Frame.ask`).  The order,
-    splitting and tree layers work in integers; the block values that
-    `normalized_basis_at` returns as integer pairs are those of the
-    quaternion reference in `fracmodel`."""
+    instance at q = 2, d = 2, with their factorizations: (O_0, hidden,
+    factorization) each."""
     alg103 = QuaternionAlgebra.for_prime(103)
     hidden, _, o0, _, _ = planted.general_instance(alg103, 2, 2, random.Random(2))
     bass_o0, _, bass_hidden = planted.bass_instance(179, 5, 2, random.Random(5))
     worked = paperdata.algebra()
     instances = [(paperdata.o0(worked), paperdata.endomorphism_ring(worked)), (bass_o0, bass_hidden), (o0, hidden)]
-    facts = [sorted(factorize(discrd(o)).items()) for o, _ in instances]
+    return [(o0, hidden, sorted(factorize(discrd(o0)).items())) for o0, hidden in instances]
+
+
+def test_solves_build_no_fraction(monkeypatch):
+    """On `solve_instances`, with and without a `TraceLog`, a solve
+    constructs no Fraction: the order, splitting and tree layers work in
+    integers, each question's beta goes from `Frame.ask` to the oracle and
+    the trace as integer numerators over one denominator.  The block values
+    that `normalized_basis_at` returns as integer pairs are those of the
+    quaternion reference in `fracmodel`."""
+    instances = solve_instances()
     sites, bases, new, basis = Counter(), [], Fraction.__new__, padic.normalized_basis_at
 
     def counting_new(cls, *args, **kwargs):
@@ -250,18 +263,52 @@ def test_solves_build_fractions_only_for_beta(monkeypatch):
 
     monkeypatch.setattr(padic, "normalized_basis_at", recording_basis)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    calls, branches = 0, set()
-    for (o0, hidden), fact in zip(instances, facts):
-        end, sols, n = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
-        assert end.lattice == hidden.lattice
-        calls += n
-        branches |= {(s.q, s.bass) for s in sols}
+    calls, branches = [], set()
+    for log in (None, TraceLog()):
+        calls.append(0)
+        for o0, hidden, fact in instances:
+            end, sols, n = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
+            assert end.lattice == hidden.lattice
+            calls[-1] += n
+            branches |= {(s.q, s.bass) for s in sols}
     monkeypatch.undo()
     assert {(5, True), (2, False)} <= branches
-    assert sites == {("pipeline.py", "ask"): 4 * calls}
+    assert calls[0] == calls[1] == sum(ev["type"] == "oracle" for ev in log.events) > 0
+    assert sites == {}
     assert any(kind == "pair" for _, _, blocks in bases for kind, _ in blocks)  # a binary atom at q = 2
     for order, q, blocks in bases:
         assert block_values(blocks) == reference_basis(order, q)[1]
+
+
+def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):
+    """Every question of the `solve_instances` solves (distance, path and
+    Bass stages, q = 2 among them) is the one the Fraction rounding of
+    `fracmodel.frame_ask` gives, and its trace strings are the Fractions'."""
+    asked, ask = [], pipeline.Frame.ask
+
+    def recording_ask(frame, nums, s):
+        out = ask(frame, nums, s)
+        asked.append((frame, tuple(nums), s, out))
+        return out
+
+    monkeypatch.setattr(pipeline.Frame, "ask", recording_ask)
+    stages = set()
+    for o0, hidden, fact in solve_instances():
+        log = TraceLog()
+        compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
+        for ev in log.events:
+            if ev["type"] == "oracle":
+                stages.add((ev["stage"], ev["q"]))
+    monkeypatch.undo()
+    assert {("distance", 2), ("path", 2), ("bass", 5)} <= stages
+    assert any(out is None for *_, out in asked) and any(out is not None for *_, out in asked)
+    for frame, nums, s, out in asked:
+        want = frame_ask(frame, nums, s)
+        assert out == want
+        if out is not None:
+            log = TraceLog()
+            log.oracle_event(frame.q, "path", out[0], out[1], True, 1)
+            assert log.events[0]["beta"] == [str(c) for c in want[0].coeffs]
 
 
 def test_general_branch_at_large_q():

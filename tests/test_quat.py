@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from endoring.errors import StructuralError
+from endoring.errors import MathematicalInconsistencyError, StructuralError
 from endoring.matrix import det4
 from endoring.ntheory import exact_isqrt
-from endoring.quat import INFINITE_PLACE, QuaternionAlgebra, hilbert_symbol
-from fracmodel import add, neg, standard_basis, sub, trd
+from endoring.pipeline import TraceLog
+from endoring.quat import INFINITE_PLACE, QuaternionAlgebra, QuatElement, hilbert_symbol
+from fracmodel import FractionQuat, add, neg, standard_basis, sub, trd
 from treemodel import gram
 
 
@@ -99,3 +103,95 @@ def test_gram_permutation(b103):
     for r in range(4):
         for c in range(4):
             assert g[r][c] == g[c][r]
+
+
+# ---------------------------------------------------------------------------
+# the integer element against the Fraction reference
+
+ALGEBRAS = {
+    "-1,-103": QuaternionAlgebra.create(-1, -103, 103),
+    "-1/4,-103": QuaternionAlgebra.create(Fraction(-1, 4), -103, 103),
+}
+BIG = 2**200
+big_ints = st.one_of(st.integers(-BIG, BIG), st.integers(-3, 3), st.just(0))
+big_dens = st.one_of(st.integers(1, BIG), st.integers(1, 12))
+# coordinates with their own, often coprime, denominators; all zero sometimes
+fractions = st.builds(Fraction, big_ints, big_dens)
+coords = st.one_of(st.tuples(fractions, fractions, fractions, fractions), st.just((0, 0, 0, 0)))
+algebras = st.sampled_from(sorted(ALGEBRAS))
+wide = settings(max_examples=150, deadline=None)
+
+
+def pair(alg, cs):
+    """The element with coordinates cs and its Fraction reference."""
+    return alg.element(*cs), FractionQuat(alg, tuple(Fraction(c) for c in cs))
+
+
+def in_lowest_terms(x):
+    return x.den > 0 and gcd(*x.nums, x.den) == 1 and all(isinstance(n, int) for n in (*x.nums, x.den))
+
+
+@wide
+@given(name=algebras, xs=coords, ys=coords)
+def test_product_is_the_fraction_product(name, xs, ys):
+    alg = ALGEBRAS[name]
+    (x, fx), (y, fy) = pair(alg, xs), pair(alg, ys)
+    xy = x * y
+    assert xy.coeffs == (fx * fy).coeffs
+    assert in_lowest_terms(xy)
+
+
+@wide
+@given(name=algebras, xs=coords, s=st.one_of(fractions, big_ints))
+def test_conj_scale_nrd_inverse_are_the_fraction_ones(name, xs, s):
+    alg = ALGEBRAS[name]
+    x, fx = pair(alg, xs)
+    assert x.coeffs == tuple(Fraction(c) for c in xs) and in_lowest_terms(x)
+    assert x.conj().coeffs == fx.conj().coeffs and in_lowest_terms(x.conj())
+    assert x.scale(s).coeffs == fx.scale(s).coeffs and in_lowest_terms(x.scale(s))
+    assert x.nrd() == fx.nrd()
+    assert repr(x) == repr(fx)
+    if any(xs):
+        assert x.inverse().coeffs == fx.inverse().coeffs and in_lowest_terms(x.inverse())
+    else:
+        with pytest.raises(MathematicalInconsistencyError):
+            x.inverse()
+
+
+@wide
+@given(name=algebras, xs=coords, ys=coords, k=st.one_of(st.integers(-BIG, BIG), st.integers(-5, 5)).filter(bool))
+def test_equality_and_hash_from_fractions_and_from_integers(name, xs, ys, k):
+    """nums/den built with any common factor k (of either sign) is the
+    element built from its Fractions: equal, with the same hash and fields;
+    two elements are equal exactly when their Fraction coordinates are."""
+    alg = ALGEBRAS[name]
+    x, y = alg.element(*xs), alg.element(*ys)
+    d = lcm(*(Fraction(c).denominator for c in xs))
+    nums = [int(Fraction(c) * d) * k for c in xs]
+    z = QuatElement.from_integers(alg, nums, d * k)
+    assert z == x and hash(z) == hash(x) and (z.nums, z.den) == (x.nums, x.den)
+    assert (x == y) == (FractionQuat.of(x) == FractionQuat.of(y))
+    assert (x == y) <= (hash(x) == hash(y))
+
+
+@wide
+@given(name=algebras, xs=coords)
+def test_trace_strings_are_the_fraction_strings(name, xs):
+    x = ALGEBRAS[name].element(*xs)
+    log = TraceLog()
+    log.oracle_event(7, "path", x, 7, False, 1)
+    assert log.events[0]["beta"] == [str(c) for c in x.coeffs]
+
+
+def test_integer_constructor_checks_its_denominator(b103):
+    with pytest.raises(ZeroDivisionError):
+        QuatElement.from_integers(b103, (1, 0, 0, 0), 0)
+    assert QuatElement.from_integers(b103, (0, 0, 0, 0), -6) == b103.element(0)
+    assert QuatElement.from_integers(b103, (2, -4, 6, 0), -4) == b103.element(Fraction(-1, 2), 1, Fraction(-3, 2))
+
+
+def test_elements_of_different_algebras_do_not_multiply():
+    x, y = (alg.element(1, 2) for alg in ALGEBRAS.values())
+    assert x != y
+    with pytest.raises(StructuralError):
+        x * y
