@@ -233,15 +233,14 @@ def ball(center: TreeVertex, radius: int):
 
 
 def dot_graph(vertices, title="btt") -> str:
-    """Graphviz source for the induced subgraph on the given vertices."""
+    """Graphviz source for the induced subgraph on the given vertices: each
+    vertex's edge to its parent, when the parent is among them, as the
+    sorted index pairs (parent, child)."""
     vs = sorted(set(vertices), key=TreeVertex.sort_key)
-    names = {v: f"v{k}" for k, v in enumerate(vs)}
+    index = {v: k for k, v in enumerate(vs)}
     lines = [f"graph {title} {{", "  node [shape=circle fontsize=10];"]
-    for v in vs:
-        lines.append(f'  {names[v]} [label="({v.a},{v.b},{v.c})"];')
-    for i, v in enumerate(vs):
-        for w in vs[i + 1 :]:
-            if distance(v, w) == 1:
-                lines.append(f"  {names[v]} -- {names[w]};")
+    lines += [f'  v{k} [label="({v.a},{v.b},{v.c})"];' for k, v in enumerate(vs)]
+    parents = ((vertex_of_path(MatrixPath(v.q, path_from_root(v).steps[:-1])), k) for k, v in enumerate(vs) if v.depth)
+    lines += [f"  v{i} -- v{k};" for i, k in sorted((index[u], k) for u, k in parents if u in index)]
     lines.append("}")
     return "\n".join(lines)

@@ -8,13 +8,12 @@ lattices are equal.
 
 The HNF clears each row against its pivot column with one extended-gcd
 (Bezout) step per other column: a unimodular 2x2 column operation that
-leaves gcd(a, b) in the pivot and 0 in the other column.  The basis matrix
-is triangular, so its adjugate comes from forward substitution, one exact
-division per entry, with no 3x3 minors.  For the same reason a vector's
-coordinates over the basis (`integer_coords`, under every membership test
-and the order's structure constants) are four rows of straight-line
-forward substitution, one `divmod` per row, that stop at the first row
-whose division leaves a remainder.
+leaves gcd(a, b) in the pivot and 0 in the other column.  The adjugate of
+the basis matrix is the closed form `matrix.adj_det4`.  The basis matrix is
+triangular, so a vector's coordinates over the basis (`integer_coords`,
+under every membership test and the order's structure constants) are four
+rows of straight-line forward substitution, one `divmod` per row, that stop
+at the first row whose division leaves a remainder.
 
 Sums are computed by concatenating generators.  An intersection is one
 HNF of 8-row columns: over a common denominator, with integer column
@@ -31,7 +30,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import DegenerateLatticeError
-from .matrix import form4, matvec4
+from .matrix import adj_det4, form4, matvec4
 from .ntheory import valuation
 
 Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -139,19 +138,10 @@ class Lattice4:
 
     @cached_property
     def _adjugate(self):
-        """M[i][k] = cols[k][i] is lower triangular, and so is adj(M) = det *
-        M^-1: its diagonal is det / M[j][j], and below it, from M * adj(M) =
-        det * I, adj[i][j] = -(sum of M[i][k] * adj[k][j], j <= k < i) /
-        M[i][i], each division exact.  The value lives in the instance's
-        __dict__, outside the fields that equality and hashing compare."""
-        c = self.cols
-        det = c[0][0] * c[1][1] * c[2][2] * c[3][3]
-        adj = [[0] * 4 for _ in range(4)]
-        for j in range(4):
-            adj[j][j] = det // c[j][j]
-            for i in range(j + 1, 4):
-                adj[i][j] = -sum(c[k][i] * adj[k][j] for k in range(j, i)) // c[i][i]
-        return tuple(map(tuple, adj)), det
+        """`matrix.adj_det4` of M, M[i][k] = cols[k][i].  The value lives in
+        the instance's __dict__, outside the fields that equality and
+        hashing compare."""
+        return adj_det4(tuple(zip(*self.cols)))
 
     def scale(self, s) -> "Lattice4":
         s = Fraction(s)

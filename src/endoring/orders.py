@@ -90,6 +90,11 @@ class Order:
         return tuple(rows)
 
     @cached_property
+    def one(self) -> tuple:
+        """The integer coordinates of 1 over the basis."""
+        return self.lattice.integer_coords((1, 0, 0, 0))
+
+    @cached_property
     def traces(self) -> tuple:
         """trd of the basis elements, integers in an order: trd(b_i) is twice
         the coefficient of 1, 2 * c_i0 / den for the integer column c_i."""
@@ -369,7 +374,7 @@ def _split_idempotent(order: Order, q: int, rad) -> tuple:
     nontrivial in the split 2-dimensional semisimple quotient of O/qO, rad
     = `radical_coords_mod(order, q)`.  Only called at the hereditary stall."""
     table = order.table
-    one = tuple(c % q for c in order.lattice.integer_coords((1, 0, 0, 0)))
+    one = tuple(c % q for c in order.one)
     span = list(rad) + [one]
     w = None
     for k in range(4):
@@ -444,8 +449,7 @@ def q_enlarge(order: Order, q: int, radical=None) -> Order:
             continue
         # (1/q) * (1 - e) g e, and the mirror, in coordinates over current
         e, lat, table = _split_idempotent(current, q, rad), current.lattice, current.table
-        one = lat.integer_coords((1, 0, 0, 0))
-        rest = tuple(u - c for u, c in zip(one, e))
+        rest = tuple(u - c for u, c in zip(current.one, e))
         jcoords = [lat.integer_coords(g, J.den) for g in J.cols]
         nxt = None
         for lft, rgt in ((rest, e), (e, rest)):

@@ -273,7 +273,7 @@ def splitting_map(order: Order, prec: Precision) -> SplittingMap:
     the nilpotent and the units are products from `order.table`."""
     q, modulus = prec.q, prec.modulus
     x, fs = zero_divisor_mod(order, prec)
-    traces, one = order.traces, order.lattice.integer_coords((1, 0, 0, 0))
+    traces, one = order.traces, order.one
 
     def mul(u, v):
         return tuple(c % modulus for c in _table_mul(order.table, u, v))

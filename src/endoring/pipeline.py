@@ -2,7 +2,7 @@
 local-to-global order construction, and the full endomorphism-ring
 computation driven by a division oracle.
 
-Every stage tests membership in End(E) through one function, `_all_in_end`,
+Every stage tests membership in End(E) through one function, `_in_end`,
 and every oracle question has one form.  An element x of O_0 is never
 asked: O_0 lies in End(E).  For any other x let m be the least positive
 integer with m*x in O_0, and gamma in O_0 the Babai rounding of x in an
@@ -20,11 +20,18 @@ coordinates to numerators over the reduced basis, and the step from those
 numerators to (beta, m).  A question is integers end to end: the rounding
 takes integer residuals and one gcd, beta is a `QuatElement` of integer
 numerators over one denominator, the stand-in oracle solves from those
-integers and `TraceLog` prints them; a solve builds no Fraction.  Products come from the structure constants
-`oq.table`, conj(t) = trd(t) - t, in the path search and in the one
-conjugation.  The path search forms, once per level, the frame of
-z -> conj(t) z t from the images of the four basis units, so that each of
-its questions costs only small-integer work.
+integers and `TraceLog` prints them; a solve builds no Fraction.  Every
+conj(t) x t comes from `conjugate`, by products from the structure
+constants `oq.table` with conj(t) = trd(t) - t: the vertex lattices, the
+path search's level frames (formed once per level from the images of the
+four basis units, so that each question costs only small-integer work) and
+its end-vertex confirmation.
+
+Tree vertices are step words from O_q's vertex (the root) end to end: the
+Bass walk extends a word and its matrix one generator at a time, and the
+vertex lattices (`VertexLattices`) and the trace are keyed by words.  Each
+branch ends in the q-part lattice of its answer, which one assembly
+(`global_order_from_vertices`) makes a global order.
 
 Every stage asks about one element per question, chosen so that its fixed
 set in the Bruhat-Tits tree is the set under test: a ball around O_q's
@@ -44,9 +51,8 @@ from math import gcd
 from .btt import (
     MatrixPath,
     allowed_next_steps,
-    associated_matrix,
     dot_graph,
-    path_from_root,
+    gen_matrix,
     step_name,
     vertex_of_path,
 )
@@ -69,16 +75,11 @@ from .orders import (
 )
 from .padic import Precision, SplittingMap, lift_vertex_element, splitting_map
 from .quat import QuatElement
+from .serialize import rational_str
 
 
 # ---------------------------------------------------------------------------
 # trace log
-
-
-def _rational_str(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0: "n" or "n/d" in lowest terms."""
-    g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class TraceLog:
@@ -94,7 +95,7 @@ class TraceLog:
                 "type": "oracle",
                 "q": q,
                 "stage": stage,
-                "beta": [_rational_str(n, beta.den) for n in beta.nums],
+                "beta": [rational_str(n, beta.den) for n in beta.nums],
                 "n": str(n),
                 "answer": bool(answer),
                 "count": count,
@@ -234,14 +235,10 @@ class Frame:
         return beta, d // g
 
 
-def _all_in_end(questions, oracle: DivisionOracle) -> bool:
-    """Whether every element lies in End(E), each given by its question
-    (`ReducedBasis.frame`): None, for an element of O_0, needs no call.
-    Asks in order and stops at the first no."""
-    for asked in questions:
-        if asked is not None and not oracle.is_divisible(*asked):
-            return False
-    return True
+def _in_end(asked, oracle: DivisionOracle) -> bool:
+    """Whether an element lies in End(E), given by its question
+    (`ReducedBasis.frame`): None, for an element of O_0, needs no call."""
+    return asked is None or oracle.is_divisible(*asked)
 
 
 def _calls_within(oracle: CountingOracle, budget: int, stage: str) -> int:
@@ -298,7 +295,7 @@ def distance_to_end(rb: ReducedBasis, oq: Order, q: int, e: int, oracle: Divisio
     r <= i, and the countdown stops at the first i where it is not."""
     question, z = rb.frame(oq, q), distance_element(oq, q)
     for i in range(e - 1, -1, -1):
-        if not _all_in_end((question(z, i),), oracle):
+        if not _in_end(question(z, i), oracle):
             return i + 1
     return 0
 
@@ -307,13 +304,18 @@ def distance_to_end(rb: ReducedBasis, oq: Order, q: int, e: int, oracle: Divisio
 # conjugation and the local patch
 
 
+def conjugate(oq: Order, t, z) -> tuple:
+    """The coordinates of conj(t) x t, x and t given by integer coordinates z
+    and t over the basis of O_q, from `oq.table`."""
+    table = oq.table
+    return _table_mul(table, _table_mul(table, _conj_coords(oq.traces, oq.one, t), z), t)
+
+
 def conjugate_order_lattice(oq: Order, t, q: int, k: int) -> Lattice4:
     """(1/q^k) * conj(t) O_q t, t given by integer coordinates over the basis
-    of O_q: each conj(t) * b * t is formed from `oq.table`, as in the path search."""
-    one = oq.lattice.integer_coords((1, 0, 0, 0))
-    t_conj, lat = _conj_coords(oq.traces, one, t), oq.lattice
-    gens = (_table_mul(oq.table, _table_mul(oq.table, t_conj, u), t) for u in _UNITS)
-    cols = [combine4(z, lat.cols) for z in gens]
+    of O_q: the images of the basis under `conjugate`."""
+    lat = oq.lattice
+    cols = [combine4(conjugate(oq, t, u), lat.cols) for u in _UNITS]
     return Lattice4.from_integer_columns(cols, lat.den * q**k)
 
 
@@ -341,32 +343,38 @@ def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
 
 
 class VertexLattices(dict):
-    """Tree vertex v -> the lattice of its maximal order: O_q at the root,
-    else (1/q^k) conj(t) O_q t for the lift t of v, k = depth of v.  Each
-    vertex is lifted and conjugated the first time it is read."""
+    """Step word -> the lattice of the maximal order of the vertex at its
+    end: O_q for the empty word, else (1/q^k) conj(t) O_q t for the lift t
+    of the vertex, k the word's length.  A word is lifted through its vertex
+    (a, b, c) (`vertex_of_path`, `lift_vertex_element`) and conjugated the
+    first time it is read."""
 
     def __init__(self, oq: Order, sm: SplittingMap):
         super().__init__()
         self.oq = oq
         self.sm = sm
 
-    def __missing__(self, v):
-        if v.depth == 0:
+    def __missing__(self, word):
+        if not word:
             lat = self.oq.lattice
         else:
+            q = self.sm.precision.q
+            v = vertex_of_path(MatrixPath(q, word))
             t = lift_vertex_element(self.sm, (v.a, v.b, v.c))
-            lat = conjugate_order_lattice(self.oq, t, self.sm.precision.q, v.depth)
-        self[v] = lat
+            lat = conjugate_order_lattice(self.oq, t, q, len(word))
+        self[word] = lat
         return lat
 
 
-def global_order_from_vertices(o0: Order, lattices: VertexLattices, vertex) -> Order:
-    """Global order whose q-part is the order of the tree vertex and whose
-    other localizations agree with the starting order.  At the root the
-    patch is O_q itself, which is verified already."""
-    q, oq = lattices.sm.precision.q, lattices.oq
-    patched = local_patch(lattices[vertex], o0.lattice, q)
-    return oq if patched == oq.lattice else verify_order(patched, o0.algebra)
+def global_order_from_vertices(o0: Order, oq: Order, lat: Lattice4, q: int) -> Order:
+    """The global order whose q-part is the lattice lat of a tree vertex's
+    order and whose other localizations agree with O_0: O_q itself when lat
+    is O_q's lattice (verified already; O_q agrees with O_0 away from q),
+    else lat patched onto O_0 away from q (`local_patch`) and verified.  The
+    one assembly of every prime q != p, in both branches."""
+    if lat == oq.lattice:
+        return oq
+    return verify_order(local_patch(lat, o0.lattice, q), o0.algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -436,26 +444,18 @@ def find_path_to_end(
 
     t is fixed for a level, and conj(t) P t is linear in P, so each level
     forms once the frame of z -> conj(t) z t (`Frame.composed`, from the
-    images of the four basis units: 8 table products); a pair question then
+    `conjugate` images of the four basis units: 8 table products); a pair question then
     costs its idempotent, 16 small products and the frame's `ask`."""
-    table = oq.table
-    one = oq.lattice.integer_coords((1, 0, 0, 0))
     question = rb.frame(oq, q)
     word: list[int] = []
-    t = one
-
-    def conjugation(t):
-        """z -> the coordinates of conj(t) z t."""
-        t_conj = _conj_coords(oq.traces, one, t)
-        return lambda z: _table_mul(table, _table_mul(table, t_conj, z), t)
+    t = oq.one
 
     def leaves_through(a, b, shift):
         """Whether the path leaves the current vertex through step a or b."""
-        return _all_in_end((level_question(pair_idempotent(sm, a, b), shift),), oracle)
+        return _in_end(level_question(pair_idempotent(sm, a, b), shift), oracle)
 
     for level in range(1, r + 1):
-        conj = conjugation(t)
-        level_question = question.composed([conj(u) for u in _UNITS])
+        level_question = question.composed([conjugate(oq, t, u) for u in _UNITS])
         prev = word[-1] if word else None
         steps = allowed_next_steps(q, prev)
         shift = r - 2 * level + 1
@@ -480,8 +480,8 @@ def find_path_to_end(
                 f"no candidate accepted at level {level} for q={q}: oracle and order disagree"
             )
         word.append(accepted)
-        t = _table_mul(table, generator_lifts(sm, accepted), t)
-    if not _all_in_end((question(conjugation(t)(distance_element(oq, q)), -r),), oracle):
+        t = _table_mul(oq.table, generator_lifts(sm, accepted), t)
+    if not _in_end(question(conjugate(oq, t, distance_element(oq, q)), -r), oracle):
         raise MathematicalInconsistencyError(
             f"the oracle refused the order at the end of the path for q={q}"
         )
@@ -492,63 +492,63 @@ def find_path_to_end(
 # Bass branch
 
 
-def enumerate_bass_path(o0: Order, sm: SplittingMap, e: int):
-    """Vertices of the path of maximal orders containing the image of O_0,
-    walked outward from the root while containment persists.  O_0's basis
-    has integer coordinates over the split order's, which `sm` maps."""
+def enumerate_bass_path(o0: Order, sm: SplittingMap, e: int) -> list[tuple]:
+    """Step words of the path of maximal orders containing the image of O_0,
+    in path order, walked outward from the root while containment persists.
+    O_0's basis has integer coordinates over the split order's, which `sm`
+    maps.
+
+    A walk keeps the matrix T of its word (later steps on the left, det T =
+    q^len) and extends it one generator at a time: the vertex of gen_s * T
+    contains an image y exactly when T' y adj(T') vanishes mod det T' for
+    T' = gen_s * T.  Raises a typed error when the containment set is not a
+    path of at most e + 1 vertices, as at a non-Bass prime."""
     q, lat = sm.precision.q, sm.order.lattice
     imgs = [sm.apply_coords(lat.integer_coords(c, o0.lattice.den)) for c in o0.lattice.cols]
 
-    def contains_image(word):
-        t = associated_matrix(MatrixPath(q, tuple(word)))
-        adj = adj2(t)
-        mod = q ** len(word)
-        for y in imgs:
-            prod = mat2_mul(mat2_mul(t, y), adj)
-            if any(x % mod for row in prod for x in row):
-                return False
-        return True
-
-    def walk(first_step):
+    def extensions(word, t):
+        """(s, gen_s * t) for the steps s after the word, in order, whose
+        vertex contains the image of O_0."""
+        mod = q ** (len(word) + 1)
         out = []
-        word = [first_step]
-        if not contains_image(word):
-            return out
-        out.append(tuple(word))
-        for _ in range(e):
-            extended = None
-            for s in allowed_next_steps(q, word[-1]):
-                if contains_image(word + [s]):
-                    if extended is not None:
-                        raise MathematicalInconsistencyError("containment set branches: not Bass")
-                    extended = s
-            if extended is None:
-                break
-            word.append(extended)
-            out.append(tuple(word))
+        for s in allowed_next_steps(q, word[-1] if word else None):
+            u = mat2_mul(gen_matrix(q, s), t)
+            adj = adj2(u)
+            if not any(x % mod for y in imgs for row in mat2_mul(mat2_mul(u, y), adj) for x in row):
+                out.append((s, u))
         return out
 
-    directions = []
-    for s in allowed_next_steps(q, None):
-        if contains_image([s]):
-            directions.append(s)
+    def walk(s, t):
+        word = (s,)
+        out = [word]
+        for _ in range(e):
+            nxt = extensions(word, t)
+            if len(nxt) > 1:
+                raise MathematicalInconsistencyError("containment set branches: not Bass")
+            if not nxt:
+                break
+            (s, t), = nxt
+            word += (s,)
+            out.append(word)
+        return out
+
+    directions = extensions((), ((1, 0), (0, 1)))
     if len(directions) > 2:
         raise MathematicalInconsistencyError("more than two stable neighbors: not Bass")
     words: list[tuple] = []
     if directions:
-        left = walk(directions[0])
-        words.extend(reversed(left))
+        words.extend(reversed(walk(*directions[0])))
     words.append(())
     if len(directions) == 2:
-        words.extend(walk(directions[1]))
+        words.extend(walk(*directions[1]))
     if len(words) > e + 1:
         raise MathematicalInconsistencyError("containment path longer than e+1")
-    return [vertex_of_path(MatrixPath(q, w)) for w in words]
+    return words
 
 
 def segment_element(lattices: VertexLattices, first, last, outside) -> tuple:
-    """An element x of O(first) cap O(last) outside O(outside) at q: the first
-    basis column of the intersection of the two vertex lattices that fails
+    """An element x of O(first) cap O(last) outside O(outside) at q, the
+    vertices given by step words: the first basis column of the intersection of the two vertex lattices that fails
     the q-local membership test against O(outside).  Returns (z, -K) with x
     = q^-K * (the element with integer coordinates z over O_q), K >= 0
     least, the arguments of a question of `ReducedBasis.frame(oq, q)`."""
@@ -575,7 +575,8 @@ def bass_search(
     log: TraceLog | None = None,
 ):
     """Binary search along the containment path; at most ceil(log2(e+1))
-    oracle calls, one per halving.  Returns (vertex, path list).
+    oracle calls, one per halving.  Returns (word, path words): the step
+    word of End(E) tensor Z_q's vertex and those of the containment path.
 
     Halving v_0..v_L at m asks about one element x = `segment_element` of
     O(v_0) cap O(v_(m-1)) outside O(v_m) at q (the Segment fact).  The
@@ -583,18 +584,17 @@ def bass_search(
     are exactly v_0..v_(m-1): x is in End(E) iff End(E) tensor Z_q is one of
     them.  Away from q, x lies in O_0 tensor Z_l, since a vertex lattice is
     q^-k times a sublattice of O_q.  No order is built for a halving."""
-    o0 = rb.order
-    path_list = enumerate_bass_path(o0, lattices.sm, e)
+    words = enumerate_bass_path(rb.order, lattices.sm, e)
     if log is not None:
-        for v in path_list:
-            log.saw_vertex(q, path_from_root(v).steps)
+        for word in words:
+            log.saw_vertex(q, word)
     question = rb.frame(lattices.oq, q)
-    lst = list(path_list)
+    lst = words
     while len(lst) > 1:
         m = len(lst) // 2
-        ok = _all_in_end((question(*segment_element(lattices, lst[0], lst[m - 1], lst[m])),), oracle)
+        ok = _in_end(question(*segment_element(lattices, lst[0], lst[m - 1], lst[m])), oracle)
         lst = lst[:m] if ok else lst[m:]
-    return lst[0], path_list
+    return lst[0], words
 
 
 # ---------------------------------------------------------------------------
@@ -628,16 +628,7 @@ def compute_endomorphism_ring(
     def solve_one(q, e):
         if q == p:
             op = q_enlarge(o0, p)
-            return LocalSolution(
-                q=p,
-                e=e,
-                bass=True,
-                enlargement=op,
-                r=0,
-                gamma=MatrixPath(q, ()),
-                order=op,
-                oracle_calls={},
-            )
+            return LocalSolution(q=p, e=e, bass=True, enlargement=op, r=0, gamma=MatrixPath(q, ()), order=op)
         radical = q_radical(o0, q)
         bass = is_bass_at(o0, q, radical)
         oq = q_enlarge(o0, q, radical)
@@ -645,12 +636,10 @@ def compute_endomorphism_ring(
         if bass:
             lattices = VertexLattices(oq, splitting_map(oq, Precision(q, e)))
             bass_oracle = CountingOracle(oracle, log, stage="bass", q=q)
-            vertex, path_list = bass_search(rb, lattices, q, e, bass_oracle, log)
+            word, _ = bass_search(rb, lattices, q, e, bass_oracle, log)
             # e.bit_length() = ceil(log2(e + 1)), the number of halvings
             calls["bass"] = _calls_within(bass_oracle, e.bit_length(), "bass search")
-            r = vertex.depth
-            gamma = path_from_root(vertex)
-            o_tilde = global_order_from_vertices(o0, lattices, vertex)
+            gamma, lat = MatrixPath(q, word), lattices[word]
         else:
             dist_oracle = CountingOracle(oracle, log, stage="distance", q=q)
             r = distance_to_end(rb, oq, q, e, dist_oracle)
@@ -658,20 +647,18 @@ def compute_endomorphism_ring(
             if r > e:
                 raise MathematicalInconsistencyError("distance exceeds the discriminant valuation")
             if r == 0:
-                gamma = MatrixPath(q, ())
-                o_tilde = oq
+                gamma, lat = MatrixPath(q, ()), oq.lattice
             else:
                 sm = splitting_map(oq, Precision(q, r))
                 path_oracle = CountingOracle(oracle, log, stage="path", q=q)
                 gamma, t = find_path_to_end(rb, oq, q, r, sm, path_oracle, log)
                 calls["path"] = _calls_within(path_oracle, r * (q // 2 + 1) + 2, "path search")
-                conj = conjugate_order_lattice(oq, t, q, r)
-                o_tilde = verify_order(local_patch(conj, o0.lattice, q), o0.algebra)
-        d = discrd(o_tilde)
-        if d % q == 0:
+                lat = conjugate_order_lattice(oq, t, q, r)
+        o_tilde = global_order_from_vertices(o0, oq, lat, q)
+        if discrd(o_tilde) % q == 0:
             raise MathematicalInconsistencyError(f"local solution at {q} is not q-maximal")
         return LocalSolution(
-            q=q, e=e, bass=bass, enlargement=oq, r=r, gamma=gamma, order=o_tilde, oracle_calls=calls
+            q=q, e=e, bass=bass, enlargement=oq, r=len(gamma), gamma=gamma, order=o_tilde, oracle_calls=calls
         )
 
     sols = [solve_one(q, e) for q, e in sorted(factorization)]

@@ -7,6 +7,7 @@ always re-verified on load; multiplication tables are never trusted.
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .errors import EndoringError, ParseError
 from .lattice import Lattice4
@@ -15,9 +16,11 @@ from .orders import Order, discrd, verify_order
 from .quat import QuaternionAlgebra
 
 
-def frac_to_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def rational_str(n: int, d: int) -> str:
+    """n/d for d > 0 as str(Fraction(n, d)) prints it: "n" or "n/d" in
+    lowest terms."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def frac_from_str(s) -> Fraction:
@@ -28,7 +31,8 @@ def frac_from_str(s) -> Fraction:
 
 
 def algebra_to_json(alg: QuaternionAlgebra) -> dict:
-    return {"a": frac_to_str(alg.a), "b": frac_to_str(alg.b), "p": alg.p}
+    a, b = alg.a, alg.b
+    return {"a": rational_str(a.numerator, a.denominator), "b": rational_str(b.numerator, b.denominator), "p": alg.p}
 
 
 def algebra_from_json(data) -> QuaternionAlgebra:
@@ -45,7 +49,7 @@ def algebra_from_json(data) -> QuaternionAlgebra:
 
 
 def lattice_to_json(lat: Lattice4) -> list:
-    return [[frac_to_str(x) for x in col] for col in lat.basis()]
+    return [[rational_str(x, lat.den) for x in col] for col in lat.cols]
 
 
 def lattice_from_json(data) -> Lattice4:

@@ -130,15 +130,12 @@ def body_path_pair_question(pkg, g):
     (formed once, as the search forms it once per level) and the oracle's
     answer."""
     hidden, o0, oq, word = g
-    pipeline, orders = pkg.pipeline, pkg.orders
+    pipeline = pkg.pipeline
     rb, oracle = pipeline.ReducedBasis(o0), pkg.divide.HiddenOrderOracle(hidden)
-    table, one = oq.table, oq.lattice.integer_coords((1, 0, 0, 0))
-    t_conj = orders._conj_coords(oq.traces, one, one)
-    images = [orders._table_mul(table, orders._table_mul(table, t_conj, u), one) for u in orders._UNITS]
-    level = rb.frame(oq, Q).composed(images)
+    level = rb.frame(oq, Q).composed([pipeline.conjugate(oq, oq.one, u) for u in pkg.orders._UNITS])
     sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
     a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
-    return lambda: pipeline._all_in_end((level(pipeline.pair_idempotent(sm, a, b), 0),), oracle)
+    return lambda: pipeline._in_end(level(pipeline.pair_idempotent(sm, a, b), 0), oracle)
 
 
 def body_traced_pair_question(pkg, g):
@@ -146,19 +143,16 @@ def body_traced_pair_question(pkg, g):
     `CountingOracle` that records it in a `TraceLog` (emptied each call, so
     that the log does not grow with the loop)."""
     hidden, o0, oq, word = g
-    pipeline, orders = pkg.pipeline, pkg.orders
+    pipeline = pkg.pipeline
     rb, log = pipeline.ReducedBasis(o0), pipeline.TraceLog()
     oracle = pkg.divide.CountingOracle(pkg.divide.HiddenOrderOracle(hidden), log, stage="path", q=Q)
-    table, one = oq.table, oq.lattice.integer_coords((1, 0, 0, 0))
-    t_conj = orders._conj_coords(oq.traces, one, one)
-    images = [orders._table_mul(table, orders._table_mul(table, t_conj, u), one) for u in orders._UNITS]
-    level = rb.frame(oq, Q).composed(images)
+    level = rb.frame(oq, Q).composed([pipeline.conjugate(oq, oq.one, u) for u in pkg.orders._UNITS])
     sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
     a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
 
     def ask():
         log.events.clear()
-        return pipeline._all_in_end((level(pipeline.pair_idempotent(sm, a, b), 0),), oracle)
+        return pipeline._in_end(level(pipeline.pair_idempotent(sm, a, b), 0), oracle)
 
     return ask
 
@@ -371,18 +365,18 @@ def test_splitting_map(benchmark, pkg):
 
 
 def test_vertex_lattice(benchmark, general_d2):
-    """One read of a depth-2 vertex from a fresh `VertexLattices`: its lift
-    and its conjugate of O_q."""
+    """One read of a depth-2 word from a fresh `VertexLattices`: its vertex,
+    its lift and its conjugate of O_q."""
     oq, sm, word, _, _ = general_d2
-    v = vertex_of_path(word)
-    assert benchmark(lambda: VertexLattices(oq, sm)[v]) == VertexLattices(oq, sm)[v]
+    w = word.steps
+    assert benchmark(lambda: VertexLattices(oq, sm)[w]) == VertexLattices(oq, sm)[w]
 
 
 def test_local_patch(benchmark, general_d2):
     """The general branch's patch at q = 1009, r = 2: the end vertex's
     lattice made to agree with O_0 away from q."""
     oq, sm, word, _, o0 = general_d2
-    end = VertexLattices(oq, sm)[vertex_of_path(word)]
+    end = VertexLattices(oq, sm)[word.steps]
     assert benchmark(local_patch, end, o0.lattice, Q).equals_at(end, Q)
 
 

@@ -28,7 +28,7 @@ from endoring.lattice import Lattice4
 from endoring.ntheory import factorize
 from endoring.orders import discrd, q_enlarge, radical_lattice, verify_order
 from endoring.padic import Precision, lift_vertex_element, normalized_basis_at, splitting_map, zero_divisor_mod
-from endoring.pipeline import compute_endomorphism_ring, conjugate_order_lattice, local_patch
+from endoring.pipeline import TraceLog, compute_endomorphism_ring, conjugate_order_lattice, local_patch
 from endoring.quat import QuatElement, QuaternionAlgebra
 from fracmodel import hnf_columns as reference_hnf
 from fracmodel import index_in as reference_index
@@ -204,7 +204,8 @@ def test_hnf_is_the_reference_on_solves(monkeypatch):
 def build_and_solve():
     """Build the worked example and 10 planted instances of both branches,
     q = 2 included, solve each, check End(E) against the hidden order, and
-    check that every branch was taken."""
+    check that every branch was taken; render each solve's explored
+    subtrees (`TraceLog.dot_sources`)."""
     discrd.cache_clear()
     alg = paperdata.algebra()
     instances = [(paperdata.o0(alg), paperdata.endomorphism_ring(alg))]
@@ -221,8 +222,10 @@ def build_and_solve():
     branches = set()
     for o0, hidden in instances:
         fact = sorted(factorize(discrd(o0)).items())
-        end, sols, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
+        log = TraceLog()
+        end, sols, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
         assert end.lattice == hidden.lattice
+        assert log.dot_sources().keys() <= {s.q for s in sols}
         branches |= {(s.q == 2, s.bass) for s in sols if s.q != o0.algebra.p}
     assert branches == {(True, True), (True, False), (False, True), (False, False)}
 

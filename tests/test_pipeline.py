@@ -9,7 +9,7 @@ import pytest
 import paperdata
 import planted
 from endoring import pipeline
-from endoring.btt import root, vertex_of_path
+from endoring.btt import MatrixPath, distance, vertex_of_path
 from endoring.divide import CountingOracle, HiddenOrderOracle
 from endoring.lattice import Lattice4
 from endoring.orders import q_enlarge
@@ -20,6 +20,7 @@ from endoring.pipeline import (
     VertexLattices,
     bass_search,
     compute_endomorphism_ring,
+    conjugate_order_lattice,
     distance_to_end,
     enumerate_bass_path,
     find_path_to_end,
@@ -73,8 +74,8 @@ def test_local_patch_properties(alg, o0):
 def test_global_order_identity_vertex(alg, o0):
     oq = q_enlarge(o0, 7)
     sm = splitting_map(oq, Precision(7, 1))
-    o = global_order_from_vertices(o0, VertexLattices(oq, sm), root(7))
-    assert o.lattice == oq.lattice
+    o = global_order_from_vertices(o0, oq, VertexLattices(oq, sm)[()], 7)
+    assert o is oq
 
 
 def test_find_path_and_candidate_order_at_7(alg, o0, end):
@@ -88,10 +89,13 @@ def test_find_path_and_candidate_order_at_7(alg, o0, end):
     sm = splitting_map(oq, Precision(7, r))
     oracle = CountingOracle(hidden)
     log = TraceLog()
-    gamma, _ = find_path_to_end(rb, oq, 7, r, sm, oracle, log)
+    gamma, t = find_path_to_end(rb, oq, 7, r, sm, oracle, log)
     assert len(gamma) == 1
     assert oracle.calls <= r * (7 // 2 + 1) + 2
-    o_tilde = global_order_from_vertices(o0, VertexLattices(oq, sm), vertex_of_path(gamma))
+    # the path search's lift and the vertex's own lift give one lattice
+    lat = VertexLattices(oq, sm)[gamma.steps]
+    assert conjugate_order_lattice(oq, t, 7, r) == lat
+    o_tilde = global_order_from_vertices(o0, oq, lat, 7)
     # the accepted candidate matches the worked example's displayed basis,
     # normalized by patching both onto the O_0 frame
     cand = Lattice4.from_generators(paperdata.candidate7_vectors())
@@ -105,18 +109,16 @@ def test_bass_path_and_search_at_13(alg, o0, end):
     e = 3
     sm = splitting_map(oq, Precision(13, e))
     path_list = enumerate_bass_path(o0, sm, e)
-    assert len(path_list) == 4
-    assert path_list[0].q == 13
+    assert len(path_list) == 4 and () in path_list
     # consecutive vertices are adjacent
-    from endoring.btt import distance as vdist
-
-    for x, y in zip(path_list, path_list[1:]):
-        assert vdist(x, y) == 1
+    vertices = [vertex_of_path(MatrixPath(13, w)) for w in path_list]
+    for x, y in zip(vertices, vertices[1:]):
+        assert distance(x, y) == 1
     oracle = CountingOracle(HiddenOrderOracle(end))
     lattices = VertexLattices(oq, sm)
-    vertex, _ = bass_search(ReducedBasis(o0), lattices, 13, e, oracle)
+    word, _ = bass_search(ReducedBasis(o0), lattices, 13, e, oracle)
     assert oracle.calls <= math.ceil(math.log2(e + 1))
-    o13 = global_order_from_vertices(o0, lattices, vertex)
+    o13 = global_order_from_vertices(o0, oq, lattices[word], 13)
     assert o13.lattice.equals_at(end.lattice, 13)
     # and globally it is the worked example's enlargement
     assert o13.lattice == paperdata.o13(alg).lattice
@@ -152,8 +154,8 @@ def test_bass_search_from_worked_enlargement_hits_identity(alg, o0, end):
     e = 3
     sm = splitting_map(o13, Precision(13, e))
     oracle = CountingOracle(HiddenOrderOracle(end))
-    vertex, path_list = bass_search(ReducedBasis(o0), VertexLattices(o13, sm), 13, e, oracle)
-    assert vertex == root(13)
+    word, path_list = bass_search(ReducedBasis(o0), VertexLattices(o13, sm), 13, e, oracle)
+    assert word == ()
     assert len(path_list) == 4
     assert oracle.calls <= math.ceil(math.log2(e + 1))
 
@@ -182,28 +184,31 @@ def test_bass_vertices_lifted_once_per_solve(monkeypatch):
     halvings (which read the lattices of v_0, v_(m-1) and v_m) and the
     chosen vertex's order share one VertexLattices, so no (precision,
     vertex) pair is lifted twice, and no other vertex is lifted."""
-    lift, segment, build = (
-        pipeline.lift_vertex_element,
-        pipeline.segment_element,
-        pipeline.global_order_from_vertices,
-    )
+    lift, segment, search = pipeline.lift_vertex_element, pipeline.segment_element, pipeline.bass_search
     lifted, used = [], set()
 
     def counting_lift(sm, abc):
         lifted.append((sm.precision, abc))
         return lift(sm, abc)
 
-    def recording_segment(lattices, *vertices):
-        used.update((lattices.sm.precision, (v.a, v.b, v.c)) for v in vertices if v.depth)
-        return segment(lattices, *vertices)
+    def record(lattices, words):
+        for w in words:
+            if w:
+                v = vertex_of_path(MatrixPath(lattices.sm.precision.q, w))
+                used.add((lattices.sm.precision, (v.a, v.b, v.c)))
 
-    def recording_build(o0, lattices, vertex):
-        used.update((lattices.sm.precision, (v.a, v.b, v.c)) for v in (vertex,) if v.depth)
-        return build(o0, lattices, vertex)
+    def recording_segment(lattices, *words):
+        record(lattices, words)
+        return segment(lattices, *words)
+
+    def recording_search(rb, lattices, *rest):
+        word, words = search(rb, lattices, *rest)
+        record(lattices, (word,))
+        return word, words
 
     monkeypatch.setattr(pipeline, "lift_vertex_element", counting_lift)
     monkeypatch.setattr(pipeline, "segment_element", recording_segment)
-    monkeypatch.setattr(pipeline, "global_order_from_vertices", recording_build)
+    monkeypatch.setattr(pipeline, "bass_search", recording_search)
     for p, q, depth in ((103, 3, 4), (179, 5, 3), (1019, 2, 4), (103, 13, 2)):
         lifted.clear()
         used.clear()

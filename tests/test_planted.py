@@ -11,7 +11,6 @@ import pytest
 import paperdata
 import planted
 from endoring import padic, pipeline
-from endoring.btt import vertex_of_path
 from endoring.divide import CountingOracle, HiddenOrderOracle
 from endoring.ntheory import factorize
 from endoring.orders import discrd, q_enlarge, verify_order
@@ -216,7 +215,7 @@ def test_splitting_map_and_vertex_order_make_no_quaternion_products(monkeypatch)
 
     monkeypatch.setattr(QuatElement, "__mul__", counting_mul)
     lattices = VertexLattices(oq, splitting_map(oq, prec))
-    lat = lattices[vertex_of_path(word)]
+    lat = lattices[word.steps]
     assert len(products) == 0
     assert lat.equals_at(hidden.lattice, q)
 

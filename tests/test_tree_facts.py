@@ -23,12 +23,13 @@ tensor Z_(q).
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import planted
-from endoring import pipeline
+from endoring import btt, pipeline
 from endoring.btt import (
     MatrixPath,
     associated_matrix,
@@ -42,16 +43,19 @@ from endoring.btt import (
 from endoring.divide import CountingOracle, DivisionOracle, HiddenOrderOracle
 from endoring.errors import MathematicalInconsistencyError
 from endoring.matrix import mat2_mul
-from endoring.orders import _conj_coords, _table_mul, q_enlarge, standard_maximal_order
+from endoring.orders import _table_mul, is_bass_at, q_enlarge, standard_maximal_order
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     _DISTANCE_CANDIDATES,
     ReducedBasis,
+    TraceLog,
     VertexLattices,
     _irreducible_mod,
     compute_endomorphism_ring,
+    conjugate,
     distance_element,
     distance_to_end,
+    enumerate_bass_path,
     find_path_to_end,
     generator_lifts,
     pair_idempotent,
@@ -60,6 +64,7 @@ from endoring.pipeline import (
 from endoring.quat import QuaternionAlgebra
 from endoring.serialize import load_problem
 from test_bench_contract import load_bench_module
+from treemodel import enumerate_bass_path as reference_bass_path
 from treemodel import standard_vertices_up_to
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,12 +74,17 @@ DEPTH = 3
 
 @pytest.fixture(scope="module", params=[2, 3, 5])
 def tree(request):
-    """(q, VertexLattices of the standard maximal order mod q^4, the vertices
-    to depth 3)."""
+    """(q, VertexLattices of the standard maximal order mod q^4, keyed by
+    step words, the vertices to depth 3)."""
     q = request.param
     omax = standard_maximal_order(QuaternionAlgebra.for_prime(103))
     lattices = VertexLattices(omax, splitting_map(omax, Precision(q, DEPTH)))
     return q, lattices, list(standard_vertices_up_to(q, DEPTH))
+
+
+def at(lattices, v):
+    """The lattice of the order of the vertex v, read by its step word."""
+    return lattices[path_from_root(v).steps]
 
 
 def column(order, z):
@@ -93,7 +103,7 @@ def test_ball_fact(tree):
     assert distance_element(oq, q) == ball[0]
     cols = [column(oq, z) for z in ball]
     for v in vertices:
-        gaps = lattices[v].gaps_at(cols, oq.lattice.den, q)
+        gaps = at(lattices, v).gaps_at(cols, oq.lattice.den, q)
         assert gaps == [distance(root(q), v)] * len(ball)
 
 
@@ -102,14 +112,14 @@ def test_ball_fact_needs_irreducibility(tree):
     fixes a line: it lies in the order of some neighbour of the root."""
     q, lattices, vertices = tree
     oq = lattices.oq
-    one = oq.lattice.integer_coords((1, 0, 0, 0))
+    one = oq.one
     near = [v for v in vertices if v.depth == 1]
     checked = 0
     for z in _DISTANCE_CANDIDATES[:12]:
         scalar = all((a * one[k] - b * one[j]) % q == 0 for j, a in enumerate(z) for k, b in enumerate(z))
         if scalar or _irreducible_mod(oq, q, z):
             continue
-        assert any(lattices[v].gaps_at([column(oq, z)], oq.lattice.den, q) == [0] for v in near)
+        assert any(at(lattices, v).gaps_at([column(oq, z)], oq.lattice.den, q) == [0] for v in near)
         checked += 1
     assert checked
 
@@ -132,9 +142,10 @@ def test_segment_fact(tree):
     for w1, w2 in random.Random(q).sample(pairs, 40):
         path = through_root(q, w1, w2)
         for m in range(1, len(path)):
-            z, s = segment_element(lattices, path[0], path[m - 1], path[m])
+            ends = (path_from_root(v).steps for v in (path[0], path[m - 1], path[m]))
+            z, s = segment_element(lattices, *ends)
             den = oq.lattice.den * q**-s
-            inside = [lattices[v].gaps_at([column(oq, z)], den, q) == [0] for v in path]
+            inside = [at(lattices, v).gaps_at([column(oq, z)], den, q) == [0] for v in path]
             assert inside == [j < m for j in range(len(path))]
 
 
@@ -142,16 +153,10 @@ def word_lift(sm, word):
     """The product of the generator lifts along a step word, later steps on
     the left, as the path search forms it."""
     oq = sm.order
-    t = oq.lattice.integer_coords((1, 0, 0, 0))
+    t = oq.one
     for step in word:
         t = _table_mul(oq.table, generator_lifts(sm, step), t)
     return t
-
-
-def conjugated(oq, t, z):
-    """The O_q-coordinates of conj(t) x t, x with coordinates z."""
-    t_conj = _conj_coords(oq.traces, oq.lattice.integer_coords((1, 0, 0, 0)), t)
-    return _table_mul(oq.table, _table_mul(oq.table, t_conj, z), t)
 
 
 def neighbours(q, word):
@@ -167,7 +172,7 @@ def pair_columns(lattices, word):
     oq, sm, q = lattices.oq, lattices.sm, lattices.sm.precision.q
     t = word_lift(sm, word)
     return {
-        (a, b): column(oq, conjugated(oq, t, pair_idempotent(sm, a, b)))
+        (a, b): column(oq, conjugate(oq, t, pair_idempotent(sm, a, b)))
         for a in range(q + 1)
         for b in range(q + 1)
         if a != b
@@ -186,9 +191,9 @@ def test_pair_fact_at_the_neighbours(tree):
         word = path_from_root(v).steps
         pairs = pair_columns(lattices, word)
         cols = list(pairs.values())
-        assert lattices[v].gaps_at(cols, den * q**v.depth, q) == [0] * len(cols)
+        assert at(lattices, v).gaps_at(cols, den * q**v.depth, q) == [0] * len(cols)
         for s, w in enumerate(neighbours(q, word)):
-            gaps = lattices[w].gaps_at(cols, den * q**v.depth, q)
+            gaps = at(lattices, w).gaps_at(cols, den * q**v.depth, q)
             assert [g == 0 for g in gaps] == [s in pair for pair in pairs]
 
 
@@ -211,7 +216,7 @@ def test_pair_fact_along_the_path(tree):
             if s == 0:
                 continue
             first = next(step for step, u in enumerate(near) if distance(u, w) == s - 1)
-            gaps = lattices[w].gaps_at(cols, den * q**v.depth, q)
+            gaps = at(lattices, w).gaps_at(cols, den * q**v.depth, q)
             assert [g <= s - 1 for g in gaps] == [first in pair for pair in pairs]
 
 
@@ -224,11 +229,11 @@ def test_confirmation_element_fixes_only_its_vertex(tree):
     y = distance_element(oq, q)
     cols = []
     for v in vertices:
-        z = conjugated(oq, word_lift(sm, path_from_root(v).steps), y)
+        z = conjugate(oq, word_lift(sm, path_from_root(v).steps), y)
         # every column over the one denominator den * q^DEPTH
         cols.append(tuple(q ** (DEPTH - v.depth) * c for c in column(oq, z)))
     for w in vertices:
-        gaps = lattices[w].gaps_at(cols, oq.lattice.den * q**DEPTH, q)
+        gaps = at(lattices, w).gaps_at(cols, oq.lattice.den * q**DEPTH, q)
         assert gaps == [distance(v, w) for v in vertices]
 
 
@@ -356,3 +361,90 @@ def test_distance_element_fallback(monkeypatch, q):
     monkeypatch.setattr(pipeline, "_DISTANCE_CANDIDATES", ())
     assert _irreducible_mod(oq, q, distance_element(oq, q))
     assert distance_to_end(rb, oq, q, e, CountingOracle(HiddenOrderOracle(hidden))) == want == 2
+
+
+# ---------------------------------------------------------------------------
+# the Bass walk and the assembly
+
+
+def bass_inputs(o0, fact):
+    """(q, e, the splitting map of O_q mod q^(e+1)) at every Bass prime
+    q != p of O_0, as a solve forms them."""
+    for q, e in fact:
+        if q != o0.algebra.p and is_bass_at(o0, q):
+            oq = q_enlarge(o0, q)
+            yield q, e, splitting_map(oq, Precision(q, e))
+
+
+def test_bass_walk_is_the_reference():
+    """The incremental walk of `enumerate_bass_path` gives, word for word,
+    the words of `treemodel.enumerate_bass_path`, which forms each candidate
+    word's matrix anew: at every Bass prime of seeds 1-3 of both benchmark
+    workloads and of `planted.bass_instance` draws at q in {2, 3, 5, 13}."""
+    instances = load_bench_module("instances")
+    drawn = [
+        (o0, fact)
+        for workload in ("planted-mixed", "general-r12")
+        for seed in (1, 2, 3)
+        for o0, fact, _ in instances.build(workload, seed, ROOT)
+    ]
+    for p, q, depth in ((103, 2, 4), (1019, 2, 2), (103, 3, 4), (179, 3, 1), (179, 5, 3), (103, 13, 2)):
+        o0, fact, _ = planted.bass_instance(p, q, depth, random.Random(q + depth))
+        drawn.append((o0, fact))
+    seen = Counter()
+    for o0, fact in drawn:
+        for q, e, sm in bass_inputs(o0, fact):
+            words = enumerate_bass_path(o0, sm, e)
+            assert words == reference_bass_path(o0, sm, e)
+            seen[q, len(words) > 1] += 1
+    assert {(q, True) for q in (2, 3, 5, 13)} <= set(seen)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_bass_walk_refuses_scalar_plus_q_lambda_as_the_reference(q):
+    """On O_0 = Z + q*Lambda every neighbour of Lambda's vertex contains the
+    image of O_0, so it is not Bass: the walk and its reference raise the
+    same typed error."""
+    alg = QuaternionAlgebra.for_prime(103)
+    _, _, o0, fact, _ = planted.general_instance(alg, q, 1, random.Random(q))
+    e = dict(fact)[q]
+    sm = splitting_map(q_enlarge(o0, q), Precision(q, e))
+    with pytest.raises(MathematicalInconsistencyError) as got:
+        enumerate_bass_path(o0, sm, e)
+    with pytest.raises(MathematicalInconsistencyError) as want:
+        reference_bass_path(o0, sm, e)
+    assert str(got.value) == str(want.value) == "more than two stable neighbors: not Bass"
+
+
+def test_solves_walk_words_and_patch_only_off_the_root(monkeypatch):
+    """On seed 1 of both benchmark workloads a solve calls no
+    `path_from_root`: vertices travel as step words.  A local solution at
+    r = 0, the Bass search's root or a general distance of 0, is O_q itself
+    and calls no `local_patch`; every other one calls it once."""
+    instances = load_bench_module("instances")
+    walked, patched = [], []
+    path_from_root, patch = btt.path_from_root, pipeline.local_patch
+
+    def recording_path(v):
+        walked.append(v)
+        return path_from_root(v)
+
+    def recording_patch(x, y, q):
+        patched.append(q)
+        return patch(x, y, q)
+
+    monkeypatch.setattr(btt, "path_from_root", recording_path)
+    monkeypatch.setattr(pipeline, "local_patch", recording_patch)
+    kinds = set()
+    for workload in ("planted-mixed", "general-r12"):
+        for o0, fact, hidden in instances.build(workload, 1, ROOT):
+            patched.clear()
+            end, sols, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), TraceLog())
+            assert end.lattice == hidden.lattice
+            local = [s for s in sols if s.q != o0.algebra.p]
+            assert sorted(patched) == sorted(s.q for s in local if s.r)
+            for s in local:
+                assert (s.order is s.enlargement) == (s.r == 0)
+                kinds.add((s.bass, s.r == 0))
+    assert walked == []
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}

@@ -7,13 +7,26 @@ the lemmas are about, `neighborhood_of_path` and `standard_vertices_up_to`
 enumerate vertex sets to check them against, and `gram` is the reference
 for `Order.gram`.  `canonical_vertex` is the Fraction form of
 `btt.canonical_vertex`, with rational row operations over Z_(q): the
-reference for the integer one.
+reference for the integer one.  `enumerate_bass_path` rebuilds each
+candidate word's matrix from scratch: the reference for the pipeline's
+incremental walk.
 """
 
 from fractions import Fraction
 
-from endoring.btt import TreeVertex, _widest_triple, ball, d3, distance, neighbors
+from endoring.btt import (
+    MatrixPath,
+    TreeVertex,
+    _widest_triple,
+    allowed_next_steps,
+    associated_matrix,
+    ball,
+    d3,
+    distance,
+    neighbors,
+)
 from endoring.errors import MathematicalInconsistencyError, StructuralError
+from endoring.matrix import adj2, mat2_mul
 from endoring.ntheory import reduce_unit_mod, valuation
 from fracmodel import trd
 
@@ -135,3 +148,54 @@ def canonical_vertex(q: int, mat) -> TreeVertex:
             break
         a, b, c = a - shift, b - shift, c / q**shift
     return TreeVertex(q, a, b, int(c))
+
+
+def enumerate_bass_path(o0, sm, e: int) -> list[tuple]:
+    """Step words of the path of maximal orders containing the image of O_0,
+    walked outward from the root while containment persists: each candidate
+    word's vertex is tested from its matrix `associated_matrix`, formed
+    anew."""
+    q, lat = sm.precision.q, sm.order.lattice
+    imgs = [sm.apply_coords(lat.integer_coords(c, o0.lattice.den)) for c in o0.lattice.cols]
+
+    def contains_image(word):
+        t = associated_matrix(MatrixPath(q, tuple(word)))
+        adj = adj2(t)
+        mod = q ** len(word)
+        for y in imgs:
+            prod = mat2_mul(mat2_mul(t, y), adj)
+            if any(x % mod for row in prod for x in row):
+                return False
+        return True
+
+    def walk(first_step):
+        out = []
+        word = [first_step]
+        if not contains_image(word):
+            return out
+        out.append(tuple(word))
+        for _ in range(e):
+            extended = None
+            for s in allowed_next_steps(q, word[-1]):
+                if contains_image(word + [s]):
+                    if extended is not None:
+                        raise MathematicalInconsistencyError("containment set branches: not Bass")
+                    extended = s
+            if extended is None:
+                break
+            word.append(extended)
+            out.append(tuple(word))
+        return out
+
+    directions = [s for s in allowed_next_steps(q, None) if contains_image([s])]
+    if len(directions) > 2:
+        raise MathematicalInconsistencyError("more than two stable neighbors: not Bass")
+    words: list[tuple] = []
+    if directions:
+        words.extend(reversed(walk(directions[0])))
+    words.append(())
+    if len(directions) == 2:
+        words.extend(walk(directions[1]))
+    if len(words) > e + 1:
+        raise MathematicalInconsistencyError("containment path longer than e+1")
+    return words
