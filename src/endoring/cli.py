@@ -19,6 +19,7 @@ from .errors import (
     ParseError,
     PrecisionError,
 )
+from .ntheory import is_prime
 from .pipeline import TraceLog, compute_endomorphism_ring
 from .serialize import load_problem, result_to_json
 
@@ -71,8 +72,19 @@ def cmd_compute(args) -> int:
     return 0
 
 
+def _require(ok: bool, message: str):
+    """Raise ParseError with the message unless ok."""
+    if not ok:
+        raise ParseError(message)
+
+
 def cmd_btt(args) -> int:
-    q = args.q
+    q, n = args.q, len(args.paths)
+    _require(is_prime(q), f"q = {q} is not prime")
+    _require(args.subcommand != "distance" or n == 2, f"btt distance takes two paths, got {n}")
+    _require(args.subcommand != "d3" or n >= 1, "btt d3 takes at least one path")
+    _require(args.subcommand in ("distance", "d3") or n == 0, f"btt {args.subcommand} takes no path, only --center")
+    _require(args.radius >= 0, f"--radius {args.radius} is negative")
     if args.subcommand == "distance":
         v1 = btt.vertex_of_path(_parse_path(q, args.paths[0]))
         v2 = btt.vertex_of_path(_parse_path(q, args.paths[1]))
@@ -84,15 +96,15 @@ def cmd_btt(args) -> int:
         center = btt.vertex_of_path(_parse_path(q, args.center))
         for v in btt.ball(center, args.radius):
             print(f"{v.a},{v.b},{v.c}")
-    elif args.subcommand == "dot":
+    else:
         center = btt.vertex_of_path(_parse_path(q, args.center))
         print(btt.dot_graph(btt.ball(center, args.radius), title=f"ball_q{q}_r{args.radius}"))
-    else:
-        raise ParseError(f"unknown btt subcommand {args.subcommand!r}")
     return 0
 
 
 def cmd_divide_params(args) -> int:
+    _require(args.deg_beta > 0 and args.n > 0, "deg_beta and n must be positive")
+    _require(is_prime(args.p), f"p = {args.p} is not prime")
     plan = plan_division(args.deg_beta, args.n, args.p)
     if plan is None:
         print(f"divisibility precheck failed: {args.n}^2 does not divide {args.deg_beta}")

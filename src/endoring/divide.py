@@ -12,7 +12,7 @@ any isogeny computation.
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from .errors import OraclePreconditionError, StructuralError
+from .errors import MathematicalInconsistencyError, OraclePreconditionError, StructuralError
 from .ntheory import factorize, primes
 from .orders import Order
 from .quat import QuatElement
@@ -61,13 +61,17 @@ class HiddenOrderOracle(DivisionOracle):
 
 
 class CountingOracle(DivisionOracle):
-    """Per-stage view of a shared oracle; used for budget accounting."""
+    """One stage's view of a shared oracle at one prime, holding the stage's
+    proven budget: it counts the stage's calls, records each in the log
+    (None for no log), and refuses a question past `budget` with a typed
+    error before the question reaches `inner`."""
 
-    def __init__(self, inner: DivisionOracle, log=None, stage: str = "", q: int = 0):
+    def __init__(self, inner: DivisionOracle, log, stage: str, q: int, budget: int):
         self.inner = inner
         self.log = log
         self.stage = stage
         self.q = q
+        self.budget = budget
         self._calls = 0
 
     @property
@@ -75,6 +79,10 @@ class CountingOracle(DivisionOracle):
         return self._calls
 
     def is_divisible(self, beta: QuatElement, n: int) -> bool:
+        if self._calls >= self.budget:
+            raise MathematicalInconsistencyError(
+                f"{self.stage} at q={self.q} asked past its budget of {self.budget} oracle calls"
+            )
         answer = self.inner.is_divisible(beta, n)
         self._calls += 1
         if self.log is not None:

@@ -61,15 +61,3 @@ def span_basis(vectors, q):
     red, _ = rref(list(vectors), q)
     return red
 
-
-def solve(rows, rhs, q):
-    """One solution x of rows * x = rhs over F_q, or None."""
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, q)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x

@@ -48,7 +48,9 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def valuation(x, q: int) -> int:
-    """q-adic valuation of a nonzero int or Fraction."""
+    """q-adic valuation of a nonzero int or Fraction, for an integer q >= 2."""
+    if q < 2:
+        raise ValueError(f"valuation at {q}: the base must be at least 2")
     if isinstance(x, Fraction):
         if x == 0:
             raise ValueError("valuation of 0")

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .lattice import Lattice4, integer_kernel
 from .matrix import adj_det4, combine4, det4, dot4, form4, matvec4
-from .ntheory import exact_isqrt, valuation
+from .ntheory import exact_isqrt, sqrt_mod, valuation
 from .quat import QuaternionAlgebra, QuatElement, integer_product
 
 
@@ -372,40 +372,35 @@ def is_bass_at(order: Order, q: int, radical=None) -> bool:
 def _split_idempotent(order: Order, q: int, rad) -> tuple:
     """Integer coordinates, in [0, q), of an element of O idempotent mod q,
     nontrivial in the split 2-dimensional semisimple quotient of O/qO, rad
-    = `radical_coords_mod(order, q)`.  Only called at the hereditary stall."""
+    = `radical_coords_mod(order, q)`.  Only called at the hereditary stall.
+
+    The quotient is spanned by 1 and w, the first basis unit outside the
+    radical and 1, and w^2 = trd(w) w - nrd(w) holds in O.  Split, the
+    quotient is F_q x F_q and the characteristic polynomial of w has two
+    roots l1 != l2 mod q: its nontrivial idempotents are (w - l2) / (l1 -
+    l2) and (w - l1) / (l2 - l1), and of these, written s w + t with s, t in
+    [0, q), the one with the smaller pair (s, t) is taken.  The idempotent
+    is then lifted from the quotient to O/qO."""
     table = order.table
     one = tuple(c % q for c in order.one)
     span = list(rad) + [one]
-    w = None
-    for k in range(4):
-        ek = tuple(1 if t == k else 0 for t in range(4))
-        if not linmod.in_span(ek, span, q):
-            w = ek
-            break
-    if w is None:
+    k = next((k for k in range(4) if not linmod.in_span(_UNITS[k], span, q)), None)
+    if k is None:
         raise MathematicalInconsistencyError("quotient of O/qO by its radical is 1-dimensional")
-    w2 = _table_mul(table, w, w)
-    # express w^2 = alpha*w + beta*1 modulo the radical
-    sol = linmod.solve(
-        [[w[t], one[t]] + [u[t] for u in rad] for t in range(4)],
-        list(w2),
-        q,
-    )
-    if sol is None:
-        raise MathematicalInconsistencyError("semisimple quotient larger than expected")
-    alpha, beta = sol[0], sol[1]
-    cand = None
-    for s in range(1, q):
-        for t in range(q):
-            if (s * s * alpha + 2 * s * t) % q == s and (s * s * beta + t * t) % q == t % q:
-                cand = (s, t)
-                break
-        if cand:
-            break
-    if cand is None:
+    w, trd, nrd = _UNITS[k], order.traces[k], order.norm_gram[k][k] // 2
+    # the roots of X^2 - trd X + nrd mod q
+    if q == 2:
+        roots = [x for x in (0, 1) if (x * x - trd * x + nrd) % 2 == 0]
+    else:
+        d, half = sqrt_mod(trd * trd - 4 * nrd, q), (q + 1) // 2
+        roots = [] if d is None else [(trd + d) * half % q, (trd - d) * half % q]
+    if len(roots) < 2 or roots[0] == roots[1]:
         raise MathematicalInconsistencyError("no split idempotent: residually inert quotient")
-    s, t = cand
-    e = tuple((s * w[k] + t * one[k]) % q for k in range(4))
+    # (w - l2) / (l1 - l2) = s w - s l2 and 1 minus it, with s = 1 / (l1 - l2)
+    l1, l2 = roots
+    s = pow(l1 - l2, -1, q)
+    s, t = min((s, -s * l2 % q), (q - s, (1 + s * l2) % q))
+    e = tuple((s * x + t * u) % q for x, u in zip(w, one))
     for _ in range(6):
         e2 = tuple(c % q for c in _table_mul(table, e, e))
         if e2 == e:

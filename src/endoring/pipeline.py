@@ -39,9 +39,16 @@ vertex (`distance_element`) for each distance step, a segment of the
 containment path (`segment_element`) for each Bass halving, and for each
 path-search question the two branches that leave the current vertex
 through a pair of candidate steps (`pair_idempotent`); the path search
-ends with one question that holds for the end vertex alone.  Budgets: e
-calls for the distance, ceil(log2(e+1)) for the Bass search and
-r(floor(q/2) + 1) + 2 for the path search.
+ends with one question that holds for the end vertex alone.
+
+A stage takes only what no other argument holds: the path search and the
+Bass search read q, the precision (r or e) and O_q from their splitting
+map (`sm.precision`, `sm.order`), as `VertexLattices` reads O_q.  Each
+stage asks through its own `divide.CountingOracle`, which holds the
+stage's proven budget (e calls for the distance, ceil(log2(e+1)) for the
+Bass search and r(floor(q/2) + 1) + 2 for the path search) and refuses a
+question past it with a typed error before the question is asked; a local
+solution's call counts are read off its stage oracles.
 """
 
 import itertools
@@ -136,10 +143,14 @@ class LocalSolution:
     e: int
     bass: bool
     enlargement: Order
-    r: int
     gamma: MatrixPath
     order: Order  # global order whose q-part is End(E) tensor Z_q
     oracle_calls: dict = field(default_factory=dict)
+
+    @property
+    def r(self) -> int:
+        """The distance from the enlargement's vertex to End(E)'s."""
+        return len(self.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +252,6 @@ def _in_end(asked, oracle: DivisionOracle) -> bool:
     return asked is None or oracle.is_divisible(*asked)
 
 
-def _calls_within(oracle: CountingOracle, budget: int, stage: str) -> int:
-    """The stage's oracle calls, checked against its proven budget."""
-    if oracle.calls > budget:
-        raise MathematicalInconsistencyError(f"{stage} used {oracle.calls} > {budget} oracle calls")
-    return oracle.calls
-
-
 # ---------------------------------------------------------------------------
 # distance (countdown loop)
 
@@ -344,14 +348,14 @@ def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
 
 class VertexLattices(dict):
     """Step word -> the lattice of the maximal order of the vertex at its
-    end: O_q for the empty word, else (1/q^k) conj(t) O_q t for the lift t
-    of the vertex, k the word's length.  A word is lifted through its vertex
-    (a, b, c) (`vertex_of_path`, `lift_vertex_element`) and conjugated the
-    first time it is read."""
+    end in the tree of O_q = `sm.order`: O_q for the empty word, else
+    (1/q^k) conj(t) O_q t for the lift t of the vertex, k the word's length.
+    A word is lifted through its vertex (a, b, c) (`vertex_of_path`,
+    `lift_vertex_element`) and conjugated the first time it is read."""
 
-    def __init__(self, oq: Order, sm: SplittingMap):
+    def __init__(self, sm: SplittingMap):
         super().__init__()
-        self.oq = oq
+        self.oq = sm.order
         self.sm = sm
 
     def __missing__(self, word):
@@ -411,19 +415,14 @@ def pair_idempotent(sm: SplittingMap, a: int, b: int) -> tuple:
 
 
 def find_path_to_end(
-    rb: ReducedBasis,
-    oq: Order,
-    q: int,
-    r: int,
-    sm: SplittingMap,
-    oracle: DivisionOracle,
-    log: TraceLog | None = None,
+    rb: ReducedBasis, sm: SplittingMap, oracle: DivisionOracle, log: TraceLog | None
 ) -> tuple[MatrixPath, tuple]:
-    """Recover the matrix path gamma of length r from the enlargement's vertex
-    to the local endomorphism ring; at most r(floor(q/2) + 1) + 2 oracle
-    calls.  Returns (gamma, t), t the O_q-coordinates of the product of the
-    accepted generator lifts: the oracle confirmed that (1/q^r) conj(t) O_q t
-    is End(E) tensor Z_q.
+    """Recover the matrix path gamma of length r from the vertex of O_q =
+    `sm.order` to the local endomorphism ring, r the precision of `sm` (the
+    distance that `distance_to_end` found); at most r(floor(q/2) + 1) + 2
+    oracle calls.  Returns (gamma, t), t the O_q-coordinates of the product
+    of the accepted generator lifts: the oracle confirmed that (1/q^r)
+    conj(t) O_q t is End(E) tensor Z_q.
 
     Standing at v of depth k with lift t, End(E) at distance s = r - k, the
     element x = conj(t) P t / q^k, P = `pair_idempotent(sm, a, b)`, lies in
@@ -446,6 +445,7 @@ def find_path_to_end(
     forms once the frame of z -> conj(t) z t (`Frame.composed`, from the
     `conjugate` images of the four basis units: 8 table products); a pair question then
     costs its idempotent, 16 small products and the frame's `ask`."""
+    oq, q, r = sm.order, sm.precision.q, sm.precision.r
     question = rb.frame(oq, q)
     word: list[int] = []
     t = oq.one
@@ -492,18 +492,18 @@ def find_path_to_end(
 # Bass branch
 
 
-def enumerate_bass_path(o0: Order, sm: SplittingMap, e: int) -> list[tuple]:
+def enumerate_bass_path(o0: Order, sm: SplittingMap) -> list[tuple]:
     """Step words of the path of maximal orders containing the image of O_0,
     in path order, walked outward from the root while containment persists.
     O_0's basis has integer coordinates over the split order's, which `sm`
-    maps.
+    maps mod q^(e+1); its precision e bounds the path's length.
 
     A walk keeps the matrix T of its word (later steps on the left, det T =
     q^len) and extends it one generator at a time: the vertex of gen_s * T
     contains an image y exactly when T' y adj(T') vanishes mod det T' for
     T' = gen_s * T.  Raises a typed error when the containment set is not a
     path of at most e + 1 vertices, as at a non-Bass prime."""
-    q, lat = sm.precision.q, sm.order.lattice
+    q, e, lat = sm.precision.q, sm.precision.r, sm.order.lattice
     imgs = [sm.apply_coords(lat.integer_coords(c, o0.lattice.den)) for c in o0.lattice.cols]
 
     def extensions(word, t):
@@ -566,17 +566,11 @@ def segment_element(lattices: VertexLattices, first, last, outside) -> tuple:
     return z, -k
 
 
-def bass_search(
-    rb: ReducedBasis,
-    lattices: VertexLattices,
-    q: int,
-    e: int,
-    oracle: DivisionOracle,
-    log: TraceLog | None = None,
-):
+def bass_search(rb: ReducedBasis, lattices: VertexLattices, oracle: DivisionOracle, log: TraceLog | None):
     """Binary search along the containment path; at most ceil(log2(e+1))
-    oracle calls, one per halving.  Returns (word, path words): the step
-    word of End(E) tensor Z_q's vertex and those of the containment path.
+    oracle calls, one per halving, e the precision of the vertex lattices'
+    splitting map.  Returns (word, path words): the step word of End(E)
+    tensor Z_q's vertex and those of the containment path.
 
     Halving v_0..v_L at m asks about one element x = `segment_element` of
     O(v_0) cap O(v_(m-1)) outside O(v_m) at q (the Segment fact).  The
@@ -584,7 +578,8 @@ def bass_search(
     are exactly v_0..v_(m-1): x is in End(E) iff End(E) tensor Z_q is one of
     them.  Away from q, x lies in O_0 tensor Z_l, since a vertex lattice is
     q^-k times a sublattice of O_q.  No order is built for a halving."""
-    words = enumerate_bass_path(rb.order, lattices.sm, e)
+    q = lattices.sm.precision.q
+    words = enumerate_bass_path(rb.order, lattices.sm)
     if log is not None:
         for word in words:
             log.saw_vertex(q, word)
@@ -628,38 +623,29 @@ def compute_endomorphism_ring(
     def solve_one(q, e):
         if q == p:
             op = q_enlarge(o0, p)
-            return LocalSolution(q=p, e=e, bass=True, enlargement=op, r=0, gamma=MatrixPath(q, ()), order=op)
+            return LocalSolution(q=p, e=e, bass=True, enlargement=op, gamma=MatrixPath(q, ()), order=op)
         radical = q_radical(o0, q)
         bass = is_bass_at(o0, q, radical)
         oq = q_enlarge(o0, q, radical)
-        calls = {}
         if bass:
-            lattices = VertexLattices(oq, splitting_map(oq, Precision(q, e)))
-            bass_oracle = CountingOracle(oracle, log, stage="bass", q=q)
-            word, _ = bass_search(rb, lattices, q, e, bass_oracle, log)
             # e.bit_length() = ceil(log2(e + 1)), the number of halvings
-            calls["bass"] = _calls_within(bass_oracle, e.bit_length(), "bass search")
+            oracles = [CountingOracle(oracle, log, "bass", q, e.bit_length())]
+            lattices = VertexLattices(splitting_map(oq, Precision(q, e)))
+            word, _ = bass_search(rb, lattices, oracles[0], log)
             gamma, lat = MatrixPath(q, word), lattices[word]
         else:
-            dist_oracle = CountingOracle(oracle, log, stage="distance", q=q)
-            r = distance_to_end(rb, oq, q, e, dist_oracle)
-            calls["distance"] = _calls_within(dist_oracle, e, "distance")
-            if r > e:
-                raise MathematicalInconsistencyError("distance exceeds the discriminant valuation")
-            if r == 0:
-                gamma, lat = MatrixPath(q, ()), oq.lattice
-            else:
-                sm = splitting_map(oq, Precision(q, r))
-                path_oracle = CountingOracle(oracle, log, stage="path", q=q)
-                gamma, t = find_path_to_end(rb, oq, q, r, sm, path_oracle, log)
-                calls["path"] = _calls_within(path_oracle, r * (q // 2 + 1) + 2, "path search")
+            oracles = [CountingOracle(oracle, log, "distance", q, e)]
+            r = distance_to_end(rb, oq, q, e, oracles[0])
+            gamma, lat = MatrixPath(q, ()), oq.lattice
+            if r:
+                oracles.append(CountingOracle(oracle, log, "path", q, r * (q // 2 + 1) + 2))
+                gamma, t = find_path_to_end(rb, splitting_map(oq, Precision(q, r)), oracles[1], log)
                 lat = conjugate_order_lattice(oq, t, q, r)
         o_tilde = global_order_from_vertices(o0, oq, lat, q)
         if discrd(o_tilde) % q == 0:
             raise MathematicalInconsistencyError(f"local solution at {q} is not q-maximal")
-        return LocalSolution(
-            q=q, e=e, bass=bass, enlargement=oq, r=len(gamma), gamma=gamma, order=o_tilde, oracle_calls=calls
-        )
+        calls = {o.stage: o.calls for o in oracles}
+        return LocalSolution(q=q, e=e, bass=bass, enlargement=oq, gamma=gamma, order=o_tilde, oracle_calls=calls)
 
     sols = [solve_one(q, e) for q, e in sorted(factorization)]
 

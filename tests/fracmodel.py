@@ -23,7 +23,11 @@ assembly and the matrix units of the splitting map formed with quaternion
 products, and `q_enlarge` is the q-enlargement whose hereditary-stall step
 forms (1 - e) g e / q from quaternion products: the references for
 `padic.normalized_basis_at`, `padic.zero_divisor_mod`,
-`padic.splitting_map` and `orders.q_enlarge`.
+`padic.splitting_map` and `orders.q_enlarge`.  Its idempotent e comes from
+`split_idempotent`, which solves w^2 = alpha w + beta mod the radical and
+searches the pairs (s, t) for an idempotent s w + t: the reference for
+`orders._split_idempotent`, which reads alpha and beta from trd(w) and
+nrd(w) and the idempotent from the roots of w's characteristic polynomial.
 
 `hnf_columns` is the sort-and-subtract column HNF that
 `lattice._hnf_columns` replaced with the extended-gcd step: the HNF is
@@ -45,6 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from endoring import linmod
 from endoring.errors import (
     DegenerateLatticeError,
     MathematicalInconsistencyError,
@@ -58,7 +63,6 @@ from endoring.ntheory import reduce_unit_mod, valuation
 from endoring.orders import (
     _UNITS,
     _norm_pairing,
-    _split_idempotent,
     _table_mul,
     discrd,
     radical_coords_mod,
@@ -484,7 +488,7 @@ def q_enlarge(order, q: int):
             current = verify_order(grown, alg)
             continue
         stalls += 1
-        eidem = from_coords(current, _split_idempotent(current, q, rad))
+        eidem = from_coords(current, split_idempotent(current, q, rad))
         one = alg.element(1)
         jelems = [alg.element(*b) for b in J.basis()]
         nxt = None
@@ -504,6 +508,59 @@ def q_enlarge(order, q: int):
     else:
         raise MathematicalInconsistencyError("q-enlargement did not terminate")
     return current, stalls
+
+
+def _solve_mod(rows, rhs, q):
+    """One solution x of rows * x = rhs over F_q, or None."""
+    ncols = len(rows[0])
+    red, pivots = linmod.rref([list(r) + [b] for r, b in zip(rows, rhs)], q)
+    if ncols in pivots:
+        return None
+    x = [0] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def split_idempotent(order, q: int, rad) -> tuple:
+    """`orders._split_idempotent` by search: alpha and beta with w^2 = alpha
+    w + beta mod the radical solved mod q, for w the first basis unit outside
+    the radical and 1, then the first (s, t), s in [1, q) and t in [0, q), in
+    that order, for which s w + t is idempotent mod the radical, lifted to
+    an idempotent of O/qO."""
+    table = order.table
+    one = tuple(c % q for c in order.one)
+    span = list(rad) + [one]
+    w = next((u for u in _UNITS if not linmod.in_span(u, span, q)), None)
+    if w is None:
+        raise MathematicalInconsistencyError("quotient of O/qO by its radical is 1-dimensional")
+    w2 = _table_mul(table, w, w)
+    sol = _solve_mod([[w[t], one[t]] + [u[t] for u in rad] for t in range(4)], list(w2), q)
+    if sol is None:
+        raise MathematicalInconsistencyError("semisimple quotient larger than expected")
+    alpha, beta = sol[0], sol[1]
+    cand = next(
+        (
+            (s, t)
+            for s in range(1, q)
+            for t in range(q)
+            if (s * s * alpha + 2 * s * t) % q == s and (s * s * beta + t * t) % q == t % q
+        ),
+        None,
+    )
+    if cand is None:
+        raise MathematicalInconsistencyError("no split idempotent: residually inert quotient")
+    s, t = cand
+    e = tuple((s * w[k] + t * one[k]) % q for k in range(4))
+    for _ in range(6):
+        e2 = tuple(c % q for c in _table_mul(table, e, e))
+        if e2 == e:
+            break
+        e3 = _table_mul(table, e2, e)
+        e = tuple((3 * a - 2 * b) % q for a, b in zip(e2, e3))
+    else:
+        raise MathematicalInconsistencyError("idempotent lift did not converge")
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -140,18 +140,19 @@ def body_path_pair_question(pkg, g):
 
 def body_traced_pair_question(pkg, g):
     """The same question asked as the benchmark's solves ask it: through a
-    `CountingOracle` that records it in a `TraceLog` (emptied each call, so
-    that the log does not grow with the loop)."""
+    path-stage `CountingOracle` that records it in a `TraceLog` (each call
+    with a fresh stage oracle and an emptied log, so that neither the
+    stage's budget nor the log limits the loop)."""
     hidden, o0, oq, word = g
-    pipeline = pkg.pipeline
-    rb, log = pipeline.ReducedBasis(o0), pipeline.TraceLog()
-    oracle = pkg.divide.CountingOracle(pkg.divide.HiddenOrderOracle(hidden), log, stage="path", q=Q)
+    pipeline, divide = pkg.pipeline, pkg.divide
+    rb, log, inner = pipeline.ReducedBasis(o0), pipeline.TraceLog(), divide.HiddenOrderOracle(hidden)
     level = rb.frame(oq, Q).composed([pipeline.conjugate(oq, oq.one, u) for u in pkg.orders._UNITS])
     sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
     a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
 
     def ask():
         log.events.clear()
+        oracle = divide.CountingOracle(inner, log, "path", Q, Q // 2 + 3)
         return pipeline._in_end(level(pipeline.pair_idempotent(sm, a, b), 0), oracle)
 
     return ask
@@ -333,9 +334,9 @@ def test_traced_pair_question(benchmark, pkg, general):
 def test_find_path_to_end(benchmark, general_d2):
     """The whole path search at q = 1009, r = 2: about q questions, two
     levels and the confirmation."""
-    oq, sm, word, hidden, o0 = general_d2
+    _, sm, word, hidden, o0 = general_d2
     rb = ReducedBasis(o0)
-    gamma, _ = benchmark(lambda: find_path_to_end(rb, oq, Q, 2, sm, HiddenOrderOracle(hidden)))
+    gamma, _ = benchmark(lambda: find_path_to_end(rb, sm, HiddenOrderOracle(hidden), None))
     assert gamma == word
 
 
@@ -349,10 +350,10 @@ def test_distance_to_end(benchmark, general):
 def test_bass_search(benchmark, bass_at_3):
     """The Bass binary search on a level-3^4 Eichler order, from a fresh
     `VertexLattices` each round, so that every vertex it reads is lifted."""
-    o0, hidden, oq, sm, e = bass_at_3
+    o0, hidden, _, sm, _ = bass_at_3
     rb = ReducedBasis(o0)
-    vertex, _ = benchmark(lambda: bass_search(rb, VertexLattices(oq, sm), 3, e, HiddenOrderOracle(hidden)))
-    assert VertexLattices(oq, sm)[vertex].equals_at(hidden.lattice, 3)
+    vertex, _ = benchmark(lambda: bass_search(rb, VertexLattices(sm), HiddenOrderOracle(hidden), None))
+    assert VertexLattices(sm)[vertex].equals_at(hidden.lattice, 3)
 
 
 def test_normalized_basis_at(benchmark, general_d2):
@@ -367,16 +368,16 @@ def test_splitting_map(benchmark, pkg):
 def test_vertex_lattice(benchmark, general_d2):
     """One read of a depth-2 word from a fresh `VertexLattices`: its vertex,
     its lift and its conjugate of O_q."""
-    oq, sm, word, _, _ = general_d2
+    _, sm, word, _, _ = general_d2
     w = word.steps
-    assert benchmark(lambda: VertexLattices(oq, sm)[w]) == VertexLattices(oq, sm)[w]
+    assert benchmark(lambda: VertexLattices(sm)[w]) == VertexLattices(sm)[w]
 
 
 def test_local_patch(benchmark, general_d2):
     """The general branch's patch at q = 1009, r = 2: the end vertex's
     lattice made to agree with O_0 away from q."""
-    oq, sm, word, _, o0 = general_d2
-    end = VertexLattices(oq, sm)[word.steps]
+    _, sm, word, _, o0 = general_d2
+    end = VertexLattices(sm)[word.steps]
     assert benchmark(local_patch, end, o0.lattice, Q).equals_at(end, Q)
 
 

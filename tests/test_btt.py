@@ -37,6 +37,13 @@ def test_backtracking_rejected():
         MatrixPath(3, (3, 0))  # gamma_0 after gamma_inf
 
 
+def test_path_over_one_is_refused():
+    """The word (0) at q = 1 labels no vertex: its valuations are refused,
+    where they used to loop for ever."""
+    with pytest.raises(ValueError, match="at least 2"):
+        vertex_of_path(MatrixPath(1, (0,)))
+
+
 def test_inf_then_one():
     p = MatrixPath(3, (3, 1))
     assert associated_matrix(p) == ((3, 1), (0, 3))

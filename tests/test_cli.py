@@ -209,14 +209,43 @@ def test_divide_params_output(capsys):
     assert "precheck failed" in out
 
 
-def test_console_script_entrypoint():
+def run_module(args):
+    """`python -m endoring.cli args` with this checkout's package, cut after
+    30 seconds."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "endoring.cli", "btt", "distance", "5", "-", "0"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    cmd = [sys.executable, "-m", "endoring.cli", *args]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=30)
+
+
+def test_console_script_entrypoint():
+    proc = run_module(["btt", "distance", "5", "-", "0"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["btt", "distance", "4", "0", "1"],
+        ["btt", "distance", "1", "0", "0"],
+        ["btt", "ball", "0"],
+        ["btt", "dot", "3", "0"],
+        ["btt", "distance", "3", "0"],
+        ["btt", "distance", "3", "0", "1", "2"],
+        ["btt", "d3", "3"],
+        ["btt", "ball", "3", "--radius", "-1"],
+        ["divide-params", "0", "1", "103"],
+        ["divide-params", "4", "0", "103"],
+        ["divide-params", "4", "1", "4"],
+    ],
+    ids=lambda args: "_".join(args),
+)
+def test_bad_input_is_a_parse_error(args):
+    """A q or p that is not prime, the wrong number of paths for a btt
+    subcommand, a negative radius, and a degree or divisor below 1 exit 2
+    with one error line and no traceback."""
+    proc = run_module(args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

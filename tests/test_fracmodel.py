@@ -16,6 +16,7 @@ enlargement index check must decide as their Fraction forms do.
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -38,11 +39,14 @@ from fracmodel import multiplier_lattice as reference_multipliers
 from fracmodel import block_values, splitting_units, vector_element
 from fracmodel import normalized_basis_at as reference_basis
 from fracmodel import q_enlarge as reference_enlarge
+from fracmodel import split_idempotent as reference_split
 from fracmodel import ternary_gorenstein_test as reference_gorenstein
 from fracmodel import zero_divisor as reference_zero_divisor
+from test_bench_contract import load_bench_module
 from test_orders import paper_orders, quarter_orders
 from treemodel import canonical_vertex as reference_vertex
 
+ROOT = Path(__file__).resolve().parent.parent
 QS = (2, 3, 5, 7, 13)
 
 
@@ -128,6 +132,34 @@ def test_stall_in_the_quarter_algebra(q, monkeypatch):
     assert ref_stalls == 1 and big.lattice == ref.lattice
     index = reference_index(eichler.lattice, big.lattice)
     assert index.denominator == 1 and set(factorize(index.numerator)) == {q}
+
+
+def test_split_idempotent_is_the_search(monkeypatch):
+    """At every hereditary stall met while building and solving seeds 1-3 of
+    both benchmark workloads, and at the stall of a level-q Eichler order for
+    q in {2, 3, 5, 7, 13, 101, 1009}, the idempotent read from the roots of
+    the characteristic polynomial is the one the (s, t) search finds."""
+    instances, split, stalls = load_bench_module("instances"), orders._split_idempotent, []
+
+    def checked(order, q, rad):
+        e = split(order, q, rad)
+        assert e == reference_split(order, q, rad)
+        stalls.append(q)
+        return e
+
+    monkeypatch.setattr(orders, "_split_idempotent", checked)
+    for workload in ("planted-mixed", "general-r12"):
+        for seed in (1, 2, 3):
+            for o0, fact, hidden in instances.build(workload, seed, ROOT):
+                end, _, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
+                assert end.lattice == hidden.lattice
+    solved = len(stalls)
+    qs = [2, 3, 5, 7, 13, 101, 1009]
+    for q in qs:
+        o0, _, _ = planted.bass_instance(103, q, 1, random.Random(q))
+        assert discrd(q_enlarge(o0, q)) == 103
+    assert stalls[solved:] == qs
+    assert solved > 50 and {2, 3, 5, 13} <= set(stalls[:solved])
 
 
 def test_solves_make_no_quaternion_products(monkeypatch):

@@ -200,6 +200,16 @@ def test_sqrt_mod_is_least_root(q):
         assert sqrt_mod(a, q) == least.get(a % q)
 
 
+@pytest.mark.parametrize("q", [1, -1, 0, -2])
+def test_valuation_refuses_a_base_below_two(q):
+    """A base below 2 is a typed error (at 1 and -1 the division loop would
+    never end, at 0 it would divide by zero)."""
+    with pytest.raises(ValueError, match="at least 2"):
+        valuation(5, q)
+    with pytest.raises(ValueError, match="at least 2"):
+        valuation(Fraction(5, 3), q)
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_conic_point_all_unit_triples(q):
     for a0 in range(1, q):

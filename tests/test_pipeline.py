@@ -10,7 +10,7 @@ import paperdata
 import planted
 from endoring import pipeline
 from endoring.btt import MatrixPath, distance, vertex_of_path
-from endoring.divide import CountingOracle, HiddenOrderOracle
+from endoring.divide import HiddenOrderOracle
 from endoring.lattice import Lattice4
 from endoring.orders import q_enlarge
 from endoring.padic import Precision, splitting_map
@@ -49,7 +49,7 @@ def end(alg):
 
 def test_distance_with_paper_enlargement(alg, o0, end):
     """Distance r = 1 at q = 7, computed through the worked enlargement."""
-    oracle = CountingOracle(HiddenOrderOracle(end))
+    oracle = HiddenOrderOracle(end)
     o7 = paperdata.o7(alg)
     r = distance_to_end(ReducedBasis(o0), o7, 7, 5, oracle)
     assert r == 1
@@ -57,7 +57,7 @@ def test_distance_with_paper_enlargement(alg, o0, end):
 
 
 def test_distance_zero_when_contained(alg, o0, end):
-    oracle = CountingOracle(HiddenOrderOracle(end))
+    oracle = HiddenOrderOracle(end)
     o13 = paperdata.o13(alg)
     r = distance_to_end(ReducedBasis(o0), o13, 13, 3, oracle)
     assert r == 0
@@ -74,26 +74,25 @@ def test_local_patch_properties(alg, o0):
 def test_global_order_identity_vertex(alg, o0):
     oq = q_enlarge(o0, 7)
     sm = splitting_map(oq, Precision(7, 1))
-    o = global_order_from_vertices(o0, oq, VertexLattices(oq, sm)[()], 7)
+    o = global_order_from_vertices(o0, oq, VertexLattices(sm)[()], 7)
     assert o is oq
 
 
 def test_find_path_and_candidate_order_at_7(alg, o0, end):
     """Full general-branch run at q = 7 against the worked example."""
-    hidden = HiddenOrderOracle(end)
     rb = ReducedBasis(o0)
     oq = q_enlarge(o0, 7)
     e = 5
-    r = distance_to_end(rb, oq, 7, e, CountingOracle(hidden))
+    r = distance_to_end(rb, oq, 7, e, HiddenOrderOracle(end))
     assert r == 1
     sm = splitting_map(oq, Precision(7, r))
-    oracle = CountingOracle(hidden)
+    oracle = HiddenOrderOracle(end)
     log = TraceLog()
-    gamma, t = find_path_to_end(rb, oq, 7, r, sm, oracle, log)
+    gamma, t = find_path_to_end(rb, sm, oracle, log)
     assert len(gamma) == 1
     assert oracle.calls <= r * (7 // 2 + 1) + 2
     # the path search's lift and the vertex's own lift give one lattice
-    lat = VertexLattices(oq, sm)[gamma.steps]
+    lat = VertexLattices(sm)[gamma.steps]
     assert conjugate_order_lattice(oq, t, 7, r) == lat
     o_tilde = global_order_from_vertices(o0, oq, lat, 7)
     # the accepted candidate matches the worked example's displayed basis,
@@ -108,15 +107,15 @@ def test_bass_path_and_search_at_13(alg, o0, end):
     oq = q_enlarge(o0, 13)
     e = 3
     sm = splitting_map(oq, Precision(13, e))
-    path_list = enumerate_bass_path(o0, sm, e)
+    path_list = enumerate_bass_path(o0, sm)
     assert len(path_list) == 4 and () in path_list
     # consecutive vertices are adjacent
     vertices = [vertex_of_path(MatrixPath(13, w)) for w in path_list]
     for x, y in zip(vertices, vertices[1:]):
         assert distance(x, y) == 1
-    oracle = CountingOracle(HiddenOrderOracle(end))
-    lattices = VertexLattices(oq, sm)
-    word, _ = bass_search(ReducedBasis(o0), lattices, 13, e, oracle)
+    oracle = HiddenOrderOracle(end)
+    lattices = VertexLattices(sm)
+    word, _ = bass_search(ReducedBasis(o0), lattices, oracle, None)
     assert oracle.calls <= math.ceil(math.log2(e + 1))
     o13 = global_order_from_vertices(o0, oq, lattices[word], 13)
     assert o13.lattice.equals_at(end.lattice, 13)
@@ -153,8 +152,8 @@ def test_bass_search_from_worked_enlargement_hits_identity(alg, o0, end):
     o13 = paperdata.o13(alg)
     e = 3
     sm = splitting_map(o13, Precision(13, e))
-    oracle = CountingOracle(HiddenOrderOracle(end))
-    word, path_list = bass_search(ReducedBasis(o0), VertexLattices(o13, sm), 13, e, oracle)
+    oracle = HiddenOrderOracle(end)
+    word, path_list = bass_search(ReducedBasis(o0), VertexLattices(sm), oracle, None)
     assert word == ()
     assert len(path_list) == 4
     assert oracle.calls <= math.ceil(math.log2(e + 1))

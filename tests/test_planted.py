@@ -11,7 +11,7 @@ import pytest
 import paperdata
 import planted
 from endoring import padic, pipeline
-from endoring.divide import CountingOracle, HiddenOrderOracle
+from endoring.divide import HiddenOrderOracle
 from endoring.ntheory import factorize
 from endoring.orders import discrd, q_enlarge, verify_order
 from endoring.padic import Precision, splitting_map
@@ -67,7 +67,6 @@ def test_planted_recovery_exercises_both_branches():
 
 def test_distance_matches_bruteforce():
     rng = random.Random(22)
-    from endoring.divide import CountingOracle
     from endoring.orders import q_enlarge
     from endoring.pipeline import ReducedBasis, distance_to_end
 
@@ -78,7 +77,7 @@ def test_distance_matches_bruteforce():
             if q == p:
                 continue
             oq = q_enlarge(sub, q)
-            oracle = CountingOracle(HiddenOrderOracle(hidden))
+            oracle = HiddenOrderOracle(hidden)
             r = distance_to_end(ReducedBasis(sub), oq, q, e, oracle)
             assert oracle.calls <= e
             brute = 0
@@ -171,7 +170,7 @@ def test_path_search_builds_quaternions_only_for_questions(monkeypatch):
     hidden, _, o0, _, word = planted.general_instance(alg, q, d, random.Random(1))
     oq = q_enlarge(o0, q)
     sm = splitting_map(oq, Precision(q, d))
-    rb, oracle = ReducedBasis(o0), CountingOracle(HiddenOrderOracle(hidden))
+    rb, oracle = ReducedBasis(o0), HiddenOrderOracle(hidden)
     mul, from_integers, init = QuatElement.__mul__, QuatElement.from_integers, QuatElement.__init__
     products, built, inits = [], [], []
 
@@ -190,7 +189,7 @@ def test_path_search_builds_quaternions_only_for_questions(monkeypatch):
     monkeypatch.setattr(QuatElement, "__mul__", counting_mul)
     monkeypatch.setattr(QuatElement, "from_integers", staticmethod(counting_from_integers))
     monkeypatch.setattr(QuatElement, "__init__", counting_init)
-    gamma, _ = find_path_to_end(rb, oq, q, d, sm, oracle, TraceLog())
+    gamma, _ = find_path_to_end(rb, sm, oracle, TraceLog())
     assert gamma == word
     assert len(products) == 0
     assert len(built) == len(inits) == oracle.calls > 0
@@ -214,7 +213,7 @@ def test_splitting_map_and_vertex_order_make_no_quaternion_products(monkeypatch)
         return mul(x, y)
 
     monkeypatch.setattr(QuatElement, "__mul__", counting_mul)
-    lattices = VertexLattices(oq, splitting_map(oq, prec))
+    lattices = VertexLattices(splitting_map(oq, prec))
     lat = lattices[word.steps]
     assert len(products) == 0
     assert lat.equals_at(hidden.lattice, q)

@@ -78,7 +78,7 @@ def tree(request):
     step words, the vertices to depth 3)."""
     q = request.param
     omax = standard_maximal_order(QuaternionAlgebra.for_prime(103))
-    lattices = VertexLattices(omax, splitting_map(omax, Precision(q, DEPTH)))
+    lattices = VertexLattices(splitting_map(omax, Precision(q, DEPTH)))
     return q, lattices, list(standard_vertices_up_to(q, DEPTH))
 
 
@@ -264,37 +264,56 @@ def test_outcomes_unchanged_on_the_bench_instances():
 
 
 @pytest.mark.parametrize(
-    "name, budget, old_budget",
+    "name, depth, budget, old_budget",
     [
-        ("distance_to_end", lambda q, e: e, lambda q, e: 4 * e),
-        ("bass_search", lambda q, e: e.bit_length(), lambda q, e: 4 * e.bit_length()),
-        ("find_path_to_end", lambda q, r: r * (q // 2 + 1) + 2, lambda q, r: 4 * (r * q + 1)),
+        ("distance_to_end", lambda args: args[3], lambda q, e: e, lambda q, e: 4 * e),
+        (
+            "bass_search",
+            lambda args: args[1].sm.precision.r,
+            lambda q, e: e.bit_length(),
+            lambda q, e: 4 * e.bit_length(),
+        ),
+        (
+            "find_path_to_end",
+            lambda args: args[1].precision.r,
+            lambda q, r: r * (q // 2 + 1) + 2,
+            lambda q, r: 4 * (r * q + 1),
+        ),
     ],
     ids=["distance", "bass", "path"],
 )
-def test_over_asking_stage_is_refused(monkeypatch, name, budget, old_budget):
-    """A stage that asks one question more than its budget (e for the
-    distance, ceil(log2(e + 1)) for the Bass search, r(floor(q/2) + 1) + 2
-    for the path search) ends in a typed error, although it stays within the
-    budget of the four-element questions."""
+def test_over_asking_stage_is_refused(monkeypatch, name, depth, budget, old_budget):
+    """A stage that goes on asking after its own questions is refused at the
+    first question past its budget (e for the distance, ceil(log2(e + 1))
+    for the Bass search, r(floor(q/2) + 1) + 2 for the path search, e or r
+    read from the stage's arguments) with a typed error, although the budget
+    of the four-element questions would still allow that question.  Its
+    stage oracle holds that budget, and the refused question never reaches
+    the inner oracle: the inner oracle answers exactly `budget` questions of
+    the stage."""
     stage = getattr(pipeline, name)
     asked = []
 
-    def over_asking(rb, x, q, e, *rest):
-        out = stage(rb, x, q, e, *rest)
-        oracle = next(a for a in rest if isinstance(a, CountingOracle))
-        one = rb.order.algebra.element(1)
-        while oracle.calls <= budget(q, e):
-            oracle.is_divisible(one, 1)
-        asked.append((oracle.calls, old_budget(q, e)))
+    def over_asking(*args):
+        oracle = next(a for a in args if isinstance(a, CountingOracle))
+        inner, before = oracle.inner, oracle.inner.calls
+        out = stage(*args)
+        q, n = oracle.q, depth(args)
+        one = args[0].order.algebra.element(1)
+        try:
+            for _ in range(budget(q, n) + 1):
+                oracle.is_divisible(one, 1)
+        finally:
+            asked.append((oracle.budget, oracle.calls, inner.calls - before, budget(q, n), old_budget(q, n)))
         return out
 
     monkeypatch.setattr(pipeline, name, over_asking)
     o0, fact, hidden, _ = load_problem(PROBLEM)
     with pytest.raises(MathematicalInconsistencyError, match="oracle calls"):
         compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
-    [(calls, old)] = asked
-    assert calls <= old
+    [(held, calls, answered, want, old)] = asked
+    assert held == calls == answered == want
+    assert want < old
 
 
 class RefusingOracle(DivisionOracle):
@@ -315,21 +334,21 @@ class RefusingOracle(DivisionOracle):
 
 
 def path_search_instance(q):
-    """(ReducedBasis, O_q, splitting map, hidden order, word) of a general
-    instance at q with r = 2."""
+    """(ReducedBasis, splitting map of O_q mod q^3, hidden order, word) of a
+    general instance at q with r = 2."""
     alg = QuaternionAlgebra.for_prime(103)
     hidden, _, o0, _, word = planted.general_instance(alg, q, 2, random.Random(q))
     oq = q_enlarge(o0, q)
-    return ReducedBasis(o0), oq, splitting_map(oq, Precision(q, 2)), hidden, word
+    return ReducedBasis(o0), splitting_map(oq, Precision(q, 2)), hidden, word
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_path_search_refused_everywhere_is_a_typed_error(q):
     """An oracle that answers no to every path question accepts no step."""
-    rb, oq, sm, hidden, _ = path_search_instance(q)
+    rb, sm, hidden, _ = path_search_instance(q)
     oracle = RefusingOracle(hidden)
     with pytest.raises(MathematicalInconsistencyError, match="no candidate accepted at level 1"):
-        find_path_to_end(rb, oq, q, 2, sm, oracle)
+        find_path_to_end(rb, sm, oracle, None)
     assert 0 < len(oracle.asked) <= q // 2 + 2
 
 
@@ -337,14 +356,14 @@ def test_path_search_refused_everywhere_is_a_typed_error(q):
 def test_path_search_refused_confirmation_is_a_typed_error(q):
     """An oracle that is honest except that it refuses the last question, the
     end vertex's confirmation, ends the path search in a typed error."""
-    rb, oq, sm, hidden, word = path_search_instance(q)
+    rb, sm, hidden, word = path_search_instance(q)
     honest = RefusingOracle(hidden, refused=())
-    assert find_path_to_end(rb, oq, q, 2, sm, honest)[0] == word
+    assert find_path_to_end(rb, sm, honest, None)[0] == word
     confirmation = honest.asked[-1]
     assert honest.asked.count(confirmation) == 1
     oracle = RefusingOracle(hidden, refused=(confirmation,))
     with pytest.raises(MathematicalInconsistencyError, match="refused the order at the end of the path"):
-        find_path_to_end(rb, oq, q, 2, sm, oracle)
+        find_path_to_end(rb, sm, oracle, None)
     assert oracle.asked == honest.asked
 
 
@@ -357,10 +376,10 @@ def test_distance_element_fallback(monkeypatch, q):
     hidden, _, o0, fact, _ = planted.general_instance(alg, q, 2, random.Random(q))
     oq, e = q_enlarge(o0, q), dict(fact)[q]
     rb = ReducedBasis(o0)
-    want = distance_to_end(rb, oq, q, e, CountingOracle(HiddenOrderOracle(hidden)))
+    want = distance_to_end(rb, oq, q, e, HiddenOrderOracle(hidden))
     monkeypatch.setattr(pipeline, "_DISTANCE_CANDIDATES", ())
     assert _irreducible_mod(oq, q, distance_element(oq, q))
-    assert distance_to_end(rb, oq, q, e, CountingOracle(HiddenOrderOracle(hidden))) == want == 2
+    assert distance_to_end(rb, oq, q, e, HiddenOrderOracle(hidden)) == want == 2
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +413,7 @@ def test_bass_walk_is_the_reference():
     seen = Counter()
     for o0, fact in drawn:
         for q, e, sm in bass_inputs(o0, fact):
-            words = enumerate_bass_path(o0, sm, e)
+            words = enumerate_bass_path(o0, sm)
             assert words == reference_bass_path(o0, sm, e)
             seen[q, len(words) > 1] += 1
     assert {(q, True) for q in (2, 3, 5, 13)} <= set(seen)
@@ -410,7 +429,7 @@ def test_bass_walk_refuses_scalar_plus_q_lambda_as_the_reference(q):
     e = dict(fact)[q]
     sm = splitting_map(q_enlarge(o0, q), Precision(q, e))
     with pytest.raises(MathematicalInconsistencyError) as got:
-        enumerate_bass_path(o0, sm, e)
+        enumerate_bass_path(o0, sm)
     with pytest.raises(MathematicalInconsistencyError) as want:
         reference_bass_path(o0, sm, e)
     assert str(got.value) == str(want.value) == "more than two stable neighbors: not Bass"
