@@ -123,10 +123,6 @@ class Lattice4:
         cols = [tuple(int(x * den) for x in g) for g in gens]
         return Lattice4.from_integer_columns(cols, den)
 
-    @staticmethod
-    def standard():
-        return Lattice4.from_integer_columns([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-
     def basis(self) -> tuple[Vec4, ...]:
         d = self.den
         return tuple(tuple(Fraction(x, d) for x in c) for c in self.cols)

@@ -104,6 +104,19 @@ def sqrt_mod(a: int, q: int) -> int | None:
     return min(s, q - s)
 
 
+def char_roots(t: int, n: int, q: int) -> list[int]:
+    """The distinct roots mod the prime q of X^2 - t*X + n: tried at q = 2,
+    else (t + d)/2 and (t - d)/2 for the least square root d of t^2 - 4n
+    (`sqrt_mod`), one root when d = 0 and none when there is no d."""
+    if q == 2:
+        return [x for x in (0, 1) if (x * x - t * x + n) % 2 == 0]
+    d = sqrt_mod(t * t - 4 * n, q)
+    if d is None:
+        return []
+    half = (q + 1) // 2
+    return [(t + d) * half % q, (t - d) * half % q] if d else [t * half % q]
+
+
 def reduce_unit_mod(x: Fraction, modulus: int) -> int:
     """Integer in [0, modulus) congruent to x, for x with denominator coprime
     to modulus."""

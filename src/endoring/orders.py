@@ -45,7 +45,7 @@ from .errors import (
 )
 from .lattice import Lattice4, integer_kernel
 from .matrix import adj_det4, combine4, det4, dot4, form4, matvec4
-from .ntheory import exact_isqrt, sqrt_mod, valuation
+from .ntheory import char_roots, exact_isqrt, valuation
 from .quat import QuaternionAlgebra, QuatElement, integer_product
 
 
@@ -369,6 +369,46 @@ def is_bass_at(order: Order, q: int, radical=None) -> bool:
     return ternary_gorenstein_test(radical_idealizer(order, q, radical), q)
 
 
+def char_roots_at(order: Order, q: int, z) -> list:
+    """The distinct roots mod q (`ntheory.char_roots`) of X^2 - trd(x) X +
+    nrd(x), x the element with integer coordinates z over the order basis:
+    none when it is irreducible mod q, two when it splits."""
+    return char_roots(dot4(order.traces, z), _norm_pairing(order, z, z) // 2, q)
+
+
+def _root_idempotent(order: Order, z, q: int) -> tuple | None:
+    """Integer coordinates, in [0, q), of an idempotent s x + t of Z/q[x],
+    x the element with integer coordinates z over the order basis, when its
+    characteristic polynomial X^2 - trd(x) X + nrd(x) has two distinct roots
+    l1 != l2 mod q (`char_roots_at`); else None.  Of the idempotents
+    (x - l2) / (l1 - l2) and (x - l1) / (l2 - l1), written s x + t with s, t
+    in [0, q), the one with the smaller pair (s, t)."""
+    roots = char_roots_at(order, q, z)
+    if len(roots) != 2:
+        return None
+    l1, l2 = roots
+    s = pow(l1 - l2, -1, q)
+    s, t = min((s, -s * l2 % q), (q - s, (1 + s * l2) % q))
+    return tuple((s * x + t * u) % q for x, u in zip(z, order.one))
+
+
+def _lift_idempotent(order: Order, e, modulus: int) -> tuple:
+    """e <- 3e^2 - 2e^3 on integer coordinates mod modulus, a power of q,
+    products read from `order.table`, until e^2 = e mod modulus.  With d =
+    e^2 - e the step's new error is d^2 (4d - 3), so an error that starts in
+    an ideal with a power inside modulus * O (the preimage of the radical of
+    O/qO when modulus = q, qO when modulus = q^(r+1)) is gone within a few
+    steps."""
+    table = order.table
+    for _ in range(64):
+        e2 = tuple(c % modulus for c in _table_mul(table, e, e))
+        if e2 == e:
+            return e
+        e3 = _table_mul(table, e2, e)
+        e = tuple((3 * a - 2 * b) % modulus for a, b in zip(e2, e3))
+    raise MathematicalInconsistencyError("idempotent lift did not converge")
+
+
 def _split_idempotent(order: Order, q: int, rad) -> tuple:
     """Integer coordinates, in [0, q), of an element of O idempotent mod q,
     nontrivial in the split 2-dimensional semisimple quotient of O/qO, rad
@@ -377,39 +417,18 @@ def _split_idempotent(order: Order, q: int, rad) -> tuple:
     The quotient is spanned by 1 and w, the first basis unit outside the
     radical and 1, and w^2 = trd(w) w - nrd(w) holds in O.  Split, the
     quotient is F_q x F_q and the characteristic polynomial of w has two
-    roots l1 != l2 mod q: its nontrivial idempotents are (w - l2) / (l1 -
-    l2) and (w - l1) / (l2 - l1), and of these, written s w + t with s, t in
-    [0, q), the one with the smaller pair (s, t) is taken.  The idempotent
-    is then lifted from the quotient to O/qO."""
-    table = order.table
+    roots mod q: the idempotent is the one the splitting map reads from the
+    roots of its split element (`_root_idempotent`), lifted from the
+    quotient to O/qO (`_lift_idempotent`)."""
     one = tuple(c % q for c in order.one)
     span = list(rad) + [one]
-    k = next((k for k in range(4) if not linmod.in_span(_UNITS[k], span, q)), None)
-    if k is None:
+    w = next((u for u in _UNITS if not linmod.in_span(u, span, q)), None)
+    if w is None:
         raise MathematicalInconsistencyError("quotient of O/qO by its radical is 1-dimensional")
-    w, trd, nrd = _UNITS[k], order.traces[k], order.norm_gram[k][k] // 2
-    # the roots of X^2 - trd X + nrd mod q
-    if q == 2:
-        roots = [x for x in (0, 1) if (x * x - trd * x + nrd) % 2 == 0]
-    else:
-        d, half = sqrt_mod(trd * trd - 4 * nrd, q), (q + 1) // 2
-        roots = [] if d is None else [(trd + d) * half % q, (trd - d) * half % q]
-    if len(roots) < 2 or roots[0] == roots[1]:
+    e = _root_idempotent(order, w, q)
+    if e is None:
         raise MathematicalInconsistencyError("no split idempotent: residually inert quotient")
-    # (w - l2) / (l1 - l2) = s w - s l2 and 1 minus it, with s = 1 / (l1 - l2)
-    l1, l2 = roots
-    s = pow(l1 - l2, -1, q)
-    s, t = min((s, -s * l2 % q), (q - s, (1 + s * l2) % q))
-    e = tuple((s * x + t * u) % q for x, u in zip(w, one))
-    for _ in range(6):
-        e2 = tuple(c % q for c in _table_mul(table, e, e))
-        if e2 == e:
-            break
-        e3 = _table_mul(table, e2, e)
-        e = tuple((3 * a - 2 * b) % q for a, b in zip(e2, e3))
-    else:
-        raise MathematicalInconsistencyError("idempotent lift did not converge")
-    return e
+    return _lift_idempotent(order, e, q)
 
 
 def q_enlarge(order: Order, q: int, radical=None) -> Order:

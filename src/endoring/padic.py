@@ -1,43 +1,37 @@
 """Local splitting machinery at a prime q split in the algebra.
 
-The splitting map construction: a normalized local basis diagonalizes
-(or block-diagonalizes, q = 2) the norm form; a zero divisor of the
-form is Hensel-lifted to valuation >= r+1; conjugating a basis vector
-by it yields a nilpotent; from the nilpotent a full system of 2x2
-matrix units inside the order is assembled, which induces the linear
-isomorphism onto M_2(Z/q^(r+1)).
+The splitting map of a q-maximal order O_q is an isomorphism O_q tensor
+Z_q -> M_2(Z_q) mod q^(r+1), given by the preimages E11, E12, E21, E22 of
+the four matrix units.  Any system of matrix units gives the same tree, so
+one formula serves every q, q = 2 included:
 
-Everything works in coordinates over the order basis.  The normalized
-basis and the zero divisor are exact: integer coordinates over one
-denominator prime to q per vector, their pairings read from the norm Gram
-matrix (`Order.norm_gram`) as integer numerators and certified by exact
-valuation checks.  Each Gram-Schmidt step is one integer combination
-reduced to lowest terms, and each block value is an integer pair
-(numerator, denominator) with the denominator prime to q, which the zero
-divisor reduces mod q^(r+1) with one modular inverse: no Fraction is built.
-The splitting map reduces the vectors mod q^(r+1), reads its products from
-the order's structure constants (`Order.table`) and inverts the transfer
-matrix by one closed-form adjugate (`matrix.adj_det4`).
+- a split element x, the first of `_CANDIDATES` whose characteristic
+  polynomial X^2 - trd(x) X + nrd(x) has two distinct roots mod q (one
+  scan, `first_candidate`, classifying by `orders.char_roots_at`, shared
+  with the irreducible element of `pipeline.distance_element`);
+- its idempotent mod q from those roots (`orders._root_idempotent`), lifted
+  by e <- 3e^2 - 2e^3 mod q^(r+1) (`orders._lift_idempotent`): the zero
+  divisor of `zero_divisor_mod`, since nrd(e) = e(1 - e) = 0;
+- E11 = e, E22 = 1 - e, E12 = e u (1 - e) and E21 = (1 - e) u' e /
+  trd(E12 u') for basis units u and u'.
 
-For odd q the zero divisor starts from the lexicographically first
-point of the conic a0*x1^2 + a1*x2^2 + a2*x3^2 = 0 mod q (`conic_point`).
-For each (x1, x2) in order, x3 is the least square root of
--(a0*x1^2 + a1*x2^2)/a2, if Euler's criterion says there is one; the row
-x1 = 0 is decided by x2 = 1 alone, and in a row x1 >= 1 about half the x2
-give a square, so the search costs a few O(log q) steps, not q^3.
+Everything works in integer coordinates over the order basis reduced mod
+q^(r+1), with products read from the order's structure constants
+(`Order.table`); the transfer matrix from the units is inverted by one
+closed-form adjugate (`matrix.adj_det4`), and the map is checked to be
+multiplicative on the basis (`_validate_splitting`).
 
 A tree vertex (a, b, c) lifts to q^a*E11 + c*E12 + q^b*E22, computed from
 the integer coordinates of the matrix units E11, E12, E22 reduced into
-[0, q^(r+1)); the same formula serves every q.
+[0, q^(r+1)).
 """
 
+import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from .errors import MathematicalInconsistencyError, PrecisionError, StructuralError
 from .matrix import adj_det4, dot4, mat2_mul, matvec4
-from .ntheory import sqrt_mod, valuation
-from .orders import _UNITS, Order, _conj_coords, _norm_pairing, _table_mul
+from .orders import _UNITS, Order, _lift_idempotent, _root_idempotent, _table_mul, char_roots_at
 
 
 @dataclass(frozen=True)
@@ -54,199 +48,36 @@ class Precision:
         return self.q ** (self.r + 1)
 
 
-def _val(x, q):
-    return None if x == 0 else valuation(x, q)
+# Coordinates over the order basis tried first, in this order, by
+# `first_candidate`: every nonzero vector with entries in {0, 1, -1}.  Mod 2
+# they are all 15 nonzero elements of O/2O.
+_CANDIDATES = tuple(z for z in itertools.product((0, 1, -1), repeat=4) if any(z))
 
 
-def _min_val(vals):
-    vals = [v for v in vals if v is not None]
-    return min(vals) if vals else None
+def first_candidate(order: Order, q: int, nroots: int) -> tuple:
+    """Integer coordinates over the order basis of the first element whose
+    characteristic polynomial has exactly nroots distinct roots mod q: the
+    first of `_CANDIDATES` that qualifies, else the first u_k + c*u_l over
+    the ordered pairs (k, l) of basis units and c in [0, q)."""
+    pairs = itertools.permutations(_UNITS, 2)
+    fallback = (tuple(a + c * b for a, b in zip(u, v)) for u, v in pairs for c in range(q))
+    qualifying = (z for z in itertools.chain(_CANDIDATES, fallback) if len(char_roots_at(order, q, z)) == nroots)
+    z = next(qualifying, None)
+    if z is None:
+        raise MathematicalInconsistencyError(f"no candidate element with {nroots} roots mod {q}")
+    return z
 
 
-def _reduced(z, d) -> tuple:
-    """The vector z/d as (z, d) in lowest terms with d > 0."""
-    g = gcd(d, *z)
-    if d < 0:
-        g = -g
-    return tuple(a // g for a in z), d // g
-
-
-def _combine(terms) -> tuple:
-    """sum c*v over the pairs (c, v), c an integer and v = (z, d) standing
-    for the coordinates z/d: as (z, d) in lowest terms with d > 0."""
-    terms = list(terms)
-    den = lcm(*(d for _, (_, d) in terms))
-    return _reduced([sum(c * (den // d) * w[k] for c, (w, d) in terms) for k in range(4)], den)
-
-
-def normalized_basis_at(order: Order, q: int):
-    """Basis of O tensor Z_(q) on which the norm form is a sum of atomic
-    forms: diagonal for odd q, diagonal and binary blocks for q = 2.
-
-    Returns (basis, blocks).  A basis vector is a pair (z, d): coordinates
-    z/d over the order basis, z integers and d prime to q, in lowest terms
-    with d > 0.  blocks is a list of ("unit", a) entries for diagonal atoms
-    a*x^2 and ("pair", (a, b, c)) entries for binary atoms a*x^2 + b*xy +
-    c*y^2.  Each value is an integer pair (n, m) standing for n/m, m > 0
-    prime to q, not necessarily in lowest terms: a diagonal value nrd(f) is
-    (N(f,f)/2, d^2), N(f,f) = 2 nrd(z_f) being even, and a cross term is
-    (N(f1,f2), d1*d2).  The pairing trd(x*conj(y)) is z.N.w / (d*e) for N =
-    `order.norm_gram`; the d's are prime to q, so valuations are read from
-    the integer numerators z.N.w alone.
-
-    Each step is exact in integers.  Splitting off a diagonal atom f maps v
-    to v - (N(v,f)/N(f,f)) f = (N(f,f) z_v - N(v,f) z_f) / (N(f,f) d_v), and
-    a binary atom (f1, f2) maps v to (D z_v - (N(v,f1) N22 - N(v,f2) N12) z1
-    - (N(v,f2) N11 - N(v,f1) N12) z2) / (D d_v), D = N11 N22 - N12^2 and
-    Nij = N(fi,fj): the d's of the atoms cancel.  Here N(u,v) is z_u.N.z_v.
-    """
-
-    def pairing(u, v) -> int:
-        return _norm_pairing(order, u[0], v[0])
-
-    vecs = [(u, 1) for u in _UNITS]
-    out = []
-    blocks = []
-    while vecs:
-        n = len(vecs)
-        diag = [_val(pairing(v, v), q) for v in vecs]
-        off = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                off[(i, j)] = _val(pairing(vecs[i], vecs[j]), q)
-        dmin = _min_val(diag)
-        omin = _min_val(off.values())
-        if dmin is not None and (omin is None or dmin <= omin):
-            i = diag.index(dmin)
-            f = vecs.pop(i)
-            (zf, df), nff = f, pairing(f, f)
-            vecs = [_reduced([nff * a - pairing(v, f) * b for a, b in zip(v[0], zf)], nff * v[1]) for v in vecs]
-            out.append(f)
-            blocks.append(("unit", (nff // 2, df * df)))
-            continue
-        if q != 2:
-            # odd q: mixing makes the minimum appear on the diagonal
-            (i, j) = next(k for k, v in off.items() if v == omin)
-            vecs[i] = _combine(((1, vecs[i]), (1, vecs[j])))
-            continue
-        (i, j) = next(k for k, v in off.items() if v == omin)
-        f1, f2 = vecs[i], vecs[j]
-        vecs = [v for k, v in enumerate(vecs) if k not in (i, j)]
-        n11, n12, n22 = pairing(f1, f1), pairing(f1, f2), pairing(f2, f2)
-        det = n11 * n22 - n12 * n12
-        rest = []
-        for v in vecs:
-            c1, c2 = pairing(v, f1), pairing(v, f2)
-            alpha, beta = c1 * n22 - c2 * n12, c2 * n11 - c1 * n12
-            z = [det * x - alpha * y1 - beta * y2 for x, y1, y2 in zip(v[0], f1[0], f2[0])]
-            rest.append(_reduced(z, det * v[1]))
-        vecs = rest
-        out.extend([f1, f2])
-        d1, d2 = f1[1], f2[1]
-        blocks.append(("pair", ((n11 // 2, d1 * d1), (n12, d1 * d2), (n22 // 2, d2 * d2))))
-    if any(d % q == 0 for _, d in out):
-        raise MathematicalInconsistencyError("normalized basis left Z_(q)")
-    return out, blocks
-
-
-def _reduce_mod(value, modulus: int) -> int:
-    """The block value (n, m) of `normalized_basis_at`, n/m with m prime to
-    q, as an integer in [0, modulus)."""
-    n, m = value
-    return n * pow(m, -1, modulus) % modulus
-
-
-def conic_point(a, q: int) -> list[int]:
-    """The lexicographically first nonzero (x1, x2, x3) in [0, q)^3 with
-    a0*x1^2 + a1*x2^2 + a2*x3^2 = 0 mod q, for an odd prime q and q-units
-    a0, a1, a2: for each (x1, x2) in order, the least root x3 of
-    -(a0*x1^2 + a1*x2^2)/a2, if there is one."""
-    inv = pow(a[2], -1, q)
-    # the row x1 = 0: for x2 >= 1 the right side -a1*x2^2/a2 has the
-    # residuosity of -a1/a2, so x2 = 1 decides the row
-    x3 = sqrt_mod(-a[1] * inv, q)
-    if x3 is not None:
-        return [0, 1, x3]
-    for x1 in range(1, q):
-        for x2 in range(q):
-            x3 = sqrt_mod(-(a[0] * x1 * x1 + a[1] * x2 * x2) * inv, q)
-            if x3 is not None:
-                return [x1, x2, x3]
-    raise MathematicalInconsistencyError("ternary conic without points mod q")
-
-
-def zero_divisor_mod(order: Order, prec: Precision):
-    """Element x of the q-maximal order (up to q-unit denominators) with
-    v_q(nrd x) >= r+1 and some coordinate a q-unit.
-
-    Returns (x, fs): x as a vector (z, d) of `normalized_basis_at`, fs the
-    normalized basis it is built from.  nrd(x) = z.N.z / (2*d^2), N =
-    `order.norm_gram`."""
-    q, modulus = prec.q, prec.modulus
+def zero_divisor_mod(order: Order, prec: Precision) -> tuple:
+    """Integer coordinates, in [0, q^(r+1)), of an idempotent e of the
+    q-maximal order mod q^(r+1) that is not scalar mod q: the idempotent of
+    the first split candidate (`first_candidate`), read from its two roots
+    and lifted.  e is a zero divisor: conj(e) = 1 - e, so nrd(e) = e(1 - e)
+    = 0 mod q^(r+1)."""
+    q = prec.q
     if q == order.algebra.p:
         raise StructuralError("the algebra is ramified at p; no zero divisors there")
-    fs, blocks = normalized_basis_at(order, q)
-    if q != 2:
-        if any(kind != "unit" or valuation(a[0], q) != 0 for kind, a in blocks):
-            raise MathematicalInconsistencyError("order is not q-maximal at odd q")
-        a = [_reduce_mod(nf, modulus) for _, nf in blocks]
-        sol = conic_point(a[:3], q)
-        piv = next(i for i in range(3) if sol[i] % q)
-        for k in range(2, prec.r + 2):
-            mk = q**k
-            fval = sum(a[i] * sol[i] * sol[i] for i in range(3)) % mk
-            if fval:
-                deriv = (2 * a[piv] * sol[piv]) % q
-                sol[piv] = (sol[piv] - fval * pow(deriv, -1, mk)) % mk
-        x = _combine(zip(sol, fs[:3]))
-    else:
-        if [kind for kind, _ in blocks] != ["pair", "pair"]:
-            raise MathematicalInconsistencyError("2-maximal order must split into two binary atoms")
-        coeffs = []
-        sol = []
-        for _, (a, b, c) in blocks:
-            if valuation(b[0], q) != 0:
-                raise MathematicalInconsistencyError("binary atom with even cross term")
-            va = valuation(a[0], 2)
-            vc = valuation(c[0], 2)
-            if va == 0 and vc >= 1:
-                pair = (1, 0)
-            elif va >= 1 and vc == 0:
-                pair = (0, 1)
-            else:
-                pair = (1, 1)
-            sol.extend(pair)
-            coeffs.append((_reduce_mod(a, modulus), _reduce_mod(b, modulus), _reduce_mod(c, modulus)))
-
-        def value(s, mk):
-            total = 0
-            for bi, (a, b, c) in enumerate(coeffs):
-                x, y = s[2 * bi], s[2 * bi + 1]
-                total += a * x * x + b * x * y + c * y * y
-            return total % mk
-
-        # pick the lift variable in the first block with odd derivative
-        a0, b0, _ = coeffs[0]
-        if sol[1] % 2:
-            piv = 0
-        else:
-            piv = 1
-        for k in range(2, prec.r + 2):
-            mk = 2**k
-            fval = value(sol, mk)
-            if fval:
-                x, y = sol[0], sol[1]
-                deriv = (2 * a0 * x + b0 * y) if piv == 0 else (b0 * x + 2 * coeffs[0][2] * y)
-                sol[piv] = (sol[piv] - fval * pow(deriv % mk, -1, mk)) % mk
-        x = _combine(zip(sol, fs))
-    z, d = x
-    # nrd(x) * d^2, and d is prime to q
-    n = _norm_pairing(order, z, z) // 2
-    if n != 0 and valuation(n, q) < prec.r + 1:
-        raise MathematicalInconsistencyError("zero divisor lift failed the valuation check")
-    if not any(c % q for c in z):
-        raise MathematicalInconsistencyError("zero divisor vanished mod q")
-    return x, fs
+    return _lift_idempotent(order, _root_idempotent(order, first_candidate(order, q, 2), q), prec.modulus)
 
 
 @dataclass(frozen=True)
@@ -268,34 +99,31 @@ class SplittingMap:
 
 
 def splitting_map(order: Order, prec: Precision) -> SplittingMap:
-    """Compute the splitting isomorphism mod q^(r+1) for a q-maximal order:
-    the zero divisor and the normalized basis are reduced mod q^(r+1), and
-    the nilpotent and the units are products from `order.table`."""
+    """Compute the splitting isomorphism mod q^(r+1) for a q-maximal order
+    from the matrix units E11 = e and E22 = 1 - e, e = `zero_divisor_mod`;
+    E12 = e u (1 - e) for the first basis unit u that leaves it nonzero mod
+    q; and E21 = (1 - e) u' e / trd(E12 u') for the first basis unit u' that
+    makes the divisor a unit.  The divisor is trd(E12 (1 - e) u' e), since
+    E12 (1 - e) = E12 = e E12, so E12 E21 = E11 and E21 E12 = E22.  Products
+    are read from `order.table`."""
     q, modulus = prec.q, prec.modulus
-    x, fs = zero_divisor_mod(order, prec)
-    traces, one = order.traces, order.one
 
     def mul(u, v):
         return tuple(c % modulus for c in _table_mul(order.table, u, v))
 
-    def trd(u):
-        return dot4(traces, u) % modulus
-
-    # x and the normalized basis, reduced mod q^(r+1)
-    xc, *basis = (tuple(c * pow(d, -1, modulus) % modulus for c in z) for z, d in (x, *fs))
-    xbar = _conj_coords(traces, one, xc)
-    conjugates = (mul(mul(xbar, y), xc) for y in basis)
-    e = next((cand for cand in conjugates if any(c % q for c in cand)), None)
-    if e is None:
-        raise MathematicalInconsistencyError("conjugation by the zero divisor vanished mod q")
-    f = next((fi for fi in basis if trd(mul(e, fi)) % q), None)
-    if f is None:
-        raise MathematicalInconsistencyError("no basis vector pairs invertibly with the nilpotent")
-    m = pow(trd(mul(e, f)), -1, modulus)
-    e11 = tuple(m * c % modulus for c in mul(e, f))
-    e22 = tuple((u - c) % modulus for u, c in zip(one, e11))
-    e21 = tuple(m * c % modulus for c in mul(mul(e22, f), e11))
-    unit_coords = (e11, e, e21, e22)
+    e11 = zero_divisor_mod(order, prec)
+    e22 = tuple((u - c) % modulus for u, c in zip(order.one, e11))
+    corners = (mul(mul(e11, u), e22) for u in _UNITS)
+    e12 = next((x for x in corners if any(c % q for c in x)), None)
+    if e12 is None:
+        raise MathematicalInconsistencyError("e O (1 - e) vanished mod q")
+    pairings = ((dot4(order.traces, mul(e12, u)), u) for u in _UNITS)
+    d, u = next(((d, u) for d, u in pairings if d % q), (None, None))
+    if d is None:
+        raise MathematicalInconsistencyError("no basis unit pairs invertibly with E12")
+    m = pow(d, -1, modulus)
+    e21 = tuple(m * c % modulus for c in mul(mul(e22, u), e11))
+    unit_coords = (e11, e12, e21, e22)
     # transfer matrix: columns are coordinates of the unit preimages
     transfer = tuple(zip(*unit_coords))
     adj, det = adj_det4(transfer)

@@ -51,7 +51,6 @@ question past it with a typed error before the question is asked; a local
 solution's call counts are read off its stage oracles.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -67,12 +66,11 @@ from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4, lll_gram
 from .matrix import adj2, adj_det4, combine4, dot4, mat2_mul, matvec4
-from .ntheory import legendre, valuation
+from .ntheory import is_prime, valuation
 from .orders import (
     _UNITS,
     Order,
     _conj_coords,
-    _norm_pairing,
     _table_mul,
     discrd,
     is_bass_at,
@@ -80,7 +78,7 @@ from .orders import (
     q_radical,
     verify_order,
 )
-from .padic import Precision, SplittingMap, lift_vertex_element, splitting_map
+from .padic import Precision, SplittingMap, first_candidate, lift_vertex_element, splitting_map
 from .quat import QuatElement
 from .serialize import rational_str
 
@@ -255,37 +253,11 @@ def _in_end(asked, oracle: DivisionOracle) -> bool:
 # ---------------------------------------------------------------------------
 # distance (countdown loop)
 
-# Coordinates over the basis of O_q tried, in this order, for the distance
-# element: every nonzero vector with entries in {0, 1, -1}.  Mod 2 they are
-# all 15 nonzero elements of O_q/2O_q, two of which qualify.
-_DISTANCE_CANDIDATES = tuple(z for z in itertools.product((0, 1, -1), repeat=4) if any(z))
-
-
-def _irreducible_mod(oq: Order, q: int, z) -> bool:
-    """Whether x^2 - trd(x) x + nrd(x) is irreducible mod q, for the element x
-    with coordinates z over the basis of O_q: for odd q, trd^2 - 4 nrd is a
-    non-residue; for q = 2, trd and nrd are both odd."""
-    t = dot4(oq.traces, z)
-    n = _norm_pairing(oq, z, z) // 2
-    if q == 2:
-        return t % 2 == 1 and n % 2 == 1
-    d = (t * t - 4 * n) % q
-    return d != 0 and legendre(d, q) == -1
-
-
 def distance_element(oq: Order, q: int) -> tuple:
     """Integer coordinates over the basis of O_q of an element whose
     reduction mod q has an irreducible characteristic polynomial: the first
-    of `_DISTANCE_CANDIDATES` that qualifies, else E12 + n*E21 (n the least
-    non-residue; E12 + E21 + E22 at q = 2) from the splitting map mod q^2."""
-    z = next((z for z in _DISTANCE_CANDIDATES if _irreducible_mod(oq, q, z)), None)
-    if z is not None:
-        return z
-    _, e12, e21, e22 = splitting_map(oq, Precision(q, 1)).unit_coords
-    if q == 2:
-        return tuple(a + b + c for a, b, c in zip(e12, e21, e22))
-    n = next(n for n in range(2, q) if legendre(n, q) == -1)
-    return tuple(a + n * b for a, b in zip(e12, e21))
+    candidate with no root mod q (`padic.first_candidate`)."""
+    return first_candidate(oq, q, 0)
 
 
 def distance_to_end(rb: ReducedBasis, oq: Order, q: int, e: int, oracle: DivisionOracle) -> int:
@@ -616,6 +588,10 @@ def compute_endomorphism_ring(
         raise MathematicalInconsistencyError(
             f"stated factorization multiplies to {prod}, discriminant is {delta}"
         )
+    # p itself is proven prime when the algebra is made
+    composite = next((q for q, _ in factorization if q != p and not is_prime(q)), None)
+    if composite is not None:
+        raise MathematicalInconsistencyError(f"stated factorization has the entry {composite}, not a prime")
     if delta == p:
         return o0, [], 0
     rb = ReducedBasis(o0)

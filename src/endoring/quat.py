@@ -142,10 +142,6 @@ class QuatElement:
         product = _product(s, sa, sb, sab, self.nums, other.nums)
         return QuatElement.from_integers(self.algebra, product, s * self.den * other.den)
 
-    def conj(self) -> "QuatElement":
-        x0, x1, x2, x3 = self.nums
-        return QuatElement(self.algebra, (x0, -x1, -x2, -x3), self.den)
-
     def _norm_parts(self) -> tuple[int, int]:
         """(n, d) with nrd = n/d: n = s * den^2 * nrd, an integer."""
         s, sa, sb, sab = self.algebra.integer_constants

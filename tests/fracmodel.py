@@ -9,21 +9,32 @@ computes from integer numerators over one denominator: the reference for
 as Fractions, m as the lcm of their denominators, beta built from Fraction
 coordinates), the reference for the integer rounding.
 
-`add`, `sub`, `neg`, `trd` and `standard_basis` are the element arithmetic
-that the integer code does not use: sums and differences, the reduced
-trace and the standard basis (1 is `alg.element(1)`).
+`add`, `sub`, `neg`, `conj`, `trd` and `standard_basis` are the element
+arithmetic that the integer code does not use: sums and differences, the
+conjugate, the reduced trace and the standard basis (1 is
+`alg.element(1)`).
 
 `solve`, `coords_of`, `from_coords`, `linear_combination` and `apply` move
 between an order's coordinates and quaternions; `solve` is the reference
 for `Lattice4.integer_coords`.  `det` and `index_in` are a lattice's
 determinant and the generalized index as Fractions, the references for
-`Lattice4.integer_index_in`.  `normalized_basis_at`,
-`zero_divisor` and `splitting_units` are the Gram-Schmidt, the zero-divisor
-assembly and the matrix units of the splitting map formed with quaternion
-products, and `q_enlarge` is the q-enlargement whose hereditary-stall step
-forms (1 - e) g e / q from quaternion products: the references for
-`padic.normalized_basis_at`, `padic.zero_divisor_mod`,
-`padic.splitting_map` and `orders.q_enlarge`.  Its idempotent e comes from
+`Lattice4.integer_index_in`.  `idempotent_units` is the splitting map's
+matrix units formed with quaternion products, from the split candidate's
+roots found by search: the reference for `padic.zero_divisor_mod` and
+`padic.splitting_map`.
+
+`normalized_basis_at`, `conic_point`, `zero_divisor` and `splitting_units`
+are the splitting route that the idempotent route replaced: a Gram-Schmidt
+basis on which the norm form is diagonal (binary blocks at q = 2), the
+first point of the conic of its first three values (odd q), a zero divisor
+Hensel-lifted from it and the matrix units from its conjugates.  Any system
+of matrix units gives the same tree, so `old_route_map`, the map of those
+units, is the reference that the tests compare the tree of
+`padic.splitting_map` with.
+
+`q_enlarge` is the q-enlargement whose hereditary-stall step forms
+(1 - e) g e / q from quaternion products: the reference for
+`orders.q_enlarge`.  Its idempotent e comes from
 `split_idempotent`, which solves w^2 = alpha w + beta mod the radical and
 searches the pairs (s, t) for an idempotent s w + t: the reference for
 `orders._split_idempotent`, which reads alpha and beta from trd(w) and
@@ -58,8 +69,8 @@ from endoring.errors import (
     StructuralError,
 )
 from endoring.lattice import Lattice4, integer_kernel
-from endoring.matrix import combine4, det4
-from endoring.ntheory import reduce_unit_mod, valuation
+from endoring.matrix import adj_det4, combine4, det4
+from endoring.ntheory import reduce_unit_mod, sqrt_mod, valuation
 from endoring.orders import (
     _UNITS,
     _norm_pairing,
@@ -69,7 +80,7 @@ from endoring.orders import (
     radical_lattice,
     verify_order,
 )
-from endoring.padic import conic_point
+from endoring.padic import SplittingMap, _CANDIDATES
 from endoring.quat import QuaternionAlgebra, QuatElement, integer_product
 from matmodel import adj4
 
@@ -157,6 +168,12 @@ def sub(x: QuatElement, y: QuatElement) -> QuatElement:
 
 def neg(x: QuatElement) -> QuatElement:
     return x.algebra.element(*(-a for a in x.coeffs))
+
+
+def conj(x: QuatElement) -> QuatElement:
+    """The conjugate trd(x) - x."""
+    x0, x1, x2, x3 = x.nums
+    return QuatElement(x.algebra, (x0, -x1, -x2, -x3), x.den)
 
 
 def trd(x: QuatElement) -> Fraction:
@@ -293,19 +310,64 @@ def apply(sm, x: QuatElement):
     return sm.apply_coords(coords_mod(sm.order, x, sm.precision.modulus))
 
 
-def vector_element(order, v) -> QuatElement:
-    """The element of a vector (z, d) of `padic`: coordinates z/d over the
-    order basis."""
-    z, d = v
-    return from_coords(order, z).scale(Fraction(1, d))
+# ---------------------------------------------------------------------------
+# the matrix units of the idempotent route
+
+
+def idempotent_units(order, prec):
+    """The matrix-unit coordinates (E11, E12, E21, E22) mod q^(r+1) of
+    `padic.splitting_map`, from quaternion products: x is the first of
+    `padic._CANDIDATES` whose characteristic polynomial has two roots l1 <
+    l2 in [0, q), found by trying every residue; e is (x - l2) / (l1 - l2)
+    or 1 minus it, whichever is s x + t with the smaller (s, t), its
+    coordinates reduced into [0, q) and lifted by e <- 3e^2 - 2e^3 until
+    e^2 = e mod q^(r+1); E12 = e u (1 - e) for the
+    first basis element u that leaves it nonzero mod q, and E21 = (1 - e) u'
+    e / trd(E12 (1 - e) u' e) for the first u' that makes the divisor a
+    unit."""
+    q, modulus = prec.q, prec.modulus
+    one, basis = order.algebra.element(1), order.basis_elements()
+
+    def reduced(y):
+        return from_coords(order, coords_mod(order, y, modulus))
+
+    def vanishes(y):
+        return not any(c % q for c in coords_of(order, y))
+
+    for z in _CANDIDATES:
+        x = from_coords(order, z)
+        roots = [u for u in range(q) if (u * u - trd(x) * u + x.nrd()) % q == 0]
+        if len(roots) == 2:
+            break
+    else:
+        raise MathematicalInconsistencyError("no split candidate")
+    l1, l2 = roots
+    s = pow(l1 - l2, -1, q)
+    s, t = min((s, -s * l2 % q), (q - s, (1 + s * l2) % q))
+    e = from_coords(order, coords_mod(order, linear_combination((s, t), (x, one)), q))
+    for _ in range(64):
+        e2 = reduced(e * e)
+        if e2 == e:
+            break
+        e = reduced(sub(e2.scale(3), (e2 * e).scale(2)))
+    rest = reduced(sub(one, e))
+    e12 = next(y for y in (reduced(e * u * rest) for u in basis) if not vanishes(y))
+    for u in basis:
+        f = reduced(rest * u * e)
+        d = int(trd(e12 * f))
+        if d % q:
+            break
+    e21 = reduced(f.scale(pow(d, -1, modulus)))
+    return tuple(coords_mod(order, y, modulus) for y in (e, e12, e21, rest))
 
 
 # ---------------------------------------------------------------------------
-# the normalized basis, the zero divisor and the matrix units
+# the old splitting route: normalized basis, conic point, zero divisor and
+# matrix units
 
 
 def _pairing(x: QuatElement, y: QuatElement) -> Fraction:
-    return trd(x * y.conj())
+    return trd(x * conj(y))
 
 
 def _val(x, q):
@@ -319,7 +381,9 @@ def _min_val(vals):
 
 def normalized_basis_at(order, q: int):
     """Basis of O tensor Z_(q) on which the norm form is a sum of atomic
-    forms, as quaternions: (basis, blocks) as in `padic.normalized_basis_at`."""
+    forms, as quaternions: (basis, blocks), blocks a list of ("unit", a)
+    entries for diagonal atoms a*x^2 and ("pair", (a, b, c)) entries for
+    binary atoms a*x^2 + b*xy + c*y^2 (q = 2), the values Fractions."""
     vecs = list(order.basis_elements())
     out = []
     blocks = []
@@ -365,18 +429,28 @@ def normalized_basis_at(order, q: int):
     return out, blocks
 
 
-def block_values(blocks):
-    """The blocks of `padic.normalized_basis_at`, whose values are integer
-    pairs (n, m), with each value as the Fraction n/m, as this module's
-    `normalized_basis_at` gives them."""
-    return [
-        (kind, Fraction(*v) if kind == "unit" else tuple(Fraction(*x) for x in v)) for kind, v in blocks
-    ]
+def conic_point(a, q: int) -> list[int]:
+    """The lexicographically first nonzero (x1, x2, x3) in [0, q)^3 with
+    a0*x1^2 + a1*x2^2 + a2*x3^2 = 0 mod q, for an odd prime q and q-units
+    a0, a1, a2: for each (x1, x2) in order, the least root x3 of
+    -(a0*x1^2 + a1*x2^2)/a2, if there is one."""
+    inv = pow(a[2], -1, q)
+    # the row x1 = 0: for x2 >= 1 the right side -a1*x2^2/a2 has the
+    # residuosity of -a1/a2, so x2 = 1 decides the row
+    x3 = sqrt_mod(-a[1] * inv, q)
+    if x3 is not None:
+        return [0, 1, x3]
+    for x1 in range(1, q):
+        for x2 in range(q):
+            x3 = sqrt_mod(-(a[0] * x1 * x1 + a[1] * x2 * x2) * inv, q)
+            if x3 is not None:
+                return [x1, x2, x3]
+    raise MathematicalInconsistencyError("ternary conic without points mod q")
 
 
 def zero_divisor(order, prec):
-    """The zero divisor of `padic.zero_divisor_mod` as a quaternion, with the
-    normalized basis it is built from: (x, fs)."""
+    """The old route's zero divisor as a quaternion, with the normalized
+    basis it is built from: (x, fs)."""
     q, modulus = prec.q, prec.modulus
     fs, blocks = normalized_basis_at(order, q)
     if q != 2:
@@ -438,8 +512,8 @@ def zero_divisor(order, prec):
 
 
 def splitting_units(order, prec):
-    """The matrix-unit coordinates (E11, E12, E21, E22) mod q^(r+1) of
-    `padic.splitting_map`, from the quaternion zero divisor."""
+    """The old route's matrix-unit coordinates (E11, E12, E21, E22) mod
+    q^(r+1), from the quaternion zero divisor."""
     q, modulus = prec.q, prec.modulus
     x, fs = zero_divisor(order, prec)
     traces = order.traces
@@ -450,7 +524,7 @@ def splitting_units(order, prec):
     def trd(u):
         return sum(t * c for t, c in zip(traces, u)) % modulus
 
-    one, xc, xbar = (coords_mod(order, y, modulus) for y in (order.algebra.element(1), x, x.conj()))
+    one, xc, xbar = (coords_mod(order, y, modulus) for y in (order.algebra.element(1), x, conj(x)))
     basis = [coords_mod(order, y, modulus) for y in fs]
     conjugates = (mul(mul(xbar, y), xc) for y in basis)
     e = next(cand for cand in conjugates if any(c % q for c in cand))
@@ -460,6 +534,15 @@ def splitting_units(order, prec):
     e22 = tuple((u - c) % modulus for u, c in zip(one, e11))
     e21 = tuple(m * c % modulus for c in mul(mul(e22, f), e11))
     return (e11, e, e21, e22)
+
+
+def old_route_map(order, prec):
+    """The `padic.SplittingMap` of the old route's units (`splitting_units`),
+    with the transfer matrix inverted as `padic.splitting_map` inverts it."""
+    units, modulus = splitting_units(order, prec), prec.modulus
+    adj, det = adj_det4(tuple(zip(*units)))
+    dinv = pow(det, -1, modulus)
+    return SplittingMap(order, prec, units, tuple(tuple(x * dinv % modulus for x in row) for row in adj))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ lattice arithmetic.
 through sixteen 3x3 minors that `endoring.matrix` replaced with its
 closed form from 2x2 minors: the reference for `matrix.adj_det4`.  `adj4`
 is that closed form's adjugate alone, which the tests' rational solves use
-and no program path does.
+and no program path does, and `standard` is the lattice Z^4, which no
+program path builds.
 """
 
 from fractions import Fraction
@@ -21,6 +22,11 @@ from endoring.matrix import adj2, adj_det4, det4, mat2_mul
 from endoring.ntheory import exact_isqrt, valuation
 
 E_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # E11 E12 E21 E22
+
+
+def standard() -> Lattice4:
+    """Z^4, the lattice of the standard basis."""
+    return Lattice4.from_integer_columns(E_UNITS)
 
 
 def det3(a):

@@ -39,7 +39,7 @@ from endoring.orders import (
     ternary_gorenstein_test,
     verify_order,
 )
-from endoring.padic import Precision, normalized_basis_at, splitting_map
+from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     ReducedBasis,
     VertexLattices,
@@ -356,9 +356,11 @@ def test_bass_search(benchmark, bass_at_3):
     assert VertexLattices(sm)[vertex].equals_at(hidden.lattice, 3)
 
 
-def test_normalized_basis_at(benchmark, general_d2):
+def test_splitting_map_at_2(benchmark, general_d2):
+    """The splitting map of the maximal order O_q mod 2^5: the same route
+    as at odd q."""
     oq, *_ = general_d2
-    benchmark(normalized_basis_at, oq, Q)
+    benchmark(splitting_map, oq, Precision(2, 4))
 
 
 def test_splitting_map(benchmark, pkg):

@@ -15,12 +15,14 @@ from endoring.serialize import lattice_to_json, order_from_json
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEM = ROOT / "problems" / "p103_worked_example.json"
 # SHA-256 of `endoring compute --input <PROBLEM> --deterministic` stdout
-WORKED_CLI_SHA256 = "73feb17ad08be7bc78ffaf3ca803f7f1b4806108e97c589204178ece784f6631"
+WORKED_CLI_SHA256 = "14018e70a28944bff8766a243d1aa5448c008c638b6c4bed42eac268b1c93033"
 # the same output with the previous query form, which asked the distance stage
 # about the four units of q^i O_q, elements of O_0 included, each Bass
 # halving about the four basis elements of an order, and the path search
 # about the four units of each candidate vertex's order (17 distance and 4
-# path calls at q = 7, 8 Bass calls at q = 13, 29 in all)
+# path calls at q = 7, 8 Bass calls at q = 13, 29 in all) and read its
+# words through the splitting map of the old route (paths [0] at 7 and [10]
+# at 13, which are [3] and ["inf"] through the idempotent route's map)
 PREVIOUS_FORM_CLI_SHA256 = "81df5024a77a753e1444fecc3637ee581131177e77421104de4d34f708cd9652"
 
 
@@ -59,8 +61,8 @@ def test_explored_subtree_dot_files_are_pinned(tmp_path):
                     "--dot-dir", dots]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in dots.iterdir()}
     assert digests == {
-        "explored_q7.dot": "224b77c7b7ebd4211e69989ad6813914f42db5068e0c7c77831c292a08c794b4",
-        "explored_q13.dot": "4baaa5f4a87af998b1b6be388ce3025805136de482e85671ac5e39950be10719",
+        "explored_q7.dot": "72c1931db964c4439431b7c560899eafb36a2ef4d1e90ba69b64f049a9b02384",
+        "explored_q13.dot": "46016b4851f4752afdeffdb226f7cf3ddc27c908a63bda4ac8308758c6443647",
     }
 
 
@@ -78,12 +80,17 @@ def test_compute_deterministic_output_is_pinned(capsys):
 
 
 def test_compute_output_differs_from_previous_form_only_in_call_counts(capsys):
+    """Apart from the call counts, the output differs from the previous
+    form's only in the path words, which are relative to the splitting map:
+    End(E), r and every local order are the same."""
     assert run_cli(["compute", "--input", PROBLEM, "--deterministic"]) == 0
     result = json.loads(capsys.readouterr().out)
     by_q = {s["q"]: s for s in result["local_solutions"]}
-    assert by_q[7]["oracle_calls"] == {"distance": 2, "path": 3}
+    assert by_q[7]["oracle_calls"] == {"distance": 2, "path": 4}
     assert by_q[13]["oracle_calls"]["bass"] == 2
-    assert result["total_oracle_calls"] == 7
+    assert result["total_oracle_calls"] == 8
+    assert (by_q[7]["path"], by_q[13]["path"]) == ([3], ["inf"])
+    by_q[7]["path"], by_q[13]["path"] = [0], [10]
     by_q[7]["oracle_calls"] = {"distance": 17, "path": 4}
     by_q[13]["oracle_calls"]["bass"] = 8
     result["total_oracle_calls"] = 29

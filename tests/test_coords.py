@@ -22,7 +22,7 @@ from endoring.orders import _UNITS, _conj_coords, _table_mul, q_enlarge
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import ReducedBasis, generator_lifts, pair_idempotent
 from endoring.quat import QuaternionAlgebra
-from fracmodel import coords_of, from_coords, trd
+from fracmodel import conj, coords_of, from_coords, trd
 from matmodel import adj4
 
 
@@ -82,7 +82,7 @@ def test_conj_coords_is_the_conjugate(enl, x):
     _, oq, _, _ = enl
     traces = [int(trd(b)) for b in oq.basis_elements()]
     one = tuple(int(c) for c in coords_of(oq, oq.algebra.element(1)))
-    assert _conj_coords(traces, one, x) == tuple(coords_of(oq, from_coords(oq, x).conj()))
+    assert _conj_coords(traces, one, x) == tuple(coords_of(oq, conj(from_coords(oq, x))))
 
 
 @few

@@ -1,19 +1,20 @@
 """The integer splitting layer and hereditary-stall step against their
 rational references in `fracmodel`.
 
-`padic.normalized_basis_at`, `padic.zero_divisor_mod` and
-`padic.splitting_map` work in coordinates over the order basis, and
-`orders.q_enlarge` forms its stall candidates from the structure
-constants.  Each must give exactly what the same computation on
-quaternions gives.  `lattice._hnf_columns` must give exactly the columns
-of the sort-and-subtract HNF it replaced, and on 8 rows the intersection
-of the dual-based route; the intersection, the q-patch and the radical
-multiplier orders must give the lattices of their dual-based references.
-The integer Gorenstein test, normalized basis, vertex representative and
-enlargement index check must decide as their Fraction forms do.
+`padic.zero_divisor_mod` and `padic.splitting_map` work in coordinates
+over the order basis, and `orders.q_enlarge` forms its stall candidates
+from the structure constants.  Each must give exactly what the same
+computation on quaternions gives.  The old splitting route's normalized
+basis, behind the reference units `fracmodel.old_route_map`, now exists
+only as the rational one, checked for its defining properties.
+`lattice._hnf_columns` must give exactly the columns of the
+sort-and-subtract HNF it replaced, and on 8 rows the intersection of the
+dual-based route; the intersection, the q-patch and the radical multiplier
+orders must give the lattices of their dual-based references.
+The integer Gorenstein test, vertex representative and enlargement index
+check must decide as their Fraction forms do.
 """
 
-import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -22,13 +23,13 @@ import pytest
 
 import paperdata
 import planted
-from endoring import btt, lattice, orders, padic, pipeline
+from endoring import btt, lattice, orders, pipeline
 from endoring.divide import HiddenOrderOracle
 from endoring.errors import DegenerateLatticeError
 from endoring.lattice import Lattice4
 from endoring.ntheory import factorize
 from endoring.orders import discrd, q_enlarge, radical_lattice, verify_order
-from endoring.padic import Precision, lift_vertex_element, normalized_basis_at, splitting_map, zero_divisor_mod
+from endoring.padic import Precision, lift_vertex_element, splitting_map, zero_divisor_mod
 from endoring.pipeline import TraceLog, compute_endomorphism_ring, conjugate_order_lattice, local_patch
 from endoring.quat import QuatElement, QuaternionAlgebra
 from fracmodel import hnf_columns as reference_hnf
@@ -36,12 +37,11 @@ from fracmodel import index_in as reference_index
 from fracmodel import intersect as reference_intersect
 from fracmodel import local_patch as reference_patch
 from fracmodel import multiplier_lattice as reference_multipliers
-from fracmodel import block_values, splitting_units, vector_element
+from fracmodel import conj, idempotent_units, trd
 from fracmodel import normalized_basis_at as reference_basis
 from fracmodel import q_enlarge as reference_enlarge
 from fracmodel import split_idempotent as reference_split
 from fracmodel import ternary_gorenstein_test as reference_gorenstein
-from fracmodel import zero_divisor as reference_zero_divisor
 from test_bench_contract import load_bench_module
 from test_orders import paper_orders, quarter_orders
 from treemodel import canonical_vertex as reference_vertex
@@ -85,31 +85,39 @@ def count_stalls(monkeypatch):
 
 @pytest.mark.parametrize("name, order, q", CASES, ids=[c[0] for c in CASES])
 def test_normalized_basis_is_the_rational_one(name, order, q):
-    fs, blocks = normalized_basis_at(order, q)
-    ref_fs, ref_blocks = reference_basis(order, q)
-    assert [vector_element(order, f) for f in fs] == ref_fs
-    assert block_values(blocks) == ref_blocks
+    """The old route's normalized basis, the rational one alone: it spans O
+    tensor Z_(q), vectors of distinct blocks are orthogonal under the norm
+    pairing trd(x * conj(y)), and every block value is q-integral."""
+    fs, blocks = reference_basis(order, q)
+    assert Lattice4.from_generators([f.coeffs for f in fs]).equals_at(order.lattice, q)
+    block_of = [k for k, (kind, _) in enumerate(blocks) for _ in range(1 if kind == "unit" else 2)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if block_of[i] != block_of[j]:
+                assert trd(fs[i] * conj(fs[j])) == 0
     values = [v for kind, v in blocks if kind == "unit"] + [x for kind, v in blocks if kind == "pair" for x in v]
-    assert all(m > 0 and m % q for _, m in values)
+    assert all(v.denominator % q for v in values)
 
 
 @pytest.mark.parametrize("name, order, q", MAXIMAL, ids=[c[0] for c in MAXIMAL])
 def test_zero_divisor_and_units_are_the_rational_ones(name, order, q):
-    """At every q where the order is q-maximal: the same zero divisor and
-    the same matrix-unit coordinates mod q^3."""
+    """At every q where the order is q-maximal: the zero divisor (the lifted
+    idempotent) and the matrix-unit coordinates mod q^3 are those that
+    quaternion products give (`fracmodel.idempotent_units`)."""
     prec = Precision(q, 2)
-    x, _ = zero_divisor_mod(order, prec)
-    assert vector_element(order, x) == reference_zero_divisor(order, prec)[0]
-    assert splitting_map(order, prec).unit_coords == splitting_units(order, prec)
+    units = idempotent_units(order, prec)
+    assert zero_divisor_mod(order, prec) == units[0]
+    assert splitting_map(order, prec).unit_coords == units
 
 
 def test_cases_reach_both_normalized_forms():
-    """The cases cover binary blocks at q = 2 for a = -1 and for a = -1/4,
-    and zero divisors at q = 2 in both algebras."""
+    """The cases cover binary blocks of the old route's normalized basis at
+    q = 2 for a = -1 and for a = -1/4, and zero divisors at q = 2 in both
+    algebras."""
     maximal_at_2 = [o for _, o, q in MAXIMAL if q == 2]
     assert {o.algebra.a for o in maximal_at_2} == {-1, Fraction(-1, 4)}
     for o in maximal_at_2:
-        assert [kind for kind, _ in normalized_basis_at(o, 2)[1]] == ["pair", "pair"]
+        assert [kind for kind, _ in reference_basis(o, 2)[1]] == ["pair", "pair"]
 
 
 @pytest.mark.parametrize("q", QS)
@@ -299,13 +307,12 @@ def test_lattice_routes_are_the_references_on_solves(monkeypatch):
 
 
 def test_integer_invariants_are_the_fraction_ones_on_solves(monkeypatch):
-    """Every Gorenstein test, normalized basis, `canonical_vertex` call and
-    q-enlargement index check made while building and solving the instances
-    of `build_and_solve` decides as its Fraction form: the same answer, the
-    same basis vectors (in lowest terms) and blocks, the same vertex, and
-    the index of the Fraction ratio of determinants."""
-    calls = {"gorenstein": [], "basis": [], "vertex": [], "index": []}
-    gorenstein, basis, vertex = orders.ternary_gorenstein_test, padic.normalized_basis_at, btt.canonical_vertex
+    """Every Gorenstein test, `canonical_vertex` call and q-enlargement
+    index check made while building and solving the instances of
+    `build_and_solve` decides as its Fraction form: the same answer, the
+    same vertex, and the index of the Fraction ratio of determinants."""
+    calls = {"gorenstein": [], "vertex": [], "index": []}
+    gorenstein, vertex = orders.ternary_gorenstein_test, btt.canonical_vertex
     index = Lattice4.integer_index_in
 
     def checked_gorenstein(order, q):
@@ -313,14 +320,6 @@ def test_integer_invariants_are_the_fraction_ones_on_solves(monkeypatch):
         got = gorenstein(order, q)
         assert got == reference_gorenstein(order, q)
         return got
-
-    def checked_basis(order, q):
-        calls["basis"].append(q)
-        fs, blocks = basis(order, q)
-        ref_fs, ref_blocks = reference_basis(order, q)
-        assert [vector_element(order, f) for f in fs] == ref_fs and block_values(blocks) == ref_blocks
-        assert all(d > 0 and math.gcd(d, *z) == 1 for z, d in fs)
-        return fs, blocks
 
     def checked_vertex(q, mat):
         calls["vertex"].append(q)
@@ -335,10 +334,9 @@ def test_integer_invariants_are_the_fraction_ones_on_solves(monkeypatch):
         return got
 
     monkeypatch.setattr(orders, "ternary_gorenstein_test", checked_gorenstein)
-    monkeypatch.setattr(padic, "normalized_basis_at", checked_basis)
     monkeypatch.setattr(btt, "canonical_vertex", checked_vertex)
     monkeypatch.setattr(Lattice4, "integer_index_in", checked_index)
     build_and_solve()
     primes = {2, 5, 7, 13}
-    assert primes <= set(calls["gorenstein"]) and primes <= set(calls["basis"])
+    assert primes <= set(calls["gorenstein"])
     assert {2, 5, 13} <= set(calls["vertex"]) and len(calls["vertex"]) > 20 and len(calls["index"]) > 20

@@ -14,7 +14,7 @@ from endoring.ntheory import valuation
 from fracmodel import det, dual, index_in, intersect
 from fracmodel import hnf_columns as reference_hnf
 from fracmodel import solve
-from matmodel import adj4, det3
+from matmodel import adj4, det3, standard
 
 
 def rand_lattice(rng, lo=-9, hi=9):
@@ -34,12 +34,12 @@ def e(i):
 
 def test_standard_with_redundant_generator():
     gens = [e(0), e(1), e(2), e(3), (1, 1, 0, 0)]
-    assert Lattice4.from_generators(gens) == Lattice4.standard()
+    assert Lattice4.from_generators(gens) == standard()
 
 
 def test_dependent_generators_recover_standard():
     gens = [(2, 0, 0, 0), e(1), e(2), e(3), (1, 1, 0, 0)]
-    assert Lattice4.from_generators(gens) == Lattice4.standard()
+    assert Lattice4.from_generators(gens) == standard()
 
 
 def test_half_scaled_column_determinant():
@@ -54,7 +54,7 @@ def test_rank_deficient_rejected():
 
 
 def test_intersect_scaled_standard():
-    z4 = Lattice4.standard()
+    z4 = standard()
     two = z4.scale(2)
     assert z4.intersect(two) == two
     assert index_in(z4, two) == Fraction(1, 16)
@@ -62,8 +62,8 @@ def test_intersect_scaled_standard():
 
 
 def test_contains_half_vector():
-    assert not Lattice4.standard().contains((Fraction(1, 2), 0, 0, 0))
-    assert Lattice4.standard().contains((3, -5, 7, 0))
+    assert not standard().contains((Fraction(1, 2), 0, 0, 0))
+    assert standard().contains((3, -5, 7, 0))
 
 
 def test_canonical_idempotence_and_double_dual():
@@ -266,7 +266,7 @@ def test_sum_is_smallest_common_superlattice():
 
 
 def test_local_containment():
-    z4 = Lattice4.standard()
+    z4 = standard()
     l = z4.scale(Fraction(1, 3))  # denominators only at 3
     assert z4.contains_lattice_at(l, 2)
     assert not z4.contains_lattice_at(l, 3)

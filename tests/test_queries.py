@@ -8,7 +8,10 @@ query lists under `data/` were recorded with the previous query form
 about four elements per distance step, Bass halving and path candidate.
 The stages now ask about one element per step, halving and pair of path
 candidates (`tests/test_tree_facts.py`); the path search still accepts
-the steps that the recorded path questions accepted.
+the vertices that the recorded path questions accepted.  The recorded
+steps are words of the old splitting route's map, so they are read through
+its reference map (`fracmodel.old_route_map`), and the recorded instances
+are built through it.
 """
 
 import hashlib
@@ -25,10 +28,11 @@ from endoring.divide import DivisionOracle, HiddenOrderOracle
 from endoring.lattice import lll_gram
 from endoring.matrix import det4
 from endoring.ntheory import valuation
-from endoring.pipeline import TraceLog, compute_endomorphism_ring
+from endoring.padic import Precision, splitting_map
+from endoring.pipeline import TraceLog, VertexLattices, compute_endomorphism_ring
 from endoring.quat import QuaternionAlgebra
 from endoring.serialize import load_problem
-from fracmodel import from_coords, trd
+from fracmodel import conj, from_coords, old_route_map, trd
 from matmodel import adj4
 
 TESTS = Path(__file__).resolve().parent
@@ -74,7 +78,7 @@ def queries(o0, fact, hidden, oracle=None):
 def reduced_basis(o0):
     """The LLL basis of O_0 under trd(u * conj(v)), from quaternion products."""
     basis = o0.basis_elements()
-    norm = [[int(trd(x * y.conj())) for y in basis] for x in basis]
+    norm = [[int(trd(x * conj(y))) for y in basis] for x in basis]
     return [from_coords(o0, row) for row in lll_gram(norm)]
 
 
@@ -186,7 +190,7 @@ def test_reduced_basis_of_o0(name):
     quaternion products, and LLL on it gives a reduced basis of O_0."""
     o0 = INSTANCES[name]()[0]
     basis = o0.basis_elements()
-    norm = [[trd(x * y.conj()) for y in basis] for x in basis]
+    norm = [[trd(x * conj(y)) for y in basis] for x in basis]
     traces = [trd(b) for b in basis]
     assert norm == [[s * t - g for t, g in zip(traces, row)] for s, row in zip(traces, o0.gram)]
     u = lll_gram(norm)
@@ -237,21 +241,28 @@ def old_accepted_steps(q, old_path):
     ],
     ids=["worked", "general-q101-d2"],
 )
-def test_queries_equal_previous_form_up_to_o0(data, instance, count, digest, path_count):
+def test_queries_equal_previous_form_up_to_o0(monkeypatch, data, instance, count, digest, path_count):
     """The previous form's path questions and today's pair questions accept
-    the same step at each level."""
+    the same vertex: the recorded steps through the old route's map, today's
+    through the idempotent route's."""
     old = json.loads((TESTS / "data" / data).read_text())
     # the recorded list is the one the previous form's digest pinned
     assert len(old) == count
     assert hashlib.sha256(json.dumps(old).encode()).hexdigest() == digest
-    o0, fact, hidden = instance()
+    # the recorded instance: its hidden order is a word through the old map
+    with monkeypatch.context() as m:
+        m.setattr(planted, "splitting_map", old_route_map)
+        o0, fact, hidden = instance()
     log = TraceLog()
     _, sols, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
     # the previous form asked the path search, and only it, with n = q^3
     old_path = [query for query in old if int(query[1]) == query[0] ** 3]
     assert len(old_path) == path_count
     [q] = {query[0] for query in old_path}
-    steps = list(next(s for s in sols if s.q == q).gamma.steps)
+    sol = next(s for s in sols if s.q == q)
+    steps = sol.gamma.steps
     accepted = [ev["candidate"] for ev in log.events if ev["type"] == "step" and ev["accepted"]]
     assert accepted == [step_name(q, step) for step in steps]
-    assert old_accepted_steps(q, old_path) == steps
+    prec = Precision(q, len(steps))
+    old_vertex = VertexLattices(old_route_map(sol.enlargement, prec))[tuple(old_accepted_steps(q, old_path))]
+    assert old_vertex.equals_at(VertexLattices(splitting_map(sol.enlargement, prec))[steps], q)

@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import planted
-from endoring import btt, pipeline
+from endoring import btt, padic, pipeline
 from endoring.btt import (
     MatrixPath,
     associated_matrix,
@@ -43,16 +43,24 @@ from endoring.btt import (
 from endoring.divide import CountingOracle, DivisionOracle, HiddenOrderOracle
 from endoring.errors import MathematicalInconsistencyError
 from endoring.matrix import mat2_mul
-from endoring.orders import _table_mul, is_bass_at, q_enlarge, standard_maximal_order
-from endoring.padic import Precision, splitting_map
+from endoring.lattice import Lattice4
+from endoring.orders import (
+    _UNITS,
+    _table_mul,
+    char_roots_at,
+    is_bass_at,
+    q_enlarge,
+    standard_maximal_order,
+    verify_order,
+)
+from endoring.padic import _CANDIDATES, Precision, splitting_map
 from endoring.pipeline import (
-    _DISTANCE_CANDIDATES,
     ReducedBasis,
     TraceLog,
     VertexLattices,
-    _irreducible_mod,
     compute_endomorphism_ring,
     conjugate,
+    conjugate_order_lattice,
     distance_element,
     distance_to_end,
     enumerate_bass_path,
@@ -63,6 +71,7 @@ from endoring.pipeline import (
 )
 from endoring.quat import QuaternionAlgebra
 from endoring.serialize import load_problem
+from fracmodel import old_route_map
 from test_bench_contract import load_bench_module
 from treemodel import enumerate_bass_path as reference_bass_path
 from treemodel import standard_vertices_up_to
@@ -99,7 +108,7 @@ def test_ball_fact(tree):
     d(root, v) <= i."""
     q, lattices, vertices = tree
     oq = lattices.oq
-    ball = [z for z in _DISTANCE_CANDIDATES if _irreducible_mod(oq, q, z)]
+    ball = [z for z in _CANDIDATES if not char_roots_at(oq, q, z)]
     assert distance_element(oq, q) == ball[0]
     cols = [column(oq, z) for z in ball]
     for v in vertices:
@@ -115,9 +124,9 @@ def test_ball_fact_needs_irreducibility(tree):
     one = oq.one
     near = [v for v in vertices if v.depth == 1]
     checked = 0
-    for z in _DISTANCE_CANDIDATES[:12]:
+    for z in _CANDIDATES[:12]:
         scalar = all((a * one[k] - b * one[j]) % q == 0 for j, a in enumerate(z) for k, b in enumerate(z))
-        if scalar or _irreducible_mod(oq, q, z):
+        if scalar or not char_roots_at(oq, q, z):
             continue
         assert any(at(lattices, v).gaps_at([column(oq, z)], oq.lattice.den, q) == [0] for v in near)
         checked += 1
@@ -245,22 +254,45 @@ def lattice_key(lat):
     return [lat.den, [list(c) for c in lat.cols]]
 
 
-def test_outcomes_unchanged_on_the_bench_instances():
-    """End(E) and every local solution (q, e, Bass or not, r, gamma and so
-    the Bass vertex, the local order) on seeds 1-3 of both benchmark
-    workloads, hashed: the value is the one the four-element questions gave."""
-    instances = load_bench_module("instances")
+def bench_outcomes(instances, gamma):
+    """End(E) and every local solution (q, e, Bass or not, r, with gamma
+    when asked, and the local order) on seeds 1-3 of both benchmark
+    workloads, built by the bench module `instances`, hashed."""
     rows = []
     for workload in ("planted-mixed", "general-r12"):
         for seed in (1, 2, 3):
             for o0, fact, hidden in instances.build(workload, seed, ROOT):
                 end, sols, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
                 assert end.lattice == hidden.lattice
-                local = [[s.q, s.e, s.bass, s.r, list(s.gamma.steps), lattice_key(s.order.lattice)] for s in sols]
+                local = [
+                    [s.q, s.e, s.bass, s.r, *([list(s.gamma.steps)] if gamma else []), lattice_key(s.order.lattice)]
+                    for s in sols
+                ]
                 rows.append([lattice_key(end.lattice), local])
     assert len(rows) == 192
-    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == "c01462453a8d3858dc602ad1cd367608154dae724524cf832de19b79795b34a8"
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_outcomes_unchanged_on_the_bench_instances():
+    """The outcomes of the bench instances with gamma, whose words (and so
+    the Bass vertex's word and the questions) are relative to the splitting
+    map: the value is the one the idempotent route gives."""
+    digest = bench_outcomes(load_bench_module("instances"), gamma=True)
+    assert digest == "dab500d1cf624c4a4ce5c86b6465412b7a84b1604200371c6680b27e44045f4d"
+
+
+def test_answers_do_not_depend_on_the_splitting_route(monkeypatch):
+    """End(E) and, per prime, q, e, the Bass flag, r and the local order,
+    without gamma, on the bench instances built with the old route's map
+    (`fracmodel.old_route_map`): the bench builds its planted Eichler orders
+    and its general-branch hidden orders from step words through
+    `splitting_map`, so the inputs are held fixed by building them as the
+    old route did.  The value is the one the old route gave on the same
+    inputs, when it was the program's map."""
+    instances = load_bench_module("instances")
+    monkeypatch.setattr(instances, "splitting_map", old_route_map)
+    digest = bench_outcomes(instances, gamma=False)
+    assert digest == "fe0f6c0e7a86016fda3203def5cf86c76822c65d857fc29e18c5b7118fea8a98"
 
 
 @pytest.mark.parametrize(
@@ -369,17 +401,35 @@ def test_path_search_refused_confirmation_is_a_typed_error(q):
 
 @pytest.mark.parametrize("q", [2, 3, 7])
 def test_distance_element_fallback(monkeypatch, q):
-    """With no candidate, the distance element is E12 + n*E21 (E12 + E21 +
-    E22 at q = 2) from the splitting map: irreducible mod q, and the
-    countdown finds the same r."""
+    """With no candidate, the shared scan falls back to u_k + c*u_l over the
+    pairs of basis units and c in [0, q): the distance element is
+    irreducible mod q and the countdown finds the same r; the splitting
+    map's split element comes from the same fallback, and the map finds the
+    same path."""
     alg = QuaternionAlgebra.for_prime(103)
-    hidden, _, o0, fact, _ = planted.general_instance(alg, q, 2, random.Random(q))
+    hidden, _, o0, fact, word = planted.general_instance(alg, q, 2, random.Random(q))
     oq, e = q_enlarge(o0, q), dict(fact)[q]
     rb = ReducedBasis(o0)
     want = distance_to_end(rb, oq, q, e, HiddenOrderOracle(hidden))
-    monkeypatch.setattr(pipeline, "_DISTANCE_CANDIDATES", ())
-    assert _irreducible_mod(oq, q, distance_element(oq, q))
+    monkeypatch.setattr(padic, "_CANDIDATES", ())
+    z = distance_element(oq, q)
+    assert z in {tuple(a + c * b for a, b in zip(u, v)) for u in _UNITS for v in _UNITS if u != v for c in range(q)}
+    assert not char_roots_at(oq, q, z)
     assert distance_to_end(rb, oq, q, e, HiddenOrderOracle(hidden)) == want == 2
+    sm = splitting_map(oq, Precision(q, 2))
+    end = conjugate_order_lattice(oq, find_path_to_end(rb, sm, HiddenOrderOracle(hidden), None)[1], q, 2)
+    assert end.equals_at(hidden.lattice, q)
+
+
+def test_scan_without_a_qualifying_element_is_a_typed_error(monkeypatch):
+    """At q = 2 every element of Z + 2*O has a repeated root mod 2, so on
+    that order neither the candidates nor the fallback qualify."""
+    omax = standard_maximal_order(QuaternionAlgebra.for_prime(103))
+    cols = [(1, 0, 0, 0)] + [tuple(2 * x for x in c) for c in omax.lattice.basis()]
+    small = verify_order(Lattice4.from_generators(cols), omax.algebra)
+    for nroots in (0, 2):
+        with pytest.raises(MathematicalInconsistencyError, match="no candidate element"):
+            padic.first_candidate(small, 2, nroots)
 
 
 # ---------------------------------------------------------------------------
