@@ -49,7 +49,9 @@ def cmd_compute(args) -> int:
     if hidden is None:
         raise ParseError("compute requires an oracle section in the problem file")
     oracle = HiddenOrderOracle(hidden)
-    log = TraceLog()
+    trace_path = args.trace or options.get("trace")
+    dot_dir = args.dot_dir or options.get("dot_dir")
+    log = TraceLog() if trace_path or dot_dir else None
     end, sols, calls = compute_endomorphism_ring(order, fact, oracle, log)
     result = result_to_json(end, sols, calls, deterministic=args.deterministic)
     text = json.dumps(result, indent=2) + "\n"
@@ -58,12 +60,10 @@ def cmd_compute(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    trace_path = args.trace or options.get("trace")
     if trace_path:
         with open(trace_path, "w") as fh:
             for ev in log.events:
                 fh.write(json.dumps(ev) + "\n")
-    dot_dir = args.dot_dir or options.get("dot_dir")
     if dot_dir:
         os.makedirs(dot_dir, exist_ok=True)
         for q, src in log.dot_sources().items():

@@ -1,46 +1,112 @@
-"""Small exact number-theory helpers (trial division scale)."""
+"""Small exact number-theory helpers: primality, factorization by trial
+division, valuations, Legendre and Jacobi symbols and square roots mod a
+prime."""
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt
 
 
+# The first 13 primes: the trial divisors and the Miller-Rabin bases, to
+# which no composite below _MR_EXACT_BELOW is a strong pseudoprime
+# (Sorenson and Webster 2015, "Strong pseudoprimes to twelve prime bases").
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def primes():
-    """Yield 2, 3, 5, ... indefinitely (incremental trial-division sieve)."""
-    found = []
-    n = 2
-    while True:
-        if all(n % p for p in found if p * p <= n):
-            found.append(n)
-            yield n
-        n += 1 if n == 2 else 2
+    """Yield 2, 3, 5, ... indefinitely."""
+    return filter(is_prime, count(2))
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime: trial division by `_SMALL_PRIMES` decides every
+    n < 43^2, then Miller-Rabin to those bases every n < `_MR_EXACT_BELOW`.
+    Above that bound a strong Lucas test is added (`_strong_lucas`), which
+    makes it the Baillie-PSW probable-prime test: no composite is known to
+    pass it."""
     if n < 2:
         return False
-    if n < 4:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
-    return True
+    return n < _MR_EXACT_BELOW or _strong_lucas(n)
+
+
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas test of an odd n > 1 with Selfridge's parameters
+    (Baillie and Wagstaff 1980): D the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n
+    passes when U_d or one of V_(d 2^r), r < s, vanishes mod n."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q, s = (1 - D) // 4, ((n + 1) & -(n + 1)).bit_length() - 1
+
+    def half(x):
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k and Q^k mod n along the leading bits k of d, from k = 1
+    u, v, qk = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half((u + v) % n), half((D * u + v) % n), qk * Q % n
+    if u == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division; n must be nonzero."""
+    """Prime factorization of |n| by trial division, stopping at a prime
+    cofactor (`is_prime`); n must be nonzero."""
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+    d, prime = 2, is_prime(n)
+    while not prime and d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            prime = is_prime(n)
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1

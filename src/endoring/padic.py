@@ -21,16 +21,16 @@ q^(r+1), with products read from the order's structure constants
 closed-form adjugate (`matrix.adj_det4`), and the map is checked to be
 multiplicative on the basis (`_validate_splitting`).
 
-A tree vertex (a, b, c) lifts to q^a*E11 + c*E12 + q^b*E22, computed from
-the integer coordinates of the matrix units E11, E12, E22 reduced into
-[0, q^(r+1)).
+A 2x2 integer matrix lifts to the combination of the matrix units with its
+entries, reduced into [0, q^(r+1)) (`lift_matrix`); a tree vertex (a, b, c)
+lifts as [[q^a, c], [0, q^b]].
 """
 
 import itertools
 from dataclasses import dataclass
 
 from .errors import MathematicalInconsistencyError, PrecisionError, StructuralError
-from .matrix import adj_det4, dot4, mat2_mul, matvec4
+from .matrix import adj_det4, combine4, dot4, mat2_mul, matvec4
 from .orders import _UNITS, Order, _lift_idempotent, _root_idempotent, _table_mul, char_roots_at
 
 
@@ -147,22 +147,26 @@ def _validate_splitting(sm: SplittingMap):
                 raise MathematicalInconsistencyError("splitting map is not multiplicative")
 
 
+def lift_matrix(sm: SplittingMap, mat) -> tuple:
+    """The lift m11*E11 + m12*E12 + m21*E21 + m22*E22 of a 2x2 integer
+    matrix, as integer coordinates over the order basis reduced mod
+    q^(r+1): f(t) = mat mod q^(r+1)."""
+    modulus = sm.precision.modulus
+    (m11, m12), (m21, m22) = mat
+    t = tuple(x % modulus for x in combine4((m11, m12, m21, m22), sm.unit_coords))
+    if sm.apply_coords(t) != tuple(tuple(x % modulus for x in row) for row in mat):
+        raise MathematicalInconsistencyError("lift does not match its matrix")
+    return t
+
+
 def lift_vertex_element(sm: SplittingMap, abc) -> tuple:
-    """The lift t = q^a*E11 + c*E12 + q^b*E22 of the vertex (a, b, c), as
-    integer coordinates over the order basis reduced mod q^(r+1):
-    f(t) = [[q^a, c], [0, q^b]] mod q^(r+1).
+    """The lift t = q^a*E11 + c*E12 + q^b*E22 of the vertex (a, b, c)
+    (`lift_matrix` of [[q^a, c], [0, q^b]]).
 
     Requires a + b <= r so that the congruence pins the vertex.
     """
     a, b, c = abc
     q, r = sm.precision.q, sm.precision.r
-    modulus = sm.precision.modulus
     if a + b > r:
         raise PrecisionError(f"vertex depth {a + b} exceeds splitting precision {r}")
-    u11, u12, _, u22 = sm.unit_coords
-    qa, qb = q**a, q**b
-    t = tuple((qa * x + c * y + qb * z) % modulus for x, y, z in zip(u11, u12, u22))
-    want = ((qa % modulus, c % modulus), (0, qb % modulus))
-    if sm.apply_coords(t) != want:
-        raise MathematicalInconsistencyError("vertex lift does not match its matrix")
-    return t
+    return lift_matrix(sm, ((q**a, c), (0, q**b)))

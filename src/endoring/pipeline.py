@@ -23,27 +23,28 @@ numerators over one denominator, the stand-in oracle solves from those
 integers and `TraceLog` prints them; a solve builds no Fraction.  Every
 conj(t) x t comes from `conjugate`, by products from the structure
 constants `oq.table` with conj(t) = trd(t) - t: the vertex lattices, the
-path search's level frames (formed once per level from the images of the
-four basis units, so that each question costs only small-integer work) and
-its end-vertex confirmation.
+Bass search's element, the path search's level frames (formed once per
+level from the images of the four basis units, so that each question costs
+only small-integer work) and its end-vertex confirmation.
 
 Tree vertices are step words from O_q's vertex (the root) end to end: the
-Bass walk extends a word and its matrix one generator at a time, and the
-vertex lattices (`VertexLattices`) and the trace are keyed by words.  Each
-branch ends in the q-part lattice of its answer, which one assembly
-(`global_order_from_vertices`) makes a global order.
+Bass walk extends a word and its matrix one generator at a time, a word's
+vertex lattice (`word_lattice`) lifts the word's matrix, and the trace is
+keyed by words.  Each branch ends in the q-part lattice of its answer,
+which one assembly (`global_order_from_vertices`) makes a global order.
 
 Every stage asks about one element per question, chosen so that its fixed
 set in the Bruhat-Tits tree is the set under test: a ball around O_q's
-vertex (`distance_element`) for each distance step, a segment of the
-containment path (`segment_element`) for each Bass halving, and for each
-path-search question the two branches that leave the current vertex
-through a pair of candidate steps (`pair_idempotent`); the path search
-ends with one question that holds for the end vertex alone.
+vertex (`distance_element`) for each distance step, an initial segment of
+the containment path for each Bass halving (powers of one closed-form
+element, `path_element`), and for each path-search question the two
+branches that leave the current vertex through a pair of candidate steps
+(`pair_idempotent`); the path search ends with one question that holds for
+the end vertex alone.
 
 A stage takes only what no other argument holds: the path search and the
 Bass search read q, the precision (r or e) and O_q from their splitting
-map (`sm.precision`, `sm.order`), as `VertexLattices` reads O_q.  Each
+map (`sm.precision`, `sm.order`).  Each
 stage asks through its own `divide.CountingOracle`, which holds the
 stage's proven budget (e calls for the distance, ceil(log2(e+1)) for the
 Bass search and r(floor(q/2) + 1) + 2 for the path search) and refuses a
@@ -57,6 +58,7 @@ from math import gcd
 from .btt import (
     MatrixPath,
     allowed_next_steps,
+    associated_matrix,
     dot_graph,
     gen_matrix,
     step_name,
@@ -78,7 +80,7 @@ from .orders import (
     q_radical,
     verify_order,
 )
-from .padic import Precision, SplittingMap, first_candidate, lift_vertex_element, splitting_map
+from .padic import Precision, SplittingMap, first_candidate, lift_matrix, lift_vertex_element, splitting_map
 from .quat import QuatElement
 from .serialize import rational_str
 
@@ -318,30 +320,6 @@ def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
     return patched
 
 
-class VertexLattices(dict):
-    """Step word -> the lattice of the maximal order of the vertex at its
-    end in the tree of O_q = `sm.order`: O_q for the empty word, else
-    (1/q^k) conj(t) O_q t for the lift t of the vertex, k the word's length.
-    A word is lifted through its vertex (a, b, c) (`vertex_of_path`,
-    `lift_vertex_element`) and conjugated the first time it is read."""
-
-    def __init__(self, sm: SplittingMap):
-        super().__init__()
-        self.oq = sm.order
-        self.sm = sm
-
-    def __missing__(self, word):
-        if not word:
-            lat = self.oq.lattice
-        else:
-            q = self.sm.precision.q
-            v = vertex_of_path(MatrixPath(q, word))
-            t = lift_vertex_element(self.sm, (v.a, v.b, v.c))
-            lat = conjugate_order_lattice(self.oq, t, q, len(word))
-        self[word] = lat
-        return lat
-
-
 def global_order_from_vertices(o0: Order, oq: Order, lat: Lattice4, q: int) -> Order:
     """The global order whose q-part is the lattice lat of a tree vertex's
     order and whose other localizations agree with O_0: O_q itself when lat
@@ -518,50 +496,81 @@ def enumerate_bass_path(o0: Order, sm: SplittingMap) -> list[tuple]:
     return words
 
 
-def segment_element(lattices: VertexLattices, first, last, outside) -> tuple:
-    """An element x of O(first) cap O(last) outside O(outside) at q, the
-    vertices given by step words: the first basis column of the intersection of the two vertex lattices that fails
-    the q-local membership test against O(outside).  Returns (z, -K) with x
-    = q^-K * (the element with integer coordinates z over O_q), K >= 0
-    least, the arguments of a question of `ReducedBasis.frame(oq, q)`."""
-    q = lattices.sm.precision.q
-    inter = lattices[first] if first == last else lattices[first].intersect(lattices[last])
-    gaps = lattices[outside].gaps_at(inter.cols, inter.den, q)
-    j = next((j for j, g in enumerate(gaps) if g), None)
-    if j is None:
-        raise MathematicalInconsistencyError("segment order lies inside the next vertex's order")
-    col, lat = inter.cols[j], lattices.oq.lattice
-    k = lat.gaps_at((col,), inter.den, q)[0]
-    z = lat.integer_coords(tuple(q**k * x for x in col), inter.den)
-    if z is None:
-        raise MathematicalInconsistencyError("vertex lattice element outside O_q away from q")
-    return z, -k
+def _word_lift(sm: SplittingMap, word) -> tuple:
+    """O_q-coordinates of a lift t of a step word's matrix T: 1 for the
+    empty word, else `lift_matrix`; for k = len(word) <= r, f(t) = T V with
+    V in GL_2(Z_q), so (1/q^k) conj(t) O_q t is the vertex's order at q."""
+    if not word:
+        return sm.order.one
+    return lift_matrix(sm, associated_matrix(MatrixPath(sm.precision.q, word)))
 
 
-def bass_search(rb: ReducedBasis, lattices: VertexLattices, oracle: DivisionOracle, log: TraceLog | None):
+def word_lattice(sm: SplittingMap, word) -> Lattice4:
+    """The lattice (1/q^k) conj(t) O_q t, t = `_word_lift(sm, word)`, of the
+    vertex of a step word of length k <= r: O_q's own for the empty word."""
+    return conjugate_order_lattice(sm.order, _word_lift(sm, word), sm.precision.q, len(word))
+
+
+def path_element(sm: SplittingMap, words) -> tuple:
+    """(z, k) for a path v_0..v_L (L >= 1) given by step words: y = z/q^k,
+    z integer coordinates over O_q, has q^j y in O(v_i) exactly when i <= j
+    (the Segment fact), so q^(m-1) y lies in O(v_0) cap O(v_(m-1)) and not
+    in O(v_m).  Conjugated by v_0's matrix A (det A = q^k), v_i is Z u +
+    q^i Z^2, u the line of v_1 (spanned by the columns of A adj(A_1) over
+    their q-content), and N = E21, or E12 when q | u_0, maps u onto a line
+    it kills: so y = A^-1 N A = conj(t) N t / q^k up to a q-unit, t the
+    lift of A.  The lifts are exact at q, r the precision of `sm`: f(t) =
+    A V with V in GL_2(Z_q) and V = 1 mod q^(r+1-k), which fixes v_0 and
+    every vertex within r + 1 - k of the root, and the lift of N moves by
+    q^(r+1) M_2(Z_q); neither
+    moves a v_i when the path runs through the root with L <= r + 1 (the
+    Bass path) or lies within (r + 1)/2 of the root.  Each level, the least
+    j with q^j y in O(v_i) read from the matrices, is checked to be i."""
+    q = sm.precision.q
+    mats = [associated_matrix(MatrixPath(q, w)) for w in words]
+    a, k = mats[0], len(words[0])
+    d = mat2_mul(a, adj2(mats[1]))
+    content = q ** valuation(gcd(*d[0], *d[1]), q)
+    if any(x // content % q for x in d[0]):
+        n, unit = ((0, 0), (1, 0)), sm.unit_coords[2]
+    else:
+        n, unit = ((0, 1), (0, 0)), sm.unit_coords[1]
+    levels = []
+    for w, t in zip(words, mats):
+        rel = mat2_mul(t, adj2(a))
+        (x0, x1), (x2, x3) = mat2_mul(mat2_mul(rel, n), adj2(rel))
+        levels.append(k + len(w) - valuation(gcd(x0, x1, x2, x3), q))
+    if levels != list(range(len(words))):
+        raise MathematicalInconsistencyError("the words are not a path of the tree")
+    return conjugate(sm.order, _word_lift(sm, words[0]), unit), k
+
+
+def bass_search(rb: ReducedBasis, sm: SplittingMap, oracle: DivisionOracle, log: TraceLog | None):
     """Binary search along the containment path; at most ceil(log2(e+1))
-    oracle calls, one per halving, e the precision of the vertex lattices'
-    splitting map.  Returns (word, path words): the step word of End(E)
-    tensor Z_q's vertex and those of the containment path.
+    oracle calls, one per halving, e the precision of the splitting map.
+    Returns (word, path words): the step word of End(E) tensor Z_q's vertex
+    and those of the containment path.
 
-    Halving v_0..v_L at m asks about one element x = `segment_element` of
-    O(v_0) cap O(v_(m-1)) outside O(v_m) at q (the Segment fact).  The
-    vertices whose order contains x form a subtree, so among the list they
-    are exactly v_0..v_(m-1): x is in End(E) iff End(E) tensor Z_q is one of
-    them.  Away from q, x lies in O_0 tensor Z_l, since a vertex lattice is
-    q^-k times a sublattice of O_q.  No order is built for a halving."""
-    q = lattices.sm.precision.q
-    words = enumerate_bass_path(rb.order, lattices.sm)
+    The halving of v_lo..v_hi at m asks about q^j y, j = lo + m - 1 and y =
+    `path_element(sm, words)`: q^j y lies in O(v_i) exactly when i <= j
+    (the Segment fact), so it is in End(E) iff End(E) tensor Z_q is one of
+    v_lo..v_j.  The search builds no order and no vertex lattice."""
+    q = sm.precision.q
+    words = enumerate_bass_path(rb.order, sm)
     if log is not None:
         for word in words:
             log.saw_vertex(q, word)
-    question = rb.frame(lattices.oq, q)
-    lst = words
-    while len(lst) > 1:
-        m = len(lst) // 2
-        ok = _in_end(question(*segment_element(lattices, lst[0], lst[m - 1], lst[m])), oracle)
-        lst = lst[:m] if ok else lst[m:]
-    return lst[0], words
+    lo, hi = 0, len(words)
+    if hi > 1:
+        z, k = path_element(sm, words)
+        question = rb.frame(sm.order, q)
+        while hi - lo > 1:
+            m = (hi - lo) // 2
+            if _in_end(question(z, lo + m - 1 - k), oracle):
+                hi = lo + m
+            else:
+                lo += m
+    return words[lo], words
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +615,9 @@ def compute_endomorphism_ring(
         if bass:
             # e.bit_length() = ceil(log2(e + 1)), the number of halvings
             oracles = [CountingOracle(oracle, log, "bass", q, e.bit_length())]
-            lattices = VertexLattices(splitting_map(oq, Precision(q, e)))
-            word, _ = bass_search(rb, lattices, oracles[0], log)
-            gamma, lat = MatrixPath(q, word), lattices[word]
+            sm = splitting_map(oq, Precision(q, e))
+            word, _ = bass_search(rb, sm, oracles[0], log)
+            gamma, lat = MatrixPath(q, word), word_lattice(sm, word)
         else:
             oracles = [CountingOracle(oracle, log, "distance", q, e)]
             r = distance_to_end(rb, oq, q, e, oracles[0])

@@ -42,11 +42,13 @@ from endoring.orders import (
 from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     ReducedBasis,
-    VertexLattices,
     bass_search,
     distance_to_end,
+    enumerate_bass_path,
     find_path_to_end,
     local_patch,
+    path_element,
+    word_lattice,
 )
 from endoring.quat import QuaternionAlgebra
 from fracmodel import dual
@@ -348,12 +350,21 @@ def test_distance_to_end(benchmark, general):
 
 
 def test_bass_search(benchmark, bass_at_3):
-    """The Bass binary search on a level-3^4 Eichler order, from a fresh
-    `VertexLattices` each round, so that every vertex it reads is lifted."""
+    """The Bass binary search on a level-3^4 Eichler order: the walk, the
+    path's element (`path_element`) and one question per halving."""
     o0, hidden, _, sm, _ = bass_at_3
     rb = ReducedBasis(o0)
-    vertex, _ = benchmark(lambda: bass_search(rb, VertexLattices(sm), HiddenOrderOracle(hidden), None))
-    assert VertexLattices(sm)[vertex].equals_at(hidden.lattice, 3)
+    vertex, _ = benchmark(lambda: bass_search(rb, sm, HiddenOrderOracle(hidden), None))
+    assert word_lattice(sm, vertex).equals_at(hidden.lattice, 3)
+
+
+def test_path_element(benchmark, bass_at_3):
+    """The element of the level-3^4 Eichler order's containment path: the
+    words' matrices, the level check and one conjugation."""
+    o0, _, _, sm, _ = bass_at_3
+    words = enumerate_bass_path(o0, sm)
+    z, k = benchmark(path_element, sm, words)
+    assert len(words) == 5 and k == len(words[0])
 
 
 def test_splitting_map_at_2(benchmark, general_d2):
@@ -368,18 +379,18 @@ def test_splitting_map(benchmark, pkg):
 
 
 def test_vertex_lattice(benchmark, general_d2):
-    """One read of a depth-2 word from a fresh `VertexLattices`: its vertex,
-    its lift and its conjugate of O_q."""
+    """The lattice of a depth-2 word (`word_lattice`): the lift of its
+    matrix and its conjugate of O_q."""
     _, sm, word, _, _ = general_d2
     w = word.steps
-    assert benchmark(lambda: VertexLattices(sm)[w]) == VertexLattices(sm)[w]
+    assert benchmark(word_lattice, sm, w) == word_lattice(sm, w)
 
 
 def test_local_patch(benchmark, general_d2):
     """The general branch's patch at q = 1009, r = 2: the end vertex's
     lattice made to agree with O_0 away from q."""
     _, sm, word, _, o0 = general_d2
-    end = VertexLattices(sm)[word.steps]
+    end = word_lattice(sm, word.steps)
     assert benchmark(local_patch, end, o0.lattice, Q).equals_at(end, Q)
 
 

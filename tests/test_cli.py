@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import paperdata
+from endoring import cli
 from endoring.cli import main
 from endoring.lattice import Lattice4
 from endoring.serialize import lattice_to_json, order_from_json
@@ -77,6 +78,27 @@ def test_compute_deterministic_output_is_pinned(capsys):
     assert run_cli(["compute", "--input", PROBLEM, "--deterministic"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == WORKED_CLI_SHA256
+
+
+def test_compute_traces_only_when_asked(tmp_path, capsys, monkeypatch):
+    """`compute` builds a TraceLog only for --trace or --dot-dir (or the
+    problem file's options); the stdout bytes are the same either way."""
+    built = []
+
+    class CountingLog(cli.TraceLog):
+        def __init__(self):
+            built.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(cli, "TraceLog", CountingLog)
+    outputs = []
+    for extra in ([], ["--trace", tmp_path / "t.jsonl"], ["--dot-dir", tmp_path / "dots"]):
+        built.clear()
+        assert run_cli(["compute", "--input", PROBLEM, "--deterministic", *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert len(built) == (1 if extra else 0)
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == WORKED_CLI_SHA256
+    assert outputs[1:] == outputs[:1] * 2
 
 
 def test_compute_output_differs_from_previous_form_only_in_call_counts(capsys):

@@ -11,7 +11,7 @@ from endoring.matrix import det4, mat2_mul
 from endoring.ntheory import reduce_unit_mod, sqrt_mod, valuation
 from endoring.orders import _table_mul, q_enlarge, standard_maximal_order
 from endoring.padic import Precision, lift_vertex_element, splitting_map, zero_divisor_mod
-from endoring.pipeline import VertexLattices, local_patch
+from endoring.pipeline import local_patch, word_lattice
 from endoring.quat import QuaternionAlgebra
 from fracmodel import (
     apply,
@@ -138,8 +138,7 @@ def test_splitting_map_has_the_old_routes_tree(name, order, q, r):
     prec = Precision(q, r)
 
     def depth_one(sm):
-        lattices = VertexLattices(sm)
-        return {local_patch(lattices[(s,)], order.lattice, q) for s in range(q + 1)}
+        return {local_patch(word_lattice(sm, (s,)), order.lattice, q) for s in range(q + 1)}
 
     new = depth_one(splitting_map(order, prec))
     assert len(new) == q + 1

@@ -8,7 +8,7 @@ import pytest
 
 import paperdata
 import planted
-from endoring import pipeline
+from endoring import btt, pipeline
 from endoring.btt import MatrixPath, distance, vertex_of_path
 from endoring.divide import HiddenOrderOracle
 from endoring.errors import MathematicalInconsistencyError
@@ -18,7 +18,6 @@ from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     ReducedBasis,
     TraceLog,
-    VertexLattices,
     bass_search,
     compute_endomorphism_ring,
     conjugate_order_lattice,
@@ -27,6 +26,7 @@ from endoring.pipeline import (
     find_path_to_end,
     global_order_from_vertices,
     local_patch,
+    word_lattice,
 )
 from endoring.serialize import load_problem
 
@@ -75,7 +75,7 @@ def test_local_patch_properties(alg, o0):
 def test_global_order_identity_vertex(alg, o0):
     oq = q_enlarge(o0, 7)
     sm = splitting_map(oq, Precision(7, 1))
-    o = global_order_from_vertices(o0, oq, VertexLattices(sm)[()], 7)
+    o = global_order_from_vertices(o0, oq, word_lattice(sm, ()), 7)
     assert o is oq
 
 
@@ -93,7 +93,7 @@ def test_find_path_and_candidate_order_at_7(alg, o0, end):
     assert len(gamma) == 1
     assert oracle.calls <= r * (7 // 2 + 1) + 2
     # the path search's lift and the vertex's own lift give one lattice
-    lat = VertexLattices(sm)[gamma.steps]
+    lat = word_lattice(sm, gamma.steps)
     assert conjugate_order_lattice(oq, t, 7, r) == lat
     o_tilde = global_order_from_vertices(o0, oq, lat, 7)
     # the accepted candidate matches the worked example's displayed basis,
@@ -115,10 +115,9 @@ def test_bass_path_and_search_at_13(alg, o0, end):
     for x, y in zip(vertices, vertices[1:]):
         assert distance(x, y) == 1
     oracle = HiddenOrderOracle(end)
-    lattices = VertexLattices(sm)
-    word, _ = bass_search(ReducedBasis(o0), lattices, oracle, None)
+    word, _ = bass_search(ReducedBasis(o0), sm, oracle, None)
     assert oracle.calls <= math.ceil(math.log2(e + 1))
-    o13 = global_order_from_vertices(o0, oq, lattices[word], 13)
+    o13 = global_order_from_vertices(o0, oq, word_lattice(sm, word), 13)
     assert o13.lattice.equals_at(end.lattice, 13)
     # and globally it is the worked example's enlargement
     assert o13.lattice == paperdata.o13(alg).lattice
@@ -154,7 +153,7 @@ def test_bass_search_from_worked_enlargement_hits_identity(alg, o0, end):
     e = 3
     sm = splitting_map(o13, Precision(13, e))
     oracle = HiddenOrderOracle(end)
-    word, path_list = bass_search(ReducedBasis(o0), VertexLattices(sm), oracle, None)
+    word, path_list = bass_search(ReducedBasis(o0), sm, oracle, None)
     assert word == ()
     assert len(path_list) == 4
     assert oracle.calls <= math.ceil(math.log2(e + 1))
@@ -175,50 +174,57 @@ def test_worked_example_query_sequence_is_pinned():
     # {2, 3}, the split {2, 0} and the end vertex's confirmation (4 before,
     # the units of the accepted vertex's order).  The words, and so the
     # questions, are relative to the splitting map: End(E)'s vertex at 7 is
-    # the step 3 of the idempotent route's map.
+    # the step 3 of the idempotent route's map.  The two Bass questions ask
+    # about q^j y for one element y of the path (`path_element`), j = 1 and
+    # j = 2, with n = 169 and n = 13.
     assert oracle.calls == len(queries) == 8
     digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
-    assert digest == "e7599b7badc2f9a479bc30f3c396e8c512d398346593aede5baf589fc86eb9dd"
+    assert digest == "85dee028cb1d4d4f18e459a562ed0e5a784c9071f403f7ce2cc1356a00d4c702"
 
 
-def test_bass_vertices_lifted_once_per_solve(monkeypatch):
-    """The Bass branch lifts and conjugates each vertex it uses once: the
-    halvings (which read the lattices of v_0, v_(m-1) and v_m) and the
-    chosen vertex's order share one VertexLattices, so no (precision,
-    vertex) pair is lifted twice, and no other vertex is lifted."""
-    lift, segment, search = pipeline.lift_vertex_element, pipeline.segment_element, pipeline.bass_search
-    lifted, used = [], set()
+def test_bass_search_builds_no_vertex_lattice(monkeypatch):
+    """A Bass solve forms one vertex lattice per Bass prime, its answer's
+    (`conjugate_order_lattice`, once per prime), and the search itself
+    calls no `Lattice4.intersect`, no `gaps_at` and no `vertex_of_path`: a
+    halving asks about a power of one element read from the path's
+    matrices."""
+    conj, search = pipeline.conjugate_order_lattice, pipeline.bass_search
+    conjugated, inside, searching = [], [], []
 
-    def counting_lift(sm, abc):
-        lifted.append((sm.precision, abc))
-        return lift(sm, abc)
+    def counting_conj(oq, t, q, k):
+        conjugated.append(q)
+        return conj(oq, t, q, k)
 
-    def record(lattices, words):
-        for w in words:
-            if w:
-                v = vertex_of_path(MatrixPath(lattices.sm.precision.q, w))
-                used.add((lattices.sm.precision, (v.a, v.b, v.c)))
+    def flagged_search(*args):
+        searching.append(1)
+        try:
+            return search(*args)
+        finally:
+            searching.pop()
 
-    def recording_segment(lattices, *words):
-        record(lattices, words)
-        return segment(lattices, *words)
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            if searching:
+                inside.append(name)
+            return fn(*args, **kwargs)
 
-    def recording_search(rb, lattices, *rest):
-        word, words = search(rb, lattices, *rest)
-        record(lattices, (word,))
-        return word, words
+        return wrapper
 
-    monkeypatch.setattr(pipeline, "lift_vertex_element", counting_lift)
-    monkeypatch.setattr(pipeline, "segment_element", recording_segment)
-    monkeypatch.setattr(pipeline, "bass_search", recording_search)
+    monkeypatch.setattr(pipeline, "conjugate_order_lattice", counting_conj)
+    monkeypatch.setattr(pipeline, "bass_search", flagged_search)
+    monkeypatch.setattr(Lattice4, "intersect", recorded("intersect", Lattice4.intersect))
+    monkeypatch.setattr(Lattice4, "gaps_at", recorded("gaps_at", Lattice4.gaps_at))
+    monkeypatch.setattr(btt, "vertex_of_path", recorded("vertex_of_path", btt.vertex_of_path))
+    monkeypatch.setattr(pipeline, "vertex_of_path", recorded("vertex_of_path", pipeline.vertex_of_path))
     for p, q, depth in ((103, 3, 4), (179, 5, 3), (1019, 2, 4), (103, 13, 2)):
-        lifted.clear()
-        used.clear()
+        conjugated.clear()
         o0, fact, hidden = planted.bass_instance(p, q, depth, random.Random(q + depth))
-        end, _, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
+        end, sols, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
         assert end.lattice == hidden.lattice
-        assert len(lifted) == len(set(lifted)) > 0
-        assert set(lifted) == used
+        bass = [s.q for s in sols if s.bass and s.q != p]
+        assert q in bass
+        assert sorted(c for c in conjugated if c in bass) == sorted(bass)
+    assert inside == []
 
 
 def test_maximal_input_short_circuits(alg, end):

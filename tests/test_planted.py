@@ -18,12 +18,12 @@ from endoring.padic import Precision, splitting_map
 from endoring.pipeline import (
     ReducedBasis,
     TraceLog,
-    VertexLattices,
     compute_endomorphism_ring,
     conjugate_order_lattice,
     find_path_to_end,
     generator_lifts,
     local_patch,
+    word_lattice,
 )
 from endoring.quat import QuaternionAlgebra, QuatElement
 from fracmodel import coords_of, frame_ask, from_coords
@@ -212,8 +212,7 @@ def test_splitting_map_and_vertex_order_make_no_quaternion_products(monkeypatch)
         return mul(x, y)
 
     monkeypatch.setattr(QuatElement, "__mul__", counting_mul)
-    lattices = VertexLattices(splitting_map(oq, prec))
-    lat = lattices[word.steps]
+    lat = word_lattice(splitting_map(oq, prec), word.steps)
     assert len(products) == 0
     assert lat.equals_at(hidden.lattice, q)
 

@@ -29,7 +29,7 @@ from endoring.lattice import lll_gram
 from endoring.matrix import det4
 from endoring.ntheory import valuation
 from endoring.padic import Precision, splitting_map
-from endoring.pipeline import TraceLog, VertexLattices, compute_endomorphism_ring
+from endoring.pipeline import TraceLog, compute_endomorphism_ring, word_lattice
 from endoring.quat import QuaternionAlgebra
 from endoring.serialize import load_problem
 from fracmodel import conj, from_coords, old_route_map, trd
@@ -264,5 +264,5 @@ def test_queries_equal_previous_form_up_to_o0(monkeypatch, data, instance, count
     accepted = [ev["candidate"] for ev in log.events if ev["type"] == "step" and ev["accepted"]]
     assert accepted == [step_name(q, step) for step in steps]
     prec = Precision(q, len(steps))
-    old_vertex = VertexLattices(old_route_map(sol.enlargement, prec))[tuple(old_accepted_steps(q, old_path))]
-    assert old_vertex.equals_at(VertexLattices(splitting_map(sol.enlargement, prec))[steps], q)
+    old_vertex = word_lattice(old_route_map(sol.enlargement, prec), tuple(old_accepted_steps(q, old_path)))
+    assert old_vertex.equals_at(word_lattice(splitting_map(sol.enlargement, prec), steps), q)

@@ -5,19 +5,21 @@ and typed errors.
 
 Ball: for x in O_q whose reduction mod q has an irreducible characteristic
 polynomial, q^i x lies in the order of a vertex v exactly when d(root, v)
-<= i.  Segment: on a path v_0..v_L of the tree, the element x of O(v_0) cap
-O(v_(m-1)) outside O(v_m) that `segment_element` picks lies in the orders
-of exactly v_0..v_(m-1) among the path's vertices.  Pair: at a vertex v of
-depth k with lift t (the product of the generator lifts along its word),
-x = conj(t) P t / q^k for P = `pair_idempotent(sm, a, b)` lies in O(v) and,
-among v's q + 1 neighbours, in the orders of the steps a and b alone; for w
+<= i.  Segment: on a path v_0..v_L of the tree, y = `path_element(sm,
+words)` has q^j y in O(v_i) exactly when i <= j, so the halving element
+q^(m-1) y lies in the orders of exactly v_0..v_(m-1) among the path's
+vertices.  Pair: at a vertex v of depth k with lift t (the product of the
+generator lifts along its word), x = conj(t) P t / q^k for P =
+`pair_idempotent(sm, a, b)` lies in O(v) and, among v's q + 1 neighbours,
+in the orders of the steps a and b alone; for w
 at distance s >= 1 from v, q^(s-1) x lies in O(w) iff the path from v to w
 leaves through a or b.  Conjugated the same way by the lift of v, the Ball
 element lies in O(v) and in no other vertex order (the path search's
 confirmation).  Each is checked at q in {2, 3, 5} on the vertices to depth
-3 (`treemodel.standard_vertices_up_to`), with the vertex lattices of the
-standard maximal order for p = 103; every membership is tested in O(v)
-tensor Z_(q).
+3 (`treemodel.standard_vertices_up_to`), the Segment fact also at q = 7 and
+at q = 13 (to depth 2), with the vertex lattices of the standard maximal
+order for p = 103 (`treemodel.VertexLattices`); every membership is tested
+in O(v) tensor Z_(q).
 """
 
 import hashlib
@@ -38,7 +40,6 @@ from endoring.btt import (
     gen_matrix,
     path_from_root,
     root,
-    vertex_of_path,
 )
 from endoring.divide import CountingOracle, DivisionOracle, HiddenOrderOracle
 from endoring.errors import MathematicalInconsistencyError
@@ -57,7 +58,6 @@ from endoring.padic import _CANDIDATES, Precision, splitting_map
 from endoring.pipeline import (
     ReducedBasis,
     TraceLog,
-    VertexLattices,
     compute_endomorphism_ring,
     conjugate,
     conjugate_order_lattice,
@@ -67,14 +67,15 @@ from endoring.pipeline import (
     find_path_to_end,
     generator_lifts,
     pair_idempotent,
-    segment_element,
+    path_element,
+    word_lattice,
 )
 from endoring.quat import QuaternionAlgebra
 from endoring.serialize import load_problem
 from fracmodel import old_route_map
 from test_bench_contract import load_bench_module
+from treemodel import VertexLattices, standard_vertices_up_to
 from treemodel import enumerate_bass_path as reference_bass_path
-from treemodel import standard_vertices_up_to
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEM = ROOT / "problems" / "p103_worked_example.json"
@@ -133,29 +134,90 @@ def test_ball_fact_needs_irreducibility(tree):
     assert checked
 
 
-def through_root(q, w1, w2):
-    """The path of the tree from the end of the word w1 through the root to
-    the end of w2, as a vertex list (the words' first steps differ)."""
-    left = [vertex_of_path(MatrixPath(q, w1[:k])) for k in range(len(w1), 0, -1)]
-    return left + [root(q)] + [vertex_of_path(MatrixPath(q, w2[:k])) for k in range(1, len(w2) + 1)]
+def word_distance(w1, w2):
+    """The distance between the ends of two step words from the root."""
+    k = 0
+    for x, y in zip(w1, w2):
+        if x != y:
+            break
+        k += 1
+    return len(w1) + len(w2) - 2 * k
 
 
-def test_segment_fact(tree):
-    """On 40 drawn paths through the root with both ends to depth 3, and at
-    every split m, the element that `segment_element` picks lies in the
-    orders of exactly v_0..v_(m-1)."""
-    q, lattices, vertices = tree
-    oq = lattices.oq
-    words = [path_from_root(v).steps for v in vertices]
-    pairs = [(w1, w2) for w1 in words for w2 in words if (w1 or w2) and not (w1 and w2 and w1[0] == w2[0])]
-    for w1, w2 in random.Random(q).sample(pairs, 40):
-        path = through_root(q, w1, w2)
-        for m in range(1, len(path)):
-            ends = (path_from_root(v).steps for v in (path[0], path[m - 1], path[m]))
-            z, s = segment_element(lattices, *ends)
-            den = oq.lattice.den * q**-s
-            inside = [at(lattices, v).gaps_at([column(oq, z)], den, q) == [0] for v in path]
-            assert inside == [j < m for j in range(len(path))]
+# the depth of the vertices each Segment check reaches, by q
+SEGMENT_DEPTH = {2: DEPTH, 3: DEPTH, 5: DEPTH, 7: DEPTH, 13: DEPTH - 1}
+
+
+@pytest.mark.parametrize("q", sorted(SEGMENT_DEPTH))
+def test_segment_fact(q):
+    """For every segment v_0..v_L whose vertices lie within the depth
+    `SEGMENT_DEPTH[q]` of the root, with a map of precision r = 2 depth - 1
+    (so every vertex lies within (r + 1)/2 of the root), y =
+    `path_element(sm, (v_0, v_1))` has q-gap d(v_0, w) in the reference
+    lattice of each w that a segment from v_0 through v_1 reaches: the
+    halving element q^(m-1) y lies in O(v_0) and O(v_(m-1)) and not in
+    O(v_m).  y depends only on v_0 and v_1, so the check covers every
+    segment that starts with them."""
+    depth = SEGMENT_DEPTH[q]
+    omax = standard_maximal_order(QuaternionAlgebra.for_prime(103))
+    sm = splitting_map(omax, Precision(q, 2 * depth - 1))
+    lattices = VertexLattices(sm)
+    words = [path_from_root(v).steps for v in standard_vertices_up_to(q, depth)]
+    den = omax.lattice.den * q**depth
+    cols, want = [], {}
+    for v0 in words:
+        for v1 in words:
+            if word_distance(v0, v1) != 1:
+                continue
+            z, k = path_element(sm, (v0, v1))
+            for w in words:
+                if word_distance(v0, w) == word_distance(v1, w) + 1 or w == v0:
+                    want.setdefault(w, []).append((len(cols), word_distance(v0, w)))
+            cols.append(tuple(q ** (depth - k) * c for c in column(omax, z)))
+    assert len(cols) == 2 * (len(words) - 1)
+    for w, expected in want.items():
+        gaps = lattices[w].gaps_at([cols[j] for j, _ in expected], den, q)
+        assert gaps == [d for _, d in expected]
+
+
+def test_path_element_refuses_words_off_a_path(tree):
+    """Words that do not form a path of the tree (two siblings, or a walk
+    that steps back to its first vertex) are refused with a typed error."""
+    q, lattices, _ = tree
+    for words in (((0,), (1,)), ((0,), (), (0,)), ((0, 1), (0,), (0, 1))):
+        with pytest.raises(MathematicalInconsistencyError, match="not a path"):
+            path_element(lattices.sm, words)
+
+
+def test_bass_halving_elements_on_the_bench_instances(monkeypatch):
+    """At every Bass prime of seeds 1-3 of both benchmark workloads, the
+    path's element y (`path_element`, whose powers the halvings ask) has
+    q-gap i in the reference lattice of the path's vertex v_i (lifted
+    through its canonical label, `treemodel.VertexLattices`): each halving
+    element lies in O(v_0) and O(v_(m-1)) and not in O(v_m).  Each vertex's
+    `word_lattice` is the reference's at q."""
+    instances = load_bench_module("instances")
+    seen, element = [], pipeline.path_element
+
+    def recording(sm, words):
+        out = element(sm, words)
+        seen.append((sm, words, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "path_element", recording)
+    for workload in ("planted-mixed", "general-r12"):
+        for seed in (1, 2, 3):
+            for o0, fact, hidden in instances.build(workload, seed, ROOT):
+                end, _, _ = compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden))
+                assert end.lattice == hidden.lattice
+    lengths = Counter()
+    for sm, words, (z, k) in seen:
+        q, oq, lattices = sm.precision.q, sm.order, VertexLattices(sm)
+        col = column(oq, z)
+        assert [lattices[w].gaps_at([col], oq.lattice.den * q**k, q)[0] for w in words] == list(range(len(words)))
+        assert all(word_lattice(sm, w).equals_at(lattices[w], q) for w in words)
+        lengths[len(words)] += 1
+    assert set(lengths) == {2, 3, 4, 5}
 
 
 def word_lift(sm, word):
@@ -301,7 +363,7 @@ def test_answers_do_not_depend_on_the_splitting_route(monkeypatch):
         ("distance_to_end", lambda args: args[3], lambda q, e: e, lambda q, e: 4 * e),
         (
             "bass_search",
-            lambda args: args[1].sm.precision.r,
+            lambda args: args[1].precision.r,
             lambda q, e: e.bit_length(),
             lambda q, e: 4 * e.bit_length(),
         ),

@@ -9,13 +9,17 @@ for `Order.gram`.  `canonical_vertex` is the Fraction form of
 `btt.canonical_vertex`, with rational row operations over Z_(q): the
 reference for the integer one.  `enumerate_bass_path` rebuilds each
 candidate word's matrix from scratch: the reference for the pipeline's
-incremental walk.
+incremental walk.  `VertexLattices` reads the order of a word's vertex
+through its canonical label (a, b, c) and `segment_element` picks an
+element of a segment's order from the intersection of two vertex lattices:
+the references for the pipeline's `word_lattice` and `path_element`.
 """
 
 from fractions import Fraction
 
 from endoring.btt import (
     MatrixPath,
+    vertex_of_path,
     TreeVertex,
     _widest_triple,
     allowed_next_steps,
@@ -28,6 +32,8 @@ from endoring.btt import (
 from endoring.errors import MathematicalInconsistencyError, StructuralError
 from endoring.matrix import adj2, mat2_mul
 from endoring.ntheory import reduce_unit_mod, valuation
+from endoring.padic import lift_vertex_element
+from endoring.pipeline import conjugate_order_lattice
 from fracmodel import trd
 
 
@@ -199,3 +205,47 @@ def enumerate_bass_path(o0, sm, e: int) -> list[tuple]:
     if len(words) > e + 1:
         raise MathematicalInconsistencyError("containment path longer than e+1")
     return words
+
+
+class VertexLattices(dict):
+    """Step word -> the lattice of the maximal order of the vertex at its
+    end in the tree of O_q = `sm.order`: O_q for the empty word, else
+    (1/q^k) conj(t) O_q t for the lift t of the vertex's canonical label
+    (a, b, c) (`vertex_of_path`, `lift_vertex_element`), k the word's
+    length, formed the first time the word is read."""
+
+    def __init__(self, sm):
+        super().__init__()
+        self.oq = sm.order
+        self.sm = sm
+
+    def __missing__(self, word):
+        if not word:
+            lat = self.oq.lattice
+        else:
+            q = self.sm.precision.q
+            v = vertex_of_path(MatrixPath(q, word))
+            t = lift_vertex_element(self.sm, (v.a, v.b, v.c))
+            lat = conjugate_order_lattice(self.oq, t, q, len(word))
+        self[word] = lat
+        return lat
+
+
+def segment_element(lattices, first, last, outside) -> tuple:
+    """An element x of O(first) cap O(last) outside O(outside) at q, the
+    vertices given by step words: the first basis column of the
+    intersection of the two vertex lattices that fails the q-local
+    membership test against O(outside).  Returns (z, -K) with x = q^-K *
+    (the element with integer coordinates z over O_q), K >= 0 least."""
+    q = lattices.sm.precision.q
+    inter = lattices[first] if first == last else lattices[first].intersect(lattices[last])
+    gaps = lattices[outside].gaps_at(inter.cols, inter.den, q)
+    j = next((j for j, g in enumerate(gaps) if g), None)
+    if j is None:
+        raise MathematicalInconsistencyError("segment order lies inside the next vertex's order")
+    col, lat = inter.cols[j], lattices.oq.lattice
+    k = lat.gaps_at((col,), inter.den, q)[0]
+    z = lat.integer_coords(tuple(q**k * x for x in col), inter.den)
+    if z is None:
+        raise MathematicalInconsistencyError("vertex lattice element outside O_q away from q")
+    return z, -k
