@@ -57,7 +57,8 @@ class HiddenOrderOracle(DivisionOracle):
         if coords is None:
             raise OraclePreconditionError(f"query element {beta} is not in the hidden order")
         self._calls += 1
-        return all(c % n == 0 for c in coords)
+        c0, c1, c2, c3 = coords
+        return not (c0 % n or c1 % n or c2 % n or c3 % n)
 
 
 class CountingOracle(DivisionOracle):

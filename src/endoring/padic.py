@@ -28,6 +28,7 @@ lifts as [[q^a, c], [0, q^b]].
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MathematicalInconsistencyError, PrecisionError, StructuralError
 from .matrix import adj_det4, combine4, dot4, mat2_mul, matvec4
@@ -96,6 +97,13 @@ class SplittingMap:
         modulus = self.precision.modulus
         y0, y1, y2, y3 = matvec4(self._minv, c)
         return ((y0 % modulus, y1 % modulus), (y2 % modulus, y3 % modulus))
+
+    @cached_property
+    def units_mod_q(self) -> tuple:
+        """`unit_coords` reduced into [0, q), formed once per map: the units
+        mod q that the path search's pair idempotents combine."""
+        q = self.precision.q
+        return tuple(tuple(x % q for x in unit) for unit in self.unit_coords)
 
 
 def splitting_map(order: Order, prec: Precision) -> SplittingMap:

@@ -16,16 +16,20 @@ reduced basis (`ReducedBasis`) is built once per solve.
 Each stage works in integer coordinates over the basis of O_q and asks
 through its frame (`ReducedBasis.frame`), the one place a question and its
 quaternion beta are formed.  A frame is one integer matrix, from
-coordinates to numerators over the reduced basis, and the step from those
-numerators to (beta, m).  A question is integers end to end: the rounding
+coordinates to numerators over the reduced basis, and its question kernel
+for a shift s (`Frame.kernel`): one straight-line function of the
+coordinates, with the matrix scaled by q^s and reduced mod the denominator,
+and that matrix and the denominator divided by their common factor, once
+when the kernel is bound.  A question is integers end to end: the rounding
 takes integer residuals and one gcd, beta is a `QuatElement` of integer
 numerators over one denominator, the stand-in oracle solves from those
 integers and `TraceLog` prints them; a solve builds no Fraction.  Every
 conj(t) x t comes from `conjugate`, by products from the structure
 constants `oq.table` with conj(t) = trd(t) - t: the vertex lattices, the
 Bass search's element, the path search's level frames (formed once per
-level from the images of the four basis units, so that each question costs
-only small-integer work) and its end-vertex confirmation.
+level from the images of the four basis units and bound to the level's
+shift, so that each question costs only small-integer work) and its
+end-vertex confirmation.
 
 Tree vertices are step words from O_q's vertex (the root) end to end: the
 Bass walk extends a word and its matrix one generator at a time, a word's
@@ -109,15 +113,17 @@ class TraceLog:
             }
         )
 
-    def step_event(self, q, level, step, accepted):
-        self.events.append(
-            {
-                "type": "step",
-                "q": q,
-                "k": level,
-                "candidate": step_name(q, step),
-                "accepted": bool(accepted),
-            }
+    def path_level(self, q, level, word, steps, accepted):
+        """Record the candidate steps a path-search level tried after the
+        step word `word`, in order: one step event each, accepted or not, and
+        the vertex each reaches."""
+        prefix = tuple(word)
+        self.explored.setdefault(q, set()).update([prefix + (s,) for s in steps])
+        self.events.extend(
+            [
+                {"type": "step", "q": q, "k": level, "candidate": step_name(q, s), "accepted": s == accepted}
+                for s in steps
+            ]
         )
 
     def saw_vertex(self, q, word):
@@ -179,10 +185,13 @@ class ReducedBasis:
     def frame(self, order: Order, q: int) -> "Frame":
         """The questions about elements of an order containing O_0, given by
         integer coordinates over its basis: the `Frame` whose matrix is
-        `_num` times the order's columns."""
+        `_num` times the order's columns, over their denominator, with the
+        factor common to both divided out."""
         cols = order.lattice.cols
-        matrix = tuple(tuple(dot4(row, col) for col in cols) for row in self._num)
-        return Frame(self, matrix, order.lattice.den * self._det, q)
+        matrix = [dot4(row, col) for row in self._num for col in cols]
+        den = order.lattice.den * self._det
+        g = gcd(*matrix, den)
+        return Frame(self, tuple(tuple(x // g for x in matrix[k : k + 4]) for k in (0, 4, 8, 12)), den // g, q)
 
 
 class Frame:
@@ -193,20 +202,27 @@ class Frame:
 
     It has two parts: the integer matrix `matrix`, which maps z to the
     numerators of x's coordinates over O_0's reduced basis (their
-    denominator is `den`), and `ask`, the step from those numerators to
-    (beta, m).  `composed` gives the frame of a linear map into the frame's
+    denominator is `den`), and `kernel(s)`, the question as a function of z
+    alone for one shift s, the one place a question is formed; a call with
+    shift s goes through the kernel bound on the frame's first call with s.
+    `composed` gives the frame of a linear map into the frame's
     coordinates, with the matrix product formed once: the path search forms
-    the frame of z -> conj(t) z t once per level, and each question of the
-    level then costs 16 small products and `ask`."""
+    the frame of z -> conj(t) z t once per level and binds its kernel to the
+    level's shift, so that each question of the level costs 16 small
+    products, four centred residuals and one gcd."""
 
     def __init__(self, rb: ReducedBasis, matrix, den: int, q: int):
         self.rb = rb
         self.matrix = matrix
         self.den = den
         self.q = q
+        self._kernels = {}
 
     def __call__(self, z, s: int):
-        return self.ask(matvec4(self.matrix, z), s)
+        ask = self._kernels.get(s)
+        if ask is None:
+            ask = self._kernels[s] = self.kernel(s)
+        return ask(z)
 
     def composed(self, images) -> "Frame":
         """The frame of z -> sum_k z_k * images[k], the images given by
@@ -216,34 +232,55 @@ class Frame:
         matrix = tuple(tuple(dot4(row, im) for im in images) for row in rows)
         return Frame(self.rb, matrix, self.den, self.q)
 
-    def ask(self, nums, s: int):
-        """The question about q^s * x, x the element whose coordinates over
-        O_0's reduced basis have the numerators nums over `den`.
+    def kernel(self, s: int):
+        """The function z -> the question about q^s * x, x the element with
+        integer coordinates z over the frame's basis.
 
-        Each coordinate n/d (d = den * q^-s when s < 0) is rounded to k =
-        ceil(n/d - 1/2), leaving the residual r = n - k*d in (-d/2, d/2].
-        With g = gcd(r_0..r_3, d), m = d/g is the least common denominator
-        of the residuals r_i/d and w_i = r_i/g their numerators over m, so
-        beta = sum w_i * b_i over O_0's reduced basis b; g = d exactly when
-        every residual is 0, that is when q^s * x lies in O_0."""
-        n0, n1, n2, n3 = nums
+        The numerators of q^s * x's coordinates over O_0's reduced basis are
+        n = q^s * `matrix` z over d = `den` when s >= 0, and n = `matrix` z
+        over d = den * q^-s when s < 0.  Each n/d is rounded to k = ceil(n/d
+        - 1/2), leaving the residual r = n - k*d in (-d/2, d/2].  With g =
+        gcd(r_0..r_3, d), m = d/g is the least common denominator of the
+        residuals r_i/d and w_i = r_i/g their numerators over m, so beta =
+        sum w_i * b_i over O_0's reduced basis b; g = d exactly when every
+        residual is 0, that is when q^s * x lies in O_0.  The residuals
+        depend only on n mod d, so the matrix is scaled by q^s and reduced
+        mod d once, here; and a factor c common to d and every entry scales
+        n, d and every r_i by c, leaving g/c, m and w unchanged, so it is
+        divided out too.  A question then forms its numerators from the
+        reduced entries, each below the reduced d."""
+        q, d = self.q, self.den
         if s >= 0:
-            f, d = self.q**s, self.den
-            n0, n1, n2, n3 = f * n0, f * n1, f * n2, f * n3
+            f = q**s
         else:
-            d = self.den * self.q**-s
+            f, d = 1, d * q**-s
+        entries = [f * x % d for row in self.matrix for x in row]
+        g = gcd(*entries, d)
+        if g > 1:
+            d //= g
+            entries = [x // g for x in entries]
+        m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = entries
         d2 = 2 * d
-        r0 = n0 + (d - 2 * n0) // d2 * d
-        r1 = n1 + (d - 2 * n1) // d2 * d
-        r2 = n2 + (d - 2 * n2) // d2 * d
-        r3 = n3 + (d - 2 * n3) // d2 * d
-        g = gcd(r0, r1, r2, r3, d)
-        if g == d:
-            return None
         rb = self.rb
-        w = (r0 // g, r1 // g, r2 // g, r3 // g)
-        beta = QuatElement.from_integers(rb.order.algebra, combine4(w, rb._cols), rb.order.lattice.den)
-        return beta, d // g
+        algebra, cols, den = rb.order.algebra, rb._cols, rb.order.lattice.den
+
+        def ask(z):
+            z0, z1, z2, z3 = z
+            n0 = m00 * z0 + m01 * z1 + m02 * z2 + m03 * z3
+            n1 = m10 * z0 + m11 * z1 + m12 * z2 + m13 * z3
+            n2 = m20 * z0 + m21 * z1 + m22 * z2 + m23 * z3
+            n3 = m30 * z0 + m31 * z1 + m32 * z2 + m33 * z3
+            r0 = n0 + (d - 2 * n0) // d2 * d
+            r1 = n1 + (d - 2 * n1) // d2 * d
+            r2 = n2 + (d - 2 * n2) // d2 * d
+            r3 = n3 + (d - 2 * n3) // d2 * d
+            g = gcd(r0, r1, r2, r3, d)
+            if g == d:
+                return None
+            beta = QuatElement.from_integers(algebra, combine4((r0 // g, r1 // g, r2 // g, r3 // g), cols), den)
+            return beta, d // g
+
+        return ask
 
 
 def _in_end(asked, oracle: DivisionOracle) -> bool:
@@ -343,25 +380,30 @@ def generator_lifts(sm: SplittingMap, step: int) -> tuple:
     return lift_vertex_element(sm, (1, 0, 0) if step == q else (0, 1, step))
 
 
-def _step_line(q: int, step: int) -> tuple:
-    """The line of (Z/q)^2 that an element of O_q fixes mod q exactly when it
-    lies in the order of the root's neighbour gamma_step: (-c, 1) for step
-    c < q, (1, 0) for gamma_inf."""
-    return (1, 0) if step == q else (-step % q, 1)
-
-
 def pair_idempotent(sm: SplittingMap, a: int, b: int) -> tuple:
     """Integer coordinates over the basis of O_q, each in [0, q), of an
     element P whose image mod q is the idempotent with image line a and
     kernel line b (steps a != b).  P mod q is not scalar and fixes exactly
     these two lines, so among the root's q + 1 neighbours P lies in the
-    orders of gamma_a and gamma_b alone (the Pair fact)."""
+    orders of gamma_a and gamma_b alone (the Pair fact).
+
+    The line of step c is the line of (Z/q)^2 that an element of O_q fixes
+    mod q exactly when it lies in the order of the root's neighbour
+    gamma_c: (-c, 1) for c < q, (1, 0) for gamma_inf.  P combines the matrix
+    units mod q (`SplittingMap.units_mod_q`, reduced once per map)."""
     q = sm.precision.q
-    (a1, a2), (b1, b2) = _step_line(q, a), _step_line(q, b)
+    a1, a2 = (1, 0) if a == q else (-a, 1)
+    b1, b2 = (1, 0) if b == q else (-b, 1)
     inv = pow(a1 * b2 - a2 * b1, -1, q)
-    # the entries of P times a1*b2 - a2*b1, at E11, E12, E21, E22
-    entries = (a1 * b2, -a1 * b1, a2 * b2, -a2 * b1)
-    return tuple(x * inv % q for x in combine4(entries, sm.unit_coords))
+    # the entries of P mod q at E11, E12, E21, E22
+    c0, c1, c2, c3 = a1 * b2 * inv % q, -a1 * b1 * inv % q, a2 * b2 * inv % q, -a2 * b1 * inv % q
+    (x0, x1, x2, x3), (y0, y1, y2, y3), (u0, u1, u2, u3), (v0, v1, v2, v3) = sm.units_mod_q
+    return (
+        (c0 * x0 + c1 * y0 + c2 * u0 + c3 * v0) % q,
+        (c0 * x1 + c1 * y1 + c2 * u1 + c3 * v1) % q,
+        (c0 * x2 + c1 * y2 + c2 * u2 + c3 * v2) % q,
+        (c0 * x3 + c1 * y3 + c2 * u3 + c3 * v3) % q,
+    )
 
 
 def find_path_to_end(
@@ -393,38 +435,41 @@ def find_path_to_end(
 
     t is fixed for a level, and conj(t) P t is linear in P, so each level
     forms once the frame of z -> conj(t) z t (`Frame.composed`, from the
-    `conjugate` images of the four basis units: 8 table products); a pair question then
-    costs its idempotent, 16 small products and the frame's `ask`."""
+    `conjugate` images of the four basis units: 8 table products) and binds
+    its kernel to the level's shift s - 1 - k, the power of q on conj(t) P t
+    (`Frame.kernel`, which scales and reduces the matrix once).  A pair
+    question then costs its idempotent (16 products of integers below q),
+    one straight-line kernel call (16 products of residues, four centred
+    residuals and one gcd) and, when the element is not in O_0, its beta;
+    the level's candidates go to the trace in one call
+    (`TraceLog.path_level`)."""
     oq, q, r = sm.order, sm.precision.q, sm.precision.r
     question = rb.frame(oq, q)
     word: list[int] = []
     t = oq.one
 
-    def leaves_through(a, b, shift):
+    def leaves_through(a, b):
         """Whether the path leaves the current vertex through step a or b."""
-        return _in_end(level_question(pair_idempotent(sm, a, b), shift), oracle)
+        return _in_end(ask(pair_idempotent(sm, a, b)), oracle)
 
     for level in range(1, r + 1):
-        level_question = question.composed([conjugate(oq, t, u) for u in _UNITS])
+        ask = question.composed([conjugate(oq, t, u) for u in _UNITS]).kernel(r - 2 * level + 1)
         prev = word[-1] if word else None
         steps = allowed_next_steps(q, prev)
-        shift = r - 2 * level + 1
         # steps the path is known not to take, the parent's first
         refused = [] if prev is None else [0 if prev == q else q]
         accepted = None
         for i in range(0, len(steps), 2):
             pair = steps[i : i + 2]
-            if not leaves_through(pair[0], pair[1] if len(pair) == 2 else refused[0], shift):
+            if not leaves_through(pair[0], pair[1] if len(pair) == 2 else refused[0]):
                 refused.extend(pair)
                 continue
             accepted = pair[0]
-            if len(pair) == 2 and not leaves_through(pair[0], refused[0] if refused else steps[i + 2], shift):
+            if len(pair) == 2 and not leaves_through(pair[0], refused[0] if refused else steps[i + 2]):
                 accepted = pair[1]
             break
         if log is not None:
-            for s in steps[: i + 2]:
-                log.saw_vertex(q, (*word, s))
-                log.step_event(q, level, s, s == accepted)
+            log.path_level(q, level, word, steps[: i + 2], accepted)
         if accepted is None:
             raise MathematicalInconsistencyError(
                 f"no candidate accepted at level {level} for q={q}: oracle and order disagree"
@@ -634,13 +679,20 @@ def compute_endomorphism_ring(
 
     sols = [solve_one(q, e) for q, e in sorted(factorization)]
 
-    total = o0.lattice
-    for sol in sols:
-        total = total.add(sol.order.lattice)
-    # the sum is often one local solution's order, which is verified already
-    end = next((sol.order for sol in sols if sol.order.lattice == total), None)
-    if end is None:
-        end = verify_order(total, o0.algebra)
+    # each local order contains O_0, so End(E) = O_0 + the sum of the local
+    # orders is the sum of those that differ from O_0: one of them alone
+    # when only one differs, which is verified already
+    grown = [sol.order for sol in sols if sol.order.lattice != o0.lattice]
+    if len(grown) == 1:
+        end = grown[0]
+    else:
+        total = o0.lattice
+        for order in grown:
+            total = total.add(order.lattice)
+        # the sum is often one local solution's order, verified already
+        end = next((order for order in grown if order.lattice == total), None)
+        if end is None:
+            end = verify_order(total, o0.algebra)
     if discrd(end) != p:
         raise MathematicalInconsistencyError(
             f"assembled order has reduced discriminant {discrd(end)}, expected {p}"

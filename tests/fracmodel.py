@@ -5,7 +5,7 @@ coordinates over the standard basis 1, i, j, ij.
 `FractionQuat` is the quaternion stored as four Fractions, with the
 product, conjugate, scaling, norm, inverse and equality that `QuatElement`
 computes from integer numerators over one denominator: the reference for
-`QuatElement`.  `frame_ask` is `pipeline.Frame.ask` in Fractions (residuals
+`QuatElement`.  `frame_ask` is `pipeline.Frame.kernel` in Fractions (residuals
 as Fractions, m as the lcm of their denominators, beta built from Fraction
 coordinates), the reference for the integer rounding.
 
@@ -138,8 +138,11 @@ class FractionQuat:
 
 
 def frame_ask(frame, nums, s: int):
-    """`Frame.ask` with Fraction residuals: None or (beta, m), beta built
-    from its four Fraction coordinates."""
+    """The question of `Frame.kernel(s)` about the element whose coordinates
+    over O_0's reduced basis have the numerators nums = `frame.matrix` z over
+    `frame.den`, with Fraction residuals and no reduction mod the
+    denominator: None or (beta, m), beta built from its four Fraction
+    coordinates."""
     if s >= 0:
         nums, den = [frame.q**s * y for y in nums], frame.den
     else:

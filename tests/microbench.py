@@ -160,6 +160,24 @@ def body_traced_pair_question(pkg, g):
     return ask
 
 
+def body_traced_path_search(pkg, g):
+    """A whole path search at r = 1, as the benchmark's solves run it:
+    about q/2 pair questions, one split, the confirmation and the level's
+    step events, through a path-stage `CountingOracle` that records each
+    question in a fresh `TraceLog`.  Returns the accepted word."""
+    hidden, o0, oq, _ = g
+    pipeline, divide = pkg.pipeline, pkg.divide
+    rb, inner = pipeline.ReducedBasis(o0), divide.HiddenOrderOracle(hidden)
+    sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
+
+    def search():
+        log = pipeline.TraceLog()
+        oracle = divide.CountingOracle(inner, log, "path", Q, Q // 2 + 3)
+        return pipeline.find_path_to_end(rb, sm, oracle, log)[0].steps
+
+    return search
+
+
 def body_quat_mul(pkg, g):
     """The benchmark set-up's conjugation x * b * x^-1 of a maximal order's
     basis element b by a small x (`bench/instances.py`)."""
@@ -184,6 +202,7 @@ PAIRED = {
     "test_verify_order": (body_verify_order, 1),
     "test_path_pair_question": (body_path_pair_question, 1),
     "test_traced_pair_question": (body_traced_pair_question, 1),
+    "test_traced_path_search": (body_traced_path_search, 1),
     "test_quat_mul": (body_quat_mul, 1),
     "test_splitting_map": (body_splitting_map, 2),
 }
@@ -331,6 +350,10 @@ def test_path_pair_question(benchmark, pkg, general):
 
 def test_traced_pair_question(benchmark, pkg, general):
     assert benchmark(body_traced_pair_question(pkg, general)) is False
+
+
+def test_traced_path_search(benchmark, pkg, general):
+    assert benchmark(body_traced_path_search(pkg, general)) == general[3].steps
 
 
 def test_find_path_to_end(benchmark, general_d2):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,11 @@ import pytest
 import paperdata
 from endoring import cli
 from endoring.cli import main
+from endoring.errors import ParseError
 from endoring.lattice import Lattice4
-from endoring.serialize import lattice_to_json, order_from_json
+from endoring.orders import discrd, standard_maximal_order, verify_order
+from endoring.quat import QuaternionAlgebra
+from endoring.serialize import algebra_to_json, lattice_to_json, order_from_json, order_to_json, problem_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEM = ROOT / "problems" / "p103_worked_example.json"
@@ -152,6 +156,38 @@ def test_corrupted_factorization_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(problem))
     assert run_cli(["compute", "--input", bad]) == 2
+
+
+@pytest.mark.parametrize(
+    "factorization",
+    [[[7, 2], [7, 3], [13, 3], [103, 1]], [[91, 3], [7, 2], [103, 1]]],
+    ids=["repeated", "composite"],
+)
+def test_factorization_must_be_prime_and_distinct(factorization):
+    """A factorization that multiplies to discrd(O_0) is still refused when
+    an entry repeats or is not prime."""
+    problem = json.loads(PROBLEM.read_text())
+    problem["discriminant_factorization"] = factorization
+    with pytest.raises(ParseError, match="not the prime factorization"):
+        problem_from_json(problem)
+
+
+def test_problem_with_a_large_prime_loads_fast():
+    """O_0 = Z + q O at q = 2^61 - 1 (discrd = 103 q^3): loading checks the
+    given factorization without factoring the discriminant."""
+    q = 2**61 - 1
+    alg = QuaternionAlgebra.for_prime(103)
+    gens = [(1, 0, 0, 0)] + [tuple(q * x for x in b) for b in standard_maximal_order(alg).lattice.basis()]
+    problem = {
+        "algebra": algebra_to_json(alg),
+        "order": order_to_json(verify_order(Lattice4.from_generators(gens), alg)),
+        "discriminant_factorization": [[q, 3], [103, 1]],
+    }
+    t0 = time.perf_counter()
+    order, fact, hidden, _ = problem_from_json(problem)
+    assert time.perf_counter() - t0 < 1
+    assert fact == [(q, 3), (103, 1)] and hidden is None
+    assert discrd(order) == 103 * q**3
 
 
 def test_non_order_basis_rejected(tmp_path):

@@ -242,7 +242,7 @@ def test_hnf_is_the_reference_on_solves(monkeypatch):
 
 
 def build_and_solve():
-    """Build the worked example and 10 planted instances of both branches,
+    """Build the worked example and 12 planted instances of both branches,
     q = 2 included, solve each, check End(E) against the hidden order, and
     check that every branch was taken; render each solve's explored
     subtrees (`TraceLog.dot_sources`)."""
@@ -256,7 +256,7 @@ def build_and_solve():
         o0, _, hidden = planted.bass_instance(p, q, depth, random.Random(q))
         instances.append((o0, hidden))
     rng = random.Random(20)
-    for _ in range(6):
+    for _ in range(8):
         hidden, o0, _ = planted.generate_instance(rng)
         instances.append((o0, hidden))
     branches = set()

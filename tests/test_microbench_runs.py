@@ -31,7 +31,13 @@ def test_microbenchmarks_run():
 def test_paired_microbenchmarks_run():
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")])))
-    names = ["test_integer_coords", "test_splitting_map"]
+    names = [
+        "test_integer_coords",
+        "test_splitting_map",
+        "test_path_pair_question",
+        "test_traced_pair_question",
+        "test_traced_path_search",
+    ]
     cmd = [sys.executable, str(tests / "microbench_paired.py"), "--parent", str(tests.parent), "--rounds", "2"]
     proc = subprocess.run(
         cmd + ["--target-ms", "1"] + names, cwd=tests.parent, capture_output=True, text=True, timeout=600, env=env

@@ -12,6 +12,7 @@ import paperdata
 import planted
 from endoring import pipeline
 from endoring.divide import HiddenOrderOracle
+from endoring.matrix import matvec4
 from endoring.ntheory import factorize
 from endoring.orders import discrd, q_enlarge, verify_order
 from endoring.padic import Precision, splitting_map
@@ -131,6 +132,23 @@ def test_general_branch_query_sequence_at_101_is_pinned():
     assert digest == "c9f7773a99e3935c5e1cb9f5ce87e4d1cc6a3c28a7a605364bc28f14a1e3a008"
 
 
+def test_general_branch_trace_at_101_is_pinned():
+    """The same q = 101, d = 2 solve: every trace event in order, the path
+    search's step events among the oracle events, and the explored step
+    words of each prime, sorted.  Pinned when the path search recorded each
+    candidate with its own calls, before a level's candidates went to the
+    trace in one call."""
+    alg = QuaternionAlgebra.for_prime(103)
+    hidden, _, o0, fact, _ = planted.general_instance(alg, 101, 2, random.Random(1))
+    log = TraceLog()
+    compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
+    assert sorted(log.explored) == [101]
+    assert sum(ev["type"] == "step" for ev in log.events) == 162 and len(log.events) == 247
+    explored = sorted((q, sorted(words)) for q, words in log.explored.items())
+    digest = hashlib.sha256(json.dumps([log.events, explored]).encode()).hexdigest()
+    assert digest == "8ea018abd8e27e5e700762a36e355683777761f166f807c36793f9a641cbb902"
+
+
 def test_path_search_lifts_only_accepted_steps(monkeypatch):
     """A question about a pair of steps needs no lift of either: only the r
     accepted steps are lifted, each once.  The general branch lifts nothing
@@ -241,7 +259,7 @@ def solve_instances():
 def test_solves_build_no_fraction(monkeypatch):
     """On `solve_instances`, with and without a `TraceLog`, a solve
     constructs no Fraction: the order, splitting and tree layers work in
-    integers, each question's beta goes from `Frame.ask` to the oracle and
+    integers, each question's beta goes from `Frame.kernel` to the oracle and
     the trace as integer numerators over one denominator."""
     instances = solve_instances()
     sites, new = Counter(), Fraction.__new__
@@ -267,28 +285,38 @@ def test_solves_build_no_fraction(monkeypatch):
 
 def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):
     """Every question of the `solve_instances` solves (distance, path and
-    Bass stages, q = 2 among them) is the one the Fraction rounding of
-    `fracmodel.frame_ask` gives, and its trace strings are the Fractions'."""
-    asked, ask = [], pipeline.Frame.ask
+    Bass stages, q = 2 among them), each asked through a kernel that
+    `Frame.kernel` bound to its shift, is the one the Fraction rounding of
+    `fracmodel.frame_ask` gives for the frame's unreduced numerators, and
+    its trace strings are the Fractions'.  Every oracle question passed
+    through such a kernel."""
+    asked, kernel = [], pipeline.Frame.kernel
 
-    def recording_ask(frame, nums, s):
-        out = ask(frame, nums, s)
-        asked.append((frame, tuple(nums), s, out))
-        return out
+    def recording_kernel(frame, s):
+        ask = kernel(frame, s)
 
-    monkeypatch.setattr(pipeline.Frame, "ask", recording_ask)
-    stages = set()
+        def recording_ask(z):
+            out = ask(z)
+            asked.append((frame, tuple(z), s, out))
+            return out
+
+        return recording_ask
+
+    monkeypatch.setattr(pipeline.Frame, "kernel", recording_kernel)
+    stages, questions = set(), 0
     for o0, hidden, fact in solve_instances():
         log = TraceLog()
         compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
         for ev in log.events:
             if ev["type"] == "oracle":
                 stages.add((ev["stage"], ev["q"]))
+                questions += 1
     monkeypatch.undo()
     assert {("distance", 2), ("path", 2), ("bass", 5)} <= stages
     assert any(out is None for *_, out in asked) and any(out is not None for *_, out in asked)
-    for frame, nums, s, out in asked:
-        want = frame_ask(frame, nums, s)
+    assert sum(out is not None for *_, out in asked) == questions
+    for frame, z, s, out in asked:
+        want = frame_ask(frame, matvec4(frame.matrix, z), s)
         assert out == want
         if out is not None:
             log = TraceLog()
