@@ -126,6 +126,15 @@ def body_verify_order(pkg, g):
     return lambda: pkg.orders.verify_order(oq.lattice, oq.algebra)
 
 
+def root_question(level):
+    """The root level's question as a function of the coordinates alone,
+    bound once as the path search binds each level (`Frame.kernel`); a
+    checkout whose frames have no `kernel` asks through the frame's call."""
+    if hasattr(level, "kernel"):
+        return level.kernel(0)
+    return lambda z: level(z, 0)
+
+
 def body_path_pair_question(pkg, g):
     """One refused question of the path search at r = 1: the idempotent of a
     pair of steps off the path, its question in the root's level frame
@@ -135,9 +144,10 @@ def body_path_pair_question(pkg, g):
     pipeline = pkg.pipeline
     rb, oracle = pipeline.ReducedBasis(o0), pkg.divide.HiddenOrderOracle(hidden)
     level = rb.frame(oq, Q).composed([pipeline.conjugate(oq, oq.one, u) for u in pkg.orders._UNITS])
+    ask = root_question(level)
     sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
     a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
-    return lambda: pipeline._in_end(level(pipeline.pair_idempotent(sm, a, b), 0), oracle)
+    return lambda: pipeline._in_end(ask(pipeline.pair_idempotent(sm, a, b)), oracle)
 
 
 def body_traced_pair_question(pkg, g):
@@ -149,15 +159,16 @@ def body_traced_pair_question(pkg, g):
     pipeline, divide = pkg.pipeline, pkg.divide
     rb, log, inner = pipeline.ReducedBasis(o0), pipeline.TraceLog(), divide.HiddenOrderOracle(hidden)
     level = rb.frame(oq, Q).composed([pipeline.conjugate(oq, oq.one, u) for u in pkg.orders._UNITS])
+    ask = root_question(level)
     sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
     a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
 
-    def ask():
+    def traced():
         log.events.clear()
         oracle = divide.CountingOracle(inner, log, "path", Q, Q // 2 + 3)
-        return pipeline._in_end(level(pipeline.pair_idempotent(sm, a, b), 0), oracle)
+        return pipeline._in_end(ask(pipeline.pair_idempotent(sm, a, b)), oracle)
 
-    return ask
+    return traced
 
 
 def body_traced_path_search(pkg, g):
