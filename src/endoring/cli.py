@@ -14,6 +14,7 @@ import sys
 from . import btt
 from .divide import HiddenOrderOracle, plan_division
 from .errors import (
+    EndoringError,
     MathematicalInconsistencyError,
     OraclePreconditionError,
     ParseError,
@@ -52,7 +53,12 @@ def cmd_compute(args) -> int:
     trace_path = args.trace or options.get("trace")
     dot_dir = args.dot_dir or options.get("dot_dir")
     log = TraceLog() if trace_path or dot_dir else None
-    end, sols, calls = compute_endomorphism_ring(order, fact, oracle, log)
+    try:
+        end, sols, calls = compute_endomorphism_ring(order, fact, oracle, log)
+    except EndoringError:
+        # a failing run leaves what it recorded, so that it can be reproduced
+        _write_trace(log, trace_path, dot_dir)
+        raise
     result = result_to_json(end, sols, calls, deterministic=args.deterministic)
     text = json.dumps(result, indent=2) + "\n"
     if args.output:
@@ -60,6 +66,13 @@ def cmd_compute(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    _write_trace(log, trace_path, dot_dir)
+    return 0
+
+
+def _write_trace(log, trace_path, dot_dir):
+    """Write the log's events as JSON lines to trace_path and its explored
+    subtrees as `explored_q<q>.dot` files into dot_dir, each when given."""
     if trace_path:
         with open(trace_path, "w") as fh:
             for ev in log.events:
@@ -69,7 +82,6 @@ def cmd_compute(args) -> int:
         for q, src in log.dot_sources().items():
             with open(os.path.join(dot_dir, f"explored_q{q}.dot"), "w") as fh:
                 fh.write(src + "\n")
-    return 0
 
 
 def _require(ok: bool, message: str):

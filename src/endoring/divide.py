@@ -63,8 +63,9 @@ class HiddenOrderOracle(DivisionOracle):
 
 class CountingOracle(DivisionOracle):
     """One stage's view of a shared oracle at one prime, holding the stage's
-    proven budget: it counts the stage's calls, records each in the log
-    (None for no log), and refuses a question past `budget` with a typed
+    proven budget: it counts the stage's calls, appends each to the log
+    (None for no log) as a raw record that the log formats only when its
+    events are read, and refuses a question past `budget` with a typed
     error before the question reaches `inner`."""
 
     def __init__(self, inner: DivisionOracle, log, stage: str, q: int, budget: int):

@@ -23,7 +23,8 @@ and that matrix and the denominator divided by their common factor, once
 when the kernel is bound.  A question is integers end to end: the rounding
 takes integer residuals and one gcd, beta is a `QuatElement` of integer
 numerators over one denominator, the stand-in oracle solves from those
-integers and `TraceLog` prints them; a solve builds no Fraction.  Every
+integers and `TraceLog` keeps beta itself, printed only when its events are
+read; a solve builds no Fraction.  Every
 conj(t) x t comes from `conjugate`, by products from the structure
 constants `oq.table` with conj(t) = trd(t) - t: the vertex lattices, the
 Bass search's element, the path search's level frames (formed once per
@@ -94,41 +95,89 @@ from .serialize import rational_str
 
 
 class TraceLog:
-    """Collects oracle queries, tree steps, and explored subtrees."""
+    """The trace of a solve: one append-only list of raw records, from which
+    two views render when they are read.
+
+    A solve only appends: each oracle question (q, stage, beta, n, answer,
+    count), beta the immutable `QuatElement`; each path-search level (q,
+    level, its own copy of the word, the candidate steps tried, the one
+    accepted); and each Bass walk (q, its words).  `events`, the oracle and
+    step events as JSON-ready dicts in the order they happened, and
+    `explored`, each prime's explored step words, render the records
+    appended since they were last read, each on its own: a view nobody reads
+    costs nothing, and so an annotation of an event belongs in its renderer,
+    not in the solve.  Both views are the log's own list and dict, extended
+    in place at each read."""
 
     def __init__(self):
-        self.events = []
-        self.explored = {}
+        self._records = []
+        self._events = []
+        self._explored = {}
+        self._events_upto = 0
+        self._explored_upto = 0
 
     def oracle_event(self, q, stage, beta, n, answer, count):
-        self.events.append(
-            {
-                "type": "oracle",
-                "q": q,
-                "stage": stage,
-                "beta": [rational_str(n, beta.den) for n in beta.nums],
-                "n": str(n),
-                "answer": bool(answer),
-                "count": count,
-            }
-        )
+        self._records.append(("oracle", q, stage, beta, n, answer, count))
 
     def path_level(self, q, level, word, steps, accepted):
         """Record the candidate steps a path-search level tried after the
-        step word `word`, in order: one step event each, accepted or not, and
-        the vertex each reaches."""
-        prefix = tuple(word)
-        self.saw_vertices(q, [prefix + (s,) for s in steps])
-        self.events.extend(
-            [
-                {"type": "step", "q": q, "k": level, "candidate": step_name(q, s), "accepted": s == accepted}
-                for s in steps
-            ]
-        )
+        step word `word`, in order, and the one it accepted (None for none):
+        one step event each, and the vertex each reaches."""
+        self._records.append(("level", q, level, tuple(word), steps, accepted))
 
     def saw_vertices(self, q, words):
-        """Record the vertices at the ends of nonbacktracking step words."""
-        self.explored.setdefault(q, set()).update(map(tuple, words))
+        """Record the vertices at the ends of nonbacktracking step words,
+        which must not change after the call."""
+        self._records.append(("saw", q, words))
+
+    @property
+    def events(self):
+        """The oracle and step events, in the order they happened."""
+        new = self._records[self._events_upto :]
+        self._events_upto += len(new)
+        self._render_events(new)
+        return self._events
+
+    @property
+    def explored(self):
+        """Each prime's explored vertices, as a set of step words."""
+        new = self._records[self._explored_upto :]
+        self._explored_upto += len(new)
+        self._render_explored(new)
+        return self._explored
+
+    def _render_events(self, records):
+        events = self._events
+        for rec in records:
+            if rec[0] == "oracle":
+                _, q, stage, beta, n, answer, count = rec
+                events.append(
+                    {
+                        "type": "oracle",
+                        "q": q,
+                        "stage": stage,
+                        "beta": [rational_str(x, beta.den) for x in beta.nums],
+                        "n": str(n),
+                        "answer": bool(answer),
+                        "count": count,
+                    }
+                )
+            elif rec[0] == "level":
+                _, q, level, _, steps, accepted = rec
+                events.extend(
+                    {"type": "step", "q": q, "k": level, "candidate": step_name(q, s), "accepted": s == accepted}
+                    for s in steps
+                )
+
+    def _render_explored(self, records):
+        explored = self._explored
+        for rec in records:
+            if rec[0] == "level":
+                _, q, _, prefix, steps, _ = rec
+                explored.setdefault(q, set()).update([prefix + (s,) for s in steps])
+            elif rec[0] == "saw":
+                _, q, words = rec
+                explored.setdefault(q, set()).update(map(tuple, words))
 
     def dot_sources(self):
         return {
@@ -433,9 +482,10 @@ def find_path_to_end(
     (`Frame.kernel`, which scales and reduces the matrix once).  A pair
     question then costs its idempotent (16 products of integers below q),
     one straight-line kernel call (16 products of residues, four centred
-    residuals and one gcd) and, when the element is not in O_0, its beta;
-    the level's candidates go to the trace in one call
-    (`TraceLog.path_level`)."""
+    residuals and one gcd) and, when the element is not in O_0, its beta.
+    The trace stores raw records and renders them when read: a question
+    appends its beta as it is, and a level appends its word and candidates
+    in one call (`TraceLog.path_level`)."""
     oq, q, r = sm.order, sm.precision.q, sm.precision.r
     question = rb.frame(oq, q)
     word: list[int] = []

@@ -152,21 +152,24 @@ def body_path_pair_question(pkg, g):
 
 def body_traced_pair_question(pkg, g):
     """The same question asked as the benchmark's solves ask it: through a
-    path-stage `CountingOracle` that records it in a `TraceLog` (each call
-    with a fresh stage oracle and an emptied log, so that neither the
-    stage's budget nor the log limits the loop)."""
+    path-stage `CountingOracle` that records it in a `TraceLog`, whose
+    events are then read (each call with a fresh stage oracle and a fresh
+    log, so that neither the stage's budget nor the log limits the loop, and
+    the time covers both recording the question and rendering it).  Returns
+    the answer and the number of events."""
     hidden, o0, oq, word = g
     pipeline, divide = pkg.pipeline, pkg.divide
-    rb, log, inner = pipeline.ReducedBasis(o0), pipeline.TraceLog(), divide.HiddenOrderOracle(hidden)
+    rb, inner = pipeline.ReducedBasis(o0), divide.HiddenOrderOracle(hidden)
     level = rb.frame(oq, Q).composed([pipeline.conjugate(oq, oq.one, u) for u in pkg.orders._UNITS])
     ask = root_question(level)
     sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
     a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
 
     def traced():
-        log.events.clear()
+        log = pipeline.TraceLog()
         oracle = divide.CountingOracle(inner, log, "path", Q, Q // 2 + 3)
-        return pipeline._in_end(ask(pipeline.pair_idempotent(sm, a, b)), oracle)
+        answer = pipeline._in_end(ask(pipeline.pair_idempotent(sm, a, b)), oracle)
+        return answer, len(log.events)
 
     return traced
 
@@ -187,6 +190,25 @@ def body_traced_path_search(pkg, g):
         return pipeline.find_path_to_end(rb, sm, oracle, log)[0].steps
 
     return search
+
+
+def body_traced_path_search_read(pkg, g):
+    """The same path search followed by one read of its log's events (the
+    oracle events with their beta strings and the step events), as the
+    benchmark reads them after each solve.  Returns the accepted word and
+    the number of events."""
+    hidden, o0, oq, _ = g
+    pipeline, divide = pkg.pipeline, pkg.divide
+    rb, inner = pipeline.ReducedBasis(o0), divide.HiddenOrderOracle(hidden)
+    sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
+
+    def search_and_read():
+        log = pipeline.TraceLog()
+        oracle = divide.CountingOracle(inner, log, "path", Q, Q // 2 + 3)
+        steps = pipeline.find_path_to_end(rb, sm, oracle, log)[0].steps
+        return steps, len(log.events)
+
+    return search_and_read
 
 
 def body_quat_mul(pkg, g):
@@ -214,6 +236,7 @@ PAIRED = {
     "test_path_pair_question": (body_path_pair_question, 1),
     "test_traced_pair_question": (body_traced_pair_question, 1),
     "test_traced_path_search": (body_traced_path_search, 1),
+    "test_traced_path_search_read": (body_traced_path_search_read, 1),
     "test_quat_mul": (body_quat_mul, 1),
     "test_splitting_map": (body_splitting_map, 2),
 }
@@ -360,11 +383,16 @@ def test_path_pair_question(benchmark, pkg, general):
 
 
 def test_traced_pair_question(benchmark, pkg, general):
-    assert benchmark(body_traced_pair_question(pkg, general)) is False
+    assert benchmark(body_traced_pair_question(pkg, general)) == (False, 1)
 
 
 def test_traced_path_search(benchmark, pkg, general):
     assert benchmark(body_traced_path_search(pkg, general)) == general[3].steps
+
+
+def test_traced_path_search_read(benchmark, pkg, general):
+    steps, n = benchmark(body_traced_path_search_read(pkg, general))
+    assert steps == general[3].steps and n > Q // 2
 
 
 def test_find_path_to_end(benchmark, general_d2):

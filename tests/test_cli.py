@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import paperdata
-from endoring import cli
+from endoring import cli, pipeline
 from endoring.cli import main
 from endoring.errors import ParseError
 from endoring.lattice import Lattice4
@@ -29,6 +29,11 @@ WORKED_CLI_SHA256 = "14018e70a28944bff8766a243d1aa5448c008c638b6c4bed42eac268b1c
 # words through the splitting map of the old route (paths [0] at 7 and [10]
 # at 13, which are [3] and ["inf"] through the idempotent route's map)
 PREVIOUS_FORM_CLI_SHA256 = "81df5024a77a753e1444fecc3637ee581131177e77421104de4d34f708cd9652"
+# SHA-256 of each `explored_q*.dot` file that `compute --dot-dir` writes
+EXPLORED_DOT_SHA256 = {
+    "explored_q7.dot": "72c1931db964c4439431b7c560899eafb36a2ef4d1e90ba69b64f049a9b02384",
+    "explored_q13.dot": "46016b4851f4752afdeffdb226f7cf3ddc27c908a63bda4ac8308758c6443647",
+}
 
 
 def run_cli(args):
@@ -65,10 +70,54 @@ def test_explored_subtree_dot_files_are_pinned(tmp_path):
     assert run_cli(["compute", "--input", PROBLEM, "--output", tmp_path / "r.json",
                     "--dot-dir", dots]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in dots.iterdir()}
-    assert digests == {
-        "explored_q7.dot": "72c1931db964c4439431b7c560899eafb36a2ef4d1e90ba69b64f049a9b02384",
-        "explored_q13.dot": "46016b4851f4752afdeffdb226f7cf3ddc27c908a63bda4ac8308758c6443647",
-    }
+    assert digests == EXPLORED_DOT_SHA256
+
+
+def test_dot_files_without_trace_format_no_question(tmp_path, monkeypatch):
+    """`compute --dot-dir` without `--trace` reads only the explored
+    subtrees, so no oracle question is formatted, and the `.dot` files are
+    the pinned ones."""
+    formatted = []
+    rational_str = pipeline.rational_str
+
+    def counting_rational_str(n, d):
+        formatted.append((n, d))
+        return rational_str(n, d)
+
+    monkeypatch.setattr(pipeline, "rational_str", counting_rational_str)
+    dots = tmp_path / "dots"
+    assert run_cli(["compute", "--input", PROBLEM, "--output", tmp_path / "r.json", "--dot-dir", dots]) == 0
+    assert formatted == []
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in dots.iterdir()}
+    assert digests == EXPLORED_DOT_SHA256
+    assert run_cli(["compute", "--input", PROBLEM, "--output", tmp_path / "r.json", "--trace", tmp_path / "t"]) == 0
+    assert len(formatted) == 4 * 8
+
+
+def test_failing_compute_writes_what_it_recorded(tmp_path, capsys, monkeypatch):
+    """A `compute` that ends in a typed error still writes the trace and the
+    explored subtrees recorded up to the error, with the usual exit code and
+    one line on stderr.  Here the oracle flips its answer to the worked
+    example's sixth question, the path search's confirmation at q = 7."""
+    honest = tmp_path / "honest.jsonl"
+    assert run_cli(["compute", "--input", PROBLEM, "--output", tmp_path / "r.json", "--trace", honest]) == 0
+    capsys.readouterr()
+
+    class FlippingOracle(cli.HiddenOrderOracle):
+        def is_divisible(self, beta, n):
+            answer = super().is_divisible(beta, n)
+            return not answer if self.calls == 6 else answer
+
+    monkeypatch.setattr(cli, "HiddenOrderOracle", FlippingOracle)
+    trace, dots = tmp_path / "t.jsonl", tmp_path / "dots"
+    assert run_cli(["compute", "--input", PROBLEM, "--trace", trace, "--dot-dir", dots, "--deterministic"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("inconsistency: ") and err.count("\n") == 1
+    oracle_events = [ev for ev in map(json.loads, trace.read_text().splitlines()) if ev["type"] == "oracle"]
+    want = [ev for ev in map(json.loads, honest.read_text().splitlines()) if ev["type"] == "oracle"][:6]
+    want[-1]["answer"] = not want[-1]["answer"]
+    assert oracle_events == want and want[-1]["stage"] == "path" and want[-1]["q"] == 7
+    assert [f.name for f in dots.iterdir()] == ["explored_q7.dot"]
 
 
 def test_compute_deterministic_byte_identical(tmp_path):

@@ -37,6 +37,7 @@ def test_paired_microbenchmarks_run():
         "test_path_pair_question",
         "test_traced_pair_question",
         "test_traced_path_search",
+        "test_traced_path_search_read",
     ]
     cmd = [sys.executable, str(tests / "microbench_paired.py"), "--parent", str(tests.parent), "--rounds", "2"]
     proc = subprocess.run(

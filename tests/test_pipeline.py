@@ -28,6 +28,7 @@ from endoring.pipeline import (
     local_patch,
     word_lattice,
 )
+from endoring.quat import QuaternionAlgebra
 from endoring.serialize import load_problem
 
 PROBLEM = Path(__file__).resolve().parent.parent / "problems" / "p103_worked_example.json"
@@ -255,3 +256,75 @@ def test_composite_factorization_entry_is_refused(alg, o0, end, factorization):
     with pytest.raises(MathematicalInconsistencyError, match="not a prime"):
         compute_endomorphism_ring(o0, factorization, oracle)
     assert oracle.calls == 0
+
+
+class ReadingOracle(HiddenOrderOracle):
+    """The hidden-order oracle, reading a log's events at every question and
+    its explored words at every other one, and keeping a copy of each read."""
+
+    def __init__(self, hidden, log):
+        super().__init__(hidden)
+        self.log, self.reads = log, []
+
+    def is_divisible(self, beta, n):
+        events = list(self.log.events)
+        explored = {q: set(words) for q, words in self.log.explored.items()} if self.calls % 2 else {}
+        self.reads.append((events, explored))
+        return super().is_divisible(beta, n)
+
+
+def trace_instances():
+    """The q = 101, d = 2 general instance (its path search mutates the
+    word it records at each level) and a level-3^4 Eichler order (its Bass
+    walk records the path's words): (O_0, factorization, hidden) each."""
+    alg = QuaternionAlgebra.for_prime(103)
+    hidden, _, o0, fact, _ = planted.general_instance(alg, 101, 2, random.Random(1))
+    return {"general_101": (o0, fact, hidden), "bass_3": planted.bass_instance(103, 3, 4, random.Random(3))}
+
+
+@pytest.mark.parametrize("name", ["general_101", "bass_3"])
+def test_trace_views_read_during_the_solve_match_one_read(name):
+    """`events` and `explored` read during the solve, each on its own
+    schedule, give at the end the views of the same solve read once; each
+    earlier read is a prefix of the events and a subset of the explored
+    words."""
+    o0, fact, hidden = trace_instances()[name]
+    once = TraceLog()
+    compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), once)
+    log = TraceLog()
+    oracle = ReadingOracle(hidden, log)
+    compute_endomorphism_ring(o0, fact, oracle, log)
+    assert log.explored == once.explored and log.events == once.events
+    assert len(oracle.reads) == oracle.calls > 1
+    for events, explored in oracle.reads:
+        assert events == log.events[: len(events)]
+        assert all(words <= log.explored[q] for q, words in explored.items())
+    assert oracle.reads[-1][0] != log.events
+    if name == "general_101":
+        words = sorted((q, sorted(w)) for q, w in log.explored.items())
+        digest = hashlib.sha256(json.dumps([log.events, words]).encode()).hexdigest()
+        assert digest == "8ea018abd8e27e5e700762a36e355683777761f166f807c36793f9a641cbb902"
+    else:
+        assert {ev["stage"] for ev in log.events} == {"bass"} and log.explored[3]
+
+
+def test_unread_explored_view_builds_no_word(monkeypatch):
+    """A solve whose events are read and whose explored subtree is not
+    renders no explored word; reading `explored` afterwards renders each
+    record once."""
+    rendered = []
+    render = TraceLog._render_explored
+
+    def counting_render(log, records):
+        rendered.append(len(records))
+        render(log, records)
+
+    monkeypatch.setattr(TraceLog, "_render_explored", counting_render)
+    o0, fact, hidden = trace_instances()["general_101"]
+    log = TraceLog()
+    compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
+    assert sum(ev["type"] == "step" for ev in log.events) == 162
+    assert rendered == []
+    words = log.explored[101]
+    assert len(words) == 162 and len(rendered) == 1 and rendered[0] > 0
+    assert log.explored[101] == words and rendered[1:] == [0]

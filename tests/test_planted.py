@@ -257,10 +257,11 @@ def solve_instances():
 
 
 def test_solves_build_no_fraction(monkeypatch):
-    """On `solve_instances`, with and without a `TraceLog`, a solve
-    constructs no Fraction: the order, splitting and tree layers work in
-    integers, each question's beta goes from `Frame.kernel` to the oracle and
-    the trace as integer numerators over one denominator."""
+    """On `solve_instances`, with and without a `TraceLog`, a solve and
+    the reading of its trace construct no Fraction: the order, splitting and
+    tree layers work in integers, each question's beta goes from
+    `Frame.kernel` to the oracle and the trace as integer numerators over
+    one denominator."""
     instances = solve_instances()
     sites, new = Counter(), Fraction.__new__
 
@@ -277,9 +278,10 @@ def test_solves_build_no_fraction(monkeypatch):
             assert end.lattice == hidden.lattice
             calls[-1] += n
             branches |= {(s.q, s.bass) for s in sols}
+    traced = sum(ev["type"] == "oracle" for ev in log.events)
     monkeypatch.undo()
     assert {(5, True), (2, False)} <= branches
-    assert calls[0] == calls[1] == sum(ev["type"] == "oracle" for ev in log.events) > 0
+    assert calls[0] == calls[1] == traced > 0
     assert sites == {}
 
 
