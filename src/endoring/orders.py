@@ -8,7 +8,8 @@ traces, and the trace and norm Gram matrices read off them (`gram`,
 reduced discriminants, the codifferent and its ternary quadratic form
 (Gorenstein test by primitivity), radicals mod q with their idealizers,
 and q-maximal q-enlargement by the radical-idealizer chain, whose
-hereditary-stall step forms (1 - e) g e and e g (1 - e) from `table`.
+hereditary-stall step forms (1 - e) r e and e r (1 - e) from `table` for
+the radical vectors r.
 The ring check, the Gorenstein test and the enlargement's index check are
 integer valuations and divisibility tests, and every 4-term product sum
 (traces, pairings, combinations of basis columns) is one of the
@@ -17,12 +18,16 @@ builds no `Fraction`, and a `QuatElement` (from integers) appears only in
 an error report.
 
 The multipliers of the preimage J of rad(O/qO) lie between O and q^-1 J,
-so they come from one kernel mod q: the y in J with yJ in qJ (Jy in qJ),
-tested on the products of the radical basis read from `table`, and one
-HNF (`radical_multipliers`).  `q_radical` forms a radical once for both the
-Bass test and the enlargement, and keeps the two-sided idealizer that the
-Bass test verifies, which the enlargement's first step reuses when its
-left multipliers are the same lattice.
+so they come from one kernel mod q: the y in J with yJ in qJ, tested on
+the products of the radical basis read from `table`, and one HNF
+(`radical_multipliers`); J itself is never formed.  One side is enough:
+the standard involution is an anti-automorphism of O that fixes qO, so it
+fixes J, and for x in O_l(J), J conj(x) = conj(xJ) lies in J; O_l(J) is an
+order, closed under conj, so O_l(J) lies in O_r(J), and by symmetry the
+left, right and two-sided multiplier rings of J are one order.  `q_radical`
+forms a radical once for the Bass test and the enlargement, and
+`radical_idealizer` verifies that order once per radical: the Bass test's
+idealizer is the enlargement's first step.
 
 For odd q the radical of O/qO is the kernel of the trace pairing
 trd(xy) mod q, read from `gram`: that kernel is a two-sided ideal whose
@@ -280,48 +285,36 @@ def _assert_nil(order: Order, rad, q: int):
                 raise MathematicalInconsistencyError("radical not totally isotropic")
 
 
-def radical_lattice(order: Order, q: int, rad) -> Lattice4:
-    """Preimage in O of rad(O/qO), as a full lattice (contains qO); rad is
-    `radical_coords_mod(order, q)`."""
-    cols = order.lattice.cols
-    gens = [tuple(q * x for x in c) for c in cols]
-    gens += [combine4(u, cols) for u in rad]
-    return Lattice4.from_integer_columns(gens, order.lattice.den)
-
-
 @dataclass
 class Radical:
     """rad(O/qO) in coordinates over the order basis (`radical_coords_mod`),
-    its preimage J in O (`radical_lattice`), and the two-sided multiplier
-    order of J once `radical_idealizer` has verified it."""
+    and the multiplier order of its preimage J once `radical_idealizer` has
+    formed it."""
 
     rad: list
-    J: Lattice4
     idealizer: Order | None = None
 
 
 def q_radical(order: Order, q: int) -> Radical:
     """The q-radical of the order, formed once for the Bass test and the
     enlargement."""
-    rad = radical_coords_mod(order, q)
-    return Radical(rad, radical_lattice(order, q, rad))
+    return Radical(radical_coords_mod(order, q))
 
 
-def radical_multipliers(order: Order, q: int, rad, sides) -> Lattice4:
-    """{x : xJ in J} (side "left") and/or {x : Jx in J} ("right") for the
-    preimage J of rad(O/qO), from one kernel mod q; rad is
-    `radical_coords_mod(order, q)`.
+def radical_multipliers(order: Order, q: int, rad) -> Lattice4:
+    """{x : xJ in J} for the preimage J of rad(O/qO), from one kernel mod q;
+    rad is `radical_coords_mod(order, q)`.  It is also {x : Jx in J}, and so
+    the two-sided multiplier ring (see the module docstring).
 
     J is an ideal of O and holds qO, so O multiplies J, and a multiplier x
     has xq in J: the multipliers lie between O and q^-1 J.  They are O +
-    q^-1 Y, Y the y in J with yJ in qJ (Jy in qJ).  Y holds qO, so the
-    condition is linear in y mod qO, y = sum a_i r_i over the radical basis
-    r_i, and it is enough to test y r_j (r_j y): the coordinates of r_i r_j
-    (r_j r_i), read from `table`, over a basis of J must vanish mod q.  rad
-    is in reduced echelon form, so J has the basis r_l and q e_t for the
-    columns t without a pivot, and z in J (coordinates over O) has over it
-    the coordinates z[p_l] at the pivots p_l and (z_t - sum_l z[p_l]
-    r_l[t]) / q."""
+    q^-1 Y, Y the y in J with yJ in qJ.  Y holds qO, so the condition is
+    linear in y mod qO, y = sum a_i r_i over the radical basis r_i, and it
+    is enough to test y r_j: the coordinates of r_i r_j, read from `table`,
+    over a basis of J must vanish mod q.  rad is in reduced echelon form, so
+    J has the basis r_l and q e_t for the columns t without a pivot, and z
+    in J (coordinates over O) has over it the coordinates z[p_l] at the
+    pivots p_l and (z_t - sum_l z[p_l] r_l[t]) / q."""
     pivots = [next(t for t, x in enumerate(u) if x) for u in rad]
     free = [t for t in range(4) if t not in pivots]
 
@@ -335,13 +328,11 @@ def radical_multipliers(order: Order, q: int, rad, sides) -> Lattice4:
             out.append(n // q % q)
         return out
 
-    table, k = order.table, len(rad)
-    coords = [[j_coords(_table_mul(table, u, v)) for v in rad] for u in rad]
+    table = order.table
     rows = []
-    for side in sides:
-        for j in range(k):
-            prods = [coords[i][j] if side == "left" else coords[j][i] for i in range(k)]
-            rows.extend([z[t] for z in prods] for t in range(4))
+    for v in rad:
+        prods = [j_coords(_table_mul(table, u, v)) for u in rad]
+        rows.extend([z[t] for z in prods] for t in range(4))
     lat = order.lattice
     gens = [tuple(q * x for x in c) for c in lat.cols]
     for a in linmod.kernel(rows, q):
@@ -351,13 +342,14 @@ def radical_multipliers(order: Order, q: int, rad, sides) -> Lattice4:
 
 
 def radical_idealizer(order: Order, q: int, radical: Radical | None = None) -> Order:
-    """Two-sided multiplier order of the q-radical, verified once per
-    `Radical`; `radical` is `q_radical(order, q)` when the caller already
-    has it."""
+    """The multiplier order of the q-radical (`radical_multipliers`): the
+    order itself when its multipliers are its own lattice, else that lattice
+    verified, once per `Radical`; `radical` is `q_radical(order, q)` when
+    the caller already has it."""
     radical = radical or q_radical(order, q)
     if radical.idealizer is None:
-        lat = radical_multipliers(order, q, radical.rad, ("left", "right"))
-        radical.idealizer = verify_order(lat, order.algebra)
+        lat = radical_multipliers(order, q, radical.rad)
+        radical.idealizer = order if lat == order.lattice else verify_order(lat, order.algebra)
     return radical.idealizer
 
 
@@ -434,14 +426,17 @@ def _split_idempotent(order: Order, q: int, rad) -> tuple:
 def q_enlarge(order: Order, q: int, radical=None) -> Order:
     """q-maximal q-enlargement.
 
-    Greedily grows the order inside B by the left multipliers of its
-    q-radical (`radical_multipliers`); at a hereditary stall with a split
+    Greedily grows the order inside B by the multiplier order of its
+    q-radical (`radical_idealizer`); at a hereditary stall with a split
     quotient, adjoins (1/q) * (1-e) J e (or the mirror) for a lifted
     idempotent e.  The result agrees with the input away from q and has
     v_q(discrd) equal to 0, or 1 when q = p.  `radical` is
     `q_radical(order, q)` when the caller already has it; it serves the
-    first step, which reuses its verified two-sided idealizer when that is
-    the grown lattice.
+    first step, which after `is_bass_at` on the same radical is the order
+    that test formed.
+
+    J = qO + sum Z r over the radical vectors r, and (1/q)(1-e)(qO)e lies
+    in O, so the stall adjoins (1/q)(1-e) r e for the vectors r alone.
     """
     alg = order.algebra
     target = 1 if q == alg.p else 0
@@ -454,20 +449,17 @@ def q_enlarge(order: Order, q: int, radical=None) -> Order:
         if v <= target:
             break
         rd = radical if radical and current is order else q_radical(current, q)
-        rad, J = rd.rad, rd.J
-        grown = radical_multipliers(current, q, rad, ("left",))
-        if grown != current.lattice:
-            # the Bass test may have verified this lattice as the two-sided idealizer
-            known = rd.idealizer
-            current = known if known is not None and known.lattice == grown else verify_order(grown, alg)
+        grown = radical_idealizer(current, q, rd)
+        if grown is not current:
+            current = grown
             continue
-        # (1/q) * (1 - e) g e, and the mirror, in coordinates over current
-        e, lat, table = _split_idempotent(current, q, rad), current.lattice, current.table
+        # (1/q) * (1 - e) r e, and the mirror, in coordinates over current
+        rad, lat, table = rd.rad, current.lattice, current.table
+        e = _split_idempotent(current, q, rad)
         rest = tuple(u - c for u, c in zip(current.one, e))
-        jcoords = [lat.integer_coords(g, J.den) for g in J.cols]
         nxt = None
         for lft, rgt in ((rest, e), (e, rest)):
-            prods = (_table_mul(table, _table_mul(table, lft, g), rgt) for g in jcoords)
+            prods = (_table_mul(table, _table_mul(table, lft, r), rgt) for r in rad)
             gens = [tuple(q * x for x in c) for c in lat.cols]
             gens += [combine4(w, lat.cols) for w in prods]
             try:

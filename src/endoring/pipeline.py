@@ -73,7 +73,7 @@ from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4, lll_gram
 from .matrix import adj2, adj_det4, combine4, dot4, mat2_mul, matvec4
-from .ntheory import is_prime, valuation
+from .ntheory import char_roots, is_prime, valuation
 from .orders import (
     _UNITS,
     Order,
@@ -107,7 +107,8 @@ class TraceLog:
     appended since they were last read, each on its own: a view nobody reads
     costs nothing, and so an annotation of an event belongs in its renderer,
     not in the solve.  Both views are the log's own list and dict, extended
-    in place at each read."""
+    in place at each read, and a read drops the records that both views
+    have rendered: a log whose `explored` is never read keeps them all."""
 
     def __init__(self):
         self._records = []
@@ -136,6 +137,7 @@ class TraceLog:
         new = self._records[self._events_upto :]
         self._events_upto += len(new)
         self._render_events(new)
+        self._drop_rendered()
         return self._events
 
     @property
@@ -144,7 +146,16 @@ class TraceLog:
         new = self._records[self._explored_upto :]
         self._explored_upto += len(new)
         self._render_explored(new)
+        self._drop_rendered()
         return self._explored
+
+    def _drop_rendered(self):
+        """Drop the records that both views have rendered."""
+        k = min(self._events_upto, self._explored_upto)
+        if k:
+            del self._records[:k]
+            self._events_upto -= k
+            self._explored_upto -= k
 
     def _render_events(self, records):
         events = self._events
@@ -530,6 +541,25 @@ def find_path_to_end(
 # Bass branch
 
 
+def _kept_steps(q: int, z) -> list[int]:
+    """The steps s in [0, q], ascending (q for infinity), whose generator
+    keeps an image that the walk's vertex holds, from z = (a - d, b, c) mod
+    q for the image's scaled conjugate [[a, b], [c, d]], not scalar mod q:
+    gen_s [[a, b], [c, d]] adj(gen_s) vanishes mod q exactly when
+    c s^2 + (a - d) s - b = 0 for s < q, and when c = 0 for s = q."""
+    a, b, c = z
+    if c:
+        inv = pow(c, -1, q)
+        return sorted(char_roots(-a * inv, -b * inv, q))
+    return [b * pow(a, -1, q) % q, q] if a else [q]
+
+
+def _keeps(q: int, z, s: int) -> bool:
+    """Whether step s keeps the image of z, as in `_kept_steps`."""
+    a, b, c = z
+    return c == 0 if s == q else (c * s * s + a * s - b) % q == 0
+
+
 def enumerate_bass_path(o0: Order, sm: SplittingMap) -> list[tuple]:
     """Step words of the path of maximal orders containing the image of O_0,
     in path order, walked outward from the root while containment persists.
@@ -537,9 +567,15 @@ def enumerate_bass_path(o0: Order, sm: SplittingMap) -> list[tuple]:
     maps mod q^(e+1); its precision e bounds the path's length.
 
     A walk keeps the matrix T of its word (later steps on the left, det T =
-    q^len) and extends it one generator at a time: the vertex of gen_s * T
-    contains an image y exactly when T' y adj(T') vanishes mod det T' for
-    T' = gen_s * T.  Raises a typed error when the containment set is not a
+    q^k, k the word's length) and extends it one generator at a time: the
+    vertex of gen_s * T contains an image y exactly when gen_s Y adj(gen_s)
+    vanishes mod q^(k+1) for Y = T y adj(T), which vanishes mod q^k at the
+    word's own vertex.  So each level forms Y once per image and reads the
+    steps that keep it from Z = Y / q^k mod q (`_kept_steps`): every step
+    when Z is scalar, else the roots of a quadratic mod q, at most two
+    finite steps and infinity.  The first non-scalar Z gives the
+    candidates, the other images filter them (`_keeps`), and a level costs
+    O(1) in q.  Raises a typed error when the containment set is not a
     path of at most e + 1 vertices, as at a non-Bass prime."""
     q, e, lat = sm.precision.q, sm.precision.r, sm.order.lattice
     imgs = [sm.apply_coords(lat.integer_coords(c, o0.lattice.den)) for c in o0.lattice.cols]
@@ -547,14 +583,22 @@ def enumerate_bass_path(o0: Order, sm: SplittingMap) -> list[tuple]:
     def extensions(word, t):
         """(s, gen_s * t) for the steps s after the word, in order, whose
         vertex contains the image of O_0."""
-        mod = q ** (len(word) + 1)
-        out = []
-        for s in allowed_next_steps(q, word[-1] if word else None):
-            u = mat2_mul(gen_matrix(q, s), t)
-            adj = adj2(u)
-            if not any(x % mod for y in imgs for row in mat2_mul(mat2_mul(u, y), adj) for x in row):
-                out.append((s, u))
-        return out
+        mod, adj = q ** len(word), adj2(t)
+        zs = []
+        for y in imgs:
+            (a, b), (c, d) = mat2_mul(mat2_mul(t, y), adj)
+            if a % mod or b % mod or c % mod or d % mod:
+                raise MathematicalInconsistencyError("the walk's vertex lost the image of O_0")
+            a, b, c, d = (x // mod % q for x in (a, b, c, d))
+            if b or c or a != d:
+                zs.append(((a - d) % q, b, c))
+        prev = word[-1] if word else None
+        if not zs:
+            steps = allowed_next_steps(q, prev)
+        else:
+            back = None if prev is None else 0 if prev == q else q
+            steps = [s for s in _kept_steps(q, zs[0]) if s != back and all(_keeps(q, z, s) for z in zs[1:])]
+        return [(s, mat2_mul(gen_matrix(q, s), t)) for s in steps]
 
     def walk(s, t):
         word = (s,)

@@ -49,7 +49,9 @@ routes through duals that the one-HNF routes replaced: the intersection as
 dual(dual(x) + dual(y)), the q-patch as x cap q^-m y + q^m y, and the
 multipliers of any lattice J as the dual of the rows of the maps x -> xg
 (gx) over J.  They are the references for `Lattice4.intersect`,
-`pipeline.local_patch` and `orders.radical_multipliers`.
+`pipeline.local_patch` and `orders.radical_multipliers`, the last on the
+preimage J of the radical (`radical_lattice`), which the integer code
+never forms.
 
 `ternary_form_coefficients` is the Gorenstein form as Fractions, the
 coefficients whose least valuation `orders.ternary_gorenstein_test` reads
@@ -77,7 +79,6 @@ from endoring.orders import (
     _table_mul,
     discrd,
     radical_coords_mod,
-    radical_lattice,
     verify_order,
 )
 from endoring.padic import SplittingMap, _CANDIDATES
@@ -267,6 +268,17 @@ def local_patch(x: Lattice4, y: Lattice4, q: int) -> Lattice4:
     q^-m y + q^m y with m the larger of the two q-gaps."""
     m = max(x.gap_at(y, q), y.gap_at(x, q))
     return intersect(x, y.scale(Fraction(1, q**m))).add(y.scale(q**m))
+
+
+def radical_lattice(order, q: int, rad) -> Lattice4:
+    """Preimage in O of rad(O/qO), as a full lattice (contains qO); rad is
+    `radical_coords_mod(order, q)`.  The lattice that
+    `orders.radical_multipliers` and the hereditary stall of
+    `orders.q_enlarge` work with through the radical vectors alone."""
+    cols = order.lattice.cols
+    gens = [tuple(q * x for x in c) for c in cols]
+    gens += [combine4(u, cols) for u in rad]
+    return Lattice4.from_integer_columns(gens, order.lattice.den)
 
 
 def multiplier_lattice(J: Lattice4, alg, sides) -> Lattice4:

@@ -225,6 +225,35 @@ def body_splitting_map(pkg, g):
     return lambda: pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 2))
 
 
+@cache
+def bass_lattice():
+    """O_0's lattice of `bass_at_3`: a level-3^4 Eichler order, p = 103."""
+    o0, _, _ = planted.bass_instance(103, 3, 4, random.Random(3))
+    return o0.lattice
+
+
+def body_bass_prime_orders(pkg, g):
+    """The order layer at a Bass prime as a solve runs it: the 3-radical,
+    the Bass test and the 3-enlargement given the same radical, on a fresh
+    copy of `bass_at_3`'s O_0 (its lattice rebuilt in the package, so that
+    its table and Gram matrices are rebuilt each call) with the `discrd`
+    cache cleared.  The general instance g is not read.  Returns the Bass
+    answer and O_3's lattice as (den, columns)."""
+    lat = bass_lattice()
+    lat, alg = pkg.lattice.Lattice4(lat.den, lat.cols), pkg.quat.QuaternionAlgebra.for_prime(103)
+    orders = pkg.orders
+
+    def run():
+        orders.discrd.cache_clear()
+        o0 = orders.verify_order(lat, alg)
+        radical = orders.q_radical(o0, 3)
+        bass = orders.is_bass_at(o0, 3, radical)
+        oq = orders.q_enlarge(o0, 3, radical).lattice
+        return bass, oq.den, oq.cols
+
+    return run
+
+
 # benchmark name -> (its body, the distance d of the general instance it reads)
 PAIRED = {
     "test_table_mul": (body_table_mul, 1),
@@ -239,6 +268,7 @@ PAIRED = {
     "test_traced_path_search_read": (body_traced_path_search_read, 1),
     "test_quat_mul": (body_quat_mul, 1),
     "test_splitting_map": (body_splitting_map, 2),
+    "test_bass_prime_orders": (body_bass_prime_orders, 1),
 }
 
 
@@ -457,15 +487,20 @@ def test_local_patch(benchmark, general_d2):
 
 
 def test_multiplier_lattice(benchmark, planted_at_3):
-    """The two-sided multiplier lattice of the 3-radical of a planted order,
-    from one kernel mod 3."""
+    """The multiplier lattice of the 3-radical of a planted order, from one
+    kernel mod 3."""
     o = planted_at_3
-    benchmark(radical_multipliers, o, 3, radical_coords_mod(o, 3), ("left", "right"))
+    benchmark(radical_multipliers, o, 3, radical_coords_mod(o, 3))
+
+
+def test_bass_prime_orders(benchmark, pkg, general):
+    bass, den, cols = benchmark(body_bass_prime_orders(pkg, general))
+    assert bass and discrd(verify_order(Lattice4(den, cols), QuaternionAlgebra.for_prime(103))) == 103
 
 
 def test_q_enlarge_through_stall(benchmark, eichler_at_3):
-    """q_enlarge of a level-3 Eichler order: the radical, its left
-    multipliers and the hereditary-stall step, from a fresh order with the
+    """q_enlarge of a level-3 Eichler order: the radical, its multipliers
+    and the hereditary-stall step, from a fresh order with the
     `discrd` cache cleared each round."""
     o = eichler_at_3
 

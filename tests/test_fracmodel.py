@@ -28,7 +28,7 @@ from endoring.divide import HiddenOrderOracle
 from endoring.errors import DegenerateLatticeError
 from endoring.lattice import Lattice4
 from endoring.ntheory import factorize
-from endoring.orders import discrd, q_enlarge, radical_lattice, verify_order
+from endoring.orders import discrd, q_enlarge, verify_order
 from endoring.padic import Precision, lift_vertex_element, splitting_map, zero_divisor_mod
 from endoring.pipeline import TraceLog, compute_endomorphism_ring, conjugate_order_lattice, local_patch
 from endoring.quat import QuatElement, QuaternionAlgebra
@@ -40,6 +40,7 @@ from fracmodel import multiplier_lattice as reference_multipliers
 from fracmodel import conj, idempotent_units, trd
 from fracmodel import normalized_basis_at as reference_basis
 from fracmodel import q_enlarge as reference_enlarge
+from fracmodel import radical_lattice
 from fracmodel import split_idempotent as reference_split
 from fracmodel import ternary_gorenstein_test as reference_gorenstein
 from test_bench_contract import load_bench_module
@@ -238,7 +239,7 @@ def test_hnf_is_the_reference_on_solves(monkeypatch):
 
     monkeypatch.setattr(lattice, "_hnf_columns", checked)
     build_and_solve()
-    assert len(sizes) > 150 and max(sizes) > 100 and len(wide) > 10
+    assert len(sizes) > 140 and max(sizes) > 100 and len(wide) > 10
 
 
 def build_and_solve():
@@ -273,9 +274,10 @@ def build_and_solve():
 def test_lattice_routes_are_the_references_on_solves(monkeypatch):
     """Every intersection, q-patch and radical multiplier order made while
     building and solving the instances of `build_and_solve` equals its
-    dual-based reference in `fracmodel`."""
+    dual-based reference in `fracmodel`: a multiplier order equals the left,
+    the right and the two-sided multipliers of the radical's preimage."""
     calls = {"intersect": 0, "patch": 0, "multipliers": 0}
-    sides_seen = set()
+    seen = set()
     meet, patch, multipliers = Lattice4.intersect, pipeline.local_patch, orders.radical_multipliers
 
     def checked_intersect(x, y):
@@ -290,11 +292,13 @@ def test_lattice_routes_are_the_references_on_solves(monkeypatch):
         assert got == reference_patch(x, y, q)
         return got
 
-    def checked_multipliers(order, q, rad, sides):
+    def checked_multipliers(order, q, rad):
         calls["multipliers"] += 1
-        sides_seen.add((q == 2, bool(rad), tuple(sides)))
-        got = multipliers(order, q, rad, sides)
-        assert got == reference_multipliers(radical_lattice(order, q, rad), order.algebra, sides)
+        seen.add((q == 2, bool(rad)))
+        got = multipliers(order, q, rad)
+        J = radical_lattice(order, q, rad)
+        for sides in (("left",), ("right",), ("left", "right")):
+            assert got == reference_multipliers(J, order.algebra, sides)
         return got
 
     monkeypatch.setattr(Lattice4, "intersect", checked_intersect)
@@ -303,7 +307,7 @@ def test_lattice_routes_are_the_references_on_solves(monkeypatch):
     monkeypatch.setattr(orders, "radical_multipliers", checked_multipliers)
     build_and_solve()
     assert calls["intersect"] > 10 and calls["patch"] > 10 and calls["multipliers"] > 20
-    assert {(t, True, s) for t in (True, False) for s in (("left",), ("left", "right"))} <= sides_seen
+    assert {(True, True), (False, True)} <= seen
 
 
 def test_integer_invariants_are_the_fraction_ones_on_solves(monkeypatch):

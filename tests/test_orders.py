@@ -6,7 +6,8 @@ import pytest
 
 import paperdata
 import planted
-from endoring import linmod, orders
+from endoring import linmod, orders, pipeline
+from endoring.divide import HiddenOrderOracle
 from endoring.errors import MathematicalInconsistencyError, NotARingError
 from endoring.lattice import Lattice4, integer_kernel
 from endoring.matrix import det4
@@ -23,14 +24,14 @@ from endoring.orders import (
     q_radical,
     radical_coords_mod,
     radical_idealizer,
-    radical_lattice,
     radical_multipliers,
     standard_maximal_order,
     ternary_gorenstein_test,
     verify_order,
 )
+from endoring.pipeline import compute_endomorphism_ring
 from endoring.quat import QuaternionAlgebra
-from fracmodel import conj, from_coords, index_in, linear_combination, multiplier_lattice, solve, trd
+from fracmodel import conj, from_coords, index_in, linear_combination, multiplier_lattice, radical_lattice, solve, trd
 from fracmodel import ternary_form_coefficients
 from matmodel import adj4, det3
 from treemodel import gram
@@ -238,50 +239,94 @@ SIDES = (("left",), ("right",), ("left", "right"))
 
 @pytest.mark.parametrize("q", [2, 3, 7, 103])
 def test_radical_multipliers_are_the_reference(alg, q):
-    """The multipliers of the q-radical from one kernel mod q equal the
-    dual-based multipliers of its preimage J, on each side and two-sided,
-    for the paper orders, planted suborders and a level-q Eichler order
-    (whose radical has dimension 2), and orders of (-1/4, -103 | Q): the
-    maximal one, Z + 2O and Z + 3O, whose radicals at 2, at 3 and at the
-    ramified 103 are not zero."""
+    """The left multipliers of the q-radical from one kernel mod q equal the
+    dual-based left, right and two-sided multipliers of its preimage J (the
+    lemma O_l(J) = O_r(J) of the `orders` docstring), for the paper orders,
+    planted suborders and a level-q Eichler order (whose radical has
+    dimension 2), and orders of (-1/4, -103 | Q): the maximal one, Z + 2O
+    and Z + 3O, whose radicals at 2, at 3 and at the ramified 103 are not
+    zero."""
     omax, plus3 = quarter_orders()
     quarter = [omax, plus3, scalar_plus(omax, 2)]
     orders = paper_orders(alg) + quarter
     if q < 100:
         orders += planted_orders_at(q, 2) + [planted.bass_instance(179, q, 1, random.Random(q))[0]]
     for o in orders:
-        radical = q_radical(o, q)
+        rad = q_radical(o, q).rad
+        got, J = radical_multipliers(o, q, rad), radical_lattice(o, q, rad)
         for sides in SIDES:
-            assert radical_multipliers(o, q, radical.rad, sides) == multiplier_lattice(radical.J, o.algebra, sides)
+            assert got == multiplier_lattice(J, o.algebra, sides)
     assert q == 7 or any(q_radical(o, q).rad for o in quarter)
 
 
 def test_q_enlarge_reuses_the_bass_test_idealizer(monkeypatch):
-    """After the Bass test has verified the two-sided idealizer of the
-    radical, q_enlarge given the same `Radical` reuses that order when its
-    first left-multiplier lattice equals it: one `verify_order` fewer, the
-    same enlargement (worked example at 13, Eichler orders at 3 and 2)."""
+    """After the Bass test has verified the multiplier order of the radical,
+    q_enlarge given the same `Radical` takes that order as its first step:
+    no `radical_multipliers` call on O_0 and no `verify_order` of the first
+    step, one of each fewer than a fresh enlargement, and the same result
+    (worked example at 13, Eichler orders at 3 and 2)."""
     cases = [(paperdata.o0(paperdata.algebra()), 13)]
     for p, q, depth in ((103, 3, 2), (1019, 2, 4)):
         o0, _, _ = planted.bass_instance(p, q, depth, random.Random(q))
         cases.append((o0, q))
-    verified, verify = [], orders.verify_order
+    multiplied, verified = [], []
+    multipliers, verify = orders.radical_multipliers, orders.verify_order
 
-    def counting(lat, alg):
+    def counting_multipliers(order, q, rad):
+        multiplied.append(order)
+        return multipliers(order, q, rad)
+
+    def counting_verify(lat, alg):
         verified.append(lat)
         return verify(lat, alg)
 
-    monkeypatch.setattr(orders, "verify_order", counting)
+    monkeypatch.setattr(orders, "radical_multipliers", counting_multipliers)
+    monkeypatch.setattr(orders, "verify_order", counting_verify)
     for o, q in cases:
         radical = q_radical(o, q)
         assert is_bass_at(o, q, radical)
-        assert radical.idealizer.lattice == radical_multipliers(o, q, radical.rad, ("left",))
+        first = radical.idealizer
+        assert first is not o and first.lattice == multipliers(o, q, radical.rad)
+        multiplied.clear()
         verified.clear()
         fresh = q_enlarge(o, q)
-        fresh_count = len(verified)
+        counts = len(multiplied), len(verified)
+        assert any(m is o for m in multiplied) and first.lattice in verified
+        multiplied.clear()
         verified.clear()
         assert q_enlarge(o, q, radical) == fresh
-        assert len(verified) == fresh_count - 1
+        assert not any(m is o for m in multiplied) and first.lattice not in verified
+        assert (len(multiplied), len(verified)) == (counts[0] - 1, counts[1] - 1)
+
+
+def test_solve_builds_no_radical_preimage(monkeypatch):
+    """A solve of the worked example forms the radical of every order it
+    enlarges, and no HNF it makes is the preimage J of one of them."""
+    alg = paperdata.algebra()
+    o0, end = paperdata.o0(alg), paperdata.endomorphism_ring(alg)
+    radicals, built = [], set()
+    radical, hnf = orders.q_radical, Lattice4.from_integer_columns
+
+    def recording_radical(order, q):
+        got = radical(order, q)
+        radicals.append((order, q, got.rad))
+        return got
+
+    def recording_hnf(cols, den=1):
+        lat = hnf(cols, den)
+        built.add(lat)
+        return lat
+
+    monkeypatch.setattr(orders, "q_radical", recording_radical)
+    monkeypatch.setattr(pipeline, "q_radical", recording_radical)
+    monkeypatch.setattr(Lattice4, "from_integer_columns", staticmethod(recording_hnf))
+    discrd.cache_clear()
+    got, _, _ = compute_endomorphism_ring(o0, [(7, 5), (13, 3), (103, 1)], HiddenOrderOracle(end))
+    monkeypatch.setattr(Lattice4, "from_integer_columns", staticmethod(hnf))
+    assert got.lattice == end.lattice
+    assert {q for _, q, _ in radicals} == {7, 13} and built
+    for order, q, rad in radicals:
+        assert rad and radical_lattice(order, q, rad) not in built
 
 
 def scalar_plus(order, m):

@@ -287,7 +287,7 @@ def test_trace_views_read_during_the_solve_match_one_read(name):
     """`events` and `explored` read during the solve, each on its own
     schedule, give at the end the views of the same solve read once; each
     earlier read is a prefix of the events and a subset of the explored
-    words."""
+    words.  Once both views are read, neither log keeps a raw record."""
     o0, fact, hidden = trace_instances()[name]
     once = TraceLog()
     compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), once)
@@ -295,6 +295,7 @@ def test_trace_views_read_during_the_solve_match_one_read(name):
     oracle = ReadingOracle(hidden, log)
     compute_endomorphism_ring(o0, fact, oracle, log)
     assert log.explored == once.explored and log.events == once.events
+    assert log._records == once._records == []
     assert len(oracle.reads) == oracle.calls > 1
     for events, explored in oracle.reads:
         assert events == log.events[: len(events)]
@@ -310,8 +311,8 @@ def test_trace_views_read_during_the_solve_match_one_read(name):
 
 def test_unread_explored_view_builds_no_word(monkeypatch):
     """A solve whose events are read and whose explored subtree is not
-    renders no explored word; reading `explored` afterwards renders each
-    record once."""
+    renders no explored word and keeps every raw record; reading `explored`
+    afterwards renders each record once and drops them all."""
     rendered = []
     render = TraceLog._render_explored
 
@@ -324,7 +325,8 @@ def test_unread_explored_view_builds_no_word(monkeypatch):
     log = TraceLog()
     compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
     assert sum(ev["type"] == "step" for ev in log.events) == 162
-    assert rendered == []
+    assert rendered == [] and len(log._records) == log._events_upto > 0
     words = log.explored[101]
     assert len(words) == 162 and len(rendered) == 1 and rendered[0] > 0
+    assert log._records == []
     assert log.explored[101] == words and rendered[1:] == [0]

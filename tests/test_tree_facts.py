@@ -507,11 +507,14 @@ def bass_inputs(o0, fact):
             yield q, e, splitting_map(oq, Precision(q, e))
 
 
-def test_bass_walk_is_the_reference():
-    """The incremental walk of `enumerate_bass_path` gives, word for word,
-    the words of `treemodel.enumerate_bass_path`, which forms each candidate
-    word's matrix anew: at every Bass prime of seeds 1-3 of both benchmark
-    workloads and of `planted.bass_instance` draws at q in {2, 3, 5, 13}."""
+def test_bass_walk_is_the_reference(monkeypatch):
+    """The walk of `enumerate_bass_path`, which reads each level's steps
+    from the roots of a quadratic mod q, gives, word for word, the words of
+    `treemodel.enumerate_bass_path`, which tries every step and forms each
+    candidate word's matrix anew: at every Bass prime of seeds 1-3 of both
+    benchmark workloads and of `planted.bass_instance` draws at q in {2, 3,
+    5, 13, 1009}.  A level costs the walk a number of 2x2 products
+    independent of q: two per image and one per kept step."""
     instances = load_bench_module("instances")
     drawn = [
         (o0, fact)
@@ -519,16 +522,27 @@ def test_bass_walk_is_the_reference():
         for seed in (1, 2, 3)
         for o0, fact, _ in instances.build(workload, seed, ROOT)
     ]
-    for p, q, depth in ((103, 2, 4), (1019, 2, 2), (103, 3, 4), (179, 3, 1), (179, 5, 3), (103, 13, 2)):
+    bass_draws = ((103, 2, 4), (1019, 2, 2), (103, 3, 4), (179, 3, 1), (179, 5, 3), (103, 13, 2), (103, 1009, 3))
+    for p, q, depth in bass_draws:
         o0, fact, _ = planted.bass_instance(p, q, depth, random.Random(q + depth))
         drawn.append((o0, fact))
+    products = []
+
+    def counting(x, y):
+        products.append(1)
+        return mat2_mul(x, y)
+
+    monkeypatch.setattr(pipeline, "mat2_mul", counting)
     seen = Counter()
     for o0, fact in drawn:
         for q, e, sm in bass_inputs(o0, fact):
+            products.clear()
             words = enumerate_bass_path(o0, sm)
+            # at most e + 2 levels: two products per image, one per kept step
+            assert len(products) <= (2 * 4 + 3) * (e + 2)
             assert words == reference_bass_path(o0, sm, e)
             seen[q, len(words) > 1] += 1
-    assert {(q, True) for q in (2, 3, 5, 13)} <= set(seen)
+    assert {(q, True) for q in (2, 3, 5, 13, 1009)} <= set(seen)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -7,9 +7,10 @@ the lemmas are about, `neighborhood_of_path` and `standard_vertices_up_to`
 enumerate vertex sets to check them against, and `gram` is the reference
 for `Order.gram`.  `canonical_vertex` is the Fraction form of
 `btt.canonical_vertex`, with rational row operations over Z_(q): the
-reference for the integer one.  `enumerate_bass_path` rebuilds each
-candidate word's matrix from scratch: the reference for the pipeline's
-incremental walk.  `VertexLattices` reads the order of a word's vertex
+reference for the integer one.  `enumerate_bass_path` tries every step
+out of each vertex and rebuilds each candidate word's matrix from scratch:
+the reference for the pipeline's walk, which reads each level's steps from
+the roots of a quadratic mod q.  `VertexLattices` reads the order of a word's vertex
 through its canonical label (a, b, c) and `segment_element` picks an
 element of a segment's order from the intersection of two vertex lattices:
 the references for the pipeline's `word_lattice` and `path_element`.
@@ -158,9 +159,9 @@ def canonical_vertex(q: int, mat) -> TreeVertex:
 
 def enumerate_bass_path(o0, sm, e: int) -> list[tuple]:
     """Step words of the path of maximal orders containing the image of O_0,
-    walked outward from the root while containment persists: each candidate
-    word's vertex is tested from its matrix `associated_matrix`, formed
-    anew."""
+    walked outward from the root while containment persists: each of the
+    q + 1 (or q) candidate words out of a vertex is tested from its matrix
+    `associated_matrix`, formed anew."""
     q, lat = sm.precision.q, sm.order.lattice
     imgs = [sm.apply_coords(lat.integer_coords(c, o0.lattice.den)) for c in o0.lattice.cols]
 
