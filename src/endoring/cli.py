@@ -2,13 +2,13 @@
 
 Subcommands: compute (full pipeline on a problem file), btt (tree
 utilities), divide-params (division-test parameter planner).  Exit
-codes: 0 success, 2 parse error, 3 mathematical inconsistency, 4 oracle
+codes: 0 success, 2 bad input (a parse error, or an output, trace or .dot
+path that cannot be written), 3 mathematical inconsistency, 4 oracle
 precondition violation.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from . import btt
@@ -21,8 +21,9 @@ from .errors import (
     PrecisionError,
 )
 from .ntheory import is_prime
-from .pipeline import TraceLog, compute_endomorphism_ring
+from .pipeline import compute_endomorphism_ring
 from .serialize import load_problem, result_to_json
+from .trace import TraceLog
 
 
 def _parse_path(q: int, spec: str) -> btt.MatrixPath:
@@ -57,7 +58,8 @@ def cmd_compute(args) -> int:
         end, sols, calls = compute_endomorphism_ring(order, fact, oracle, log)
     except EndoringError:
         # a failing run leaves what it recorded, so that it can be reproduced
-        _write_trace(log, trace_path, dot_dir)
+        if log is not None:
+            log.write(trace_path, dot_dir)
         raise
     result = result_to_json(end, sols, calls, deterministic=args.deterministic)
     text = json.dumps(result, indent=2) + "\n"
@@ -66,22 +68,9 @@ def cmd_compute(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    _write_trace(log, trace_path, dot_dir)
+    if log is not None:
+        log.write(trace_path, dot_dir)
     return 0
-
-
-def _write_trace(log, trace_path, dot_dir):
-    """Write the log's events as JSON lines to trace_path and its explored
-    subtrees as `explored_q<q>.dot` files into dot_dir, each when given."""
-    if trace_path:
-        with open(trace_path, "w") as fh:
-            for ev in log.events:
-                fh.write(json.dumps(ev) + "\n")
-    if dot_dir:
-        os.makedirs(dot_dir, exist_ok=True)
-        for q, src in log.dot_sources().items():
-            with open(os.path.join(dot_dir, f"explored_q{q}.dot"), "w") as fh:
-                fh.write(src + "\n")
 
 
 def _require(ok: bool, message: str):
@@ -165,7 +154,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MathematicalInconsistencyError, PrecisionError) as exc:

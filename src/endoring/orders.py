@@ -39,7 +39,7 @@ is the kernel of the norm mod 2, a linear form on that kernel (see
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
+from math import lcm, prod
 
 from . import linmod
 from .errors import (
@@ -50,7 +50,7 @@ from .errors import (
 )
 from .lattice import Lattice4, integer_kernel
 from .matrix import adj_det4, combine4, det4, dot4, form4, matvec4
-from .ntheory import char_roots, exact_isqrt, valuation
+from .ntheory import char_roots, exact_isqrt, is_prime, valuation
 from .quat import QuaternionAlgebra, QuatElement, integer_product
 
 
@@ -129,9 +129,9 @@ def verify_order(lat: Lattice4, alg: QuaternionAlgebra) -> Order:
     and integral nrd(b_i) = (t_i^2 - trd(b_i^2)) / 2, trd(b_i^2) = sum_k
     table[i][i][k] * t_k (the numerator is even), all in integers.
     """
-    if not lat.contains((1, 0, 0, 0)):
-        raise MissingUnitError("lattice does not contain 1")
     order = Order(alg, lat)
+    if order.one is None:
+        raise MissingUnitError("lattice does not contain 1")
     order.table  # the closure check
     t = order.traces
     for i, (c, row) in enumerate(zip(lat.cols, order.table)):
@@ -171,6 +171,34 @@ def discrd(order: Order) -> int:
 
 def is_maximal(order: Order) -> bool:
     return discrd(order) == order.algebra.p
+
+
+def check_factorization(order: Order, factorization) -> list[tuple[int, int]]:
+    """The factorization of discrd(order) as a list of (prime, exponent)
+    pairs, checked to be its prime factorization: integer pairs, exponents
+    at least 1, a product equal to discrd(order) and distinct primes.
+    Nothing is factored, so a discriminant with large primes is checked as
+    fast as a small one; p itself is proven prime when the algebra is made.
+    Raises MathematicalInconsistencyError naming the first failure."""
+    pairs = []
+    for entry in factorization:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and all(isinstance(x, int) for x in entry)):
+            raise MathematicalInconsistencyError(f"factorization entry {entry!r} is not a pair of integers")
+        if entry[1] < 1:
+            raise MathematicalInconsistencyError(f"factorization entry {entry!r} has an exponent below 1")
+        pairs.append(tuple(entry))
+    delta = discrd(order)
+    # |q|^e > delta when |q| > 1 and e exceeds delta's bit length: such a
+    # power is not formed
+    if any(abs(q) > 1 and e > delta.bit_length() for q, e in pairs) or prod(q**e for q, e in pairs) != delta:
+        raise MathematicalInconsistencyError(f"factorization does not multiply to discrd = {delta}")
+    primes = [q for q, _ in pairs]
+    if len(set(primes)) != len(primes):
+        raise MathematicalInconsistencyError("factorization repeats a prime")
+    composite = next((q for q in primes if q != order.algebra.p and not is_prime(q)), None)
+    if composite is not None:
+        raise MathematicalInconsistencyError(f"factorization has the entry {composite}, not a prime")
+    return pairs
 
 
 def standard_maximal_order(alg: QuaternionAlgebra) -> Order:

@@ -23,8 +23,9 @@ and that matrix and the denominator divided by their common factor, once
 when the kernel is bound.  A question is integers end to end: the rounding
 takes integer residuals and one gcd, beta is a `QuatElement` of integer
 numerators over one denominator, the stand-in oracle solves from those
-integers and `TraceLog` keeps beta itself, printed only when its events are
-read; a solve builds no Fraction.  Every
+integers and the log (`trace.TraceLog`, which this module takes in the
+stage signatures) keeps beta itself, printed only when its events are read;
+a solve builds no Fraction.  Every
 conj(t) x t comes from `conjugate`, by products from the structure
 constants `oq.table` with conj(t) = trd(t) - t: the vertex lattices, the
 Bass search's element, the path search's level frames (formed once per
@@ -60,25 +61,18 @@ solution's call counts are read off its stage oracles.
 from dataclasses import dataclass, field
 from math import gcd
 
-from .btt import (
-    MatrixPath,
-    allowed_next_steps,
-    associated_matrix,
-    dot_graph,
-    gen_matrix,
-    step_name,
-    vertex_of_path,
-)
+from .btt import MatrixPath, allowed_next_steps, associated_matrix, gen_matrix
 from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4, lll_gram
 from .matrix import adj2, adj_det4, combine4, dot4, mat2_mul, matvec4
-from .ntheory import char_roots, is_prime, valuation
+from .ntheory import char_roots, valuation
 from .orders import (
     _UNITS,
     Order,
     _conj_coords,
     _table_mul,
+    check_factorization,
     discrd,
     is_bass_at,
     q_enlarge,
@@ -87,116 +81,7 @@ from .orders import (
 )
 from .padic import Precision, SplittingMap, first_candidate, lift_matrix, lift_vertex_element, splitting_map
 from .quat import QuatElement
-from .serialize import rational_str
-
-
-# ---------------------------------------------------------------------------
-# trace log
-
-
-class TraceLog:
-    """The trace of a solve: one append-only list of raw records, from which
-    two views render when they are read.
-
-    A solve only appends: each oracle question (q, stage, beta, n, answer,
-    count), beta the immutable `QuatElement`; each path-search level (q,
-    level, its own copy of the word, the candidate steps tried, the one
-    accepted); and each Bass walk (q, its words).  `events`, the oracle and
-    step events as JSON-ready dicts in the order they happened, and
-    `explored`, each prime's explored step words, render the records
-    appended since they were last read, each on its own: a view nobody reads
-    costs nothing, and so an annotation of an event belongs in its renderer,
-    not in the solve.  Both views are the log's own list and dict, extended
-    in place at each read, and a read drops the records that both views
-    have rendered: a log whose `explored` is never read keeps them all."""
-
-    def __init__(self):
-        self._records = []
-        self._events = []
-        self._explored = {}
-        self._events_upto = 0
-        self._explored_upto = 0
-
-    def oracle_event(self, q, stage, beta, n, answer, count):
-        self._records.append(("oracle", q, stage, beta, n, answer, count))
-
-    def path_level(self, q, level, word, steps, accepted):
-        """Record the candidate steps a path-search level tried after the
-        step word `word`, in order, and the one it accepted (None for none):
-        one step event each, and the vertex each reaches."""
-        self._records.append(("level", q, level, tuple(word), steps, accepted))
-
-    def saw_vertices(self, q, words):
-        """Record the vertices at the ends of nonbacktracking step words,
-        which must not change after the call."""
-        self._records.append(("saw", q, words))
-
-    @property
-    def events(self):
-        """The oracle and step events, in the order they happened."""
-        new = self._records[self._events_upto :]
-        self._events_upto += len(new)
-        self._render_events(new)
-        self._drop_rendered()
-        return self._events
-
-    @property
-    def explored(self):
-        """Each prime's explored vertices, as a set of step words."""
-        new = self._records[self._explored_upto :]
-        self._explored_upto += len(new)
-        self._render_explored(new)
-        self._drop_rendered()
-        return self._explored
-
-    def _drop_rendered(self):
-        """Drop the records that both views have rendered."""
-        k = min(self._events_upto, self._explored_upto)
-        if k:
-            del self._records[:k]
-            self._events_upto -= k
-            self._explored_upto -= k
-
-    def _render_events(self, records):
-        events = self._events
-        for rec in records:
-            if rec[0] == "oracle":
-                _, q, stage, beta, n, answer, count = rec
-                events.append(
-                    {
-                        "type": "oracle",
-                        "q": q,
-                        "stage": stage,
-                        "beta": [rational_str(x, beta.den) for x in beta.nums],
-                        "n": str(n),
-                        "answer": bool(answer),
-                        "count": count,
-                    }
-                )
-            elif rec[0] == "level":
-                _, q, level, _, steps, accepted = rec
-                events.extend(
-                    {"type": "step", "q": q, "k": level, "candidate": step_name(q, s), "accepted": s == accepted}
-                    for s in steps
-                )
-
-    def _render_explored(self, records):
-        explored = self._explored
-        for rec in records:
-            if rec[0] == "level":
-                _, q, _, prefix, steps, _ = rec
-                explored.setdefault(q, set()).update([prefix + (s,) for s in steps])
-            elif rec[0] == "saw":
-                _, q, words = rec
-                explored.setdefault(q, set()).update(map(tuple, words))
-
-    def dot_sources(self):
-        return {
-            q: dot_graph(
-                (vertex_of_path(MatrixPath(q, w)) for w in words), title=f"explored_q{q}"
-            )
-            for q, words in self.explored.items()
-        }
+from .trace import TraceLog
 
 
 # ---------------------------------------------------------------------------
@@ -716,23 +601,14 @@ def compute_endomorphism_ring(
 ):
     """Run the per-prime local pipeline and assemble End(E).
 
-    factorization: iterable of (prime, exponent) pairs multiplying to
-    discrd(O_0).  Returns (end_order, local solutions, total calls).
+    factorization: the prime factorization of discrd(O_0), as (prime,
+    exponent) pairs (`orders.check_factorization`, which refuses any other
+    before a question is asked).  Returns (end_order, local solutions, total
+    calls).
     """
     p = o0.algebra.p
-    delta = discrd(o0)
-    prod = 1
-    for q, e in factorization:
-        prod *= q**e
-    if prod != delta:
-        raise MathematicalInconsistencyError(
-            f"stated factorization multiplies to {prod}, discriminant is {delta}"
-        )
-    # p itself is proven prime when the algebra is made
-    composite = next((q for q, _ in factorization if q != p and not is_prime(q)), None)
-    if composite is not None:
-        raise MathematicalInconsistencyError(f"stated factorization has the entry {composite}, not a prime")
-    if delta == p:
+    factorization = check_factorization(o0, factorization)
+    if discrd(o0) == p:
         return o0, [], 0
     rb = ReducedBasis(o0)
 

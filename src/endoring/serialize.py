@@ -9,10 +9,9 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .errors import EndoringError, ParseError
+from .errors import EndoringError, MathematicalInconsistencyError, ParseError
 from .lattice import Lattice4
-from .ntheory import is_prime
-from .orders import Order, discrd, verify_order
+from .orders import Order, check_factorization, discrd, verify_order
 from .quat import QuaternionAlgebra
 
 
@@ -55,6 +54,8 @@ def lattice_to_json(lat: Lattice4) -> list:
 def lattice_from_json(data) -> Lattice4:
     if not isinstance(data, list) or len(data) < 4:
         raise ParseError("lattice needs at least four basis columns")
+    if not all(isinstance(col, list) for col in data):
+        raise ParseError("basis columns must be lists")
     cols = [[frac_from_str(x) for x in col] for col in data]
     if any(len(c) != 4 for c in cols):
         raise ParseError("basis vectors must have four coordinates")
@@ -95,24 +96,10 @@ def problem_from_json(data):
     fact_raw = data.get("discriminant_factorization")
     if not isinstance(fact_raw, list) or not fact_raw:
         raise ParseError("missing discriminant_factorization")
-    fact = []
-    for pair in fact_raw:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)):
-            raise ParseError(f"bad factorization entry {pair!r}")
-        fact.append((pair[0], pair[1]))
-    prod = 1
-    for q, e in fact:
-        if e < 1:
-            raise ParseError("factorization exponents must be positive")
-        prod *= q**e
-    d = discrd(order)
-    if prod != d:
-        raise ParseError(f"factorization multiplies to {prod}, but discrd(order) = {d}")
-    # with the product checked, distinct prime entries make it the prime
-    # factorization; nothing is factored, so a discriminant with large
-    # primes loads as fast as a small one
-    if len({q for q, _ in fact}) != len(fact) or not all(is_prime(q) for q, _ in fact):
-        raise ParseError("factorization entries are not the prime factorization")
+    try:
+        fact = check_factorization(order, fact_raw)
+    except MathematicalInconsistencyError as exc:
+        raise ParseError(f"factorization is not the prime factorization: {exc}") from None
     oracle_spec = data.get("oracle")
     hidden = None
     if oracle_spec is not None:

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def load_bench_module(name):
@@ -48,6 +49,33 @@ def test_cleared_caches_exist():
     path_from_root = endoring_module("btt").path_from_root
     for fn in (discrd, path_from_root):
         assert callable(fn.cache_clear) and callable(fn.cache_info)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("pipeline", "TraceLog"),
+        ("pipeline", "compute_endomorphism_ring"),
+        ("divide", "HiddenOrderOracle"),
+        ("errors", "EndoringError"),
+        ("cli", "main"),
+    ],
+)
+def test_called_name_exists(module, name):
+    """The names `bench/run.py` calls besides the wrapped ones."""
+    assert callable(getattr(endoring_module(module), name))
+
+
+def test_solved_log_has_the_event_keys_the_bench_reads():
+    """`bench/run.py` reads `type`, `q`, `n`, `beta` and `answer` of each
+    oracle event of a solved log."""
+    pipeline, divide = endoring_module("pipeline"), endoring_module("divide")
+    o0, fact, hidden, _ = endoring_module("serialize").load_problem(ROOT / "problems" / "p103_worked_example.json")
+    log = pipeline.TraceLog()
+    pipeline.compute_endomorphism_ring(o0, fact, divide.HiddenOrderOracle(hidden), log)
+    oracle_events = [ev for ev in log.events if ev["type"] == "oracle"]
+    assert len(oracle_events) == 8
+    assert all({"q", "n", "beta", "answer"} <= ev.keys() for ev in oracle_events)
 
 
 def test_instance_builders_import():

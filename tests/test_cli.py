@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import paperdata
-from endoring import cli, pipeline
+from endoring import cli, trace
 from endoring.cli import main
 from endoring.errors import ParseError
 from endoring.lattice import Lattice4
@@ -78,13 +78,13 @@ def test_dot_files_without_trace_format_no_question(tmp_path, monkeypatch):
     subtrees, so no oracle question is formatted, and the `.dot` files are
     the pinned ones."""
     formatted = []
-    rational_str = pipeline.rational_str
+    rational_str = trace.rational_str
 
     def counting_rational_str(n, d):
         formatted.append((n, d))
         return rational_str(n, d)
 
-    monkeypatch.setattr(pipeline, "rational_str", counting_rational_str)
+    monkeypatch.setattr(trace, "rational_str", counting_rational_str)
     dots = tmp_path / "dots"
     assert run_cli(["compute", "--input", PROBLEM, "--output", tmp_path / "r.json", "--dot-dir", dots]) == 0
     assert formatted == []
@@ -209,12 +209,13 @@ def test_corrupted_factorization_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "factorization",
-    [[[7, 2], [7, 3], [13, 3], [103, 1]], [[91, 3], [7, 2], [103, 1]]],
-    ids=["repeated", "composite"],
+    [[[7, 2], [7, 3], [13, 3], [103, 1]], [[91, 3], [7, 2], [103, 1]], [[7, 10**9], [13, 3], [103, 1]]],
+    ids=["repeated", "composite", "huge"],
 )
 def test_factorization_must_be_prime_and_distinct(factorization):
     """A factorization that multiplies to discrd(O_0) is still refused when
-    an entry repeats or is not prime."""
+    an entry repeats or is not prime, and one with an exponent past the
+    discriminant's bit length is refused without forming the power."""
     problem = json.loads(PROBLEM.read_text())
     problem["discriminant_factorization"] = factorization
     with pytest.raises(ParseError, match="not the prime factorization"):
@@ -246,6 +247,23 @@ def test_non_order_basis_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(problem))
     assert run_cli(["compute", "--input", bad]) == 2
+
+
+@pytest.mark.parametrize("column", [None, 7, 1.5, True], ids=["null", "int", "float", "bool"])
+@pytest.mark.parametrize("section", [("order",), ("oracle", "order")])
+def test_non_list_basis_column_rejected(tmp_path, capsys, section, column):
+    """A basis column that is not a list is a parse error: exit 2 and one
+    `error:` line, no traceback."""
+    problem = json.loads(PROBLEM.read_text())
+    target = problem
+    for key in section:
+        target = target[key]
+    target["basis"][1] = column
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(problem))
+    assert run_cli(["compute", "--input", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def write_with_oracle_lattice(tmp_path, lattice):
@@ -295,6 +313,18 @@ def test_non_string_path_option_rejected(tmp_path, capsys, key):
     assert run_cli(["compute", "--input", bad, "--output", out]) == 2
     assert f"options.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--output", "--trace", "--dot-dir"])
+def test_unwritable_path_is_bad_input(tmp_path, capsys, flag):
+    """A result, trace or `.dot` path that cannot be written (a directory,
+    or for --dot-dir a file) is bad input: exit 2 and one `error:` line."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    target = taken if flag == "--dot-dir" else tmp_path
+    assert run_cli(["compute", "--input", PROBLEM, "--deterministic", flag, target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_btt_distance_and_d3(capsys):

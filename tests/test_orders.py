@@ -8,7 +8,7 @@ import paperdata
 import planted
 from endoring import linmod, orders, pipeline
 from endoring.divide import HiddenOrderOracle
-from endoring.errors import MathematicalInconsistencyError, NotARingError
+from endoring.errors import MathematicalInconsistencyError, MissingUnitError, NotARingError
 from endoring.lattice import Lattice4, integer_kernel
 from endoring.matrix import det4
 from endoring.ntheory import valuation
@@ -60,6 +60,15 @@ def test_half_i_rejected(alg):
     assert info.value.left == half_i
     assert info.value.right == half_i
     assert info.value.product == alg.element(F(-1, 4))
+
+
+def test_missing_unit_is_found_by_one_solve(alg, monkeypatch):
+    """`verify_order` finds a missing 1 from `Order.one`, the one solve of
+    its coordinates, and calls no `Lattice4.contains`."""
+    monkeypatch.setattr(Lattice4, "contains", None)
+    with pytest.raises(MissingUnitError):
+        order_from_basis(alg, [(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    assert order_from_basis(alg, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]).one == (1, 0, 0, 0)
 
 
 def paper_orders(alg):

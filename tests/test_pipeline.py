@@ -8,7 +8,7 @@ import pytest
 
 import paperdata
 import planted
-from endoring import btt, pipeline
+from endoring import btt, pipeline, trace
 from endoring.btt import MatrixPath, distance, vertex_of_path
 from endoring.divide import HiddenOrderOracle
 from endoring.errors import MathematicalInconsistencyError
@@ -216,7 +216,7 @@ def test_bass_search_builds_no_vertex_lattice(monkeypatch):
     monkeypatch.setattr(Lattice4, "intersect", recorded("intersect", Lattice4.intersect))
     monkeypatch.setattr(Lattice4, "gaps_at", recorded("gaps_at", Lattice4.gaps_at))
     monkeypatch.setattr(btt, "vertex_of_path", recorded("vertex_of_path", btt.vertex_of_path))
-    monkeypatch.setattr(pipeline, "vertex_of_path", recorded("vertex_of_path", pipeline.vertex_of_path))
+    monkeypatch.setattr(trace, "vertex_of_path", recorded("vertex_of_path", trace.vertex_of_path))
     for p, q, depth in ((103, 3, 4), (179, 5, 3), (1019, 2, 4), (103, 13, 2)):
         conjugated.clear()
         o0, fact, hidden = planted.bass_instance(p, q, depth, random.Random(q + depth))
@@ -244,16 +244,24 @@ def test_idempotence(alg, o0, end):
 
 
 @pytest.mark.parametrize(
-    "factorization",
-    [[(1, 1), (7, 5), (13, 3), (103, 1)], [(91, 1), (7, 4), (13, 2), (103, 1)]],
-    ids=["one", "91"],
+    "factorization, fragment",
+    [
+        ([(1, 1), (7, 5), (13, 3), (103, 1)], "not a prime"),
+        ([(91, 1), (7, 4), (13, 2), (103, 1)], "not a prime"),
+        ([(7, 1)] * 5 + [(13, 3), (103, 1)], "repeats a prime"),
+        ([(7, 5), (13, 1), (13, 2), (103, 1)], "repeats a prime"),
+        ([(7, 5.0), (13, 3), (103, 1)], "not a pair of integers"),
+        ([(7, 5), (11, 0), (13, 3), (103, 1)], "exponent below 1"),
+    ],
+    ids=["one", "91", "repeated", "split", "float", "zero"],
 )
-def test_composite_factorization_entry_is_refused(alg, o0, end, factorization):
-    """A factorization that multiplies to discrd(O_0) but has an entry that
-    is not prime is refused with the typed error of the product check,
-    before any question is asked."""
+def test_composite_factorization_entry_is_refused(alg, o0, end, factorization, fragment):
+    """A factorization that is not discrd(O_0)'s prime factorization, with
+    an entry that is not prime, a repeated prime, a non-integer exponent or
+    an exponent of 0, is refused with a typed error before any question is
+    asked (`orders.check_factorization`, which the parser shares)."""
     oracle = HiddenOrderOracle(end)
-    with pytest.raises(MathematicalInconsistencyError, match="not a prime"):
+    with pytest.raises(MathematicalInconsistencyError, match=fragment):
         compute_endomorphism_ring(o0, factorization, oracle)
     assert oracle.calls == 0
 
@@ -287,7 +295,7 @@ def test_trace_views_read_during_the_solve_match_one_read(name):
     """`events` and `explored` read during the solve, each on its own
     schedule, give at the end the views of the same solve read once; each
     earlier read is a prefix of the events and a subset of the explored
-    words.  Once both views are read, neither log keeps a raw record."""
+    words."""
     o0, fact, hidden = trace_instances()[name]
     once = TraceLog()
     compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), once)
@@ -295,7 +303,6 @@ def test_trace_views_read_during_the_solve_match_one_read(name):
     oracle = ReadingOracle(hidden, log)
     compute_endomorphism_ring(o0, fact, oracle, log)
     assert log.explored == once.explored and log.events == once.events
-    assert log._records == once._records == []
     assert len(oracle.reads) == oracle.calls > 1
     for events, explored in oracle.reads:
         assert events == log.events[: len(events)]
@@ -311,22 +318,21 @@ def test_trace_views_read_during_the_solve_match_one_read(name):
 
 def test_unread_explored_view_builds_no_word(monkeypatch):
     """A solve whose events are read and whose explored subtree is not
-    renders no explored word and keeps every raw record; reading `explored`
-    afterwards renders each record once and drops them all."""
+    renders no explored word; each read of `explored` renders every record
+    once."""
     rendered = []
-    render = TraceLog._render_explored
+    render = trace.render_explored
 
-    def counting_render(log, records):
+    def counting_render(records):
         rendered.append(len(records))
-        render(log, records)
+        return render(records)
 
-    monkeypatch.setattr(TraceLog, "_render_explored", counting_render)
+    monkeypatch.setattr(trace, "render_explored", counting_render)
     o0, fact, hidden = trace_instances()["general_101"]
     log = TraceLog()
     compute_endomorphism_ring(o0, fact, HiddenOrderOracle(hidden), log)
     assert sum(ev["type"] == "step" for ev in log.events) == 162
-    assert rendered == [] and len(log._records) == log._events_upto > 0
+    assert rendered == []
     words = log.explored[101]
     assert len(words) == 162 and len(rendered) == 1 and rendered[0] > 0
-    assert log._records == []
-    assert log.explored[101] == words and rendered[1:] == [0]
+    assert log.explored[101] == words and rendered[1:] == rendered[:1]
