@@ -16,11 +16,12 @@ reduced basis (`ReducedBasis`) is built once per solve.
 Each stage works in integer coordinates over the basis of O_q and asks
 through its frame (`ReducedBasis.frame`), the one place a question and its
 quaternion beta are formed.  A frame is one integer matrix, from
-coordinates to numerators over the reduced basis, and its question kernel
-for a shift s (`Frame.kernel`): one straight-line function of the
-coordinates, with the matrix scaled by q^s and reduced mod the denominator,
-and that matrix and the denominator divided by their common factor, once
-when the kernel is bound.  A question is integers end to end: the rounding
+coordinates to numerators over the reduced basis, and its question kernels
+for a shift s, a function of the coordinates (`Frame.kernel`) and one
+straight-line function of a path-search pair (`Frame.pair_kernel`), each
+with the matrix scaled by q^s and reduced mod the denominator, and that
+matrix and the denominator divided by their common factor, once when the
+kernel is bound.  A question is integers end to end: the rounding
 takes integer residuals and one gcd, beta is a `QuatElement` of integer
 numerators over one denominator, the stand-in oracle solves from those
 integers and the log (`trace.TraceLog`, which this module takes in the
@@ -45,8 +46,8 @@ vertex (`distance_element`) for each distance step, an initial segment of
 the containment path for each Bass halving (powers of one closed-form
 element, `path_element`), and for each path-search question the two
 branches that leave the current vertex through a pair of candidate steps
-(`pair_idempotent`); the path search ends with one question that holds for
-the end vertex alone.
+(an idempotent, `Frame.pair_kernel`); the path search ends with one
+question that holds for the end vertex alone.
 
 A stage takes only what no other argument holds: the path search and the
 Bass search read q, the precision (r or e) and O_q from their splitting
@@ -145,15 +146,16 @@ class Frame:
     O_0, else (beta, m) with m least such that m*y lies in O_0 and beta =
     m*(y - gamma).
 
-    It has two parts: the integer matrix `matrix`, which maps z to the
+    It has three parts: the integer matrix `matrix`, which maps z to the
     numerators of x's coordinates over O_0's reduced basis (their
-    denominator is `den`), and `kernel(s)`, the question as a function of z
-    alone for one shift s, the one place a question is formed; a call with
-    shift s goes through `kernel(s)`.  `composed` gives the frame of a
-    linear map into the frame's coordinates, with the matrix product formed
-    once: the path search forms the frame of z -> conj(t) z t once per level
-    and binds its kernel to the level's shift, so that each question of the
-    level costs 16 small products, four centred residuals and one gcd."""
+    denominator is `den`), `kernel(s)`, the question as a function of z
+    alone for one shift s, and `pair_kernel(s, sm)`, the question about a
+    path-search pair as a function of the pair.  `composed` gives the frame
+    of a linear map into the frame's coordinates, with the matrix product
+    formed once: the path search forms the frame of z -> conj(t) z t once
+    per level and binds its pair kernel to the level's shift, so that a
+    question costs one call: 16 products of residues mod q for the
+    idempotent, 16 for the numerators, four residuals and one gcd."""
 
     def __init__(self, rb: ReducedBasis, matrix, den: int, q: int):
         self.rb = rb
@@ -172,6 +174,14 @@ class Frame:
         matrix = tuple(tuple(dot4(row, im) for im in images) for row in rows)
         return Frame(self.rb, matrix, self.den, self.q)
 
+    def _reduced(self, s: int):
+        """The (rows, d) that both kernels bind for the shift s (see `kernel`)."""
+        q, d = self.q, self.den
+        f, d = (q**s, d) if s >= 0 else (1, d * q**-s)
+        rows = [[f * x % d for x in row] for row in self.matrix]
+        g = gcd(*rows[0], *rows[1], *rows[2], *rows[3], d)
+        return [[x // g for x in row] for row in rows], d // g
+
     def kernel(self, s: int):
         """The function z -> the question about q^s * x, x the element with
         integer coordinates z over the frame's basis.
@@ -189,26 +199,46 @@ class Frame:
         n, d and every r_i by c, leaving g/c, m and w unchanged, so it is
         divided out too.  A question then forms its numerators from the
         reduced entries, each below the reduced d."""
-        q, d = self.q, self.den
-        if s >= 0:
-            f = q**s
-        else:
-            f, d = 1, d * q**-s
-        entries = [f * x % d for row in self.matrix for x in row]
-        g = gcd(*entries, d)
-        if g > 1:
-            d //= g
-            entries = [x // g for x in entries]
-        m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = entries
-        d2 = 2 * d
-        rb = self.rb
-        algebra, cols, den = rb.order.algebra, rb._cols, rb.order.lattice.den
+        rows, d = self._reduced(s)
+        algebra, cols, den = self.rb.order.algebra, self.rb._cols, self.rb.order.lattice.den
 
-        # the products are written out rather than `matvec4`'s: through it,
-        # a traced path search at q = 1009 takes 1.5% longer (11 of 11
-        # rounds of tests/microbench_paired.py)
         def ask(z):
-            z0, z1, z2, z3 = z
+            r = [n + (d - 2 * n) // (2 * d) * d for n in matvec4(rows, z)]
+            g = gcd(*r, d)
+            if g == d:
+                return None
+            return QuatElement.from_integers(algebra, combine4([x // g for x in r], cols), den), d // g
+
+        return ask
+
+    def pair_kernel(self, s: int, sm: SplittingMap):
+        """The function (a, b) -> `kernel(s)(P)` for steps a != b: P, each
+        coordinate in [0, q), combines the matrix units mod q
+        (`SplittingMap.units_mod_q`) into the idempotent with image line a
+        and kernel line b, and is written out with `kernel`'s rounding in one
+        function.  Step c's line, which an element of O_q fixes mod q exactly
+        when it lies in the order of the root's neighbour gamma_c, is (-c, 1)
+        for c < q and (1, 0) for gamma_inf; P is not scalar mod q and fixes
+        lines a and b alone, so among those q + 1 neighbours it lies in the
+        orders of gamma_a and gamma_b alone (the Pair fact)."""
+        rows, d = self._reduced(s)
+        (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = rows
+        # E11, E12, E21 and E22 mod q
+        (e0, e1, e2, e3), (f0, f1, f2, f3), (h0, h1, h2, h3), (k0, k1, k2, k3) = sm.units_mod_q
+        q, d2 = self.q, 2 * d
+        algebra, cols, den = self.rb.order.algebra, self.rb._cols, self.rb.order.lattice.den
+
+        def ask(a, b):
+            a1, a2 = (1, 0) if a == q else (-a, 1)
+            b1, b2 = (1, 0) if b == q else (-b, 1)
+            det = a1 * b2 - a2 * b1  # 1 for consecutive finite steps, most pairs
+            inv = 1 if det == 1 else pow(det, -1, q)
+            # the idempotent a (b2, -b1) / det mod q at E11, E12, E21, E22
+            c0, c1, c2, c3 = a1 * b2 * inv, -a1 * b1 * inv, a2 * b2 * inv, -a2 * b1 * inv
+            z0 = (c0 * e0 + c1 * f0 + c2 * h0 + c3 * k0) % q
+            z1 = (c0 * e1 + c1 * f1 + c2 * h1 + c3 * k1) % q
+            z2 = (c0 * e2 + c1 * f2 + c2 * h2 + c3 * k2) % q
+            z3 = (c0 * e3 + c1 * f3 + c2 * h3 + c3 * k3) % q
             n0 = m00 * z0 + m01 * z1 + m02 * z2 + m03 * z3
             n1 = m10 * z0 + m11 * z1 + m12 * z2 + m13 * z3
             n2 = m20 * z0 + m21 * z1 + m22 * z2 + m23 * z3
@@ -323,27 +353,6 @@ def generator_lifts(sm: SplittingMap, step: int) -> tuple:
     return lift_vertex_element(sm, (1, 0, 0) if step == q else (0, 1, step))
 
 
-def pair_idempotent(sm: SplittingMap, a: int, b: int) -> tuple:
-    """Integer coordinates over the basis of O_q, each in [0, q), of an
-    element P whose image mod q is the idempotent with image line a and
-    kernel line b (steps a != b).  P mod q is not scalar and fixes exactly
-    these two lines, so among the root's q + 1 neighbours P lies in the
-    orders of gamma_a and gamma_b alone (the Pair fact).
-
-    The line of step c is the line of (Z/q)^2 that an element of O_q fixes
-    mod q exactly when it lies in the order of the root's neighbour
-    gamma_c: (-c, 1) for c < q, (1, 0) for gamma_inf.  P combines the matrix
-    units mod q (`SplittingMap.units_mod_q`, reduced once per map)."""
-    q = sm.precision.q
-    a1, a2 = (1, 0) if a == q else (-a, 1)
-    b1, b2 = (1, 0) if b == q else (-b, 1)
-    inv = pow(a1 * b2 - a2 * b1, -1, q)
-    # the entries of P mod q at E11, E12, E21, E22
-    c = (a1 * b2 * inv % q, -a1 * b1 * inv % q, a2 * b2 * inv % q, -a2 * b1 * inv % q)
-    x0, x1, x2, x3 = combine4(c, sm.units_mod_q)
-    return x0 % q, x1 % q, x2 % q, x3 % q
-
-
 def find_path_to_end(
     rb: ReducedBasis, sm: SplittingMap, oracle: DivisionOracle, log: TraceLog | None
 ) -> tuple[MatrixPath, tuple]:
@@ -355,9 +364,10 @@ def find_path_to_end(
     conj(t) O_q t is End(E) tensor Z_q.
 
     Standing at v of depth k with lift t, End(E) at distance s = r - k, the
-    element x = conj(t) P t / q^k, P = `pair_idempotent(sm, a, b)`, lies in
-    O(v), and q^(s-1) x lies in End(E) iff the path leaves v through step a
-    or step b (the Pair fact).  Each question asks about one such pair, in
+    element x = conj(t) P t / q^k, P the idempotent of `Frame.pair_kernel`
+    with image line a and kernel line b, lies in O(v), and q^(s-1) x lies in
+    End(E) iff the path leaves v through step a or step b (the Pair fact).
+    Each question asks about one such pair, in
     `allowed_next_steps` order, until one answers yes; one more question
     pairs its first step with a line known to be refused (the parent's, one
     from a refused pair, or at the root the next untried step) and so splits
@@ -374,38 +384,36 @@ def find_path_to_end(
     t is fixed for a level, and conj(t) P t is linear in P, so each level
     forms once the frame of z -> conj(t) z t (`Frame.composed`, from the
     `conjugate` images of the four basis units: 8 table products) and binds
-    its kernel to the level's shift s - 1 - k, the power of q on conj(t) P t
-    (`Frame.kernel`, which scales and reduces the matrix once).  A pair
-    question then costs its idempotent (16 products of integers below q),
-    one straight-line kernel call (16 products of residues, four centred
-    residuals and one gcd) and, when the element is not in O_0, its beta.
-    The trace stores raw records and renders them when read: a question
-    appends its beta as it is, and a level appends its word and candidates
-    in one call (`TraceLog.path_level`)."""
+    its pair kernel to the level's shift s - 1 - k, the power of q on conj(t)
+    P t (`Frame.pair_kernel`, which scales and reduces the matrix once).  The
+    level's steps are walked by index, and a question costs one call of that
+    kernel and, unless the element lies in O_0, one `is_divisible`.  The
+    trace stores raw records and renders them when read: a question appends
+    its beta as it is, and a level appends its word and candidates in one
+    call (`TraceLog.path_level`)."""
     oq, q, r = sm.order, sm.precision.q, sm.precision.r
-    question = rb.frame(oq, q)
+    question, is_divisible = rb.frame(oq, q), oracle.is_divisible
     word: list[int] = []
     t = oq.one
-
-    def leaves_through(a, b):
-        """Whether the path leaves the current vertex through step a or b."""
-        return _in_end(ask(pair_idempotent(sm, a, b)), oracle)
-
     for level in range(1, r + 1):
-        ask = question.composed([conjugate(oq, t, u) for u in _UNITS]).kernel(r - 2 * level + 1)
+        ask = question.composed([conjugate(oq, t, u) for u in _UNITS]).pair_kernel(r - 2 * level + 1, sm)
         prev = word[-1] if word else None
         steps = allowed_next_steps(q, prev)
-        # steps the path is known not to take, the parent's first
-        refused = [] if prev is None else [0 if prev == q else q]
+        n = len(steps)
+        # a line the path does not take: the parent's, or the root's first refused
+        refused = None if prev is None else 0 if prev == q else q
         accepted = None
-        for i in range(0, len(steps), 2):
-            pair = steps[i : i + 2]
-            if not leaves_through(pair[0], pair[1] if len(pair) == 2 else refused[0]):
-                refused.extend(pair)
+        for i in range(0, n, 2):
+            a = steps[i]
+            asked = ask(a, steps[i + 1] if i + 1 < n else refused)
+            if asked is not None and not is_divisible(*asked):
+                refused = a if refused is None else refused
                 continue
-            accepted = pair[0]
-            if len(pair) == 2 and not leaves_through(pair[0], refused[0] if refused else steps[i + 2]):
-                accepted = pair[1]
+            accepted = a
+            if i + 1 < n:
+                asked = ask(a, steps[i + 2] if refused is None else refused)
+                if asked is not None and not is_divisible(*asked):
+                    accepted = steps[i + 1]
             break
         if log is not None:
             log.path_level(q, level, word, steps[: i + 2], accepted)

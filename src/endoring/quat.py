@@ -82,6 +82,14 @@ class QuaternionAlgebra:
             )
         return QuaternionAlgebra.create(-1, -p, p)
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """hash((a, b, p)), formed once: each `discrd` lookup hashes it."""
+        return hash((self.a, self.b, self.p))
+
     @cached_property
     def integer_constants(self) -> tuple[int, int, int, int]:
         """(s, s*a, s*b, s*a*b) with s = den(a) * den(b), all integers."""

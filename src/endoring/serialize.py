@@ -6,6 +6,7 @@ always re-verified on load; multiplication tables are never trusted.
 """
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -23,6 +24,10 @@ def rational_str(n: int, d: int) -> str:
 
 
 def frac_from_str(s) -> Fraction:
+    """An int, a float or a signed ASCII "n" or "n/d" as a Fraction; any other
+    string, exponent notation included (Fraction forms its power), is refused."""
+    if not isinstance(s, (int, float)) and not (isinstance(s, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s)):
+        raise ParseError(f"bad rational {s!r}")
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
@@ -129,7 +134,7 @@ def load_problem(path):
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an int past Python's digit limit
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     return problem_from_json(data)
 

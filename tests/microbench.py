@@ -128,11 +128,24 @@ def body_verify_order(pkg, g):
 
 def root_question(level):
     """The root level's question as a function of the coordinates alone,
-    bound once as the path search binds each level (`Frame.kernel`); a
-    checkout whose frames have no `kernel` asks through the frame's call."""
+    bound once (`Frame.kernel`); a checkout whose frames have no `kernel`
+    asks through the frame's call."""
     if hasattr(level, "kernel"):
         return level.kernel(0)
     return lambda z: level(z, 0)
+
+
+def pair_question(pipeline, level, sm, a, b):
+    """The root level's question about the pair of steps (a, b), as a
+    function of nothing: through the level's pair kernel, bound once as the
+    path search binds each level (`Frame.pair_kernel`), or, in a checkout
+    whose frames have none, through `root_question` on the pair's
+    `pipeline.pair_idempotent`."""
+    if hasattr(level, "pair_kernel"):
+        ask = level.pair_kernel(0, sm)
+        return lambda: ask(a, b)
+    ask = root_question(level)
+    return lambda: ask(pipeline.pair_idempotent(sm, a, b))
 
 
 def body_path_pair_question(pkg, g):
@@ -144,10 +157,10 @@ def body_path_pair_question(pkg, g):
     pipeline = pkg.pipeline
     rb, oracle = pipeline.ReducedBasis(o0), pkg.divide.HiddenOrderOracle(hidden)
     level = rb.frame(oq, Q).composed([pipeline.conjugate(oq, oq.one, u) for u in pkg.orders._UNITS])
-    ask = root_question(level)
     sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
     a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
-    return lambda: pipeline._in_end(ask(pipeline.pair_idempotent(sm, a, b)), oracle)
+    question = pair_question(pipeline, level, sm, a, b)
+    return lambda: pipeline._in_end(question(), oracle)
 
 
 def body_traced_pair_question(pkg, g):
@@ -161,14 +174,14 @@ def body_traced_pair_question(pkg, g):
     pipeline, divide = pkg.pipeline, pkg.divide
     rb, inner = pipeline.ReducedBasis(o0), divide.HiddenOrderOracle(hidden)
     level = rb.frame(oq, Q).composed([pipeline.conjugate(oq, oq.one, u) for u in pkg.orders._UNITS])
-    ask = root_question(level)
     sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
     a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
+    question = pair_question(pipeline, level, sm, a, b)
 
     def traced():
         log = pipeline.TraceLog()
         oracle = divide.CountingOracle(inner, log, "path", Q, Q // 2 + 3)
-        answer = pipeline._in_end(ask(pipeline.pair_idempotent(sm, a, b)), oracle)
+        answer = pipeline._in_end(question(), oracle)
         return answer, len(log.events)
 
     return traced

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,14 @@ from endoring.errors import ParseError
 from endoring.lattice import Lattice4
 from endoring.orders import discrd, standard_maximal_order, verify_order
 from endoring.quat import QuaternionAlgebra
-from endoring.serialize import algebra_to_json, lattice_to_json, order_from_json, order_to_json, problem_from_json
+from endoring.serialize import (
+    algebra_to_json,
+    frac_from_str,
+    lattice_to_json,
+    order_from_json,
+    order_to_json,
+    problem_from_json,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEM = ROOT / "problems" / "p103_worked_example.json"
@@ -264,6 +272,59 @@ def test_non_list_basis_column_rejected(tmp_path, capsys, section, column):
     assert run_cli(["compute", "--input", bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path", [("order", "basis", 1, 2), ("algebra", "a")], ids=["basis", "algebra"])
+def test_exponent_notation_is_refused_before_any_power(tmp_path, capsys, path):
+    """"1e999999999" as a basis entry of O_0 or as the algebra's a is a parse
+    error: exit 2 and one `error:` line within a second, since the parser
+    refuses exponent notation instead of forming the power."""
+    problem = json.loads(PROBLEM.read_text())
+    target = problem
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "1e999999999"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(problem))
+    t0 = time.perf_counter()
+    assert run_cli(["compute", "--input", bad]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad rational '1e999999999'" in err and err.count("\n") == 1
+
+
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys):
+    """A JSON integer past Python's digit limit for int conversion, and a
+    file that is not UTF-8, are parse errors: exit 2 and one `error:` line
+    (each was an untyped ValueError, exit 1 with a traceback)."""
+    text = PROBLEM.read_text()
+    for i, data in enumerate([text.replace('"p": 103', '"p": ' + "1" * 5000, 1).encode(), b"\xff" + text.encode()]):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_bytes(data)
+        assert run_cli(["compute", "--input", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [(7, 7), (-3, -3), (0.5, Fraction(1, 2)), (0.1, Fraction(1, 10)), ("12", 12), ("+12", 12), ("-49/2", Fraction(-49, 2))],
+)
+def test_rational_forms_accepted(value, want):
+    """Ints, the floats JSON gives (read through their shortest decimal
+    form) and signed strings "n" and "n/d" are rationals."""
+    assert frac_from_str(value) == want
+
+
+@pytest.mark.parametrize(
+    "value", ["1e3", "3.5", " 3", "3 ", "1_000", "1/2/3", "/2", "\u0663", "", "1/0", "inf", float("nan"), None, [1], True]
+)
+def test_other_rational_forms_refused(value):
+    """Exponent and decimal strings, whitespace, underscores, non-ASCII
+    digits, a zero denominator, non-finite floats, booleans and non-scalars
+    are parse errors."""
+    with pytest.raises(ParseError, match="bad rational"):
+        frac_from_str(value)
 
 
 def write_with_oracle_lattice(tmp_path, lattice):

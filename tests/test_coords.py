@@ -3,8 +3,9 @@
 The distance and path stages compute in integer coordinates over the basis
 of an enlargement O_q: products from its structure constants, conjugates as
 trd(x) - x, and oracle questions through one integer frame.  Each is
-compared here with the same computation on `QuatElement`s, and the path
-search's per-level frame with the frame's question about each conjugate.
+compared here with the same computation on `QuatElement`s, the path
+search's per-level frame with the frame's question about each conjugate,
+and the level's pair kernel with its kernel on the reference idempotent.
 """
 
 import math
@@ -20,10 +21,11 @@ import planted
 from endoring.matrix import det4
 from endoring.orders import _UNITS, _conj_coords, _table_mul, q_enlarge
 from endoring.padic import Precision, splitting_map
-from endoring.pipeline import ReducedBasis, generator_lifts, pair_idempotent
+from endoring.pipeline import ReducedBasis, conjugate, generator_lifts
 from endoring.quat import QuaternionAlgebra
 from fracmodel import conj, coords_of, from_coords, trd
 from matmodel import adj4
+from treemodel import pair_idempotent
 
 
 def general(q):
@@ -143,3 +145,33 @@ def test_level_frame_asks_the_conjugated_question(enl, split, steps, a, b, s):
     a %= q + 1
     p = pair_idempotent(split, a, (a + 1 + b % q) % (q + 1))
     assert level(p, s) == question(conjugated(p), s)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 1009])
+def test_pair_kernel_is_the_kernel_of_the_reference_idempotent(q):
+    """On a depth-1 level frame (t the lift of one step, not 1) and for each
+    shift s in -2..2, `Frame.pair_kernel(s, sm)` asks about every ordered
+    pair of steps (a, b), a != b and infinity (step q) included, exactly
+    what `Frame.kernel(s)` asks about `treemodel.pair_idempotent(sm, a, b)`:
+    the same (beta, m), or None.  At q = 1009, on 200 seeded pairs and two
+    with infinity."""
+    o0, _ = general(q)
+    oq = q_enlarge(o0, q)
+    sm, rb = splitting_map(oq, Precision(q, 2)), ReducedBasis(o0)
+    t = generator_lifts(sm, q - 1)
+    assert t != oq.one
+    level = rb.frame(oq, q).composed([conjugate(oq, t, u) for u in _UNITS])
+    if q < 1009:
+        pairs = [(a, b) for a in range(q + 1) for b in range(q + 1) if a != b]
+    else:
+        rng = random.Random(1009)
+        pairs = [(a, (a + rng.randrange(1, q + 1)) % (q + 1)) for a in (rng.randrange(q + 1) for _ in range(200))]
+        pairs += [(q, 1), (2, q)]
+    outcomes = set()
+    for s in range(-2, 3):
+        ask, reference = level.pair_kernel(s, sm), level.kernel(s)
+        for a, b in pairs:
+            want = reference(pair_idempotent(sm, a, b))
+            assert ask(a, b) == want
+            outcomes.add(want is None)
+    assert outcomes == {True, False}

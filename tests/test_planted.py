@@ -28,6 +28,7 @@ from endoring.pipeline import (
 )
 from endoring.quat import QuaternionAlgebra, QuatElement
 from fracmodel import coords_of, frame_ask, from_coords
+from treemodel import pair_idempotent
 from planted import generate_instance
 
 
@@ -288,11 +289,14 @@ def test_solves_build_no_fraction(monkeypatch):
 def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):
     """Every question of the `solve_instances` solves (distance, path and
     Bass stages, q = 2 among them), each asked through a kernel that
-    `Frame.kernel` bound to its shift, is the one the Fraction rounding of
-    `fracmodel.frame_ask` gives for the frame's unreduced numerators, and
-    its trace strings are the Fractions'.  Every oracle question passed
-    through such a kernel."""
-    asked, kernel = [], pipeline.Frame.kernel
+    `Frame.kernel` or `Frame.pair_kernel` bound to its shift, is the one the
+    Fraction rounding of `fracmodel.frame_ask` gives for the frame's
+    unreduced numerators (of the reference idempotent
+    `treemodel.pair_idempotent` for a pair kernel's question), and its trace
+    strings are the Fractions'.  Every oracle question passed through such a
+    kernel."""
+    asked, pairs = [], []
+    kernel, pair_kernel = pipeline.Frame.kernel, pipeline.Frame.pair_kernel
 
     def recording_kernel(frame, s):
         ask = kernel(frame, s)
@@ -304,7 +308,19 @@ def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):
 
         return recording_ask
 
+    def recording_pair_kernel(frame, s, sm):
+        ask = pair_kernel(frame, s, sm)
+
+        def recording_ask(a, b):
+            out = ask(a, b)
+            asked.append((frame, pair_idempotent(sm, a, b), s, out))
+            pairs.append(out)
+            return out
+
+        return recording_ask
+
     monkeypatch.setattr(pipeline.Frame, "kernel", recording_kernel)
+    monkeypatch.setattr(pipeline.Frame, "pair_kernel", recording_pair_kernel)
     stages, questions = set(), 0
     for o0, hidden, fact in solve_instances():
         log = TraceLog()
@@ -317,6 +333,7 @@ def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):
     assert {("distance", 2), ("path", 2), ("bass", 5)} <= stages
     assert any(out is None for *_, out in asked) and any(out is not None for *_, out in asked)
     assert sum(out is not None for *_, out in asked) == questions
+    assert any(out is not None for out in pairs)
     for frame, z, s, out in asked:
         want = frame_ask(frame, matvec4(frame.matrix, z), s)
         assert out == want

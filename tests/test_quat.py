@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paperdata
+from endoring.divide import HiddenOrderOracle
 from endoring.errors import MathematicalInconsistencyError, StructuralError
 from endoring.matrix import det4
-from endoring.ntheory import exact_isqrt
-from endoring.pipeline import TraceLog
+from endoring.ntheory import exact_isqrt, factorize
+from endoring.orders import discrd
+from endoring.pipeline import TraceLog, compute_endomorphism_ring
 from endoring.quat import INFINITE_PLACE, QuaternionAlgebra, QuatElement, hilbert_symbol
 from fracmodel import FractionQuat, add, conj, neg, standard_basis, sub, trd
 from treemodel import gram
@@ -195,3 +198,21 @@ def test_elements_of_different_algebras_do_not_multiply():
     assert x != y
     with pytest.raises(StructuralError):
         x * y
+
+
+def test_algebra_hash_is_cached_and_consistent_with_equality():
+    """Equal algebras built separately hash equal (the hash is read from a
+    cached field), unequal ones compare unequal, and a worked-example solve
+    hits the `discrd` cache as often as before the hash was cached: 11 hits
+    and 8 misses."""
+    x, y = QuaternionAlgebra.for_prime(103), QuaternionAlgebra.create(-1, -103, 103)
+    assert x is not y and x == y and hash(x) == hash(y) == hash((x.a, x.b, x.p))
+    assert vars(x)["_hash"] == hash(x)
+    assert x != QuaternionAlgebra.for_prime(107)
+    alg = paperdata.algebra()
+    o0 = paperdata.o0(alg)
+    fact = sorted(factorize(discrd(o0)).items())
+    discrd.cache_clear()
+    compute_endomorphism_ring(o0, fact, HiddenOrderOracle(paperdata.endomorphism_ring(alg)))
+    info = discrd.cache_info()
+    assert (info.hits, info.misses) == (11, 8)

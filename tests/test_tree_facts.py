@@ -10,10 +10,10 @@ words)` has q^j y in O(v_i) exactly when i <= j, so the halving element
 q^(m-1) y lies in the orders of exactly v_0..v_(m-1) among the path's
 vertices.  Pair: at a vertex v of depth k with lift t (the product of the
 generator lifts along its word), x = conj(t) P t / q^k for P =
-`pair_idempotent(sm, a, b)` lies in O(v) and, among v's q + 1 neighbours,
-in the orders of the steps a and b alone; for w
-at distance s >= 1 from v, q^(s-1) x lies in O(w) iff the path from v to w
-leaves through a or b.  Conjugated the same way by the lift of v, the Ball
+`treemodel.pair_idempotent(sm, a, b)` lies in O(v) and, among v's q + 1
+neighbours, in the orders of the steps a and b alone; for w at distance
+s >= 1 from v, q^(s-1) x lies in O(w) iff the path from v to w leaves
+through a or b.  Conjugated the same way by the lift of v, the Ball
 element lies in O(v) and in no other vertex order (the path search's
 confirmation).  Each is checked at q in {2, 3, 5} on the vertices to depth
 3 (`treemodel.standard_vertices_up_to`), the Segment fact also at q = 7 and
@@ -66,7 +66,7 @@ from endoring.pipeline import (
     enumerate_bass_path,
     find_path_to_end,
     generator_lifts,
-    pair_idempotent,
+    local_patch,
     path_element,
     word_lattice,
 )
@@ -74,8 +74,9 @@ from endoring.quat import QuaternionAlgebra
 from endoring.serialize import load_problem
 from fracmodel import old_route_map
 from test_bench_contract import load_bench_module
-from treemodel import VertexLattices, standard_vertices_up_to
+from treemodel import VertexLattices, pair_idempotent, standard_vertices_up_to
 from treemodel import enumerate_bass_path as reference_bass_path
+from treemodel import find_path_to_end as reference_path_search
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEM = ROOT / "problems" / "p103_worked_example.json"
@@ -459,6 +460,66 @@ def test_path_search_refused_confirmation_is_a_typed_error(q):
     with pytest.raises(MathematicalInconsistencyError, match="refused the order at the end of the path"):
         find_path_to_end(rb, sm, oracle, None)
     assert oracle.asked == honest.asked
+
+
+def walk_instances(q):
+    """(word, ReducedBasis, splitting map, hidden order) for every step word
+    of length 1 and 2 at q: O_0 = Z + q^d * Lambda for one random maximal
+    order Lambda, d the word's length, and the hidden order Lambda's vertex
+    order at the word, patched to Lambda away from q."""
+    alg = QuaternionAlgebra.for_prime(103)
+    lam = planted.random_hidden_order(alg, random.Random(q))
+    for d in (1, 2):
+        gens = [(1, 0, 0, 0)] + [tuple(q**d * x for x in b) for b in lam.lattice.basis()]
+        o0 = verify_order(Lattice4.from_generators(gens), alg)
+        rb, sm = ReducedBasis(o0), splitting_map(q_enlarge(o0, q), Precision(q, d))
+        words = [()]
+        for _ in range(d):
+            words = [w + (s,) for w in words for s in btt.allowed_next_steps(q, w[-1] if w else None)]
+        for w in words:
+            word = MatrixPath(q, w)
+            lat = planted.vertex_order_lattice(lam, q, word)
+            yield word, rb, sm, verify_order(local_patch(lat, lam.lattice, q), alg)
+
+
+def traced_search(search, rb, sm, hidden):
+    """(gamma, t, the (q, stage, beta, n, answer) of each question, the
+    log's records) of one path search through a budgeted path-stage oracle."""
+    q, r = sm.precision.q, sm.precision.r
+    log = TraceLog()
+    oracle = CountingOracle(HiddenOrderOracle(hidden), log, "path", q, r * (q // 2 + 1) + 2)
+    gamma, t = search(rb, sm, oracle, log)
+    asked = [rec[1:6] for rec in log._records if rec[0] == "oracle"]
+    assert len(asked) == oracle.calls <= r * (q // 2 + 1) + 2
+    return gamma, t, asked, log._records
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_path_search_walks_every_short_word_as_the_reference(q):
+    """Every word of length 1 and 2 at q: the path search ends at the word
+    within its budget, asking the questions of `treemodel.find_path_to_end`
+    (the slice-and-closure search on `treemodel.pair_idempotent`) in the
+    same order with the same answers, and logging the same levels.  The
+    words cover the infinite step, the lone last step (at the root for q =
+    2, after the infinite step for q = 3) and the root's split partner taken
+    from its next untried step (a word starting with step 0 or 1).  An
+    oracle that refuses everything ends both searches in the same typed
+    error after the same questions."""
+    lone, count = 0, 0
+    for word, rb, sm, hidden in walk_instances(q):
+        gamma, t, asked, records = traced_search(find_path_to_end, rb, sm, hidden)
+        assert gamma == word
+        assert (gamma, t, asked, records) == traced_search(reference_path_search, rb, sm, hidden)
+        lone += any(len(rec[4]) % 2 for rec in records if rec[0] == "level")
+        count += 1
+    assert count == (q + 1) * (q + 1) and lone > 0
+    errors = []
+    for search in (find_path_to_end, reference_path_search):
+        oracle = RefusingOracle(hidden)
+        with pytest.raises(MathematicalInconsistencyError, match="no candidate accepted at level 1") as err:
+            search(rb, sm, oracle, None)
+        errors.append((str(err.value), oracle.asked))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("q", [2, 3, 7])

@@ -14,6 +14,11 @@ the roots of a quadratic mod q.  `VertexLattices` reads the order of a word's ve
 through its canonical label (a, b, c) and `segment_element` picks an
 element of a segment's order from the intersection of two vertex lattices:
 the references for the pipeline's `word_lattice` and `path_element`.
+`pair_idempotent` forms a path-search pair's idempotent on its own and
+`find_path_to_end` is the path search that asks each pair question through
+it and `Frame.kernel`, pair by slice: the references for
+`Frame.pair_kernel` and the pipeline's search, which walks each level by
+index through its pair kernel.
 """
 
 from fractions import Fraction
@@ -31,10 +36,17 @@ from endoring.btt import (
     neighbors,
 )
 from endoring.errors import MathematicalInconsistencyError, StructuralError
-from endoring.matrix import adj2, mat2_mul
+from endoring.matrix import adj2, combine4, mat2_mul
 from endoring.ntheory import reduce_unit_mod, valuation
+from endoring.orders import _UNITS, _table_mul
 from endoring.padic import lift_vertex_element
-from endoring.pipeline import conjugate_order_lattice
+from endoring.pipeline import (
+    _in_end,
+    conjugate,
+    conjugate_order_lattice,
+    distance_element,
+    generator_lifts,
+)
 from fracmodel import trd
 
 
@@ -250,3 +262,60 @@ def segment_element(lattices, first, last, outside) -> tuple:
     if z is None:
         raise MathematicalInconsistencyError("vertex lattice element outside O_q away from q")
     return z, -k
+
+
+def pair_idempotent(sm, a: int, b: int) -> tuple:
+    """Integer coordinates over the basis of O_q, each in [0, q), of an
+    element P whose image mod q is the idempotent with image line a and
+    kernel line b (steps a != b): (-c, 1) is the line of step c < q and
+    (1, 0) that of gamma_inf.  P combines the matrix units mod q
+    (`SplittingMap.units_mod_q`)."""
+    q = sm.precision.q
+    a1, a2 = (1, 0) if a == q else (-a, 1)
+    b1, b2 = (1, 0) if b == q else (-b, 1)
+    inv = pow(a1 * b2 - a2 * b1, -1, q)
+    # the entries of P mod q at E11, E12, E21, E22
+    c = (a1 * b2 * inv % q, -a1 * b1 * inv % q, a2 * b2 * inv % q, -a2 * b1 * inv % q)
+    x0, x1, x2, x3 = combine4(c, sm.units_mod_q)
+    return x0 % q, x1 % q, x2 % q, x3 % q
+
+
+def find_path_to_end(rb, sm, oracle, log):
+    """The path search of `pipeline.find_path_to_end`, each pair question
+    formed by `pair_idempotent` and asked through the level frame's
+    `kernel`, the pairs taken as slices of the level's steps: the same
+    questions, in the same order, with the same answer and errors."""
+    oq, q, r = sm.order, sm.precision.q, sm.precision.r
+    question = rb.frame(oq, q)
+    word: list[int] = []
+    t = oq.one
+
+    def leaves_through(a, b):
+        return _in_end(ask(pair_idempotent(sm, a, b)), oracle)
+
+    for level in range(1, r + 1):
+        ask = question.composed([conjugate(oq, t, u) for u in _UNITS]).kernel(r - 2 * level + 1)
+        prev = word[-1] if word else None
+        steps = allowed_next_steps(q, prev)
+        refused = [] if prev is None else [0 if prev == q else q]
+        accepted = None
+        for i in range(0, len(steps), 2):
+            pair = steps[i : i + 2]
+            if not leaves_through(pair[0], pair[1] if len(pair) == 2 else refused[0]):
+                refused.extend(pair)
+                continue
+            accepted = pair[0]
+            if len(pair) == 2 and not leaves_through(pair[0], refused[0] if refused else steps[i + 2]):
+                accepted = pair[1]
+            break
+        if log is not None:
+            log.path_level(q, level, word, steps[: i + 2], accepted)
+        if accepted is None:
+            raise MathematicalInconsistencyError(
+                f"no candidate accepted at level {level} for q={q}: oracle and order disagree"
+            )
+        word.append(accepted)
+        t = _table_mul(oq.table, generator_lifts(sm, accepted), t)
+    if not _in_end(question(conjugate(oq, t, distance_element(oq, q)), -r), oracle):
+        raise MathematicalInconsistencyError(f"the oracle refused the order at the end of the path for q={q}")
+    return MatrixPath(q, tuple(word)), t
