@@ -22,7 +22,7 @@ from .errors import (
 )
 from .ntheory import is_prime
 from .pipeline import compute_endomorphism_ring
-from .serialize import load_problem, result_to_json
+from .serialize import int_from_str, load_problem, result_to_json
 from .trace import TraceLog
 
 
@@ -33,13 +33,7 @@ def _parse_path(q: int, spec: str) -> btt.MatrixPath:
     steps = []
     for tok in spec.split(","):
         tok = tok.strip()
-        if tok == "inf":
-            steps.append(q)
-        else:
-            try:
-                steps.append(int(tok))
-            except ValueError:
-                raise ParseError(f"bad path step {tok!r}") from None
+        steps.append(q if tok == "inf" else int_from_str(tok, "path step"))
     try:
         return btt.MatrixPath(q, tuple(steps))
     except Exception as exc:
@@ -136,23 +130,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("btt", help="Bruhat-Tits tree utilities")
     pb.add_argument("subcommand", choices=["distance", "d3", "ball", "dot"])
-    pb.add_argument("q", type=int)
+    pb.add_argument("q", type=int_from_str)
     pb.add_argument("--center", default="-")
-    pb.add_argument("--radius", type=int, default=2)
+    pb.add_argument("--radius", type=int_from_str, default=2)
     pb.add_argument("paths", nargs="*", help="comma-separated steps, 'inf' allowed, '-' for the root")
     pb.set_defaults(func=cmd_btt)
 
     pd = sub.add_parser("divide-params", help="division-test parameter plan")
-    pd.add_argument("deg_beta", type=int)
-    pd.add_argument("n", type=int)
-    pd.add_argument("p", type=int)
+    pd.add_argument("deg_beta", type=int_from_str)
+    pd.add_argument("n", type=int_from_str)
+    pd.add_argument("p", type=int_from_str)
     pd.set_defaults(func=cmd_divide_params)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # an integer argument that is not ASCII "[+-]n" raises ParseError here
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,13 @@ takes integer residuals and one gcd, beta is a `QuatElement` of integer
 numerators over one denominator, the stand-in oracle solves from those
 integers and the log (`trace.TraceLog`, which this module takes in the
 stage signatures) keeps beta itself, printed only when its events are read;
-a solve builds no Fraction.  Every
+a solve builds no Fraction.  A path-search pair asks about P', a lift of
+the pair's idempotent P (its coefficients at the matrix units mod q left
+unreduced), so that the pair kernel precomposes the level's matrix with the
+four units once per level.  P' = P mod q O_q, so for the level's vertex v at
+distance s from End(E) the two questions differ by an element of
+q^s O(v), which lies in End(E) at q by the Ball fact, and by an element of
+O_q away from q: every answer is the same as for P.  Every
 conj(t) x t comes from `conjugate`, by products from the structure
 constants `oq.table` with conj(t) = trd(t) - t: the vertex lattices, the
 Bass search's element, the path search's level frames (formed once per
@@ -46,7 +52,7 @@ vertex (`distance_element`) for each distance step, an initial segment of
 the containment path for each Bass halving (powers of one closed-form
 element, `path_element`), and for each path-search question the two
 branches that leave the current vertex through a pair of candidate steps
-(an idempotent, `Frame.pair_kernel`); the path search ends with one
+(a lift of an idempotent, `Frame.pair_kernel`); the path search ends with one
 question that holds for the end vertex alone.
 
 A stage takes only what no other argument holds: the path search and the
@@ -81,7 +87,7 @@ from .orders import (
     verify_order,
 )
 from .padic import Precision, SplittingMap, first_candidate, lift_matrix, lift_vertex_element, splitting_map
-from .quat import QuatElement
+from .quat import QuatElement, _lowest
 from .trace import TraceLog
 
 
@@ -153,9 +159,10 @@ class Frame:
     path-search pair as a function of the pair.  `composed` gives the frame
     of a linear map into the frame's coordinates, with the matrix product
     formed once: the path search forms the frame of z -> conj(t) z t once
-    per level and binds its pair kernel to the level's shift, so that a
-    question costs one call: 16 products of residues mod q for the
-    idempotent, 16 for the numerators, four residuals and one gcd."""
+    per level and binds its pair kernel to the level's shift and to the
+    images of the four matrix units mod q, so that a question costs one
+    call: 16 products for the numerators of the idempotent's lift P', four
+    residuals and one gcd, and 16 products and one gcd for beta."""
 
     def __init__(self, rb: ReducedBasis, matrix, den: int, q: int):
         self.rb = rb
@@ -212,46 +219,65 @@ class Frame:
         return ask
 
     def pair_kernel(self, s: int, sm: SplittingMap):
-        """The function (a, b) -> `kernel(s)(P)` for steps a != b: P, each
-        coordinate in [0, q), combines the matrix units mod q
-        (`SplittingMap.units_mod_q`) into the idempotent with image line a
-        and kernel line b, and is written out with `kernel`'s rounding in one
-        function.  Step c's line, which an element of O_q fixes mod q exactly
-        when it lies in the order of the root's neighbour gamma_c, is (-c, 1)
-        for c < q and (1, 0) for gamma_inf; P is not scalar mod q and fixes
-        lines a and b alone, so among those q + 1 neighbours it lies in the
-        orders of gamma_a and gamma_b alone (the Pair fact)."""
+        """The function (a, b) -> `kernel(s)(P')` for steps a != b: P' =
+        sum c_i E_i combines the matrix units mod q (`SplittingMap.units_mod_q`)
+        with the coefficients c of the idempotent with image line a and
+        kernel line b, c left unreduced, and is written out with `kernel`'s
+        rounding and beta's numerators in one function.  Step c's line, which
+        an element of O_q fixes mod q exactly when it lies in the order of
+        the root's neighbour gamma_c, is (-c, 1) for c < q and (1, 0) for
+        gamma_inf; P' is not scalar mod q and fixes lines a and b alone, so
+        among those q + 1 neighbours it lies in the orders of gamma_a and
+        gamma_b alone (the Pair fact).
+
+        The kernel's numerators are linear in P', and its residuals depend
+        only on them mod the reduced denominator d, so the four unit columns
+        rows * E_i mod d are formed once, here, and a question's numerators
+        are n = sum c_i * (rows * E_i): 16 products.  P' is the idempotent
+        P, each coordinate reduced into [0, q), only up to q O_q; the path
+        search's answers do not depend on that lift (`find_path_to_end`).
+        beta's numerators over O_0's basis are formed in line from the
+        reduced basis's columns, unpacked here, with one gcd against their
+        denominator."""
         rows, d = self._reduced(s)
-        (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = rows
-        # E11, E12, E21 and E22 mod q
-        (e0, e1, e2, e3), (f0, f1, f2, f3), (h0, h1, h2, h3), (k0, k1, k2, k3) = sm.units_mod_q
-        q, d2 = self.q, 2 * d
-        algebra, cols, den = self.rb.order.algebra, self.rb._cols, self.rb.order.lattice.den
+        # rows * E11, rows * E12, rows * E21 and rows * E22, each mod d
+        (e0, e1, e2, e3), (f0, f1, f2, f3), (h0, h1, h2, h3), (k0, k1, k2, k3) = (
+            [x % d for x in matvec4(rows, unit)] for unit in sm.units_mod_q
+        )
+        (u0, u1, u2, u3), (v0, v1, v2, v3), (w0, w1, w2, w3), (y0, y1, y2, y3) = self.rb._cols
+        q, half = self.q, d // 2
+        algebra, den = self.rb.order.algebra, self.rb.order.lattice.den
 
         def ask(a, b):
             a1, a2 = (1, 0) if a == q else (-a, 1)
             b1, b2 = (1, 0) if b == q else (-b, 1)
             det = a1 * b2 - a2 * b1  # 1 for consecutive finite steps, most pairs
             inv = 1 if det == 1 else pow(det, -1, q)
-            # the idempotent a (b2, -b1) / det mod q at E11, E12, E21, E22
+            # the idempotent a (b2, -b1) / det mod q at E11, E12, E21, E22, unreduced
             c0, c1, c2, c3 = a1 * b2 * inv, -a1 * b1 * inv, a2 * b2 * inv, -a2 * b1 * inv
-            z0 = (c0 * e0 + c1 * f0 + c2 * h0 + c3 * k0) % q
-            z1 = (c0 * e1 + c1 * f1 + c2 * h1 + c3 * k1) % q
-            z2 = (c0 * e2 + c1 * f2 + c2 * h2 + c3 * k2) % q
-            z3 = (c0 * e3 + c1 * f3 + c2 * h3 + c3 * k3) % q
-            n0 = m00 * z0 + m01 * z1 + m02 * z2 + m03 * z3
-            n1 = m10 * z0 + m11 * z1 + m12 * z2 + m13 * z3
-            n2 = m20 * z0 + m21 * z1 + m22 * z2 + m23 * z3
-            n3 = m30 * z0 + m31 * z1 + m32 * z2 + m33 * z3
-            r0 = n0 + (d - 2 * n0) // d2 * d
-            r1 = n1 + (d - 2 * n1) // d2 * d
-            r2 = n2 + (d - 2 * n2) // d2 * d
-            r3 = n3 + (d - 2 * n3) // d2 * d
+            n0 = c0 * e0 + c1 * f0 + c2 * h0 + c3 * k0
+            n1 = c0 * e1 + c1 * f1 + c2 * h1 + c3 * k1
+            n2 = c0 * e2 + c1 * f2 + c2 * h2 + c3 * k2
+            n3 = c0 * e3 + c1 * f3 + c2 * h3 + c3 * k3
+            # the residuals of `kernel`, n mod d centred into (-d/2, d/2]
+            r0, r1, r2, r3 = n0 % d, n1 % d, n2 % d, n3 % d
             g = gcd(r0, r1, r2, r3, d)
             if g == d:
                 return None
-            beta = QuatElement.from_integers(algebra, combine4((r0 // g, r1 // g, r2 // g, r3 // g), cols), den)
-            return beta, d // g
+            r0 = r0 - d if r0 > half else r0
+            r1 = r1 - d if r1 > half else r1
+            r2 = r2 - d if r2 > half else r2
+            r3 = r3 - d if r3 > half else r3
+            if g != 1:
+                r0, r1, r2, r3 = r0 // g, r1 // g, r2 // g, r3 // g
+            x0 = r0 * u0 + r1 * v0 + r2 * w0 + r3 * y0
+            x1 = r0 * u1 + r1 * v1 + r2 * w1 + r3 * y1
+            x2 = r0 * u2 + r1 * v2 + r2 * w2 + r3 * y2
+            x3 = r0 * u3 + r1 * v3 + r2 * w3 + r3 * y3
+            h = gcd(x0, x1, x2, x3, den)
+            if h == 1:
+                return _lowest(algebra, (x0, x1, x2, x3), den), d // g
+            return _lowest(algebra, (x0 // h, x1 // h, x2 // h, x3 // h), den // h), d // g
 
         return ask
 
@@ -364,28 +390,33 @@ def find_path_to_end(
     conj(t) O_q t is End(E) tensor Z_q.
 
     Standing at v of depth k with lift t, End(E) at distance s = r - k, the
-    element x = conj(t) P t / q^k, P the idempotent of `Frame.pair_kernel`
-    with image line a and kernel line b, lies in O(v), and q^(s-1) x lies in
-    End(E) iff the path leaves v through step a or step b (the Pair fact).
-    Each question asks about one such pair, in
+    element x = conj(t) P t / q^k, P the idempotent with image line a and
+    kernel line b, lies in O(v), and q^(s-1) x lies in End(E) iff the path
+    leaves v through step a or step b (the Pair fact).  The question is
+    about x' = conj(t) P' t / q^k for the lift P' of P that
+    `Frame.pair_kernel` forms, P' - P in q O_q: q^(s-1) (x' - x) lies in
+    q^s O(v), inside End(E) tensor Z_q by the Ball fact (d(v, End) = s), so
+    x' gets x's answer, and the pairs asked, the accepted steps and gamma do
+    not depend on the lift.  Each question asks about one such pair, in
     `allowed_next_steps` order, until one answers yes; one more question
     pairs its first step with a line known to be refused (the parent's, one
     from a refused pair, or at the root the next untried step) and so splits
     the pair.  A lone last step is asked paired with a refused line.  A step
     is accepted only when an answer said yes to it; a level with no yes ends
     in a typed error.  Each level asks at most floor(q/2) + 1 questions, the
-    root one more.  Away from q, P and t lie in O_q, so the questions ask
+    root one more.  Away from q, P' and t lie in O_q, so the questions ask
     nothing beyond O_0 tensor Z_l.
 
     The last question confirms the end vertex: conj(t) y t / q^r, y =
     `distance_element(oq, q)`, has an irreducible characteristic polynomial
     mod q, so by the Ball fact it lies in the order of that vertex alone.
 
-    t is fixed for a level, and conj(t) P t is linear in P, so each level
+    t is fixed for a level, and conj(t) P' t is linear in P', so each level
     forms once the frame of z -> conj(t) z t (`Frame.composed`, from the
     `conjugate` images of the four basis units: 8 table products) and binds
     its pair kernel to the level's shift s - 1 - k, the power of q on conj(t)
-    P t (`Frame.pair_kernel`, which scales and reduces the matrix once).  The
+    P' t (`Frame.pair_kernel`, which scales and reduces the matrix and
+    applies it to the four matrix units mod q once).  The
     level's steps are walked by index, and a question costs one call of that
     kernel and, unless the element lies in O_0, one `is_divisible`.  The
     trace stores raw records and renders them when read: a question appends

@@ -2,7 +2,13 @@
 
 An element is stored as four integer numerators over one positive
 denominator, x = (n0 + n1 i + n2 j + n3 ij) / den, in lowest terms, so two
-elements are equal exactly when their fields are.  Multiplication follows
+elements are equal exactly when their fields are.  The package builds every
+element through one private constructor, `_lowest`, which takes numerators
+and a denominator already in lowest terms and sets the three slots
+directly, without the frozen dataclass's generated `__init__`:
+`QuatElement.from_integers` calls it after its gcd, the path search's pair
+kernel after its own, and `QuaternionAlgebra.element` over the least common
+denominator.  Multiplication follows
 i^2 = a, j^2 = b, ji = -ij through one integer formula (`_product`) and one
 gcd; `coeffs` is a view of the coordinates as Fractions, built on request.
 Algebra construction validates via Hilbert symbols that B ramifies exactly
@@ -102,7 +108,7 @@ class QuaternionAlgebra:
         xs = (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3))
         d = lcm(*(x.denominator for x in xs))
         # over the least common denominator the numerators have no common factor with it
-        return QuatElement(self, tuple(x.numerator * (d // x.denominator) for x in xs), d)
+        return _lowest(self, tuple(x.numerator * (d // x.denominator) for x in xs), d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,8 +132,8 @@ class QuatElement:
         if den < 0:
             g = -g
         if g == 1:
-            return QuatElement(algebra, (n0, n1, n2, n3), den)
-        return QuatElement(algebra, (n0 // g, n1 // g, n2 // g, n3 // g), den // g)
+            return _lowest(algebra, (n0, n1, n2, n3), den)
+        return _lowest(algebra, (n0 // g, n1 // g, n2 // g, n3 // g), den // g)
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -172,6 +178,21 @@ class QuatElement:
         names = ("", "i", "j", "ij")
         parts = [f"{c}{n}" for c, n in zip(self.coeffs, names) if c != 0]
         return " + ".join(parts) if parts else "0"
+
+
+_new = object.__new__
+_set_algebra, _set_nums, _set_den = QuatElement.algebra.__set__, QuatElement.nums.__set__, QuatElement.den.__set__
+
+
+def _lowest(algebra: QuaternionAlgebra, nums: tuple, den: int) -> QuatElement:
+    """The element nums/den, given in lowest terms (den > 0, gcd(nums, den)
+    = 1, nums a tuple): the fields set through their slot descriptors, which
+    skips the generated `__init__` and its `object.__setattr__` per field."""
+    x = _new(QuatElement)
+    _set_algebra(x, algebra)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    return x
 
 
 def _product(s, a, b, ab, x, y):

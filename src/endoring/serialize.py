@@ -23,10 +23,25 @@ def rational_str(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
+_INTEGER = r"[+-]?[0-9]+"
+
+
+def int_from_str(s: str, what: str = "integer") -> int:
+    """A signed ASCII decimal "n" as an int; any other string (non-ASCII
+    digits, underscores and whitespace, which `int` reads, included) is a
+    ParseError naming it as `what`."""
+    if not re.fullmatch(_INTEGER, s):
+        raise ParseError(f"bad {what} {s!r}")
+    try:
+        return int(s)
+    except ValueError:  # past the interpreter's digit limit for str -> int
+        raise ParseError(f"bad {what}: {len(s)} digits") from None
+
+
 def frac_from_str(s) -> Fraction:
     """An int, a float or a signed ASCII "n" or "n/d" as a Fraction; any other
     string, exponent notation included (Fraction forms its power), is refused."""
-    if not isinstance(s, (int, float)) and not (isinstance(s, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s)):
+    if not isinstance(s, (int, float)) and not (isinstance(s, str) and re.fullmatch(_INTEGER + "(/[0-9]+)?", s)):
         raise ParseError(f"bad rational {s!r}")
     try:
         return Fraction(str(s))

@@ -7,7 +7,7 @@ The default `test_*.py` pattern does not collect this file, so the test
 suite times nothing; `tests/test_microbench_runs.py` runs every benchmark
 once, untimed (`--benchmark-disable`), so that none goes stale.  The
 inputs come from two general-branch instances, `planted.general_instance`
-at q = 1009 with d = 1 and d = 2, a suborder of 3-power index
+at q = 1009 with d = 1 and d = 2 (the second also solved whole), a suborder of 3-power index
 (`planted.random_suborder`), Eichler orders of level 3 and 3^4
 (`planted.bass_instance`) and the worked example.
 
@@ -66,17 +66,18 @@ class Package:
 
 @cache
 def general_lattices(d):
-    """(hidden, O_0) lattices and the word of `planted.general_instance` at
-    q = 1009, distance d, p = 103, Random(1)."""
+    """(hidden, O_0) lattices, the word and the factorization of discrd(O_0)
+    of `planted.general_instance` at q = 1009, distance d, p = 103,
+    Random(1)."""
     alg = QuaternionAlgebra.for_prime(103)
-    hidden, _, o0, _, word = planted.general_instance(alg, Q, d, random.Random(1))
-    return hidden.lattice, o0.lattice, word
+    hidden, _, o0, fact, word = planted.general_instance(alg, Q, d, random.Random(1))
+    return hidden.lattice, o0.lattice, word, fact
 
 
 def general_in(pkg, d):
     """(hidden, O_0, O_q, word) of the general instance at distance d, each
     order verified in the package pkg from its lattice."""
-    hidden, o0, word = general_lattices(d)
+    hidden, o0, word, _ = general_lattices(d)
     alg = pkg.quat.QuaternionAlgebra.for_prime(103)
 
     def order(lat):
@@ -224,6 +225,25 @@ def body_traced_path_search_read(pkg, g):
     return search_and_read
 
 
+def body_general_solve(pkg, g):
+    """One whole solve of the general instance at q = 1009, d = 2, the kind
+    of general-r12 instance that sets its `solve_s.max`, as `bench/run.py`
+    times a solve: cold (the `discrd` cache cleared), with a fresh oracle
+    and a fresh `TraceLog`.  Returns End(E)'s lattice as (den, columns) and
+    the oracle calls."""
+    hidden, o0, _, _ = g
+    fact = general_lattices(2)[3]
+    pipeline, orders = pkg.pipeline, pkg.orders
+
+    def solve():
+        orders.discrd.cache_clear()
+        oracle = pkg.divide.HiddenOrderOracle(hidden)
+        end, _, calls = pipeline.compute_endomorphism_ring(o0, fact, oracle, pipeline.TraceLog())
+        return end.lattice.den, end.lattice.cols, calls
+
+    return solve
+
+
 def body_quat_mul(pkg, g):
     """The benchmark set-up's conjugation x * b * x^-1 of a maximal order's
     basis element b by a small x (`bench/instances.py`)."""
@@ -279,6 +299,7 @@ PAIRED = {
     "test_traced_pair_question": (body_traced_pair_question, 1),
     "test_traced_path_search": (body_traced_path_search, 1),
     "test_traced_path_search_read": (body_traced_path_search_read, 1),
+    "test_general_solve": (body_general_solve, 2),
     "test_quat_mul": (body_quat_mul, 1),
     "test_splitting_map": (body_splitting_map, 2),
     "test_bass_prime_orders": (body_bass_prime_orders, 1),
@@ -436,6 +457,12 @@ def test_traced_path_search(benchmark, pkg, general):
 def test_traced_path_search_read(benchmark, pkg, general):
     steps, n = benchmark(body_traced_path_search_read(pkg, general))
     assert steps == general[3].steps and n > Q // 2
+
+
+def test_general_solve(benchmark, pkg):
+    den, cols, calls = benchmark(body_general_solve(pkg, general_in(pkg, 2)))
+    hidden = general_lattices(2)[0]
+    assert (den, cols) == (hidden.den, hidden.cols) and calls > Q // 2
 
 
 def test_find_path_to_end(benchmark, general_d2):

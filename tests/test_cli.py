@@ -248,6 +248,18 @@ def test_problem_with_a_large_prime_loads_fast():
     assert discrd(order) == 103 * q**3
 
 
+def test_compute_at_p_2_255_plus_95(capsys):
+    """The problem file of a general-branch instance at p = 2^255 + 95 (O_0
+    = Z + 101^2 Lambda, `planted.general_instance`, Random(1)) runs through
+    `compute` with exit 0 and End(E) the oracle's order."""
+    path = ROOT / "problems" / "p2_255_plus_95_general_q101.json"
+    _, _, hidden, _ = problem_from_json(json.loads(path.read_text()))
+    assert run_cli(["compute", "--input", path, "--deterministic"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert order_from_json(out["endomorphism_ring"]).lattice == hidden.lattice
+    assert hidden.algebra.p == 2**255 + 95
+
+
 def test_non_order_basis_rejected(tmp_path):
     problem = json.loads(PROBLEM.read_text())
     problem["order"]["basis"] = [["1", "0", "0", "0"], ["0", "1/2", "0", "0"],
@@ -454,3 +466,48 @@ def test_bad_input_is_a_parse_error(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (["btt", "distance", "11", "٣", "3"], "path step '٣'"),
+        (["btt", "distance", "11", "1_0", "3"], "path step '1_0'"),
+        (["btt", "distance", "1_1", "0", "1"], "integer '1_1'"),
+        (["btt", "dot", "٣"], "integer '٣'"),
+        (["btt", "ball", "3", "--radius", "٢"], "integer '٢'"),
+        (["btt", "ball", "3", "--radius", " 2"], "integer ' 2'"),
+        (["divide-params", "6_0", "2", "103"], "integer '6_0'"),
+        (["divide-params", "60", "２", "103"], "integer '２'"),
+        (["divide-params", "60", "2", "1e3"], "integer '1e3'"),
+        (["divide-params", "60", "2", "1" * 5000], "integer: 5000 digits"),
+        (["btt", "distance", "3", "0", "1" * 5000], "path step: 5000 digits"),
+    ],
+    ids=["arabic_step", "underscore_step", "underscore_q", "arabic_q", "arabic_radius", "space_radius",
+         "underscore_deg", "fullwidth_n", "exponent_p", "long_p", "long_step"],
+)
+def test_integer_arguments_are_ascii_decimals(args, bad, capsys):
+    """Every integer argument of `btt` and `divide-params` (q, --radius, the
+    path steps, deg_beta, n and p) is read as `serialize.frac_from_str`
+    reads an integer, ASCII "[+-]n" only: a non-ASCII digit, an underscore,
+    whitespace or an exponent exits 2 with one error line, where `int` read
+    '٣' as 3 and '1_0' as 10, and so does a decimal past the interpreter's
+    digit limit for `int`."""
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: bad {bad}\n"
+
+
+def test_signed_ascii_integer_arguments_accepted(capsys):
+    """Signs and leading zeros are ASCII decimals: the answers of the
+    unsigned forms."""
+    outputs = []
+    for args in (
+        ["btt", "distance", "+11", "+3", "-"],
+        ["btt", "distance", "11", "3", "-"],
+        ["divide-params", "060", "+2", "0103"],
+        ["divide-params", "60", "2", "103"],
+    ):
+        assert run_cli(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == "1\n" and outputs[2] == outputs[3] != ""

@@ -5,7 +5,7 @@ of an enlargement O_q: products from its structure constants, conjugates as
 trd(x) - x, and oracle questions through one integer frame.  Each is
 compared here with the same computation on `QuatElement`s, the path
 search's per-level frame with the frame's question about each conjugate,
-and the level's pair kernel with its kernel on the reference idempotent.
+and the level's pair kernel with its kernel on the reference element.
 """
 
 import math
@@ -25,7 +25,7 @@ from endoring.pipeline import ReducedBasis, conjugate, generator_lifts
 from endoring.quat import QuaternionAlgebra
 from fracmodel import conj, coords_of, from_coords, trd
 from matmodel import adj4
-from treemodel import pair_idempotent
+from treemodel import pair_element, pair_idempotent
 
 
 def general(q):
@@ -152,9 +152,9 @@ def test_pair_kernel_is_the_kernel_of_the_reference_idempotent(q):
     """On a depth-1 level frame (t the lift of one step, not 1) and for each
     shift s in -2..2, `Frame.pair_kernel(s, sm)` asks about every ordered
     pair of steps (a, b), a != b and infinity (step q) included, exactly
-    what `Frame.kernel(s)` asks about `treemodel.pair_idempotent(sm, a, b)`:
-    the same (beta, m), or None.  At q = 1009, on 200 seeded pairs and two
-    with infinity."""
+    what `Frame.kernel(s)` asks about `treemodel.pair_element(sm, a, b)`,
+    the idempotent's lift that the kernel precomposes: the same (beta, m),
+    or None.  At q = 1009, on 200 seeded pairs and two with infinity."""
     o0, _ = general(q)
     oq = q_enlarge(o0, q)
     sm, rb = splitting_map(oq, Precision(q, 2)), ReducedBasis(o0)
@@ -171,7 +171,7 @@ def test_pair_kernel_is_the_kernel_of_the_reference_idempotent(q):
     for s in range(-2, 3):
         ask, reference = level.pair_kernel(s, sm), level.kernel(s)
         for a, b in pairs:
-            want = reference(pair_idempotent(sm, a, b))
+            want = reference(pair_element(sm, a, b))
             assert ask(a, b) == want
             outcomes.add(want is None)
     assert outcomes == {True, False}

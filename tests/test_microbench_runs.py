@@ -38,6 +38,7 @@ def test_paired_microbenchmarks_run():
         "test_traced_pair_question",
         "test_traced_path_search",
         "test_traced_path_search_read",
+        "test_general_solve",
         "test_bass_prime_orders",
     ]
     cmd = [sys.executable, str(tests / "microbench_paired.py"), "--parent", str(tests.parent), "--rounds", "2"]

@@ -107,3 +107,32 @@ def test_solves_at_p_2_127_minus_1(branch):
     assert end.lattice == hidden.lattice
     [sol] = [s for s in sols if s.q != MERSENNE_127]
     assert sol.bass == (branch == "bass") and sol.r == 2
+
+
+P_255 = 2**255 + 95
+
+
+@pytest.mark.parametrize(
+    "branch, q, depth, calls",
+    [("general", 101, 2, 85), ("general", 1009, 1, 257), ("bass", 13, 3, 2)],
+    ids=["general_101_d2", "general_1009_d1", "bass_13_depth3"],
+)
+def test_solves_at_p_2_255_plus_95(branch, q, depth, calls):
+    """Planted solves at p = 2^255 + 95 (Random(1)): a general-branch O_0 =
+    Z + q^d Lambda at q = 101, d = 2 and at q = 1009, d = 1, whose path
+    searches bind pair kernels over denominators of hundreds of bits, and a
+    level-13^3 Eichler order.  Each gives End(E) with r = d (2 at the Bass
+    prime) in the given number of oracle calls, in under 1 s."""
+    alg = QuaternionAlgebra.for_prime(P_255)
+    if branch == "bass":
+        o0, fact, hidden = planted.bass_instance(P_255, q, depth, random.Random(1))
+    else:
+        hidden, _, o0, fact, _ = planted.general_instance(alg, q, depth, random.Random(1))
+    assert dict(fact)[P_255] == 1
+    oracle = HiddenOrderOracle(hidden)
+    (end, sols, total), seconds = timed(compute_endomorphism_ring, o0, fact, oracle)
+    assert seconds < 1
+    assert end.lattice == hidden.lattice
+    assert total == oracle.calls == calls
+    [sol] = [s for s in sols if s.q != P_255]
+    assert sol.q == q and sol.bass == (branch == "bass") and sol.r == (2 if branch == "bass" else depth)

@@ -180,7 +180,7 @@ def test_worked_example_query_sequence_is_pinned():
     # j = 2, with n = 169 and n = 13.
     assert oracle.calls == len(queries) == 8
     digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
-    assert digest == "85dee028cb1d4d4f18e459a562ed0e5a784c9071f403f7ce2cc1356a00d4c702"
+    assert digest == "1819a27294907046712ed7e482fd70ba35da2bd9e3c5f6332410d40f0cbe70fd"
 
 
 def test_bass_search_builds_no_vertex_lattice(monkeypatch):
@@ -311,7 +311,7 @@ def test_trace_views_read_during_the_solve_match_one_read(name):
     if name == "general_101":
         words = sorted((q, sorted(w)) for q, w in log.explored.items())
         digest = hashlib.sha256(json.dumps([log.events, words]).encode()).hexdigest()
-        assert digest == "8ea018abd8e27e5e700762a36e355683777761f166f807c36793f9a641cbb902"
+        assert digest == "0806d638c201e7b99532d83169e47331c6b19fb8babacdd98966f134e0b4ddd3"
     else:
         assert {ev["stage"] for ev in log.events} == {"bass"} and log.explored[3]
 

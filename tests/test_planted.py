@@ -10,7 +10,7 @@ import pytest
 
 import paperdata
 import planted
-from endoring import pipeline
+from endoring import pipeline, quat
 from endoring.divide import HiddenOrderOracle
 from endoring.matrix import matvec4
 from endoring.ntheory import factorize
@@ -28,7 +28,7 @@ from endoring.pipeline import (
 )
 from endoring.quat import QuaternionAlgebra, QuatElement
 from fracmodel import coords_of, frame_ask, from_coords
-from treemodel import pair_idempotent
+from treemodel import pair_element
 from planted import generate_instance
 
 
@@ -130,7 +130,7 @@ def test_general_branch_query_sequence_at_101_is_pinned():
     # forms accept the same steps)
     assert calls == oracle.calls == len(queries) == 85
     digest = hashlib.sha256(json.dumps(queries).encode()).hexdigest()
-    assert digest == "c9f7773a99e3935c5e1cb9f5ce87e4d1cc6a3c28a7a605364bc28f14a1e3a008"
+    assert digest == "571e5c0a04e141b9d48f5d25013f0ef2aa46411fb2f18332db0f12dabf0c80c3"
 
 
 def test_general_branch_trace_at_101_is_pinned():
@@ -138,7 +138,9 @@ def test_general_branch_trace_at_101_is_pinned():
     search's step events among the oracle events, and the explored step
     words of each prime, sorted.  Pinned when the path search recorded each
     candidate with its own calls, before a level's candidates went to the
-    trace in one call."""
+    trace in one call, and re-pinned when the pair questions came to ask
+    about a lift of the idempotent (`treemodel.pair_element`): only beta and
+    n moved."""
     alg = QuaternionAlgebra.for_prime(103)
     hidden, _, o0, fact, _ = planted.general_instance(alg, 101, 2, random.Random(1))
     log = TraceLog()
@@ -147,7 +149,7 @@ def test_general_branch_trace_at_101_is_pinned():
     assert sum(ev["type"] == "step" for ev in log.events) == 162 and len(log.events) == 247
     explored = sorted((q, sorted(words)) for q, words in log.explored.items())
     digest = hashlib.sha256(json.dumps([log.events, explored]).encode()).hexdigest()
-    assert digest == "8ea018abd8e27e5e700762a36e355683777761f166f807c36793f9a641cbb902"
+    assert digest == "0806d638c201e7b99532d83169e47331c6b19fb8babacdd98966f134e0b4ddd3"
 
 
 def test_path_search_lifts_only_accepted_steps(monkeypatch):
@@ -182,35 +184,38 @@ def test_path_search_lifts_only_accepted_steps(monkeypatch):
 def test_path_search_builds_quaternions_only_for_questions(monkeypatch):
     """The path search computes in integer coordinates: no quaternion
     product, and one quaternion per oracle question, its beta, built from
-    integers (`QuatElement.from_integers`)."""
+    integers in lowest terms through `quat._lowest` (in the pair kernel, or
+    through `QuatElement.from_integers` for the confirmation), never
+    through the dataclass `__init__`."""
     q, d = 101, 2
     alg = QuaternionAlgebra.for_prime(103)
     hidden, _, o0, _, word = planted.general_instance(alg, q, d, random.Random(1))
     oq = q_enlarge(o0, q)
     sm = splitting_map(oq, Precision(q, d))
     rb, oracle = ReducedBasis(o0), HiddenOrderOracle(hidden)
-    mul, from_integers, init = QuatElement.__mul__, QuatElement.from_integers, QuatElement.__init__
+    mul, lowest, init = QuatElement.__mul__, quat._lowest, QuatElement.__init__
     products, built, inits = [], [], []
 
     def counting_mul(x, y):
         products.append(1)
         return mul(x, y)
 
-    def counting_from_integers(*args):
+    def counting_lowest(*args):
         built.append(1)
-        return from_integers(*args)
+        return lowest(*args)
 
     def counting_init(x, *args):
         inits.append(1)
         init(x, *args)
 
     monkeypatch.setattr(QuatElement, "__mul__", counting_mul)
-    monkeypatch.setattr(QuatElement, "from_integers", staticmethod(counting_from_integers))
+    monkeypatch.setattr(quat, "_lowest", counting_lowest)
+    monkeypatch.setattr(pipeline, "_lowest", counting_lowest)
     monkeypatch.setattr(QuatElement, "__init__", counting_init)
     gamma, _ = find_path_to_end(rb, sm, oracle, TraceLog())
     assert gamma == word
-    assert len(products) == 0
-    assert len(built) == len(inits) == oracle.calls > 0
+    assert len(products) == len(inits) == 0
+    assert len(built) == oracle.calls > 0
 
 
 def test_splitting_map_and_vertex_order_make_no_quaternion_products(monkeypatch):
@@ -291,8 +296,8 @@ def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):
     Bass stages, q = 2 among them), each asked through a kernel that
     `Frame.kernel` or `Frame.pair_kernel` bound to its shift, is the one the
     Fraction rounding of `fracmodel.frame_ask` gives for the frame's
-    unreduced numerators (of the reference idempotent
-    `treemodel.pair_idempotent` for a pair kernel's question), and its trace
+    unreduced numerators (of the reference element
+    `treemodel.pair_element` for a pair kernel's question), and its trace
     strings are the Fractions'.  Every oracle question passed through such a
     kernel."""
     asked, pairs = [], []
@@ -313,7 +318,7 @@ def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):
 
         def recording_ask(a, b):
             out = ask(a, b)
-            asked.append((frame, pair_idempotent(sm, a, b), s, out))
+            asked.append((frame, pair_element(sm, a, b), s, out))
             pairs.append(out)
             return out
 

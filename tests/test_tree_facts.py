@@ -74,7 +74,7 @@ from endoring.quat import QuaternionAlgebra
 from endoring.serialize import load_problem
 from fracmodel import old_route_map
 from test_bench_contract import load_bench_module
-from treemodel import VertexLattices, pair_idempotent, standard_vertices_up_to
+from treemodel import VertexLattices, pair_element, pair_idempotent, standard_vertices_up_to
 from treemodel import enumerate_bass_path as reference_bass_path
 from treemodel import find_path_to_end as reference_path_search
 
@@ -498,7 +498,7 @@ def traced_search(search, rb, sm, hidden):
 def test_path_search_walks_every_short_word_as_the_reference(q):
     """Every word of length 1 and 2 at q: the path search ends at the word
     within its budget, asking the questions of `treemodel.find_path_to_end`
-    (the slice-and-closure search on `treemodel.pair_idempotent`) in the
+    (the slice-and-closure search on `treemodel.pair_element`) in the
     same order with the same answers, and logging the same levels.  The
     words cover the infinite step, the lone last step (at the root for q =
     2, after the infinite step for q = 3) and the root's split partner taken
@@ -520,6 +520,50 @@ def test_path_search_walks_every_short_word_as_the_reference(q):
             search(rb, sm, oracle, None)
         errors.append((str(err.value), oracle.asked))
     assert errors[0] == errors[1]
+
+
+def reduced_search(rb, sm, oracle, log):
+    """The reference search asking the reduced questions, each pair's
+    idempotent with its coordinates in [0, q) (`treemodel.pair_idempotent`)."""
+    return reference_path_search(rb, sm, oracle, log, element=pair_idempotent)
+
+
+def lift_instances():
+    """(word, ReducedBasis, splitting map, hidden order) for every word of
+    `walk_instances` at q in {2, 3, 5} and for the general instances at q =
+    101 and q = 1009, d = 2 (`planted.general_instance`, Random(1))."""
+    for q in (2, 3, 5):
+        yield from walk_instances(q)
+    alg = QuaternionAlgebra.for_prime(103)
+    for q in (101, 1009):
+        hidden, _, o0, _, word = planted.general_instance(alg, q, 2, random.Random(1))
+        yield word, ReducedBasis(o0), splitting_map(q_enlarge(o0, q), Precision(q, 2)), hidden
+
+
+def test_path_search_answers_do_not_depend_on_the_lift():
+    """The pipeline's pair questions ask about P' = `treemodel.pair_element`,
+    a lift of the pair's idempotent P = `treemodel.pair_idempotent` mod q;
+    P' - P lies in q O_q, so q^(s-1) conj(t) (P' - P) t / q^k lies in q^s
+    O(v), inside End(E) at q by the Ball fact (d(v, End) = s), and in O_q
+    away from q.  So the search on the reduced questions, which the
+    pipeline asked before, gives the same gamma and t, the same answer
+    sequence, the same level records and the same number of calls, on every
+    word of length 1 and 2 at q in {2, 3, 5} and on the general instances
+    at q = 101 and 1009; only beta and n may differ, and they do.  P' = P
+    mod q on consecutive pairs and on pairs with the infinite step."""
+    moved = 0
+    for word, rb, sm, hidden in lift_instances():
+        q = sm.precision.q
+        gamma, t, asked, records = traced_search(find_path_to_end, rb, sm, hidden)
+        old_gamma, old_t, old_asked, old_records = traced_search(reduced_search, rb, sm, hidden)
+        assert gamma == old_gamma == word and t == old_t
+        assert [(a[0], a[1], a[4]) for a in asked] == [(a[0], a[1], a[4]) for a in old_asked]
+        assert [rec for rec in records if rec[0] != "oracle"] == [rec for rec in old_records if rec[0] != "oracle"]
+        moved += asked != old_asked
+        for a in range(q + 1):
+            for b in {(a + 1) % (q + 1), (a + 2) % (q + 1), 0 if a == q else q}:
+                assert tuple(x % q for x in pair_element(sm, a, b)) == pair_idempotent(sm, a, b)
+    assert moved > 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 7])

@@ -14,11 +14,14 @@ the roots of a quadratic mod q.  `VertexLattices` reads the order of a word's ve
 through its canonical label (a, b, c) and `segment_element` picks an
 element of a segment's order from the intersection of two vertex lattices:
 the references for the pipeline's `word_lattice` and `path_element`.
-`pair_idempotent` forms a path-search pair's idempotent on its own and
-`find_path_to_end` is the path search that asks each pair question through
-it and `Frame.kernel`, pair by slice: the references for
+`pair_element` forms the element a path-search pair asks about on its own
+(the pair's idempotent combined from the matrix units with its
+coefficients unreduced), `pair_idempotent` the idempotent from reduced
+coefficients, each coordinate in [0, q), and `find_path_to_end` is the path search that asks each pair question
+through one of them and `Frame.kernel`, pair by slice: the references for
 `Frame.pair_kernel` and the pipeline's search, which walks each level by
-index through its pair kernel.
+index through its pair kernel, and the search on the reduced questions
+that the pipeline asked before, whose answers are the same.
 """
 
 from fractions import Fraction
@@ -280,18 +283,34 @@ def pair_idempotent(sm, a: int, b: int) -> tuple:
     return x0 % q, x1 % q, x2 % q, x3 % q
 
 
-def find_path_to_end(rb, sm, oracle, log):
+def pair_element(sm, a: int, b: int) -> tuple:
+    """Integer coordinates over the basis of O_q of the element P' that
+    `Frame.pair_kernel` asks about for the steps (a, b): the matrix units
+    mod q combined with the idempotent's coefficients left unreduced, a lift
+    of `pair_idempotent(sm, a, b)` mod q."""
+    q = sm.precision.q
+    a1, a2 = (1, 0) if a == q else (-a, 1)
+    b1, b2 = (1, 0) if b == q else (-b, 1)
+    det = a1 * b2 - a2 * b1
+    inv = 1 if det == 1 else pow(det, -1, q)
+    # the entries of P mod q at E11, E12, E21, E22, unreduced
+    return combine4((a1 * b2 * inv, -a1 * b1 * inv, a2 * b2 * inv, -a2 * b1 * inv), sm.units_mod_q)
+
+
+def find_path_to_end(rb, sm, oracle, log, element=pair_element):
     """The path search of `pipeline.find_path_to_end`, each pair question
-    formed by `pair_idempotent` and asked through the level frame's
-    `kernel`, the pairs taken as slices of the level's steps: the same
-    questions, in the same order, with the same answer and errors."""
+    formed by `element` (`pair_element` for the pipeline's questions,
+    `pair_idempotent` for the reduced ones it asked before) and asked
+    through the level frame's `kernel`, the pairs taken as slices of the
+    level's steps: with `pair_element`, the same questions, in the same
+    order, with the same answer and errors."""
     oq, q, r = sm.order, sm.precision.q, sm.precision.r
     question = rb.frame(oq, q)
     word: list[int] = []
     t = oq.one
 
     def leaves_through(a, b):
-        return _in_end(ask(pair_idempotent(sm, a, b)), oracle)
+        return _in_end(ask(element(sm, a, b)), oracle)
 
     for level in range(1, r + 1):
         ask = question.composed([conjugate(oq, t, u) for u in _UNITS]).kernel(r - 2 * level + 1)
