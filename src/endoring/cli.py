@@ -26,6 +26,23 @@ from .serialize import int_from_str, load_problem, result_to_json
 from .trace import TraceLog
 
 
+# the most vertices `btt ball` and `btt dot` list: `btt.ball` holds them all
+MAX_BALL_VERTICES = 10**6
+
+
+def _ball_size(q: int, radius: int) -> int:
+    """The number of vertices within radius of a vertex of the tree of
+    PGL_2(Q_q), 1 + (q+1)(q^radius - 1)/(q - 1), counted sphere by sphere
+    and no further than the first count past `MAX_BALL_VERTICES`."""
+    total, sphere = 1, q + 1
+    for _ in range(radius):
+        total += sphere
+        if total > MAX_BALL_VERTICES:
+            break
+        sphere *= q
+    return total
+
+
 def _parse_path(q: int, spec: str) -> btt.MatrixPath:
     spec = spec.strip()
     if spec in ("", "-", "root"):
@@ -80,6 +97,10 @@ def cmd_btt(args) -> int:
     _require(args.subcommand != "d3" or n >= 1, "btt d3 takes at least one path")
     _require(args.subcommand in ("distance", "d3") or n == 0, f"btt {args.subcommand} takes no path, only --center")
     _require(args.radius >= 0, f"--radius {args.radius} is negative")
+    _require(
+        args.subcommand not in ("ball", "dot") or _ball_size(q, args.radius) <= MAX_BALL_VERTICES,
+        f"--radius {args.radius} at q = {q} gives a ball of more than {MAX_BALL_VERTICES} vertices",
+    )
     if args.subcommand == "distance":
         v1 = btt.vertex_of_path(_parse_path(q, args.paths[0]))
         v2 = btt.vertex_of_path(_parse_path(q, args.paths[1]))

@@ -101,7 +101,9 @@ class SplittingMap:
     @cached_property
     def units_mod_q(self) -> tuple:
         """`unit_coords` reduced into [0, q), formed once per map: the units
-        mod q that the path search's pair idempotents combine."""
+        mod q whose conjugates conj(t) E_i t each path-search level binds its
+        question kernel to (`Frame.kernel`), so that a pair question passes
+        its idempotent's coefficients."""
         q = self.precision.q
         return tuple(tuple(x % q for x in unit) for unit in self.unit_coords)
 

@@ -15,30 +15,24 @@ reduced basis (`ReducedBasis`) is built once per solve.
 
 Each stage works in integer coordinates over the basis of O_q and asks
 through its frame (`ReducedBasis.frame`), the one place a question and its
-quaternion beta are formed.  A frame is one integer matrix, from
-coordinates to numerators over the reduced basis, and its question kernels
-for a shift s, a function of the coordinates (`Frame.kernel`) and one
-straight-line function of a path-search pair (`Frame.pair_kernel`), each
-with the matrix scaled by q^s and reduced mod the denominator, and that
-matrix and the denominator divided by their common factor, once when the
-kernel is bound.  A question is integers end to end: the rounding
-takes integer residuals and one gcd, beta is a `QuatElement` of integer
-numerators over one denominator, the stand-in oracle solves from those
-integers and the log (`trace.TraceLog`, which this module takes in the
-stage signatures) keeps beta itself, printed only when its events are read;
-a solve builds no Fraction.  A path-search pair asks about P', a lift of
-the pair's idempotent P (its coefficients at the matrix units mod q left
-unreduced), so that the pair kernel precomposes the level's matrix with the
-four units once per level.  P' = P mod q O_q, so for the level's vertex v at
-distance s from End(E) the two questions differ by an element of
-q^s O(v), which lies in End(E) at q by the Ball fact, and by an element of
-O_q away from q: every answer is the same as for P.  Every
+quaternion beta are formed: one integer matrix, from coordinates to
+numerators over the reduced basis, and one question kernel
+(`Frame.kernel(s, images)`), bound once per shift s and four images and
+asked about q^s * sum c_i * images[i] as a function of the integers c_i.  A
+question is integers end to end: the rounding takes integer residuals and
+one gcd, beta is a `QuatElement` of integer numerators over one
+denominator, the stand-in oracle solves from those integers and the log
+(`trace.TraceLog`, which this module takes in the stage signatures) keeps
+beta itself, printed only when its events are read; a solve builds no
+Fraction.  A path-search pair asks about P', a lift of the pair's
+idempotent P (its coefficients left unreduced).  P' = P mod q O_q, so for
+the level's vertex v at distance s from End(E) the two questions differ by
+an element of q^s O(v), which lies in End(E) at q by the Ball fact, and by
+an element of O_q away from q: every answer is the same as for P.  Every
 conj(t) x t comes from `conjugate`, by products from the structure
 constants `oq.table` with conj(t) = trd(t) - t: the vertex lattices, the
-Bass search's element, the path search's level frames (formed once per
-level from the images of the four basis units and bound to the level's
-shift, so that each question costs only small-integer work) and its
-end-vertex confirmation.
+Bass search's element, the path search's level images and its end-vertex
+confirmation.
 
 Tree vertices are step words from O_q's vertex (the root) end to end: the
 Bass walk extends a word and its matrix one generator at a time, a word's
@@ -52,7 +46,7 @@ vertex (`distance_element`) for each distance step, an initial segment of
 the containment path for each Bass halving (powers of one closed-form
 element, `path_element`), and for each path-search question the two
 branches that leave the current vertex through a pair of candidate steps
-(a lift of an idempotent, `Frame.pair_kernel`); the path search ends with one
+(a lift of an idempotent, `_pair_question`); the path search ends with one
 question that holds for the end vertex alone.
 
 A stage takes only what no other argument holds: the path search and the
@@ -87,7 +81,7 @@ from .orders import (
     verify_order,
 )
 from .padic import Precision, SplittingMap, first_candidate, lift_matrix, lift_vertex_element, splitting_map
-from .quat import QuatElement, _lowest
+from .quat import _lowest
 from .trace import TraceLog
 
 
@@ -147,22 +141,21 @@ class ReducedBasis:
 
 
 class Frame:
-    """The function (z, s) -> the question about y = q^s * x, x the element
-    with integer coordinates z over the frame's basis: None when y lies in
-    O_0, else (beta, m) with m least such that m*y lies in O_0 and beta =
-    m*(y - gamma).
+    """The questions about elements of an order containing O_0 given by
+    integer coordinates over its basis: the question about y is None when y
+    lies in O_0, else (beta, m) with m least such that m*y lies in O_0 and
+    beta = m*(y - gamma).
 
-    It has three parts: the integer matrix `matrix`, which maps z to the
-    numerators of x's coordinates over O_0's reduced basis (their
-    denominator is `den`), `kernel(s)`, the question as a function of z
-    alone for one shift s, and `pair_kernel(s, sm)`, the question about a
-    path-search pair as a function of the pair.  `composed` gives the frame
-    of a linear map into the frame's coordinates, with the matrix product
-    formed once: the path search forms the frame of z -> conj(t) z t once
-    per level and binds its pair kernel to the level's shift and to the
-    images of the four matrix units mod q, so that a question costs one
-    call: 16 products for the numerators of the idempotent's lift P', four
-    residuals and one gcd, and 16 products and one gcd for beta."""
+    A frame is the integer matrix `matrix`, which maps coordinates to the
+    numerators of the element's coordinates over O_0's reduced basis (their
+    denominator is `den`), and one question kernel, `kernel(s, images)`,
+    bound once per shift s and per four images, then asked as a function of
+    four integer coefficients: the distance, Bass and confirmation questions
+    pass coordinates over the basis (the basis units as images), and each
+    path-search level passes a pair idempotent's coefficients at the images
+    conj(t) E_i t of the four matrix units mod q, so that a question costs
+    one call: 16 products for the numerators, four residuals and one gcd,
+    and 16 products and one gcd for beta."""
 
     def __init__(self, rb: ReducedBasis, matrix, den: int, q: int):
         self.rb = rb
@@ -170,96 +163,46 @@ class Frame:
         self.den = den
         self.q = q
 
-    def __call__(self, z, s: int):
-        return self.kernel(s)(z)
+    def kernel(self, s: int, images=None):
+        """The function (c0, c1, c2, c3) -> the question about q^s * x, x =
+        sum c_i * images[i], the images given by integer coordinates over the
+        frame's basis (the basis units when images is None, so that the c_i
+        are x's coordinates).
 
-    def composed(self, images) -> "Frame":
-        """The frame of z -> sum_k z_k * images[k], the images given by
-        integer coordinates over this frame's basis: its matrix is this
-        frame's matrix times the columns `images`."""
-        rows = self.matrix
-        matrix = tuple(tuple(dot4(row, im) for im in images) for row in rows)
-        return Frame(self.rb, matrix, self.den, self.q)
-
-    def _reduced(self, s: int):
-        """The (rows, d) that both kernels bind for the shift s (see `kernel`)."""
+        The numerators of q^s * x's coordinates over O_0's reduced basis are
+        n = q^s * `matrix` x over d = `den` when s >= 0, and n = `matrix` x
+        over d = den * q^-s when s < 0.  Each n/d is rounded to the nearest
+        integer, leaving the residual r = n mod d centred into (-d/2, d/2].
+        With g = gcd(r_0..r_3, d), m = d/g is the least common denominator of
+        the residuals r_i/d and w_i = r_i/g their numerators over m, so beta =
+        sum w_i * b_i over O_0's reduced basis b; g = d exactly when every
+        residual is 0, that is when q^s * x lies in O_0.  The residuals
+        depend only on n mod d, so the matrix is scaled by q^s and reduced
+        mod d once, here; a factor common to d and every entry scales n, d
+        and every r_i alike, leaving m and w unchanged, so it is divided out
+        too; and n is linear in x, so the reduced matrix is applied to the
+        four images once, here, each column reduced mod d (with no images,
+        the columns are the reduced matrix's own).  A question then forms its
+        numerators from the coefficients and those columns, and beta's
+        numerators in line from the reduced basis's columns, with one gcd
+        against their denominator."""
         q, d = self.q, self.den
         f, d = (q**s, d) if s >= 0 else (1, d * q**-s)
         rows = [[f * x % d for x in row] for row in self.matrix]
         g = gcd(*rows[0], *rows[1], *rows[2], *rows[3], d)
-        return [[x // g for x in row] for row in rows], d // g
-
-    def kernel(self, s: int):
-        """The function z -> the question about q^s * x, x the element with
-        integer coordinates z over the frame's basis.
-
-        The numerators of q^s * x's coordinates over O_0's reduced basis are
-        n = q^s * `matrix` z over d = `den` when s >= 0, and n = `matrix` z
-        over d = den * q^-s when s < 0.  Each n/d is rounded to k = ceil(n/d
-        - 1/2), leaving the residual r = n - k*d in (-d/2, d/2].  With g =
-        gcd(r_0..r_3, d), m = d/g is the least common denominator of the
-        residuals r_i/d and w_i = r_i/g their numerators over m, so beta =
-        sum w_i * b_i over O_0's reduced basis b; g = d exactly when every
-        residual is 0, that is when q^s * x lies in O_0.  The residuals
-        depend only on n mod d, so the matrix is scaled by q^s and reduced
-        mod d once, here; and a factor c common to d and every entry scales
-        n, d and every r_i by c, leaving g/c, m and w unchanged, so it is
-        divided out too.  A question then forms its numerators from the
-        reduced entries, each below the reduced d."""
-        rows, d = self._reduced(s)
-        algebra, cols, den = self.rb.order.algebra, self.rb._cols, self.rb.order.lattice.den
-
-        def ask(z):
-            r = [n + (d - 2 * n) // (2 * d) * d for n in matvec4(rows, z)]
-            g = gcd(*r, d)
-            if g == d:
-                return None
-            return QuatElement.from_integers(algebra, combine4([x // g for x in r], cols), den), d // g
-
-        return ask
-
-    def pair_kernel(self, s: int, sm: SplittingMap):
-        """The function (a, b) -> `kernel(s)(P')` for steps a != b: P' =
-        sum c_i E_i combines the matrix units mod q (`SplittingMap.units_mod_q`)
-        with the coefficients c of the idempotent with image line a and
-        kernel line b, c left unreduced, and is written out with `kernel`'s
-        rounding and beta's numerators in one function.  Step c's line, which
-        an element of O_q fixes mod q exactly when it lies in the order of
-        the root's neighbour gamma_c, is (-c, 1) for c < q and (1, 0) for
-        gamma_inf; P' is not scalar mod q and fixes lines a and b alone, so
-        among those q + 1 neighbours it lies in the orders of gamma_a and
-        gamma_b alone (the Pair fact).
-
-        The kernel's numerators are linear in P', and its residuals depend
-        only on them mod the reduced denominator d, so the four unit columns
-        rows * E_i mod d are formed once, here, and a question's numerators
-        are n = sum c_i * (rows * E_i): 16 products.  P' is the idempotent
-        P, each coordinate reduced into [0, q), only up to q O_q; the path
-        search's answers do not depend on that lift (`find_path_to_end`).
-        beta's numerators over O_0's basis are formed in line from the
-        reduced basis's columns, unpacked here, with one gcd against their
-        denominator."""
-        rows, d = self._reduced(s)
-        # rows * E11, rows * E12, rows * E21 and rows * E22, each mod d
-        (e0, e1, e2, e3), (f0, f1, f2, f3), (h0, h1, h2, h3), (k0, k1, k2, k3) = (
-            [x % d for x in matvec4(rows, unit)] for unit in sm.units_mod_q
-        )
+        d //= g
+        rows = [[x // g for x in row] for row in rows]
+        cols = zip(*rows) if images is None else ([x % d for x in matvec4(rows, im)] for im in images)
+        (e0, e1, e2, e3), (f0, f1, f2, f3), (h0, h1, h2, h3), (k0, k1, k2, k3) = cols
         (u0, u1, u2, u3), (v0, v1, v2, v3), (w0, w1, w2, w3), (y0, y1, y2, y3) = self.rb._cols
-        q, half = self.q, d // 2
+        half = d // 2
         algebra, den = self.rb.order.algebra, self.rb.order.lattice.den
 
-        def ask(a, b):
-            a1, a2 = (1, 0) if a == q else (-a, 1)
-            b1, b2 = (1, 0) if b == q else (-b, 1)
-            det = a1 * b2 - a2 * b1  # 1 for consecutive finite steps, most pairs
-            inv = 1 if det == 1 else pow(det, -1, q)
-            # the idempotent a (b2, -b1) / det mod q at E11, E12, E21, E22, unreduced
-            c0, c1, c2, c3 = a1 * b2 * inv, -a1 * b1 * inv, a2 * b2 * inv, -a2 * b1 * inv
+        def ask(c0, c1, c2, c3):
             n0 = c0 * e0 + c1 * f0 + c2 * h0 + c3 * k0
             n1 = c0 * e1 + c1 * f1 + c2 * h1 + c3 * k1
             n2 = c0 * e2 + c1 * f2 + c2 * h2 + c3 * k2
             n3 = c0 * e3 + c1 * f3 + c2 * h3 + c3 * k3
-            # the residuals of `kernel`, n mod d centred into (-d/2, d/2]
             r0, r1, r2, r3 = n0 % d, n1 % d, n2 % d, n3 % d
             g = gcd(r0, r1, r2, r3, d)
             if g == d:
@@ -309,7 +252,7 @@ def distance_to_end(rb: ReducedBasis, oq: Order, q: int, e: int, oracle: Divisio
     r <= i, and the countdown stops at the first i where it is not."""
     question, z = rb.frame(oq, q), distance_element(oq, q)
     for i in range(e - 1, -1, -1):
-        if not _in_end(question(z, i), oracle):
+        if not _in_end(question.kernel(i)(*z), oracle):
             return i + 1
     return 0
 
@@ -379,6 +322,23 @@ def generator_lifts(sm: SplittingMap, step: int) -> tuple:
     return lift_vertex_element(sm, (1, 0, 0) if step == q else (0, 1, step))
 
 
+def _pair_question(ask, q: int):
+    """The function (a, b) -> ask(c) for steps a != b, c the coefficients at
+    E11, E12, E21, E22 of the idempotent with image line a and kernel line b,
+    a (b2, -b1) / det mod q, left unreduced: step c's line, which an element
+    of O_q fixes mod q exactly when it lies in the order of the root's
+    neighbour gamma_c, is (-c, 1) for c < q and (1, 0) for gamma_inf."""
+
+    def pair(a, b):
+        a1, a2 = (1, 0) if a == q else (-a, 1)
+        b1, b2 = (1, 0) if b == q else (-b, 1)
+        det = a1 * b2 - a2 * b1  # 1 for consecutive finite steps, most pairs
+        inv = 1 if det == 1 else pow(det, -1, q)
+        return ask(a1 * b2 * inv, -a1 * b1 * inv, a2 * b2 * inv, -a2 * b1 * inv)
+
+    return pair
+
+
 def find_path_to_end(
     rb: ReducedBasis, sm: SplittingMap, oracle: DivisionOracle, log: TraceLog | None
 ) -> tuple[MatrixPath, tuple]:
@@ -393,8 +353,8 @@ def find_path_to_end(
     element x = conj(t) P t / q^k, P the idempotent with image line a and
     kernel line b, lies in O(v), and q^(s-1) x lies in End(E) iff the path
     leaves v through step a or step b (the Pair fact).  The question is
-    about x' = conj(t) P' t / q^k for the lift P' of P that
-    `Frame.pair_kernel` forms, P' - P in q O_q: q^(s-1) (x' - x) lies in
+    about x' = conj(t) P' t / q^k for the lift P' of P whose coefficients
+    `_pair_question` passes, P' - P in q O_q: q^(s-1) (x' - x) lies in
     q^s O(v), inside End(E) tensor Z_q by the Ball fact (d(v, End) = s), so
     x' gets x's answer, and the pairs asked, the accepted steps and gamma do
     not depend on the lift.  Each question asks about one such pair, in
@@ -411,23 +371,21 @@ def find_path_to_end(
     `distance_element(oq, q)`, has an irreducible characteristic polynomial
     mod q, so by the Ball fact it lies in the order of that vertex alone.
 
-    t is fixed for a level, and conj(t) P' t is linear in P', so each level
-    forms once the frame of z -> conj(t) z t (`Frame.composed`, from the
-    `conjugate` images of the four basis units: 8 table products) and binds
-    its pair kernel to the level's shift s - 1 - k, the power of q on conj(t)
-    P' t (`Frame.pair_kernel`, which scales and reduces the matrix and
-    applies it to the four matrix units mod q once).  The
-    level's steps are walked by index, and a question costs one call of that
-    kernel and, unless the element lies in O_0, one `is_divisible`.  The
-    trace stores raw records and renders them when read: a question appends
-    its beta as it is, and a level appends its word and candidates in one
-    call (`TraceLog.path_level`)."""
+    t is fixed for a level, and conj(t) P' t = sum c_i conj(t) E_i t, so
+    each level binds the root frame's kernel once, to the level's shift
+    s - 1 - k, the power of q on conj(t) P' t, and to the `conjugate` images
+    of the four matrix units mod q (8 table products).  The level's steps
+    are walked by index, and a question costs one call of `_pair_question`
+    and of that kernel and, unless the element lies in O_0, one
+    `is_divisible`.  The trace stores raw records and renders them when
+    read: a question appends its beta as it is, and a level appends its word
+    and candidates in one call (`TraceLog.path_level`)."""
     oq, q, r = sm.order, sm.precision.q, sm.precision.r
     question, is_divisible = rb.frame(oq, q), oracle.is_divisible
     word: list[int] = []
     t = oq.one
     for level in range(1, r + 1):
-        ask = question.composed([conjugate(oq, t, u) for u in _UNITS]).pair_kernel(r - 2 * level + 1, sm)
+        ask = _pair_question(question.kernel(r - 2 * level + 1, [conjugate(oq, t, u) for u in sm.units_mod_q]), q)
         prev = word[-1] if word else None
         steps = allowed_next_steps(q, prev)
         n = len(steps)
@@ -454,7 +412,7 @@ def find_path_to_end(
             )
         word.append(accepted)
         t = _table_mul(oq.table, generator_lifts(sm, accepted), t)
-    if not _in_end(question(conjugate(oq, t, distance_element(oq, q)), -r), oracle):
+    if not _in_end(question.kernel(-r)(*conjugate(oq, t, distance_element(oq, q))), oracle):
         raise MathematicalInconsistencyError(
             f"the oracle refused the order at the end of the path for q={q}"
         )
@@ -621,7 +579,7 @@ def bass_search(rb: ReducedBasis, sm: SplittingMap, oracle: DivisionOracle, log:
         question = rb.frame(sm.order, q)
         while hi - lo > 1:
             m = (hi - lo) // 2
-            if _in_end(question(z, lo + m - 1 - k), oracle):
+            if _in_end(question.kernel(lo + m - 1 - k)(*z), oracle):
                 hi = lo + m
             else:
                 lo += m

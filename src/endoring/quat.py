@@ -6,9 +6,9 @@ elements are equal exactly when their fields are.  The package builds every
 element through one private constructor, `_lowest`, which takes numerators
 and a denominator already in lowest terms and sets the three slots
 directly, without the frozen dataclass's generated `__init__`:
-`QuatElement.from_integers` calls it after its gcd, the path search's pair
-kernel after its own, and `QuaternionAlgebra.element` over the least common
-denominator.  Multiplication follows
+`QuatElement.from_integers` calls it after its gcd, the oracle questions'
+kernel (`pipeline.Frame.kernel`) after its own, and
+`QuaternionAlgebra.element` over the least common denominator.  Multiplication follows
 i^2 = a, j^2 = b, ji = -ij through one integer formula (`_product`) and one
 gcd; `coeffs` is a view of the coordinates as Fractions, built on request.
 Algebra construction validates via Hilbert symbols that B ramifies exactly

@@ -7,7 +7,8 @@ product, conjugate, scaling, norm, inverse and equality that `QuatElement`
 computes from integer numerators over one denominator: the reference for
 `QuatElement`.  `frame_ask` is `pipeline.Frame.kernel` in Fractions (residuals
 as Fractions, m as the lcm of their denominators, beta built from Fraction
-coordinates), the reference for the integer rounding.
+coordinates, each residual n/d - ceil(n/d - 1/2)), the reference for the
+integer rounding, which centres n mod d.
 
 `add`, `sub`, `neg`, `conj`, `trd` and `standard_basis` are the element
 arithmetic that the integer code does not use: sums and differences, the

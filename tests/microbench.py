@@ -127,40 +127,32 @@ def body_verify_order(pkg, g):
     return lambda: pkg.orders.verify_order(oq.lattice, oq.algebra)
 
 
-def root_question(level):
-    """The root level's question as a function of the coordinates alone,
-    bound once (`Frame.kernel`); a checkout whose frames have no `kernel`
-    asks through the frame's call."""
-    if hasattr(level, "kernel"):
-        return level.kernel(0)
-    return lambda z: level(z, 0)
-
-
-def pair_question(pipeline, level, sm, a, b):
+def pair_question(pipeline, rb, oq, sm, a, b):
     """The root level's question about the pair of steps (a, b), as a
-    function of nothing: through the level's pair kernel, bound once as the
-    path search binds each level (`Frame.pair_kernel`), or, in a checkout
-    whose frames have none, through `root_question` on the pair's
-    `pipeline.pair_idempotent`."""
+    function of nothing, bound once as the path search binds each level.
+    At the root t = 1, so O_0's frame of O_q is the level's frame: in a
+    checkout whose `Frame.kernel` takes images, the pair question
+    (`_pair_question`) on the kernel bound to the matrix units mod q; in one
+    whose frames have a `pair_kernel`, that kernel."""
+    level = rb.frame(oq, Q)
     if hasattr(level, "pair_kernel"):
         ask = level.pair_kernel(0, sm)
-        return lambda: ask(a, b)
-    ask = root_question(level)
-    return lambda: ask(pipeline.pair_idempotent(sm, a, b))
+    else:
+        ask = pipeline._pair_question(level.kernel(0, [pipeline.conjugate(oq, oq.one, u) for u in sm.units_mod_q]), Q)
+    return lambda: ask(a, b)
 
 
 def body_path_pair_question(pkg, g):
     """One refused question of the path search at r = 1: the idempotent of a
-    pair of steps off the path, its question in the root's level frame
-    (formed once, as the search forms it once per level) and the oracle's
+    pair of steps off the path, its question through the root level's kernel
+    (bound once, as the search binds one per level) and the oracle's
     answer."""
     hidden, o0, oq, word = g
     pipeline = pkg.pipeline
     rb, oracle = pipeline.ReducedBasis(o0), pkg.divide.HiddenOrderOracle(hidden)
-    level = rb.frame(oq, Q).composed([pipeline.conjugate(oq, oq.one, u) for u in pkg.orders._UNITS])
     sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
     a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
-    question = pair_question(pipeline, level, sm, a, b)
+    question = pair_question(pipeline, rb, oq, sm, a, b)
     return lambda: pipeline._in_end(question(), oracle)
 
 
@@ -174,10 +166,9 @@ def body_traced_pair_question(pkg, g):
     hidden, o0, oq, word = g
     pipeline, divide = pkg.pipeline, pkg.divide
     rb, inner = pipeline.ReducedBasis(o0), divide.HiddenOrderOracle(hidden)
-    level = rb.frame(oq, Q).composed([pipeline.conjugate(oq, oq.one, u) for u in pkg.orders._UNITS])
     sm = pkg.padic.splitting_map(oq, pkg.padic.Precision(Q, 1))
     a, b = ((word.steps[0] + k) % (Q + 1) for k in (1, 2))
-    question = pair_question(pipeline, level, sm, a, b)
+    question = pair_question(pipeline, rb, oq, sm, a, b)
 
     def traced():
         log = pipeline.TraceLog()

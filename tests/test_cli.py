@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import paperdata
-from endoring import cli, trace
+from endoring import btt, cli, trace
 from endoring.cli import main
 from endoring.errors import ParseError
 from endoring.lattice import Lattice4
@@ -415,6 +415,51 @@ def test_btt_ball_and_dot(capsys):
     dot = capsys.readouterr().out
     assert dot.count("--") == 16  # 17 vertices, 16 tree edges
     assert dot.startswith("graph")
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["ball", "3", "--radius", "1"], "89f8778ade8581d3"),
+        (["ball", "3", "--radius", "2"], "f07076645074fb37"),
+        (["dot", "3", "--radius", "1"], "91916b76d03f37b3"),
+        (["dot", "3", "--radius", "2"], "4bb3de12f3834267"),
+    ],
+    ids=["ball_r1", "ball_r2", "dot_r1", "dot_r2"],
+)
+def test_btt_small_balls_are_unchanged(args, digest, capsys):
+    """The ball and dot outputs below the vertex bound, byte for byte."""
+    assert run_cli(["btt", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["ball", "3", "--radius", "20"], ["dot", "3", "--radius", "40"], ["ball", "1000003", "--radius", "1"]],
+    ids=lambda args: "_".join(args),
+)
+def test_btt_ball_past_the_vertex_bound_is_refused(args, capsys):
+    """A ball of more than `cli.MAX_BALL_VERTICES` vertices exits 2 with one
+    error line before any vertex is formed: q = 3 at radius 20 has about
+    7 * 10^9 vertices, and q = 1000003 at radius 1 has q + 2."""
+    start = time.perf_counter()
+    assert run_cli(["btt", *args]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"more than {cli.MAX_BALL_VERTICES} vertices" in captured.err
+
+
+def test_ball_size_is_the_vertex_count():
+    """`_ball_size` is the length of `btt.ball` up to the bound, and stops
+    counting past it."""
+    for q in (2, 3, 5):
+        root = btt.vertex_of_path(btt.MatrixPath(q, ()))
+        for radius in range(4):
+            assert cli._ball_size(q, radius) == sum(1 for _ in btt.ball(root, radius))
+    assert cli._ball_size(2, 18) == 786430 <= cli.MAX_BALL_VERTICES
+    assert cli.MAX_BALL_VERTICES < cli._ball_size(2, 19) < 2 * cli.MAX_BALL_VERTICES
+    assert cli._ball_size(3, 10**30) < 4 * cli.MAX_BALL_VERTICES
 
 
 def test_divide_params_output(capsys):

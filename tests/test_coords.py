@@ -3,9 +3,10 @@
 The distance and path stages compute in integer coordinates over the basis
 of an enlargement O_q: products from its structure constants, conjugates as
 trd(x) - x, and oracle questions through one integer frame.  Each is
-compared here with the same computation on `QuatElement`s, the path
-search's per-level frame with the frame's question about each conjugate,
-and the level's pair kernel with its kernel on the reference element.
+compared here with the same computation on `QuatElement`s, a question
+kernel bound to images with the kernel's question about the image's
+element, and the path search's pair question with the kernel's question
+about the conjugated reference element.
 """
 
 import math
@@ -21,7 +22,7 @@ import planted
 from endoring.matrix import det4
 from endoring.orders import _UNITS, _conj_coords, _table_mul, q_enlarge
 from endoring.padic import Precision, splitting_map
-from endoring.pipeline import ReducedBasis, conjugate, generator_lifts
+from endoring.pipeline import ReducedBasis, _pair_question, conjugate, generator_lifts
 from endoring.quat import QuaternionAlgebra
 from fracmodel import conj, coords_of, from_coords, trd
 from matmodel import adj4
@@ -92,7 +93,7 @@ def test_conj_coords_is_the_conjugate(enl, x):
 def test_frame_question_is_the_question(enl, w, s):
     rb, oq, q, _ = enl
     want = reference_question(rb, from_coords(oq, w).scale(Fraction(q) ** s))
-    assert rb.frame(oq, q)(w, s) == want
+    assert rb.frame(oq, q).kernel(s)(*w) == want
 
 
 def test_frame_asks_nothing_about_o0(enl):
@@ -103,10 +104,10 @@ def test_frame_asks_nothing_about_o0(enl):
     question = rb.frame(oq, q)
     one = tuple(int(c) for c in coords_of(oq, oq.algebra.element(1)))
     units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    assert question(one, 0) is None
+    assert question.kernel(0)(*one) is None
     if name.startswith("general"):
-        assert all(question(u, 2) is None for u in units)
-    asked = [question(u, -1) for u in units]
+        assert all(question.kernel(2)(*u) is None for u in units)
+    asked = [question.kernel(-1)(*u) for u in units]
     assert any(a is not None for a in asked)
     for u, a in zip(units, asked):
         assert a == reference_question(rb, from_coords(oq, u).scale(Fraction(1, q)))
@@ -127,9 +128,9 @@ def split(enl):
     s=st.integers(-4, 2),
 )
 def test_level_frame_asks_the_conjugated_question(enl, split, steps, a, b, s):
-    """The path search's per-level route: the frame of z -> conj(t) z t,
-    composed once from the images of the basis units, asks about a pair
-    idempotent P exactly what the frame asks about conj(t) P t."""
+    """A kernel bound to the images conj(t) u t of the basis units u asks
+    about the coefficients of a pair idempotent P exactly what the unbound
+    kernel asks about conj(t) P t."""
     rb, oq, q, _ = enl
     table, one = oq.table, oq.lattice.integer_coords((1, 0, 0, 0))
     t = one
@@ -141,26 +142,28 @@ def test_level_frame_asks_the_conjugated_question(enl, split, steps, a, b, s):
         return _table_mul(table, _table_mul(table, t_conj, z), t)
 
     question = rb.frame(oq, q)
-    level = question.composed([conjugated(u) for u in _UNITS])
+    level = question.kernel(s, [conjugated(u) for u in _UNITS])
     a %= q + 1
     p = pair_idempotent(split, a, (a + 1 + b % q) % (q + 1))
-    assert level(p, s) == question(conjugated(p), s)
+    assert level(*p) == question.kernel(s)(*conjugated(p))
 
 
 @pytest.mark.parametrize("q", [2, 3, 7, 1009])
 def test_pair_kernel_is_the_kernel_of_the_reference_idempotent(q):
-    """On a depth-1 level frame (t the lift of one step, not 1) and for each
-    shift s in -2..2, `Frame.pair_kernel(s, sm)` asks about every ordered
-    pair of steps (a, b), a != b and infinity (step q) included, exactly
-    what `Frame.kernel(s)` asks about `treemodel.pair_element(sm, a, b)`,
-    the idempotent's lift that the kernel precomposes: the same (beta, m),
-    or None.  At q = 1009, on 200 seeded pairs and two with infinity."""
+    """At a depth-1 level (t the lift of one step, not 1) and for each shift
+    s in -2..2, the path search's pair question (`_pair_question` on the
+    kernel bound to the images conj(t) E_i t of the matrix units mod q) asks
+    about every ordered pair of steps (a, b), a != b and infinity (step q)
+    included, exactly what `Frame.kernel(s)` asks about conj(t) P' t, P' =
+    `treemodel.pair_element(sm, a, b)` the idempotent's lift: the same
+    (beta, m), or None.  At q = 1009, on 200 seeded pairs and two with
+    infinity."""
     o0, _ = general(q)
     oq = q_enlarge(o0, q)
     sm, rb = splitting_map(oq, Precision(q, 2)), ReducedBasis(o0)
     t = generator_lifts(sm, q - 1)
     assert t != oq.one
-    level = rb.frame(oq, q).composed([conjugate(oq, t, u) for u in _UNITS])
+    question, images = rb.frame(oq, q), [conjugate(oq, t, u) for u in sm.units_mod_q]
     if q < 1009:
         pairs = [(a, b) for a in range(q + 1) for b in range(q + 1) if a != b]
     else:
@@ -169,9 +172,30 @@ def test_pair_kernel_is_the_kernel_of_the_reference_idempotent(q):
         pairs += [(q, 1), (2, q)]
     outcomes = set()
     for s in range(-2, 3):
-        ask, reference = level.pair_kernel(s, sm), level.kernel(s)
+        ask, reference = _pair_question(question.kernel(s, images), q), question.kernel(s)
         for a, b in pairs:
-            want = reference(pair_element(sm, a, b))
+            want = reference(*conjugate(oq, t, pair_element(sm, a, b)))
             assert ask(a, b) == want
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 3, 1009])
+def test_unit_columns_are_the_unit_images(q):
+    """`Frame.kernel(s)`, which reads the reduced matrix's columns, asks
+    about seeded coordinates what `Frame.kernel(s, _UNITS)`, which applies
+    the reduced matrix to the basis units, asks: the same (beta, m), or
+    None, for each shift s in -2..2."""
+    o0, _ = general(q)
+    oq = q_enlarge(o0, q)
+    question, rng = ReducedBasis(o0).frame(oq, q), random.Random(q)
+    coords = [tuple(rng.randrange(-(q**3), q**3) for _ in range(4)) for _ in range(50)]
+    coords += [oq.one, tuple(q * c for c in coords[0])]
+    outcomes = set()
+    for s in range(-2, 3):
+        columns, images = question.kernel(s), question.kernel(s, _UNITS)
+        for z in coords:
+            want = images(*z)
+            assert columns(*z) == want
             outcomes.add(want is None)
     assert outcomes == {True, False}

@@ -120,7 +120,7 @@ P_255 = 2**255 + 95
 def test_solves_at_p_2_255_plus_95(branch, q, depth, calls):
     """Planted solves at p = 2^255 + 95 (Random(1)): a general-branch O_0 =
     Z + q^d Lambda at q = 101, d = 2 and at q = 1009, d = 1, whose path
-    searches bind pair kernels over denominators of hundreds of bits, and a
+    searches bind question kernels over denominators of hundreds of bits, and a
     level-13^3 Eichler order.  Each gives End(E) with r = d (2 at the Bass
     prime) in the given number of oracle calls, in under 1 s."""
     alg = QuaternionAlgebra.for_prime(P_255)

@@ -12,7 +12,7 @@ import paperdata
 import planted
 from endoring import pipeline, quat
 from endoring.divide import HiddenOrderOracle
-from endoring.matrix import matvec4
+from endoring.matrix import combine4, matvec4
 from endoring.ntheory import factorize
 from endoring.orders import discrd, q_enlarge, verify_order
 from endoring.padic import Precision, splitting_map
@@ -28,7 +28,6 @@ from endoring.pipeline import (
 )
 from endoring.quat import QuaternionAlgebra, QuatElement
 from fracmodel import coords_of, frame_ask, from_coords
-from treemodel import pair_element
 from planted import generate_instance
 
 
@@ -184,9 +183,8 @@ def test_path_search_lifts_only_accepted_steps(monkeypatch):
 def test_path_search_builds_quaternions_only_for_questions(monkeypatch):
     """The path search computes in integer coordinates: no quaternion
     product, and one quaternion per oracle question, its beta, built from
-    integers in lowest terms through `quat._lowest` (in the pair kernel, or
-    through `QuatElement.from_integers` for the confirmation), never
-    through the dataclass `__init__`."""
+    integers in lowest terms through `quat._lowest` in `Frame.kernel`,
+    never through the dataclass `__init__`."""
     q, d = 101, 2
     alg = QuaternionAlgebra.for_prime(103)
     hidden, _, o0, _, word = planted.general_instance(alg, q, d, random.Random(1))
@@ -294,38 +292,28 @@ def test_solves_build_no_fraction(monkeypatch):
 def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):
     """Every question of the `solve_instances` solves (distance, path and
     Bass stages, q = 2 among them), each asked through a kernel that
-    `Frame.kernel` or `Frame.pair_kernel` bound to its shift, is the one the
-    Fraction rounding of `fracmodel.frame_ask` gives for the frame's
-    unreduced numerators (of the reference element
-    `treemodel.pair_element` for a pair kernel's question), and its trace
-    strings are the Fractions'.  Every oracle question passed through such a
-    kernel."""
-    asked, pairs = [], []
-    kernel, pair_kernel = pipeline.Frame.kernel, pipeline.Frame.pair_kernel
+    `Frame.kernel` bound to its shift and images, is the one the Fraction
+    rounding of `fracmodel.frame_ask` gives for the frame's unreduced
+    numerators of the element sum c_i * images[i] (c_i its coordinates when
+    the kernel has no images), and its trace strings are the Fractions'.
+    Every oracle question passed through such a kernel, and the path
+    search's through kernels bound to images."""
+    asked, imaged = [], []
+    kernel = pipeline.Frame.kernel
 
-    def recording_kernel(frame, s):
-        ask = kernel(frame, s)
+    def recording_kernel(frame, s, images=None):
+        ask = kernel(frame, s, images)
 
-        def recording_ask(z):
-            out = ask(z)
-            asked.append((frame, tuple(z), s, out))
-            return out
-
-        return recording_ask
-
-    def recording_pair_kernel(frame, s, sm):
-        ask = pair_kernel(frame, s, sm)
-
-        def recording_ask(a, b):
-            out = ask(a, b)
-            asked.append((frame, pair_element(sm, a, b), s, out))
-            pairs.append(out)
+        def recording_ask(*c):
+            out = ask(*c)
+            asked.append((frame, c if images is None else combine4(c, images), s, out))
+            if images is not None:
+                imaged.append(out)
             return out
 
         return recording_ask
 
     monkeypatch.setattr(pipeline.Frame, "kernel", recording_kernel)
-    monkeypatch.setattr(pipeline.Frame, "pair_kernel", recording_pair_kernel)
     stages, questions = set(), 0
     for o0, hidden, fact in solve_instances():
         log = TraceLog()
@@ -338,7 +326,7 @@ def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):
     assert {("distance", 2), ("path", 2), ("bass", 5)} <= stages
     assert any(out is None for *_, out in asked) and any(out is not None for *_, out in asked)
     assert sum(out is not None for *_, out in asked) == questions
-    assert any(out is not None for out in pairs)
+    assert any(out is not None for out in imaged)
     for frame, z, s, out in asked:
         want = frame_ask(frame, matvec4(frame.matrix, z), s)
         assert out == want

@@ -17,10 +17,12 @@ the references for the pipeline's `word_lattice` and `path_element`.
 `pair_element` forms the element a path-search pair asks about on its own
 (the pair's idempotent combined from the matrix units with its
 coefficients unreduced), `pair_idempotent` the idempotent from reduced
-coefficients, each coordinate in [0, q), and `find_path_to_end` is the path search that asks each pair question
-through one of them and `Frame.kernel`, pair by slice: the references for
-`Frame.pair_kernel` and the pipeline's search, which walks each level by
-index through its pair kernel, and the search on the reduced questions
+coefficients, each coordinate in [0, q), and `find_path_to_end` is the
+path search that asks about conj(t) x t for one of them through the root
+frame's `Frame.kernel`, pair by slice: the references for the pipeline's
+pair question, which passes the idempotent's coefficients to a kernel bound
+once per level to the conjugated matrix units, the pipeline's search,
+which walks each level by index, and the search on the reduced questions
 that the pipeline asked before, whose answers are the same.
 """
 
@@ -41,7 +43,7 @@ from endoring.btt import (
 from endoring.errors import MathematicalInconsistencyError, StructuralError
 from endoring.matrix import adj2, combine4, mat2_mul
 from endoring.ntheory import reduce_unit_mod, valuation
-from endoring.orders import _UNITS, _table_mul
+from endoring.orders import _table_mul
 from endoring.padic import lift_vertex_element
 from endoring.pipeline import (
     _in_end,
@@ -284,10 +286,11 @@ def pair_idempotent(sm, a: int, b: int) -> tuple:
 
 
 def pair_element(sm, a: int, b: int) -> tuple:
-    """Integer coordinates over the basis of O_q of the element P' that
-    `Frame.pair_kernel` asks about for the steps (a, b): the matrix units
-    mod q combined with the idempotent's coefficients left unreduced, a lift
-    of `pair_idempotent(sm, a, b)` mod q."""
+    """Integer coordinates over the basis of O_q of the element P' whose
+    conjugate by the level's t the pipeline's pair question asks about for
+    the steps (a, b): the matrix units mod q combined with the idempotent's
+    coefficients left unreduced, a lift of `pair_idempotent(sm, a, b)` mod
+    q."""
     q = sm.precision.q
     a1, a2 = (1, 0) if a == q else (-a, 1)
     b1, b2 = (1, 0) if b == q else (-b, 1)
@@ -300,8 +303,9 @@ def pair_element(sm, a: int, b: int) -> tuple:
 def find_path_to_end(rb, sm, oracle, log, element=pair_element):
     """The path search of `pipeline.find_path_to_end`, each pair question
     formed by `element` (`pair_element` for the pipeline's questions,
-    `pair_idempotent` for the reduced ones it asked before) and asked
-    through the level frame's `kernel`, the pairs taken as slices of the
+    `pair_idempotent` for the reduced ones it asked before), conjugated by
+    the level's t and asked through the root frame's `kernel` bound to the
+    level's shift, with no images, the pairs taken as slices of the
     level's steps: with `pair_element`, the same questions, in the same
     order, with the same answer and errors."""
     oq, q, r = sm.order, sm.precision.q, sm.precision.r
@@ -310,10 +314,10 @@ def find_path_to_end(rb, sm, oracle, log, element=pair_element):
     t = oq.one
 
     def leaves_through(a, b):
-        return _in_end(ask(element(sm, a, b)), oracle)
+        return _in_end(ask(*conjugate(oq, t, element(sm, a, b))), oracle)
 
     for level in range(1, r + 1):
-        ask = question.composed([conjugate(oq, t, u) for u in _UNITS]).kernel(r - 2 * level + 1)
+        ask = question.kernel(r - 2 * level + 1)
         prev = word[-1] if word else None
         steps = allowed_next_steps(q, prev)
         refused = [] if prev is None else [0 if prev == q else q]
@@ -335,6 +339,6 @@ def find_path_to_end(rb, sm, oracle, log, element=pair_element):
             )
         word.append(accepted)
         t = _table_mul(oq.table, generator_lifts(sm, accepted), t)
-    if not _in_end(question(conjugate(oq, t, distance_element(oq, q)), -r), oracle):
+    if not _in_end(question.kernel(-r)(*conjugate(oq, t, distance_element(oq, q))), oracle):
         raise MathematicalInconsistencyError(f"the oracle refused the order at the end of the path for q={q}")
     return MatrixPath(q, tuple(word)), t
