@@ -64,17 +64,13 @@ def step_name(q: int, step: int) -> str:
     return "inf" if step == q else str(step)
 
 
-def _next_steps(q: int, prev) -> range:
+def allowed_next_steps(q: int, prev) -> range:
+    """Nonbacktracking continuations after the previous step (None at the root)."""
     if prev is None:
         return range(q + 1)
     if prev == q:
         return range(1, q + 1)
     return range(q)
-
-
-def allowed_next_steps(q: int, prev) -> list[int]:
-    """Nonbacktracking continuations after the previous step (None at the root)."""
-    return list(_next_steps(q, prev))
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,7 @@ class MatrixPath:
     def __post_init__(self):
         prev = None
         for s in self.steps:
-            if s not in _next_steps(self.q, prev):
+            if s not in allowed_next_steps(self.q, prev):
                 raise StructuralError(
                     f"backtracking or invalid step {step_name(self.q, s)} after "
                     f"{'start' if prev is None else step_name(self.q, prev)}"

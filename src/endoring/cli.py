@@ -26,8 +26,9 @@ from .serialize import int_from_str, load_problem, result_to_json
 from .trace import TraceLog
 
 
-# the most vertices `btt ball` and `btt dot` list: `btt.ball` holds them all
-MAX_BALL_VERTICES = 10**6
+# the most vertices `btt ball` and `btt dot` list: `btt.ball` holds them all,
+# at about 70 us each, so a ball within the bound prints in seconds
+MAX_BALL_VERTICES = 10**5
 
 
 def _ball_size(q: int, radius: int) -> int:

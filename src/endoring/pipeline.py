@@ -18,8 +18,9 @@ through its frame (`ReducedBasis.frame`), the one place a question and its
 quaternion beta are formed: one integer matrix, from coordinates to
 numerators over the reduced basis, and one question kernel
 (`Frame.kernel(s, images)`), bound once per shift s and four images and
-asked about q^s * sum c_i * images[i] as a function of the integers c_i.  A
-question is integers end to end: the rounding takes integer residuals and
+asked about q^s * sum c_i * images[i] as a function of the integers c_i
+(the path search's consecutive finite steps by second differences, `scan`).
+A question is integers end to end: the rounding takes integer residuals and
 one gcd, beta is a `QuatElement` of integer numerators over one
 denominator, the stand-in oracle solves from those integers and the log
 (`trace.TraceLog`, which this module takes in the stage signatures) keeps
@@ -155,7 +156,8 @@ class Frame:
     path-search level passes a pair idempotent's coefficients at the images
     conj(t) E_i t of the four matrix units mod q, so that a question costs
     one call: 16 products for the numerators, four residuals and one gcd,
-    and 16 products and one gcd for beta."""
+    and 16 products and one gcd for beta; the kernel's scan gives a pair of
+    consecutive finite steps for 8 additions in place of the first 16."""
 
     def __init__(self, rb: ReducedBasis, matrix, den: int, q: int):
         self.rb = rb
@@ -183,9 +185,14 @@ class Frame:
         too; and n is linear in x, so the reduced matrix is applied to the
         four images once, here, each column reduced mod d (with no images,
         the columns are the reduced matrix's own).  A question then forms its
-        numerators from the coefficients and those columns, and beta's
-        numerators in line from the reduced basis's columns, with one gcd
-        against their denominator."""
+        numerators from the coefficients and those columns, and `rounded`
+        forms beta's numerators in line from the reduced basis's columns,
+        with one gcd against their denominator.  The function's `scan(a)` yields the
+        questions about the steps (a, a+1), (a+2, a+3), ..., all finite, for
+        which `_pair_question` passes (-a, -a(a+1), 1, a+1): over columns e,
+        f, h, k a numerator is n(a) = (h + k) + a(k - e - f) - a^2 f, so
+        n(a+2) = n(a) + D(a), D(a) = 2(k - e) - (4a + 6) f, D(a+2) = D(a) - 8f,
+        and each next question's exact numerators cost 8 additions."""
         q, d = self.q, self.den
         f, d = (q**s, d) if s >= 0 else (1, d * q**-s)
         rows = [[f * x % d for x in row] for row in self.matrix]
@@ -198,11 +205,7 @@ class Frame:
         half = d // 2
         algebra, den = self.rb.order.algebra, self.rb.order.lattice.den
 
-        def ask(c0, c1, c2, c3):
-            n0 = c0 * e0 + c1 * f0 + c2 * h0 + c3 * k0
-            n1 = c0 * e1 + c1 * f1 + c2 * h1 + c3 * k1
-            n2 = c0 * e2 + c1 * f2 + c2 * h2 + c3 * k2
-            n3 = c0 * e3 + c1 * f3 + c2 * h3 + c3 * k3
+        def rounded(n0, n1, n2, n3):
             r0, r1, r2, r3 = n0 % d, n1 % d, n2 % d, n3 % d
             g = gcd(r0, r1, r2, r3, d)
             if g == d:
@@ -222,6 +225,32 @@ class Frame:
                 return _lowest(algebra, (x0, x1, x2, x3), den), d // g
             return _lowest(algebra, (x0 // h, x1 // h, x2 // h, x3 // h), den // h), d // g
 
+        def ask(c0, c1, c2, c3):
+            return rounded(
+                c0 * e0 + c1 * f0 + c2 * h0 + c3 * k0,
+                c0 * e1 + c1 * f1 + c2 * h1 + c3 * k1,
+                c0 * e2 + c1 * f2 + c2 * h2 + c3 * k2,
+                c0 * e3 + c1 * f3 + c2 * h3 + c3 * k3,
+            )
+
+        def scan(a):
+            b, c = a * a, 4 * a + 6
+            n0, d0, g0 = h0 + k0 + a * (k0 - e0 - f0) - b * f0, 2 * (k0 - e0) - c * f0, 8 * f0
+            n1, d1, g1 = h1 + k1 + a * (k1 - e1 - f1) - b * f1, 2 * (k1 - e1) - c * f1, 8 * f1
+            n2, d2, g2 = h2 + k2 + a * (k2 - e2 - f2) - b * f2, 2 * (k2 - e2) - c * f2, 8 * f2
+            n3, d3, g3 = h3 + k3 + a * (k3 - e3 - f3) - b * f3, 2 * (k3 - e3) - c * f3, 8 * f3
+            while True:
+                yield rounded(n0, n1, n2, n3)
+                n0 += d0
+                n1 += d1
+                n2 += d2
+                n3 += d3
+                d0 -= g0
+                d1 -= g1
+                d2 -= g2
+                d3 -= g3
+
+        ask.scan = scan
         return ask
 
 
@@ -332,8 +361,7 @@ def _pair_question(ask, q: int):
     def pair(a, b):
         a1, a2 = (1, 0) if a == q else (-a, 1)
         b1, b2 = (1, 0) if b == q else (-b, 1)
-        det = a1 * b2 - a2 * b1  # 1 for consecutive finite steps, most pairs
-        inv = 1 if det == 1 else pow(det, -1, q)
+        inv = pow(a1 * b2 - a2 * b1, -1, q)
         return ask(a1 * b2 * inv, -a1 * b1 * inv, a2 * b2 * inv, -a2 * b1 * inv)
 
     return pair
@@ -375,26 +403,31 @@ def find_path_to_end(
     each level binds the root frame's kernel once, to the level's shift
     s - 1 - k, the power of q on conj(t) P' t, and to the `conjugate` images
     of the four matrix units mod q (8 table products).  The level's steps
-    are walked by index, and a question costs one call of `_pair_question`
-    and of that kernel and, unless the element lies in O_0, one
-    `is_divisible`.  The trace stores raw records and renders them when
-    read: a question appends its beta as it is, and a level appends its word
-    and candidates in one call (`TraceLog.path_level`)."""
+    (a range) are walked by index: a pair of consecutive finite steps is the
+    next question of the kernel's scan from steps[0] (8 additions, then the
+    rounding), and the pair that holds infinity, a lone last step and the
+    split question go through `_pair_question` (16 products); unless the
+    element lies in O_0 a question costs one `is_divisible`.  The trace
+    stores raw records and renders them when read: a question appends its
+    beta as it is, and a level appends its word and candidates in one call
+    (`TraceLog.path_level`)."""
     oq, q, r = sm.order, sm.precision.q, sm.precision.r
     question, is_divisible = rb.frame(oq, q), oracle.is_divisible
     word: list[int] = []
     t = oq.one
     for level in range(1, r + 1):
-        ask = _pair_question(question.kernel(r - 2 * level + 1, [conjugate(oq, t, u) for u in sm.units_mod_q]), q)
+        kernel = question.kernel(r - 2 * level + 1, [conjugate(oq, t, u) for u in sm.units_mod_q])
+        ask = _pair_question(kernel, q)
         prev = word[-1] if word else None
         steps = allowed_next_steps(q, prev)
-        n = len(steps)
+        n, scanned = len(steps), kernel.scan(steps[0]).__next__
         # a line the path does not take: the parent's, or the root's first refused
         refused = None if prev is None else 0 if prev == q else q
         accepted = None
         for i in range(0, n, 2):
             a = steps[i]
-            asked = ask(a, steps[i + 1] if i + 1 < n else refused)
+            # steps[i + 1] = a + 1 < q: consecutive finite steps
+            asked = scanned() if a + 1 < q else ask(a, steps[i + 1] if i + 1 < n else refused)
             if asked is not None and not is_divisible(*asked):
                 refused = a if refused is None else refused
                 continue

@@ -17,8 +17,11 @@ of about `--target-ms` milliseconds, the same loop length for both sides.
 When both bodies return plain data (ints, bools, tuples, lists), the two
 results must be equal.  The script prints, per benchmark, each side's
 median over the rounds in microseconds per call, the ratio change/parent
-and the rounds in which the change was faster, then all of it as one JSON
-object on the last line.
+of the medians, the interquartile range [q1, q3] of the per-round ratios
+change/parent and the rounds in which the change was faster, then all of it
+as one JSON object on the last line.  On a shared host a body the change
+does not touch can read a median ratio well away from 1; a ratio whose own
+interquartile range holds 1 is no evidence of a change either way.
 """
 
 import argparse
@@ -71,6 +74,8 @@ def main(argv=None):
     ap.add_argument("--target-ms", type=float, default=20.0)
     ap.add_argument("names", nargs="*", help="benchmarks of microbench.PAIRED (default: all)")
     args = ap.parse_args(argv)
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2 for the ratios' quartiles")
     names = args.names or list(microbench.PAIRED)
     unknown = [n for n in names if n not in microbench.PAIRED]
     if unknown:
@@ -95,17 +100,19 @@ def main(argv=None):
                 times[side].append(loop_time(fns[side], n) * 1e6)
         med = {side: statistics.median(ts) for side, ts in times.items()}
         faster = sum(c < p for p, c in zip(times["parent"], times["change"]))
+        q1, _, q3 = statistics.quantiles([c / p for p, c in zip(times["parent"], times["change"])], n=4)
         out[name] = {
             "parent_median_us": round(med["parent"], 3),
             "change_median_us": round(med["change"], 3),
             "ratio": round(med["change"] / med["parent"], 4),
+            "ratio_iqr": [round(q1, 4), round(q3, 4)],
             "change_faster_in_rounds": faster,
             "rounds": args.rounds,
             "calls_per_timing": n,
         }
         print(
             f"{name:28s} parent {med['parent']:10.2f} us  change {med['change']:10.2f} us  "
-            f"ratio {med['change'] / med['parent']:.3f}  change faster in {faster}/{args.rounds}",
+            f"ratio {med['change'] / med['parent']:.3f} [{q1:.3f}, {q3:.3f}]  change faster in {faster}/{args.rounds}",
             flush=True,
         )
     print(json.dumps(out))

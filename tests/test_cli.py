@@ -435,13 +435,19 @@ def test_btt_small_balls_are_unchanged(args, digest, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["ball", "3", "--radius", "20"], ["dot", "3", "--radius", "40"], ["ball", "1000003", "--radius", "1"]],
+    [
+        ["ball", "3", "--radius", "20"],
+        ["dot", "3", "--radius", "40"],
+        ["ball", "2", "--radius", "16"],
+        ["ball", "1000003", "--radius", "1"],
+    ],
     ids=lambda args: "_".join(args),
 )
 def test_btt_ball_past_the_vertex_bound_is_refused(args, capsys):
     """A ball of more than `cli.MAX_BALL_VERTICES` vertices exits 2 with one
     error line before any vertex is formed: q = 3 at radius 20 has about
-    7 * 10^9 vertices, and q = 1000003 at radius 1 has q + 2."""
+    7 * 10^9 vertices, q = 2 at radius 16 has 196606, and q = 1000003 at
+    radius 1 has q + 2."""
     start = time.perf_counter()
     assert run_cli(["btt", *args]) == 2
     assert time.perf_counter() - start < 1
@@ -457,8 +463,8 @@ def test_ball_size_is_the_vertex_count():
         root = btt.vertex_of_path(btt.MatrixPath(q, ()))
         for radius in range(4):
             assert cli._ball_size(q, radius) == sum(1 for _ in btt.ball(root, radius))
-    assert cli._ball_size(2, 18) == 786430 <= cli.MAX_BALL_VERTICES
-    assert cli.MAX_BALL_VERTICES < cli._ball_size(2, 19) < 2 * cli.MAX_BALL_VERTICES
+    assert cli._ball_size(2, 15) == 98302 <= cli.MAX_BALL_VERTICES
+    assert cli.MAX_BALL_VERTICES < cli._ball_size(2, 16) < 2 * cli.MAX_BALL_VERTICES
     assert cli._ball_size(3, 10**30) < 4 * cli.MAX_BALL_VERTICES
 
 

@@ -5,8 +5,9 @@ of an enlargement O_q: products from its structure constants, conjugates as
 trd(x) - x, and oracle questions through one integer frame.  Each is
 compared here with the same computation on `QuatElement`s, a question
 kernel bound to images with the kernel's question about the image's
-element, and the path search's pair question with the kernel's question
-about the conjugated reference element.
+element, the path search's pair question with the kernel's question
+about the conjugated reference element, and the kernel's scan with the
+pair question.
 """
 
 import math
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import paperdata
 import planted
+from endoring.btt import allowed_next_steps
 from endoring.matrix import det4
 from endoring.orders import _UNITS, _conj_coords, _table_mul, q_enlarge
 from endoring.padic import Precision, splitting_map
@@ -177,6 +179,43 @@ def test_pair_kernel_is_the_kernel_of_the_reference_idempotent(q):
             want = reference(*conjugate(oq, t, pair_element(sm, a, b)))
             assert ask(a, b) == want
             outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 1009])
+def test_scan_is_the_pair_question_on_consecutive_steps(q):
+    """The kernel's scan, started at a level's first candidate step, gives
+    for each pair of consecutive finite steps (a, a + 1) that the level asks
+    what `_pair_question` asks: the same beta numerators, denominator and m,
+    or None.  At the root (t = 1), at a level after a finite step and at a
+    level after infinity (steps from 1), t the lift of a seeded word, for
+    each shift s in -2..2 and every such pair of the level."""
+    o0, _ = general(q)
+    oq = q_enlarge(o0, q)
+    sm, rb, rng = splitting_map(oq, Precision(q, 2)), ReducedBasis(o0), random.Random(q)
+    question = rb.frame(oq, q)
+    words = [(), (rng.randrange(q), rng.randrange(q)), (q,) * rng.randint(1, 2)]
+    outcomes = set()
+
+    def parts(asked):
+        return asked and (asked[0].nums, asked[0].den, asked[1])
+
+    for word in words:
+        t = oq.one
+        for step in word:
+            t = _table_mul(oq.table, generator_lifts(sm, step), t)
+        images = [conjugate(oq, t, u) for u in sm.units_mod_q]
+        steps = allowed_next_steps(q, word[-1] if word else None)
+        for s in range(-2, 3):
+            kernel = question.kernel(s, images)
+            ask, scan = _pair_question(kernel, q), kernel.scan(steps[0])
+            for a, b in zip(steps[::2], steps[1::2]):
+                if b == q:
+                    break
+                assert b == a + 1
+                want = ask(a, b)
+                assert parts(next(scan)) == parts(want)
+                outcomes.add(want is None)
     assert outcomes == {True, False}
 
 

@@ -48,3 +48,4 @@ def test_paired_microbenchmarks_run():
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert sorted(out) == sorted(names) and all(r["rounds"] == 2 for r in out.values())
+    assert all(r["ratio_iqr"][0] <= r["ratio_iqr"][1] for r in out.values())

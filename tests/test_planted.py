@@ -296,21 +296,32 @@ def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):
     rounding of `fracmodel.frame_ask` gives for the frame's unreduced
     numerators of the element sum c_i * images[i] (c_i its coordinates when
     the kernel has no images), and its trace strings are the Fractions'.
+    A question the kernel's scan gives for the consecutive steps (a, a + 1)
+    is checked on the coefficients c that `_pair_question` passes for them.
     Every oracle question passed through such a kernel, and the path
-    search's through kernels bound to images."""
-    asked, imaged = [], []
+    search's through kernels bound to images, some of them scanned."""
+    asked, imaged, scanned = [], [], []
     kernel = pipeline.Frame.kernel
 
     def recording_kernel(frame, s, images=None):
         ask = kernel(frame, s, images)
 
-        def recording_ask(*c):
-            out = ask(*c)
+        def record(c, out):
             asked.append((frame, c if images is None else combine4(c, images), s, out))
             if images is not None:
                 imaged.append(out)
             return out
 
+        def recording_ask(*c):
+            return record(c, ask(*c))
+
+        def recording_scan(a):
+            for out in ask.scan(a):
+                scanned.append(out)
+                yield record(pipeline._pair_question(lambda *c: c, frame.q)(a, a + 1), out)
+                a += 2
+
+        recording_ask.scan = recording_scan
         return recording_ask
 
     monkeypatch.setattr(pipeline.Frame, "kernel", recording_kernel)
@@ -326,7 +337,7 @@ def test_frame_ask_is_the_fraction_reference_on_solves(monkeypatch):
     assert {("distance", 2), ("path", 2), ("bass", 5)} <= stages
     assert any(out is None for *_, out in asked) and any(out is not None for *_, out in asked)
     assert sum(out is not None for *_, out in asked) == questions
-    assert any(out is not None for out in imaged)
+    assert any(out is not None for out in imaged) and any(out is not None for out in scanned)
     for frame, z, s, out in asked:
         want = frame_ask(frame, matvec4(frame.matrix, z), s)
         assert out == want
