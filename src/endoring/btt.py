@@ -73,6 +73,15 @@ def allowed_next_steps(q: int, prev) -> range:
     return range(q)
 
 
+def back_step(q: int, prev):
+    """The step back to the parent after the previous step (None at the
+    root, which has no parent): the one step `allowed_next_steps` leaves
+    out."""
+    if prev is None:
+        return None
+    return 0 if prev == q else q
+
+
 @dataclass(frozen=True)
 class MatrixPath:
     q: int

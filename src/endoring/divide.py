@@ -20,11 +20,7 @@ from .quat import QuatElement
 
 class DivisionOracle:
     """Interface: is_divisible(beta, n) decides whether beta/n stays integral
-    in the hidden endomorphism frame; implementations count their calls."""
-
-    @property
-    def calls(self) -> int:
-        raise NotImplementedError
+    in the hidden endomorphism frame."""
 
     def is_divisible(self, beta: QuatElement, n: int) -> bool:
         raise NotImplementedError

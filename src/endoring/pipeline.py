@@ -63,7 +63,7 @@ solution's call counts are read off its stage oracles.
 from dataclasses import dataclass, field
 from math import gcd
 
-from .btt import MatrixPath, allowed_next_steps, associated_matrix, gen_matrix
+from .btt import MatrixPath, allowed_next_steps, associated_matrix, back_step, gen_matrix
 from .divide import CountingOracle, DivisionOracle
 from .errors import MathematicalInconsistencyError
 from .lattice import Lattice4, lll_gram
@@ -422,7 +422,7 @@ def find_path_to_end(
         steps = allowed_next_steps(q, prev)
         n, scanned = len(steps), kernel.scan(steps[0]).__next__
         # a line the path does not take: the parent's, or the root's first refused
-        refused = None if prev is None else 0 if prev == q else q
+        refused = back_step(q, prev)
         accepted = None
         for i in range(0, n, 2):
             a = steps[i]
@@ -511,7 +511,7 @@ def enumerate_bass_path(o0: Order, sm: SplittingMap) -> list[tuple]:
         if not zs:
             steps = allowed_next_steps(q, prev)
         else:
-            back = None if prev is None else 0 if prev == q else q
+            back = back_step(q, prev)
             steps = [s for s in _kept_steps(q, zs[0]) if s != back and all(_keeps(q, z, s) for z in zs[1:])]
         return [(s, mat2_mul(gen_matrix(q, s), t)) for s in steps]
 

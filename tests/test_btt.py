@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from endoring.btt import (
     MatrixPath,
     TreeVertex,
+    allowed_next_steps,
     associated_matrix,
+    back_step,
     ball,
     canonical_vertex,
     d3,
@@ -35,6 +37,14 @@ def test_backtracking_rejected():
         MatrixPath(3, (1, 3))
     with pytest.raises(StructuralError):
         MatrixPath(3, (3, 0))  # gamma_0 after gamma_inf
+    # the step back is the one step that allowed_next_steps leaves out
+    assert back_step(3, None) is None
+    for q in (2, 3, 5):
+        for prev in range(q + 1):
+            back = back_step(q, prev)
+            assert sorted([*allowed_next_steps(q, prev), back]) == list(range(q + 1))
+            with pytest.raises(StructuralError):
+                MatrixPath(q, (prev, back))
 
 
 def test_path_over_one_is_refused():
@@ -83,13 +93,11 @@ def test_canonical_vertex_is_the_fraction_reference(case):
 
 def test_path_roundtrip_random():
     rng = random.Random(12)
-    for q in (2, 3, 5):
+    for q in (2, 3, 5, 1009):
         for _ in range(200):
             steps = []
             prev = None
             for _ in range(rng.randrange(0, 7)):
-                from endoring.btt import allowed_next_steps
-
                 choices = allowed_next_steps(q, prev)
                 prev = rng.choice(choices)
                 steps.append(prev)

@@ -87,7 +87,7 @@ def test_distance_matches_bruteforce():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 1009])
 def test_general_branch_path_search(q, d):
     """Z + q^d * Lambda: distance r = d, then path search at r >= 1."""
     alg = QuaternionAlgebra.for_prime(103)

@@ -11,9 +11,8 @@ reference for the integer one.  `enumerate_bass_path` tries every step
 out of each vertex and rebuilds each candidate word's matrix from scratch:
 the reference for the pipeline's walk, which reads each level's steps from
 the roots of a quadratic mod q.  `VertexLattices` reads the order of a word's vertex
-through its canonical label (a, b, c) and `segment_element` picks an
-element of a segment's order from the intersection of two vertex lattices:
-the references for the pipeline's `word_lattice` and `path_element`.
+through its canonical label (a, b, c): the reference for the pipeline's
+`word_lattice`, and the lattices that `path_element`'s gaps are read in.
 `pair_element` forms the element a path-search pair asks about on its own
 (the pair's idempotent combined from the matrix units with its
 coefficients unreduced), `pair_idempotent` the idempotent from reduced
@@ -247,26 +246,6 @@ class VertexLattices(dict):
             lat = conjugate_order_lattice(self.oq, t, q, len(word))
         self[word] = lat
         return lat
-
-
-def segment_element(lattices, first, last, outside) -> tuple:
-    """An element x of O(first) cap O(last) outside O(outside) at q, the
-    vertices given by step words: the first basis column of the
-    intersection of the two vertex lattices that fails the q-local
-    membership test against O(outside).  Returns (z, -K) with x = q^-K *
-    (the element with integer coordinates z over O_q), K >= 0 least."""
-    q = lattices.sm.precision.q
-    inter = lattices[first] if first == last else lattices[first].intersect(lattices[last])
-    gaps = lattices[outside].gaps_at(inter.cols, inter.den, q)
-    j = next((j for j, g in enumerate(gaps) if g), None)
-    if j is None:
-        raise MathematicalInconsistencyError("segment order lies inside the next vertex's order")
-    col, lat = inter.cols[j], lattices.oq.lattice
-    k = lat.gaps_at((col,), inter.den, q)[0]
-    z = lat.integer_coords(tuple(q**k * x for x in col), inter.den)
-    if z is None:
-        raise MathematicalInconsistencyError("vertex lattice element outside O_q away from q")
-    return z, -k
 
 
 def pair_idempotent(sm, a: int, b: int) -> tuple:
